@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -124,7 +123,8 @@ func run(configPath string, origin, count, payload int, clientID, firstSeq uint6
 		}
 		for _, id := range targets {
 			if conns[id] != nil {
-				writeFrame(conns[id], buf)
+				// A lost submission is covered by retransmission.
+				_ = client.WriteFrame(conns[id], buf)
 			}
 		}
 	}
@@ -169,6 +169,9 @@ func run(configPath string, origin, count, payload int, clientID, firstSeq uint6
 	return nil
 }
 
+// maxReplyFrame caps one reply frame.
+const maxReplyFrame = 1 << 20
+
 // readReplies decodes ReplyMsg frames off one replica connection and drops
 // any reply whose signature share does not verify: Share.Signer is
 // attacker-controlled wire data, and the f+1 certificate rule only holds if
@@ -177,11 +180,11 @@ func run(configPath string, origin, count, payload int, clientID, firstSeq uint6
 // connection) forge a full certificate over an arbitrary result.
 func readReplies(conn net.Conn, suite crypto.Suite, out chan<- client.Reply) {
 	for {
-		frame, err := readFrame(conn)
+		frame, err := client.ReadFrame(conn, maxReplyFrame)
 		if err != nil {
 			return
 		}
-		msg, err := leopard.DecodeMessageCopying(frame)
+		msg, err := leopard.DecodeMessage(frame)
 		if err != nil {
 			return
 		}
@@ -198,30 +201,4 @@ func readReplies(conn net.Conn, suite crypto.Suite, out chan<- client.Reply) {
 			Replica: m.Share.Signer,
 		}
 	}
-}
-
-func readFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > 1<<20 {
-		return nil, fmt.Errorf("oversized reply frame")
-	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(conn, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
-func writeFrame(conn net.Conn, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(body)
-	return err
 }

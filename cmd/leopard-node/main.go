@@ -40,12 +40,10 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -309,7 +307,9 @@ type clientConn struct {
 func (c *clientConn) writeFrame(body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	writeClientFrame(c.conn, body)
+	// A failed write means the client hung up; its read loop drops the
+	// connection from the hub.
+	_ = client.WriteFrame(c.conn, body)
 }
 
 // replyHub routes signed execution replies back to the client connection
@@ -375,6 +375,9 @@ func serveClients(ln net.Listener, rt *tcp.Runtime, node *leopard.Node, hub *rep
 	}
 }
 
+// maxClientFrame caps one submitted request frame.
+const maxClientFrame = 16 << 20
+
 func handleClient(conn net.Conn, rt *tcp.Runtime, node *leopard.Node, hub *replyHub) {
 	cc := &clientConn{conn: conn}
 	defer func() {
@@ -382,11 +385,11 @@ func handleClient(conn net.Conn, rt *tcp.Runtime, node *leopard.Node, hub *reply
 		conn.Close()
 	}()
 	for {
-		frame, err := readClientFrame(conn)
+		frame, err := client.ReadFrame(conn, maxClientFrame)
 		if err != nil {
 			return
 		}
-		msg, err := leopard.DecodeMessageCopying(frame)
+		msg, err := leopard.DecodeMessage(frame)
 		if err != nil {
 			return
 		}
@@ -410,30 +413,4 @@ func handleClient(conn net.Conn, rt *tcp.Runtime, node *leopard.Node, hub *reply
 			return
 		}
 	}
-}
-
-func readClientFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > 16<<20 {
-		return nil, fmt.Errorf("client frame too large: %d", size)
-	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(conn, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
-func writeClientFrame(conn net.Conn, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(body)
-	return err
 }

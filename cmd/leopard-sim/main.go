@@ -36,9 +36,9 @@ var knownExperiments = []struct{ id, desc string }{
 	{"fig12", "retrieval cost of a missing datablock (+ Table V)"},
 	{"fig13", "view-change time and communication cost"},
 	{"attack", "throughput under f selective-attacking replicas"},
-	{"vclanes", "view-change convergence under saturated bulk lanes (lanes vs FIFO)"},
-	{"stream", "slow-receiver datablock fan-out: credit streaming vs drop-on-overflow"},
-	{"recover", "crash-restart a replica: WAL recovery + state transfer vs no-durability baseline"},
+	{"vclanes", "view-change convergence under saturated bulk lanes"},
+	{"stream", "slow-receiver datablock fan-out over the credit-streamed bulk lane"},
+	{"recover", "crash-restart a replica: WAL recovery + state transfer"},
 	{"chaos", "seeded fault schedules (partitions, loss, skew, crashes) under the invariant checker"},
 	{"clients", "closed-loop signed clients: reply certificates under leader churn + a reply-suppressing replica"},
 	{"rotate", "pipelined rotating-leader agreement: fixed vs rotated A/B with per-replica CPU shares"},
@@ -304,10 +304,9 @@ func run(id string, scales []int, numClients int) (any, error) {
 			return nil, err
 		}
 		out = rows
-		fmt.Println("   n   laned(ms)   single-queue(ms)")
+		fmt.Println("   n   laned(ms)")
 		for _, r := range rows {
-			fmt.Printf("%4d   %9.1f   %16.1f\n",
-				r.N, float64(r.Laned.Microseconds())/1e3, float64(r.SingleQ.Microseconds())/1e3)
+			fmt.Printf("%4d   %9.1f\n", r.N, float64(r.Laned.Microseconds())/1e3)
 		}
 	case "stream":
 		rows, err := experiments.StreamScenario(scales)
@@ -315,10 +314,10 @@ func run(id string, scales []int, numClients int) (any, error) {
 			return nil, err
 		}
 		out = rows
-		fmt.Println("   n   mode     converge(ms)   peak-queued(KB)   drops   retrievals")
+		fmt.Println("   n   converge(ms)   peak-queued(KB)   drops   retrievals")
 		for _, r := range rows {
-			fmt.Printf("%4d   %-6s   %12.1f   %15.1f   %5d   %10d\n",
-				r.N, r.Mode, float64(r.Converged.Microseconds())/1e3,
+			fmt.Printf("%4d   %12.1f   %15.1f   %5d   %10d\n",
+				r.N, float64(r.Converged.Microseconds())/1e3,
 				float64(r.PeakQueuedBytes)/1e3, r.BulkDrops, r.Retrievals)
 		}
 	case "recover":
@@ -327,15 +326,15 @@ func run(id string, scales []int, numClients int) (any, error) {
 			return nil, err
 		}
 		out = rows
-		fmt.Println("   n   mode       caught-up   catchup(ms)   height@restart   replayed   transferred   retrievals   re-votes")
+		fmt.Println("   n   caught-up   catchup(ms)   height@restart   replayed   transferred   retrievals   re-votes")
 		for _, r := range rows {
 			caught := "yes"
 			catchup := fmt.Sprintf("%11.1f", float64(r.CatchupTime.Microseconds())/1e3)
 			if !r.CaughtUp {
 				caught, catchup = "NO", fmt.Sprintf("%11s", "never")
 			}
-			fmt.Printf("%4d   %-8s   %9s   %s   %14d   %8d   %11d   %10d   %8d\n",
-				r.N, r.Mode, caught, catchup, r.HeightAtRestart,
+			fmt.Printf("%4d   %9s   %s   %14d   %8d   %11d   %10d   %8d\n",
+				r.N, caught, catchup, r.HeightAtRestart,
 				r.BlocksReplayed, r.StateBlocks, r.Retrievals, r.ReVotes)
 		}
 	case "rotate":

@@ -378,7 +378,10 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 		// — the restarted leader needs new content to re-propose.
 		cfg.ViewChangeTimeout = time.Second
 		cfg.MaxOutstandingDatablocks = 64
-		cfg.DisableVoteAheadLog = disableVAL
+		if disableVAL {
+			// The checker keeps the undecorated store registered.
+			cfg.Store = harness.ForgetVotes(cfg.Store)
+		}
 	}))
 	if err != nil {
 		return res, err
@@ -425,12 +428,6 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 	}
 	chaosFinish(&res, c, ic)
 	return res, nil
-}
-
-// ChaosAmnesia runs the amnesia schedule with default sizing; the A/B over
-// disableVAL is the vote-ahead log's acceptance check.
-func ChaosAmnesia(n int, disableVAL bool) (ChaosResult, error) {
-	return chaosAmnesia(n, disableVAL, defaultChaosParams())
 }
 
 // ChaosScenario sweeps the schedule library (plus the amnesia schedule,

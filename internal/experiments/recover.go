@@ -12,16 +12,12 @@ import (
 
 // RecoverResult is one row of the recover scenario: a replica is killed
 // mid-run and restarted after the cluster has advanced past several stable
-// checkpoints, under the durable subsystem (WAL recovery + state transfer)
-// and under the pre-durability baseline (fresh empty node, no state
-// transfer).
+// checkpoints, and recovers through the durable subsystem (WAL replay +
+// state transfer).
 type RecoverResult struct {
-	N    int
-	Mode string // "durable" or "baseline"
+	N int
 	// CaughtUp reports whether the restarted replica reached the cluster's
-	// executed height within the deadline. The baseline never does: its
-	// executed prefix was garbage-collected cluster-wide, and without state
-	// transfer there is no protocol path to recover it.
+	// executed height within the deadline.
 	CaughtUp bool
 	// CatchupTime is restart → executed height parity with the live
 	// cluster.
@@ -35,9 +31,7 @@ type RecoverResult struct {
 	BlocksReplayed int64
 	StateBlocks    int64
 	// Retrievals counts per-datablock retrievals at the restarted replica
-	// after restart — state transfer must make this zero (the baseline's
-	// alternative was a retrieval storm, and past the watermark not even
-	// that works).
+	// after restart — state transfer must make this zero.
 	Retrievals int64
 	// ReVotes counts agreement votes the restarted replica cast for serial
 	// numbers at or below HeightAtRestart: the transferred range must incur
@@ -84,35 +78,28 @@ func defaultRecoverParams() recoverParams {
 	}
 }
 
-// RecoverScenario runs the crash-restart experiment at each scale under
-// both modes.
+// RecoverScenario runs the crash-restart experiment at each scale.
 func RecoverScenario(scales []int) ([]RecoverResult, error) {
 	if len(scales) == 0 {
 		scales = []int{4, 8}
 	}
 	var out []RecoverResult
 	for _, n := range scales {
-		for _, durable := range []bool{true, false} {
-			r, err := recoverOnce(n, durable, defaultRecoverParams())
-			if err != nil {
-				return nil, fmt.Errorf("recover n=%d %s: %w", n, r.Mode, err)
-			}
-			out = append(out, r)
+		r, err := recoverOnce(n, defaultRecoverParams())
+		if err != nil {
+			return nil, fmt.Errorf("recover n=%d: %w", n, err)
 		}
+		out = append(out, r)
 	}
 	return out, nil
 }
 
 // recoverOnce builds an n-replica cluster where every replica persists to a
 // deterministic in-memory store, kills the last non-leader replica at
-// crashAt, restarts it at restartAt — rebuilt over its surviving store
-// (durable) or empty with state transfer disabled (baseline) — and
+// crashAt, restarts it at restartAt rebuilt over its surviving store, and
 // measures catch-up.
-func recoverOnce(n int, durable bool, p recoverParams) (RecoverResult, error) {
-	res := RecoverResult{N: n, Mode: "durable"}
-	if !durable {
-		res.Mode = "baseline"
-	}
+func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
+	res := RecoverResult{N: n}
 	if n < 4 {
 		return res, fmt.Errorf("need n >= 4, got %d", n)
 	}
@@ -129,7 +116,6 @@ func recoverOnce(n int, durable bool, p recoverParams) (RecoverResult, error) {
 	for i := range stores {
 		stores[i] = storage.NewMemLog()
 	}
-	baseline := !durable
 
 	c, err := leopardClusterDepth(n, p.dbRequests, p.bftSize, 0, net, func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = time.Hour // the victim is not the leader
@@ -138,12 +124,6 @@ func recoverOnce(n int, durable bool, p recoverParams) (RecoverResult, error) {
 		cfg.CheckpointEvery = p.checkpoint
 		cfg.MaxOutstandingDatablocks = 2
 		cfg.Store = stores[cfg.ID]
-		if baseline {
-			cfg.DisableStateTransfer = true
-			if cfg.ID == types.ReplicaID(n-1) {
-				cfg.Store = nil // the baseline victim restarts empty
-			}
-		}
 	})
 	if err != nil {
 		return res, err
@@ -239,12 +219,12 @@ func recoverOnce(n int, durable bool, p recoverParams) (RecoverResult, error) {
 	return res, nil
 }
 
-// RecoverRunDigest renders one durable-mode run — the victim's counters
+// RecoverRunDigest renders one run — the victim's counters
 // plus every replica's per-class bandwidth totals — as a deterministic
 // string: two identically-seeded runs must produce byte-identical digests
 // (TestRecoverScenarioDeterministic).
 func RecoverRunDigest(n int, p recoverParams) (string, error) {
-	r, err := recoverOnce(n, true, p)
+	r, err := recoverOnce(n, p)
 	if err != nil {
 		return "", err
 	}

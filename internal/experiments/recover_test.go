@@ -24,17 +24,17 @@ func fastRecoverParams() recoverParams {
 // TestRecoverScenarioRegression is the recover-scenario gate: the restarted
 // replica must reach the cluster's executed height via WAL replay + state
 // transfer — with zero agreement re-votes for the transferred range and
-// zero per-datablock retrievals — while the pre-durability baseline never
-// catches up (its executed prefix is garbage-collected cluster-wide).
+// zero per-datablock retrievals. (The deleted no-state-transfer baseline
+// never caught up: its executed prefix is garbage-collected cluster-wide.)
 func TestRecoverScenarioRegression(t *testing.T) {
 	p := fastRecoverParams()
 
-	r, err := recoverOnce(4, true, p)
+	r, err := recoverOnce(4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.CaughtUp {
-		t.Fatalf("durable victim did not catch up: %+v", r)
+		t.Fatalf("victim did not catch up: %+v", r)
 	}
 	if r.BlocksReplayed == 0 {
 		t.Errorf("expected WAL replay at restart, got none: %+v", r)
@@ -51,21 +51,9 @@ func TestRecoverScenarioRegression(t *testing.T) {
 	if r.CatchupTime <= 0 || r.CatchupTime > 10*time.Second {
 		t.Errorf("catch-up time out of bounds: %v", r.CatchupTime)
 	}
-
-	// The baseline restarts empty without state transfer: the range below
-	// the cluster watermark is unreachable, so it must never reach height.
-	base := p
-	base.deadline = 5 * time.Second
-	b, err := recoverOnce(4, false, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.CaughtUp {
-		t.Fatalf("baseline caught up without state transfer: %+v", b)
-	}
 }
 
-// TestRecoverScenarioDeterministic asserts two identically-seeded durable
+// TestRecoverScenarioDeterministic asserts two identically-seeded
 // runs are byte-identical — counters, timings and the full per-replica
 // traffic signature.
 func TestRecoverScenarioDeterministic(t *testing.T) {

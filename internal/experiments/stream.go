@@ -11,11 +11,9 @@ import (
 )
 
 // StreamResult is one row of the stream scenario: a mixed ~1 MiB datablock
-// fan-out with one slow receiver, run under the chunked credit-based bulk
-// lane and under the drop-on-overflow baseline it replaced.
+// fan-out with one slow receiver over the chunked credit-based bulk lane.
 type StreamResult struct {
-	N    int
-	Mode string // "stream" (BulkCredit) or "drop" (BulkDrop baseline)
+	N int
 	// Converged is from first submission until every replica holds every
 	// datablock (by any path: dissemination or retrieval).
 	Converged time.Duration
@@ -23,7 +21,7 @@ type StreamResult struct {
 	// one peer set at once — the memory cost of not dropping.
 	PeakQueuedBytes int64
 	// BulkDrops counts datablock/retrieval frames lost at the bulk lane
-	// (tail drops in the baseline, park-budget evictions under credits).
+	// (park-budget evictions).
 	BulkDrops int64
 	// Retrievals counts datablocks recovered via Alg. 3 across replicas —
 	// the protocol-level repair work transport losses force.
@@ -37,9 +35,8 @@ type streamParams struct {
 	blocksPer  int     // datablocks per generator
 	linkBps    float64 // cluster link rate
 	slowBps    float64 // the slow receiver's ingress rate
-	window     int64   // credit window / in-flight bound, both modes
+	window     int64   // credit window
 	chunk      int     // stream chunk size
-	dropBudget int64   // baseline bounded-queue size (PR 3 sizing)
 	parkBudget int64   // streaming park budget
 	timeout    time.Duration
 }
@@ -52,41 +49,33 @@ func defaultStreamParams() streamParams {
 		slowBps:    20e6,
 		window:     256 << 10,
 		chunk:      64 << 10,
-		dropBudget: 2 << 20,
 		parkBudget: 64 << 20,
 		timeout:    120 * time.Second,
 	}
 }
 
-// StreamScenario runs the slow-receiver fan-out at each scale under both
-// bulk models. Two generators broadcast blocksPer ~1 MiB datablocks each
-// while the last replica's ingress runs at a tenth of the cluster's link
-// rate. Under credits the backlog parks at the senders and drains at the
-// receiver's pace — zero drops, zero retrievals; under the
-// drop-on-overflow baseline the bounded queue sheds datablocks and the
-// slow replica must repair via retrieval.
+// StreamScenario runs the slow-receiver fan-out at each scale. Two
+// generators broadcast blocksPer ~1 MiB datablocks each while the last
+// replica's ingress runs at a tenth of the cluster's link rate. The
+// backlog parks at the senders under credit flow control and drains at
+// the receiver's pace — zero drops, zero retrievals.
 func StreamScenario(scales []int) ([]StreamResult, error) {
 	if len(scales) == 0 {
 		scales = []int{4, 8}
 	}
 	var out []StreamResult
 	for _, n := range scales {
-		for _, mode := range []simnet.BulkModel{simnet.BulkCredit, simnet.BulkDrop} {
-			r, err := streamOnce(n, mode, defaultStreamParams())
-			if err != nil {
-				return nil, fmt.Errorf("stream n=%d %s: %w", n, r.Mode, err)
-			}
-			out = append(out, r)
+		r, err := streamOnce(n, defaultStreamParams())
+		if err != nil {
+			return nil, fmt.Errorf("stream n=%d: %w", n, err)
 		}
+		out = append(out, r)
 	}
 	return out, nil
 }
 
-func streamOnce(n int, mode simnet.BulkModel, p streamParams) (StreamResult, error) {
-	res := StreamResult{N: n, Mode: "stream"}
-	if mode == simnet.BulkDrop {
-		res.Mode = "drop"
-	}
+func streamOnce(n int, p streamParams) (StreamResult, error) {
+	res := StreamResult{N: n}
 	if n < 4 {
 		return res, fmt.Errorf("need n >= 4, got %d", n)
 	}
@@ -96,7 +85,7 @@ func streamOnce(n int, mode simnet.BulkModel, p streamParams) (StreamResult, err
 	net.IngressBps = p.linkBps
 	net.ProcBps = 0 // a pure transport scenario: the wire is the bottleneck
 	net.TickInterval = 5 * time.Millisecond
-	net.Bulk = mode
+	net.Bulk = simnet.BulkCredit
 	net.IngressBpsPer = make([]float64, n)
 	net.IngressBpsPer[slow] = p.slowBps
 	net.Stream = transport.StreamConfig{
@@ -104,19 +93,13 @@ func streamOnce(n int, mode simnet.BulkModel, p streamParams) (StreamResult, err
 		CreditWindow: p.window,
 		ParkBudget:   p.parkBudget,
 	}
-	if mode == simnet.BulkDrop {
-		// The baseline's bounded queue uses the PR 3 sizing: small, since
-		// without flow control a deep queue just pins stale datablocks.
-		net.Stream.ParkBudget = p.dropBudget
-	}
 
 	// No background saturation: the scenario injects an exact burst.
 	c, err := leopardClusterDepth(n, p.dbRequests, 10, 0, net, func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = time.Hour
 		// Generous retrieval timer, as the paper's network-profiled
 		// adaptive timer: parked-but-flowing datablocks must not trigger
-		// spurious queries, while frames the baseline dropped (which will
-		// never arrive) still get repaired.
+		// spurious queries.
 		cfg.RetrievalTimeout = 4 * time.Second
 		cfg.MaxOutstandingDatablocks = 2
 		// Keep every datablock pooled until the run ends so convergence

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"leopard/internal/faultplan"
+	"leopard/internal/storage"
 	"leopard/internal/types"
 )
 
@@ -61,3 +62,18 @@ func (c *Cluster) checkDurability(id types.ReplicaID, rebuild func() error) erro
 	}
 	return nil
 }
+
+// ForgetVotes wraps a store so it forgets the vote-ahead log: vote and
+// note appends succeed without being recorded and nothing is reloaded at
+// restart. It reopens the crash-between-vote-and-execute amnesia window
+// from outside the protocol, for the safety regression that proves the
+// vote-ahead log closes it (chaos amnesia A/B). Everything else passes
+// through to the wrapped store.
+func ForgetVotes(st storage.Store) storage.Store { return forgetVotes{st} }
+
+type forgetVotes struct{ storage.Store }
+
+func (forgetVotes) AppendVote(storage.VoteRecord) error { return nil }
+func (forgetVotes) AppendNote(storage.NoteRecord) error { return nil }
+func (forgetVotes) Votes() []storage.VoteRecord         { return nil }
+func (forgetVotes) Notes() []storage.NoteRecord         { return nil }

@@ -247,7 +247,7 @@ func (c *Cluster) SubmitN(id types.ReplicaID, count int) {
 // swaps it into the network (simnet.Replace): the crash-restart-with-
 // durable-state model. The Build closure decides what survives — a
 // replica built over the same storage.Store recovers its durable state;
-// one built without a store models the pre-durability baseline.
+// one built without a store restarts empty.
 func (c *Cluster) Restart(id types.ReplicaID) error {
 	return c.checkDurability(id, func() error {
 		r, err := c.opts.Build(id)

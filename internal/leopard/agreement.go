@@ -105,7 +105,7 @@ func (n *Node) propose(block *types.BFTblock, out transport.Sink) error {
 // immediately and the caller must abort the vote: broadcasting without the
 // durable lock would reopen the amnesia window the log exists to close.
 func (n *Node) persistVote(round uint8, seq types.SeqNum, digest types.Hash) bool {
-	if n.store == nil || n.cfg.DisableVoteAheadLog {
+	if n.store == nil {
 		return true
 	}
 	if err := n.store.AppendVote(storage.VoteRecord{
@@ -128,7 +128,7 @@ func (n *Node) persistVote(round uint8, seq types.SeqNum, digest types.Hash) boo
 // frame is staged only; the round-2 persistVote that always follows flushes
 // and fsyncs both records before the vote leaves the node.
 func (n *Node) persistNote(inst *instance) bool {
-	if n.store == nil || n.cfg.DisableVoteAheadLog {
+	if n.store == nil {
 		return true
 	}
 	if err := n.store.AppendNote(storage.NoteRecord{

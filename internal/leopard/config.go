@@ -108,15 +108,6 @@ type Config struct {
 	// rest from peers via state transfer. Nil keeps the replica purely
 	// in-memory (simulations that never crash).
 	Store storage.Store
-	// DisableStateTransfer turns off the recovery protocol — the replica
-	// neither requests nor serves checkpoint-anchored state transfer. Used
-	// by the recover experiment's pre-durability baseline.
-	DisableStateTransfer bool
-	// DisableVoteAheadLog turns off vote-ahead logging: votes above the
-	// executed frontier are not persisted or reloaded, reopening the
-	// crash-between-vote-and-execute amnesia window. Only the chaos
-	// experiment's A/B schedule should set this.
-	DisableVoteAheadLog bool
 	// ViewChangeMaxTimeout caps the exponential view-change patience
 	// ladder: while a view change is pending, the per-view patience before
 	// escalating to the next view starts at 4×ViewChangeTimeout and doubles

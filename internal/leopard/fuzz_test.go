@@ -31,7 +31,7 @@ func FuzzDecodeMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		borrowed, errB := DecodeMessage(data)
-		copied, errC := DecodeMessageCopying(data)
+		copied, errC := decodeMessageCopying(data)
 		if (errB == nil) != (errC == nil) {
 			t.Fatalf("decode modes disagree: borrow err=%v, copy err=%v", errB, errC)
 		}

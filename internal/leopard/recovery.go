@@ -28,8 +28,8 @@ import (
 // certificate they endorse (persistNote), reloaded into the carried set so
 // the replica keeps advertising the block in view-change messages. The
 // chaos experiment's crash-between-vote-and-execute schedule exercises
-// exactly this window, and fails when Config.DisableVoteAheadLog reopens
-// it.
+// exactly this window, and fails when handed a store that forgets votes
+// and notes.
 
 // counterReserveSlack is how far ahead of the live datablock counter the
 // persisted reservation runs. A restart resumes from the reservation,
@@ -125,15 +125,13 @@ func (n *Node) recoverFromStore(out transport.Sink) {
 	// Nothing below the anchor was pooled in this life; start the prune
 	// cursor there so the first watermark advance does not walk history.
 	n.prunedTo = n.lw
-	if !n.cfg.DisableStateTransfer {
-		// Probe peers for what was decided while this replica was down.
-		// Even an empty store probes: a replica restarted with a lost data
-		// dir still recovers — the whole state arrives anchored at the
-		// cluster's checkpoint. (At genesis the probe is a no-op round:
-		// peers answer with empty acks and the sync flag clears.)
-		n.needSync = true
-		n.sendStateReq(out)
-	}
+	// Probe peers for what was decided while this replica was down. Even
+	// an empty store probes: a replica restarted with a lost data dir
+	// still recovers — the whole state arrives anchored at the cluster's
+	// checkpoint. (At genesis the probe is a no-op round: peers answer
+	// with empty acks and the sync flag clears.)
+	n.needSync = true
+	n.sendStateReq(out)
 }
 
 // reloadVoteLocks restores the vote-ahead locks from the store: every
@@ -149,9 +147,6 @@ func (n *Node) recoverFromStore(out transport.Sink) {
 //
 //lint:voteahead-exempt replaying locks FROM the durable vote log: every record written here was persisted by a checked persistVote in a previous life
 func (n *Node) reloadVoteLocks(st storage.Store) {
-	if n.cfg.DisableVoteAheadLog {
-		return
-	}
 	votes := st.Votes()
 	for _, v := range votes {
 		if v.View > n.view {
@@ -184,9 +179,6 @@ func (n *Node) reloadVoteLocks(st storage.Store) {
 // recomputed rather than trusted, certificates are trusted like block
 // replay is (CRC-guarded local WAL, verified before append).
 func (n *Node) reloadNotes(st storage.Store) {
-	if n.cfg.DisableVoteAheadLog {
-		return
-	}
 	for _, nt := range st.Notes() {
 		if nt.Block == nil || nt.Block.Seq <= n.lw {
 			continue
@@ -299,9 +291,6 @@ func (n *Node) stuckBehind() bool {
 // maybeRequestState re-probes for state transfer while the replica is
 // syncing after a restart or provably stuck. Driven from Tick.
 func (n *Node) maybeRequestState(out transport.Sink) {
-	if n.cfg.DisableStateTransfer {
-		return
-	}
 	if n.frontierStalled() {
 		if n.behindSince < 0 {
 			n.behindSince = n.now
@@ -331,9 +320,6 @@ func (n *Node) sendStateReq(out transport.Sink) { n.sendStateReqWidth(out, n.q.S
 // nothing. Liveness is unharmed — if the single rotating peer never
 // answers, the paced retry re-probes f+1 after stateRetryInterval.
 func (n *Node) sendStateReqWidth(out transport.Sink, k int) {
-	if n.cfg.DisableStateTransfer {
-		return
-	}
 	n.lastStateReq = n.now
 	req := &StateReqMsg{Have: n.executedTo}
 	peers := n.q.N - 1
@@ -356,9 +342,6 @@ func (n *Node) sendStateReqWidth(out transport.Sink, k int) {
 // this replica's checkpoint and continues from the watermark instead —
 // that is the checkpoint-anchored jump.
 func (n *Node) handleStateReq(from types.ReplicaID, m *StateReqMsg, out transport.Sink) {
-	if n.cfg.DisableStateTransfer {
-		return
-	}
 	if n.lastCheckpoint == nil && n.store == nil {
 		return
 	}
@@ -407,9 +390,6 @@ func (n *Node) handleStateReq(from types.ReplicaID, m *StateReqMsg, out transpor
 // responder cooldown); a response that offers nothing new means we are
 // caught up.
 func (n *Node) handleStateResp(from types.ReplicaID, m *StateRespMsg, out transport.Sink) {
-	if n.cfg.DisableStateTransfer {
-		return
-	}
 	n.stats.StateRespsReceived++
 	progress := false
 	if cp := m.Checkpoint; cp != nil && cp.Seq > n.lw {

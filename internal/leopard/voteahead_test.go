@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"leopard/internal/harness"
 	"leopard/internal/leopard"
 	"leopard/internal/storage"
 	"leopard/internal/transport"
@@ -22,7 +23,11 @@ const genesisLeader = types.ReplicaID(1)
 // proposals it emitted in its second life.
 func voteAheadRestart(t *testing.T, disable bool) (reloaded int64, reproposed int) {
 	t.Helper()
-	mutate := func(cfg *leopard.Config) { cfg.DisableVoteAheadLog = disable }
+	mutate := func(cfg *leopard.Config) {
+		if disable {
+			cfg.Store = harness.ForgetVotes(cfg.Store)
+		}
+	}
 	r, stores := storedRouter(t, 4, mutate)
 	r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
 		_, isVote := msg.(*leopard.VoteMsg)

@@ -278,21 +278,16 @@ func decodeViewChange(r *codec.Reader) (*ViewChangeMsg, error) {
 // (signature shares, combined proofs, retrieval chunks, request payloads)
 // sub-slices buf, so ownership of buf transfers to the message and the
 // caller must neither modify nor recycle it afterwards. The TCP transport
-// satisfies this by allocating one fresh frame per message; callers that
-// reuse their buffer must use DecodeMessageCopying. Frames with bytes left
-// over after the last field are rejected, keeping the encoding canonical.
+// satisfies this by allocating one fresh frame per message, as do the
+// client-port readers (client.ReadFrame). Frames with bytes left over
+// after the last field are rejected, keeping the encoding canonical.
 func DecodeMessage(buf []byte) (transport.Message, error) {
 	return decodeMessage(buf, true)
 }
 
-// DecodeMessageCopying parses like DecodeMessage but copies every
-// variable-length field out of buf, leaving buf free for reuse. The two
-// modes decode bitwise-identical messages; this one trades allocations for
-// buffer independence.
-func DecodeMessageCopying(buf []byte) (transport.Message, error) {
-	return decodeMessage(buf, false)
-}
-
+// decodeMessage is the decoder behind DecodeMessage. With borrow false it
+// copies every variable-length field out of buf instead; the two modes
+// decode bitwise-identical messages, which the differential tests assert.
 func decodeMessage(buf []byte, borrow bool) (transport.Message, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("leopard: empty frame")

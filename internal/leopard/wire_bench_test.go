@@ -23,7 +23,7 @@ func benchDecode(b *testing.B, msg transport.Message) {
 		decode func([]byte) (transport.Message, error)
 	}{
 		{"borrow", DecodeMessage},
-		{"copy", DecodeMessageCopying},
+		{"copy", decodeMessageCopying},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -14,6 +14,12 @@ import (
 	"leopard/internal/types"
 )
 
+// decodeMessageCopying is the copy-mode reference the differential tests
+// compare borrow-mode DecodeMessage against.
+func decodeMessageCopying(buf []byte) (transport.Message, error) {
+	return decodeMessage(buf, false)
+}
+
 func roundTrip(t *testing.T, msg transport.Message) transport.Message {
 	t.Helper()
 	buf, err := EncodeMessage(msg)
@@ -135,7 +141,7 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 		if _, err := DecodeMessage(extended); err == nil {
 			t.Errorf("%T: borrow decode accepted trailing garbage", msg)
 		}
-		if _, err := DecodeMessageCopying(extended); err == nil {
+		if _, err := decodeMessageCopying(extended); err == nil {
 			t.Errorf("%T: copying decode accepted trailing garbage", msg)
 		}
 	}
@@ -161,7 +167,7 @@ func TestDecodeRejectsOversizeMerkleProof(t *testing.T) {
 	if _, err := DecodeMessage(w.Buf); err == nil {
 		t.Fatal("RespMsg with 65 proof steps decoded successfully")
 	}
-	if _, err := DecodeMessageCopying(w.Buf); err == nil {
+	if _, err := decodeMessageCopying(w.Buf); err == nil {
 		t.Fatal("RespMsg with 65 proof steps decoded successfully (copying)")
 	}
 }
@@ -211,7 +217,7 @@ func TestBorrowAndCopyDecodeAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("borrow decode %T: %v", msg, err)
 		}
-		copied, err := DecodeMessageCopying(buf)
+		copied, err := decodeMessageCopying(buf)
 		if err != nil {
 			t.Fatalf("copying decode %T: %v", msg, err)
 		}
@@ -256,7 +262,7 @@ func TestDecodeBorrowsChunkFromFrame(t *testing.T) {
 		t.Error("borrow decode must sub-slice the chunk from the frame")
 	}
 
-	got, err = DecodeMessageCopying(buf)
+	got, err = decodeMessageCopying(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

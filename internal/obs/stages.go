@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"time"
 
 	"leopard/internal/metrics"
@@ -68,7 +67,7 @@ var stageEdges = []struct {
 // stage name, percent of the summed total). Stages with no completed pairs
 // are omitted; an empty input yields no rows.
 func StageBreakdown(runs []*TraceSet) []metrics.StageRow {
-	totals := make(map[string]time.Duration)
+	var timer metrics.StageTimer
 	for _, run := range runs {
 		for si := range stageEdges {
 			pairs := make(map[uint64]*stagePair)
@@ -92,29 +91,12 @@ func StageBreakdown(runs []*TraceSet) []metrics.StageRow {
 			}
 			for _, p := range pairs {
 				if d, ok := p.gap(); ok {
-					totals[stageEdges[si].name] += d
+					timer.Add(stageEdges[si].name, d)
 				}
 			}
 		}
 	}
-	var total time.Duration
-	for _, d := range totals {
-		total += d
-	}
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rows := make([]metrics.StageRow, 0, len(names))
-	for _, n := range names {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(totals[n]) / float64(total)
-		}
-		rows = append(rows, metrics.StageRow{Stage: n, Total: totals[n], Percent: pct})
-	}
-	return rows
+	return timer.Rows()
 }
 
 // StageBreakdown reduces every collected run.

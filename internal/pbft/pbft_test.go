@@ -47,7 +47,7 @@ func buildCluster(t *testing.T, n int) (*harness.Cluster, []*pbft.Node) {
 func TestPBFTExecutesRequests(t *testing.T) {
 	cluster, nodes := buildCluster(t, 4)
 	cluster.Start()
-	res := cluster.MeasureFor(2 * time.Second)
+	res := cluster.MeasureFor(300 * time.Millisecond)
 	if res.Confirmed == 0 {
 		t.Fatal("nothing executed")
 	}
@@ -86,7 +86,7 @@ func TestPBFTAllReplicasAgreeOnOrder(t *testing.T) {
 		})
 	}
 	cluster.Start()
-	cluster.MeasureFor(time.Second)
+	cluster.MeasureFor(200 * time.Millisecond)
 
 	if len(logs[0]) == 0 {
 		t.Fatal("replica 0 executed nothing")
@@ -106,11 +106,13 @@ func TestPBFTQuadraticVoteTraffic(t *testing.T) {
 	// PBFT's defining cost: prepare/commit votes are all-to-all, so the
 	// per-replica vote traffic *per decision* grows linearly with n
 	// (unlike Leopard/HotStuff, whose vote collection is linear overall).
+	// Votes per executed batch do not depend on the window, and simulating
+	// n=16 costs ~40 s of wall time per virtual second, so it is short.
 	measure := func(n int) float64 {
 		cluster, nodes := buildCluster(t, n)
 		cluster.Start()
-		cluster.Warmup(500 * time.Millisecond)
-		cluster.MeasureFor(time.Second)
+		cluster.Warmup(50 * time.Millisecond)
+		cluster.MeasureFor(100 * time.Millisecond)
 		votes := cluster.NonLeaderStats().Received[transport.ClassVote]
 		batches := nodes[0].Stats().ExecutedBatches
 		if batches == 0 {
@@ -120,6 +122,7 @@ func TestPBFTQuadraticVoteTraffic(t *testing.T) {
 	}
 	small := measure(4)
 	big := measure(16)
+	t.Logf("votes per batch: %.0f (n=4) vs %.0f (n=16)", small, big)
 	// n-1 grows 3 -> 15 (5x); allow slack for boundary effects.
 	if big < 3*small {
 		t.Errorf("per-decision vote traffic did not grow with n: %.0f (n=4) vs %.0f (n=16)", small, big)

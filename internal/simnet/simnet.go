@@ -58,22 +58,14 @@ type Config struct {
 	TickInterval time.Duration
 	// Seed feeds the deterministic RNG used for jitter.
 	Seed int64
-	// DisableLanePriority makes control-lane traffic queue FIFO behind
-	// bulk on the egress/ingress pipes instead of preempting it — the
-	// single-queue baseline for lane A/B experiments (the simulated mirror
-	// of tcp.Config.DisableLanes).
-	DisableLanePriority bool
 	// Bulk selects the bulk-lane model: the legacy unbounded pipes
-	// (BulkPipes, the default), a bounded per-pair queue that drops on
-	// overflow (BulkDrop, the PR 3 TCP baseline), or chunked streaming
-	// with credit-based per-peer flow control (BulkCredit, the current
-	// TCP runtime). See BulkModel.
+	// (BulkPipes, the default) or chunked streaming with credit-based
+	// per-peer flow control (BulkCredit, the TCP runtime). See BulkModel.
 	Bulk BulkModel
-	// Stream tunes the BulkDrop queue bound (ParkBudget) and the
-	// BulkCredit chunking/credit parameters; zero fields take the
-	// transport package defaults. It is the same StreamConfig the TCP
-	// runtime uses, so a simulated sender splits and parks exactly where
-	// the real one would.
+	// Stream tunes the BulkCredit chunking/credit parameters; zero fields
+	// take the transport package defaults. It is the same StreamConfig
+	// the TCP runtime uses, so a simulated sender splits and parks exactly
+	// where the real one would.
 	Stream transport.StreamConfig
 	// IngressBpsPer overrides IngressBps per replica when non-nil (zero
 	// entries keep the global rate). Used to model a slow receiver, e.g.
@@ -115,13 +107,6 @@ const (
 	// egress and the receiver's ingress pipes immediately and queues
 	// without bound. No drops, no flow control, no observable queue.
 	BulkPipes BulkModel = iota
-	// BulkDrop models the PR 3 TCP runtime: per (sender, receiver) pair
-	// the bulk lane is a bounded byte queue (Stream.ParkBudget) drained
-	// one whole frame at a time at the pace the receiver absorbs them;
-	// a frame arriving at a full queue is dropped (the protocol recovers
-	// via retrieval). This is the drop-on-overflow baseline the stream
-	// scenario compares against.
-	BulkDrop
 	// BulkCredit models the streaming TCP runtime: bulk frames become
 	// streams, split into chunks (Stream.ChunkLen) and interleaved
 	// round-robin per pair; each chunk debits the pair's credit window
@@ -200,7 +185,7 @@ type Network struct {
 	observer  func(now time.Duration, from, to types.ReplicaID, msg transport.Message)
 
 	// flows holds per-(sender, receiver) bulk flow state under the
-	// BulkDrop and BulkCredit models; nil under BulkPipes. flows[from] is
+	// BulkCredit model; nil under BulkPipes. flows[from] is
 	// allocated lazily, flows[from][to] on first bulk send of the pair.
 	flows [][]*flow
 
@@ -288,7 +273,7 @@ func New(cfg Config, nodes []transport.Node) (*Network, error) {
 		crashed:   make([]bool, len(nodes)),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Bulk != BulkPipes {
+	if cfg.Bulk == BulkCredit {
 		n.flows = make([][]*flow, len(nodes))
 	}
 	n.snk.net = n
@@ -541,8 +526,7 @@ func (n *Network) arrival(from, to types.ReplicaID, txDone time.Duration) time.D
 // send routes one unicast message through the bandwidth model. The lane
 // decides pipe scheduling: control-lane messages preempt queued bulk on
 // both the egress and ingress pipes; bulk queues FIFO under the legacy
-// pipe model, or enters the pair's flow (bounded queue / credit stream)
-// under the BulkDrop and BulkCredit models.
+// pipe model, or enters the pair's credit-streamed flow under BulkCredit.
 func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane transport.Lane) {
 	if int(to) >= len(n.nodes) || from == to {
 		return
@@ -569,7 +553,7 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane tra
 		n.flowEnqueue(from, to, msg, size)
 		return
 	}
-	preempt := lane == transport.LaneControl && !n.cfg.DisableLanePriority
+	preempt := lane == transport.LaneControl
 	txRate, rxRate := n.rates(to)
 
 	// Egress: serialize through the sender's pipe.
@@ -580,17 +564,15 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane tra
 	n.push(&event{at: n.procDone(to, msg, rxDone), kind: evDeliver, from: from, to: to, msg: msg})
 }
 
-// flow is one (sender, receiver) pair's bulk lane under the BulkDrop or
-// BulkCredit model: the simulated mirror of the TCP runtime's per-peer
-// stream scheduler (BulkCredit) or bounded bulk queue (BulkDrop). All
-// state advances deterministically through heap events.
+// flow is one (sender, receiver) pair's bulk lane under the BulkCredit
+// model: the simulated mirror of the TCP runtime's per-peer stream
+// scheduler. All state advances deterministically through heap events.
 type flow struct {
 	from, to types.ReplicaID
 	streams  []*simStream
 	rr       int
-	inflight int64 // bytes booked on the pipes and not yet arrived
-	credit   int64 // BulkCredit: remaining send window
-	consumed int64 // BulkCredit: receiver bytes not yet granted back
+	credit   int64 // remaining send window
+	consumed int64 // receiver bytes not yet granted back
 	queued   int64 // unsent bulk payload parked in this flow
 	peak     int64
 	evicts   int64
@@ -617,19 +599,13 @@ func (n *Network) flowFor(from, to types.ReplicaID) *flow {
 }
 
 // flowEnqueue admits one bulk message into the pair's flow, enforcing the
-// park budget: BulkDrop tail-drops the new frame like a full bounded
-// queue; BulkCredit evicts the oldest not-yet-started streams first (the
-// slow-peer eviction path) and drops the new frame only if the budget
+// park budget: the oldest not-yet-started streams are evicted first (the
+// slow-peer eviction path) and the new frame is dropped only if the budget
 // still cannot fit it.
 func (n *Network) flowEnqueue(from, to types.ReplicaID, msg transport.Message, size int) {
 	f := n.flowFor(from, to)
 	budget := n.cfg.Stream.ParkBudget
 	if f.queued+int64(size) > budget {
-		if n.cfg.Bulk == BulkDrop {
-			f.evicts++
-			n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-			return
-		}
 		kept := f.streams[:0]
 		for _, st := range f.streams {
 			if f.queued+int64(size) > budget && st.off == 0 {
@@ -654,20 +630,17 @@ func (n *Network) flowEnqueue(from, to types.ReplicaID, msg transport.Message, s
 	}
 	f.streams = append(f.streams, &simStream{msg: msg, size: size})
 	n.flowPump(f)
-	if n.cfg.Bulk == BulkCredit && f.credit <= 0 && f.queued > 0 {
+	if f.credit <= 0 && f.queued > 0 {
 		// The new frame (or its tail) parked awaiting a credit grant.
 		n.trace(from, obs.EvCreditParked, uint64(to), f.queued)
 	}
 }
 
-// flowPump books transfer units on the pipes until the flow's window is
-// full: round-robin chunks under BulkCredit (each debiting the credit
-// window, parking at zero credit), whole frames under BulkDrop (bounded
-// by the same window's worth of in-flight bytes, modeling the kernel
-// socket buffer ahead of PR 3's bounded queue). In both modes the window
-// caps the bytes booked-but-not-arrived, so a slow receiver backpressures
-// the queue exactly as a full TCP window would while the pipe stays full
-// within the window, and the parked backlog is observable (StreamStats).
+// flowPump books round-robin chunks on the pipes until the flow's credit
+// window is spent (each chunk debits it; the flow parks at zero credit).
+// The window caps the bytes booked-but-not-granted-back, so a slow
+// receiver backpressures the queue while the pipe stays full within the
+// window, and the parked backlog is observable (StreamStats).
 func (n *Network) flowPump(f *flow) {
 	for n.flowBookOne(f) {
 	}
@@ -678,43 +651,28 @@ func (n *Network) flowBookOne(f *flow) bool {
 	if len(f.streams) == 0 || n.crashed[f.to] {
 		return false
 	}
-	var st *simStream
-	var chunk int
-	if n.cfg.Bulk == BulkDrop {
-		if f.inflight >= n.cfg.Stream.CreditWindow {
-			return false // socket buffer full: the queue holds the rest
-		}
-		st = f.streams[0]
-		chunk = st.size
-	} else {
-		if f.credit <= 0 {
-			return false // parked: a credit grant re-pumps
-		}
-		active := len(f.streams)
-		if active > n.cfg.Stream.MaxStreams {
-			active = n.cfg.Stream.MaxStreams
-		}
-		if f.rr >= active {
-			f.rr = 0
-		}
-		st = f.streams[f.rr]
-		chunk = n.cfg.Stream.ChunkLen(st.size, st.off)
-		if int64(chunk) > f.credit {
-			chunk = int(f.credit) // partial chunk, like the TCP scheduler
-		}
-		f.credit -= int64(chunk)
+	if f.credit <= 0 {
+		return false // parked: a credit grant re-pumps
 	}
+	active := len(f.streams)
+	if active > n.cfg.Stream.MaxStreams {
+		active = n.cfg.Stream.MaxStreams
+	}
+	if f.rr >= active {
+		f.rr = 0
+	}
+	st := f.streams[f.rr]
+	chunk := n.cfg.Stream.ChunkLen(st.size, st.off)
+	if int64(chunk) > f.credit {
+		chunk = int(f.credit) // partial chunk, like the TCP scheduler
+	}
+	f.credit -= int64(chunk)
 	st.off += chunk
 	f.queued -= int64(chunk)
-	f.inflight += int64(chunk)
 	var final transport.Message
 	if st.off == st.size {
 		final = st.msg
-		if n.cfg.Bulk == BulkDrop {
-			f.streams = f.streams[1:]
-		} else {
-			f.streams = append(f.streams[:f.rr], f.streams[f.rr+1:]...)
-		}
+		f.streams = append(f.streams[:f.rr], f.streams[f.rr+1:]...)
 	} else {
 		f.rr++
 	}
@@ -733,7 +691,6 @@ func (n *Network) flowBookOne(f *flow) bool {
 // stage), and the flow pumps its next unit.
 func (n *Network) chunkArrived(e *event) {
 	f := e.flow
-	f.inflight -= e.n
 	if n.crashed[f.to] {
 		// The chunk hits a dead receiver: it is lost (no delivery, no
 		// grant), but its credit refunds immediately — the sim's
@@ -741,20 +698,16 @@ func (n *Network) chunkArrived(e *event) {
 		// connection reset. Without the refund, a flow with a full
 		// window in flight at the crash would stay parked forever and
 		// Restart could never unpark it.
-		if n.cfg.Bulk == BulkCredit {
-			f.credit += e.n
-			if f.credit > n.cfg.Stream.CreditWindow {
-				f.credit = n.cfg.Stream.CreditWindow
-			}
+		f.credit += e.n
+		if f.credit > n.cfg.Stream.CreditWindow {
+			f.credit = n.cfg.Stream.CreditWindow
 		}
 		return
 	}
-	if n.cfg.Bulk == BulkCredit {
-		f.consumed += e.n
-		if f.consumed >= n.cfg.Stream.GrantThreshold() {
-			n.sendGrant(f, f.consumed)
-			f.consumed = 0
-		}
+	f.consumed += e.n
+	if f.consumed >= n.cfg.Stream.GrantThreshold() {
+		n.sendGrant(f, f.consumed)
+		f.consumed = 0
 	}
 	if e.msg != nil {
 		n.push(&event{at: n.procDone(f.to, e.msg, n.now), kind: evDeliver, from: f.from, to: f.to, msg: e.msg})
@@ -768,12 +721,11 @@ func (n *Network) chunkArrived(e *event) {
 func (n *Network) sendGrant(f *flow, bytes int64) {
 	grant := &transport.CreditMsg{Consumed: bytes}
 	size := grant.WireSize()
-	preempt := !n.cfg.DisableLanePriority
 	n.stats[f.to].AddSent(grant.Class(), size)
 	txRate, rxRate := n.rates(f.from)
-	txDone := occupy(n.egress, int(f.to), n.now, transmissionDelay(size, txRate), preempt)
+	txDone := occupy(n.egress, int(f.to), n.now, transmissionDelay(size, txRate), true)
 	arrive := n.arrival(f.to, f.from, txDone)
-	rxDone := occupy(n.ingress, int(f.from), arrive, transmissionDelay(size, rxRate), preempt)
+	rxDone := occupy(n.ingress, int(f.from), arrive, transmissionDelay(size, rxRate), true)
 	n.stats[f.from].AddReceived(grant.Class(), size)
 	n.push(&event{at: rxDone, kind: evCredit, flow: f, n: bytes})
 }
@@ -812,17 +764,12 @@ func (n *Network) StreamStats(id types.ReplicaID) metrics.StreamStats {
 	return out
 }
 
-// BulkDrops returns the bulk frames sender id lost to the park budget
-// (BulkCredit evictions or BulkDrop overflow).
-func (n *Network) BulkDrops(id types.ReplicaID) int64 {
-	return n.StreamStats(id).Evictions
-}
-
-// TotalBulkDrops sums BulkDrops over all senders.
+// TotalBulkDrops sums the bulk frames lost to park-budget evictions over
+// all senders.
 func (n *Network) TotalBulkDrops() int64 {
 	var total int64
 	for i := range n.nodes {
-		total += n.BulkDrops(types.ReplicaID(i))
+		total += n.StreamStats(types.ReplicaID(i)).Evictions
 	}
 	return total
 }

@@ -87,30 +87,21 @@ func TestCreditWindowParksFlow(t *testing.T) {
 	}
 }
 
-// TestCreditInterleavingLetsSmallStreamFinishFirst: under BulkCredit a
-// small bulk message enqueued behind a huge one overtakes it (fair chunk
-// round-robin), while BulkDrop drains strictly FIFO. This is the
-// head-of-line-blocking cure inside the bulk lane itself.
+// TestCreditInterleavingLetsSmallStreamFinishFirst: a small bulk message
+// enqueued behind a huge one overtakes it (fair chunk round-robin). This
+// is the head-of-line-blocking cure inside the bulk lane itself.
 func TestCreditInterleavingLetsSmallStreamFinishFirst(t *testing.T) {
-	order := func(bulk BulkModel) []int {
-		// A window much smaller than the large message keeps its stream
-		// parked in the queue, where the later small stream can interleave.
-		cfg := streamCfg(10000)
-		cfg.Bulk = bulk
-		net, nodes := newTestNet(t, cfg, 2)
-		nodes[0].onStart = []transport.Envelope{
-			transport.Unicast(1, &testMsg{size: 100000, tag: 1}),
-			transport.Unicast(1, &testMsg{size: 2000, tag: 2}),
-		}
-		net.Start()
-		net.Run(time.Second)
-		return nodes[1].got
+	// A window much smaller than the large message keeps its stream
+	// parked in the queue, where the later small stream can interleave.
+	net, nodes := newTestNet(t, streamCfg(10000), 2)
+	nodes[0].onStart = []transport.Envelope{
+		transport.Unicast(1, &testMsg{size: 100000, tag: 1}),
+		transport.Unicast(1, &testMsg{size: 2000, tag: 2}),
 	}
-	if got := order(BulkCredit); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("BulkCredit delivery order %v, want the small stream first", got)
-	}
-	if got := order(BulkDrop); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("BulkDrop delivery order %v, want FIFO", got)
+	net.Start()
+	net.Run(time.Second)
+	if got := nodes[1].got; len(got) != 2 || got[0] != 2 {
+		t.Fatalf("delivery order %v, want the small stream first", got)
 	}
 }
 
@@ -148,33 +139,6 @@ func TestCreditNeverGrantsEvicts(t *testing.T) {
 	}
 	if st := net.StreamStats(0); st.QueuedBytes != 0 || st.StreamsActive != 0 {
 		t.Fatalf("flow not drained after restart: %+v", st)
-	}
-}
-
-// TestBulkDropBaselineDrops pins the drop-on-overflow baseline the stream
-// scenario compares against: the same stalled-receiver burst tail-drops
-// new frames at the bounded queue instead of evicting old ones.
-func TestBulkDropBaselineDrops(t *testing.T) {
-	cfg := streamCfg(1000)
-	cfg.Bulk = BulkDrop
-	cfg.Stream.ParkBudget = 10000
-	net, nodes := newTestNet(t, cfg, 2)
-	net.Start()
-	net.Crash(1)
-	net.ScheduleCall(time.Millisecond, func(now time.Duration) {
-		for i := 0; i < 6; i++ {
-			net.dispatch(0, transport.Unicast(1, &testMsg{size: 3000, tag: 10 + i}))
-		}
-	})
-	net.Run(100 * time.Millisecond)
-	if drops := net.BulkDrops(0); drops != 3 {
-		t.Fatalf("drops %d, want 3", drops)
-	}
-	net.Restart(1)
-	net.Run(time.Second)
-	// Tail drop keeps the oldest frames: tags 10, 11, 12.
-	if len(nodes[1].got) != 3 || nodes[1].got[0] != 10 {
-		t.Fatalf("baseline delivered %v, want the first three tags", nodes[1].got)
 	}
 }
 

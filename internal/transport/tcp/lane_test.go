@@ -55,7 +55,7 @@ func (n *idleNode) Deliver(time.Duration, types.ReplicaID, transport.Message, tr
 // runLaneOrder enqueues two bulk envelopes and then one control envelope to
 // an unreachable peer, brings the peer up, and returns the tags in the
 // order they crossed the wire.
-func runLaneOrder(t *testing.T, disableLanes bool) []byte {
+func runLaneOrder(t *testing.T) []byte {
 	t.Helper()
 	addrs := freeAddrs(t, 2)
 
@@ -65,7 +65,6 @@ func runLaneOrder(t *testing.T, disableLanes bool) []byte {
 		Codec:        laneCodec{},
 		TickInterval: time.Hour, // no tick noise
 		DialRetry:    10 * time.Millisecond,
-		DisableLanes: disableLanes,
 	}, &idleNode{id: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +165,7 @@ func runLaneOrder(t *testing.T, disableLanes bool) []byte {
 // before it — the strict control-over-bulk scheduler may not let queued
 // datablocks head-of-line-block votes.
 func TestControlLaneOvertakesQueuedBulk(t *testing.T) {
-	order := runLaneOrder(t, false)
+	order := runLaneOrder(t)
 	pos := map[byte]int{}
 	for i, tag := range order {
 		pos[tag] = i
@@ -179,15 +178,5 @@ func TestControlLaneOvertakesQueuedBulk(t *testing.T) {
 	// send loop had already committed A to the connection attempt.)
 	if pos['C'] > pos['B'] {
 		t.Fatalf("control did not overtake queued bulk: wire order %q", order)
-	}
-}
-
-// TestDisableLanesKeepsFIFO pins the single-queue baseline: with lanes
-// disabled the wire order is exactly the emission order, control waits
-// behind bulk.
-func TestDisableLanesKeepsFIFO(t *testing.T) {
-	order := runLaneOrder(t, true)
-	if string(order) != "ABC" {
-		t.Fatalf("single-FIFO baseline reordered frames: %q", order)
 	}
 }

@@ -60,8 +60,7 @@ type Codec = transport.Codec
 // Wire frame kinds. Every frame after the hello is length-prefixed and
 // starts with one of these tags.
 const (
-	// frameKindMsg is a whole codec frame (control lane, plus everything
-	// in DisableLanes mode).
+	// frameKindMsg is a whole codec frame (control lane).
 	frameKindMsg = 0x00
 	// frameKindChunk is a bulk stream chunk: transport.StreamHeader
 	// followed by payload bytes.
@@ -101,19 +100,10 @@ type Config struct {
 	// 4096 frames). Control frames are small; the depth is sized for vote
 	// bursts at large n. Overflow drops the frame.
 	ControlQueue int
-	// BulkQueue is the per-peer queue depth used only by the DisableLanes
-	// single-FIFO baseline (default 256 frames). With lanes enabled the
-	// bulk lane has no frame queue: it streams under Stream's credit
-	// window and park budget instead.
-	BulkQueue int
 	// Stream tunes bulk-lane chunking and credit-based flow control; zero
-	// fields take the transport package defaults.
+	// fields take the transport package defaults. The bulk lane has no
+	// frame queue: it streams under Stream's credit window and park budget.
 	Stream transport.StreamConfig
-	// DisableLanes collapses outbound scheduling to a single FIFO (every
-	// frame rides one bounded queue, sized ControlQueue+BulkQueue, no
-	// streaming, drop on overflow). This is the pre-lane behaviour, kept
-	// as an A/B baseline for benchmarks.
-	DisableLanes bool
 	// Tracer, when set, receives bulk-lane flow-control events (credit
 	// parks, park-budget evictions) stamped with the runtime's relative
 	// clock (time since Run). Event IDs carry the peer replica id.
@@ -147,9 +137,6 @@ func (c *Config) validate() error {
 	}
 	if c.ControlQueue <= 0 {
 		c.ControlQueue = 4096
-	}
-	if c.BulkQueue <= 0 {
-		c.BulkQueue = 256
 	}
 	c.Stream.Normalize()
 	return nil
@@ -190,10 +177,7 @@ type peer struct {
 	// control carries kind-prefixed control-lane wire bodies,
 	// transmitted strictly before bulk chunks.
 	control chan []byte
-	// bulk is the DisableLanes single FIFO; nil with lanes enabled.
-	bulk chan []byte
-	// sched streams the bulk lane under credit flow control; nil in
-	// DisableLanes mode.
+	// sched streams the bulk lane under credit flow control.
 	sched *streamSched
 	drops atomic.Int64
 
@@ -269,18 +253,17 @@ func New(cfg Config, node transport.Node) (*Runtime, error) {
 			r.peers = append(r.peers, nil)
 			continue
 		}
-		p := &peer{id: types.ReplicaID(id), addr: addr, grantNotify: make(chan struct{}, 1)}
-		if cfg.DisableLanes {
-			// Single-FIFO baseline: everything rides one queue.
-			p.bulk = make(chan []byte, cfg.ControlQueue+cfg.BulkQueue)
-		} else {
-			p.control = make(chan []byte, cfg.ControlQueue)
-			p.sched = newStreamSched(cfg.Stream, &p.drops)
-			if cfg.Tracer != nil {
-				pid := p.id
-				p.sched.trace = func(kind obs.EventKind, aux int64) {
-					cfg.Tracer.Emit(r.now(), kind, 0, uint64(pid), aux)
-				}
+		p := &peer{
+			id:          types.ReplicaID(id),
+			addr:        addr,
+			control:     make(chan []byte, cfg.ControlQueue),
+			grantNotify: make(chan struct{}, 1),
+		}
+		p.sched = newStreamSched(cfg.Stream, &p.drops)
+		if cfg.Tracer != nil {
+			pid := p.id
+			p.sched.trace = func(kind obs.EventKind, aux int64) {
+				cfg.Tracer.Emit(r.now(), kind, 0, uint64(pid), aux)
 			}
 		}
 		r.peers = append(r.peers, p)
@@ -355,22 +338,13 @@ func (r *Runtime) Drops(id types.ReplicaID) int64 {
 	return r.peers[id].drops.Load()
 }
 
-// StreamStats returns the bulk-lane flow-control counters toward peer id
-// (zero value for the self slot and in DisableLanes mode).
-func (r *Runtime) StreamStats(id types.ReplicaID) metrics.StreamStats {
-	if int(id) >= len(r.peers) || r.peers[id] == nil || r.peers[id].sched == nil {
-		return metrics.StreamStats{}
-	}
-	return r.peers[id].sched.stats()
-}
-
-// StreamTotals aggregates StreamStats across all peers: total parked
-// bytes, credits in flight and active streams, with the peak as the max
-// over peers.
+// StreamTotals aggregates the bulk-lane flow-control counters across all
+// peers: total parked bytes, credits in flight and active streams, with
+// the peak as the max over peers.
 func (r *Runtime) StreamTotals() metrics.StreamStats {
 	var total metrics.StreamStats
 	for _, p := range r.peers {
-		if p == nil || p.sched == nil {
+		if p == nil {
 			continue
 		}
 		total.Accumulate(p.sched.stats())
@@ -439,7 +413,7 @@ func (r *Runtime) emit(env transport.Envelope) {
 	}
 	lane := env.EffectiveLane()
 	var body []byte
-	if lane != transport.LaneBulk || r.cfg.DisableLanes {
+	if lane != transport.LaneBulk {
 		// Whole-message wire body, shared read-only across the fan-out.
 		body = append(make([]byte, 0, 1+len(frame)), frameKindMsg)
 		body = append(body, frame...)
@@ -461,19 +435,14 @@ func (r *Runtime) emit(env transport.Envelope) {
 
 // send routes one encoded frame onto the peer's lane without blocking the
 // apply loop. Bulk frames become streams under flow control; control
-// frames (and everything in DisableLanes mode) ride a bounded queue whose
-// overflow drops the frame.
+// frames ride a bounded queue whose overflow drops the frame.
 func (p *peer) send(frame, body []byte, lane transport.Lane) {
-	if p.sched != nil && lane == transport.LaneBulk {
+	if lane == transport.LaneBulk {
 		p.sched.enqueue(frame)
 		return
 	}
-	q := p.bulk
-	if lane == transport.LaneControl && p.control != nil {
-		q = p.control
-	}
 	select {
-	case q <- body:
+	case p.control <- body:
 	default:
 		p.drops.Add(1)
 	}
@@ -491,7 +460,7 @@ func (r *Runtime) sendCredit(id types.ReplicaID, epoch uint32, consumed int64) {
 
 // applyCredit feeds a received grant into the scheduler for peer id.
 func (r *Runtime) applyCredit(id types.ReplicaID, epoch uint32, consumed int64) {
-	if int(id) >= len(r.peers) || r.peers[id] == nil || r.peers[id].sched == nil {
+	if int(id) >= len(r.peers) || r.peers[id] == nil {
 		return
 	}
 	r.peers[id].sched.grant(epoch, consumed)
@@ -513,17 +482,6 @@ func (r *Runtime) next(p *peer, hdrBuf []byte) (msg, chunkBody, chunkPayload []b
 		case f := <-p.control:
 			return f, nil, nil, true
 		default:
-		}
-		if p.sched == nil {
-			// DisableLanes: single FIFO.
-			select {
-			case <-r.stop:
-				return nil, nil, nil, false
-			case f := <-p.bulk:
-				return f, nil, nil, true
-			case <-p.grantNotify:
-			}
-			continue
 		}
 		if body, payload, ok := p.sched.nextChunk(hdrBuf); ok {
 			return nil, body, payload, true
@@ -589,11 +547,7 @@ func (r *Runtime) sendLoop(p *peer) {
 				// Rewind the scheduler before the hello so the epoch the
 				// hello announces is the one this connection's grants
 				// must carry.
-				var epoch uint32
-				if p.sched != nil {
-					epoch = p.sched.resetConn()
-				}
-				if err := writeHello(c, r.cfg.Self, epoch); err == nil {
+				if err := writeHello(c, r.cfg.Self, p.sched.resetConn()); err == nil {
 					return c
 				}
 				c.Close()
