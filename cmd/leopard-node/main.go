@@ -30,7 +30,7 @@
 // With -status the replica serves its unified metrics registry over HTTP:
 // GET /metrics is the Prometheus text exposition and GET /status a JSON
 // snapshot of the same registry — both views are generated from one source
-// of truth, so adding a counter to leopard.Stats or metrics.StreamStats
+// of truth, so adding a counter to leopard.Stats or transport.StreamStats
 // surfaces on both endpoints with no hand edits. Each scrape re-binds the
 // node's counters on the runtime's apply loop via Inject — the node is a
 // single-goroutine state machine, so Stats()/ExecutedTo() must never be

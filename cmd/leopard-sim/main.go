@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"leopard/internal/erasure"
 	"leopard/internal/experiments"
 	"leopard/internal/leopard/analysis"
 	"leopard/internal/metrics"
@@ -51,10 +50,6 @@ func main() {
 		scalesArg  = flag.String("scales", "", "comma-separated replica counts (default: per-experiment)")
 		list       = flag.Bool("list", false, "list available experiments")
 
-		erasureWorkers = flag.Int("erasure.parallel", 0,
-			"erasure-coding worker goroutines per replica (0 = NumCPU, 1 = serial)")
-		erasureCache = flag.Int("erasure.cache", 0,
-			"decode-matrix cache entries per replica (0 = default, negative disables)")
 		numClients = flag.Int("clients", 1200,
 			"closed-loop client sessions for -experiment clients")
 		tracePath = flag.String("trace", "",
@@ -63,7 +58,6 @@ func main() {
 			"write the experiment's result rows as JSON to this path")
 	)
 	flag.Parse()
-	experiments.ErasureOpts = erasure.Options{Parallel: *erasureWorkers, CacheSize: *erasureCache}
 	if *list || *experiment == "" {
 		fmt.Println("experiments:")
 		for _, e := range knownExperiments {

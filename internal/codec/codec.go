@@ -56,8 +56,8 @@ const MaxElements = 1 << 22
 
 // MaxBytesLen bounds a single length-prefixed byte string. It is sized for
 // the largest legal field — a retrieval chunk or request payload inside a
-// maximum-size frame — and matches the TCP transport's default frame cap
-// (64 MiB), so any field that fits in a legal frame decodes.
+// maximum-size frame — and is the TCP transport's frame cap too, so any
+// field that fits in a legal frame decodes.
 const MaxBytesLen = 64 << 20
 
 // Writer appends primitives to a byte slice.

@@ -148,9 +148,10 @@ func TestDecodeCacheSteadyState(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheDisabled ensures CacheSize < 0 still decodes correctly.
+// TestDecodeCacheDisabled ensures a codec without a cache still decodes
+// correctly.
 func TestDecodeCacheDisabled(t *testing.T) {
-	codec, err := NewCodecWithOptions(4, 8, Options{CacheSize: -1})
+	codec, err := newCodec(4, 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestDecodeCacheDisabled(t *testing.T) {
 // TestParallelMatchesSerial forces the worker pool on and checks output
 // equality against the serial path for sizes above the parallel threshold.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial, err := NewCodecWithOptions(11, 32, Options{Parallel: 1})
+	serial, err := newCodec(11, 32, 1, DefaultCacheSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewCodecWithOptions(11, 32, Options{Parallel: 4})
+	parallel, err := newCodec(11, 32, 4, DefaultCacheSize)
 	if err != nil {
 		t.Fatal(err)
 	}

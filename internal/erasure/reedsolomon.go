@@ -3,9 +3,25 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+)
+
+const (
+	// DefaultCacheSize is the capacity of a codec's decode-matrix LRU.
+	// A steady-state retrieval committee re-sees the same index set
+	// almost every time, so a handful of entries suffices. Entries are
+	// not free: beyond the k×k inverse, a large-shard decode lazily
+	// compiles ~ceil(k/8)·k·2 KiB of grouped tables per entry (~256 KiB
+	// at k=32), so it is kept small.
+	DefaultCacheSize = 8
+
+	// parallelMinShard is the per-shard byte threshold below which row
+	// generation stays serial: goroutine fan-out costs more than it saves
+	// on small blocks.
+	parallelMinShard = 16 * 1024
 )
 
 // Errors returned by the codec.
@@ -32,9 +48,11 @@ type Chunk struct {
 // set, so a long-lived Codec amortizes all setup across calls. Build one
 // per (k, n) and reuse it.
 type Codec struct {
-	k, n   int
-	opts   Options
-	encode *matrix // n×k; top k×k block is the identity
+	k, n int
+	// workers bounds the goroutines used for parity-row generation and
+	// decode-row reconstruction on shards of parallelMinShard and above.
+	workers int
+	encode  *matrix // n×k; top k×k block is the identity
 
 	// tables[c] is the 256-byte multiplication table for coefficient c,
 	// built lazily on first use. Concurrent builders may race benignly:
@@ -46,18 +64,21 @@ type Codec struct {
 	encodeOnce sync.Once
 	parityProg *rowProg
 
-	// inverses caches decode programs (nil when disabled).
+	// inverses caches decode programs, keyed by the selected chunk-index
+	// set (nil when a test built the codec without a cache).
 	inverses *inverseCache
 }
 
-// NewCodec builds a (k, n) codec with default Options.
+// NewCodec builds a (k, n) codec that fans large blocks out over up to
+// runtime.NumCPU() workers and caches DefaultCacheSize decode matrices.
 // Requires 1 <= k <= n <= 256.
 func NewCodec(k, n int) (*Codec, error) {
-	return NewCodecWithOptions(k, n, Options{})
+	return newCodec(k, n, runtime.NumCPU(), DefaultCacheSize)
 }
 
-// NewCodecWithOptions builds a (k, n) codec with explicit tuning knobs.
-func NewCodecWithOptions(k, n int, opts Options) (*Codec, error) {
+// newCodec builds a codec with an explicit worker bound (1 is serial) and
+// cache capacity (0 is none); tests use it for their reference arms.
+func newCodec(k, n, workers, cacheSize int) (*Codec, error) {
 	if k < 1 || n < k || n > fieldSize {
 		return nil, fmt.Errorf("%w: k=%d n=%d", ErrInvalidParams, k, n)
 	}
@@ -75,9 +96,9 @@ func NewCodecWithOptions(k, n int, opts Options) (*Codec, error) {
 	return &Codec{
 		k:        k,
 		n:        n,
-		opts:     opts,
+		workers:  workers,
 		encode:   v.mul(topInv),
-		inverses: newInverseCache(opts.cacheSize()),
+		inverses: newInverseCache(cacheSize),
 	}, nil
 }
 
@@ -139,7 +160,7 @@ func (c *Codec) rowMulAdd(row []byte, srcs [][]byte, dst []byte) {
 // the per-row payload is large enough to amortize goroutine handoff. Rows
 // must be independent (each fn(i) writes only row i).
 func (c *Codec) forRows(rows, shardSize int, fn func(row int)) {
-	workers := c.opts.workers()
+	workers := c.workers
 	if workers > rows {
 		workers = rows
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"leopard/internal/crypto"
-	"leopard/internal/erasure"
 	"leopard/internal/harness"
 	"leopard/internal/hotstuff"
 	"leopard/internal/leopard"
@@ -37,12 +36,6 @@ const (
 	warmup  = 1 * time.Second
 	measure = 2 * time.Second
 )
-
-// ErasureOpts tunes the Reed–Solomon codec of every Leopard replica built
-// by the experiments (worker parallelism, decode-matrix cache size). The
-// zero value keeps the erasure package defaults; cmd/leopard-sim exposes
-// it as -erasure.parallel / -erasure.cache.
-var ErasureOpts erasure.Options
 
 // TableII returns the paper's Table II batch sizes for scale n:
 // (datablock requests, BFTblock links) for Leopard and the HotStuff batch.
@@ -117,7 +110,6 @@ func leopardClusterDepth(n, dbSize, bftSize, depth int, net simnet.Config, mutat
 				// A small window bounds the in-flight backlog so warmup
 				// reaches steady state quickly even at n = 600.
 				MaxOutstandingDatablocks: 2,
-				Erasure:                  ErasureOpts,
 			}
 			if mutate != nil {
 				mutate(&cfg)

@@ -81,7 +81,6 @@ func rotateCluster(n int, rotate bool, seed int64) (*harness.Cluster, error) {
 				SkipRequestDedup:         true,
 				ViewChangeTimeout:        time.Hour, // honest cluster, no VC noise
 				MaxOutstandingDatablocks: 2,
-				Erasure:                  ErasureOpts,
 				Tracer:                   ts.Tracer(int(id)),
 			})
 		},

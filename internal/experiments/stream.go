@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"leopard/internal/leopard"
-	"leopard/internal/simnet"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
@@ -85,7 +84,6 @@ func streamOnce(n int, p streamParams) (StreamResult, error) {
 	net.IngressBps = p.linkBps
 	net.ProcBps = 0 // a pure transport scenario: the wire is the bottleneck
 	net.TickInterval = 5 * time.Millisecond
-	net.Bulk = simnet.BulkCredit
 	net.IngressBpsPer = make([]float64, n)
 	net.IngressBpsPer[slow] = p.slowBps
 	net.Stream = transport.StreamConfig{

@@ -19,7 +19,8 @@ import (
 // runFingerprint runs a full Leopard cluster under load (with jitter, so
 // the seeded RNG is actually exercised) and returns every replica's
 // bandwidth counters plus a rendering of its protocol counters. streaming
-// selects the chunked credit-based bulk model instead of the legacy pipes.
+// shrinks the bulk lane's chunk and credit window below the datablock size,
+// where the defaults would ship every datablock as one chunk.
 func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwidth, []string) {
 	t.Helper()
 	const n = 7
@@ -36,7 +37,6 @@ func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwid
 	net.Jitter = 200 * time.Microsecond
 	net.TickInterval = 2 * time.Millisecond
 	if streaming {
-		net.Bulk = simnet.BulkCredit
 		// A small window and chunk relative to the ~3 KiB datablocks so
 		// the run actually exercises chunk interleaving, parking and
 		// credit grants, not just single-chunk streams.
@@ -106,7 +106,7 @@ func TestDeterministicStatsAcrossRuns(t *testing.T) {
 }
 
 // TestDeterministicStatsWithStreaming extends the determinism guarantee
-// to the chunked credit-based bulk model: the per-pair chunk schedules,
+// to a bulk lane that actually chunks and parks: the per-pair chunk schedules,
 // credit grants and park/resume cycles are all heap events, so two
 // identically-seeded streaming runs must stay byte-identical too.
 func TestDeterministicStatsWithStreaming(t *testing.T) {
@@ -124,13 +124,12 @@ func TestDeterministicStatsWithStreaming(t *testing.T) {
 		t.Fatal("fingerprint run did no work")
 	}
 	// The streaming fingerprint must actually have streamed: credit
-	// grants show up as ClassMisc traffic, which the pipe model never
-	// produces.
+	// grants show up as ClassMisc traffic.
 	var misc int64
 	for i := range bw1 {
 		misc += bw1[i].Sent[transport.ClassMisc]
 	}
 	if misc == 0 {
-		t.Fatal("streaming run granted no credits: bulk model not exercised")
+		t.Fatal("streaming run granted no credits: flow control not exercised")
 	}
 }

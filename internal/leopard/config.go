@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"leopard/internal/crypto"
-	"leopard/internal/erasure"
 	"leopard/internal/mempool"
 	"leopard/internal/obs"
 	"leopard/internal/storage"
@@ -41,7 +40,6 @@ const (
 	DefaultOutstandingDBs  = 8    // per-replica datablock flow-control window
 	DefaultRetrievalAfter  = 20 * time.Millisecond
 	DefaultViewChangeAfter = 2 * time.Second
-	DefaultProposeEvery    = 2 * time.Millisecond
 	DefaultBatchTimeout    = 20 * time.Millisecond
 )
 
@@ -76,9 +74,6 @@ type Config struct {
 	// ViewChangeTimeout is how long confirmation progress may stall while
 	// work is pending before this replica votes to change the view.
 	ViewChangeTimeout time.Duration
-	// ProposeInterval paces the leader: it proposes at most once per
-	// interval per tick even if more ready datablocks are available.
-	ProposeInterval time.Duration
 
 	// BatchTimeout bounds how long pending requests wait before being
 	// packed into a partial datablock, and how long ready datablocks wait
@@ -95,11 +90,6 @@ type Config struct {
 	// caps, token-bucket rate limits, nonce bookkeeping windows. The zero
 	// value selects the pool's generous defaults.
 	Mempool mempool.Limits
-
-	// Erasure tunes the retrieval committee's Reed–Solomon codec: worker
-	// parallelism for large blocks and the decode-matrix cache size. The
-	// zero value selects the erasure package defaults.
-	Erasure erasure.Options
 
 	// Store, when non-nil, makes the replica durable: every executed block
 	// is appended to the write-ahead log, stable checkpoints and local
@@ -197,9 +187,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ViewChangeMaxTimeout <= 0 {
 		c.ViewChangeMaxTimeout = 16 * c.ViewChangeTimeout
-	}
-	if c.ProposeInterval <= 0 {
-		c.ProposeInterval = DefaultProposeEvery
 	}
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = DefaultBatchTimeout

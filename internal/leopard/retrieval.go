@@ -102,7 +102,7 @@ func (n *Node) rsCodec() (*erasure.Codec, error) {
 	if shards > 256 {
 		shards = 256
 	}
-	rs, err := erasure.NewCodecWithOptions(n.q.Small(), shards, n.cfg.Erasure)
+	rs, err := erasure.NewCodec(n.q.Small(), shards)
 	if err != nil {
 		return nil, err
 	}

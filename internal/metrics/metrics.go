@@ -277,38 +277,3 @@ type ReplicaStats struct {
 	Confirmed int64 // requests confirmed at this replica
 	Executed  int64
 }
-
-// StreamStats are the bulk-lane streaming / flow-control counters a
-// transport reports per peer (and aggregated per replica): how much bulk
-// data is parked waiting for credit, how much of the credit window is in
-// flight, and how often the park budget forced an eviction. Both the TCP
-// runtime and the simulator's credit-based bulk model fill this struct, so
-// experiments and the -status endpoint read one shape.
-type StreamStats struct {
-	// QueuedBytes is the bulk payload currently parked (accepted from the
-	// node but not yet transmitted).
-	QueuedBytes int64
-	// PeakQueuedBytes is the high-water mark of QueuedBytes.
-	PeakQueuedBytes int64
-	// CreditsOutstanding is the portion of the credit window in flight:
-	// bytes sent but not yet acknowledged consumed by the receiver.
-	CreditsOutstanding int64
-	// StreamsActive is the number of streams queued or mid-transmission.
-	StreamsActive int64
-	// Evictions counts streams dropped by the park-budget bound (the
-	// slow-peer eviction path). Under credit flow control this is the only
-	// way the bulk lane loses data.
-	Evictions int64
-}
-
-// Accumulate adds o's counters into s (peak as max), for aggregating
-// per-peer stats into a per-replica view.
-func (s *StreamStats) Accumulate(o StreamStats) {
-	s.QueuedBytes += o.QueuedBytes
-	if o.PeakQueuedBytes > s.PeakQueuedBytes {
-		s.PeakQueuedBytes = o.PeakQueuedBytes
-	}
-	s.CreditsOutstanding += o.CreditsOutstanding
-	s.StreamsActive += o.StreamsActive
-	s.Evictions += o.Evictions
-}

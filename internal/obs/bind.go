@@ -10,7 +10,7 @@ import (
 // struct as a gauge named prefix_field_name (snake_case), recursing into
 // nested structs. This is what keeps /status and /metrics in lockstep with
 // the stats structs automatically — adding a counter to leopard.Node.Stats
-// or metrics.StreamStats surfaces it on both endpoints with no hand edits.
+// or transport.StreamStats surfaces it on both endpoints with no hand edits.
 //
 // time.Duration fields are published in seconds with a _seconds suffix.
 // Array/slice/map/string fields are skipped.

@@ -58,14 +58,11 @@ type Config struct {
 	TickInterval time.Duration
 	// Seed feeds the deterministic RNG used for jitter.
 	Seed int64
-	// Bulk selects the bulk-lane model: the legacy unbounded pipes
-	// (BulkPipes, the default) or chunked streaming with credit-based
-	// per-peer flow control (BulkCredit, the TCP runtime). See BulkModel.
-	Bulk BulkModel
-	// Stream tunes the BulkCredit chunking/credit parameters; zero fields
-	// take the transport package defaults. It is the same StreamConfig
-	// the TCP runtime uses, so a simulated sender splits and parks exactly
-	// where the real one would.
+	// Stream tunes the bulk lane's chunking and credit-based flow control;
+	// zero fields take the transport package defaults. It parameterizes
+	// the same transport.StreamQueue the TCP runtime sends through, so a
+	// simulated sender splits, parks and evicts exactly where the real one
+	// would.
 	Stream transport.StreamConfig
 	// IngressBpsPer overrides IngressBps per replica when non-nil (zero
 	// entries keep the global rate). Used to model a slow receiver, e.g.
@@ -99,23 +96,6 @@ func DefaultConfig() Config {
 // Return false to drop the message silently.
 type Filter func(now time.Duration, from, to types.ReplicaID, msg transport.Message) bool
 
-// BulkModel selects how the simulator moves bulk-lane traffic.
-type BulkModel uint8
-
-const (
-	// BulkPipes is the legacy model: a bulk message books the sender's
-	// egress and the receiver's ingress pipes immediately and queues
-	// without bound. No drops, no flow control, no observable queue.
-	BulkPipes BulkModel = iota
-	// BulkCredit models the streaming TCP runtime: bulk frames become
-	// streams, split into chunks (Stream.ChunkLen) and interleaved
-	// round-robin per pair; each chunk debits the pair's credit window
-	// and the receiver grants consumed bytes back as control-lane
-	// CreditMsg traffic. At zero credit the flow parks; the park budget
-	// evicts the oldest unstarted streams (the only loss path).
-	BulkCredit
-)
-
 type eventKind uint8
 
 const (
@@ -133,6 +113,7 @@ type event struct {
 	from types.ReplicaID
 	to   types.ReplicaID
 	msg  transport.Message
+	size int // msg's wire size, computed once at send: WireSize walks the message
 	fn   func(now time.Duration)
 	flow *flow
 	n    int64 // chunk payload / granted bytes
@@ -184,8 +165,7 @@ type Network struct {
 	nodeClock []time.Duration
 	observer  func(now time.Duration, from, to types.ReplicaID, msg transport.Message)
 
-	// flows holds per-(sender, receiver) bulk flow state under the
-	// BulkCredit model; nil under BulkPipes. flows[from] is
+	// flows holds per-(sender, receiver) bulk flow state. flows[from] is
 	// allocated lazily, flows[from][to] on first bulk send of the pair.
 	flows [][]*flow
 
@@ -271,10 +251,8 @@ func New(cfg Config, nodes []transport.Node) (*Network, error) {
 		nodeClock: make([]time.Duration, len(nodes)),
 		stats:     make([]metrics.Bandwidth, len(nodes)),
 		crashed:   make([]bool, len(nodes)),
+		flows:     make([][]*flow, len(nodes)),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.Bulk == BulkCredit {
-		n.flows = make([][]*flow, len(nodes))
 	}
 	n.snk.net = n
 	return n, nil
@@ -350,7 +328,10 @@ func (n *Network) nodeNow(id types.ReplicaID) time.Duration {
 	return t
 }
 
-// Crash stops delivering events to a replica; its in-flight output is lost.
+// Crash stops delivering events to a replica: control-lane messages and
+// bulk chunks that reach it while it is down are lost, and bulk flows
+// toward it stop booking chunks — what is queued stays parked at its
+// senders, up to their park budget.
 func (n *Network) Crash(id types.ReplicaID) { n.crashed[id] = true }
 
 // Restart resumes delivery to a crashed replica (its state is as it was)
@@ -359,9 +340,6 @@ func (n *Network) Crash(id types.ReplicaID) { n.crashed[id] = true }
 // senders to rewind streams on reconnect.
 func (n *Network) Restart(id types.ReplicaID) {
 	n.crashed[id] = false
-	if n.flows == nil {
-		return
-	}
 	for _, row := range n.flows {
 		if row == nil || row[id] == nil {
 			continue
@@ -386,9 +364,7 @@ func (n *Network) Replace(id types.ReplicaID, node transport.Node) error {
 		return fmt.Errorf("simnet: replacement for slot %d reports id %d", id, node.ID())
 	}
 	n.nodes[id] = node
-	if n.flows != nil {
-		n.flows[id] = nil // fresh outbound: old parked streams are lost
-	}
+	n.flows[id] = nil // fresh outbound: old parked streams are lost
 	n.Restart(id)
 	node.Start(n.nodeNow(id), n.sinkFor(id))
 	return nil
@@ -484,11 +460,11 @@ func (n *Network) rates(to types.ReplicaID) (txRate, rxRate float64) {
 // cannot waive its CPU cost. VoteProcCost opts vote/proof-class messages
 // into the same stage at a fixed per-message cost, for experiments that
 // study the vote-aggregation ceiling itself (the rotate scenario).
-func (n *Network) procDone(to types.ReplicaID, msg transport.Message, rxDone time.Duration) time.Duration {
+func (n *Network) procDone(to types.ReplicaID, msg transport.Message, size int, rxDone time.Duration) time.Duration {
 	var cost time.Duration
 	switch {
 	case n.cfg.ProcBps > 0 && transport.IsBulk(msg):
-		cost = transmissionDelay(msg.WireSize(), n.cfg.ProcBps)
+		cost = transmissionDelay(size, n.cfg.ProcBps)
 	case n.cfg.VoteProcCost > 0 &&
 		(msg.Class() == transport.ClassVote || msg.Class() == transport.ClassProof):
 		cost = n.cfg.VoteProcCost
@@ -524,9 +500,10 @@ func (n *Network) arrival(from, to types.ReplicaID, txDone time.Duration) time.D
 }
 
 // send routes one unicast message through the bandwidth model. The lane
-// decides pipe scheduling: control-lane messages preempt queued bulk on
-// both the egress and ingress pipes; bulk queues FIFO under the legacy
-// pipe model, or enters the pair's credit-streamed flow under BulkCredit.
+// decides pipe scheduling: control-lane messages are booked at once and
+// preempt queued bulk on both the egress and ingress pipes; bulk-lane
+// messages enter the pair's credit-streamed flow, which books them chunk
+// by chunk (and counts them as sent as it does).
 func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane transport.Lane) {
 	if int(to) >= len(n.nodes) || from == to {
 		return
@@ -548,41 +525,31 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane tra
 		msg = decoded
 	}
 	size := msg.WireSize()
-	n.stats[from].AddSent(msg.Class(), size)
-	if lane == transport.LaneBulk && n.flows != nil {
+	if lane == transport.LaneBulk {
 		n.flowEnqueue(from, to, msg, size)
 		return
 	}
-	preempt := lane == transport.LaneControl
+	n.stats[from].AddSent(msg.Class(), size)
 	txRate, rxRate := n.rates(to)
 
 	// Egress: serialize through the sender's pipe.
-	txDone := occupy(n.egress, int(from), n.now, transmissionDelay(size, txRate), preempt)
+	txDone := occupy(n.egress, int(from), n.now, transmissionDelay(size, txRate), true)
 	// Propagation, then ingress: serialize through the receiver's pipe.
 	arrive := n.arrival(from, to, txDone)
-	rxDone := occupy(n.ingress, int(to), arrive, transmissionDelay(size, rxRate), preempt)
-	n.push(&event{at: n.procDone(to, msg, rxDone), kind: evDeliver, from: from, to: to, msg: msg})
+	rxDone := occupy(n.ingress, int(to), arrive, transmissionDelay(size, rxRate), true)
+	n.push(&event{at: n.procDone(to, msg, size, rxDone), kind: evDeliver, from: from, to: to, msg: msg, size: size})
 }
 
-// flow is one (sender, receiver) pair's bulk lane under the BulkCredit
-// model: the simulated mirror of the TCP runtime's per-peer stream
-// scheduler. All state advances deterministically through heap events.
+// flow is one (sender, receiver) pair's bulk lane: a transport.StreamQueue
+// — the queue the TCP runtime's per-peer scheduler sends through — plus
+// what virtual time adds to it: the credit window, the receiver's
+// not-yet-granted bytes, and the pipe bookings and grant events that move
+// them. All state advances deterministically through heap events.
 type flow struct {
 	from, to types.ReplicaID
-	streams  []*simStream
-	rr       int
+	q        transport.StreamQueue[transport.Message]
 	credit   int64 // remaining send window
 	consumed int64 // receiver bytes not yet granted back
-	queued   int64 // unsent bulk payload parked in this flow
-	peak     int64
-	evicts   int64
-}
-
-// simStream is one queued bulk message mid-stream.
-type simStream struct {
-	msg  transport.Message
-	size int
-	off  int
 }
 
 // flowFor returns (lazily creating) the pair's flow.
@@ -592,96 +559,69 @@ func (n *Network) flowFor(from, to types.ReplicaID) *flow {
 	}
 	f := n.flows[from][to]
 	if f == nil {
-		f = &flow{from: from, to: to, credit: n.cfg.Stream.CreditWindow}
+		f = &flow{
+			from:   from,
+			to:     to,
+			q:      transport.NewStreamQueue[transport.Message](n.cfg.Stream),
+			credit: n.cfg.Stream.CreditWindow,
+		}
 		n.flows[from][to] = f
 	}
 	return f
 }
 
-// flowEnqueue admits one bulk message into the pair's flow, enforcing the
-// park budget: the oldest not-yet-started streams are evicted first (the
-// slow-peer eviction path) and the new frame is dropped only if the budget
-// still cannot fit it.
+// flowEnqueue admits one bulk message into the pair's flow. The queue's
+// park budget is the only loss path: what it evicts (or refuses) is traced
+// at the sender.
 func (n *Network) flowEnqueue(from, to types.ReplicaID, msg transport.Message, size int) {
 	f := n.flowFor(from, to)
-	budget := n.cfg.Stream.ParkBudget
-	if f.queued+int64(size) > budget {
-		kept := f.streams[:0]
-		for _, st := range f.streams {
-			if f.queued+int64(size) > budget && st.off == 0 {
-				f.queued -= int64(st.size)
-				f.evicts++
-				n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-				continue
-			}
-			kept = append(kept, st)
-		}
-		f.streams = kept
-		f.rr = 0
-		if f.queued+int64(size) > budget {
-			f.evicts++
-			n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-			return
-		}
+	evicted, ok := f.q.Push(msg, size)
+	for ; evicted > 0; evicted-- {
+		n.trace(from, obs.EvCreditEvicted, uint64(to), f.q.Queued())
 	}
-	f.queued += int64(size)
-	if f.queued > f.peak {
-		f.peak = f.queued
+	if !ok {
+		return
 	}
-	f.streams = append(f.streams, &simStream{msg: msg, size: size})
 	n.flowPump(f)
-	if f.credit <= 0 && f.queued > 0 {
+	if f.credit <= 0 && f.q.Queued() > 0 {
 		// The new frame (or its tail) parked awaiting a credit grant.
-		n.trace(from, obs.EvCreditParked, uint64(to), f.queued)
+		n.trace(from, obs.EvCreditParked, uint64(to), f.q.Queued())
 	}
 }
 
-// flowPump books round-robin chunks on the pipes until the flow's credit
-// window is spent (each chunk debits it; the flow parks at zero credit).
-// The window caps the bytes booked-but-not-granted-back, so a slow
-// receiver backpressures the queue while the pipe stays full within the
-// window, and the parked backlog is observable (StreamStats).
+// flowPump books chunks on the pipes until the flow's credit window is
+// spent (each chunk debits it; the flow parks at zero credit). The window
+// caps the bytes booked-but-not-granted-back, so a slow receiver
+// backpressures the queue while the pipe stays full within the window, and
+// the parked backlog is observable (StreamStats).
 func (n *Network) flowPump(f *flow) {
 	for n.flowBookOne(f) {
 	}
 }
 
-// flowBookOne books one unit; false means the flow is drained or parked.
+// flowBookOne books one chunk — and counts its bytes as sent: a frame still
+// parked, or evicted before it started, never touched the wire. False means
+// the flow is drained, parked, or its receiver is down.
 func (n *Network) flowBookOne(f *flow) bool {
-	if len(f.streams) == 0 || n.crashed[f.to] {
+	if n.crashed[f.to] {
 		return false
 	}
-	if f.credit <= 0 {
-		return false // parked: a credit grant re-pumps
+	c, ok := f.q.Next(f.credit)
+	if !ok {
+		return false // drained, or parked: a credit grant re-pumps
 	}
-	active := len(f.streams)
-	if active > n.cfg.Stream.MaxStreams {
-		active = n.cfg.Stream.MaxStreams
-	}
-	if f.rr >= active {
-		f.rr = 0
-	}
-	st := f.streams[f.rr]
-	chunk := n.cfg.Stream.ChunkLen(st.size, st.off)
-	if int64(chunk) > f.credit {
-		chunk = int(f.credit) // partial chunk, like the TCP scheduler
-	}
-	f.credit -= int64(chunk)
-	st.off += chunk
-	f.queued -= int64(chunk)
+	f.credit -= int64(c.Len)
+	n.stats[f.from].AddSent(c.Item.Class(), c.Len)
 	var final transport.Message
-	if st.off == st.size {
-		final = st.msg
-		f.streams = append(f.streams[:f.rr], f.streams[f.rr+1:]...)
-	} else {
-		f.rr++
+	if c.Fin {
+		final = c.Item
 	}
 
 	txRate, rxRate := n.rates(f.to)
-	txDone := occupy(n.egress, int(f.from), n.now, transmissionDelay(chunk, txRate), false)
+	txDone := occupy(n.egress, int(f.from), n.now, transmissionDelay(c.Len, txRate), false)
 	arrive := n.arrival(f.from, f.to, txDone)
-	rxDone := occupy(n.ingress, int(f.to), arrive, transmissionDelay(chunk, rxRate), false)
-	n.push(&event{at: rxDone, kind: evChunk, from: f.from, to: f.to, msg: final, flow: f, n: int64(chunk)})
+	rxDone := occupy(n.ingress, int(f.to), arrive, transmissionDelay(c.Len, rxRate), false)
+	n.push(&event{at: rxDone, kind: evChunk, from: f.from, to: f.to, msg: final, size: c.Total, flow: f, n: int64(c.Len)})
 	return true
 }
 
@@ -710,7 +650,7 @@ func (n *Network) chunkArrived(e *event) {
 		f.consumed = 0
 	}
 	if e.msg != nil {
-		n.push(&event{at: n.procDone(f.to, e.msg, n.now), kind: evDeliver, from: f.from, to: f.to, msg: e.msg})
+		n.push(&event{at: n.procDone(f.to, e.msg, e.size, n.now), kind: evDeliver, from: f.from, to: f.to, msg: e.msg, size: e.size})
 	}
 	n.flowPump(f)
 }
@@ -743,23 +683,16 @@ func (n *Network) creditArrived(e *event) {
 
 // StreamStats aggregates the bulk flow-control counters across every flow
 // originating at sender id: parked bytes, in-flight window, queued
-// streams and park-budget evictions. Zero under BulkPipes.
-func (n *Network) StreamStats(id types.ReplicaID) metrics.StreamStats {
-	var out metrics.StreamStats
-	if n.flows == nil || n.flows[id] == nil {
-		return out
-	}
+// streams and park-budget evictions.
+func (n *Network) StreamStats(id types.ReplicaID) transport.StreamStats {
+	var out transport.StreamStats
 	for _, f := range n.flows[id] {
 		if f == nil {
 			continue
 		}
-		out.Accumulate(metrics.StreamStats{
-			QueuedBytes:        f.queued,
-			PeakQueuedBytes:    f.peak,
-			CreditsOutstanding: n.cfg.Stream.CreditWindow - f.credit,
-			StreamsActive:      int64(len(f.streams)),
-			Evictions:          f.evicts,
-		})
+		st := f.q.Stats()
+		st.CreditsOutstanding = n.cfg.Stream.CreditWindow - f.credit
+		out.Accumulate(st)
 	}
 	return out
 }
@@ -840,7 +773,7 @@ func (n *Network) Run(until time.Duration) {
 			if n.crashed[e.to] {
 				continue
 			}
-			n.stats[e.to].AddReceived(e.msg.Class(), e.msg.WireSize())
+			n.stats[e.to].AddReceived(e.msg.Class(), e.size)
 			n.nodes[e.to].Deliver(n.nodeNow(e.to), e.from, e.msg, n.sinkFor(e.to))
 		case evTick:
 			for _, node := range n.nodes {

@@ -190,6 +190,10 @@ func TestFilterDropsMessages(t *testing.T) {
 	}
 }
 
+// TestCrashAndRestart pins what an outage costs on each lane: a control
+// message sent to a crashed replica is lost, while a bulk message stays
+// queued at its sender (within the park budget) and is delivered after
+// Restart, ahead of anything sent later.
 func TestCrashAndRestart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TickInterval = 0
@@ -197,19 +201,23 @@ func TestCrashAndRestart(t *testing.T) {
 	net.Start()
 	net.Crash(1)
 	net.ScheduleCall(10*time.Millisecond, func(now time.Duration) {
-		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 1}))
+		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 1, class: transport.ClassVote}))
+		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 2}))
 	})
 	net.Run(20 * time.Millisecond)
 	if len(nodes[1].got) != 0 {
-		t.Fatal("crashed node received a message")
+		t.Fatalf("crashed node received %v", nodes[1].got)
+	}
+	if st := net.StreamStats(0); st.QueuedBytes != 10 || st.StreamsActive != 1 {
+		t.Fatalf("bulk message not parked at its sender: %+v", st)
 	}
 	net.Restart(1)
 	net.ScheduleCall(30*time.Millisecond, func(now time.Duration) {
-		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 2}))
+		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 3}))
 	})
 	net.Run(50 * time.Millisecond)
-	if len(nodes[1].got) != 1 || nodes[1].got[0] != 2 {
-		t.Fatalf("restarted node got %v, want [2]", nodes[1].got)
+	if got := nodes[1].got; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("restarted node got %v, want [2 3]: the parked bulk message, then the new one", got)
 	}
 }
 

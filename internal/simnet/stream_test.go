@@ -7,15 +7,14 @@ import (
 	"leopard/internal/transport"
 )
 
-// streamCfg returns a BulkCredit network configuration with reasoning-
-// friendly numbers: 1 MB/s pipes (1 KB ≈ 1 ms), small chunks and an
+// streamCfg returns a network configuration with reasoning-friendly
+// numbers: 1 MB/s pipes (1 KB ≈ 1 ms), small chunks and an
 // explicit window.
 func streamCfg(window int64) Config {
 	return Config{
 		EgressBps:  8e6, // 1 MB/s
 		IngressBps: 8e6,
 		Latency:    0,
-		Bulk:       BulkCredit,
 		Stream: transport.StreamConfig{
 			ChunkSize:       1000,
 			StreamThreshold: 1000,
@@ -87,58 +86,51 @@ func TestCreditWindowParksFlow(t *testing.T) {
 	}
 }
 
-// TestCreditInterleavingLetsSmallStreamFinishFirst: a small bulk message
-// enqueued behind a huge one overtakes it (fair chunk round-robin). This
-// is the head-of-line-blocking cure inside the bulk lane itself.
-func TestCreditInterleavingLetsSmallStreamFinishFirst(t *testing.T) {
-	// A window much smaller than the large message keeps its stream
-	// parked in the queue, where the later small stream can interleave.
-	net, nodes := newTestNet(t, streamCfg(10000), 2)
-	nodes[0].onStart = []transport.Envelope{
-		transport.Unicast(1, &testMsg{size: 100000, tag: 1}),
-		transport.Unicast(1, &testMsg{size: 2000, tag: 2}),
-	}
-	net.Start()
-	net.Run(time.Second)
-	if got := nodes[1].got; len(got) != 2 || got[0] != 2 {
-		t.Fatalf("delivery order %v, want the small stream first", got)
-	}
-}
-
-// TestCreditNeverGrantsEvicts is the slow-peer eviction path: a stalled
-// receiver (crashed: it neither consumes nor grants) parks the flow, the
-// park budget caps the backlog by evicting the oldest unstarted streams,
-// and after the receiver comes back the surviving streams deliver.
-func TestCreditNeverGrantsEvicts(t *testing.T) {
+// TestParkedAndEvictedBytesAreNotSent is the slow-peer eviction path and
+// its accounting: a receiver that crashes mid-stream neither consumes nor
+// grants, the park budget caps the sender's backlog by evicting the oldest
+// unstarted streams, and after the receiver comes back the surviving
+// streams deliver. Bandwidth.Sent counts what was booked on the wire, chunk
+// by chunk — never bytes still parked, never an evicted frame.
+func TestParkedAndEvictedBytesAreNotSent(t *testing.T) {
 	cfg := streamCfg(1000)
 	cfg.Stream.ParkBudget = 10000
 	net, nodes := newTestNet(t, cfg, 2)
 	net.Start()
-	net.Crash(1)
 	net.ScheduleCall(time.Millisecond, func(now time.Duration) {
-		for i := 0; i < 6; i++ {
+		// The first stream starts while the receiver is up: one window
+		// (1000 of its 3000 bytes) is booked, then it parks.
+		net.dispatch(0, transport.Unicast(1, &testMsg{size: 3000, tag: 10}))
+		net.Crash(1)
+		for i := 1; i < 6; i++ {
 			net.dispatch(0, transport.Unicast(1, &testMsg{size: 3000, tag: 10 + i}))
 		}
 	})
 	net.Run(100 * time.Millisecond)
 	st := net.StreamStats(0)
 	if st.Evictions != 3 {
-		// 6×3000 = 18000 against a 10000 budget: three evicted.
+		// 2000 parked + 5×3000 against a 10000 budget: three evicted.
 		t.Fatalf("evictions %d, want 3 (stats %+v)", st.Evictions, st)
 	}
-	if st.QueuedBytes > cfg.Stream.ParkBudget {
-		t.Fatalf("parked %d bytes over budget %d", st.QueuedBytes, cfg.Stream.ParkBudget)
+	if st.QueuedBytes != 8000 {
+		t.Fatalf("parked %d bytes, want 8000 (budget %d)", st.QueuedBytes, cfg.Stream.ParkBudget)
+	}
+	if got := net.Stats(0).Sent[transport.ClassDatablock]; got != 1000 {
+		t.Fatalf("sent %d bytes during the outage, want the 1000 booked (18000 were enqueued)", got)
 	}
 	if len(nodes[1].got) != 0 {
 		t.Fatal("crashed receiver got deliveries")
 	}
 	net.Restart(1)
 	net.Run(time.Second)
-	if len(nodes[1].got) != 3 {
-		t.Fatalf("surviving streams delivered %d, want 3", len(nodes[1].got))
+	if got := nodes[1].got; len(got) != 3 || got[0] != 10 {
+		t.Fatalf("surviving streams delivered %v, want the started stream 10 and two more", got)
 	}
 	if st := net.StreamStats(0); st.QueuedBytes != 0 || st.StreamsActive != 0 {
 		t.Fatalf("flow not drained after restart: %+v", st)
+	}
+	if got := net.Stats(0).Sent[transport.ClassDatablock]; got != 9000 {
+		t.Fatalf("sent %d bytes in total, want 9000: three frames, the evicted three excluded", got)
 	}
 }
 
@@ -183,7 +175,7 @@ func TestSlowReceiverIngressOverride(t *testing.T) {
 	}
 }
 
-// TestStreamDeterminism: identically-seeded BulkCredit runs with jitter
+// TestStreamDeterminism: identically-seeded runs with jitter
 // produce identical chunk schedules, grants and delivery times.
 func TestStreamDeterminism(t *testing.T) {
 	run := func() []time.Duration {

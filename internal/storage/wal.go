@@ -39,6 +39,12 @@ const (
 	// full datablocks, so the bound is generous; anything larger is
 	// corruption.
 	maxFrameLen = 1 << 30
+
+	// stageBudget bounds the staged-but-unwritten bytes. An Append that
+	// would exceed it flushes inline instead (backpressure), so a disk that
+	// cannot keep up degrades the log to disk speed rather than ballooning
+	// memory.
+	stageBudget = 32 << 20
 )
 
 // Options tunes a file-backed Log. The zero value selects the defaults.
@@ -49,11 +55,6 @@ type Options struct {
 	// FsyncInterval is the group-commit window: staged appends are written
 	// and fsynced in batches at most this far apart. Default 2ms.
 	FsyncInterval time.Duration
-	// StageBudget bounds the staged-but-unwritten bytes. An Append that
-	// would exceed it flushes inline instead (backpressure), so a disk that
-	// cannot keep up degrades the log to disk speed rather than ballooning
-	// memory. Default 32 MiB.
-	StageBudget int64
 	// SyncEachAppend makes every Append write, flush and fsync before
 	// returning (no batching). Benchmarks use it as the serialized
 	// baseline; real deployments should not.
@@ -69,9 +70,6 @@ func (o *Options) normalize() {
 	}
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = 2 * time.Millisecond
-	}
-	if o.StageBudget <= 0 {
-		o.StageBudget = 32 << 20
 	}
 	if o.FS == nil {
 		o.FS = OsFS{}
@@ -421,7 +419,7 @@ func (l *Log) Append(rec *BlockRecord) error {
 	l.admit(rec)
 	l.stats.Appended++
 	rollDue := seg.bytes > l.opts.SegmentBytes
-	overBudget := int64(len(l.pending)) > l.opts.StageBudget
+	overBudget := len(l.pending) > stageBudget
 	l.mu.Unlock()
 	codec.PutWriter(w)
 

@@ -7,12 +7,13 @@ import (
 )
 
 // This file defines the bulk-lane streaming layer shared by the TCP runtime
-// and the simulator's credit-based bulk model: the stream chunk header, the
-// receive-side reassembler, the credit-grant message, and the configuration
-// both transports derive their chunking and flow-control decisions from.
-// Keeping the policy here (one chunking function, one set of limits, one
-// grant threshold) is what lets the simnet model and the TCP runtime agree
-// byte-for-byte on how a given envelope is split and when a sender parks.
+// and the simulator: the stream chunk header, the receive-side reassembler,
+// the credit-grant message, and the configuration both transports derive
+// their chunking and flow-control decisions from. The send side is
+// StreamQueue (queue.go). Keeping the policy here (one queue, one chunking
+// function, one set of limits, one grant threshold) is what lets simnet and
+// the TCP runtime agree byte-for-byte on how a given envelope is split and
+// when a sender parks.
 
 // Stream flow-control defaults. See StreamConfig for the meaning of each.
 const (
@@ -84,8 +85,8 @@ func (c StreamConfig) GrantThreshold() int64 { return c.CreditWindow / 2 }
 // ChunkLen returns the length of the chunk starting at offset within a
 // stream of the given total length: the whole frame when it fits under the
 // threshold, otherwise fixed ChunkSize pieces (the final piece carries the
-// remainder). Both transports split with exactly this function, which is
-// what makes the simulated chunk schedule match the real one.
+// remainder). StreamQueue.Next is its only caller outside tests, so both
+// transports split identically.
 func (c StreamConfig) ChunkLen(total, offset int) int {
 	if total <= c.StreamThreshold {
 		return total - offset
@@ -180,7 +181,7 @@ type partialStream struct {
 }
 
 // NewReassembler builds a reassembler; maxTotal bounds the reassembled
-// frame size (a transport passes its MaxFrame limit).
+// frame size (a transport passes its frame-size limit).
 func NewReassembler(cfg StreamConfig, maxTotal int) *Reassembler {
 	cfg.Normalize()
 	return &Reassembler{cfg: cfg, maxTotal: maxTotal, partial: make(map[uint64]*partialStream)}

@@ -3,7 +3,9 @@ package transport_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"leopard/internal/transport"
@@ -267,4 +269,164 @@ func FuzzStreamReassemble(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestStreamQueuePolicy tables the send-side bulk-lane policy that the TCP
+// runtime's per-peer scheduler and the simulator's per-pair flow both run:
+// each case is a script of pushes, rewinds and credit-limited drains against
+// one queue (100-byte chunks, 1000-byte park budget, 4 interleaved streams
+// unless the case says otherwise). Streams are tagged a, b, c… in the order
+// the case admits them; a drained chunk prints as tag:offset+len, with "!"
+// on the chunk that ends its stream.
+func TestStreamQueuePolicy(t *testing.T) {
+	type step struct {
+		push      []int // stream sizes admitted, in order
+		pushFront int   // size of a stream put back at the head (0: none)
+		rewind    bool
+		credit    int64  // then Next until this much credit is spent
+		want      string // chunks handed out by the drain
+		queued    int64  // stats after the step
+		streams   int64
+		evicts    int64
+	}
+	cases := []struct {
+		name       string
+		maxStreams int
+		steps      []step
+		peak       int64
+	}{
+		{
+			name: "debit, park at zero credit, resume as far as each grant allows",
+			steps: []step{
+				// The last 50 bytes of credit buy a partial chunk rather
+				// than waiting for a full chunk's worth.
+				{push: []int{400}, credit: 250, want: "a:0+100 a:100+100 a:200+50", queued: 150, streams: 1},
+				{credit: 0, want: "", queued: 150, streams: 1},
+				{credit: 100, want: "a:250+100", queued: 50, streams: 1},
+				{credit: 1000, want: "a:350+50!"},
+			},
+			peak: 400,
+		},
+		{
+			name: "round-robin interleaves streams and lets the small one finish first",
+			steps: []step{
+				{push: []int{500, 150}, credit: 1 << 20,
+					want: "a:0+100 b:0+100 a:100+100 b:100+50! a:200+100 a:300+100 a:400+100!"},
+			},
+			peak: 650,
+		},
+		{
+			name:       "streams past MaxStreams wait FIFO behind the active set",
+			maxStreams: 2,
+			steps: []step{
+				{push: []int{200, 200, 100}, credit: 1 << 20,
+					want: "a:0+100 b:0+100 a:100+100! b:100+100! c:0+100!"},
+			},
+			peak: 500,
+		},
+		{
+			name: "a peer that never grants: oldest unstarted streams are evicted, a started one never",
+			steps: []step{
+				{push: []int{400}, credit: 250, want: "a:0+100 a:100+100 a:200+50", queued: 150, streams: 1},
+				{push: []int{300, 300}, queued: 750, streams: 3},
+				// 300 more would pass the budget: b, the oldest unstarted
+				// stream, goes; a is mid-transmission and stays.
+				{push: []int{300}, queued: 750, streams: 3, evicts: 1},
+				// A frame larger than the whole budget can never fit: c and
+				// d are evicted for it, then it is dropped itself.
+				{push: []int{2000}, queued: 150, streams: 1, evicts: 4},
+				{credit: 1 << 20, want: "a:250+100 a:350+50!", evicts: 4},
+			},
+			peak: 750,
+		},
+		{
+			name: "eviction keeps the newer data",
+			steps: []step{
+				{push: []int{400}, credit: 250, want: "a:0+100 a:100+100 a:200+50", queued: 150, streams: 1},
+				{push: []int{300, 300, 300}, queued: 750, streams: 3, evicts: 1},
+				{credit: 1 << 20, evicts: 1,
+					want: "a:250+100 c:0+100 d:0+100 a:350+50! c:100+100 d:100+100 c:200+100! d:200+100!"},
+			},
+			peak: 750,
+		},
+		{
+			name: "rewind restarts partially sent streams at offset zero, a requeued stream first",
+			steps: []step{
+				{push: []int{400, 100}, credit: 250, want: "a:0+100 b:0+100! a:100+50", queued: 250, streams: 1},
+				// b's last chunk never arrived: it goes back in front, and
+				// the fresh connection gets every stream from its first byte.
+				{pushFront: 100, rewind: true, queued: 500, streams: 2},
+				{credit: 1 << 20, want: "c:0+100! a:0+100 a:100+100 a:200+100 a:300+100!"},
+			},
+			peak: 500,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := transport.StreamConfig{ChunkSize: 100, StreamThreshold: 100, ParkBudget: 1000, MaxStreams: 4}
+			if tc.maxStreams > 0 {
+				cfg.MaxStreams = tc.maxStreams
+			}
+			q := transport.NewStreamQueue[byte](cfg)
+			tag := byte('a')
+			for i, st := range tc.steps {
+				for _, size := range st.push {
+					q.Push(tag, size)
+					tag++
+				}
+				if st.pushFront > 0 {
+					q.PushFront(tag, st.pushFront)
+					tag++
+				}
+				if st.rewind {
+					q.Rewind()
+				}
+				var got []string
+				for credit := st.credit; ; {
+					c, ok := q.Next(credit)
+					if !ok {
+						break
+					}
+					credit -= int64(c.Len)
+					s := fmt.Sprintf("%c:%d+%d", c.Item, c.Offset, c.Len)
+					if c.Fin {
+						s += "!"
+					}
+					got = append(got, s)
+				}
+				if g := strings.Join(got, " "); g != st.want {
+					t.Fatalf("step %d: chunks %q, want %q", i, g, st.want)
+				}
+				stats := q.Stats()
+				if stats.QueuedBytes != st.queued || stats.StreamsActive != st.streams || stats.Evictions != st.evicts {
+					t.Fatalf("step %d: stats %+v, want queued %d streams %d evictions %d",
+						i, stats, st.queued, st.streams, st.evicts)
+				}
+				if q.Queued() != stats.QueuedBytes {
+					t.Fatalf("step %d: Queued() %d disagrees with Stats %d", i, q.Queued(), stats.QueuedBytes)
+				}
+			}
+			if peak := q.Stats().PeakQueuedBytes; peak != tc.peak {
+				t.Fatalf("peak queued %d, want %d", peak, tc.peak)
+			}
+		})
+	}
+}
+
+// TestStreamQueuePushReportsLoss: Push tells its caller how many streams the
+// admission cost, the refused one included, so the caller can count drops
+// and trace them.
+func TestStreamQueuePushReportsLoss(t *testing.T) {
+	q := transport.NewStreamQueue[int](transport.StreamConfig{ParkBudget: 1000})
+	for i := 0; i < 3; i++ {
+		if evicted, ok := q.Push(i, 300); evicted != 0 || !ok {
+			t.Fatalf("push %d under budget: evicted %d ok %v", i, evicted, ok)
+		}
+	}
+	if evicted, ok := q.Push(3, 500); evicted != 2 || !ok {
+		t.Fatalf("push over budget: evicted %d ok %v, want 2 evicted and admitted", evicted, ok)
+	}
+	if evicted, ok := q.Push(4, 2000); evicted != 3 || ok {
+		t.Fatalf("oversized push: evicted %d ok %v, want 3 lost (2 queued + itself) and refused", evicted, ok)
+	}
 }

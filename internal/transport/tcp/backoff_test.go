@@ -64,7 +64,7 @@ func TestNextDialDelayDeterministic(t *testing.T) {
 }
 
 // TestDialBackoffConfigDefaults pins the validate() defaults: max floors
-// at DialRetry, the seed derives from Self when unset.
+// at DialRetry.
 func TestDialBackoffConfigDefaults(t *testing.T) {
 	cfg := Config{Self: 2, Addrs: []string{"a", "b", "c"}, Codec: nopCodec{}}
 	if err := cfg.validate(); err != nil {
@@ -72,9 +72,6 @@ func TestDialBackoffConfigDefaults(t *testing.T) {
 	}
 	if cfg.DialRetryMax != 8*time.Second {
 		t.Errorf("DialRetryMax default %v, want 8s", cfg.DialRetryMax)
-	}
-	if cfg.DialSeed != 3 {
-		t.Errorf("DialSeed default %d, want Self+1 = 3", cfg.DialSeed)
 	}
 
 	cfg = Config{Self: 0, Addrs: []string{"a"}, Codec: nopCodec{},

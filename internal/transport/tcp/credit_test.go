@@ -39,43 +39,41 @@ func drain(s *streamSched) []int {
 	}
 }
 
-// TestSchedDebitParkResume is the core grant/debit/park/resume sequence:
-// the window admits 250 bytes of a 400-byte stream (100-byte chunks, then
-// a 50-byte partial chunk spending the remaining credit), parks at zero
-// credit, and resumes exactly as far as each cumulative grant allows.
-func TestSchedDebitParkResume(t *testing.T) {
+// TestSchedCumulativeGrants: the window is CreditWindow minus what is sent
+// and not yet acknowledged, and grants are cumulative — the scheduler
+// resumes exactly as far as each new counter allows, and a duplicate of a
+// grant releases nothing. (The chunking under that window is
+// transport.StreamQueue's, tabled in TestStreamQueuePolicy.)
+func TestSchedCumulativeGrants(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
 	s.enqueue(make([]byte, 400))
-
-	if got := drain(s); len(got) != 3 || got[0] != 100 || got[1] != 100 || got[2] != 50 {
-		t.Fatalf("window-limited chunks %v, want [100 100 50]", got)
+	sum := func(sizes []int) (n int) {
+		for _, sz := range sizes {
+			n += sz
+		}
+		return n
 	}
-	st := s.stats()
-	if st.CreditsOutstanding != 250 || st.QueuedBytes != 150 || st.StreamsActive != 1 {
+	if got := sum(drain(s)); got != 250 {
+		t.Fatalf("first window released %d bytes, want 250", got)
+	}
+	if st := s.stats(); st.CreditsOutstanding != 250 || st.QueuedBytes != 150 {
 		t.Fatalf("parked stats %+v", st)
 	}
-	// Grant 100 consumed bytes (cumulative): exactly 100 more flow.
 	s.grant(0, 100)
-	if got := drain(s); len(got) != 1 || got[0] != 100 {
-		t.Fatalf("after grant(100): chunks %v, want [100]", got)
+	if got := sum(drain(s)); got != 100 {
+		t.Fatalf("after grant(100): released %d bytes, want 100", got)
 	}
-	// A duplicate of the same cumulative grant is idempotent.
 	s.grant(0, 100)
 	if got := drain(s); len(got) != 0 {
 		t.Fatalf("duplicate grant released chunks %v", got)
 	}
-	// Granting everything completes the stream and empties the scheduler.
 	s.grant(0, 400)
-	if got := drain(s); len(got) != 1 || got[0] != 50 {
-		t.Fatalf("final chunks %v, want [50]", got)
+	if got := sum(drain(s)); got != 50 {
+		t.Fatalf("final release %d bytes, want 50", got)
 	}
-	st = s.stats()
-	if st.QueuedBytes != 0 || st.StreamsActive != 0 {
-		t.Fatalf("final stats %+v", st)
-	}
-	if drops.Load() != 0 {
-		t.Fatalf("flow control dropped %d frames", drops.Load())
+	if st := s.stats(); st.QueuedBytes != 0 || st.StreamsActive != 0 || drops.Load() != 0 {
+		t.Fatalf("final stats %+v, drops %d", st, drops.Load())
 	}
 }
 
@@ -103,69 +101,18 @@ func TestSchedGrantRacesCompletion(t *testing.T) {
 	}
 }
 
-// TestSchedNeverGrantsEvicts is the park-budget eviction path: a peer that
-// never grants credit beyond the initial window accumulates parked
-// streams until the budget is hit, at which point the oldest not-yet-
-// started streams are evicted (counted as drops) and newer data survives.
-func TestSchedNeverGrantsEvicts(t *testing.T) {
+// TestSchedEvictionCountsAsDrop: every stream the park budget costs — the
+// evicted ones and a frame refused outright — lands in the peer's drop
+// counter, which Runtime.Drops reports.
+func TestSchedEvictionCountsAsDrop(t *testing.T) {
 	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	// First stream starts transmitting (exhausts the 250-byte window).
-	s.enqueue(make([]byte, 400))
-	if got := drain(s); len(got) != 3 {
-		t.Fatalf("chunks %v", got)
+	s := newStreamSched(schedCfg(), &drops) // 1000-byte park budget
+	for i := 0; i < 3; i++ {
+		s.enqueue(make([]byte, 300))
 	}
-	// Budget is 1000; 150 remain parked. Fill with two 300-byte streams.
-	s.enqueue(make([]byte, 300))
-	s.enqueue(make([]byte, 300))
-	if st := s.stats(); st.QueuedBytes != 750 || st.Evictions != 0 {
-		t.Fatalf("pre-eviction stats %+v", st)
-	}
-	// 300 more would exceed the budget: the oldest unstarted stream (the
-	// first 300) is evicted; the mid-transmission stream must survive.
-	s.enqueue(make([]byte, 300))
-	st := s.stats()
-	if st.Evictions != 1 || drops.Load() != 1 {
-		t.Fatalf("evictions %d drops %d, want 1/1", st.Evictions, drops.Load())
-	}
-	if st.QueuedBytes != 750 || st.StreamsActive != 3 {
-		t.Fatalf("post-eviction stats %+v", st)
-	}
-	// A frame larger than the whole budget can never fit: eviction empties
-	// both remaining unstarted streams, then the frame itself is dropped
-	// (1 earlier + 2 parked + 1 oversized = 4).
-	s.enqueue(make([]byte, 2000))
-	if st := s.stats(); st.Evictions != 4 {
-		t.Fatalf("evictions %d, want 4", st.Evictions)
-	}
-	// The partially transmitted stream is never evicted.
-	if st := s.stats(); st.StreamsActive != 1 || st.QueuedBytes != 150 {
-		t.Fatalf("mid-transmission stream evicted: %+v", s.stats())
-	}
-}
-
-// TestSchedRoundRobinInterleavesStreams: chunks of concurrent streams
-// alternate instead of finishing one stream before starting the next.
-func TestSchedRoundRobinInterleavesStreams(t *testing.T) {
-	cfg := schedCfg()
-	cfg.CreditWindow = 1 << 20 // no credit noise
-	var drops atomic.Int64
-	s := newStreamSched(cfg, &drops)
-	a := bytes.Repeat([]byte{'a'}, 300)
-	b := bytes.Repeat([]byte{'b'}, 300)
-	s.enqueue(a)
-	s.enqueue(b)
-	var tags []byte
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	for {
-		_, payload, ok := s.nextChunk(buf)
-		if !ok {
-			break
-		}
-		tags = append(tags, payload[0])
-	}
-	if string(tags) != "ababab" {
-		t.Fatalf("chunk interleaving %q, want fair round-robin \"ababab\"", tags)
+	s.enqueue(make([]byte, 2000)) // evicts all three, then cannot fit itself
+	if st := s.stats(); st.Evictions != 4 || drops.Load() != 4 || st.StreamsActive != 0 {
+		t.Fatalf("evictions %d drops %d streams %d, want 4/4/0", st.Evictions, drops.Load(), st.StreamsActive)
 	}
 }
 

@@ -4,18 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"leopard/internal/metrics"
 	"leopard/internal/obs"
 	"leopard/internal/transport"
 )
 
-// streamSched is one peer's bulk-lane scheduler: it holds the bulk frames
-// the node has emitted to that peer as streams, slices them into chunks in
-// round-robin order across the active streams, and debits the peer's credit
-// window per chunk. At zero credit it parks (nextChunk reports nothing to
-// send) instead of dropping; the park budget bounds how much a peer that
-// never grants credit can pin, with the oldest not-yet-started streams
-// evicted beyond it.
+// streamSched is one peer's bulk-lane scheduler: the connection side of
+// the lane. The queue policy — admission under the park budget, round-robin
+// chunking, rewind — is transport.StreamQueue; this type adds what a
+// connection needs around it: the lock shared by three goroutines, the
+// send loop's wake-up, the connection epoch and its cumulative credit
+// counters, stream ids and the chunk wire header. At zero credit it parks
+// (nextChunk reports nothing to send) instead of dropping.
 //
 // Locking: the apply loop enqueues, the read loop grants, the send loop
 // consumes; all three synchronize on mu. notify is a 1-buffered wake-up
@@ -24,18 +23,17 @@ import (
 // transition.
 type streamSched struct {
 	mu     sync.Mutex
-	cfg    transport.StreamConfig
+	window int64 // StreamConfig.CreditWindow
 	notify chan struct{}
 
-	streams []*outStream
+	q transport.StreamQueue[outStream]
 	// sending holds a stream whose final chunk has been handed to the
-	// send loop but not yet confirmed written (chunkWritten). It is out
-	// of the round-robin set, yet must survive a reconnect: resetConn
-	// requeues it, so a fin chunk that dies with the connection is
-	// retransmitted instead of silently lost.
-	sending *outStream
-	rr      int    // round-robin cursor over the active transmit set
-	nextID  uint64 // per-connection stream id allocator
+	// send loop but not yet confirmed written (chunkWritten); its frame is
+	// nil when there is none. It has left the queue, yet must survive a
+	// reconnect: resetConn requeues it, so a fin chunk that dies with the
+	// connection is retransmitted instead of silently lost.
+	sending outStream
+	nextID  uint64 // stream id allocator
 
 	// epoch numbers the peer connection. It increments on every
 	// resetConn, is announced to the receiver in the hello, and stamps
@@ -49,15 +47,12 @@ type streamSched struct {
 	// Credit accounting is cumulative per connection epoch: sent counts
 	// chunk payload bytes written, acked is the receiver's cumulative
 	// consumed counter (CreditMsg), and the available credit is
-	// CreditWindow - (sent - acked). Cumulative counters make grants
+	// window - (sent - acked). Cumulative counters make grants
 	// idempotent: a duplicated or reordered grant is healed by max().
 	sent  int64
 	acked int64
 
-	queued int64 // unsent bulk payload bytes across all streams
-	peak   int64
-	evicts int64
-	drops  *atomic.Int64 // the peer's drop counter (shared with control)
+	drops *atomic.Int64 // the peer's drop counter (shared with control)
 
 	// trace, when set, emits a flow-control lifecycle event (park or
 	// eviction) for this peer; the runtime installs it when Config.Tracer
@@ -66,15 +61,21 @@ type streamSched struct {
 	trace func(kind obs.EventKind, aux int64)
 }
 
-// outStream is one queued bulk frame mid-transmission.
+// outStream is one queued bulk frame. Its id names the stream on the wire;
+// ids are unique per scheduler, which is all a connection's reassembler
+// needs.
 type outStream struct {
 	id    uint64
 	frame []byte
-	off   int
 }
 
 func newStreamSched(cfg transport.StreamConfig, drops *atomic.Int64) *streamSched {
-	return &streamSched{cfg: cfg, notify: make(chan struct{}, 1), drops: drops}
+	return &streamSched{
+		window: cfg.CreditWindow,
+		notify: make(chan struct{}, 1),
+		q:      transport.NewStreamQueue[outStream](cfg),
+		drops:  drops,
+	}
 }
 
 // signal wakes the send loop; the 1-buffered channel coalesces bursts.
@@ -85,50 +86,26 @@ func (s *streamSched) signal() {
 	}
 }
 
-// enqueue accepts one bulk frame as a new stream. If parking it would
-// exceed the park budget, the oldest streams that have not started
-// transmitting are evicted first; if the budget still cannot fit the frame
-// (everything left is mid-transmission, or the frame alone exceeds the
-// budget) the new frame is dropped. Every eviction/drop counts against the
-// peer's drop counter.
+// enqueue accepts one bulk frame as a new stream. Every stream the park
+// budget evicts to make room — or the frame itself, when it cannot fit —
+// counts against the peer's drop counter.
 func (s *streamSched) enqueue(frame []byte) {
-	size := int64(len(frame))
 	s.mu.Lock()
-	if s.queued+size > s.cfg.ParkBudget {
-		kept := s.streams[:0]
-		for _, st := range s.streams {
-			if s.queued+size > s.cfg.ParkBudget && st.off == 0 {
-				s.queued -= int64(len(st.frame))
-				s.evicts++
-				s.drops.Add(1)
-				if s.trace != nil {
-					s.trace(obs.EvCreditEvicted, s.queued)
-				}
-				continue
-			}
-			kept = append(kept, st)
+	evicted, ok := s.q.Push(outStream{id: s.nextID, frame: frame}, len(frame))
+	if evicted > 0 {
+		s.drops.Add(int64(evicted))
+		for ; s.trace != nil && evicted > 0; evicted-- {
+			s.trace(obs.EvCreditEvicted, s.q.Queued())
 		}
-		s.streams = kept
-		s.rr = 0
 	}
-	if s.queued+size > s.cfg.ParkBudget {
-		s.evicts++
-		s.drops.Add(1)
-		if s.trace != nil {
-			s.trace(obs.EvCreditEvicted, s.queued)
-		}
+	if !ok {
 		s.mu.Unlock()
 		return
 	}
-	s.queued += size
-	if s.queued > s.peak {
-		s.peak = s.queued
-	}
-	s.streams = append(s.streams, &outStream{id: s.nextID, frame: frame})
 	s.nextID++
 	if s.trace != nil && s.creditLocked() <= 0 {
 		// The new stream parked immediately: zero credit at admission.
-		s.trace(obs.EvCreditParked, s.queued)
+		s.trace(obs.EvCreditParked, s.q.Queued())
 	}
 	s.mu.Unlock()
 	s.signal()
@@ -148,61 +125,35 @@ func (s *streamSched) grant(epoch uint32, consumed int64) {
 
 // credit returns the available window. Callers hold mu.
 func (s *streamSched) creditLocked() int64 {
-	return s.cfg.CreditWindow - (s.sent - s.acked)
+	return s.window - (s.sent - s.acked)
 }
 
-// nextChunk picks the next chunk in round-robin order across the active
-// transmit set (the first MaxStreams queued streams) and debits the credit
-// window. It appends the wire body prefix (frame kind + stream header) to
-// dst[:0] and returns it with the payload slice; ok is false when there is
-// nothing sendable — no streams, or zero credit (parked).
+// nextChunk takes the queue's next chunk and debits the credit window. It
+// appends the wire body prefix (frame kind + stream header) to dst[:0] and
+// returns it with the payload slice; ok is false when there is nothing
+// sendable — no streams, or zero credit (parked).
 func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.streams) == 0 {
+	c, ok := s.q.Next(s.creditLocked())
+	if !ok {
 		return nil, nil, false
 	}
-	credit := s.creditLocked()
-	if credit <= 0 {
-		return nil, nil, false
-	}
-	active := len(s.streams)
-	if active > s.cfg.MaxStreams {
-		active = s.cfg.MaxStreams
-	}
-	if s.rr >= active {
-		s.rr = 0
-	}
-	st := s.streams[s.rr]
-	n := s.cfg.ChunkLen(len(st.frame), st.off)
-	if int64(n) > credit {
-		// Partial chunk: spend the remaining credit rather than stalling
-		// until a full chunk's worth is granted.
-		n = int(credit)
-	}
-	hdr := transport.StreamHeader{
-		StreamID: st.id,
-		Offset:   uint64(st.off),
-		Total:    uint64(len(st.frame)),
-		Fin:      st.off+n == len(st.frame),
-	}
-	payload = st.frame[st.off : st.off+n]
-	st.off += n
-	s.sent += int64(n)
-	s.queued -= int64(n)
-	if hdr.Fin {
-		s.streams = append(s.streams[:s.rr], s.streams[s.rr+1:]...)
-		// rr now points at the next stream (or wraps at the top). The
-		// stream is parked in the sending slot until the send loop
+	s.sent += int64(c.Len)
+	if c.Fin {
+		// The stream waits in the sending slot until the send loop
 		// confirms the fin chunk reached the wire; a write failure
 		// abandons the chunk and resetConn requeues the stream.
-		s.sending = st
-	} else {
-		s.rr++
+		s.sending = c.Item
 	}
 	body = append(dst[:0], frameKindChunk)
-	body = transport.AppendStreamHeader(body, hdr)
-	return body, payload, true
+	body = transport.AppendStreamHeader(body, transport.StreamHeader{
+		StreamID: c.Item.id,
+		Offset:   uint64(c.Offset),
+		Total:    uint64(c.Total),
+		Fin:      c.Fin,
+	})
+	return body, c.Item.frame[c.Offset : c.Offset+c.Len], true
 }
 
 // chunkWritten confirms the last dequeued chunk reached the wire,
@@ -210,7 +161,7 @@ func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
 // chunks).
 func (s *streamSched) chunkWritten() {
 	s.mu.Lock()
-	s.sending = nil
+	s.sending = outStream{}
 	s.mu.Unlock()
 }
 
@@ -218,29 +169,16 @@ func (s *streamSched) chunkWritten() {
 // new epoch: the receiver lost all partial-stream and credit state with
 // the old one, so every stream — including one whose fin chunk was in
 // flight when the connection died — retransmits from offset zero under a
-// full window. Stream ids restart too; the new connection gets a new
-// reassembler.
+// full window, into the new connection's new reassembler.
 func (s *streamSched) resetConn() uint32 {
 	s.mu.Lock()
 	s.epoch++
 	s.sent, s.acked = 0, 0
-	if s.sending != nil {
-		s.streams = append(s.streams, nil)
-		copy(s.streams[1:], s.streams)
-		s.streams[0] = s.sending
-		s.sending = nil
+	if s.sending.frame != nil {
+		s.q.PushFront(s.sending, len(s.sending.frame))
+		s.sending = outStream{}
 	}
-	s.rr = 0
-	s.queued = 0
-	for i, st := range s.streams {
-		st.off = 0
-		st.id = uint64(i)
-		s.queued += int64(len(st.frame))
-	}
-	s.nextID = uint64(len(s.streams))
-	if s.queued > s.peak {
-		s.peak = s.queued
-	}
+	s.q.Rewind()
 	epoch := s.epoch
 	s.mu.Unlock()
 	s.signal()
@@ -248,19 +186,13 @@ func (s *streamSched) resetConn() uint32 {
 }
 
 // stats snapshots the scheduler's flow-control counters.
-func (s *streamSched) stats() metrics.StreamStats {
+func (s *streamSched) stats() transport.StreamStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.creditLocked()
-	active := int64(len(s.streams))
-	if s.sending != nil {
-		active++
+	st := s.q.Stats()
+	st.CreditsOutstanding = s.sent - s.acked
+	if s.sending.frame != nil {
+		st.StreamsActive++
 	}
-	return metrics.StreamStats{
-		QueuedBytes:        s.queued,
-		PeakQueuedBytes:    s.peak,
-		CreditsOutstanding: s.cfg.CreditWindow - out,
-		StreamsActive:      active,
-		Evictions:          s.evicts,
-	}
+	return st
 }

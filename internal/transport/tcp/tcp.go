@@ -41,7 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leopard/internal/metrics"
+	"leopard/internal/codec"
 	"leopard/internal/obs"
 	"leopard/internal/transport"
 	"leopard/internal/types"
@@ -90,16 +90,6 @@ type Config struct {
 	// DialRetryMax caps the exponential reconnect backoff (default 8s,
 	// floored at DialRetry).
 	DialRetryMax time.Duration
-	// DialSeed seeds the backoff jitter. Zero derives a seed from Self;
-	// a fixed nonzero seed makes reconnect schedules reproducible.
-	DialSeed int64
-	// MaxFrame bounds accepted frame sizes, including reassembled stream
-	// totals (default 64 MiB).
-	MaxFrame int
-	// ControlQueue is the per-peer control-lane queue depth (default
-	// 4096 frames). Control frames are small; the depth is sized for vote
-	// bursts at large n. Overflow drops the frame.
-	ControlQueue int
 	// Stream tunes bulk-lane chunking and credit-based flow control; zero
 	// fields take the transport package defaults. The bulk lane has no
 	// frame queue: it streams under Stream's credit window and park budget.
@@ -129,18 +119,20 @@ func (c *Config) validate() error {
 	if c.DialRetryMax < c.DialRetry {
 		c.DialRetryMax = c.DialRetry
 	}
-	if c.DialSeed == 0 {
-		c.DialSeed = int64(c.Self) + 1
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 64 << 20
-	}
-	if c.ControlQueue <= 0 {
-		c.ControlQueue = 4096
-	}
 	c.Stream.Normalize()
 	return nil
 }
+
+const (
+	// maxFrame bounds accepted frame sizes, including reassembled stream
+	// totals: the codec's own cap on one byte field, so any field that
+	// decodes fits a legal frame and the reverse.
+	maxFrame = codec.MaxBytesLen
+	// controlQueue is the per-peer control-lane queue depth in frames.
+	// Control frames are small; the depth is sized for vote bursts at
+	// large n. Overflow drops the frame.
+	controlQueue = 4096
+)
 
 // event is one inbound message awaiting the apply loop.
 type event struct {
@@ -160,6 +152,14 @@ type Runtime struct {
 	local chan func(now time.Duration, out transport.Sink)
 
 	peers []*peer
+
+	// conns holds every live peer connection, dialed and accepted, so Stop
+	// can close them: a read loop blocked on an idle connection notices
+	// nothing else. closing (under connMu) makes a connection that
+	// completes its dial or accept after Stop be closed at once.
+	connMu  sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool
 
 	start   time.Time
 	stop    chan struct{}
@@ -246,6 +246,7 @@ func New(cfg Config, node transport.Node) (*Runtime, error) {
 		// credit grants) when it fills.
 		events: make(chan event, 4096),
 		local:  make(chan func(now time.Duration, out transport.Sink), 256),
+		conns:  make(map[net.Conn]struct{}),
 		stop:   make(chan struct{}),
 	}
 	for id, addr := range cfg.Addrs {
@@ -256,7 +257,7 @@ func New(cfg Config, node transport.Node) (*Runtime, error) {
 		p := &peer{
 			id:          types.ReplicaID(id),
 			addr:        addr,
-			control:     make(chan []byte, cfg.ControlQueue),
+			control:     make(chan []byte, controlQueue),
 			grantNotify: make(chan struct{}, 1),
 		}
 		p.sched = newStreamSched(cfg.Stream, &p.drops)
@@ -306,15 +307,44 @@ func (r *Runtime) Run(ctx context.Context) error {
 	return err
 }
 
-// Stop shuts the runtime down and waits for its goroutines.
+// Stop shuts the runtime down and waits for its goroutines. It closes the
+// listener and every live peer connection, so it returns promptly even when
+// the peers are idle.
 func (r *Runtime) Stop() {
 	r.stopped.Do(func() {
 		close(r.stop)
 		if r.listener != nil {
 			r.listener.Close()
 		}
+		r.connMu.Lock()
+		r.closing = true
+		for c := range r.conns {
+			c.Close()
+		}
+		r.connMu.Unlock()
 	})
 	r.wg.Wait()
+}
+
+// track registers a live connection for Stop to close; false means the
+// runtime is already stopping and c has been closed.
+func (r *Runtime) track(c net.Conn) bool {
+	r.connMu.Lock()
+	defer r.connMu.Unlock()
+	if r.closing {
+		c.Close()
+		return false
+	}
+	r.conns[c] = struct{}{}
+	return true
+}
+
+// drop closes a tracked connection and forgets it.
+func (r *Runtime) drop(c net.Conn) {
+	c.Close()
+	r.connMu.Lock()
+	delete(r.conns, c)
+	r.connMu.Unlock()
 }
 
 // now returns the runtime-relative monotonic time handed to the node.
@@ -341,8 +371,8 @@ func (r *Runtime) Drops(id types.ReplicaID) int64 {
 // StreamTotals aggregates the bulk-lane flow-control counters across all
 // peers: total parked bytes, credits in flight and active streams, with
 // the peak as the max over peers.
-func (r *Runtime) StreamTotals() metrics.StreamStats {
-	var total metrics.StreamStats
+func (r *Runtime) StreamTotals() transport.StreamStats {
+	var total transport.StreamStats
 	for _, p := range r.peers {
 		if p == nil {
 			continue
@@ -524,14 +554,16 @@ func (r *Runtime) sendLoop(p *peer) {
 	var conn net.Conn
 	var pending []byte // control frame to retransmit after a reconnect
 	hdrBuf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	defer func() {
+	hangUp := func() {
 		if conn != nil {
-			conn.Close()
+			r.drop(conn)
+			conn = nil
 		}
-	}()
+	}
+	defer hangUp()
 	// Per-peer jitter stream: mixing the peer id into the seed keeps the
 	// n-1 send loops of one replica off each other's schedule too.
-	rng := rand.New(rand.NewSource(r.cfg.DialSeed*31 + int64(p.id)))
+	rng := rand.New(rand.NewSource((int64(r.cfg.Self)+1)*31 + int64(p.id)))
 	connect := func() net.Conn {
 		// Each connect starts the ladder at DialRetry: a successful hello
 		// returns from here, so the next outage begins fresh.
@@ -544,13 +576,16 @@ func (r *Runtime) sendLoop(p *peer) {
 			}
 			c, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
 			if err == nil {
+				if !r.track(c) {
+					return nil
+				}
 				// Rewind the scheduler before the hello so the epoch the
 				// hello announces is the one this connection's grants
 				// must carry.
 				if err := writeHello(c, r.cfg.Self, p.sched.resetConn()); err == nil {
 					return c
 				}
-				c.Close()
+				r.drop(c)
 			}
 			var delay time.Duration
 			delay, cur = nextDialDelay(cur, r.cfg.DialRetryMax, rng)
@@ -570,8 +605,7 @@ func (r *Runtime) sendLoop(p *peer) {
 		}
 		if pending != nil {
 			if err := writeWireFrame(conn, pending, nil); err != nil {
-				conn.Close()
-				conn = nil
+				hangUp()
 				continue
 			}
 			pending = nil
@@ -595,8 +629,7 @@ func (r *Runtime) sendLoop(p *peer) {
 			// including a fin chunk's stream parked in the sending slot.
 		}
 		if err != nil {
-			conn.Close()
-			conn = nil
+			hangUp()
 		}
 	}
 }
@@ -608,10 +641,13 @@ func (r *Runtime) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		if !r.track(conn) {
+			return
+		}
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			defer conn.Close()
+			defer r.drop(conn)
 			r.readLoop(conn)
 		}()
 	}
@@ -628,7 +664,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 	if err != nil || int(from) >= len(r.cfg.Addrs) || from == r.cfg.Self {
 		return
 	}
-	asm := transport.NewReassembler(r.cfg.Stream, r.cfg.MaxFrame)
+	asm := transport.NewReassembler(r.cfg.Stream, maxFrame)
 	var scratch []byte // chunk read buffer, reused (payloads are copied)
 	var consumed, granted int64
 	deliver := func(frame []byte) bool {
@@ -644,7 +680,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 		}
 	}
 	for {
-		kind, frame, err := readWireFrame(conn, r.cfg.MaxFrame, &scratch)
+		kind, frame, err := readWireFrame(conn, maxFrame, &scratch)
 		if err != nil {
 			return
 		}

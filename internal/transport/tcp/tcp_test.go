@@ -139,3 +139,72 @@ func TestLeopardOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// helloNode sends one control-lane message to its peer on Start and
+// reports what it receives; after that it is silent.
+type helloNode struct {
+	idleNode
+	peer types.ReplicaID
+	got  chan struct{}
+}
+
+func (n *helloNode) Start(now time.Duration, out transport.Sink) {
+	out.Send(transport.Unicast(n.peer, &laneMsg{tag: 'h', class: transport.ClassVote}))
+}
+
+func (n *helloNode) Deliver(time.Duration, types.ReplicaID, transport.Message, transport.Sink) {
+	n.got <- struct{}{}
+}
+
+// TestStopReturnsOnIdleConnections: Stop must not wait for a peer to write.
+// Two runtimes connect in both directions and fall silent; a read loop
+// blocked on such a connection only returns when Stop closes it.
+func TestStopReturnsOnIdleConnections(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	var rts [2]*tcp.Runtime
+	var nodes [2]*helloNode
+	var wg sync.WaitGroup
+	for i := range rts {
+		nodes[i] = &helloNode{
+			idleNode: idleNode{id: types.ReplicaID(i)},
+			peer:     types.ReplicaID(1 - i),
+			got:      make(chan struct{}, 1),
+		}
+		rt, err := tcp.New(tcp.Config{
+			Self:         types.ReplicaID(i),
+			Addrs:        addrs,
+			Codec:        laneCodec{},
+			TickInterval: time.Hour,
+			DialRetry:    10 * time.Millisecond,
+		}, nodes[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[i] = rt
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.Run(context.Background())
+		}()
+	}
+	for _, n := range nodes {
+		select {
+		case <-n.got:
+		case <-time.After(5 * time.Second):
+			t.Fatal("runtimes never connected")
+		}
+	}
+	for i, rt := range rts {
+		stopped := make(chan struct{})
+		go func() {
+			rt.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("runtime %d: Stop still waiting on an idle peer connection after 2s", i)
+		}
+	}
+	wg.Wait()
+}
