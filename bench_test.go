@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure in the Leopard paper's
 // evaluation (§VI). Each benchmark prints the same rows/series the paper
-// reports; EXPERIMENTS.md records the paper-vs-measured comparison.
+// reports; README.md quotes the measured rows section by section and
+// CHANGES.md records how they moved PR by PR.
 //
 // The default point sets are trimmed so the whole suite finishes in
 // minutes on one core; run with -args -leopard.full for the paper's full

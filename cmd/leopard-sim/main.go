@@ -1,6 +1,6 @@
 // Command leopard-sim reproduces the paper's tables and figures from the
 // command line. Each experiment id corresponds to one table/figure of the
-// evaluation section (see DESIGN.md for the index):
+// evaluation section (-list prints the index; README.md §"Quick start"):
 //
 //	leopard-sim -experiment fig9
 //	leopard-sim -experiment fig12 -scales 4,16,64

@@ -6,6 +6,15 @@
 // byte strings (uint32 lengths), no varints — simple, unambiguous, and
 // cheap to bound-check.
 //
+// # One description per layout
+//
+// A message or record does not have an encoder and a decoder: it has one
+// field walk over a Coder (coder.go), which the Writer and the Reader below
+// both back. The datablock, BFTblock and request layouts keep their
+// Marshal/Unmarshal pairs here — retrieval hashes and erasure-codes exactly
+// those bytes — and a walk embeds them through Coder.Datablock, BFTblock and
+// Request.
+//
 // # Frame ownership and borrow mode
 //
 // A Reader has two modes for variable-length fields. In the default
@@ -95,16 +104,12 @@ func (w *Writer) U8(v uint8) { w.Buf = append(w.Buf, v) }
 
 // U32 appends a big-endian uint32.
 func (w *Writer) U32(v uint32) {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	w.Buf = append(w.Buf, tmp[:]...)
+	w.Buf = append(w.Buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // U64 appends a big-endian uint64.
 func (w *Writer) U64(v uint64) {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v)
-	w.Buf = append(w.Buf, tmp[:]...)
+	w.Buf = append(w.Buf, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // Bytes appends a uint32 length prefix followed by b.
@@ -157,60 +162,39 @@ func (r *Reader) Finish() error {
 }
 
 func (r *Reader) need(n int) bool {
-	if r.err != nil {
-		return false
+	if r.err == nil && r.off+n <= len(r.Buf) {
+		return true
 	}
-	if r.off+n > len(r.Buf) {
-		r.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.Buf))
-		return false
-	}
-	return true
+	r.short(n)
+	return false
 }
+
+// short records the truncation need found; it is its own function so that
+// need stays small enough to inline into every field read.
+func (r *Reader) short(n int) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.Buf))
+	}
+}
+
+// The typed reads below are the decoding arms of the Coder operations
+// (coder.go), which hold the one implementation of each primitive.
 
 // U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.Buf[r.off]
-	r.off++
-	return v
-}
+func (r *Reader) U8() uint8 { return Decoder(r).u8(0) }
 
 // U32 reads a big-endian uint32.
-func (r *Reader) U32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.Buf[r.off:])
-	r.off += 4
-	return v
-}
+func (r *Reader) U32() uint32 { return Decoder(r).u32(0) }
 
 // U64 reads a big-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.Buf[r.off:])
-	r.off += 8
-	return v
-}
+func (r *Reader) U64() uint64 { return Decoder(r).u64(0) }
 
 // Bytes reads a length-prefixed byte string. In the default mode the field
 // is copied out; with Borrow set it sub-slices Buf (see BorrowBytes).
 func (r *Reader) Bytes() []byte {
-	if r.Borrow {
-		return r.BorrowBytes()
-	}
-	n := r.bytesLen()
-	if n < 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.Buf[r.off:])
-	r.off += n
-	return out
+	var b []byte
+	Decoder(r).Bytes(&b)
+	return b
 }
 
 // BorrowBytes reads a length-prefixed byte string as a sub-slice of Buf,
@@ -233,10 +217,11 @@ func (r *Reader) BorrowBytes() []byte {
 // platforms, where int(uint32) can wrap negative and would otherwise slip
 // past both bounds into a panic.
 func (r *Reader) bytesLen() int {
-	n := int(r.U32())
-	if r.err != nil {
+	if !r.need(4) {
 		return -1
 	}
+	n := int(binary.BigEndian.Uint32(r.Buf[r.off:]))
+	r.off += 4
 	if n < 0 || n > MaxBytesLen {
 		r.err = fmt.Errorf("%w: %d bytes", ErrOversize, uint32(n))
 		return -1
@@ -250,11 +235,7 @@ func (r *Reader) bytesLen() int {
 // Hash reads a fixed 32-byte hash.
 func (r *Reader) Hash() types.Hash {
 	var h types.Hash
-	if !r.need(32) {
-		return h
-	}
-	copy(h[:], r.Buf[r.off:])
-	r.off += 32
+	Decoder(r).Hash(&h)
 	return h
 }
 

@@ -15,7 +15,8 @@ import (
 // bitmap followed by the shares of the 2f+1 lowest-id signers. The proof is
 // publicly verifiable against the per-replica public keys.
 //
-// This is the documented substitution for threshold BLS (see DESIGN.md §1):
+// This is the documented substitution for threshold BLS (see the package
+// doc in hash.go):
 // the interface contract — unforgeable shares, quorum-combined proofs,
 // public verification — is preserved; only the proof wire size differs,
 // which the simulations account for separately via SimSuite.

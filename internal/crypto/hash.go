@@ -3,7 +3,7 @@
 //
 // The Leopard paper instantiates votes with threshold BLS (κ = 48 bytes).
 // Pairing-based BLS is not implementable with the Go standard library, so
-// this package offers two Suite implementations (see DESIGN.md §1):
+// this package offers two Suite implementations (README.md §"Layout"):
 //
 //   - Ed25519Suite: a genuine (2f+1, n) aggregate multisignature built from
 //     crypto/ed25519 (bitmap + concatenated signatures). Unforgeable and

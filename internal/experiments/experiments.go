@@ -3,7 +3,8 @@
 // internal/harness, runs it in virtual time, and returns the same rows the
 // paper reports. bench_test.go and cmd/leopard-sim are thin wrappers.
 //
-// Calibration (see DESIGN.md §1): per-replica NIC capacity is the paper's
+// Calibration (ROADMAP.md, "A simulator that is calibrated or silent", is
+// the open item on these constants): per-replica NIC capacity is the paper's
 // 9.8 Gbps; the per-replica processing rate models the ~4-vCPU EC2
 // instances on which both systems peak around 1.3e5 requests/sec — far
 // below NIC line rate — so small-scale runs are processing-bound and

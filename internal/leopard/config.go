@@ -86,9 +86,9 @@ type Config struct {
 	// SubmitRequest path is rejected outright. Nil keeps the legacy
 	// unauthenticated admission (synthetic workloads, protocol tests).
 	Verifier ClientVerifier
-	// Mempool bounds the request pool: byte/count budgets, per-client
-	// caps, token-bucket rate limits, nonce bookkeeping windows. The zero
-	// value selects the pool's generous defaults.
+	// Mempool sets the request pool's per-client token-bucket rate limit;
+	// the zero value leaves it off. The pool's byte, count and per-client
+	// budgets are constants of the mempool package.
 	Mempool mempool.Limits
 
 	// Store, when non-nil, makes the replica durable: every executed block

@@ -112,9 +112,25 @@ func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
 		votes = make(map[types.ReplicaID]struct{}, n.q.Quorum())
 		n.readyVotes[digest] = votes
 	}
-	votes[from] = struct{}{}
-	enough := len(votes) >= n.q.Quorum() || n.cfg.DisableReadyRound
-	if enough && n.dbPool.Has(digest) {
+	held := n.dbPool.Has(digest)
+	if _, dup := votes[from]; !dup {
+		votes[from] = struct{}{}
+		if !held {
+			n.readyOrder[from] = append(n.readyOrder[from], digest)
+			n.shedReadyVote(from)
+		}
+	}
+	if !held {
+		return
+	}
+	if from == n.cfg.ID {
+		// The collector votes when it pools the body: from here on the
+		// entry is paid for by that body, and no vote on it is shed.
+		for voter := range votes {
+			n.readyOrder[voter] = removeDigest(n.readyOrder[voter], digest)
+		}
+	}
+	if len(votes) >= n.q.Quorum() || n.cfg.DisableReadyRound {
 		n.readySet[digest] = struct{}{}
 		n.readyQueue = append(n.readyQueue, digest)
 		delete(n.readyVotes, digest)
@@ -122,4 +138,49 @@ func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
 		// the earliest such event per digest closes the dissemination stage.
 		n.trace(obs.EvDatablockReady, traceID(digest), 0)
 	}
+}
+
+// shedReadyVote keeps readyVotes bounded. Only a vote on a digest whose body
+// has not reached this collector is ever withdrawn: a voter may hold
+// 4 × N × MaxOutstandingDatablocks of those (readyOrder lists them, oldest
+// first), and past that its oldest one goes, and the digest with it if that
+// was its only vote. Honest generators stop at MaxOutstandingDatablocks
+// unlinked datablocks each, so that many times N is all an honest voter has
+// to announce ahead of the bodies; what it sheds, in a long run, are its late
+// announcements of datablocks already pruned here. A voter that floods
+// announcements loses its own old votes and nobody else's. Entries whose body
+// is pooled — every one the collector or the generator is counted on — are
+// bounded by the pool and never touched, so a generator that floods the
+// collector with datablocks takes nobody's vote either.
+//
+// Not covered: a Byzantine generator that sends an honest voter, and not this
+// collector, more than the budget of datablocks while an honest datablock
+// that voter announced is still on the bulk lane to here pushes that one vote
+// out. Telling the two apart needs the generator in ReadyMsg (ROADMAP).
+func (n *Node) shedReadyVote(from types.ReplicaID) {
+	order := n.readyOrder[from]
+	if len(order) <= 4*n.q.N*n.cfg.MaxOutstandingDatablocks {
+		return
+	}
+	oldest := order[0]
+	n.readyOrder[from] = order[1:]
+	votes := n.readyVotes[oldest]
+	delete(votes, from)
+	if len(votes) == 0 {
+		delete(n.readyVotes, oldest)
+	}
+}
+
+// removeDigest returns order without digest. Bodies arrive roughly in
+// announcement order, so the match is at or near the front.
+func removeDigest(order []types.Hash, digest types.Hash) []types.Hash {
+	for i, d := range order {
+		if d == digest {
+			if i == 0 {
+				return order[1:]
+			}
+			return append(order[:i], order[i+1:]...)
+		}
+	}
+	return order
 }

@@ -1,12 +1,32 @@
 package leopard
 
 import (
+	"leopard/internal/codec"
 	"leopard/internal/crypto"
 	"leopard/internal/merkle"
 	"leopard/internal/storage"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
+
+// wireMessage is everything a type needs to travel between replicas. Each
+// message below supplies all of it next to its struct, and the kind table
+// (wire.go) constructs every message through this interface, so a message
+// that lacks a kind, a walk, a size, a class or a handler does not compile.
+type wireMessage interface {
+	// WireSize and Class are the simulator's size model and the accounting
+	// class (transport.Message).
+	transport.Message
+	// kind is the frame's first byte and the message's index in the kind
+	// table.
+	kind() uint8
+	// wire is the message's layout after the kind byte: the one field walk
+	// EncodeMessage and DecodeMessage both run.
+	wire(c codec.Coder)
+	// deliver hands the message to its handler; Node.Deliver dispatches
+	// through it.
+	deliver(n *Node, from types.ReplicaID, out transport.Sink)
+}
 
 // Wire-size constants for fixed headers; payload-bearing fields are counted
 // from their actual lengths. β = 32 (SHA-256) matches the paper.
@@ -16,6 +36,35 @@ const (
 	seqViewLen = 16
 )
 
+// Sub-layouts several messages share, each described once.
+
+func wireShare(c codec.Coder, s *crypto.Share) {
+	codec.U32(c, &s.Signer)
+	c.Bytes(&s.Sig)
+}
+
+func wireProof(c codec.Coder, p *crypto.Proof) { c.Bytes(&p.Sig) }
+
+func wireBlockID(c codec.Coder, id *types.BlockID) {
+	codec.U64(c, &id.View)
+	codec.U64(c, &id.Seq)
+}
+
+func wireMerkleProof(c codec.Coder, p *merkle.Proof) {
+	codec.U32(c, &p.Index)
+	// A 2^64-leaf tree is impossible.
+	codec.Slice(c, &p.Steps, 64, func(c codec.Coder, s *merkle.ProofStep) {
+		c.Hash(&s.Hash)
+		c.Bool(&s.Right)
+	})
+}
+
+// wireCheckpointCert is the optional stable-checkpoint certificate that
+// view-change and state-transfer messages carry.
+func wireCheckpointCert(c codec.Coder, p **CheckpointProofMsg) {
+	codec.Opt(c, p, func(c codec.Coder, cp *CheckpointProofMsg) { cp.wire(c) })
+}
+
 // DatablockMsg carries a datablock from its generator to all replicas
 // (Alg. 1, line 7). Digest caches H(Block); receivers recompute it unless
 // Config.TrustDigests is set (simulation-only CPU optimization).
@@ -24,13 +73,20 @@ type DatablockMsg struct {
 	Digest types.Hash
 }
 
-var _ transport.Message = (*DatablockMsg)(nil)
+func (m *DatablockMsg) kind() uint8 { return kindDatablock }
+
+// wire carries the block only: Digest is a local cache and never travels.
+func (m *DatablockMsg) wire(c codec.Coder) { c.Datablock(&m.Block) }
 
 // WireSize implements transport.Message.
 func (m *DatablockMsg) WireSize() int { return hdrSize + m.Block.Size() }
 
 // Class implements transport.Message.
 func (m *DatablockMsg) Class() transport.Class { return transport.ClassDatablock }
+
+func (m *DatablockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleDatablock(from, m, out)
+}
 
 // ReadyMsg tells the leader that the sender holds the datablock with the
 // given digest (Alg. 3, Ready step). Channel authentication suffices; no
@@ -39,13 +95,19 @@ type ReadyMsg struct {
 	Digest types.Hash
 }
 
-var _ transport.Message = (*ReadyMsg)(nil)
+func (m *ReadyMsg) kind() uint8 { return kindReady }
+
+func (m *ReadyMsg) wire(c codec.Coder) { c.Hash(&m.Digest) }
 
 // WireSize implements transport.Message.
 func (m *ReadyMsg) WireSize() int { return hdrSize + hashSize }
 
 // Class implements transport.Message.
 func (m *ReadyMsg) Class() transport.Class { return transport.ClassVote }
+
+func (m *ReadyMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleReady(from, m, out)
+}
 
 // BFTblockMsg is the leader's consensus proposal with its own first-round
 // share (Alg. 2, pre-prepare).
@@ -54,7 +116,12 @@ type BFTblockMsg struct {
 	LeaderShare crypto.Share
 }
 
-var _ transport.Message = (*BFTblockMsg)(nil)
+func (m *BFTblockMsg) kind() uint8 { return kindBFTblock }
+
+func (m *BFTblockMsg) wire(c codec.Coder) {
+	c.BFTblock(&m.Block)
+	wireShare(c, &m.LeaderShare)
+}
 
 // WireSize implements transport.Message.
 func (m *BFTblockMsg) WireSize() int {
@@ -63,6 +130,10 @@ func (m *BFTblockMsg) WireSize() int {
 
 // Class implements transport.Message.
 func (m *BFTblockMsg) Class() transport.Class { return transport.ClassBFTblock }
+
+func (m *BFTblockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleBFTblock(from, m, out)
+}
 
 // VoteMsg is a threshold-signature share sent to the leader. Round 1 votes
 // sign H(block); round 2 votes sign H(σ1).
@@ -73,13 +144,24 @@ type VoteMsg struct {
 	Share  crypto.Share
 }
 
-var _ transport.Message = (*VoteMsg)(nil)
+func (m *VoteMsg) kind() uint8 { return kindVote }
+
+func (m *VoteMsg) wire(c codec.Coder) {
+	wireBlockID(c, &m.Block)
+	codec.U8(c, &m.Round)
+	c.Hash(&m.Digest)
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message.
 func (m *VoteMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Share.Sig) }
 
 // Class implements transport.Message.
 func (m *VoteMsg) Class() transport.Class { return transport.ClassVote }
+
+func (m *VoteMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleVote(from, m, out)
+}
 
 // ProofMsg carries a combined proof from the leader: round 1 notarizes,
 // round 2 confirms.
@@ -90,7 +172,14 @@ type ProofMsg struct {
 	Proof  crypto.Proof
 }
 
-var _ transport.Message = (*ProofMsg)(nil)
+func (m *ProofMsg) kind() uint8 { return kindProof }
+
+func (m *ProofMsg) wire(c codec.Coder) {
+	wireBlockID(c, &m.Block)
+	codec.U8(c, &m.Round)
+	c.Hash(&m.Digest)
+	wireProof(c, &m.Proof)
+}
 
 // WireSize implements transport.Message.
 func (m *ProofMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Proof.Sig) }
@@ -98,18 +187,30 @@ func (m *ProofMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize +
 // Class implements transport.Message.
 func (m *ProofMsg) Class() transport.Class { return transport.ClassProof }
 
+func (m *ProofMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleProof(from, m, out)
+}
+
 // QueryMsg asks the committee for missing datablocks (Alg. 3, Query step).
 type QueryMsg struct {
 	Digests []types.Hash
 }
 
-var _ transport.Message = (*QueryMsg)(nil)
+func (m *QueryMsg) kind() uint8 { return kindQuery }
+
+func (m *QueryMsg) wire(c codec.Coder) {
+	codec.Slice(c, &m.Digests, codec.MaxElements, codec.Coder.Hash)
+}
 
 // WireSize implements transport.Message.
 func (m *QueryMsg) WireSize() int { return hdrSize + hashSize*len(m.Digests) }
 
 // Class implements transport.Message.
 func (m *QueryMsg) Class() transport.Class { return transport.ClassRetrieval }
+
+func (m *QueryMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleQuery(from, m, out)
+}
 
 // RespMsg answers a query with one erasure chunk plus a Merkle inclusion
 // proof (Alg. 3, Response step).
@@ -122,7 +223,16 @@ type RespMsg struct {
 	DataLen int // original encoded length, needed to decode
 }
 
-var _ transport.Message = (*RespMsg)(nil)
+func (m *RespMsg) kind() uint8 { return kindResp }
+
+func (m *RespMsg) wire(c codec.Coder) {
+	c.Hash(&m.Digest)
+	c.Hash(&m.Root)
+	c.Bytes(&m.Chunk)
+	codec.U32(c, &m.Index)
+	codec.U32(c, &m.DataLen)
+	wireMerkleProof(c, &m.Proof)
+}
 
 // WireSize implements transport.Message.
 func (m *RespMsg) WireSize() int {
@@ -132,19 +242,32 @@ func (m *RespMsg) WireSize() int {
 // Class implements transport.Message.
 func (m *RespMsg) Class() transport.Class { return transport.ClassRetrieval }
 
+func (m *RespMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleResp(from, m, out)
+}
+
 // FullBlockMsg is the ablation-A1 leader response: the whole datablock.
 type FullBlockMsg struct {
 	Digest types.Hash
 	Block  *types.Datablock
 }
 
-var _ transport.Message = (*FullBlockMsg)(nil)
+func (m *FullBlockMsg) kind() uint8 { return kindFullBlock }
+
+func (m *FullBlockMsg) wire(c codec.Coder) {
+	c.Hash(&m.Digest)
+	c.Datablock(&m.Block)
+}
 
 // WireSize implements transport.Message.
 func (m *FullBlockMsg) WireSize() int { return hdrSize + hashSize + m.Block.Size() }
 
 // Class implements transport.Message.
 func (m *FullBlockMsg) Class() transport.Class { return transport.ClassRetrieval }
+
+func (m *FullBlockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleFullBlock(from, m, out)
+}
 
 // CheckpointMsg is a replica's checkpoint share (Alg. 4).
 type CheckpointMsg struct {
@@ -153,13 +276,23 @@ type CheckpointMsg struct {
 	Share     crypto.Share
 }
 
-var _ transport.Message = (*CheckpointMsg)(nil)
+func (m *CheckpointMsg) kind() uint8 { return kindCheckpoint }
+
+func (m *CheckpointMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.Seq)
+	c.Hash(&m.StateHash)
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message.
 func (m *CheckpointMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Share.Sig) }
 
 // Class implements transport.Message.
 func (m *CheckpointMsg) Class() transport.Class { return transport.ClassCheckpoint }
+
+func (m *CheckpointMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleCheckpoint(from, m, out)
+}
 
 // CheckpointProofMsg is the leader's combined checkpoint certificate.
 type CheckpointProofMsg struct {
@@ -168,7 +301,13 @@ type CheckpointProofMsg struct {
 	Proof     crypto.Proof
 }
 
-var _ transport.Message = (*CheckpointProofMsg)(nil)
+func (m *CheckpointProofMsg) kind() uint8 { return kindCheckpointProof }
+
+func (m *CheckpointProofMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.Seq)
+	c.Hash(&m.StateHash)
+	wireProof(c, &m.Proof)
+}
 
 // WireSize implements transport.Message.
 func (m *CheckpointProofMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Proof.Sig) }
@@ -176,19 +315,32 @@ func (m *CheckpointProofMsg) WireSize() int { return hdrSize + 8 + hashSize + le
 // Class implements transport.Message.
 func (m *CheckpointProofMsg) Class() transport.Class { return transport.ClassCheckpoint }
 
+func (m *CheckpointProofMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleCheckpointProof(from, m, out)
+}
+
 // TimeoutMsg votes to leave view View (view-change trigger).
 type TimeoutMsg struct {
 	View  types.View
 	Share crypto.Share // share over the timeout digest, binds the view
 }
 
-var _ transport.Message = (*TimeoutMsg)(nil)
+func (m *TimeoutMsg) kind() uint8 { return kindTimeout }
+
+func (m *TimeoutMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.View)
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message.
 func (m *TimeoutMsg) WireSize() int { return hdrSize + 8 + len(m.Share.Sig) }
 
 // Class implements transport.Message.
 func (m *TimeoutMsg) Class() transport.Class { return transport.ClassViewChange }
+
+func (m *TimeoutMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleTimeout(from, m, out)
+}
 
 // NotarizedBlock is a block header carried by view-change messages together
 // with its notarization proof.
@@ -197,6 +349,13 @@ type NotarizedBlock struct {
 	Digest    types.Hash
 	Notarized crypto.Proof
 	Confirmed *crypto.Proof // non-nil if the sender saw a confirmation
+}
+
+func wireNotarizedBlock(c codec.Coder, nb *NotarizedBlock) {
+	c.BFTblock(&nb.Block)
+	c.Hash(&nb.Digest)
+	wireProof(c, &nb.Notarized)
+	codec.Opt(c, &nb.Confirmed, wireProof)
 }
 
 // WireSize returns the carried bytes.
@@ -217,7 +376,15 @@ type ViewChangeMsg struct {
 	Share      crypto.Share // signature over the message digest
 }
 
-var _ transport.Message = (*ViewChangeMsg)(nil)
+func (m *ViewChangeMsg) kind() uint8 { return kindViewChange }
+
+func (m *ViewChangeMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.NewView)
+	codec.U32(c, &m.Sender)
+	wireCheckpointCert(c, &m.Checkpoint)
+	codec.Slice(c, &m.Blocks, codec.MaxElements, wireNotarizedBlock)
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message.
 func (m *ViewChangeMsg) WireSize() int {
@@ -233,6 +400,10 @@ func (m *ViewChangeMsg) WireSize() int {
 
 // Class implements transport.Message.
 func (m *ViewChangeMsg) Class() transport.Class { return transport.ClassViewChange }
+
+func (m *ViewChangeMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleViewChange(from, m, out)
+}
 
 // CarriesPayload implements transport.PayloadCarrier: view-change messages
 // carry every outstanding notarized block header and can reach megabytes,
@@ -250,13 +421,19 @@ type StateReqMsg struct {
 	Have types.SeqNum
 }
 
-var _ transport.Message = (*StateReqMsg)(nil)
+func (m *StateReqMsg) kind() uint8 { return kindStateReq }
+
+func (m *StateReqMsg) wire(c codec.Coder) { codec.U64(c, &m.Have) }
 
 // WireSize implements transport.Message.
 func (m *StateReqMsg) WireSize() int { return hdrSize + 8 }
 
 // Class implements transport.Message.
 func (m *StateReqMsg) Class() transport.Class { return transport.ClassState }
+
+func (m *StateReqMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleStateReq(from, m, out)
+}
 
 // MaxStateBlocks bounds the executed-block records one StateRespMsg may
 // carry. A recovering replica pages through the range by re-requesting with
@@ -277,7 +454,17 @@ type StateRespMsg struct {
 	Blocks     []*storage.BlockRecord
 }
 
-var _ transport.Message = (*StateRespMsg)(nil)
+func (m *StateRespMsg) kind() uint8 { return kindStateResp }
+
+func (m *StateRespMsg) wire(c codec.Coder) {
+	wireCheckpointCert(c, &m.Checkpoint)
+	codec.Slice(c, &m.Blocks, MaxStateBlocks, func(c codec.Coder, rec **storage.BlockRecord) {
+		if c.Decoding() {
+			*rec = new(storage.BlockRecord)
+		}
+		(*rec).Wire(c)
+	})
+}
 
 // WireSize implements transport.Message.
 func (m *StateRespMsg) WireSize() int {
@@ -294,6 +481,10 @@ func (m *StateRespMsg) WireSize() int {
 // Class implements transport.Message.
 func (m *StateRespMsg) Class() transport.Class { return transport.ClassState }
 
+func (m *StateRespMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleStateResp(from, m, out)
+}
+
 // CarriesPayload implements transport.PayloadCarrier: responses carry full
 // datablocks (megabytes at Table II sizing), so they ride the bulk lane and
 // are charged through the receiver's CPU stage.
@@ -309,13 +500,24 @@ type RequestMsg struct {
 	Sig []byte
 }
 
-var _ transport.Message = (*RequestMsg)(nil)
+func (m *RequestMsg) kind() uint8 { return kindRequest }
+
+func (m *RequestMsg) wire(c codec.Coder) {
+	c.Request(&m.Req)
+	c.Bytes(&m.Sig)
+}
 
 // WireSize implements transport.Message.
 func (m *RequestMsg) WireSize() int { return hdrSize + m.Req.Size() + 4 + len(m.Sig) }
 
 // Class implements transport.Message.
 func (m *RequestMsg) Class() transport.Class { return transport.ClassRequest }
+
+// deliver: a peer (or a client gateway) forwarded a signed submission; it
+// goes through the same authenticated admission as SubmitSigned.
+func (m *RequestMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.SubmitSigned(n.now, m.Req, m.Sig)
+}
 
 // ReplyMsg is an executing replica's signed reply to a client: the request
 // identity, the serial number it executed at, the replica's execution chain
@@ -331,15 +533,27 @@ type ReplyMsg struct {
 	Share  crypto.Share
 }
 
-var _ transport.Message = (*ReplyMsg)(nil)
+func (m *ReplyMsg) kind() uint8 { return kindReply }
+
+func (m *ReplyMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.Client)
+	codec.U64(c, &m.Seq)
+	codec.U64(c, &m.SN)
+	c.Hash(&m.Result)
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message. The trailing 8 covers the share's
-// signer id and signature length prefix (writeShare), matching EncodeMessage
-// byte-for-byte so simnet bandwidth accounting does not undercount replies.
+// signer id and signature length prefix (wireShare), so simnet bandwidth
+// accounting does not undercount replies.
 func (m *ReplyMsg) WireSize() int { return hdrSize + 24 + hashSize + 8 + len(m.Share.Sig) }
 
 // Class implements transport.Message.
 func (m *ReplyMsg) Class() transport.Class { return transport.ClassAck }
+
+// deliver does nothing: replies travel replica to client, and a replica that
+// is sent one ignores it.
+func (m *ReplyMsg) deliver(*Node, types.ReplicaID, transport.Sink) {}
 
 // NewViewMsg is broadcast by the new leader: <new-view, v+1, V>.
 type NewViewMsg struct {
@@ -348,7 +562,13 @@ type NewViewMsg struct {
 	Share   crypto.Share
 }
 
-var _ transport.Message = (*NewViewMsg)(nil)
+func (m *NewViewMsg) kind() uint8 { return kindNewView }
+
+func (m *NewViewMsg) wire(c codec.Coder) {
+	codec.U64(c, &m.NewView)
+	codec.Slice(c, &m.Proofs, codec.MaxElements, func(c codec.Coder, vc *ViewChangeMsg) { vc.wire(c) })
+	wireShare(c, &m.Share)
+}
 
 // WireSize implements transport.Message.
 func (m *NewViewMsg) WireSize() int {
@@ -361,6 +581,10 @@ func (m *NewViewMsg) WireSize() int {
 
 // Class implements transport.Message.
 func (m *NewViewMsg) Class() transport.Class { return transport.ClassViewChange }
+
+func (m *NewViewMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
+	n.handleNewView(from, m, out)
+}
 
 // CarriesPayload implements transport.PayloadCarrier: new-view messages
 // embed 2f+1 view-change messages (O(n) of them at O(n) size each).

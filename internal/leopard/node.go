@@ -42,6 +42,9 @@ type retrievalState struct {
 	firstMissing time.Duration
 	queried      bool
 	queriedAt    time.Duration
+	// rootOf is the Merkle root each responder first offered; its later
+	// responses count only under that root.
+	rootOf map[types.ReplicaID]types.Hash
 	// chunks maps Merkle root -> chunk index -> chunk bytes. Responses
 	// under different roots are collected separately; a root whose decode
 	// fails the digest check is discarded.
@@ -135,8 +138,11 @@ type Node struct {
 	myDBPacked map[types.Hash]time.Duration
 	lastPack   time.Duration
 
-	// Leader state.
+	// Leader state. readyOrder lists, per voter and oldest first, the digests
+	// in readyVotes the voter announced ahead of their body; it is what
+	// bounds readyVotes (shedReadyVote).
 	readyVotes  map[types.Hash]map[types.ReplicaID]struct{}
+	readyOrder  map[types.ReplicaID][]types.Hash
 	readySet    map[types.Hash]struct{} // enqueued or linked
 	readyQueue  []types.Hash
 	linked      map[types.Hash]struct{}
@@ -303,6 +309,7 @@ func NewNode(cfg Config) (*Node, error) {
 		myOutstanding: make(map[types.Hash]struct{}),
 		myDBPacked:    make(map[types.Hash]time.Duration),
 		readyVotes:    make(map[types.Hash]map[types.ReplicaID]struct{}),
+		readyOrder:    make(map[types.ReplicaID][]types.Hash),
 		readySet:      make(map[types.Hash]struct{}),
 		linked:        make(map[types.Hash]struct{}),
 		nextSeq:       1,
@@ -521,9 +528,9 @@ func (n *Node) resendReply(req types.Request) {
 // SubmitSignedBatch admits a batch of client-signed requests, verifying all
 // signatures in one batched pass (ClientVerifier.VerifyRequestBatch — the
 // parallel admission path) before touching the pool. Verdicts are
-// positional. Drivers that aggregate submissions between events (the
-// clients scenario, cmd/leopard-node's apply loop) get signature
-// verification at batch cost instead of per-request cost.
+// positional. A driver that aggregates submissions between events (the
+// clients scenario does) gets signature verification at batch cost instead
+// of per-request cost.
 func (n *Node) SubmitSignedBatch(now time.Duration, reqs []types.Request, sigs [][]byte) []mempool.Verdict {
 	n.observe(now)
 	out := make([]mempool.Verdict, len(reqs))
@@ -656,41 +663,10 @@ func (n *Node) Deliver(now time.Duration, from types.ReplicaID, msg transport.Me
 	n.observe(now)
 	out = n.outbound(out)
 	defer n.releaseOutbound()
-	switch m := msg.(type) {
-	case *RequestMsg:
-		// A peer (or a client gateway) forwarded a signed submission; it
-		// goes through the same authenticated admission as SubmitSigned.
-		n.SubmitSigned(now, m.Req, m.Sig)
-	case *DatablockMsg:
-		n.handleDatablock(from, m, out)
-	case *ReadyMsg:
-		n.handleReady(from, m, out)
-	case *BFTblockMsg:
-		n.handleBFTblock(from, m, out)
-	case *VoteMsg:
-		n.handleVote(from, m, out)
-	case *ProofMsg:
-		n.handleProof(from, m, out)
-	case *QueryMsg:
-		n.handleQuery(from, m, out)
-	case *RespMsg:
-		n.handleResp(from, m, out)
-	case *FullBlockMsg:
-		n.handleFullBlock(from, m, out)
-	case *CheckpointMsg:
-		n.handleCheckpoint(from, m, out)
-	case *CheckpointProofMsg:
-		n.handleCheckpointProof(from, m, out)
-	case *TimeoutMsg:
-		n.handleTimeout(from, m, out)
-	case *ViewChangeMsg:
-		n.handleViewChange(from, m, out)
-	case *NewViewMsg:
-		n.handleNewView(from, m, out)
-	case *StateReqMsg:
-		n.handleStateReq(from, m, out)
-	case *StateRespMsg:
-		n.handleStateResp(from, m, out)
+	// Every Leopard message carries its own handler; anything else a
+	// transport hands over is not for this node.
+	if m, ok := msg.(wireMessage); ok {
+		m.deliver(n, from, out)
 	}
 }
 

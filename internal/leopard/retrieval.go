@@ -20,6 +20,7 @@ func (n *Node) noteMissing(h types.Hash, waiter types.SeqNum) {
 	if r == nil {
 		r = &retrievalState{
 			firstMissing: n.now,
+			rootOf:       make(map[types.ReplicaID]types.Hash),
 			chunks:       make(map[types.Hash]map[int][]byte),
 			dataLen:      make(map[types.Hash]int),
 			waiters:      make(map[types.SeqNum]struct{}),
@@ -211,6 +212,13 @@ func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) 
 	if err := merkle.Verify(m.Root, m.Proof, m.Chunk); err != nil || m.Proof.Index != m.Index {
 		return
 	}
+	// One root per responder, the first it offers: an honest responder only
+	// ever has the one, and a lying one cannot grow the maps below past a
+	// root per replica.
+	if root, offered := r.rootOf[from]; offered && root != m.Root {
+		return
+	}
+	r.rootOf[from] = m.Root
 	byRoot := r.chunks[m.Root]
 	if byRoot == nil {
 		byRoot = make(map[int][]byte)

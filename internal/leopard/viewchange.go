@@ -408,6 +408,7 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	n.pendingProof = make(map[types.BlockID][]pendingProof)
 	n.expectedRedo = make(map[types.SeqNum]types.Hash)
 	n.readyVotes = make(map[types.Hash]map[types.ReplicaID]struct{})
+	n.readyOrder = make(map[types.ReplicaID][]types.Hash)
 	n.readySet = make(map[types.Hash]struct{})
 	n.readyQueue = nil
 	n.linked = make(map[types.Hash]struct{})

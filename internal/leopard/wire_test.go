@@ -128,6 +128,41 @@ func testMessages() []transport.Message {
 	}
 }
 
+// TestKindTable checks what the compiler cannot about the kind table: every
+// kind from 1 up to numKinds — the table is that long, so a kind constant
+// nobody gave an entry is a nil slot here — constructs a message that names
+// that kind, belongs to a named accounting class, and has a frame among the
+// FuzzDecodeMessage seeds; and the seeds hold no kind the table lacks.
+func TestKindTable(t *testing.T) {
+	seeded := make(map[int]bool)
+	for _, msg := range testMessages() {
+		seeded[int(msg.(wireMessage).kind())] = true
+	}
+	if kinds[0] != nil {
+		t.Error("kind 0 is taken: a zeroed frame must not decode")
+	}
+	for k := 1; k < len(kinds); k++ {
+		if kinds[k] == nil {
+			t.Errorf("kind %d has no message: the table has a gap", k)
+			continue
+		}
+		m, _ := kinds[k]()
+		if int(m.kind()) != k {
+			t.Errorf("%T sits at kind %d but encodes as kind %d", m, k, m.kind())
+		}
+		if c := m.Class(); c == 0 || int(c) >= transport.NumClasses || c.String() == "unknown" {
+			t.Errorf("%T has class %d, not a named transport.Class", m, c)
+		}
+		if !seeded[k] {
+			t.Errorf("%T is missing from testMessages(): the fuzzer never starts from a valid frame of it", m)
+		}
+		delete(seeded, k)
+	}
+	for k := range seeded {
+		t.Errorf("testMessages() holds kind %d, which the table does not", k)
+	}
+}
+
 // TestDecodeRejectsTrailingGarbage is the regression test for DecodeMessage
 // accepting non-canonical frames: every kind must reject leftover bytes
 // after its last field, in both decode modes.

@@ -62,11 +62,6 @@ type Pass struct {
 	// system (Pkg.Path() matches it; kept explicit for clarity in scoping
 	// checks).
 	ImportPath string
-	// TestFiles are the package's _test.go files (both in-package and
-	// external test packages), parsed syntactically only — no type
-	// information. Analyzers that audit test artifacts (seed corpora)
-	// scan these.
-	TestFiles []*ast.File
 
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
@@ -245,15 +240,3 @@ func namedOf(t types.Type) *types.Named {
 
 // NamedOf unwraps pointers and returns the named type of t, or nil.
 func NamedOf(t types.Type) *types.Named { return namedOf(t) }
-
-// ImplementsIface reports whether t (or *t) has a named type whose name and
-// package path match — a structural stand-in for interface checks that must
-// also hold against fixture stubs, which share names but not identities
-// with the real types.
-func ImplementsIface(t types.Type, pkgPath, name string) bool {
-	named := namedOf(t)
-	if named == nil || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
-}

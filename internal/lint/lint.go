@@ -2,12 +2,10 @@
 // invariant suite. Each analyzer encodes one hard-won contract from the
 // invariant catalog (see README §"Static analysis & invariant linting"):
 //
-//	voteahead      — persist-before-broadcast vote-ahead discipline (PR 6)
-//	borrowcheck    — codec frame-ownership / borrow contract (PR 2, PR 5)
-//	determinism    — event-clock-only, single-threaded simulation (PRs 3/6)
-//	aliasret       — copy-on-return store/log/stats accessors (PR 6 review)
-//	exhaustivewire — wire-kind enum exhaustiveness across encode, decode,
-//	                 lane classification and fuzz seeds (PR 5)
+//	voteahead   — persist-before-broadcast vote-ahead discipline (PR 6)
+//	borrowcheck — codec frame-ownership / borrow contract (PR 2, PR 5)
+//	determinism — event-clock-only, single-threaded simulation (PRs 3/6)
+//	aliasret    — copy-on-return store/log/stats accessors (PR 6 review)
 //
 // The suite is driven by cmd/leopard-lint and by the in-repo meta-test that
 // keeps the tree clean.
@@ -22,7 +20,6 @@ import (
 	"leopard/internal/lint/analysis"
 	"leopard/internal/lint/borrowcheck"
 	"leopard/internal/lint/determinism"
-	"leopard/internal/lint/exhaustivewire"
 	"leopard/internal/lint/loader"
 	"leopard/internal/lint/voteahead"
 )
@@ -34,7 +31,6 @@ func Suite() []*analysis.Analyzer {
 		borrowcheck.Analyzer,
 		determinism.Analyzer,
 		aliasret.Analyzer,
-		exhaustivewire.Analyzer,
 	}
 }
 
@@ -67,7 +63,6 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Find
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.TypesInfo,
 				ImportPath: pkg.ImportPath,
-				TestFiles:  pkg.TestSyntax,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
 				findings = append(findings, Finding{

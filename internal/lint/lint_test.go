@@ -26,11 +26,10 @@ func TestRepositoryIsLintClean(t *testing.T) {
 // deliberate.
 func TestSuiteComposition(t *testing.T) {
 	want := map[string]bool{
-		"voteahead":      true,
-		"borrowcheck":    true,
-		"determinism":    true,
-		"aliasret":       true,
-		"exhaustivewire": true,
+		"voteahead":   true,
+		"borrowcheck": true,
+		"determinism": true,
+		"aliasret":    true,
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {

@@ -81,7 +81,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 
 	for _, pkg := range pkgs {
 		collectWants(pkg.Fset, pkg.Syntax)
-		collectWants(pkg.Fset, pkg.TestSyntax)
 		pass := &analysis.Pass{
 			Analyzer:   a,
 			Fset:       pkg.Fset,
@@ -89,7 +88,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 			Pkg:        pkg.Types,
 			TypesInfo:  pkg.TypesInfo,
 			ImportPath: pkg.ImportPath,
-			TestFiles:  pkg.TestSyntax,
 		}
 		pass.Report = func(d analysis.Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)

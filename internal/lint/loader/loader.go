@@ -36,35 +36,30 @@ type Package struct {
 	Dir        string
 	Fset       *token.FileSet
 	// Syntax holds the parsed non-test sources, with comments.
-	Syntax []*ast.File
-	// TestSyntax holds the package's _test.go files (in-package and
-	// external), parsed syntactically only — no type information.
-	TestSyntax []*ast.File
-	Types      *types.Package
-	TypesInfo  *types.Info
+	Syntax    []*ast.File
+	Types     *types.Package
+	TypesInfo *types.Info
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader uses.
 type listPackage struct {
-	ImportPath   string
-	Dir          string
-	Name         string
-	Export       string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Standard     bool
-	DepOnly      bool
-	Error        *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Name       string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Load type-checks the packages matching patterns, resolved relative to
-// dir (the module root or any directory inside it). Test files are parsed
-// but not type-checked. Packages come back sorted by import path.
+// dir (the module root or any directory inside it). Test files are not
+// loaded. Packages come back sorted by import path.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,TestGoFiles,XTestGoFiles,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -128,15 +123,6 @@ func check(fset *token.FileSet, imp types.Importer, t listPackage) (*Package, er
 		}
 		files = append(files, f)
 	}
-	var testFiles []*ast.File
-	for _, name := range append(append([]string(nil), t.TestGoFiles...), t.XTestGoFiles...) {
-		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %v", err)
-		}
-		testFiles = append(testFiles, f)
-	}
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -155,7 +141,6 @@ func check(fset *token.FileSet, imp types.Importer, t listPackage) (*Package, er
 		Dir:        t.Dir,
 		Fset:       fset,
 		Syntax:     files,
-		TestSyntax: testFiles,
 		Types:      typesPkg,
 		TypesInfo:  info,
 	}, nil

@@ -19,8 +19,8 @@ func TestEvictionBiggestFootprintFirst(t *testing.T) {
 		small1 := sizedReq(1, 10, 100)
 		big := sizedReq(1, 11, 1000)
 		small2 := sizedReq(1, 12, 100)
-		p := NewRequestPoolLimits(Limits{
-			MaxBytes: anchor.Size() + small1.Size() + big.Size() + small2.Size(),
+		p := poolWith(Limits{}, budgets{
+			maxBytes: anchor.Size() + small1.Size() + big.Size() + small2.Size(),
 		})
 		p.Admit(anchor, 0)
 		for _, r := range []types.Request{small1, big, small2} {
@@ -48,7 +48,7 @@ func TestEvictionBiggestFootprintFirst(t *testing.T) {
 
 	t.Run("tie-goes-to-newest", func(t *testing.T) {
 		unit := sizedReq(0, 0, 100).Size()
-		p := NewRequestPoolLimits(Limits{MaxBytes: 4 * unit})
+		p := poolWith(Limits{}, budgets{maxBytes: 4 * unit})
 		p.Admit(sizedReq(1, 0, 100), 0)
 		for _, seq := range []uint64{10, 11, 12} {
 			p.Admit(sizedReq(1, seq, 100), 0)
@@ -68,7 +68,7 @@ func TestEvictionBiggestFootprintFirst(t *testing.T) {
 
 	t.Run("in-flight-head-survives", func(t *testing.T) {
 		unit := sizedReq(0, 0, 100).Size()
-		p := NewRequestPoolLimits(Limits{MaxBytes: 3 * unit})
+		p := poolWith(Limits{}, budgets{maxBytes: 3 * unit})
 		// Client 1 has work in flight (extracted, unconfirmed) and a pending
 		// head awaiting extraction.
 		p.Admit(sizedReq(1, 0, 100), 0)
@@ -96,11 +96,8 @@ func TestEvictionBiggestFootprintFirst(t *testing.T) {
 		// before makeRoom, so pressure from a throttled client is free. At
 		// the refill boundary the same arrival admits and the eviction fires.
 		unit := sizedReq(0, 0, 100).Size()
-		p := NewRequestPoolLimits(Limits{
-			MaxBytes:   4 * unit,
-			RatePerSec: 1000, // 1 token/ms
-			RateBurst:  2,
-		})
+		// 1 token/ms.
+		p := poolWith(Limits{RatePerSec: 1000, RateBurst: 2}, budgets{maxBytes: 4 * unit})
 		p.Admit(sizedReq(1, 0, 100), 0)
 		p.Admit(sizedReq(1, 5, 100), 0) // queued: the only evictable entry
 		// Client 2 fills the pool and drains its 2-token burst.
@@ -144,11 +141,7 @@ func TestEvictionRateLimitComposeDeterministic(t *testing.T) {
 	const maxBytes = 4096
 	run := func(seed int64) trace {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewRequestPoolLimits(Limits{
-			MaxBytes:   maxBytes,
-			RatePerSec: 300,
-			RateBurst:  2,
-		})
+		p := poolWith(Limits{RatePerSec: 300, RateBurst: 2}, budgets{maxBytes: maxBytes})
 		var tr trace
 		pending := make(map[types.RequestID]bool) // entries seen in pending
 		now := time.Duration(0)

@@ -15,41 +15,9 @@ import (
 	"leopard/internal/types"
 )
 
-// Default admission budgets. Generous on purpose: protocol state machines
-// construct pools with NewRequestPool() and expect saturation workloads
-// (tens of thousands of outstanding synthetic requests) to be admitted;
-// deployments that want a tight front door pass explicit Limits.
-const (
-	DefaultMaxBytes        = 256 << 20
-	DefaultMaxRequests     = 1 << 20
-	DefaultMaxPerClient    = 1 << 16
-	DefaultMaxClients      = 1 << 16
-	DefaultConfirmedWindow = 4096
-)
-
-// Limits bounds a RequestPool. The zero value of every field selects its
-// default; rate limiting is off unless RatePerSec is set.
+// Limits tunes a RequestPool's per-client rate limiting. The zero value
+// turns it off.
 type Limits struct {
-	// MaxBytes bounds the total wire size of live (pending + queued)
-	// requests. Admission under pressure evicts the newest queued entries
-	// to make room for gap-free arrivals; when nothing evictable remains,
-	// new requests are rejected.
-	MaxBytes int
-	// MaxRequests bounds the number of live requests.
-	MaxRequests int
-	// MaxPerClient bounds one client's live requests.
-	MaxPerClient int
-	// MaxClients bounds the number of per-client states retained
-	// (including pure dedup bookkeeping for clients with no live
-	// requests). At the cap, idle states are discarded wholesale — their
-	// clients fall back to consensus-output dedup.
-	MaxClients int
-	// ConfirmedWindow bounds the out-of-order confirmed-seq set kept per
-	// client above its contiguous watermark. Overflow forgets the
-	// furthest-ahead confirmations: a replay of those re-runs consensus
-	// harmlessly (consensus-output dedup is the backstop), whereas
-	// forgetting low seqs could reject requests forever.
-	ConfirmedWindow int
 	// RatePerSec, when positive, enables a per-client token bucket:
 	// admissions drain one token, refilled at this rate up to RateBurst.
 	RatePerSec float64
@@ -57,26 +25,40 @@ type Limits struct {
 	RateBurst int
 }
 
-func (l Limits) withDefaults() Limits {
-	if l.MaxBytes <= 0 {
-		l.MaxBytes = DefaultMaxBytes
-	}
-	if l.MaxRequests <= 0 {
-		l.MaxRequests = DefaultMaxRequests
-	}
-	if l.MaxPerClient <= 0 {
-		l.MaxPerClient = DefaultMaxPerClient
-	}
-	if l.MaxClients <= 0 {
-		l.MaxClients = DefaultMaxClients
-	}
-	if l.ConfirmedWindow <= 0 {
-		l.ConfirmedWindow = DefaultConfirmedWindow
-	}
-	if l.RatePerSec > 0 && l.RateBurst <= 0 {
-		l.RateBurst = 32
-	}
-	return l
+// budgets are a pool's admission bounds. Every pool outside this package's
+// tests runs on defaultBudgets — generous on purpose: saturation workloads
+// keep tens of thousands of synthetic requests outstanding and expect them
+// admitted — and the tests shrink single fields through newRequestPool to
+// reach the eviction and overflow paths.
+type budgets struct {
+	// maxBytes bounds the total wire size of live (pending + queued)
+	// requests. Admission under pressure evicts the newest queued entries
+	// to make room for gap-free arrivals; when nothing evictable remains,
+	// new requests are rejected.
+	maxBytes int
+	// maxRequests bounds the number of live requests.
+	maxRequests int
+	// maxPerClient bounds one client's live requests.
+	maxPerClient int
+	// maxClients bounds the number of per-client states retained
+	// (including pure dedup bookkeeping for clients with no live
+	// requests). At the cap, idle states are discarded wholesale — their
+	// clients fall back to consensus-output dedup.
+	maxClients int
+	// confirmedWindow bounds the out-of-order confirmed-seq set kept per
+	// client above its contiguous watermark. Overflow forgets the
+	// furthest-ahead confirmations: a replay of those re-runs consensus
+	// harmlessly (consensus-output dedup is the backstop), whereas
+	// forgetting low seqs could reject requests forever.
+	confirmedWindow int
+}
+
+var defaultBudgets = budgets{
+	maxBytes:        256 << 20,
+	maxRequests:     1 << 20,
+	maxPerClient:    1 << 16,
+	maxClients:      1 << 16,
+	confirmedWindow: 4096,
 }
 
 // Verdict is the outcome of one admission attempt.
@@ -160,7 +142,7 @@ type clientState struct {
 	// at or below frontier+1 go to pending; above it they queue.
 	frontier uint64
 	// confirmed holds confirmed seqs above base (out-of-order
-	// confirmations), bounded by Limits.ConfirmedWindow.
+	// confirmations), bounded by budgets.confirmedWindow.
 	confirmed map[uint64]struct{}
 	// gapped indexes this client's queued entries by seq for promotion.
 	gapped map[uint64]*entry
@@ -189,6 +171,7 @@ type PoolStats struct {
 // under pressure removes the lowest-priority ones.
 type RequestPool struct {
 	lim     Limits
+	budget  budgets
 	pending *list.List // *entry in promotion order (front = extract next)
 	queued  *list.List // *entry in admission order (back = evict first)
 	byID    map[types.RequestID]*entry
@@ -197,13 +180,19 @@ type RequestPool struct {
 	stats   PoolStats
 }
 
-// NewRequestPool creates an empty pool with default limits.
+// NewRequestPool creates an empty pool without rate limiting.
 func NewRequestPool() *RequestPool { return NewRequestPoolLimits(Limits{}) }
 
-// NewRequestPoolLimits creates an empty pool bounded by lim.
-func NewRequestPoolLimits(lim Limits) *RequestPool {
+// NewRequestPoolLimits creates an empty pool rate-limited by lim.
+func NewRequestPoolLimits(lim Limits) *RequestPool { return newRequestPool(lim, defaultBudgets) }
+
+func newRequestPool(lim Limits, budget budgets) *RequestPool {
+	if lim.RatePerSec > 0 && lim.RateBurst <= 0 {
+		lim.RateBurst = 32
+	}
 	return &RequestPool{
-		lim:     lim.withDefaults(),
+		lim:     lim,
+		budget:  budget,
 		pending: list.New(),
 		queued:  list.New(),
 		byID:    make(map[types.RequestID]*entry),
@@ -225,13 +214,13 @@ func (p *RequestPool) client(id uint64) *clientState {
 	if c, ok := p.clients[id]; ok {
 		return c
 	}
-	if len(p.clients) >= p.lim.MaxClients {
+	if len(p.clients) >= p.budget.maxClients {
 		for cid, c := range p.clients {
 			if c.live == 0 {
 				delete(p.clients, cid)
 			}
 		}
-		if len(p.clients) >= p.lim.MaxClients {
+		if len(p.clients) >= p.budget.maxClients {
 			return nil
 		}
 	}
@@ -271,7 +260,7 @@ func (p *RequestPool) admit(r types.Request, now time.Duration) Verdict {
 			return DupConfirmed
 		}
 	}
-	if c.live >= p.lim.MaxPerClient {
+	if c.live >= p.budget.maxPerClient {
 		return ClientFull
 	}
 	if p.lim.RatePerSec > 0 && !p.takeToken(c, now) {
@@ -341,7 +330,7 @@ func (p *RequestPool) takeToken(c *clientState, now time.Duration) bool {
 // lowest-priority entries.
 func (p *RequestPool) makeRoom(size int, gapped bool) bool {
 	over := func() bool {
-		return len(p.byID) >= p.lim.MaxRequests || p.bytes+size > p.lim.MaxBytes
+		return len(p.byID) >= p.budget.maxRequests || p.bytes+size > p.budget.maxBytes
 	}
 	if !over() {
 		return true
@@ -476,7 +465,7 @@ func (p *RequestPool) MarkConfirmed(id types.RequestID) {
 			c.base++
 		}
 	} else {
-		if len(c.confirmed) >= p.lim.ConfirmedWindow {
+		if len(c.confirmed) >= p.budget.confirmedWindow {
 			var maxSeq uint64
 			for s := range c.confirmed {
 				if s > maxSeq {

@@ -9,6 +9,24 @@ import (
 	"leopard/internal/types"
 )
 
+// poolWith builds a pool on the default budgets except for the fields set in
+// tight.
+func poolWith(lim Limits, tight budgets) *RequestPool {
+	b := defaultBudgets
+	for _, f := range []struct{ dst, src *int }{
+		{&b.maxBytes, &tight.maxBytes},
+		{&b.maxRequests, &tight.maxRequests},
+		{&b.maxPerClient, &tight.maxPerClient},
+		{&b.maxClients, &tight.maxClients},
+		{&b.confirmedWindow, &tight.confirmedWindow},
+	} {
+		if *f.src > 0 {
+			*f.dst = *f.src
+		}
+	}
+	return newRequestPool(lim, b)
+}
+
 func sizedReq(client, seq uint64, payload int) types.Request {
 	return types.Request{ClientID: client, Seq: seq, Payload: make([]byte, payload)}
 }
@@ -72,8 +90,7 @@ func TestGapFilledByConfirmation(t *testing.T) {
 }
 
 func TestDuplicateSuppressionAcrossConfirmAndEvict(t *testing.T) {
-	lim := Limits{MaxBytes: 5 * req(0, 0).Size()}
-	p := NewRequestPoolLimits(lim)
+	p := poolWith(Limits{}, budgets{maxBytes: 5 * req(0, 0).Size()})
 
 	// Client 1: one pending anchor + three gapped entries.
 	p.Admit(req(1, 0), 0)
@@ -195,7 +212,7 @@ func TestRateLimitRefillBoundaries(t *testing.T) {
 func TestEvictionUnderBytePressure(t *testing.T) {
 	const payload = 100
 	unit := sizedReq(0, 0, payload).Size()
-	p := NewRequestPoolLimits(Limits{MaxBytes: 5 * unit})
+	p := poolWith(Limits{}, budgets{maxBytes: 5 * unit})
 
 	p.Admit(sizedReq(1, 0, payload), 0)
 	for _, seq := range []uint64{10, 11, 12, 13} {
@@ -209,7 +226,7 @@ func TestEvictionUnderBytePressure(t *testing.T) {
 
 	// A gapped arrival would itself be lowest priority: rejected outright,
 	// nothing evicted.
-	p2 := NewRequestPoolLimits(Limits{MaxBytes: 2 * unit})
+	p2 := poolWith(Limits{}, budgets{maxBytes: 2 * unit})
 	p2.Admit(sizedReq(1, 0, payload), 0)
 	p2.Admit(sizedReq(1, 5, payload), 0) // queued, pool now full
 	if v := p2.Admit(sizedReq(1, 9, payload), 0); v != PoolFull {
@@ -232,7 +249,7 @@ func TestEvictionUnderBytePressure(t *testing.T) {
 
 	// When only pending entries remain, pressure rejects the newcomer
 	// rather than evicting older gap-free work.
-	p3 := NewRequestPoolLimits(Limits{MaxBytes: 2 * unit})
+	p3 := poolWith(Limits{}, budgets{maxBytes: 2 * unit})
 	p3.Admit(sizedReq(1, 0, payload), 0)
 	p3.Admit(sizedReq(2, 0, payload), 0)
 	if v := p3.Admit(sizedReq(3, 0, payload), 0); v != PoolFull {
@@ -243,7 +260,7 @@ func TestEvictionUnderBytePressure(t *testing.T) {
 	}
 
 	// MaxRequests binds the same way as MaxBytes.
-	p4 := NewRequestPoolLimits(Limits{MaxRequests: 2})
+	p4 := poolWith(Limits{}, budgets{maxRequests: 2})
 	p4.Admit(req(1, 0), 0)
 	p4.Admit(req(1, 5), 0) // queued
 	if v := p4.Admit(req(2, 0), 0); v != Admitted {
@@ -263,7 +280,7 @@ func TestEvictionUnderBytePressure(t *testing.T) {
 func TestPriorityOrderTotalAndDeterministic(t *testing.T) {
 	run := func(seed int64) []types.Request {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewRequestPoolLimits(Limits{MaxRequests: 64})
+		p := poolWith(Limits{}, budgets{maxRequests: 64})
 		extracted := make(map[types.RequestID]bool)
 		var out []types.Request
 		for step := 0; step < 4000; step++ {
@@ -317,8 +334,8 @@ func TestPriorityOrderTotalAndDeterministic(t *testing.T) {
 // confirmations arriving with arbitrary gaps, must not grow per-client or
 // per-pool bookkeeping without bound.
 func TestConfirmedBoundedUnderByzantineReplay(t *testing.T) {
-	lim := Limits{ConfirmedWindow: 64, MaxClients: 32}
-	p := NewRequestPoolLimits(lim)
+	lim := budgets{confirmedWindow: 64, maxClients: 32}
+	p := poolWith(Limits{}, lim)
 
 	// Out-of-order confirmations with gaps: the sparse set must stay
 	// within the window while low seqs keep folding into the watermark.
@@ -326,8 +343,8 @@ func TestConfirmedBoundedUnderByzantineReplay(t *testing.T) {
 		p.MarkConfirmed(types.RequestID{Client: 1, Seq: seq})
 	}
 	c := p.clients[1]
-	if len(c.confirmed) > lim.ConfirmedWindow {
-		t.Fatalf("confirmed set grew to %d (window %d)", len(c.confirmed), lim.ConfirmedWindow)
+	if len(c.confirmed) > lim.confirmedWindow {
+		t.Fatalf("confirmed set grew to %d (window %d)", len(c.confirmed), lim.confirmedWindow)
 	}
 
 	// A replay storm of consumed ids is rejected without any growth.
@@ -347,16 +364,16 @@ func TestConfirmedBoundedUnderByzantineReplay(t *testing.T) {
 	// A flood of distinct client ids (confirmations for clients this
 	// replica never served) keeps the state table at the cap: idle states
 	// are swept wholesale when it fills.
-	for id := uint64(100); id < 100+10*uint64(lim.MaxClients); id++ {
+	for id := uint64(100); id < 100+10*uint64(lim.maxClients); id++ {
 		p.MarkConfirmed(types.RequestID{Client: id, Seq: 0})
 	}
-	if len(p.clients) > lim.MaxClients {
-		t.Fatalf("client states grew to %d (cap %d)", len(p.clients), lim.MaxClients)
+	if len(p.clients) > lim.maxClients {
+		t.Fatalf("client states grew to %d (cap %d)", len(p.clients), lim.maxClients)
 	}
 
 	// Forgetting furthest-ahead confirmations fails open: the replay is
 	// re-admitted (and would re-run consensus harmlessly), never lost low.
-	p2 := NewRequestPoolLimits(Limits{ConfirmedWindow: 4})
+	p2 := poolWith(Limits{}, budgets{confirmedWindow: 4})
 	for _, seq := range []uint64{10, 20, 30, 40, 50, 60} { // overflows window
 		p2.MarkConfirmed(types.RequestID{Client: 5, Seq: seq})
 	}

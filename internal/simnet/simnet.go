@@ -2,12 +2,13 @@
 // Nodes push their outbound envelopes into the network's Sink as handlers
 // run; envelopes are charged through the bandwidth model synchronously in
 // emission order, so identical seeds yield identical runs. It is
-// the substrate substituting for the paper's 600-instance EC2 testbed (see
-// DESIGN.md §1): every byte a replica sends serializes through the sender's
-// egress pipe and the receiver's ingress pipe at configured capacities, plus
-// propagation latency, so bandwidth contention — the phenomenon the paper's
-// scaling experiments measure — is modeled faithfully while hundreds of
-// replicas run in one process in virtual time.
+// the substrate substituting for the paper's 600-instance EC2 testbed
+// (README.md §"Push-based transport" and §"Bulk streaming & flow control"
+// describe its lanes and flows): every byte a replica sends serializes
+// through the sender's egress pipe and the receiver's ingress pipe at
+// configured capacities, plus propagation latency, so bandwidth contention —
+// the phenomenon the paper's scaling experiments measure — is modeled
+// faithfully while hundreds of replicas run in one process in virtual time.
 package simnet
 
 import (

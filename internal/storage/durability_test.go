@@ -59,8 +59,8 @@ func TestAppendVoteDurableBeforeReturn(t *testing.T) {
 	if kind != recVote {
 		t.Fatalf("second frame on disk is kind %d, want vote", kind)
 	}
-	got, err := readVoteRecord(&codec.Reader{Buf: payload})
-	if err != nil {
+	var got VoteRecord
+	if err := codec.Decode(payload, got.wire); err != nil {
 		t.Fatal(err)
 	}
 	if got != vote {
@@ -81,7 +81,7 @@ func testNote(seq types.SeqNum, view types.View) NoteRecord {
 
 func encodeNote(nt NoteRecord) []byte {
 	w := &codec.Writer{}
-	appendNoteRecord(w, nt)
+	nt.wire(codec.Encoder(w))
 	return w.Buf
 }
 

@@ -63,9 +63,9 @@ type BlockRecord struct {
 	Datablocks []*types.Datablock
 }
 
-// WireSize returns the exact encoded size in bytes, matching
-// AppendBlockRecord (codec.MarshalBFTblock spends 20 bytes on the header,
-// unlike the approximate types.BFTblock.Size).
+// WireSize returns the exact encoded size in bytes (codec.MarshalBFTblock
+// spends 20 bytes on the header, unlike the approximate
+// types.BFTblock.Size).
 func (rec *BlockRecord) WireSize() int {
 	s := 8 + 20 + 32*len(rec.Block.Content) + 4 + len(rec.Notarized.Sig) + 4 + len(rec.Confirmed.Sig)
 	for _, db := range rec.Datablocks {
@@ -74,43 +74,22 @@ func (rec *BlockRecord) WireSize() int {
 	return s
 }
 
-// AppendBlockRecord appends the canonical encoding of rec to w. The
-// datablock count is implied by len(Block.Content), so a record has exactly
-// one encoding.
-func AppendBlockRecord(w *codec.Writer, rec *BlockRecord) {
-	w.U64(uint64(rec.Seq))
-	codec.MarshalBFTblock(w, rec.Block)
-	w.Bytes(rec.Notarized.Sig)
-	w.Bytes(rec.Confirmed.Sig)
-	for _, db := range rec.Datablocks {
-		codec.MarshalDatablockTo(w, db)
+// Wire is the record's one layout, walked by the WAL in both directions and
+// by the state-transfer message that embeds it; decoding runs in the
+// Coder's mode (borrow or copy) and makes no trailing-bytes check, since the
+// record may sit inside a larger frame. The datablock count is implied by
+// len(Block.Content), so a record has exactly one encoding.
+func (rec *BlockRecord) Wire(c codec.Coder) {
+	codec.U64(c, &rec.Seq)
+	c.BFTblock(&rec.Block)
+	c.Bytes(&rec.Notarized.Sig)
+	c.Bytes(&rec.Confirmed.Sig)
+	if c.Decoding() && rec.Block != nil && len(rec.Block.Content) > 0 {
+		rec.Datablocks = make([]*types.Datablock, len(rec.Block.Content))
 	}
-}
-
-// ReadBlockRecord decodes one BlockRecord from r in r's mode (borrow or
-// copy), without a terminal trailing-bytes check — the record may be
-// embedded in a larger frame. The datablock count is Block.Content's
-// length, mirroring AppendBlockRecord.
-func ReadBlockRecord(r *codec.Reader) (*BlockRecord, error) {
-	rec := &BlockRecord{Seq: types.SeqNum(r.U64())}
-	block, err := codec.UnmarshalBFTblock(r)
-	if err != nil {
-		return nil, err
+	for i := range rec.Datablocks {
+		c.Datablock(&rec.Datablocks[i])
 	}
-	rec.Block = block
-	rec.Notarized = crypto.Proof{Sig: r.Bytes()}
-	rec.Confirmed = crypto.Proof{Sig: r.Bytes()}
-	if len(block.Content) > 0 {
-		rec.Datablocks = make([]*types.Datablock, 0, len(block.Content))
-	}
-	for range block.Content {
-		db, err := codec.UnmarshalDatablockFrom(r)
-		if err != nil {
-			return nil, err
-		}
-		rec.Datablocks = append(rec.Datablocks, db)
-	}
-	return rec, r.Err()
 }
 
 // VoteRecord persists one agreement vote cast above the executed frontier
@@ -125,21 +104,11 @@ type VoteRecord struct {
 	Digest types.Hash
 }
 
-func appendVoteRecord(w *codec.Writer, v VoteRecord) {
-	w.U64(uint64(v.View))
-	w.U64(uint64(v.Seq))
-	w.U8(v.Round)
-	w.Hash(v.Digest)
-}
-
-func readVoteRecord(r *codec.Reader) (VoteRecord, error) {
-	v := VoteRecord{
-		View:  types.View(r.U64()),
-		Seq:   types.SeqNum(r.U64()),
-		Round: r.U8(),
-	}
-	v.Digest = r.Hash()
-	return v, r.Finish()
+func (v *VoteRecord) wire(c codec.Coder) {
+	codec.U64(c, &v.View)
+	codec.U64(c, &v.Seq)
+	codec.U8(c, &v.Round)
+	c.Hash(&v.Digest)
 }
 
 // NoteRecord persists the notarization certificate a round-2 vote endorses:
@@ -155,18 +124,9 @@ type NoteRecord struct {
 	Notarized crypto.Proof // σ1 over H(block)
 }
 
-func appendNoteRecord(w *codec.Writer, nt NoteRecord) {
-	codec.MarshalBFTblock(w, nt.Block)
-	w.Bytes(nt.Notarized.Sig)
-}
-
-func readNoteRecord(r *codec.Reader) (NoteRecord, error) {
-	block, err := codec.UnmarshalBFTblock(r)
-	if err != nil {
-		return NoteRecord{}, err
-	}
-	nt := NoteRecord{Block: block, Notarized: crypto.Proof{Sig: r.Bytes()}}
-	return nt, r.Finish()
+func (nt *NoteRecord) wire(c codec.Coder) {
+	c.BFTblock(&nt.Block)
+	c.Bytes(&nt.Notarized.Sig)
 }
 
 // Checkpoint is the durable stable-checkpoint record: the Alg. 4 quorum
@@ -177,19 +137,10 @@ type Checkpoint struct {
 	Proof     crypto.Proof
 }
 
-func appendCheckpoint(w *codec.Writer, cp Checkpoint) {
-	w.U64(uint64(cp.Seq))
-	w.Hash(cp.StateHash)
-	w.Bytes(cp.Proof.Sig)
-}
-
-func readCheckpoint(r *codec.Reader) (Checkpoint, error) {
-	cp := Checkpoint{
-		Seq:       types.SeqNum(r.U64()),
-		StateHash: r.Hash(),
-		Proof:     crypto.Proof{Sig: r.Bytes()},
-	}
-	return cp, r.Finish()
+func (cp *Checkpoint) wire(c codec.Coder) {
+	codec.U64(c, &cp.Seq)
+	c.Hash(&cp.StateHash)
+	c.Bytes(&cp.Proof.Sig)
 }
 
 // Meta is small replica-local state that must survive restarts but is not
@@ -205,14 +156,9 @@ type Meta struct {
 	CounterReserve uint64
 }
 
-func appendMeta(w *codec.Writer, m Meta) {
-	w.U64(uint64(m.View))
-	w.U64(m.CounterReserve)
-}
-
-func readMeta(r *codec.Reader) (Meta, error) {
-	m := Meta{View: types.View(r.U64()), CounterReserve: r.U64()}
-	return m, r.Finish()
+func (m *Meta) wire(c codec.Coder) {
+	codec.U64(c, &m.View)
+	codec.U64(c, &m.CounterReserve)
 }
 
 // Stats describes a store's shape and activity, for the metrics surface

@@ -221,8 +221,8 @@ func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 		kind, payload, n := decodeFrame(buf[off:])
 		switch kind {
 		case recBlock:
-			rec, err := parseBlockPayload(payload)
-			if err != nil {
+			rec := new(BlockRecord)
+			if codec.Decode(payload, rec.Wire) != nil {
 				kind = 0
 				break
 			}
@@ -238,8 +238,8 @@ func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 			}
 			seg.last = rec.Seq
 		case recVote:
-			v, err := readVoteRecord(&codec.Reader{Buf: payload})
-			if err != nil {
+			var v VoteRecord
+			if codec.Decode(payload, v.wire) != nil {
 				kind = 0
 				break
 			}
@@ -248,8 +248,8 @@ func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 				l.votes = append(l.votes, v)
 			}
 		case recNote:
-			nt, err := readNoteRecord(&codec.Reader{Buf: payload})
-			if err != nil {
+			var nt NoteRecord
+			if codec.Decode(payload, nt.wire) != nil {
 				kind = 0
 				break
 			}
@@ -296,21 +296,6 @@ func decodeFrame(buf []byte) (byte, []byte, int) {
 		return payload[0], payload[1:], 8 + int(length)
 	}
 	return 0, nil, 0
-}
-
-// parseBlockPayload decodes a block-record payload (after the kind byte).
-// Copying decode: the scan buffer is transient, so records must own their
-// bytes.
-func parseBlockPayload(payload []byte) (*BlockRecord, error) {
-	r := &codec.Reader{Buf: payload}
-	rec, err := ReadBlockRecord(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }
 
 // admit installs a scanned or appended record into the in-memory index.
@@ -372,77 +357,71 @@ func (l *Log) roll() error {
 	return nil
 }
 
-// Append implements Store: frame the record, stage it in memory, and
-// schedule the group commit. No disk syscalls happen on this path (unless
-// SyncEachAppend, or a segment roll is due).
-func (l *Log) Append(rec *BlockRecord) error {
-	w := codec.GetWriter()
+// appendFrame appends one record frame to w: the length and CRC header, the
+// record kind, then the record's walk.
+func appendFrame(w *codec.Writer, kind byte, walk func(codec.Coder)) {
+	start := len(w.Buf)
 	w.U64(0) // frame header placeholder, patched below
-	w.U8(recBlock)
-	AppendBlockRecord(w, rec)
-	frame := w.Buf
-	payload := frame[8:]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	w.U8(kind)
+	walk(codec.Encoder(w))
+	payload := w.Buf[start+8:]
+	binary.BigEndian.PutUint32(w.Buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(w.Buf[start+4:], crc32.ChecksumIEEE(payload))
+}
+
+// stage is the one append path: it frames a record, stages the frame in
+// memory, lets admit enter the record in the in-memory index (under mu; an
+// error from it refuses the append), charges the current segment and then
+// finishes. A segment over its roll threshold is rolled, which flushes and
+// fsyncs it, this frame included. Otherwise a durable append — and any
+// append under SyncEachAppend, or one that finds more than stageBudget
+// staged because the syncer is behind — writes and fsyncs before returning;
+// every other append returns without a syscall, waking the syncer if it
+// staged the first frame of a batch.
+func (l *Log) stage(kind byte, walk func(codec.Coder), admit func(seg *segInfo) error, durable bool) error {
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	appendFrame(w, kind, walk)
 
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		codec.PutWriter(w)
-		return fmt.Errorf("storage: log closed")
+	var seg *segInfo
+	var err error
+	switch {
+	case l.closed:
+		err = fmt.Errorf("storage: log closed")
+	case l.werr != nil:
+		err = l.werr
+	case len(l.segs) == 0 || l.f == nil:
+		// A failed Reset left no live segment; its sticky error was already
+		// returned above, but guard against panics regardless.
+		err = fmt.Errorf("storage: log has no live segment")
+	default:
+		seg = &l.segs[len(l.segs)-1]
+		err = admit(seg)
 	}
-	if err := l.werr; err != nil {
+	if err != nil {
 		l.mu.Unlock()
-		codec.PutWriter(w)
 		return err
 	}
-	if l.last != 0 && rec.Seq != l.last+1 {
-		l.mu.Unlock()
-		codec.PutWriter(w)
-		return fmt.Errorf("storage: non-contiguous append %d after %d", rec.Seq, l.last)
-	}
-	if len(l.segs) == 0 || l.f == nil {
-		// A failed Reset left no live segment; the sticky error (set there)
-		// was already returned above, but guard against panics regardless.
-		l.mu.Unlock()
-		codec.PutWriter(w)
-		return fmt.Errorf("storage: log has no live segment")
-	}
-	seg := &l.segs[len(l.segs)-1]
 	wasEmpty := len(l.pending) == 0
-	l.pending = append(l.pending, frame...)
-	seg.bytes += int64(len(frame))
-	if seg.first == 0 {
-		seg.first = rec.Seq
-	}
-	seg.last = rec.Seq
-	l.admit(rec)
-	l.stats.Appended++
+	l.pending = append(l.pending, w.Buf...)
+	seg.bytes += int64(len(w.Buf))
 	rollDue := seg.bytes > l.opts.SegmentBytes
 	overBudget := len(l.pending) > stageBudget
 	l.mu.Unlock()
-	codec.PutWriter(w)
 
-	if overBudget && !rollDue {
-		// Backpressure: the syncer is behind the append rate. Flush inline
-		// so staged memory stays bounded; this is the only path on which an
-		// append waits for the disk.
-		return l.Sync()
-	}
-	if rollDue {
+	switch {
+	case rollDue:
 		l.flushMu.Lock()
 		err := l.roll()
 		l.flushMu.Unlock()
 		if err != nil {
 			l.fail(err)
-			return err
 		}
-		return nil
-	}
-	if l.opts.SyncEachAppend {
+		return err
+	case durable || l.opts.SyncEachAppend || overBudget:
 		return l.Sync()
-	}
-	if wasEmpty {
+	case wasEmpty:
 		select {
 		case l.kick <- struct{}{}:
 		default:
@@ -451,87 +430,38 @@ func (l *Log) Append(rec *BlockRecord) error {
 	return nil
 }
 
-// encodeVoteFrame frames one vote record (header | kind | encoding).
-func encodeVoteFrame(v VoteRecord) []byte {
-	w := codec.GetWriter()
-	w.U64(0) // frame header placeholder, patched below
-	w.U8(recVote)
-	appendVoteRecord(w, v)
-	return sealFrame(w)
+// Append implements Store: the record is staged for the group commit, so no
+// disk syscall happens on the execute path unless a segment roll or the
+// stage budget is due (or SyncEachAppend is set).
+func (l *Log) Append(rec *BlockRecord) error {
+	return l.stage(recBlock, rec.Wire, func(seg *segInfo) error {
+		if l.last != 0 && rec.Seq != l.last+1 {
+			return fmt.Errorf("storage: non-contiguous append %d after %d", rec.Seq, l.last)
+		}
+		if seg.first == 0 {
+			seg.first = rec.Seq
+		}
+		seg.last = rec.Seq
+		l.admit(rec)
+		l.stats.Appended++
+		return nil
+	}, false)
 }
 
-// encodeNoteFrame frames one notarization record (header | kind | encoding).
-func encodeNoteFrame(nt NoteRecord) []byte {
-	w := codec.GetWriter()
-	w.U64(0) // frame header placeholder, patched below
-	w.U8(recNote)
-	appendNoteRecord(w, nt)
-	return sealFrame(w)
-}
-
-// sealFrame copies the writer's buffer out, patches the length + CRC header
-// and recycles the writer.
-func sealFrame(w *codec.Writer) []byte {
-	frame := append([]byte(nil), w.Buf...)
-	codec.PutWriter(w)
-	payload := frame[8:]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return frame
-}
-
-// stageFrame appends an already-sealed frame to the staging buffer under mu,
-// charging the current segment. It returns whether the segment is due to
-// roll and whether the staging buffer went from empty to non-empty.
-func (l *Log) stageFrame(frame []byte) (rollDue, wasEmpty bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false, false, fmt.Errorf("storage: log closed")
-	}
-	if l.werr != nil {
-		return false, false, l.werr
-	}
-	if len(l.segs) == 0 || l.f == nil {
-		return false, false, fmt.Errorf("storage: log has no live segment")
-	}
-	seg := &l.segs[len(l.segs)-1]
-	wasEmpty = len(l.pending) == 0
-	l.pending = append(l.pending, frame...)
-	seg.bytes += int64(len(frame))
-	return seg.bytes > l.opts.SegmentBytes, wasEmpty, nil
-}
-
-// AppendVote implements Store: frame the vote record, stage it with any
-// pending block or note frames, and flush + fsync before returning. Unlike
-// block appends — whose group-commit window is safe because everything in
-// it was quorum-confirmed and can be fetched back — a vote is the replica's
-// own unilateral commitment: the caller broadcasts it the moment AppendVote
+// AppendVote implements Store: the vote is staged with any pending block or
+// note frames and flushed + fsynced before returning. Unlike block appends
+// — whose group-commit window is safe because everything in it was
+// quorum-confirmed and can be fetched back — a vote is the replica's own
+// unilateral commitment: the caller broadcasts it the moment AppendVote
 // returns, so the record must be durable first or a crash inside the batch
 // window would forget a vote a peer already counted, re-opening the amnesia
 // window vote-ahead logging exists to close. Staged block and note frames
 // ride the same fsync, so a vote under load also commits the batch early.
 func (l *Log) AppendVote(v VoteRecord) error {
-	rollDue, _, err := l.stageFrame(encodeVoteFrame(v))
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.votes = append(l.votes, v)
-	l.mu.Unlock()
-	if rollDue {
-		// roll flushes and fsyncs the closing segment — including the frame
-		// just staged — before opening the next one.
-		l.flushMu.Lock()
-		err := l.roll()
-		l.flushMu.Unlock()
-		if err != nil {
-			l.fail(err)
-			return err
-		}
+	return l.stage(recVote, v.wire, func(*segInfo) error {
+		l.votes = append(l.votes, v)
 		return nil
-	}
-	return l.Sync()
+	}, true)
 }
 
 // Votes implements Store.
@@ -547,33 +477,10 @@ func (l *Log) Votes() []VoteRecord {
 // batch; if staging fails, the same failure (sticky werr) surfaces on that
 // AppendVote and aborts the vote.
 func (l *Log) AppendNote(nt NoteRecord) error {
-	rollDue, wasEmpty, err := l.stageFrame(encodeNoteFrame(nt))
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.notes = append(l.notes, nt)
-	l.mu.Unlock()
-	if rollDue {
-		l.flushMu.Lock()
-		err := l.roll()
-		l.flushMu.Unlock()
-		if err != nil {
-			l.fail(err)
-			return err
-		}
+	return l.stage(recNote, nt.wire, func(*segInfo) error {
+		l.notes = append(l.notes, nt)
 		return nil
-	}
-	if l.opts.SyncEachAppend {
-		return l.Sync()
-	}
-	if wasEmpty {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
-	}
-	return nil
+	}, false)
 }
 
 // Notes implements Store.
@@ -703,7 +610,7 @@ func (l *Log) Bounds() (types.SeqNum, types.SeqNum) {
 // SaveCheckpoint implements Store: write-through with atomic replace.
 func (l *Log) SaveCheckpoint(cp Checkpoint) error {
 	w := codec.GetWriter()
-	appendCheckpoint(w, cp)
+	cp.wire(codec.Encoder(w))
 	err := writeAtomic(l.fs, filepath.Join(l.dir, "checkpoint"), ckptMagic, w.Buf)
 	codec.PutWriter(w)
 	if err != nil {
@@ -728,7 +635,7 @@ func (l *Log) Checkpoint() (Checkpoint, bool) {
 // SaveMeta implements Store: write-through with atomic replace.
 func (l *Log) SaveMeta(m Meta) error {
 	w := codec.GetWriter()
-	appendMeta(w, m)
+	m.wire(codec.Encoder(w))
 	err := writeAtomic(l.fs, filepath.Join(l.dir, "meta"), metaMagic, w.Buf)
 	codec.PutWriter(w)
 	if err != nil {
@@ -826,21 +733,20 @@ func (l *Log) Reset(seq types.SeqNum) error {
 		return err
 	}
 	if len(retained) > 0 || len(retainedNotes) > 0 {
+		w := codec.GetWriter()
+		for i := range retained {
+			appendFrame(w, recVote, retained[i].wire)
+		}
+		for i := range retainedNotes {
+			appendFrame(w, recNote, retainedNotes[i].wire)
+		}
 		l.mu.Lock()
-		seg := &l.segs[len(l.segs)-1]
-		for _, v := range retained {
-			frame := encodeVoteFrame(v)
-			l.pending = append(l.pending, frame...)
-			seg.bytes += int64(len(frame))
-		}
-		for _, nt := range retainedNotes {
-			frame := encodeNoteFrame(nt)
-			l.pending = append(l.pending, frame...)
-			seg.bytes += int64(len(frame))
-		}
+		l.pending = append(l.pending, w.Buf...)
+		l.segs[len(l.segs)-1].bytes += int64(len(w.Buf))
 		l.votes = append(l.votes, retained...)
 		l.notes = append(l.notes, retainedNotes...)
 		l.mu.Unlock()
+		codec.PutWriter(w)
 		select {
 		case l.kick <- struct{}{}:
 		default:
@@ -952,11 +858,11 @@ func (l *Log) loadCheckpoint() error {
 	if err != nil || payload == nil {
 		return err
 	}
-	cp, err := readCheckpoint(&codec.Reader{Buf: payload})
-	if err != nil {
+	cp := new(Checkpoint)
+	if err := codec.Decode(payload, cp.wire); err != nil {
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	l.cp = &cp
+	l.cp = cp
 	return nil
 }
 
@@ -965,8 +871,8 @@ func (l *Log) loadMeta() error {
 	if err != nil || payload == nil {
 		return err
 	}
-	m, err := readMeta(&codec.Reader{Buf: payload})
-	if err != nil {
+	var m Meta
+	if err := codec.Decode(payload, m.wire); err != nil {
 		return fmt.Errorf("storage: meta: %w", err)
 	}
 	l.meta = m

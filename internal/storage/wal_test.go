@@ -37,7 +37,7 @@ func testRecord(seq types.SeqNum, links, reqPerDB, payloadLen int) *BlockRecord 
 
 func encodeRecord(rec *BlockRecord) []byte {
 	w := &codec.Writer{}
-	AppendBlockRecord(w, rec)
+	rec.Wire(codec.Encoder(w))
 	return w.Buf
 }
 
@@ -50,8 +50,9 @@ func TestBlockRecordRoundTrip(t *testing.T) {
 		rec := testRecord(7, links, 2, 16)
 		buf := encodeRecord(rec)
 		r := &codec.Reader{Buf: buf}
-		got, err := ReadBlockRecord(r)
-		if err != nil {
+		got := new(BlockRecord)
+		got.Wire(codec.Decoder(r))
+		if err := r.Err(); err != nil {
 			t.Fatalf("links=%d: %v", links, err)
 		}
 		if err := r.Finish(); err != nil {
@@ -63,7 +64,8 @@ func TestBlockRecordRoundTrip(t *testing.T) {
 		// Truncations must error, never panic.
 		for cut := 0; cut < len(buf); cut++ {
 			r := &codec.Reader{Buf: buf[:cut]}
-			if rec, err := ReadBlockRecord(r); err == nil && r.Finish() == nil {
+			rec := new(BlockRecord)
+			if rec.Wire(codec.Decoder(r)); r.Finish() == nil {
 				// A shorter valid record is impossible: the encoding is
 				// length-prefixed throughout.
 				t.Fatalf("links=%d: truncation at %d decoded: %+v", links, cut, rec)
@@ -512,7 +514,8 @@ func FuzzWALReplay(f *testing.F) {
 			// Every recovered record must re-encode cleanly (no partially
 			// decoded state escapes the scan).
 			r := &codec.Reader{Buf: encodeRecord(rec)}
-			if _, err := ReadBlockRecord(r); err != nil || r.Finish() != nil {
+			new(BlockRecord).Wire(codec.Decoder(r))
+			if err := r.Finish(); err != nil {
 				t.Fatalf("recovered record %d does not round-trip: %v", sn, err)
 			}
 		}

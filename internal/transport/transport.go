@@ -71,15 +71,6 @@
 // envelopes strictly in emission order. The TCP runtime is free to
 // interleave lanes nondeterministically — real networks do — but must still
 // preserve per-lane FIFO per peer.
-//
-// # Migration note for external Node implementors
-//
-// Before this API, transport.Node handlers returned []Envelope. To migrate
-// an implementation: add the trailing Sink parameter to Start/Deliver/Tick,
-// replace `out = append(out, env)` with `out.Send(env)` and
-// `out = append(out, transport.Broadcast(msg))` with `out.Broadcast(msg)`,
-// and delete the return value. Drivers that previously collected the
-// returned slice can pass a *SliceSink and read its Envelopes field.
 package transport
 
 import (
@@ -142,9 +133,14 @@ func (c Class) String() string {
 // NumClasses is the count of defined classes, for dense accounting arrays.
 const NumClasses = int(ClassState) + 1
 
-// Message is anything a protocol node can send. WireSize must return the
-// size in bytes the message occupies on the network; the simulator charges
-// bandwidth by it and the TCP codec asserts against it.
+// Message is anything a protocol node can send. WireSize is the simulator's
+// size model: simnet charges bandwidth and CPU by it, and a codec sizes its
+// encode buffer from it, but nothing checks it against the encoded frame.
+// For the Leopard messages it is hand arithmetic that sits between 28 bytes
+// under and 7 bytes over the frame leopard.EncodeMessage produces on the
+// fuzz seeds (TestWireGolden records both numbers for every kind); making it
+// exact moves every simulated byte count and belongs to the simulator's
+// calibration.
 type Message interface {
 	WireSize() int
 	Class() Class
