@@ -302,6 +302,9 @@ func refresh(reg *obs.Registry, rt *tcp.Runtime, node *leopard.Node, nReplicas i
 type clientConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// dropped is set once the connection has left the hub; replyHub.mu
+	// guards it.
+	dropped bool
 }
 
 func (c *clientConn) writeFrame(body []byte) {
@@ -325,17 +328,33 @@ func newReplyHub() *replyHub {
 	return &replyHub{waiters: make(map[types.RequestID]*clientConn)}
 }
 
-// expect registers conn as the reply destination for id. A retransmission
-// through a newer connection takes the slot over.
-func (h *replyHub) expect(id types.RequestID, conn *clientConn) {
+// expect registers conn as the reply destination for id and returns the
+// waiter it displaced. A retransmission through a newer connection takes
+// the slot over.
+func (h *replyHub) expect(id types.RequestID, conn *clientConn) (prev *clientConn) {
 	h.mu.Lock()
+	prev = h.waiters[id]
 	h.waiters[id] = conn
+	h.mu.Unlock()
+	return prev
+}
+
+// restore undoes an expect: the displaced waiter gets the slot back, unless
+// there was none or its connection has closed since.
+func (h *replyHub) restore(id types.RequestID, prev *clientConn) {
+	h.mu.Lock()
+	if prev != nil && !prev.dropped {
+		h.waiters[id] = prev
+	} else {
+		delete(h.waiters, id)
+	}
 	h.mu.Unlock()
 }
 
 // drop forgets every registration pointing at conn (connection closed).
 func (h *replyHub) drop(conn *clientConn) {
 	h.mu.Lock()
+	conn.dropped = true
 	for id, c := range h.waiters {
 		if c == conn {
 			delete(h.waiters, id)
@@ -397,17 +416,23 @@ func handleClient(conn net.Conn, rt *tcp.Runtime, node *leopard.Node, hub *reply
 		if !ok {
 			return
 		}
-		// The waiter is registered inside the Inject closure, after the
-		// admission verdict: RequestID is only (client, seq), so a request
-		// that fails signature verification must never take over another
-		// client's reply slot (suppressing its reply) or grow the waiters
-		// map from an unauthenticated connection. Registering on the apply
-		// loop is race-free — the reply for this request also fires on the
-		// apply loop, strictly after admission. Duplicate submissions
-		// (retransmits, DupLive) still move the reply slot here.
+		// The waiter is registered inside the Inject closure, ahead of
+		// admission, and the registration is undone if the signature is bad:
+		// RequestID is only (client, seq), so a request that fails
+		// verification must never take over another client's reply slot
+		// (suppressing its reply) or grow the waiters map from an
+		// unauthenticated connection. Doing both on the apply loop makes the
+		// interim registration unobservable — every reply fires on the apply
+		// loop too, and SubmitSigned emits none before it has verified the
+		// signature. It has to come first because a request that is already
+		// confirmed is answered from the reply cache inside SubmitSigned, and
+		// that reply goes to whoever is registered then. Duplicate
+		// submissions (retransmits, DupLive) still move the reply slot here.
 		if err := rt.Inject(func(now time.Duration, out transport.Sink) {
-			if v := node.SubmitSigned(now, req.Req, req.Sig); v != mempool.BadSignature {
-				hub.expect(req.Req.ID(), cc)
+			id := req.Req.ID()
+			prev := hub.expect(id, cc)
+			if node.SubmitSigned(now, req.Req, req.Sig) == mempool.BadSignature {
+				hub.restore(id, prev)
 			}
 		}); err != nil {
 			return

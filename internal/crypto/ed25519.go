@@ -79,7 +79,8 @@ func (s *Ed25519Suite) VerifyShare(digest types.Hash, share Share) error {
 	if int(share.Signer) >= s.params.N {
 		return fmt.Errorf("%w: %d", ErrUnknownSigner, share.Signer)
 	}
-	if !ed25519.Verify(s.pubs[share.Signer], digest[:], share.Sig) {
+	signed, sig, ok := openShare(ed25519.SignatureSize, digest, share.Sig)
+	if !ok || !ed25519.Verify(s.pubs[share.Signer], signed[:], sig) {
 		return fmt.Errorf("%w: signer %d", ErrBadShare, share.Signer)
 	}
 	return nil
@@ -88,7 +89,7 @@ func (s *Ed25519Suite) VerifyShare(digest types.Hash, share Share) error {
 // Combine implements Suite. Shares must be valid; Combine re-checks them so
 // a faulty vote cannot poison the aggregate.
 func (s *Ed25519Suite) Combine(digest types.Hash, shares []Share) (Proof, error) {
-	if err := dedupShares(s.params, shares); err != nil {
+	if err := checkShareSet(s.params, ed25519.SignatureSize, shares); err != nil {
 		return Proof{}, err
 	}
 	sorted := make([]Share, len(shares))

@@ -116,7 +116,8 @@ func (s *SimSuite) VerifyShare(digest types.Hash, share Share) error {
 	if int(share.Signer) >= s.params.N {
 		return fmt.Errorf("%w: %d", ErrUnknownSigner, share.Signer)
 	}
-	if !hmac.Equal(share.Sig, s.tag(share.Signer, digest)) {
+	signed, sig, ok := openShare(s.shareSize, digest, share.Sig)
+	if !ok || !hmac.Equal(sig, s.tag(share.Signer, signed)) {
 		return fmt.Errorf("%w: signer %d", ErrBadShare, share.Signer)
 	}
 	return nil
@@ -125,7 +126,7 @@ func (s *SimSuite) VerifyShare(digest types.Hash, share Share) error {
 // Combine implements Suite. The proof binds the digest and the sorted quorum
 // of signer ids so that VerifyProof can recompute it deterministically.
 func (s *SimSuite) Combine(digest types.Hash, shares []Share) (Proof, error) {
-	if err := dedupShares(s.params, shares); err != nil {
+	if err := checkShareSet(s.params, s.shareSize, shares); err != nil {
 		return Proof{}, err
 	}
 	for _, sh := range shares {

@@ -192,3 +192,157 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("non-deterministic runs: (%d,%d) vs (%d,%d)", e1, c1, e2, c2)
 	}
 }
+
+// batchForm re-issues signer's share on digest in the batch form replies
+// carry: valid for that digest under Suite.VerifyShare, but not a share
+// agreement may count.
+func batchForm(t *testing.T, suite crypto.Suite, signer types.ReplicaID, digest types.Hash) crypto.Share {
+	t.Helper()
+	shares, err := crypto.SignBatch(suite, signer, []types.Hash{digest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := suite.VerifyShare(digest, shares[0]); err != nil {
+		t.Fatalf("batch-form share does not verify, so the test would prove nothing: %v", err)
+	}
+	return shares[0]
+}
+
+// TestBatchFormVotesAndCheckpointSharesNeverCounted: replica 0 — the lowest
+// id, so Combine's sorted quorum would always pick it — sends every vote
+// and checkpoint share in batch form. Each verifies for its digest, so a
+// collector that checked validity alone would count it and then fail every
+// Combine. None may be counted (no certificate names replica 0), and blocks
+// must still notarize, confirm and checkpoint from the other 2f+1.
+func TestBatchFormVotesAndCheckpointSharesNeverCounted(t *testing.T) {
+	const byzantine = types.ReplicaID(0)
+	r := newRouter(t, 4, func(cfg *leopard.Config) {
+		cfg.MaxParallel = 8
+		cfg.CheckpointEvery = 4
+	})
+	suite, err := crypto.NewEd25519Suite(4, []byte("router-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := map[string]int{}
+	certificates := map[string]int{}
+	names := func(kind string, proof crypto.Proof) {
+		certificates[kind]++
+		// Ed25519Suite proofs open with the signer bitmap.
+		if proof.Sig[0]&(1<<byzantine) != 0 {
+			t.Errorf("a %s certificate counts the batch-form share of replica %d", kind, byzantine)
+		}
+	}
+	r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+		switch m := msg.(type) {
+		case *leopard.VoteMsg:
+			if from == byzantine {
+				m.Share = batchForm(t, suite, byzantine, m.Digest)
+				rewritten[[]string{1: "vote1", 2: "vote2"}[m.Round]]++
+			}
+		case *leopard.CheckpointMsg:
+			if from == byzantine {
+				m.Share = batchForm(t, suite, byzantine, leopard.CheckpointDigest(m.Seq, m.StateHash))
+				rewritten["checkpoint"]++
+			}
+		case *leopard.ProofMsg:
+			if to == 2 {
+				names([]string{1: "sigma1", 2: "sigma2"}[m.Round], m.Proof)
+			}
+		case *leopard.CheckpointProofMsg:
+			if to == 2 {
+				names("checkpoint", m.Proof)
+			}
+		}
+		return false
+	}
+	r.submit(0, 60, 0)
+	r.submit(2, 60, 1000)
+	r.advance(300*time.Millisecond, 5*time.Millisecond)
+
+	for _, kind := range []string{"vote1", "vote2", "checkpoint"} {
+		if rewritten[kind] == 0 {
+			t.Fatalf("replica %d sent no %s share; the test exercised nothing", byzantine, kind)
+		}
+	}
+	for _, kind := range []string{"sigma1", "sigma2", "checkpoint"} {
+		if certificates[kind] == 0 {
+			t.Fatalf("no %s certificate formed from the other 2f+1", kind)
+		}
+	}
+	for _, node := range r.nodes {
+		if got := node.Stats().ConfirmedRequests; got < 120 {
+			t.Fatalf("replica %d confirmed %d of 120 requests", node.ID(), got)
+		}
+		if node.Stats().LastCheckpointSeq == 0 {
+			t.Fatalf("replica %d has no stable checkpoint", node.ID())
+		}
+	}
+}
+
+// TestBatchFormViewChangeSharesNeverCounted walks one view change by hand
+// and offers each of its three signed messages twice: first under a valid
+// batch-form share, which must change nothing, then under the plain share,
+// which must have the effect the first was denied.
+func TestBatchFormViewChangeSharesNeverCounted(t *testing.T) {
+	r := newRouter(t, 4, nil)
+	suite, err := crypto.NewEd25519Suite(4, []byte("router-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := func(signer types.ReplicaID, digest types.Hash) crypto.Share {
+		share, err := suite.Sign(signer, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return share
+	}
+	forms := []struct {
+		name  string
+		share func(types.ReplicaID, types.Hash) crypto.Share
+	}{
+		{"batch", func(s types.ReplicaID, d types.Hash) crypto.Share { return batchForm(t, suite, s, d) }},
+		{"plain", plain},
+	}
+
+	// Timeouts: f+1 votes against view 1 make replica 2 — the leader of
+	// view 2 — join the view change and collect its own view-change message.
+	collector := r.nodes[2]
+	for _, form := range forms {
+		for _, sender := range []types.ReplicaID{0, 3} {
+			deliver(collector, r.now, sender, &leopard.TimeoutMsg{View: 1, Share: form.share(sender, leopard.TimeoutDigest(1))})
+		}
+		if joined := collector.InViewChange(); joined != (form.name == "plain") {
+			t.Fatalf("after f+1 timeouts under %s shares: in view change = %v", form.name, joined)
+		}
+	}
+
+	// View-change messages: two more complete the 2f+1 the new leader
+	// announces view 2 on.
+	var newView *leopard.NewViewMsg
+	for _, form := range forms {
+		for _, sender := range []types.ReplicaID{0, 3} {
+			vc := &leopard.ViewChangeMsg{NewView: 2, Sender: sender}
+			vc.Share = form.share(sender, leopard.ViewChangeDigest(vc))
+			for _, env := range deliver(collector, r.now, sender, vc) {
+				if nv, ok := env.Msg.(*leopard.NewViewMsg); ok {
+					newView = nv
+				}
+			}
+		}
+		if announced := newView != nil; announced != (form.name == "plain") || (collector.View() == 2) != announced {
+			t.Fatalf("after 2f view-change messages under %s shares: announced = %v, collector in view %d", form.name, announced, collector.View())
+		}
+	}
+
+	// The new-view announcement itself.
+	follower := r.nodes[0]
+	for _, form := range forms {
+		nv := *newView
+		nv.Share = form.share(2, leopard.NewViewDigest(&nv))
+		deliver(follower, r.now, 2, &nv)
+		if entered := follower.View() == 2; entered != (form.name == "plain") {
+			t.Fatalf("after a new-view under a %s share: follower in view %d", form.name, follower.View())
+		}
+	}
+}

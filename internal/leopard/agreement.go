@@ -156,6 +156,20 @@ func (n *Node) getInstance(sn types.SeqNum) *instance {
 	return inst
 }
 
+// plainShare reports whether s is a valid plain share on d. It is the only
+// share check agreement, checkpointing and view change make: VerifyShare
+// also accepts the batch form that replies carry (crypto.SignBatch), and a
+// vote in that form would verify, count toward the 2f+1 and then fail the
+// Combine it was counted for — one Byzantine voter stalling every block.
+func (n *Node) plainShare(d types.Hash, s crypto.Share) bool {
+	return len(s.Sig) == n.suite.ShareSize() && n.suite.VerifyShare(d, s) == nil
+}
+
+// plainShareFrom is plainShare for a share that must be the sender's own.
+func (n *Node) plainShareFrom(from types.ReplicaID, d types.Hash, s crypto.Share) bool {
+	return s.Signer == from && n.plainShare(d, s)
+}
+
 // handleBFTblock implements VRFBFTBLOCK and the prepare stage (Alg. 2):
 // validate the proposal, ensure every linked datablock is held (starting
 // retrieval otherwise), then cast the first-round vote.
@@ -190,7 +204,7 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 	if prev, voted := n.votedSeq[block.Seq]; voted && prev != digest {
 		return // leader equivocation: refuse the second proposal
 	}
-	if err := n.suite.VerifyShare(digest, m.LeaderShare); err != nil {
+	if !n.plainShare(digest, m.LeaderShare) {
 		return
 	}
 	if expected, ok := n.expectedRedo[block.Seq]; ok && expected != digest {
@@ -279,7 +293,7 @@ func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) 
 		if _, dup := inst.vote1Seen[from]; dup {
 			return
 		}
-		if err := n.suite.VerifyShare(inst.digest, m.Share); err != nil || m.Share.Signer != from {
+		if !n.plainShareFrom(from, inst.digest, m.Share) {
 			return
 		}
 		inst.vote1Seen[from] = struct{}{}
@@ -295,7 +309,7 @@ func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) 
 		if _, dup := inst.vote2Seen[from]; dup {
 			return
 		}
-		if err := n.suite.VerifyShare(inst.sigma1Digest, m.Share); err != nil || m.Share.Signer != from {
+		if !n.plainShareFrom(from, inst.sigma1Digest, m.Share) {
 			return
 		}
 		inst.vote2Seen[from] = struct{}{}

@@ -62,7 +62,7 @@ func (n *Node) collectCheckpoint(from types.ReplicaID, m *CheckpointMsg, out tra
 		return
 	}
 	digest := CheckpointDigest(m.Seq, m.StateHash)
-	if err := n.suite.VerifyShare(digest, m.Share); err != nil || m.Share.Signer != from {
+	if !n.plainShareFrom(from, digest, m.Share) {
 		return
 	}
 	shares := n.cpShares[m.Seq]

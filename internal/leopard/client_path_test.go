@@ -242,7 +242,7 @@ func TestRepliesEmittedOnExecution(t *testing.T) {
 
 // TestNoRepliesDuringReplay: WAL replay re-runs execution bookkeeping but
 // must not re-send replies — the requests were answered in a previous life,
-// and clients that missed the answer retransmit.
+// and clients that missed the answer retransmit — nor sign any.
 func TestNoRepliesDuringReplay(t *testing.T) {
 	r, stores := storedRouter(t, 4, nil)
 	r.submit(0, 60, 0)
@@ -257,8 +257,9 @@ func TestNoRepliesDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counted := &leopard.SignCounter{Suite: suite}
 	node, err := leopard.NewNode(leopard.Config{
-		ID: 3, Quorum: q, Suite: suite,
+		ID: 3, Quorum: q, Suite: counted,
 		DatablockSize: 10, BFTBlockSize: 2,
 		BatchTimeout: 5 * time.Millisecond, ViewChangeTimeout: time.Hour,
 		RetrievalTimeout: 10 * time.Millisecond,
@@ -279,6 +280,9 @@ func TestNoRepliesDuringReplay(t *testing.T) {
 	}
 	if node.Stats().RepliesSent != 0 {
 		t.Fatalf("RepliesSent = %d after pure replay", node.Stats().RepliesSent)
+	}
+	if counted.Signs != 0 {
+		t.Fatalf("replay made %d Sign calls, want 0", counted.Signs)
 	}
 }
 

@@ -1,0 +1,27 @@
+package leopard
+
+import (
+	"leopard/internal/crypto"
+	"leopard/internal/types"
+)
+
+// What the leopard_test package needs from inside this one.
+
+// The digests the view-change messages sign, for tests that re-sign them.
+var (
+	TimeoutDigest    = timeoutDigest
+	ViewChangeDigest = viewChangeDigest
+	NewViewDigest    = newViewDigest
+)
+
+// SignCounter decorates a Suite and counts the Sign calls that reach it,
+// as the benchmark's traced suite does.
+type SignCounter struct {
+	crypto.Suite
+	Signs int
+}
+
+func (c *SignCounter) Sign(signer types.ReplicaID, digest types.Hash) (crypto.Share, error) {
+	c.Signs++
+	return c.Suite.Sign(signer, digest)
+}

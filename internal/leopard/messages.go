@@ -521,7 +521,9 @@ func (m *RequestMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) 
 
 // ReplyMsg is an executing replica's signed reply to a client: the request
 // identity, the serial number it executed at, the replica's execution chain
-// result, and the replica's signature share over client.ReplyDigest. A
+// result, and the replica's signature share over client.ReplyDigest — a
+// batch share (crypto.SignBatch) out of the one signature the replica made
+// for the executed block, which Suite.VerifyShare checks like any other. A
 // client accepts once f+1 replicas report matching (SN, Result) — at least
 // one is honest, so the result is the committed one. Replies are small and
 // latency-sensitive: they travel the control lane (ClassAck is not bulk).

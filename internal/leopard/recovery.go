@@ -509,13 +509,19 @@ func executionDigest(block *types.BFTblock) types.Hash {
 
 // executeBlock runs the execution bookkeeping shared by the normal path
 // (tryExecute), WAL replay and state transfer: the per-datablock executor
-// callback and request dedup, then the chain-hash/height advance. The
-// caller guarantees datablocks[i] matches block.Content[i] and that the
-// block sits exactly at the execution frontier.
+// callback and request dedup, the replies, then the chain-hash/height
+// advance. The caller guarantees datablocks[i] matches block.Content[i] and
+// that the block sits exactly at the execution frontier.
+//
+// Replies cost one signature per block, not per request: every reply
+// digest of the block goes into one crypto.SignBatch, and each ReplyMsg
+// carries its own batch share, valid by itself — for the client, and for
+// lastReply to re-send.
 func (n *Node) executeBlock(sn types.SeqNum, block *types.BFTblock, datablocks []*types.Datablock) {
 	digest := executionDigest(block)
+	requests := 0
 	for _, db := range datablocks {
-		n.stats.ConfirmedRequests += int64(len(db.Requests))
+		requests += len(db.Requests)
 		if n.execFn != nil {
 			n.execFn(sn, db.Requests)
 		}
@@ -524,17 +530,27 @@ func (n *Node) executeBlock(sn types.SeqNum, block *types.BFTblock, datablocks [
 				n.reqPool.MarkConfirmed(r.ID())
 			}
 		}
-		if n.replyFn != nil && !n.replaying {
+	}
+	n.stats.ConfirmedRequests += int64(requests)
+	if n.replyFn != nil && !n.replaying {
+		digests := make([]types.Hash, 0, requests)
+		for _, db := range datablocks {
 			for _, r := range db.Requests {
-				share, err := n.suite.Sign(n.cfg.ID, client.ReplyDigest(r.ClientID, r.Seq, sn, digest))
-				if err != nil {
-					continue
+				digests = append(digests, client.ReplyDigest(r.ClientID, r.Seq, sn, digest))
+			}
+		}
+		// A signing failure (a suite without this replica's key) sends no
+		// reply; clients complete from the other replicas.
+		if shares, err := crypto.SignBatch(n.suite, n.cfg.ID, digests); err == nil {
+			for _, db := range datablocks {
+				for _, r := range db.Requests {
+					reply := ReplyMsg{Client: r.ClientID, Seq: r.Seq, SN: sn, Result: digest, Share: shares[0]}
+					shares = shares[1:]
+					n.cacheReply(reply)
+					n.replyFn(reply)
+					n.stats.RepliesSent++
+					n.trace(obs.EvReplySent, r.ClientID, int64(r.Seq))
 				}
-				reply := ReplyMsg{Client: r.ClientID, Seq: r.Seq, SN: sn, Result: digest, Share: share}
-				n.cacheReply(reply)
-				n.replyFn(reply)
-				n.stats.RepliesSent++
-				n.trace(obs.EvReplySent, r.ClientID, int64(r.Seq))
 			}
 		}
 	}

@@ -130,7 +130,7 @@ func (n *Node) handleTimeout(from types.ReplicaID, m *TimeoutMsg, out transport.
 	if m.View < n.view {
 		return
 	}
-	if err := n.suite.VerifyShare(timeoutDigest(m.View), m.Share); err != nil || m.Share.Signer != from {
+	if !n.plainShareFrom(from, timeoutDigest(m.View), m.Share) {
 		return
 	}
 	n.recordTimeout(m.View, from)
@@ -231,7 +231,7 @@ func (n *Node) validViewChangeMsg(from types.ReplicaID, m *ViewChangeMsg) bool {
 	if m.Sender != from {
 		return false
 	}
-	if err := n.suite.VerifyShare(viewChangeDigest(m), m.Share); err != nil || m.Share.Signer != from {
+	if !n.plainShareFrom(from, viewChangeDigest(m), m.Share) {
 		return false
 	}
 	if m.Checkpoint != nil {
@@ -308,7 +308,7 @@ func (n *Node) handleNewView(from types.ReplicaID, m *NewViewMsg, out transport.
 	if m.NewView <= n.view || types.LeaderOf(m.NewView, n.q.N) != from {
 		return
 	}
-	if err := n.suite.VerifyShare(newViewDigest(m), m.Share); err != nil || m.Share.Signer != from {
+	if !n.plainShareFrom(from, newViewDigest(m), m.Share) {
 		return
 	}
 	seen := make(map[types.ReplicaID]struct{}, len(m.Proofs))

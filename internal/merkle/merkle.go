@@ -71,9 +71,10 @@ func New(leaves [][]byte) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, ErrEmptyTree
 	}
-	total := 0
+	total, depth := 0, 0
 	for w := len(leaves); ; w = (w + 1) / 2 {
 		total += w
+		depth++
 		if w == 1 {
 			break
 		}
@@ -84,7 +85,7 @@ func New(leaves [][]byte) (*Tree, error) {
 	for i, l := range leaves {
 		level[i] = hashLeaf(i, l)
 	}
-	t := &Tree{levels: [][]types.Hash{level}}
+	t := &Tree{levels: append(make([][]types.Hash, 0, depth), level)}
 	for len(level) > 1 {
 		next := backing[:(len(level)+1)/2]
 		backing = backing[len(next):]
@@ -140,20 +141,56 @@ func (t *Tree) Prove(index int) (Proof, error) {
 	return p, nil
 }
 
-// Verify checks that leafData is the leaf at proof.Index under root.
-func Verify(root types.Hash, proof Proof, leafData []byte) error {
-	if proof.Index < 0 {
-		return ErrIndexRange
+// AppendPath appends the hashes of Prove(index)'s steps to dst, bottom-up
+// and without their sides: the compact proof for a verifier that knows
+// LeafCount and derives the sides with PathShape. index must be in range.
+func (t *Tree) AppendPath(dst []byte, index int) []byte {
+	pos := index
+	for _, level := range t.levels[:len(t.levels)-1] {
+		if sibling := pos ^ 1; sibling < len(level) {
+			dst = append(dst, level[sibling][:]...)
+		}
+		pos /= 2
 	}
-	running := hashLeaf(proof.Index, leafData)
-	for _, step := range proof.Steps {
+	return dst
+}
+
+// PathShape returns the shape of leaf index's proof in a tree of count
+// leaves (index < count <= 1<<32, so at most 32 steps): how many steps it
+// has — a level where the node is the odd one out promotes it and adds
+// none — and, as bit i of right, whether step i's sibling is on the right.
+func PathShape(index, count int) (steps int, right uint32) {
+	for pos, width := index, count; width > 1; pos, width = pos/2, (width+1)/2 {
+		if sibling := pos ^ 1; sibling < width {
+			if sibling > pos {
+				right |= 1 << steps
+			}
+			steps++
+		}
+	}
+	return steps, right
+}
+
+// Root returns the root that leafData, as leaf p.Index, hashes up to along
+// p.Steps.
+func (p Proof) Root(leafData []byte) types.Hash {
+	running := hashLeaf(p.Index, leafData)
+	for _, step := range p.Steps {
 		if step.Right {
 			running = hashInner(running, step.Hash)
 		} else {
 			running = hashInner(step.Hash, running)
 		}
 	}
-	if running != root {
+	return running
+}
+
+// Verify checks that leafData is the leaf at proof.Index under root.
+func Verify(root types.Hash, proof Proof, leafData []byte) error {
+	if proof.Index < 0 {
+		return ErrIndexRange
+	}
+	if proof.Root(leafData) != root {
 		return ErrProofInvalid
 	}
 	return nil

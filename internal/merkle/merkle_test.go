@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -51,6 +52,18 @@ func TestProveVerifyAllSizes(t *testing.T) {
 			}
 			if err := Verify(tree.Root(), proof, ls[i]); err != nil {
 				t.Fatalf("n=%d i=%d: %v", n, i, err)
+			}
+			// The compact form is the same proof: AppendPath gives the
+			// steps' hashes, PathShape their number and sides.
+			steps, right := PathShape(i, n)
+			path := tree.AppendPath(nil, i)
+			if steps != len(proof.Steps) || len(path) != steps*len(types.Hash{}) {
+				t.Fatalf("n=%d i=%d: PathShape says %d steps, AppendPath gave %d bytes, Prove %d steps", n, i, steps, len(path), len(proof.Steps))
+			}
+			for k, step := range proof.Steps {
+				if step.Right != (right&(1<<k) != 0) || !bytes.Equal(step.Hash[:], path[k*len(step.Hash):(k+1)*len(step.Hash)]) {
+					t.Fatalf("n=%d i=%d: step %d differs between Prove and the compact form", n, i, k)
+				}
 			}
 		}
 	}
