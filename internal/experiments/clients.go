@@ -225,7 +225,6 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 				Suite:         suite,
 				DatablockSize: 500,
 				BFTBlockSize:  10,
-				BatchTimeout:  5 * time.Millisecond,
 				MaxParallel:   16,
 				// The crash must trigger a real view change mid-run.
 				ViewChangeTimeout: p.VCTimeout,

@@ -46,7 +46,6 @@ func retrievalOnce(n int, leaderOnly bool) (RetrievalResult, error) {
 	c, err := leopardClusterDepth(n, dbRequests, 1, 0, net, func(cfg *leopard.Config) {
 		cfg.LeaderRetrieval = leaderOnly
 		cfg.RetrievalTimeout = 10 * time.Millisecond
-		cfg.BatchTimeout = 5 * time.Millisecond
 		cfg.ViewChangeTimeout = time.Hour
 	})
 	if err != nil {
@@ -265,7 +264,6 @@ func vcUnderBulkOnce(n int) (time.Duration, error) {
 	vcTimeout := 150 * time.Millisecond
 	c, err := leopardClusterDepth(n, 500, 10, 0 /* no background injection */, net, func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = vcTimeout
-		cfg.BatchTimeout = 5 * time.Millisecond
 		cfg.MaxParallel = 16
 		// Let every replica push a deep burst of datablocks at once.
 		cfg.MaxOutstandingDatablocks = 8

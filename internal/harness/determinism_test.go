@@ -59,7 +59,6 @@ func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwid
 				Suite:         suite,
 				DatablockSize: 25,
 				BFTBlockSize:  3,
-				BatchTimeout:  5 * time.Millisecond,
 			})
 		},
 	})

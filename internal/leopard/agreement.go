@@ -11,7 +11,9 @@ import (
 // maybePropose implements the pre-prepare stage (Alg. 2, leader): link up
 // to τ ready datablocks into a BFTblock and multicast it with the leader's
 // first-round share. Serial numbers stay within the watermark window
-// (lw, lw+k].
+// (lw, lw+k]. A block of τ links leaves at once; a partial one only when
+// nothing this replica proposed is still unconfirmed (proposalInFlight),
+// so its size is whatever became ready during one confirmation.
 func (n *Node) maybePropose(out transport.Sink) {
 	for {
 		if n.walFailed {
@@ -34,15 +36,11 @@ func (n *Node) maybePropose(out transport.Sink) {
 			return
 		}
 		full := len(n.readyQueue) >= n.cfg.BFTBlockSize
-		stale := len(n.readyQueue) > 0 && n.now-n.lastPropose >= n.cfg.BatchTimeout
 		// Under rotation, an owned slot that peers have already proposed
-		// past is a hole blocking everyone's consecutive-prefix executor;
-		// fill it with an empty block once the batch timer expires. Fills
-		// do not reset lastPropose, so a run of consecutive holes (e.g.
-		// after this replica rejoins) fills in a single tick.
-		fill := n.cfg.RotateLeaders && n.maxSeqSeen > n.nextSeq &&
-			n.now-n.lastPropose >= n.cfg.BatchTimeout
-		if !full && !stale && !fill {
+		// past is a hole blocking everyone's consecutive-prefix executor:
+		// it is filled at once, with whatever is ready or with nothing.
+		fill := n.cfg.RotateLeaders && n.maxSeqSeen > n.nextSeq
+		if !full && !fill && (len(n.readyQueue) == 0 || n.proposalInFlight()) {
 			return
 		}
 		take := n.cfg.BFTBlockSize
@@ -57,14 +55,30 @@ func (n *Node) maybePropose(out transport.Sink) {
 		}
 		block := &types.BFTblock{View: n.view, Seq: n.nextSeq, Content: content}
 		n.nextSeq++
-		if take > 0 {
-			n.lastPropose = n.now
+		n.stats.ProposedBlocks++
+		n.stats.ProposedLinks += int64(take)
+		if !full {
+			n.stats.PartialBlocks++
 		}
 		if err := n.propose(block, out); err != nil {
 			// Signing with our own key cannot fail in a correct setup.
 			panic(err)
 		}
 	}
+}
+
+// proposalInFlight reports whether a block this replica proposed in the
+// current view is still unconfirmed. It reads the instances, which every
+// path that settles a slot already updates or deletes (confirmBlock,
+// applyTransferredRecord, pruneBelow, enterNewView), so there is no counter
+// to leak.
+func (n *Node) proposalInFlight() bool {
+	for sn, inst := range n.instances {
+		if inst.block != nil && inst.state < types.StateConfirmed && n.isProposer(sn) {
+			return true
+		}
+	}
+	return false
 }
 
 // propose starts the agreement instance for block at the leader.
@@ -516,26 +530,35 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 		n.proofStash[inst.block.Seq] = blockProofs{notarized: *inst.notarized, confirmed: *inst.confirmed}
 	}
 	n.stats.ConfirmedBlocks++
-	// Release our own flow-control window and record stage timings;
-	// request counting happens at execution, when all datablocks are
-	// guaranteed present.
+	// Record stage timings for our own datablocks and release them; request
+	// counting happens at execution, when all datablocks are guaranteed
+	// present.
 	for _, h := range inst.block.Content {
 		n.confirmedDBs[h] = struct{}{}
-		if db, ok := n.dbPool.Get(h); ok {
-			if db.Ref.Generator == n.cfg.ID {
-				delete(n.myOutstanding, h)
-				if packed, ok := n.myDBPacked[h]; ok {
-					// Dissemination covers pack -> leader proposal (as
-					// observed here via the proposal's arrival time);
-					// agreement covers proposal -> confirmation.
-					n.stages.Add(StageDissemination, inst.proposedAt-packed)
-					n.stages.Add(StageAgreement, n.now-inst.proposedAt)
-					delete(n.myDBPacked, h)
-				}
-			}
+		if packed, ok := n.myDBPacked[h]; ok {
+			// Dissemination covers pack -> leader proposal (as observed
+			// here via the proposal's arrival time); agreement covers
+			// proposal -> confirmation.
+			n.stages.Add(StageDissemination, inst.proposedAt-packed)
+			n.stages.Add(StageAgreement, n.now-inst.proposedAt)
 		}
 	}
+	n.settleOwn(inst.block.Content)
 	n.tryExecute(out)
+}
+
+// settleOwn releases this replica's own datablocks among content. The
+// flow-control window, the clock that holds back partial datablocks and
+// hasPendingWork all read myOutstanding, so an entry left behind makes the
+// generator wait forever on a datablock the cluster has finished with: it
+// goes at confirmation, and again at execution (executeBlock) for blocks
+// that reach this replica already decided — WAL replay, state transfer.
+// Blocks an anchor jump skips are adoptCheckpoint's to release.
+func (n *Node) settleOwn(content []types.Hash) {
+	for _, h := range content {
+		delete(n.myOutstanding, h)
+		delete(n.myDBPacked, h)
+	}
 }
 
 // tryExecute executes the longest consecutive confirmed prefix whose

@@ -261,9 +261,9 @@ func TestNoRepliesDuringReplay(t *testing.T) {
 	node, err := leopard.NewNode(leopard.Config{
 		ID: 3, Quorum: q, Suite: counted,
 		DatablockSize: 10, BFTBlockSize: 2,
-		BatchTimeout: 5 * time.Millisecond, ViewChangeTimeout: time.Hour,
-		RetrievalTimeout: 10 * time.Millisecond,
-		MaxParallel:      8, CheckpointEvery: 4,
+		ViewChangeTimeout: time.Hour,
+		RetrievalTimeout:  10 * time.Millisecond,
+		MaxParallel:       8, CheckpointEvery: 4,
 		Store: stores[3],
 	})
 	if err != nil {

@@ -10,6 +10,18 @@
 // view-change (Appendix A). Nodes are event-driven state machines driven by
 // a transport (internal/simnet in simulations, internal/transport/tcp in
 // deployments).
+//
+// Batching is clocked by confirmations, not by a timer. Both batching
+// levels are evaluated on Tick. A full batch leaves as soon as its window
+// has room: a datablock of DatablockSize requests within
+// MaxOutstandingDatablocks, a BFTblock of BFTBlockSize links within the
+// watermark window. A partial datablock leaves only when none of this
+// replica's own datablocks is still unconfirmed, and a partial BFTblock only
+// when no block this replica proposed in the current view is. An idle
+// replica therefore forwards a lone request at its next tick, and a busy
+// one batches for exactly as long as its previous batch takes to come back,
+// so the number of requests that share one block's signatures grows with
+// load instead of being set by a constant.
 package leopard
 
 import (
@@ -40,7 +52,6 @@ const (
 	DefaultOutstandingDBs  = 8    // per-replica datablock flow-control window
 	DefaultRetrievalAfter  = 20 * time.Millisecond
 	DefaultViewChangeAfter = 2 * time.Second
-	DefaultBatchTimeout    = 20 * time.Millisecond
 )
 
 // Config parameterizes a Leopard replica.
@@ -53,9 +64,11 @@ type Config struct {
 	Suite crypto.Suite
 
 	// DatablockSize is the number of requests packed per datablock. The
-	// paper's α (bits per datablock) is DatablockSize × payload.
+	// paper's α (bits per datablock) is DatablockSize × payload. Fewer are
+	// packed only when no datablock of this replica is unconfirmed.
 	DatablockSize int
-	// BFTBlockSize is τ: the number of datablock links per BFTblock.
+	// BFTBlockSize is τ: the number of datablock links per BFTblock. Fewer
+	// are proposed only when no block of this proposer is unconfirmed.
 	BFTBlockSize int
 	// MaxParallel is k: the watermark window of parallel agreement
 	// instances (valid sn satisfies lw < sn <= lw+k).
@@ -74,11 +87,6 @@ type Config struct {
 	// ViewChangeTimeout is how long confirmation progress may stall while
 	// work is pending before this replica votes to change the view.
 	ViewChangeTimeout time.Duration
-
-	// BatchTimeout bounds how long pending requests wait before being
-	// packed into a partial datablock, and how long ready datablocks wait
-	// before the leader proposes a partial BFTblock.
-	BatchTimeout time.Duration
 
 	// Verifier, when non-nil, makes the replica's front door authenticated:
 	// SubmitSigned/SubmitSignedBatch and peer-forwarded RequestMsgs verify
@@ -187,9 +195,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ViewChangeMaxTimeout <= 0 {
 		c.ViewChangeMaxTimeout = 16 * c.ViewChangeTimeout
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = DefaultBatchTimeout
 	}
 	return nil
 }

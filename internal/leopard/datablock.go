@@ -10,16 +10,18 @@ import (
 // maybePackDatablocks implements the generation loop of Alg. 1: extract
 // pending requests, build a datablock, multicast it. Non-leader replicas
 // only (every replica under RotateLeaders — there is no single leader to
-// exempt); pacing is by the outstanding-datablock window, and partial
-// blocks are packed once requests have waited BatchTimeout.
+// exempt). A full datablock leaves whenever the outstanding-datablock
+// window has room; a partial one only when none of this replica's own is
+// still unconfirmed, so what arrives while the pipeline is busy leaves as
+// one batch when it drains — the confirmation is the clock, there is no
+// timer.
 func (n *Node) maybePackDatablocks(out transport.Sink) {
 	if n.inViewChange || (!n.cfg.RotateLeaders && n.isLeader()) {
 		return
 	}
 	for len(n.myOutstanding) < n.cfg.MaxOutstandingDatablocks {
 		full := n.reqPool.Len() >= n.cfg.DatablockSize
-		stale := n.reqPool.Len() > 0 && n.now-n.lastPack >= n.cfg.BatchTimeout
-		if !full && !stale {
+		if !full && len(n.myOutstanding) > 0 {
 			break
 		}
 		reqs, oldest := n.reqPool.Extract(n.cfg.DatablockSize)
@@ -37,9 +39,12 @@ func (n *Node) maybePackDatablocks(out transport.Sink) {
 		n.myOutstanding[digest] = struct{}{}
 		n.myDBPacked[digest] = n.now
 		n.stats.DatablocksMade++
+		n.stats.DatablockRequests += int64(len(reqs))
+		if !full {
+			n.stats.PartialDatablocks++
+		}
 		n.stages.Add(StageGeneration, n.now-oldest)
 		n.trace(obs.EvDatablockPacked, traceID(digest), int64(len(reqs)))
-		n.lastPack = n.now
 		out.Broadcast(&DatablockMsg{Block: db, Digest: digest})
 		// The generator holds its own datablock; announce readiness.
 		n.sendReady(digest, out)

@@ -25,3 +25,10 @@ func (c *SignCounter) Sign(signer types.ReplicaID, digest types.Hash) (crypto.Sh
 	c.Signs++
 	return c.Suite.Sign(signer, digest)
 }
+
+// OwnOutstanding is the number of this replica's own datablocks it still
+// counts as unconfirmed: the window, and the clock for partial datablocks.
+func (n *Node) OwnOutstanding() int { return len(n.myOutstanding) }
+
+// HasPendingWork is what arms the view-change timer.
+func (n *Node) HasPendingWork() bool { return n.hasPendingWork() }

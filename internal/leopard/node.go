@@ -114,6 +114,18 @@ type Stats struct {
 	RateLimited      int64 // rejections from per-client token buckets
 	BadSignatures    int64 // rejections from signature verification
 	RepliesSent      int64 // signed ReplyMsgs emitted after execution
+
+	// Batch fill. A full batch left because it reached its size
+	// (DatablockSize requests, BFTBlockSize links); a partial one because
+	// the previous one had come back (or, under RotateLeaders, to fill a
+	// hole). DatablockRequests / DatablocksMade and ProposedLinks /
+	// ProposedBlocks are the mean fills; redo proposals of a view change
+	// are not counted.
+	PartialDatablocks int64 // of DatablocksMade
+	DatablockRequests int64 // requests packed into DatablocksMade
+	ProposedBlocks    int64 // BFTblocks this replica proposed
+	PartialBlocks     int64 // of ProposedBlocks, with fewer than BFTBlockSize links
+	ProposedLinks     int64 // datablock links in ProposedBlocks
 }
 
 // Node is a Leopard replica. It implements transport.Node and must be
@@ -131,23 +143,23 @@ type Node struct {
 	dbPool    *mempool.DatablockPool
 	dbCounter uint64
 	// myOutstanding holds digests of this replica's own datablocks that
-	// are not yet confirmed (flow-control window).
+	// are not yet confirmed: the flow-control window, and the clock for
+	// partial datablocks (none leaves while it is non-empty). Entries go in
+	// settleOwn, or all at once at an anchor jump (adoptCheckpoint).
 	myOutstanding map[types.Hash]struct{}
 	// myDBPacked records when each of this replica's datablocks was
 	// packed, feeding the Table IV stage breakdown.
 	myDBPacked map[types.Hash]time.Duration
-	lastPack   time.Duration
 
 	// Leader state. readyOrder lists, per voter and oldest first, the digests
 	// in readyVotes the voter announced ahead of their body; it is what
 	// bounds readyVotes (shedReadyVote).
-	readyVotes  map[types.Hash]map[types.ReplicaID]struct{}
-	readyOrder  map[types.ReplicaID][]types.Hash
-	readySet    map[types.Hash]struct{} // enqueued or linked
-	readyQueue  []types.Hash
-	linked      map[types.Hash]struct{}
-	nextSeq     types.SeqNum
-	lastPropose time.Duration
+	readyVotes map[types.Hash]map[types.ReplicaID]struct{}
+	readyOrder map[types.ReplicaID][]types.Hash
+	readySet   map[types.Hash]struct{} // enqueued or linked
+	readyQueue []types.Hash
+	linked     map[types.Hash]struct{}
+	nextSeq    types.SeqNum
 	// maxSeqSeen is the highest serial number proposed or received in the
 	// current view. Under RotateLeaders each proposer owns a stride-n subset
 	// of serials, and fills its own slots with empty blocks when peers have

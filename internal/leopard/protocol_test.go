@@ -256,22 +256,6 @@ func TestWatermarkWindowEnforced(t *testing.T) {
 	}
 }
 
-// TestPartialBatchesFlushOnTimeout: a trickle of requests below the batch
-// size must still confirm via the batch timeout.
-func TestPartialBatchesFlushOnTimeout(t *testing.T) {
-	r := newRouter(t, 4, func(c *leopard.Config) {
-		c.DatablockSize = 1000 // never fills
-		c.BFTBlockSize = 100   // never fills
-		c.BatchTimeout = 10 * time.Millisecond
-	})
-	r.submit(2, 3, 0)
-	r.advance(200*time.Millisecond, 5*time.Millisecond)
-	st := r.nodes[0].Stats()
-	if st.ConfirmedRequests != 3 {
-		t.Fatalf("confirmed %d requests, want 3", st.ConfirmedRequests)
-	}
-}
-
 // TestIdleSystemStaysQuiet: with no requests there are no proposals, no
 // view changes, and no retrievals.
 func TestIdleSystemStaysQuiet(t *testing.T) {

@@ -480,6 +480,13 @@ func (n *Node) adoptCheckpoint(cp *CheckpointProofMsg) {
 	// skipped range pruneable.
 	n.applyCheckpoint(cp)
 	n.pruneBelow()
+	// A replica jumps because it was cut off, so the blocks it skips may
+	// have linked its datablocks without it ever holding their content, and
+	// pruneBelow had nothing to release them by. Let go of every own
+	// datablock: one that is in fact still in flight is settled again when
+	// its block arrives, and until then the window is one window too wide.
+	clear(n.myOutstanding)
+	clear(n.myDBPacked)
 	if n.store != nil {
 		// The WAL tail below the anchor is obsolete history; re-anchor so
 		// appends resume at cp.Seq+1.
@@ -532,6 +539,7 @@ func (n *Node) executeBlock(sn types.SeqNum, block *types.BFTblock, datablocks [
 		}
 	}
 	n.stats.ConfirmedRequests += int64(requests)
+	n.settleOwn(block.Content)
 	if n.replyFn != nil && !n.replaying {
 		digests := make([]types.Hash, 0, requests)
 		for _, db := range datablocks {

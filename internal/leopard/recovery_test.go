@@ -49,7 +49,6 @@ func rebuild(t *testing.T, r *router, id types.ReplicaID, st storage.Store, muta
 		Suite:             suite,
 		DatablockSize:     10,
 		BFTBlockSize:      2,
-		BatchTimeout:      5 * time.Millisecond,
 		ViewChangeTimeout: time.Hour,
 		RetrievalTimeout:  10 * time.Millisecond,
 		MaxParallel:       8,
@@ -98,9 +97,9 @@ func TestRecoverReplaysWAL(t *testing.T) {
 	node, err := leopard.NewNode(leopard.Config{
 		ID: 3, Quorum: q, Suite: suite,
 		DatablockSize: 10, BFTBlockSize: 2,
-		BatchTimeout: 5 * time.Millisecond, ViewChangeTimeout: time.Hour,
-		RetrievalTimeout: 10 * time.Millisecond,
-		MaxParallel:      8, CheckpointEvery: 4,
+		ViewChangeTimeout: time.Hour,
+		RetrievalTimeout:  10 * time.Millisecond,
+		MaxParallel:       8, CheckpointEvery: 4,
 		Store: stores[3],
 	})
 	if err != nil {
@@ -157,9 +156,9 @@ func TestRecoverReanchorsStaleWALTail(t *testing.T) {
 	node, err := leopard.NewNode(leopard.Config{
 		ID: 3, Quorum: q, Suite: suite,
 		DatablockSize: 10, BFTBlockSize: 2,
-		BatchTimeout: 5 * time.Millisecond, ViewChangeTimeout: time.Hour,
-		RetrievalTimeout: 10 * time.Millisecond,
-		MaxParallel:      8, CheckpointEvery: 4,
+		ViewChangeTimeout: time.Hour,
+		RetrievalTimeout:  10 * time.Millisecond,
+		MaxParallel:       8, CheckpointEvery: 4,
 		Store: st,
 	})
 	if err != nil {
@@ -327,5 +326,90 @@ func TestCheckpointMapsPruned(t *testing.T) {
 	}
 	if got, window := leader.Stats().CheckpointSeqsTracked, 8/4+1; got > window {
 		t.Fatalf("checkpoint maps hold %d seqs after GC, want <= %d (window/interval)", got, window)
+	}
+}
+
+// TestOwnDatablocksReleasedHoweverTheirBlockSettles: a live replica can see
+// the blocks that linked its own datablocks settled without confirming them
+// itself — they reach it by state transfer, or an anchor jump skips them
+// unseen. Its window and its batching clock must be released all the same:
+// a leftover entry holds back every partial datablock and keeps
+// hasPendingWork true on an idle cluster, so the replica votes a timeout
+// and enters a view change alone.
+func TestOwnDatablocksReleasedHoweverTheirBlockSettles(t *testing.T) {
+	const vcTimeout = time.Second
+	for _, tc := range []struct {
+		name     string
+		others   int  // requests each of replicas 0 and 2 adds while 3 is cut off
+		wantJump bool // 16 is the one checkpoint height
+	}{
+		{"state transfer", 10, false},
+		{"anchor jump over unseen blocks", 180, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := storedRouter(t, 4, func(cfg *leopard.Config) {
+				cfg.MaxParallel = 32
+				cfg.CheckpointEvery = 16
+				cfg.ViewChangeTimeout = vcTimeout
+			})
+			healed := r.nodes[3]
+			// Replica 3 still sends but hears nothing: its datablocks are
+			// linked, confirmed and executed by the other three.
+			r.drop = func(from, to types.ReplicaID, msg transport.Message) bool { return to == 3 }
+			r.submit(3, 30, 0)
+			r.submit(0, tc.others, 0)
+			r.submit(2, tc.others, 1000)
+			r.advance(40*step, step)
+			// One more after the rest, so that a block above any checkpoint
+			// links a datablock of 3's as well.
+			r.submit(3, 10, 30)
+			r.advance(10*step, step)
+			if got, want := r.nodes[0].Stats().ConfirmedRequests, int64(40+2*tc.others); got != want {
+				t.Fatalf("cluster executed %d requests while 3 was cut off, want %d", got, want)
+			}
+			if healed.OwnOutstanding() != 4 || healed.ExecutedTo() != 0 {
+				t.Fatalf("cut-off replica holds %d datablocks at height %d, want its 4 at 0", healed.OwnOutstanding(), healed.ExecutedTo())
+			}
+
+			// Heal. The next block reaches 3, which confirms it above a gap
+			// and, once provably stuck, fetches what it missed.
+			timeouts := 0
+			r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+				if _, ok := msg.(*leopard.TimeoutMsg); ok && from == 3 {
+					timeouts++
+				}
+				return false
+			}
+			r.submit(0, 10, uint64(tc.others))
+			r.advance(60*step, step)
+			cluster := r.nodes[0].ExecutedTo()
+			st := healed.Stats()
+			if healed.ExecutedTo() != cluster || st.StateBlocksApplied == 0 {
+				t.Fatalf("healed replica at %d (%d blocks transferred), cluster at %d", healed.ExecutedTo(), st.StateBlocksApplied, cluster)
+			}
+			if jumped := st.ExecutedBlocks < int64(cluster); jumped != tc.wantJump {
+				t.Fatalf("healed replica executed %d of %d blocks (checkpoint %d): jumped %v, want %v",
+					st.ExecutedBlocks, cluster, st.LastCheckpointSeq, jumped, tc.wantJump)
+			}
+
+			if got := healed.OwnOutstanding(); got != 0 {
+				t.Fatalf("healed replica still holds %d of its own datablocks, all long executed", got)
+			}
+			if healed.HasPendingWork() {
+				t.Fatal("healed replica reports pending work on an idle cluster")
+			}
+			r.advance(2*vcTimeout, step)
+			if timeouts != 0 || healed.InViewChange() || healed.View() != 1 {
+				t.Fatalf("healed replica sent %d timeout votes on an idle cluster (view %d, in view change %v)",
+					timeouts, healed.View(), healed.InViewChange())
+			}
+			// And its clock runs: one request leaves at the next tick.
+			made := healed.Stats().DatablocksMade
+			r.submit(3, 1, 40)
+			r.advance(2*step, step)
+			if got := healed.Stats().DatablocksMade; got != made+1 {
+				t.Fatalf("a request on the healed replica made %d datablocks, want 1", got-made)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // no bandwidth model. It gives protocol-logic tests precise control over
 // time and message schedules (drop/reorder hooks) without simnet.
 type router struct {
-	t     *testing.T
+	t     testing.TB
 	nodes []*leopard.Node
 	now   time.Duration
 	// drop, when set, suppresses matching deliveries.
@@ -29,7 +29,7 @@ type routedMsg struct {
 }
 
 // newRouter builds n Leopard nodes with the given config mutator.
-func newRouter(t *testing.T, n int, mutate func(*leopard.Config)) *router {
+func newRouter(t testing.TB, n int, mutate func(*leopard.Config)) *router {
 	t.Helper()
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
@@ -47,7 +47,6 @@ func newRouter(t *testing.T, n int, mutate func(*leopard.Config)) *router {
 			Suite:         suite,
 			DatablockSize: 10,
 			BFTBlockSize:  2,
-			BatchTimeout:  5 * time.Millisecond,
 			// Long VC timeout by default so logic tests control it.
 			ViewChangeTimeout: time.Hour,
 			RetrievalTimeout:  10 * time.Millisecond,
@@ -125,15 +124,25 @@ func (r *router) flush() {
 	}
 }
 
+// tickAll moves time one step forward and ticks every node, returning what
+// the ticks themselves sent; flush delivers it.
+func (r *router) tickAll(step time.Duration) []transport.Envelope {
+	r.now += step
+	var sent []transport.Envelope
+	for _, node := range r.nodes {
+		outs := tick(node, r.now)
+		sent = append(sent, outs...)
+		r.enqueue(node.ID(), outs)
+	}
+	return sent
+}
+
 // advance moves time forward in tick-sized steps, ticking every node and
 // flushing after each step.
 func (r *router) advance(d, step time.Duration) {
 	deadline := r.now + d
 	for r.now < deadline {
-		r.now += step
-		for _, node := range r.nodes {
-			r.enqueue(node.ID(), tick(node, r.now))
-		}
+		r.tickAll(step)
 		r.flush()
 	}
 }

@@ -42,7 +42,6 @@ func buildCluster(t *testing.T, n int, mutate func(*leopard.Config), mutateNet f
 				Suite:         suite,
 				DatablockSize: 50,
 				BFTBlockSize:  4,
-				BatchTimeout:  10 * time.Millisecond,
 			}
 			if mutate != nil {
 				mutate(&cfg)

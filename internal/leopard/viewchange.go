@@ -412,7 +412,6 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	n.readySet = make(map[types.Hash]struct{})
 	n.readyQueue = nil
 	n.linked = make(map[types.Hash]struct{})
-	n.lastPropose = n.now
 
 	// Record what the new leader must propose for each redo slot, so an
 	// equivocating new leader is caught by handleBFTblock. The plan's

@@ -60,7 +60,6 @@ func TestLeopardOverTCP(t *testing.T) {
 			Suite:         suite,
 			DatablockSize: 10,
 			BFTBlockSize:  2,
-			BatchTimeout:  20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
