@@ -40,8 +40,6 @@ var knownExperiments = []struct{ id, desc string }{
 	{"recover", "crash-restart a replica: WAL recovery + state transfer"},
 	{"chaos", "seeded fault schedules (partitions, loss, skew, crashes) under the invariant checker"},
 	{"clients", "closed-loop signed clients: reply certificates under leader churn + a reply-suppressing replica"},
-	{"rotate", "pipelined rotating-leader agreement: fixed vs rotated A/B with per-replica CPU shares"},
-	{"chaos-rotate", "the chaos fault sweep with the rotating-leader schedule enabled"},
 }
 
 func main() {
@@ -53,7 +51,7 @@ func main() {
 		numClients = flag.Int("clients", 1200,
 			"closed-loop client sessions for -experiment clients")
 		tracePath = flag.String("trace", "",
-			"write a Chrome trace_event JSON of the run to this path (chaos, chaos-rotate, rotate)")
+			"write a Chrome trace_event JSON of the run to this path (chaos)")
 		jsonPath = flag.String("json", "",
 			"write the experiment's result rows as JSON to this path")
 	)
@@ -74,8 +72,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *tracePath != "" {
-		if !traceable[*experiment] {
-			fmt.Fprintf(os.Stderr, "-trace is not supported by experiment %q (supported: chaos, chaos-rotate, rotate)\n", *experiment)
+		// chaos is the one experiment wired into the experiments.Tracing
+		// collector; -trace on anything else would silently export nothing.
+		if *experiment != "chaos" {
+			fmt.Fprintf(os.Stderr, "-trace is not supported by experiment %q (supported: chaos)\n", *experiment)
 			os.Exit(2)
 		}
 		experiments.Tracing = obs.NewCollector(obs.DefaultRingCap)
@@ -100,10 +100,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// traceable marks the experiments wired into the experiments.Tracing
-// collector; -trace on anything else would silently export nothing.
-var traceable = map[string]bool{"chaos": true, "chaos-rotate": true, "rotate": true}
 
 // writeJSON dumps the experiment's typed result rows for machines.
 func writeJSON(path, experiment string, scales []int, rows any) error {
@@ -331,26 +327,8 @@ func run(id string, scales []int, numClients int) (any, error) {
 				r.N, caught, catchup, r.HeightAtRestart,
 				r.BlocksReplayed, r.StateBlocks, r.Retrievals, r.ReVotes)
 		}
-	case "rotate":
-		rows, err := experiments.RotateScenario(scales)
-		if err != nil {
-			return nil, err
-		}
-		out = rows
-		fmt.Println("   n   mode      throughput(Kreq/s)   latency(ms)   leader-cpu   other-cpu   max-cpu")
-		for _, r := range rows {
-			fmt.Printf("%4d   %-7s   %18.1f   %11.1f   %9.1f%%   %8.1f%%   %6.1f%%\n",
-				r.N, r.Mode, r.Throughput/1e3, float64(r.MeanLat.Microseconds())/1e3,
-				100*r.LeaderCPU, 100*r.OtherCPU, 100*r.MaxCPU)
-		}
-	case "chaos", "chaos-rotate":
-		var rows []experiments.ChaosResult
-		var err error
-		if id == "chaos-rotate" {
-			rows, err = experiments.ChaosScenarioRotated(scales)
-		} else {
-			rows, err = experiments.ChaosScenario(scales)
-		}
+	case "chaos":
+		rows, err := experiments.ChaosScenario(scales)
 		if err != nil {
 			return nil, err
 		}

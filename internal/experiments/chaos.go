@@ -53,30 +53,6 @@ type chaosParams struct {
 	grace       time.Duration // bounded-liveness budget after the plan heals
 	triggerSeq  types.SeqNum  // amnesia: crash the leader at this proposal
 	seed        int64
-	// rotate runs the whole schedule library with the rotating-leader
-	// schedule enabled (Config.RotateLeaders) and the invariant checker's
-	// scheduled-proposer check armed.
-	rotate bool
-}
-
-// rotateMutate composes the rotation flag onto a per-run config mutator.
-func (p chaosParams) rotateMutate(mutate func(*leopard.Config)) func(*leopard.Config) {
-	if !p.rotate {
-		return mutate
-	}
-	return func(cfg *leopard.Config) {
-		cfg.RotateLeaders = true
-		if mutate != nil {
-			mutate(cfg)
-		}
-	}
-}
-
-// arm wires the rotation-aware checks into a fresh invariant checker.
-func (p chaosParams) arm(ic *harness.InvariantChecker, n int) {
-	if p.rotate {
-		ic.SetRotation(n)
-	}
 }
 
 func defaultChaosParams() chaosParams {
@@ -296,9 +272,6 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 // chaosOnce runs one scheduled plan under the invariant checker.
 func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	res := ChaosResult{N: n, Plan: plan.Name}
-	if p.rotate {
-		res.Plan += "+rotate"
-	}
 	if n < 4 {
 		return res, fmt.Errorf("need n >= 4, got %d", n)
 	}
@@ -307,13 +280,12 @@ func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 		return res, err
 	}
 	ic := harness.NewInvariantChecker(suite)
-	p.arm(ic, n)
 	stores := make([]storage.Store, n)
 	for i := range stores {
 		stores[i] = storage.NewMemLog()
 		ic.RegisterStore(types.ReplicaID(i), stores[i])
 	}
-	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+res.Plan, n), p.rotateMutate(nil))
+	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+res.Plan, n), nil)
 	if err != nil {
 		return res, err
 	}
@@ -352,9 +324,6 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 	if disableVAL {
 		name += "-noval"
 	}
-	if p.rotate {
-		name += "+rotate"
-	}
 	res := ChaosResult{N: n, Plan: name}
 	if n < 4 {
 		return res, fmt.Errorf("need n >= 4, got %d", n)
@@ -364,13 +333,12 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 		return res, err
 	}
 	ic := harness.NewInvariantChecker(suite)
-	p.arm(ic, n)
 	stores := make([]storage.Store, n)
 	for i := range stores {
 		stores[i] = storage.NewMemLog()
 		ic.RegisterStore(types.ReplicaID(i), stores[i])
 	}
-	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+name, n), p.rotateMutate(func(cfg *leopard.Config) {
+	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+name, n), func(cfg *leopard.Config) {
 		// A patient view-change timer keeps the cluster in the leader's
 		// view long enough for the restarted leader to equivocate before
 		// anyone gives up on it, and a deep outstanding window keeps the
@@ -382,7 +350,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 			// The checker keeps the undecorated store registered.
 			cfg.Store = harness.ForgetVotes(cfg.Store)
 		}
-	}))
+	})
 	if err != nil {
 		return res, err
 	}
@@ -435,15 +403,6 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 // A healthy tree returns zero violations in every row.
 func ChaosScenario(scales []int) ([]ChaosResult, error) {
 	return chaosScenario(scales, defaultChaosParams())
-}
-
-// ChaosScenarioRotated is ChaosScenario with the rotating-leader schedule
-// enabled on every replica and the checker's scheduled-proposer invariant
-// armed — the fault sweep that gates rotation changes in CI.
-func ChaosScenarioRotated(scales []int) ([]ChaosResult, error) {
-	p := defaultChaosParams()
-	p.rotate = true
-	return chaosScenario(scales, p)
 }
 
 func chaosScenario(scales []int, p chaosParams) ([]ChaosResult, error) {

@@ -6,13 +6,14 @@ import (
 	"leopard/internal/obs"
 )
 
-// Tracing, when set, makes the trace-aware scenarios (chaos, chaos-rotate,
-// rotate) record a per-replica structured event trace for every run they
-// build. cmd/leopard-sim sets it for -trace, the tests for the trace
-// determinism gate; it is package state read at cluster build time. Traces are stamped from the simulated clock, so two
-// identically-seeded traced runs export byte-identical traces — and a
-// traced run behaves identically to an untraced one (the tracer only
-// observes; TestRotateDigestUnchangedByTracing).
+// Tracing, when set, makes the trace-aware scenario (chaos) record a
+// per-replica structured event trace for every run it builds.
+// cmd/leopard-sim sets it for -trace, the tests for the trace determinism
+// gate; it is package state read at cluster build time. Traces are stamped
+// from the simulated clock, so two identically-seeded traced runs export
+// byte-identical traces — and a traced run behaves identically to an
+// untraced one (the tracer only observes;
+// TestChaosDigestUnchangedByTracing).
 var Tracing *obs.Collector
 
 // traceRun opens one run's TraceSet under the process collector. It

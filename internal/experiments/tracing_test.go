@@ -57,21 +57,23 @@ func TestChaosTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestRotateDigestUnchangedByTracing asserts tracing is purely
-// observational: the rotate run digest — traffic, CPU-stage, frontier and
-// chain-state signature — is byte-identical with and without a tracer
-// attached. In virtual time this is also the "≤5% overhead" claim in its
-// strongest form: a traced run takes exactly the same simulated schedule.
-func TestRotateDigestUnchangedByTracing(t *testing.T) {
+// TestChaosDigestUnchangedByTracing asserts tracing is purely
+// observational: the n=8 chaos run digest — heights, view changes, vote-log
+// counters and the traffic signature of every schedule — is byte-identical
+// with and without a tracer attached. In virtual time this is also the
+// "≤5% overhead" claim in its strongest form: a traced run takes exactly
+// the same simulated schedule.
+func TestChaosDigestUnchangedByTracing(t *testing.T) {
+	p := defaultChaosParams()
 	prev := Tracing
 	Tracing = nil
-	untraced, err := RotateRunDigest(8)
+	untraced, err := ChaosRunDigest(8, p)
 	Tracing = prev
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := withTracing(t)
-	traced, err := RotateRunDigest(8)
+	traced, err := ChaosRunDigest(8, p)
 	if err != nil {
 		t.Fatal(err)
 	}

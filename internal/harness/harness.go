@@ -38,10 +38,6 @@ type Options struct {
 	// the non-leader replicas. Leader-dissemination protocols (HotStuff,
 	// PBFT) batch at the leader, so their clients submit there.
 	SubmitToLeader bool
-	// SubmitEverywhere routes requests to every replica including the
-	// leader. Rotating-leader clusters have no replica exempt from packing
-	// datablocks, so all of them serve clients.
-	SubmitEverywhere bool
 	// LatencySample tracks client latency for one request in every
 	// LatencySample (by client id). 1 (default) tracks everything; large
 	// simulations use a sparse sample to stay within memory. Throughput is
@@ -185,9 +181,6 @@ func (c *Cluster) scheduleInjection(at time.Duration) {
 func (c *Cluster) inject(now time.Duration) {
 	leader := c.Replicas[0].Leader()
 	targets := func(id types.ReplicaID) bool {
-		if c.opts.SubmitEverywhere {
-			return true
-		}
 		if c.opts.SubmitToLeader {
 			return id == leader
 		}

@@ -51,12 +51,6 @@ type InvariantChecker struct {
 	stores   map[types.ReplicaID]storage.Store
 	expected map[types.ReplicaID]types.SeqNum
 
-	// rotationN, when positive, marks the cluster as running the rotating
-	// leader schedule over n replicas: every proposal must come from
-	// types.LeaderFor(view, seq, n) — a proposal from anyone else is a
-	// schedule violation even if it never equivocates.
-	rotationN int
-
 	violations []string
 	suppressed int
 
@@ -93,13 +87,6 @@ func NewInvariantChecker(suite crypto.Suite) *InvariantChecker {
 		expected: make(map[types.ReplicaID]types.SeqNum),
 	}
 }
-
-// SetRotation tells the checker the cluster rotates proposers per serial
-// number among n replicas (Config.RotateLeaders), enabling the scheduled-
-// proposer check in ObserveMessage. The per-slot equivocation check already
-// covers rotated double-proposes — the vote map keys on (voter, view, seq) —
-// so this adds the stronger claim that only the scheduled replica proposes.
-func (ic *InvariantChecker) SetRotation(n int) { ic.rotationN = n }
 
 // postMortemEvents is how much per-replica event history a violation dump
 // keeps: enough to see the protocol steps leading into the failure without
@@ -203,12 +190,6 @@ func (ic *InvariantChecker) ObserveMessage(now time.Duration, from, to types.Rep
 		if ic.lastBlock != m.Block {
 			ic.lastBlock = m.Block
 			ic.lastDigest = crypto.HashBFTblock(m.Block)
-		}
-		if ic.rotationN > 0 {
-			if want := types.LeaderFor(m.Block.View, m.Block.Seq, ic.rotationN); from != want {
-				ic.Violate("rotation: replica %d proposed view %d seq %d scheduled for replica %d",
-					from, m.Block.View, m.Block.Seq, want)
-			}
 		}
 		ic.observeVote(from, m.Block.View, m.Block.Seq, 0, ic.lastDigest)
 	case *leopard.VoteMsg:

@@ -19,13 +19,6 @@ func (n *Node) maybePropose(out transport.Sink) {
 		if n.walFailed {
 			return // fail-stop latched (possibly by a failed vote persist)
 		}
-		if n.cfg.RotateLeaders {
-			// Under rotation this replica proposes only its own stride-n
-			// subset of serials; skip past slots owned by other proposers.
-			for !n.isProposer(n.nextSeq) {
-				n.nextSeq++
-			}
-		}
 		if n.nextSeq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
 			return // watermark window full; wait for checkpoints
 		}
@@ -36,11 +29,7 @@ func (n *Node) maybePropose(out transport.Sink) {
 			return
 		}
 		full := len(n.readyQueue) >= n.cfg.BFTBlockSize
-		// Under rotation, an owned slot that peers have already proposed
-		// past is a hole blocking everyone's consecutive-prefix executor:
-		// it is filled at once, with whatever is ready or with nothing.
-		fill := n.cfg.RotateLeaders && n.maxSeqSeen > n.nextSeq
-		if !full && !fill && (len(n.readyQueue) == 0 || n.proposalInFlight()) {
+		if !full && (len(n.readyQueue) == 0 || n.proposalInFlight()) {
 			return
 		}
 		take := n.cfg.BFTBlockSize
@@ -68,13 +57,14 @@ func (n *Node) maybePropose(out transport.Sink) {
 }
 
 // proposalInFlight reports whether a block this replica proposed in the
-// current view is still unconfirmed. It reads the instances, which every
+// current view is still unconfirmed (only the leader asks, and every block
+// of a view is the leader's). It reads the instances, which every
 // path that settles a slot already updates or deletes (confirmBlock,
 // applyTransferredRecord, pruneBelow, enterNewView), so there is no counter
 // to leak.
 func (n *Node) proposalInFlight() bool {
-	for sn, inst := range n.instances {
-		if inst.block != nil && inst.state < types.StateConfirmed && n.isProposer(sn) {
+	for _, inst := range n.instances {
+		if inst.block != nil && inst.state < types.StateConfirmed {
 			return true
 		}
 	}
@@ -102,9 +92,6 @@ func (n *Node) propose(block *types.BFTblock, out transport.Sink) error {
 	inst.proposedAt = n.now
 	inst.voted1 = true
 	n.votedSeq[block.Seq] = digest
-	if block.Seq > n.maxSeqSeen {
-		n.maxSeqSeen = block.Seq
-	}
 	n.addVote1(inst, share)
 	n.trace(obs.EvBlockProposed, uint64(block.Seq), int64(len(block.Content)))
 	out.Broadcast(&BFTblockMsg{Block: block, LeaderShare: share})
@@ -199,20 +186,17 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 		// 2f+1 view-change messages) and the new leader's first proposals
 		// routinely overtake it; dropping them would strand every redo slot,
 		// because the leader proposes each slot exactly once.
-		if from == n.proposerForView(block.View, block.Seq) && len(n.futureBlocks) < 4*n.cfg.MaxParallel {
+		if from == types.LeaderOf(block.View, n.q.N) && len(n.futureBlocks) < 4*n.cfg.MaxParallel {
 			//lint:retains-frame buffered proposal keeps its frame alive until the view advances and handleBFTblock replays it; the buffer is bounded by 4*MaxParallel
 			n.futureBlocks = append(n.futureBlocks, m)
 		}
 		return
 	}
-	if n.inViewChange || block.View != n.view || from != n.proposerOf(block.Seq) {
+	if n.inViewChange || block.View != n.view || from != n.Leader() {
 		return
 	}
 	if block.Seq <= n.lw || block.Seq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
 		return // outside the watermark window
-	}
-	if block.Seq > n.maxSeqSeen {
-		n.maxSeqSeen = block.Seq
 	}
 	digest := crypto.HashBFTblock(block)
 	if prev, voted := n.votedSeq[block.Seq]; voted && prev != digest {
@@ -234,8 +218,6 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 	} else if inst.digest != digest {
 		return
 	}
-	// Track the leader's embedded first-round share in case this replica
-	// later becomes vote collector via view change (cheap bookkeeping).
 	n.checkDatablocks(inst, out)
 	n.flushPendingProofs(inst, out)
 }
@@ -282,17 +264,17 @@ func (n *Node) castVote1(inst *instance, out transport.Sink) {
 	inst.voted1 = true
 	n.votedSeq[inst.block.Seq] = inst.digest
 	vote := &VoteMsg{Block: inst.block.ID(), Round: 1, Digest: inst.digest, Share: share}
-	if n.isProposer(inst.block.Seq) {
+	if n.isLeader() {
 		n.addVote1(inst, share)
 		return
 	}
-	out.Send(transport.Unicast(n.proposerOf(inst.block.Seq), vote))
+	out.Send(transport.Unicast(n.Leader(), vote))
 }
 
 // handleVote collects threshold shares at the leader (notarize and confirm
 // stages of Alg. 2).
 func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) {
-	if n.inViewChange || m.Block.View != n.view || !n.isProposer(m.Block.Seq) {
+	if n.inViewChange || m.Block.View != n.view || !n.isLeader() {
 		return
 	}
 	inst := n.instances[m.Block.Seq]
@@ -403,14 +385,22 @@ func (n *Node) handleProof(from types.ReplicaID, m *ProofMsg, out transport.Sink
 	inst := n.instances[m.Block.Seq]
 	if inst == nil || inst.block == nil || inst.block.ID() != m.Block {
 		// Proof arrived before its block (possible across view changes):
-		// buffer it keyed by block id, bounded against flooding.
+		// buffer it keyed by block id, bounded against flooding. Only the
+		// leader of the block's view broadcasts proofs, one per round, so
+		// the buffer holds at most maxPendingProofs keys of two proofs.
 		const maxPendingProofs = 4096
-		if len(n.pendingProof) < maxPendingProofs {
-			//lint:retains-frame a buffered proof is almost the whole frame (one threshold sig); it is held until its block arrives or the checkpoint GC drops it
-			n.pendingProof[m.Block] = append(n.pendingProof[m.Block], pendingProof{
-				round: m.Round, digest: m.Digest, proof: m.Proof,
-			})
+		if from != types.LeaderOf(m.Block.View, n.q.N) || len(n.pendingProof) >= maxPendingProofs {
+			return
 		}
+		for _, p := range n.pendingProof[m.Block] {
+			if p.round == m.Round {
+				return
+			}
+		}
+		//lint:retains-frame a buffered proof is almost the whole frame (one threshold sig); it is held until its block arrives or the checkpoint GC drops it
+		n.pendingProof[m.Block] = append(n.pendingProof[m.Block], pendingProof{
+			round: m.Round, digest: m.Digest, proof: m.Proof,
+		})
 		return
 	}
 	n.applyProof(inst, m.Round, m.Digest, m.Proof, out)
@@ -477,12 +467,12 @@ func (n *Node) castVote2(inst *instance, out transport.Sink) {
 	}
 	inst.voted2 = true
 	n.vote2Lock[inst.block.Seq] = inst.sigma1Digest
-	if n.isProposer(inst.block.Seq) {
+	if n.isLeader() {
 		inst.vote2Seen[n.cfg.ID] = struct{}{}
 		inst.vote2Shares = append(inst.vote2Shares, share)
 		return
 	}
-	out.Send(transport.Unicast(n.proposerOf(inst.block.Seq), &VoteMsg{
+	out.Send(transport.Unicast(n.Leader(), &VoteMsg{
 		Block: inst.block.ID(), Round: 2, Digest: inst.sigma1Digest, Share: share,
 	}))
 }

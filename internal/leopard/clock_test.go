@@ -202,17 +202,14 @@ func TestClockFullBatchesIgnoreIt(t *testing.T) {
 // released when the new view confirms the re-announced datablock.
 func TestClockViewChangeResets(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		rotate bool
-		ticks  int // from the new view to the confirmation, at most
+		name  string
+		ticks int // from the new view to the confirmation, at most
 	}{
-		{"fixed", false, 1},
-		{"rotating", true, 2}, // the owner's proposal, then any holes below it
+		{"fixed", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRouter(t, 4, func(c *leopard.Config) {
 				neverFull(c)
-				c.RotateLeaders = tc.rotate
 				c.ViewChangeTimeout = 10 * step
 			})
 			// View 1 never gathers a vote.
@@ -265,49 +262,4 @@ func TestClockViewChangeResets(t *testing.T) {
 			wantConfirmed(t, r, 3)
 		})
 	}
-}
-
-// TestClockRotationFillsHoleAtNextTick: under RotateLeaders a slot that
-// peers have proposed past is filled at its owner's next tick, whatever
-// that owner has or has not in flight.
-func TestClockRotationFillsHoleAtNextTick(t *testing.T) {
-	// The datablock's ready collector rotates with its digest; look for a
-	// request whose collector does not own slot 1, so there is a hole.
-	for seq := uint64(0); seq < 16; seq++ {
-		r := newRouter(t, 4, func(c *leopard.Config) {
-			neverFull(c)
-			c.RotateLeaders = true
-		})
-		r.submit(0, 1, seq)
-		r.next() // packed
-		r.next() // proposed by its collector, at the first slot that one owns
-		if r.nodes[types.LeaderFor(1, 1, 4)].Stats().ProposedBlocks == 1 {
-			continue
-		}
-		for _, node := range r.nodes {
-			if st := node.Stats(); st.ConfirmedBlocks != 1 || node.ExecutedTo() != 0 {
-				t.Fatalf("replica %d before the fill: %d confirmed, executed to %d; want the block waiting above a hole",
-					node.ID(), st.ConfirmedBlocks, node.ExecutedTo())
-			}
-		}
-		r.next()
-		var blocks, links int64
-		for _, node := range r.nodes {
-			st := node.Stats()
-			blocks += st.ProposedBlocks
-			links += st.ProposedLinks
-		}
-		if blocks < 2 || links != 1 {
-			t.Fatalf("%d blocks with %d links, want empty fills below the one proposal", blocks, links)
-		}
-		for _, node := range r.nodes {
-			if node.ExecutedTo() != types.SeqNum(blocks) {
-				t.Fatalf("replica %d executed to %d with %d slots proposed, want every hole filled and executed",
-					node.ID(), node.ExecutedTo(), blocks)
-			}
-		}
-		wantConfirmed(t, r, 1)
-		return
-	}
-	t.Fatal("every request tried landed on the owner of slot 1")
 }

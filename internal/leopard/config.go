@@ -138,15 +138,9 @@ type Config struct {
 	// avoid billions of map operations; deployments leave it false.
 	SkipRequestDedup bool
 
-	// RotateLeaders spreads agreement across the cluster: each serial
-	// number's instance is proposed — and its σ1/σ2 votes aggregated — by
-	// types.LeaderFor(view, seq, n) instead of the fixed per-view leader,
-	// and the ready round's vote collection rotates per datablock digest.
-	// The σ1 phase of block s+1 then overlaps the σ2 phase of block s on a
-	// different replica, lifting the single-leader CPU/fan-in ceiling. The
-	// view-change coordinator remains LeaderOf(view); checkpoints still
-	// aggregate there. False keeps the paper's fixed-leader protocol
-	// byte-identically.
+	// RotateLeaders is removed: the fixed per-view leader is the only
+	// schedule. The field remains only because cmd/leopard-bench still
+	// names it; Validate refuses a config that sets it.
 	RotateLeaders bool
 
 	// DisableReadyRound skips the extra voting round before linking
@@ -168,6 +162,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Suite == nil {
 		return errors.New("leopard: missing crypto suite")
+	}
+	if c.RotateLeaders {
+		return errors.New("leopard: RotateLeaders is removed; the fixed per-view leader is the only schedule")
 	}
 	if c.DatablockSize <= 0 {
 		c.DatablockSize = DefaultDatablockSize

@@ -9,14 +9,12 @@ import (
 
 // maybePackDatablocks implements the generation loop of Alg. 1: extract
 // pending requests, build a datablock, multicast it. Non-leader replicas
-// only (every replica under RotateLeaders — there is no single leader to
-// exempt). A full datablock leaves whenever the outstanding-datablock
-// window has room; a partial one only when none of this replica's own is
-// still unconfirmed, so what arrives while the pipeline is busy leaves as
-// one batch when it drains — the confirmation is the clock, there is no
-// timer.
+// only. A full datablock leaves whenever the outstanding-datablock window
+// has room; a partial one only when none of this replica's own is still
+// unconfirmed, so what arrives while the pipeline is busy leaves as one
+// batch when it drains — the confirmation is the clock, there is no timer.
 func (n *Node) maybePackDatablocks(out transport.Sink) {
-	if n.inViewChange || (!n.cfg.RotateLeaders && n.isLeader()) {
+	if n.inViewChange || n.isLeader() {
 		return
 	}
 	for len(n.myOutstanding) < n.cfg.MaxOutstandingDatablocks {
@@ -51,16 +49,14 @@ func (n *Node) maybePackDatablocks(out transport.Sink) {
 	}
 }
 
-// sendReady routes a ready announcement for digest to its vote collector —
-// the fixed view leader, or the rotated per-digest owner under
-// RotateLeaders — applying it locally when that is this replica.
+// sendReady routes a ready announcement for digest to the leader, which
+// collects the ready votes, applying it locally when that is this replica.
 func (n *Node) sendReady(digest types.Hash, out transport.Sink) {
-	owner := n.readyOwnerOf(digest)
-	if owner == n.cfg.ID {
+	if n.isLeader() {
 		n.recordReady(digest, n.cfg.ID)
 		return
 	}
-	out.Send(transport.Unicast(owner, &ReadyMsg{Digest: digest}))
+	out.Send(transport.Unicast(n.Leader(), &ReadyMsg{Digest: digest}))
 }
 
 // handleDatablock implements datablock verification (Alg. 1, lines 11-16):
@@ -85,8 +81,8 @@ func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, from type
 	if !n.dbPool.Add(digest, db) {
 		return // duplicate digest or duplicate (generator, counter)
 	}
-	if n.readyOwnerOf(digest) == n.cfg.ID {
-		// The vote collector counts itself and the generator as holders.
+	if n.isLeader() {
+		// The leader counts itself and the generator as holders.
 		n.recordReady(digest, n.cfg.ID)
 		n.recordReady(digest, db.Ref.Generator)
 	} else {
@@ -95,12 +91,11 @@ func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, from type
 	n.resolveMissing(digest, out)
 }
 
-// handleReady collects ready votes at the digest's vote collector (Alg. 3,
-// Ready step). A datablock moves to the ready queue once 2f+1 distinct
-// replicas hold it, guaranteeing f+1 honest holders for the retrieval
-// committee.
+// handleReady collects ready votes at the leader (Alg. 3, Ready step). A
+// datablock moves to the ready queue once 2f+1 distinct replicas hold it,
+// guaranteeing f+1 honest holders for the retrieval committee.
 func (n *Node) handleReady(from types.ReplicaID, m *ReadyMsg, out transport.Sink) {
-	if n.readyOwnerOf(m.Digest) != n.cfg.ID {
+	if !n.isLeader() {
 		return
 	}
 	n.recordReady(m.Digest, from)

@@ -267,3 +267,38 @@ func TestRespFloodKeepsOneRootPerResponder(t *testing.T) {
 		t.Fatal("retrieval state outlived the retrieved datablock")
 	}
 }
+
+// TestProofFloodIsBounded: a proof that arrives before its block is buffered
+// under the block's id, and only the leader of that block's view ever
+// broadcasts one. A Byzantine replica sending 50 000 proofs under one future
+// (view, seq) must leave nothing behind, and a Byzantine leader at most one
+// proof per round.
+func TestProofFloodIsBounded(t *testing.T) {
+	n := newFloodTestNode(t, 0)
+	buffered := func() int {
+		total := 0
+		for _, proofs := range n.pendingProof {
+			total += len(proofs)
+		}
+		return total
+	}
+	const flood = 50_000
+
+	future := types.BlockID{View: 2, Seq: 1}
+	flooder := types.LeaderOf(future.View, 4) + 1
+	for i := 0; i < flood; i++ {
+		n.Deliver(0, flooder, &ProofMsg{Block: future, Round: 2, Digest: numberedHash(i)}, transport.Discard)
+	}
+	if got := buffered(); got != 0 {
+		t.Fatalf("%d proofs buffered from a replica that does not lead view %d, want none", got, future.View)
+	}
+
+	early := types.BlockID{View: 1, Seq: 9}
+	leader := types.LeaderOf(early.View, 4)
+	for i := 0; i < flood; i++ {
+		n.Deliver(0, leader, &ProofMsg{Block: early, Round: 1 + i%2, Digest: numberedHash(i)}, transport.Discard)
+	}
+	if got := buffered(); got != 2 {
+		t.Fatalf("%d proofs buffered for one block, want one per round", got)
+	}
+}

@@ -117,10 +117,9 @@ type Stats struct {
 
 	// Batch fill. A full batch left because it reached its size
 	// (DatablockSize requests, BFTBlockSize links); a partial one because
-	// the previous one had come back (or, under RotateLeaders, to fill a
-	// hole). DatablockRequests / DatablocksMade and ProposedLinks /
-	// ProposedBlocks are the mean fills; redo proposals of a view change
-	// are not counted.
+	// the previous one had come back. DatablockRequests / DatablocksMade
+	// and ProposedLinks / ProposedBlocks are the mean fills; redo proposals
+	// of a view change are not counted.
 	PartialDatablocks int64 // of DatablocksMade
 	DatablockRequests int64 // requests packed into DatablocksMade
 	ProposedBlocks    int64 // BFTblocks this replica proposed
@@ -160,12 +159,6 @@ type Node struct {
 	readyQueue []types.Hash
 	linked     map[types.Hash]struct{}
 	nextSeq    types.SeqNum
-	// maxSeqSeen is the highest serial number proposed or received in the
-	// current view. Under RotateLeaders each proposer owns a stride-n subset
-	// of serials, and fills its own slots with empty blocks when peers have
-	// proposed past them (agreement.go), so the consecutive-prefix executor
-	// never stalls on a hole owned by an idle replica.
-	maxSeqSeen types.SeqNum
 
 	// Agreement state.
 	view      types.View
@@ -263,12 +256,7 @@ type Node struct {
 	vcMsgs       map[types.View]map[types.ReplicaID]*ViewChangeMsg
 	expectedRedo map[types.SeqNum]types.Hash // content digests promised by new-view
 	lastProgress time.Duration
-	// lastExecProgress is when the execution frontier last advanced. Under
-	// RotateLeaders, confirmations at higher serials keep lastProgress fresh
-	// even while a crashed proposer's hole stalls execution, so the
-	// view-change timer additionally watches this (viewchange.go).
-	lastExecProgress time.Duration
-	sentNewView      map[types.View]bool
+	sentNewView  map[types.View]bool
 	// futureBlocks buffers proposals for views this replica has not
 	// entered yet (control-plane messages can overtake the new-view
 	// announcement); replayed on entering the view. Bounded.
@@ -373,40 +361,6 @@ func (n *Node) Leader() types.ReplicaID { return types.LeaderOf(n.view, n.q.N) }
 
 // isLeader reports whether this replica leads the current view.
 func (n *Node) isLeader() bool { return n.Leader() == n.cfg.ID }
-
-// proposerOf returns the proposer of serial s in the current view: the
-// rotated schedule under RotateLeaders, the fixed view leader otherwise.
-func (n *Node) proposerOf(s types.SeqNum) types.ReplicaID {
-	if n.cfg.RotateLeaders {
-		return types.LeaderFor(n.view, s, n.q.N)
-	}
-	return n.Leader()
-}
-
-// proposerForView returns the proposer of serial s as of view v (used when
-// classifying buffered future-view proposals).
-func (n *Node) proposerForView(v types.View, s types.SeqNum) types.ReplicaID {
-	if n.cfg.RotateLeaders {
-		return types.LeaderFor(v, s, n.q.N)
-	}
-	return types.LeaderOf(v, n.q.N)
-}
-
-// isProposer reports whether this replica proposes serial s in the current
-// view.
-func (n *Node) isProposer(s types.SeqNum) bool { return n.proposerOf(s) == n.cfg.ID }
-
-// readyOwnerOf returns the replica that collects ready votes for the given
-// datablock digest. Under RotateLeaders ownership rotates deterministically
-// per digest (offset by the view, so a censoring owner is rotated away by a
-// view change); otherwise the fixed view leader collects all ready votes.
-func (n *Node) readyOwnerOf(digest types.Hash) types.ReplicaID {
-	if !n.cfg.RotateLeaders {
-		return n.Leader()
-	}
-	h := binary.BigEndian.Uint64(digest[:8])
-	return types.ReplicaID((h + uint64(n.view)) % uint64(n.q.N))
-}
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
@@ -628,7 +582,6 @@ func traceID(h types.Hash) uint64 { return binary.BigEndian.Uint64(h[:8]) }
 func (n *Node) Start(now time.Duration, out transport.Sink) {
 	n.observe(now)
 	n.lastProgress = now
-	n.lastExecProgress = now
 	if n.store != nil {
 		out = n.outbound(out)
 		defer n.releaseOutbound()
@@ -644,7 +597,7 @@ func (n *Node) Tick(now time.Duration, out transport.Sink) {
 	n.checkStoreHealth()
 	if !n.walFailed {
 		n.maybePackDatablocks(out)
-		if (n.isLeader() || n.cfg.RotateLeaders) && !n.inViewChange {
+		if n.isLeader() && !n.inViewChange {
 			n.maybePropose(out)
 		}
 	}

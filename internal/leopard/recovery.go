@@ -564,7 +564,6 @@ func (n *Node) executeBlock(sn types.SeqNum, block *types.BFTblock, datablocks [
 	}
 	n.execState = crypto.HashConcat(n.execState[:], digest[:])
 	n.executedTo = sn
-	n.lastExecProgress = n.now
 	n.stats.ExecutedBlocks++
 	n.trace(obs.EvBlockExecuted, uint64(sn), int64(len(datablocks)))
 	if sn > n.maxConfirmed {

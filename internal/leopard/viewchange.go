@@ -57,13 +57,6 @@ func (n *Node) hasPendingWork() bool {
 	if n.reqPool.Len() > 0 || len(n.myOutstanding) > 0 || len(n.readyQueue) > 0 {
 		return true
 	}
-	if n.cfg.RotateLeaders && n.maxConfirmed > n.executedTo {
-		// A confirmed-but-unexecuted suffix means some slot below it is
-		// still open. Under rotation that hole may belong to a crashed
-		// proposer with no live instance anywhere, so it must count as
-		// pending work or the stall would never trigger a view change.
-		return true
-	}
 	for _, inst := range n.instances {
 		if inst.block != nil && inst.state < types.StateConfirmed {
 			return true
@@ -95,14 +88,6 @@ func (n *Node) checkViewChangeTimer(out transport.Sink) {
 		return
 	}
 	if n.now-n.lastProgress >= n.cfg.ViewChangeTimeout {
-		n.voteTimeout(n.view, out)
-		return
-	}
-	if n.cfg.RotateLeaders && n.maxConfirmed > n.executedTo &&
-		n.now-n.lastExecProgress >= n.cfg.ViewChangeTimeout {
-		// Rotation-specific stall: pipelined confirmations at higher slots
-		// keep lastProgress fresh even while a crashed proposer's hole
-		// stalls the execution frontier, so watch that frontier directly.
 		n.voteTimeout(n.view, out)
 	}
 }
@@ -374,7 +359,6 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	n.pendingView = 0
 	n.vcPatience = 0 // completed: next view change starts patient again
 	n.lastProgress = n.now
-	n.lastExecProgress = n.now
 	n.stats.ViewChanges++
 	n.trace(obs.EvViewChangeDone, uint64(m.NewView), 0)
 	// Persist the entered view so a restart resumes here instead of at
@@ -438,17 +422,14 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	n.futureBlocks = nil
 	for _, m := range replay {
 		if m.Block.View == n.view {
-			n.handleBFTblock(n.proposerForView(m.Block.View, m.Block.Seq), m, out)
+			n.handleBFTblock(n.Leader(), m, out)
 		} else if m.Block.View > n.view && len(n.futureBlocks) < 4*n.cfg.MaxParallel {
 			n.futureBlocks = append(n.futureBlocks, m)
 		}
 	}
 
-	// The schedule restarts above the redo plan: under rotation every
-	// replica owns a share of the fresh slots, so all of them move their
-	// proposal cursor; fixed mode moves only the leader's.
-	n.maxSeqSeen = plan.maxSN
-	if n.isLeader() || n.cfg.RotateLeaders {
+	// The new leader's schedule restarts above the redo plan.
+	if n.isLeader() {
 		n.nextSeq = plan.maxSN + 1
 		if n.nextSeq <= n.lw {
 			n.nextSeq = n.lw + 1
@@ -456,12 +437,7 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 		for _, blk := range redoBlocks {
 			// Propose every redo slot — including blocks already confirmed
 			// locally, so lagging replicas converge (cheap: content is only
-			// hashes). Under rotation each replica re-proposes exactly the
-			// redo slots the new view's schedule assigns it, so the plan is
-			// collectively covered across all recent proposers.
-			if n.cfg.RotateLeaders && !n.isProposer(blk.Seq) {
-				continue
-			}
+			// hashes).
 			if err := n.propose(blk, out); err != nil {
 				return
 			}
@@ -504,13 +480,11 @@ func (n *Node) reannounceDatablocks(out transport.Sink) {
 	for _, h := range digests {
 		n.sendReady(h, out)
 	}
-	// Each digest's vote collector also re-credits the generator for
-	// blocks it holds (the fixed view leader, or the rotated per-digest
-	// owner under RotateLeaders).
+	if !n.isLeader() {
+		return
+	}
+	// The leader also re-credits the generator for blocks it holds.
 	for _, h := range digests {
-		if n.readyOwnerOf(h) != n.cfg.ID {
-			continue
-		}
 		if db, ok := n.dbPool.Get(h); ok {
 			n.recordReady(h, db.Ref.Generator)
 		}

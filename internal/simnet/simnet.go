@@ -41,14 +41,6 @@ type Config struct {
 	// scaling experiments are processing-bound at small n and bandwidth-
 	// bound at large n. Zero disables the stage.
 	ProcBps float64
-	// VoteProcCost, when positive, charges the receiver's serial CPU stage
-	// this much per vote/proof-class message (threshold-share verification
-	// and proof combination). The default zero keeps the legacy model where
-	// only bulk bytes cost CPU. The rotate scenario sets it to expose the
-	// fixed leader's vote-aggregation ceiling — a fixed leader absorbs
-	// ~2(n-1) votes plus the ready traffic for every proposal through one
-	// serial stage, while rotation spreads that across all replicas.
-	VoteProcCost time.Duration
 	// HalfDuplex splits a single link capacity of EgressBps fairly between
 	// the two directions: each runs at EgressBps/2 (IngressBps is
 	// ignored). The Fig. 10 scaling-up experiment throttles replicas this
@@ -148,7 +140,6 @@ type Network struct {
 	egress  []time.Duration // per-replica egress pipe free-at time
 	ingress []time.Duration
 	proc    []time.Duration // per-replica processing stage free-at time
-	busy    []time.Duration // per-replica cumulative CPU-stage time charged
 	stats   []metrics.Bandwidth
 	filter  Filter
 	crashed []bool
@@ -248,7 +239,6 @@ func New(cfg Config, nodes []transport.Node) (*Network, error) {
 		egress:    make([]time.Duration, len(nodes)),
 		ingress:   make([]time.Duration, len(nodes)),
 		proc:      make([]time.Duration, len(nodes)),
-		busy:      make([]time.Duration, len(nodes)),
 		nodeClock: make([]time.Duration, len(nodes)),
 		stats:     make([]metrics.Bandwidth, len(nodes)),
 		crashed:   make([]bool, len(nodes)),
@@ -375,21 +365,12 @@ func (n *Network) Replace(id types.ReplicaID, node transport.Node) error {
 // valid across Run calls; callers must not mutate it.
 func (n *Network) Stats(id types.ReplicaID) *metrics.Bandwidth { return &n.stats[id] }
 
-// ResetStats clears bandwidth and CPU-stage accounting (e.g. after warmup).
+// ResetStats clears bandwidth accounting (e.g. after warmup).
 func (n *Network) ResetStats() {
 	for i := range n.stats {
 		n.stats[i] = metrics.Bandwidth{}
 	}
-	for i := range n.busy {
-		n.busy[i] = 0
-	}
 }
-
-// ProcBusy returns the cumulative CPU-stage time charged to a replica since
-// the last ResetStats: bulk bytes at ProcBps plus per-message VoteProcCost.
-// The rotate scenario reads it to compare the leader's CPU share against the
-// follower profile.
-func (n *Network) ProcBusy(id types.ReplicaID) time.Duration { return n.busy[id] }
 
 func (n *Network) push(e *event) {
 	e.seq = n.seq
@@ -458,27 +439,17 @@ func (n *Network) rates(to types.ReplicaID) (txRate, rxRate float64) {
 // same FIFO would add a priority inversion real systems do not have. This
 // keys on the message itself (IsBulk), not the scheduling lane: re-laning
 // a bulk message onto the control lane expedites its transmission but
-// cannot waive its CPU cost. VoteProcCost opts vote/proof-class messages
-// into the same stage at a fixed per-message cost, for experiments that
-// study the vote-aggregation ceiling itself (the rotate scenario).
+// cannot waive its CPU cost.
 func (n *Network) procDone(to types.ReplicaID, msg transport.Message, size int, rxDone time.Duration) time.Duration {
-	var cost time.Duration
-	switch {
-	case n.cfg.ProcBps > 0 && transport.IsBulk(msg):
-		cost = transmissionDelay(size, n.cfg.ProcBps)
-	case n.cfg.VoteProcCost > 0 &&
-		(msg.Class() == transport.ClassVote || msg.Class() == transport.ClassProof):
-		cost = n.cfg.VoteProcCost
-	default:
+	if n.cfg.ProcBps <= 0 || !transport.IsBulk(msg) {
 		return rxDone
 	}
 	pStart := n.proc[to]
 	if pStart < rxDone {
 		pStart = rxDone
 	}
-	deliverAt := pStart + cost
+	deliverAt := pStart + transmissionDelay(size, n.cfg.ProcBps)
 	n.proc[to] = deliverAt
-	n.busy[to] += cost
 	return deliverAt
 }
 

@@ -173,15 +173,3 @@ func (b *BFTblock) AppendDigestInput(buf []byte) []byte {
 func LeaderOf(v View, n int) ReplicaID {
 	return ReplicaID(uint64(v) % uint64(n))
 }
-
-// LeaderFor returns the proposer of agreement instance (v, s) under the
-// rotating-leader schedule: ((v + s) mod n). Every replica derives the same
-// proposer from public state alone, consecutive serials land on consecutive
-// replicas (so any window of n serials touches every replica exactly once),
-// and the view offset shifts the whole schedule by one on view change so a
-// crashed replica's slots move to its successor rather than staying dark.
-// When rotation is disabled the fixed per-view policy LeaderOf applies
-// instead.
-func LeaderFor(v View, s SeqNum, n int) ReplicaID {
-	return ReplicaID((uint64(v) + uint64(s)) % uint64(n))
-}
