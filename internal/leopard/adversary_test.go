@@ -346,3 +346,50 @@ func TestBatchFormViewChangeSharesNeverCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestWatermarkAdvancesPastAWrongStateSigner: a replica that signs a wrong
+// state at every checkpoint, and is honest otherwise, must not stop stable
+// checkpoints from forming: the other 2f+1 agree, and the watermark moves on
+// past the window that would otherwise fill for good. (Replica 0: the
+// ed25519 suite combines the 2f+1 lowest signers it is handed, so a poisoned
+// share from the lowest id is the one it can never leave out.)
+func TestWatermarkAdvancesPastAWrongStateSigner(t *testing.T) {
+	const byzantine = types.ReplicaID(0)
+	r := newRouter(t, 4, func(cfg *leopard.Config) {
+		cfg.MaxParallel = 8
+		cfg.CheckpointEvery = 4
+	})
+	suite, err := crypto.NewEd25519Suite(4, []byte("router-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := 0
+	r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+		if cp, ok := msg.(*leopard.CheckpointMsg); ok && from == byzantine {
+			cp.StateHash[0] ^= 0xff
+			share, err := suite.Sign(byzantine, leopard.CheckpointDigest(cp.Seq, cp.StateHash))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Share = share
+			forged++
+		}
+		return false
+	}
+	r.submit(2, 200, 0)
+	r.submit(3, 200, 1000)
+	r.advance(400*time.Millisecond, 5*time.Millisecond)
+
+	for id, node := range r.nodes {
+		st := node.Stats()
+		if st.LastCheckpointSeq < 2*8 {
+			t.Errorf("replica %d: last stable checkpoint %d, want the watermark at least two windows (16) up", id, st.LastCheckpointSeq)
+		}
+		if node.ExecutedTo() < 2*8 {
+			t.Errorf("replica %d: executed to %d, want past two windows", id, node.ExecutedTo())
+		}
+	}
+	if forged < 4 {
+		t.Errorf("%d checkpoint shares were forged, want one at each of at least four checkpoints", forged)
+	}
+}

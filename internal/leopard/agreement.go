@@ -171,6 +171,53 @@ func (n *Node) plainShareFrom(from types.ReplicaID, d types.Hash, s crypto.Share
 	return s.Signer == from && n.plainShare(d, s)
 }
 
+// tally collects plain shares toward a 2f+1 certificate: at most one per
+// signer, each counted under the digest it signs, so a share on another
+// digest — a checkpoint share over a state nobody else reached — takes its
+// signer's place and spoils nobody's Combine. Signers are found by scanning:
+// a tally holds at most n entries and every one of them cost a signature
+// verification to get in.
+type tally struct {
+	votes []talliedShare
+}
+
+type talliedShare struct {
+	digest types.Hash
+	share  crypto.Share
+}
+
+// has reports whether signer's share is already counted.
+func (t *tally) has(signer types.ReplicaID) bool {
+	for i := range t.votes {
+		if t.votes[i].share.Signer == signer {
+			return true
+		}
+	}
+	return false
+}
+
+// add counts s, a verified share on d from a signer not yet counted, and
+// returns the shares on d once there are quorum of them.
+func (t *tally) add(d types.Hash, s crypto.Share, quorum int) []crypto.Share {
+	t.votes = append(t.votes, talliedShare{digest: d, share: s})
+	on := 0
+	for i := range t.votes {
+		if t.votes[i].digest == d {
+			on++
+		}
+	}
+	if on < quorum {
+		return nil
+	}
+	shares := make([]crypto.Share, 0, on)
+	for i := range t.votes {
+		if t.votes[i].digest == d {
+			shares = append(shares, t.votes[i].share)
+		}
+	}
+	return shares
+}
+
 // handleBFTblock implements VRFBFTBLOCK and the prepare stage (Alg. 2):
 // validate the proposal, ensure every linked datablock is held (starting
 // retrieval otherwise), then cast the first-round vote.

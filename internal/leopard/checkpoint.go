@@ -28,7 +28,6 @@ func (n *Node) maybeCheckpoint(sn types.SeqNum, out transport.Sink) {
 	}
 	st := n.execState
 	digest := CheckpointDigest(sn, st)
-	n.cpDigest[sn] = digest
 	share, err := n.suite.Sign(n.cfg.ID, digest)
 	if err != nil {
 		return
@@ -61,27 +60,27 @@ func (n *Node) collectCheckpoint(from types.ReplicaID, m *CheckpointMsg, out tra
 		// long-running leader (regression: TestCheckpointMapsPruned).
 		return
 	}
+	// One share per sender and seq, whatever state it names, and only the
+	// shares on the state that 2f+1 replicas reached are combined: a
+	// Byzantine share over another state can neither fail that Combine nor
+	// buy its sender a second entry.
+	shares := n.cpShares[m.Seq]
+	if shares != nil && shares.has(from) {
+		return
+	}
 	digest := CheckpointDigest(m.Seq, m.StateHash)
 	if !n.plainShareFrom(from, digest, m.Share) {
 		return
 	}
-	shares := n.cpShares[m.Seq]
 	if shares == nil {
-		shares = make(map[types.ReplicaID]crypto.Share, n.q.Quorum())
+		shares = &tally{}
 		n.cpShares[m.Seq] = shares
 	}
-	if _, dup := shares[from]; dup {
+	quorum := shares.add(digest, m.Share, n.q.Quorum())
+	if quorum == nil {
 		return
 	}
-	shares[from] = m.Share
-	if len(shares) < n.q.Quorum() {
-		return
-	}
-	all := make([]crypto.Share, 0, len(shares))
-	for _, s := range shares {
-		all = append(all, s)
-	}
-	proof, err := n.suite.Combine(digest, all)
+	proof, err := n.suite.Combine(digest, quorum)
 	if err != nil {
 		return
 	}
@@ -137,18 +136,13 @@ func (n *Node) advanceWatermark(cp *CheckpointProofMsg) {
 		delete(n.votedSeq, sn)
 		delete(n.vote2Lock, sn)
 	}
-	// Sweep the checkpoint share/digest maps wholesale rather than only the
+	// Sweep the checkpoint tallies wholesale rather than only the
 	// (old, cp.Seq] range: entries can exist at any seq at or below the new
 	// watermark (e.g. after a state-transfer jump moved it far ahead), and
 	// sweeping keyed on the map keeps them bounded by the live window.
 	for sn := range n.cpShares {
 		if sn <= n.lw {
 			delete(n.cpShares, sn)
-		}
-	}
-	for sn := range n.cpDigest {
-		if sn <= n.lw {
-			delete(n.cpDigest, sn)
 		}
 	}
 	// Notarizations carried across view changes are certified by the

@@ -302,3 +302,67 @@ func TestProofFloodIsBounded(t *testing.T) {
 		t.Fatalf("%d proofs buffered for one block, want one per round", got)
 	}
 }
+
+// TestTimeoutFloodIsBounded: one Byzantine replica signing 20 000 timeout
+// votes, each for a view of its own that nobody will reach, must leave no
+// more than its budget of them behind — and entering a view must release
+// what that view passes.
+func TestTimeoutFloodIsBounded(t *testing.T) {
+	n := newFloodTestNode(t, 0)
+	const flooder = types.ReplicaID(3)
+	for i := 0; i < 20_000; i++ {
+		v := types.View(2 + i)
+		share, err := n.suite.Sign(flooder, timeoutDigest(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Deliver(0, flooder, &TimeoutMsg{View: v, Share: share}, transport.Discard)
+		if len(n.timeoutVotes) > maxViewsAhead {
+			t.Fatalf("after %d timeout votes from one replica %d views are tracked, want at most %d", i+1, len(n.timeoutVotes), maxViewsAhead)
+		}
+	}
+	if n.InViewChange() {
+		t.Fatal("one replica's timeout votes moved this one out of its view")
+	}
+	// Its newest votes are the ones kept: they are what an honest sender
+	// far up its escalation ladder needs counted.
+	if _, kept := n.timeoutVotes[types.View(20_001)][flooder]; !kept {
+		t.Fatal("the sender's newest timeout vote was shed")
+	}
+
+	n.enterNewView(&NewViewMsg{NewView: 20_001}, transport.Discard)
+	if len(n.timeoutVotes) != 1 {
+		t.Fatalf("%d views of timeout votes survive entering view 20001, want the one vote on leaving it", len(n.timeoutVotes))
+	}
+}
+
+// TestViewChangeFloodIsBounded: the same replica sending 20 000 signed
+// view-change messages, each for another future view this replica would lead,
+// must leave no more than its budget of them behind, and none once a view
+// above them is entered.
+func TestViewChangeFloodIsBounded(t *testing.T) {
+	const self, flooder = types.ReplicaID(0), types.ReplicaID(3)
+	n := newFloodTestNode(t, self)
+	var last types.View
+	for i := 0; i < 20_000; i++ {
+		last = types.View(4 * (i + 1)) // led by replica 0 of 4
+		m := &ViewChangeMsg{NewView: last, Sender: flooder}
+		share, err := n.suite.Sign(flooder, viewChangeDigest(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Share = share
+		n.Deliver(0, flooder, m, transport.Discard)
+		if len(n.vcMsgs) > maxViewsAhead {
+			t.Fatalf("after %d view-change messages from one replica %d views are tracked, want at most %d", i+1, len(n.vcMsgs), maxViewsAhead)
+		}
+	}
+	if _, kept := n.vcMsgs[last][flooder]; !kept {
+		t.Fatal("the sender's newest view-change message was shed")
+	}
+
+	n.enterNewView(&NewViewMsg{NewView: last + 1}, transport.Discard)
+	if len(n.vcMsgs) != 0 {
+		t.Fatalf("%d views of view-change messages survive entering a view above them", len(n.vcMsgs))
+	}
+}

@@ -101,8 +101,8 @@ type Stats struct {
 	// carried set at Start.
 	NotesLogged   int64
 	NotesReloaded int64
-	// CheckpointSeqsTracked is the live size of the leader's checkpoint
-	// share/digest maps — bounded by the watermark window (regression:
+	// CheckpointSeqsTracked is how many serial numbers the leader holds
+	// checkpoint shares for — bounded by the watermark window (regression:
 	// TestCheckpointMapsPruned).
 	CheckpointSeqsTracked int
 
@@ -209,8 +209,7 @@ type Node struct {
 
 	// Checkpoints.
 	lastCheckpoint *CheckpointProofMsg
-	cpShares       map[types.SeqNum]map[types.ReplicaID]crypto.Share
-	cpDigest       map[types.SeqNum]types.Hash
+	cpShares       map[types.SeqNum]*tally
 
 	// Durability and recovery (recovery.go). store mirrors cfg.Store;
 	// proofStash holds each confirmed block's certificates until execution
@@ -250,13 +249,15 @@ type Node struct {
 	// view change may stall before this replica votes for the next view.
 	// Starts at 4×ViewChangeTimeout on entering a view change, doubles per
 	// escalation up to ViewChangeMaxTimeout, resets when a view completes.
-	vcPatience   time.Duration
-	sentTimeout  map[types.View]bool
+	vcPatience time.Duration
+	// timeoutVotes holds the timeout votes for leaving each view from this
+	// one up, this replica's own among them, and vcMsgs the view-change
+	// messages for each view above that this replica would lead. Both are
+	// bounded per sender (shedOldestView) and released by enterNewView.
 	timeoutVotes map[types.View]map[types.ReplicaID]struct{}
 	vcMsgs       map[types.View]map[types.ReplicaID]*ViewChangeMsg
 	expectedRedo map[types.SeqNum]types.Hash // content digests promised by new-view
 	lastProgress time.Duration
-	sentNewView  map[types.View]bool
 	// futureBlocks buffers proposals for views this replica has not
 	// entered yet (control-plane messages can overtake the new-view
 	// announcement); replayed on entering the view. Bounded.
@@ -323,12 +324,9 @@ func NewNode(cfg Config) (*Node, error) {
 		missing:       make(map[types.Hash]*retrievalState),
 		served:        make(map[servedKey]time.Duration),
 		respCache:     make(map[types.Hash]*RespMsg),
-		cpShares:      make(map[types.SeqNum]map[types.ReplicaID]crypto.Share),
-		cpDigest:      make(map[types.SeqNum]types.Hash),
-		sentTimeout:   make(map[types.View]bool),
+		cpShares:      make(map[types.SeqNum]*tally),
 		timeoutVotes:  make(map[types.View]map[types.ReplicaID]struct{}),
 		vcMsgs:        make(map[types.View]map[types.ReplicaID]*ViewChangeMsg),
-		sentNewView:   make(map[types.View]bool),
 		confirmedDBs:  make(map[types.Hash]struct{}),
 		lastReply:     make(map[uint64]ReplyMsg),
 		store:         cfg.Store,
@@ -376,9 +374,6 @@ func (n *Node) Stats() Stats {
 		s.LogBytes = st.LiveBytes
 	}
 	s.CheckpointSeqsTracked = len(n.cpShares)
-	if d := len(n.cpDigest); d > s.CheckpointSeqsTracked {
-		s.CheckpointSeqsTracked = d
-	}
 	s.WALFailed = n.walFailed
 	s.PendingRequests = n.reqPool.Len()
 	s.QueuedRequests = n.reqPool.Queued()

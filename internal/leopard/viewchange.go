@@ -95,14 +95,13 @@ func (n *Node) checkViewChangeTimer(out transport.Sink) {
 // voteTimeout broadcasts this replica's timeout vote for view v (once) and
 // enters the view change for v+1.
 func (n *Node) voteTimeout(v types.View, out transport.Sink) {
-	if n.sentTimeout[v] || v < n.view {
+	if n.votedTimeout(v) || v < n.view {
 		return
 	}
 	share, err := n.suite.Sign(n.cfg.ID, timeoutDigest(v))
 	if err != nil {
 		return
 	}
-	n.sentTimeout[v] = true
 	n.recordTimeout(v, n.cfg.ID)
 	out.Broadcast(&TimeoutMsg{View: v, Share: share})
 	n.startViewChange(v+1, out)
@@ -119,7 +118,8 @@ func (n *Node) handleTimeout(from types.ReplicaID, m *TimeoutMsg, out transport.
 		return
 	}
 	n.recordTimeout(m.View, from)
-	if len(n.timeoutVotes[m.View]) >= n.q.Small() && !n.sentTimeout[m.View] {
+	shedOldestView(n.timeoutVotes, from)
+	if len(n.timeoutVotes[m.View]) >= n.q.Small() && !n.votedTimeout(m.View) {
 		n.voteTimeout(m.View, out)
 	}
 }
@@ -131,6 +131,43 @@ func (n *Node) recordTimeout(v types.View, from types.ReplicaID) {
 		n.timeoutVotes[v] = votes
 	}
 	votes[from] = struct{}{}
+}
+
+// votedTimeout reports whether this replica has voted to leave view v: its
+// own vote is recorded with the others', and never shed.
+func (n *Node) votedTimeout(v types.View) bool {
+	_, voted := n.timeoutVotes[v][n.cfg.ID]
+	return voted
+}
+
+// maxViewsAhead is how many views one sender may have timeout votes, or
+// view-change messages, on record for here. Both are kept per view for views
+// this replica has not reached, and enterNewView releases what it passes, so
+// this bounds a sender that signs for views nobody will reach. An honest
+// sender climbs one view per escalation, with doubling patience, and what
+// counts toward moving this replica is its newest rungs: past the budget its
+// oldest entry goes, and nothing it sends is refused.
+const maxViewsAhead = 64
+
+// shedOldestView drops from's entry under its lowest view once it has more
+// than maxViewsAhead of them.
+func shedOldestView[E any](byView map[types.View]map[types.ReplicaID]E, from types.ReplicaID) {
+	held, oldest := 0, types.View(0)
+	for v, senders := range byView {
+		if _, ok := senders[from]; ok {
+			if held == 0 || v < oldest {
+				oldest = v
+			}
+			held++
+		}
+	}
+	if held <= maxViewsAhead {
+		return
+	}
+	delete(byView[oldest], from)
+	if len(byView[oldest]) == 0 {
+		delete(byView, oldest)
+	}
 }
 
 // startViewChange moves this replica into the view change targeting the
@@ -250,9 +287,6 @@ func (n *Node) handleViewChange(from types.ReplicaID, m *ViewChangeMsg, out tran
 }
 
 func (n *Node) collectViewChange(from types.ReplicaID, m *ViewChangeMsg, out transport.Sink) {
-	if n.sentNewView[m.NewView] {
-		return
-	}
 	if !n.validViewChangeMsg(from, m) {
 		return
 	}
@@ -262,12 +296,13 @@ func (n *Node) collectViewChange(from types.ReplicaID, m *ViewChangeMsg, out tra
 		n.vcMsgs[m.NewView] = msgs
 	}
 	msgs[from] = m
+	shedOldestView(n.vcMsgs, from)
 	if len(msgs) < n.q.Quorum() {
 		return
 	}
 	// Assemble the new-view message with 2f+1 view-change messages, in
-	// sender order for determinism.
-	n.sentNewView[m.NewView] = true
+	// sender order for determinism. It is sent once: entering the view
+	// below is what stops both callers from collecting for it again.
 	senders := make([]types.ReplicaID, 0, len(msgs))
 	for id := range msgs {
 		senders = append(senders, id)
@@ -367,6 +402,18 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	n.persistMeta()
 	if plan.cp != nil && plan.cp.Seq > n.lw {
 		n.applyCheckpoint(plan.cp)
+	}
+	// Votes to leave a view below this one, and view-change messages for
+	// this view or below, have nothing left to decide.
+	for v := range n.timeoutVotes {
+		if v < n.view {
+			delete(n.timeoutVotes, v)
+		}
+	}
+	for v := range n.vcMsgs {
+		if v <= n.view {
+			delete(n.vcMsgs, v)
+		}
 	}
 
 	// Fold this view's notarizations into the carried set before wiping
