@@ -12,8 +12,9 @@ import (
 // to τ ready datablocks into a BFTblock and multicast it with the leader's
 // first-round share. Serial numbers stay within the watermark window
 // (lw, lw+k]. A block of τ links leaves at once; a partial one only when
-// nothing this replica proposed is still unconfirmed (proposalInFlight),
-// so its size is whatever became ready during one confirmation.
+// nothing this replica proposed in the view is still unconfirmed (every
+// block of a view is its leader's), so its size is whatever became ready
+// during one confirmation.
 func (n *Node) maybePropose(out transport.Sink) {
 	for {
 		if n.walFailed {
@@ -22,26 +23,21 @@ func (n *Node) maybePropose(out transport.Sink) {
 		if n.nextSeq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
 			return // watermark window full; wait for checkpoints
 		}
-		if _, locked := n.votedSeq[n.nextSeq]; locked {
+		if inst := n.cur.instances[n.nextSeq]; inst != nil && !inst.digest.IsZero() {
 			// A reloaded vote-ahead lock pins this slot to content proposed
 			// in a previous life that we no longer hold. Proposing anything
 			// else would equivocate; the view change resolves the slot.
 			return
 		}
-		full := len(n.readyQueue) >= n.cfg.BFTBlockSize
-		if !full && (len(n.readyQueue) == 0 || n.proposalInFlight()) {
+		queue := n.cur.readyQueue
+		full := len(queue) >= n.cfg.BFTBlockSize
+		if !full && (len(queue) == 0 || n.cur.unconfirmed()) {
 			return
 		}
-		take := n.cfg.BFTBlockSize
-		if take > len(n.readyQueue) {
-			take = len(n.readyQueue)
-		}
+		take := min(n.cfg.BFTBlockSize, len(queue))
 		content := make([]types.Hash, take)
-		copy(content, n.readyQueue[:take])
-		n.readyQueue = n.readyQueue[take:]
-		for _, h := range content {
-			n.linked[h] = struct{}{}
-		}
+		copy(content, queue[:take])
+		n.cur.readyQueue = queue[take:]
 		block := &types.BFTblock{View: n.view, Seq: n.nextSeq, Content: content}
 		n.nextSeq++
 		n.stats.ProposedBlocks++
@@ -54,21 +50,6 @@ func (n *Node) maybePropose(out transport.Sink) {
 			panic(err)
 		}
 	}
-}
-
-// proposalInFlight reports whether a block this replica proposed in the
-// current view is still unconfirmed (only the leader asks, and every block
-// of a view is the leader's). It reads the instances, which every
-// path that settles a slot already updates or deletes (confirmBlock,
-// applyTransferredRecord, pruneBelow, enterNewView), so there is no counter
-// to leak.
-func (n *Node) proposalInFlight() bool {
-	for _, inst := range n.instances {
-		if inst.block != nil && inst.state < types.StateConfirmed {
-			return true
-		}
-	}
-	return false
 }
 
 // propose starts the agreement instance for block at the leader.
@@ -91,8 +72,7 @@ func (n *Node) propose(block *types.BFTblock, out transport.Sink) error {
 	inst.state = types.StatePending
 	inst.proposedAt = n.now
 	inst.voted1 = true
-	n.votedSeq[block.Seq] = digest
-	n.addVote1(inst, share)
+	inst.votes1.add(digest, share, n.q.Quorum())
 	n.trace(obs.EvBlockProposed, uint64(block.Seq), int64(len(block.Content)))
 	out.Broadcast(&BFTblockMsg{Block: block, LeaderShare: share})
 	return nil
@@ -145,14 +125,10 @@ func (n *Node) persistNote(inst *instance) bool {
 
 // getInstance returns the instance for sn, creating it if needed.
 func (n *Node) getInstance(sn types.SeqNum) *instance {
-	inst := n.instances[sn]
+	inst := n.cur.instances[sn]
 	if inst == nil {
-		inst = &instance{
-			state:     types.StatePending,
-			vote1Seen: make(map[types.ReplicaID]struct{}),
-			vote2Seen: make(map[types.ReplicaID]struct{}),
-		}
-		n.instances[sn] = inst
+		inst = &instance{state: types.StatePending}
+		n.cur.instances[sn] = inst
 	}
 	return inst
 }
@@ -196,10 +172,12 @@ func (t *tally) has(signer types.ReplicaID) bool {
 	return false
 }
 
-// add counts s, a verified share on d from a signer not yet counted, and
-// returns the shares on d once there are quorum of them.
+// add counts s, a verified share on d, unless its signer is counted already,
+// and returns the shares on d once there are quorum of them.
 func (t *tally) add(d types.Hash, s crypto.Share, quorum int) []crypto.Share {
-	t.votes = append(t.votes, talliedShare{digest: d, share: s})
+	if !t.has(s.Signer) {
+		t.votes = append(t.votes, talliedShare{digest: d, share: s})
+	}
 	on := 0
 	for i := range t.votes {
 		if t.votes[i].digest == d {
@@ -246,27 +224,28 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 		return // outside the watermark window
 	}
 	digest := crypto.HashBFTblock(block)
-	if prev, voted := n.votedSeq[block.Seq]; voted && prev != digest {
-		return // leader equivocation: refuse the second proposal
+	inst := n.cur.instances[block.Seq]
+	if inst != nil && !inst.digest.IsZero() && inst.digest != digest {
+		// The slot is locked to another digest: leader equivocation, or a
+		// vote of a previous life on content the leader no longer offers.
+		return
 	}
 	if !n.plainShare(digest, m.LeaderShare) {
 		return
 	}
-	if expected, ok := n.expectedRedo[block.Seq]; ok && expected != digest {
+	if expected, ok := n.cur.redo[block.Seq]; ok && expected != digest {
 		return // new leader deviated from its own new-view promise
 	}
-	inst := n.getInstance(block.Seq)
+	inst = n.getInstance(block.Seq)
 	if inst.block == nil {
 		//lint:retains-frame the accepted proposal owns its frame for the instance's lifetime; it is re-encoded (not re-sliced) for the WAL, so no aliasing escapes
 		inst.block = block
 		inst.digest = digest
 		inst.proposedAt = n.now
 		n.trace(obs.EvBlockProposed, uint64(block.Seq), int64(len(block.Content)))
-	} else if inst.digest != digest {
-		return
 	}
 	n.checkDatablocks(inst, out)
-	n.flushPendingProofs(inst, out)
+	n.flushEarlyProofs(inst, out)
 }
 
 // checkDatablocks verifies receipt of every linked datablock (Alg. 2 line
@@ -309,13 +288,13 @@ func (n *Node) castVote1(inst *instance, out transport.Sink) {
 		return
 	}
 	inst.voted1 = true
-	n.votedSeq[inst.block.Seq] = inst.digest
-	vote := &VoteMsg{Block: inst.block.ID(), Round: 1, Digest: inst.digest, Share: share}
 	if n.isLeader() {
-		n.addVote1(inst, share)
+		inst.votes1.add(inst.digest, share, n.q.Quorum())
 		return
 	}
-	out.Send(transport.Unicast(n.Leader(), vote))
+	out.Send(transport.Unicast(n.Leader(), &VoteMsg{
+		Block: inst.block.ID(), Round: 1, Digest: inst.digest, Share: share,
+	}))
 }
 
 // handleVote collects threshold shares at the leader (notarize and confirm
@@ -324,68 +303,40 @@ func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) 
 	if n.inViewChange || m.Block.View != n.view || !n.isLeader() {
 		return
 	}
-	inst := n.instances[m.Block.Seq]
+	inst := n.cur.instances[m.Block.Seq]
 	if inst == nil || inst.block == nil {
 		return
 	}
 	switch m.Round {
 	case 1:
-		if m.Digest != inst.digest || inst.notarized != nil {
+		if m.Digest != inst.digest || inst.notarized != nil || inst.votes1.has(from) ||
+			!n.plainShareFrom(from, inst.digest, m.Share) {
 			return
 		}
-		if _, dup := inst.vote1Seen[from]; dup {
-			return
-		}
-		if !n.plainShareFrom(from, inst.digest, m.Share) {
-			return
-		}
-		inst.vote1Seen[from] = struct{}{}
 		//lint:retains-frame verified vote shares (~100B of a ~120B frame) are held until quorum aggregation; copying would double the allocation for no lifetime win
-		inst.vote1Shares = append(inst.vote1Shares, m.Share)
-		if len(inst.vote1Shares) >= n.q.Quorum() {
-			n.leaderNotarize(inst, out)
+		if shares := inst.votes1.add(inst.digest, m.Share, n.q.Quorum()); shares != nil {
+			n.leaderNotarize(inst, shares, out)
 		}
 	case 2:
-		if inst.notarized == nil || m.Digest != inst.sigma1Digest || inst.confirmed != nil {
+		if inst.notarized == nil || m.Digest != inst.sigma1Digest || inst.confirmed != nil || inst.votes2.has(from) ||
+			!n.plainShareFrom(from, inst.sigma1Digest, m.Share) {
 			return
 		}
-		if _, dup := inst.vote2Seen[from]; dup {
-			return
-		}
-		if !n.plainShareFrom(from, inst.sigma1Digest, m.Share) {
-			return
-		}
-		inst.vote2Seen[from] = struct{}{}
 		//lint:retains-frame verified vote shares (~100B of a ~120B frame) are held until quorum aggregation; copying would double the allocation for no lifetime win
-		inst.vote2Shares = append(inst.vote2Shares, m.Share)
-		if len(inst.vote2Shares) >= n.q.Quorum() {
-			n.leaderConfirm(inst, out)
+		if shares := inst.votes2.add(inst.sigma1Digest, m.Share, n.q.Quorum()); shares != nil {
+			n.leaderConfirm(inst, shares, out)
 		}
 	}
-}
-
-// addVote1 records the leader's own first-round share.
-func (n *Node) addVote1(inst *instance, share crypto.Share) {
-	if _, dup := inst.vote1Seen[share.Signer]; dup {
-		return
-	}
-	inst.vote1Seen[share.Signer] = struct{}{}
-	inst.vote1Shares = append(inst.vote1Shares, share)
 }
 
 // leaderNotarize combines 2f+1 first-round shares into the notarization
 // proof σ1, multicasts it, and casts the leader's second-round vote.
-func (n *Node) leaderNotarize(inst *instance, out transport.Sink) {
-	proof, err := n.suite.Combine(inst.digest, inst.vote1Shares)
+func (n *Node) leaderNotarize(inst *instance, shares []crypto.Share, out transport.Sink) {
+	proof, err := n.suite.Combine(inst.digest, shares)
 	if err != nil {
 		return
 	}
-	inst.notarized = &proof
-	if inst.state < types.StateNotarized {
-		inst.state = types.StateNotarized
-	}
-	inst.sigma1Digest = crypto.HashBytes(proof.Sig)
-	n.trace(obs.EvSigma1Cert, uint64(inst.block.Seq), 0)
+	n.notarize(inst, proof)
 	out.Broadcast(&ProofMsg{
 		Block: inst.block.ID(), Round: 1, Digest: inst.digest, Proof: proof,
 	})
@@ -403,49 +354,83 @@ func (n *Node) leaderNotarize(inst *instance, out transport.Sink) {
 	if !n.persistNote(inst) || !n.persistVote(2, inst.block.Seq, inst.sigma1Digest) {
 		return
 	}
-	inst.vote2Seen[n.cfg.ID] = struct{}{}
-	inst.vote2Shares = append(inst.vote2Shares, share)
 	inst.voted2 = true
-	n.vote2Lock[inst.block.Seq] = inst.sigma1Digest
+	inst.votes2.add(inst.sigma1Digest, share, n.q.Quorum())
+}
+
+// notarize records σ1 on the instance and offers it to the slot.
+func (n *Node) notarize(inst *instance, proof crypto.Proof) {
+	inst.notarized = &proof
+	inst.sigma1Digest = crypto.HashBytes(proof.Sig)
+	if inst.state < types.StateNotarized {
+		inst.state = types.StateNotarized
+	}
+	n.trace(obs.EvSigma1Cert, uint64(inst.block.Seq), 0)
+	n.learnNotarization(NotarizedBlock{Block: inst.block, Digest: inst.digest, Notarized: proof})
+}
+
+// learnNotarization keeps nb on its slot if it is the highest-view σ1
+// certificate this replica has seen for the serial number, and reports
+// whether it did. Everything that learns one passes through here — the
+// leader's Combine, a verified ProofMsg, a note reloaded at Start — so what
+// the slot holds is what buildViewChangeMsg advertises.
+func (n *Node) learnNotarization(nb NotarizedBlock) bool {
+	s := n.slot(nb.Block.Seq)
+	if s.notarized.Block != nil && s.notarized.Block.View >= nb.Block.View {
+		return false
+	}
+	s.notarized = nb
+	return true
+}
+
+// confirm records σ2 on the instance — and, while the slot's notarization is
+// this instance's, beside it, where view-change messages ship it as
+// NotarizedBlock.Confirmed — then confirms the block.
+func (n *Node) confirm(inst *instance, proof crypto.Proof, out transport.Sink) {
+	inst.confirmed = &proof
+	if s := n.slots[inst.block.Seq]; s != nil && s.notarized.Block == inst.block {
+		s.notarized.Confirmed = inst.confirmed
+	}
+	n.confirmBlock(inst, out)
 }
 
 // leaderConfirm combines 2f+1 second-round shares into the confirmation
 // proof σ2, multicasts it, and confirms locally.
-func (n *Node) leaderConfirm(inst *instance, out transport.Sink) {
-	proof, err := n.suite.Combine(inst.sigma1Digest, inst.vote2Shares)
+func (n *Node) leaderConfirm(inst *instance, shares []crypto.Share, out transport.Sink) {
+	proof, err := n.suite.Combine(inst.sigma1Digest, shares)
 	if err != nil {
 		return
 	}
-	inst.confirmed = &proof
 	out.Broadcast(&ProofMsg{
 		Block: inst.block.ID(), Round: 2, Digest: inst.sigma1Digest, Proof: proof,
 	})
-	n.confirmBlock(inst, out)
+	n.confirm(inst, proof, out)
 }
 
 // handleProof processes notarization/confirmation proofs at replicas
 // (commit and confirm stages of Alg. 2).
 func (n *Node) handleProof(from types.ReplicaID, m *ProofMsg, out transport.Sink) {
-	if m.Block.View != n.view && m.Round == 1 {
-		return
+	if m.Block.View != n.view {
+		return // a view record holds, and flushes, proofs of its own view only
 	}
-	inst := n.instances[m.Block.Seq]
-	if inst == nil || inst.block == nil || inst.block.ID() != m.Block {
-		// Proof arrived before its block (possible across view changes):
-		// buffer it keyed by block id, bounded against flooding. Only the
-		// leader of the block's view broadcasts proofs, one per round, so
-		// the buffer holds at most maxPendingProofs keys of two proofs.
-		const maxPendingProofs = 4096
-		if from != types.LeaderOf(m.Block.View, n.q.N) || len(n.pendingProof) >= maxPendingProofs {
+	inst := n.cur.instances[m.Block.Seq]
+	if inst == nil || inst.block == nil {
+		// Proof arrived before its block: buffer it, bounded against
+		// flooding. Only the view's leader broadcasts proofs, one per round,
+		// so the buffer holds at most maxEarlyProofs serial numbers of two
+		// proofs.
+		const maxEarlyProofs = 4096
+		early := n.cur.earlyProofs[m.Block.Seq]
+		if from != n.Leader() || (early == nil && len(n.cur.earlyProofs) >= maxEarlyProofs) {
 			return
 		}
-		for _, p := range n.pendingProof[m.Block] {
+		for _, p := range early {
 			if p.round == m.Round {
 				return
 			}
 		}
-		//lint:retains-frame a buffered proof is almost the whole frame (one threshold sig); it is held until its block arrives or the checkpoint GC drops it
-		n.pendingProof[m.Block] = append(n.pendingProof[m.Block], pendingProof{
+		//lint:retains-frame a buffered proof is almost the whole frame (one threshold sig); it is held until its block arrives or the slot is released
+		n.cur.earlyProofs[m.Block.Seq] = append(early, pendingProof{
 			round: m.Round, digest: m.Digest, proof: m.Proof,
 		})
 		return
@@ -463,13 +448,7 @@ func (n *Node) applyProof(inst *instance, round int, digest types.Hash, proof cr
 		if err := n.suite.VerifyProof(digest, proof); err != nil {
 			return
 		}
-		p := proof
-		inst.notarized = &p
-		inst.sigma1Digest = crypto.HashBytes(proof.Sig)
-		if inst.state < types.StateNotarized {
-			inst.state = types.StateNotarized
-		}
-		n.trace(obs.EvSigma1Cert, uint64(inst.block.Seq), 0)
+		n.notarize(inst, proof)
 		n.castVote2(inst, out)
 	case 2:
 		if inst.confirmed != nil {
@@ -484,9 +463,7 @@ func (n *Node) applyProof(inst *instance, round int, digest types.Hash, proof cr
 		if err := n.suite.VerifyProof(digest, proof); err != nil {
 			return
 		}
-		p := proof
-		inst.confirmed = &p
-		n.confirmBlock(inst, out)
+		n.confirm(inst, proof, out)
 	}
 }
 
@@ -496,7 +473,7 @@ func (n *Node) castVote2(inst *instance, out transport.Sink) {
 	if inst.voted2 || n.inViewChange {
 		return
 	}
-	if lock, ok := n.vote2Lock[inst.block.Seq]; ok && lock != inst.sigma1Digest {
+	if !inst.vote2Lock.IsZero() && inst.vote2Lock != inst.sigma1Digest {
 		return // reloaded vote-ahead lock: already signed a different σ1 digest
 	}
 	n.checkStoreHealth()
@@ -513,10 +490,8 @@ func (n *Node) castVote2(inst *instance, out transport.Sink) {
 		return
 	}
 	inst.voted2 = true
-	n.vote2Lock[inst.block.Seq] = inst.sigma1Digest
 	if n.isLeader() {
-		inst.vote2Seen[n.cfg.ID] = struct{}{}
-		inst.vote2Shares = append(inst.vote2Shares, share)
+		inst.votes2.add(inst.sigma1Digest, share, n.q.Quorum())
 		return
 	}
 	out.Send(transport.Unicast(n.Leader(), &VoteMsg{
@@ -524,18 +499,14 @@ func (n *Node) castVote2(inst *instance, out transport.Sink) {
 	}))
 }
 
-// flushPendingProofs replays proofs that arrived before the block.
-func (n *Node) flushPendingProofs(inst *instance, out transport.Sink) {
-	if inst.block == nil {
+// flushEarlyProofs replays proofs that arrived before the block.
+func (n *Node) flushEarlyProofs(inst *instance, out transport.Sink) {
+	early := n.cur.earlyProofs[inst.block.Seq]
+	if len(early) == 0 {
 		return
 	}
-	id := inst.block.ID()
-	pending := n.pendingProof[id]
-	if len(pending) == 0 {
-		return
-	}
-	delete(n.pendingProof, id)
-	for _, p := range pending {
+	delete(n.cur.earlyProofs, inst.block.Seq)
+	for _, p := range early {
 		n.applyProof(inst, p.round, p.digest, p.proof, out)
 	}
 }
@@ -547,24 +518,22 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 	}
 	inst.state = types.StateConfirmed
 	n.lastProgress = n.now
-	if _, done := n.log[inst.block.Seq]; done {
+	s := n.slot(inst.block.Seq)
+	if s.block != nil {
 		// Re-confirmation after a view change redo; the log entry (and
 		// all counters) already reflect this block.
 		return
 	}
-	n.log[inst.block.Seq] = inst.block
+	// The certificates stay with the block: execution may happen after a
+	// view change has reset the instance, and the WAL record must carry
+	// them for state-transfer receivers to verify.
+	s.block, s.sigma1, s.sigma2 = inst.block, *inst.notarized, *inst.confirmed
 	n.trace(obs.EvSigma2Cert, uint64(inst.block.Seq), 0)
 	if inst.block.Seq > n.maxConfirmed {
 		// A frontier gap below maxConfirmed starts the stuckBehind clock
 		// (frontierStalled); if it persists a full retry interval, state
 		// transfer takes over.
 		n.maxConfirmed = inst.block.Seq
-	}
-	if n.store != nil && inst.notarized != nil && inst.confirmed != nil {
-		// Stash the certificates now: execution may happen after a view
-		// change has reset the instance, and the WAL record must carry them
-		// for state-transfer receivers to verify.
-		n.proofStash[inst.block.Seq] = blockProofs{notarized: *inst.notarized, confirmed: *inst.confirmed}
 	}
 	n.stats.ConfirmedBlocks++
 	// Record stage timings for our own datablocks and release them; request
@@ -603,8 +572,8 @@ func (n *Node) settleOwn(content []types.Hash) {
 func (n *Node) tryExecute(out transport.Sink) {
 	for {
 		next := n.executedTo + 1
-		block, ok := n.log[next]
-		if !ok {
+		block := n.confirmedBlock(next)
+		if block == nil {
 			return
 		}
 		// All linked datablocks must be held to execute. A replica that
@@ -625,7 +594,7 @@ func (n *Node) tryExecute(out transport.Sink) {
 			datablocks = append(datablocks, db)
 		}
 		n.executeBlock(next, block, datablocks)
-		if inst := n.instances[next]; inst != nil && inst.state < types.StateExecuted {
+		if inst := n.cur.instances[next]; inst != nil && inst.state < types.StateExecuted {
 			inst.state = types.StateExecuted
 		}
 		if n.store != nil {

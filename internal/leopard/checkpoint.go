@@ -55,8 +55,8 @@ func (n *Node) collectCheckpoint(from types.ReplicaID, m *CheckpointMsg, out tra
 	if m.Seq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
 		// No honest replica can execute beyond the watermark window, so no
 		// honest share exists for this seq. Without the bound, f Byzantine
-		// replicas could seed cpShares entries at arbitrary far-future seqs
-		// that the watermark sweep never reaches — an unbounded map on a
+		// replicas could seed slots at arbitrary far-future seqs that
+		// releaseSettled never reaches — an unbounded table on a
 		// long-running leader (regression: TestCheckpointMapsPruned).
 		return
 	}
@@ -64,23 +64,18 @@ func (n *Node) collectCheckpoint(from types.ReplicaID, m *CheckpointMsg, out tra
 	// shares on the state that 2f+1 replicas reached are combined: a
 	// Byzantine share over another state can neither fail that Combine nor
 	// buy its sender a second entry.
-	shares := n.cpShares[m.Seq]
-	if shares != nil && shares.has(from) {
+	if s := n.slots[m.Seq]; s != nil && s.checkpoint.has(from) {
 		return
 	}
 	digest := CheckpointDigest(m.Seq, m.StateHash)
 	if !n.plainShareFrom(from, digest, m.Share) {
 		return
 	}
+	shares := n.slot(m.Seq).checkpoint.add(digest, m.Share, n.q.Quorum())
 	if shares == nil {
-		shares = &tally{}
-		n.cpShares[m.Seq] = shares
-	}
-	quorum := shares.add(digest, m.Share, n.q.Quorum())
-	if quorum == nil {
 		return
 	}
-	proof, err := n.suite.Combine(digest, quorum)
+	proof, err := n.suite.Combine(digest, shares)
 	if err != nil {
 		return
 	}
@@ -101,8 +96,8 @@ func (n *Node) handleCheckpointProof(from types.ReplicaID, m *CheckpointProofMsg
 	n.applyCheckpoint(m)
 }
 
-// applyCheckpoint advances the low watermark to the checkpoint and garbage
-// collects instances, datablocks and vote bookkeeping below it.
+// applyCheckpoint advances the low watermark to the checkpoint and lets go
+// of what it settles.
 func (n *Node) applyCheckpoint(cp *CheckpointProofMsg) {
 	if cp.Seq <= n.lw {
 		return
@@ -122,45 +117,14 @@ func (n *Node) applyCheckpoint(cp *CheckpointProofMsg) {
 		}
 	}
 	// The watermark always advances: a quorum has executed past cp.Seq, so
-	// nothing at or below it will be proposed again. Data pruning inside
-	// advanceWatermark is limited to this replica's own executed prefix,
-	// so a lagging replica keeps what it still needs to catch up.
-	n.advanceWatermark(cp)
-}
-
-func (n *Node) advanceWatermark(cp *CheckpointProofMsg) {
-	old := n.lw
+	// nothing at or below it will be proposed again. What releaseSettled
+	// lets go is limited to this replica's own executed prefix, so a lagging
+	// replica keeps what it still needs to catch up.
 	n.lw = cp.Seq
-	n.pruneBelow()
-	for sn := old + 1; sn <= cp.Seq; sn++ {
-		delete(n.votedSeq, sn)
-		delete(n.vote2Lock, sn)
-	}
-	// Sweep the checkpoint tallies wholesale rather than only the
-	// (old, cp.Seq] range: entries can exist at any seq at or below the new
-	// watermark (e.g. after a state-transfer jump moved it far ahead), and
-	// sweeping keyed on the map keeps them bounded by the live window.
-	for sn := range n.cpShares {
-		if sn <= n.lw {
-			delete(n.cpShares, sn)
-		}
-	}
-	// Notarizations carried across view changes are certified by the
-	// stable checkpoint once below the watermark.
-	for sn := range n.carried {
-		if sn <= n.lw {
-			delete(n.carried, sn)
-		}
-	}
-	// Drop buffered proofs that can no longer matter.
-	for id := range n.pendingProof {
-		if id.Seq <= n.lw {
-			delete(n.pendingProof, id)
-		}
-	}
+	n.releaseSettled()
 	// Sweep the retrieval serve-cooldown map: an entry is dead once its
 	// cooldown lapsed (the next query would be served regardless) or its
-	// datablock was pruned above, so the map stays bounded by the serves
+	// datablock was released above, so the map stays bounded by the serves
 	// of the last cooldown window instead of growing for the node's
 	// lifetime.
 	for key, t := range n.served {
@@ -177,49 +141,39 @@ func (n *Node) advanceWatermark(cp *CheckpointProofMsg) {
 	}
 }
 
-// pruneBelow garbage-collects execution-side state — pooled datablocks,
-// instances, proof stashes, executed block headers (the confirmed log) —
-// for every serial number that is both executed
-// and at or below the watermark. It resumes from a cursor (prunedTo)
-// rather than the previous watermark: a lagging replica skips pruning a
+// releaseSettled is the one place a serial number's state is let go: its
+// slot (notarization, confirmed block and certificates, checkpoint shares),
+// what the current view holds for it (instance and vote locks, early proofs,
+// redo promise) and the datablocks its block links, for every serial number
+// that is both executed and at or below the watermark — certified by the
+// stable checkpoint, and of no further use here. It resumes from a cursor
+// (prunedTo) rather than the previous watermark: a lagging replica keeps a
 // range until it executes it (or jumps past it via a checkpoint anchor),
-// and the cursor is what guarantees the skipped range is swept when
-// execution eventually passes it instead of leaking for the node's
-// lifetime.
-func (n *Node) pruneBelow() {
-	limit := n.lw
-	if n.executedTo < limit {
-		limit = n.executedTo
-	}
+// and the cursor is what guarantees the range is swept when execution
+// eventually passes it instead of leaking for the node's lifetime.
+func (n *Node) releaseSettled() {
+	limit := min(n.lw, n.executedTo)
 	for sn := n.prunedTo + 1; sn <= limit; sn++ {
-		// The executed block at sn lives in the confirmed log; fall back to
-		// the agreement instance for blocks confirmed but not yet executed.
-		// (Blocks installed by WAL replay or state transfer have no
-		// instance, so the log lookup is what lets their datablocks be
-		// pruned here.)
-		blk := n.log[sn]
-		if blk == nil {
-			if inst := n.instances[sn]; inst != nil {
-				blk = inst.block
-			}
+		// The executed block at sn is the slot's; fall back to the agreement
+		// instance for a block an anchor jump skipped unconfirmed. (Blocks
+		// installed by WAL replay or state transfer have no instance, so the
+		// slot is what lets their datablocks go here.)
+		blk := n.confirmedBlock(sn)
+		if inst := n.cur.instances[sn]; blk == nil && inst != nil {
+			blk = inst.block
 		}
 		if blk != nil {
 			for _, h := range blk.Content {
 				n.dbPool.Remove(h)
 				delete(n.confirmedDBs, h)
-				delete(n.readySet, h)
-				delete(n.linked, h)
 				delete(n.respCache, h)
+				delete(n.cur.readySet, h)
 			}
 		}
-		delete(n.instances, sn)
-		delete(n.proofStash, sn)
-		// The executed header itself goes too: everything at or below the
-		// watermark is certified by the stable checkpoint, and without this
-		// the confirmed log grows for the node's lifetime.
-		delete(n.log, sn)
+		delete(n.slots, sn)
+		delete(n.cur.instances, sn)
+		delete(n.cur.earlyProofs, sn)
+		delete(n.cur.redo, sn)
 	}
-	if limit > n.prunedTo {
-		n.prunedTo = limit
-	}
+	n.prunedTo = max(n.prunedTo, limit)
 }

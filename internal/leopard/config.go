@@ -22,6 +22,21 @@
 // one batches for exactly as long as its previous batch takes to come back,
 // so the number of requests that share one block's signatures grows with
 // load instead of being set by a constant.
+//
+// What a replica holds is grouped by what ends it, and each group is let go
+// in one place. Everything that dies with the view — the agreement
+// instances with their vote locks, proofs that overtook their block, the
+// redo promises of the new-view message, the ready collector — is one
+// viewRecord, built by newViewRecord for NewNode and enterNewView alike.
+// Everything that survives views and dies when both the watermark and the
+// execution frontier have passed the serial number — the highest-view
+// notarization, the confirmed block with its certificates, the checkpoint
+// shares — is one slot in Node.slots, and releaseSettled is the only
+// function that drops a slot, what the view holds for the same serial
+// number, and the datablocks its block links (pool entry, confirmed mark,
+// cached retrieval response). What is kept per view ahead of this replica —
+// timeout votes, view-change messages — is bounded per sender and released
+// by enterNewView.
 package leopard
 
 import (

@@ -104,19 +104,19 @@ func (n *Node) handleReady(from types.ReplicaID, m *ReadyMsg, out transport.Sink
 // recordReady adds one holder vote and enqueues the datablock for linking
 // when the quorum is met (or immediately under the A2 ablation).
 func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
-	if _, done := n.readySet[digest]; done {
+	if _, done := n.cur.readySet[digest]; done {
 		return
 	}
-	votes := n.readyVotes[digest]
+	votes := n.cur.readyVotes[digest]
 	if votes == nil {
 		votes = make(map[types.ReplicaID]struct{}, n.q.Quorum())
-		n.readyVotes[digest] = votes
+		n.cur.readyVotes[digest] = votes
 	}
 	held := n.dbPool.Has(digest)
 	if _, dup := votes[from]; !dup {
 		votes[from] = struct{}{}
 		if !held {
-			n.readyOrder[from] = append(n.readyOrder[from], digest)
+			n.cur.readyOrder[from] = append(n.cur.readyOrder[from], digest)
 			n.shedReadyVote(from)
 		}
 	}
@@ -127,13 +127,13 @@ func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
 		// The collector votes when it pools the body: from here on the
 		// entry is paid for by that body, and no vote on it is shed.
 		for voter := range votes {
-			n.readyOrder[voter] = removeDigest(n.readyOrder[voter], digest)
+			n.cur.readyOrder[voter] = removeDigest(n.cur.readyOrder[voter], digest)
 		}
 	}
 	if len(votes) >= n.q.Quorum() || n.cfg.DisableReadyRound {
-		n.readySet[digest] = struct{}{}
-		n.readyQueue = append(n.readyQueue, digest)
-		delete(n.readyVotes, digest)
+		n.cur.readySet[digest] = struct{}{}
+		n.cur.readyQueue = append(n.cur.readyQueue, digest)
+		delete(n.cur.readyVotes, digest)
 		// The ready quorum is observed at the digest's vote collector only —
 		// the earliest such event per digest closes the dissemination stage.
 		n.trace(obs.EvDatablockReady, traceID(digest), 0)
@@ -158,16 +158,16 @@ func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
 // that voter announced is still on the bulk lane to here pushes that one vote
 // out. Telling the two apart needs the generator in ReadyMsg (ROADMAP).
 func (n *Node) shedReadyVote(from types.ReplicaID) {
-	order := n.readyOrder[from]
+	order := n.cur.readyOrder[from]
 	if len(order) <= 4*n.q.N*n.cfg.MaxOutstandingDatablocks {
 		return
 	}
 	oldest := order[0]
-	n.readyOrder[from] = order[1:]
-	votes := n.readyVotes[oldest]
+	n.cur.readyOrder[from] = order[1:]
+	votes := n.cur.readyVotes[oldest]
 	delete(votes, from)
 	if len(votes) == 0 {
-		delete(n.readyVotes, oldest)
+		delete(n.cur.readyVotes, oldest)
 	}
 }
 

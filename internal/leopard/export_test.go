@@ -32,3 +32,7 @@ func (n *Node) OwnOutstanding() int { return len(n.myOutstanding) }
 
 // HasPendingWork is what arms the view-change timer.
 func (n *Node) HasPendingWork() bool { return n.hasPendingWork() }
+
+// AgreementState hands the resource audit everything this replica holds per
+// view and per serial number, to walk by reflection.
+func (n *Node) AgreementState() (view, slots any) { return n.cur, n.slots }

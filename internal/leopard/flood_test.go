@@ -74,8 +74,8 @@ func TestReadyFloodIsShedNotStored(t *testing.T) {
 	bound := 4*4*DefaultOutstandingDBs + 4 // the flooder's budget, plus the honest entries
 	for i := 0; i < flood; i++ {
 		n.Deliver(0, flooder, &ReadyMsg{Digest: numberedHash(i)}, transport.Discard)
-		if len(n.readyVotes) > bound {
-			t.Fatalf("after %d announcements the collector tracks %d digests, want at most %d", i+1, len(n.readyVotes), bound)
+		if len(n.cur.readyVotes) > bound {
+			t.Fatalf("after %d announcements the collector tracks %d digests, want at most %d", i+1, len(n.cur.readyVotes), bound)
 		}
 		if i == flood/2 {
 			// Mid-flood, a datablock arrives the ordinary way: body from its
@@ -83,17 +83,17 @@ func TestReadyFloodIsShedNotStored(t *testing.T) {
 			mid, midDigest := datablock(2)
 			n.Deliver(0, honest[0], &DatablockMsg{Block: mid}, transport.Discard)
 			n.Deliver(0, honest[1], &ReadyMsg{Digest: midDigest}, transport.Discard)
-			if _, ready := n.readySet[midDigest]; !ready {
+			if _, ready := n.cur.readySet[midDigest]; !ready {
 				t.Fatal("a datablock announced mid-flood did not reach the ready quorum")
 			}
 		}
 	}
-	if got := len(n.readyOrder[flooder]); got > bound {
+	if got := len(n.cur.readyOrder[flooder]); got > bound {
 		t.Fatalf("the flooder's vote list holds %d digests, want at most %d", got, bound)
 	}
 
 	n.Deliver(0, honest[0], &DatablockMsg{Block: early}, transport.Discard)
-	if _, ready := n.readySet[earlyDigest]; !ready {
+	if _, ready := n.cur.readySet[earlyDigest]; !ready {
 		t.Fatal("the flood cost a datablock the honest votes it had gathered before its body arrived")
 	}
 }
@@ -151,7 +151,7 @@ func TestDatablockFloodThroughHonestVoter(t *testing.T) {
 		for _, id := range late {
 			collector.Deliver(0, id, &ReadyMsg{Digest: digest}, transport.Discard)
 		}
-		if _, ready := collector.readySet[digest]; !ready {
+		if _, ready := collector.cur.readySet[digest]; !ready {
 			t.Fatal(lost)
 		}
 	}
@@ -173,7 +173,7 @@ func TestDatablockFloodThroughHonestVoter(t *testing.T) {
 	finish(inFlight, inFlightDigest, "a flood inside the voter's budget cost a datablock in flight that voter's vote")
 
 	flood(budget-1, 50_000)
-	if tracked := len(collector.readyVotes); tracked > budget+1 {
+	if tracked := len(collector.cur.readyVotes); tracked > budget+1 {
 		t.Fatalf("the collector tracks %d digests, want at most the voter's budget of %d and the honest one", tracked, budget)
 	}
 	finish(held, heldDigest, "a flood through an honest voter cost a datablock the collector holds that voter's vote")
@@ -203,17 +203,17 @@ func TestDatablockFloodAtCollector(t *testing.T) {
 		junk, _ := floodDatablock(flooder, uint64(i)+1)
 		n.Deliver(0, flooder, &DatablockMsg{Block: junk}, transport.Discard)
 	}
-	if tracked, pooled := len(n.readyVotes), n.dbPool.Len(); tracked > pooled {
+	if tracked, pooled := len(n.cur.readyVotes), n.dbPool.Len(); tracked > pooled {
 		t.Fatalf("the collector tracks %d digests for %d pooled datablocks", tracked, pooled)
 	}
-	for voter, order := range n.readyOrder {
+	for voter, order := range n.cur.readyOrder {
 		if len(order) != 0 {
 			t.Fatalf("replica %d is charged %d votes, all on datablocks the collector holds", voter, len(order))
 		}
 	}
 
 	n.Deliver(0, voterID, &ReadyMsg{Digest: honestDigest}, transport.Discard)
-	if _, ready := n.readySet[honestDigest]; !ready {
+	if _, ready := n.cur.readySet[honestDigest]; !ready {
 		t.Fatal("a flood at the collector cost an honest datablock the collector's own vote")
 	}
 }
@@ -269,15 +269,15 @@ func TestRespFloodKeepsOneRootPerResponder(t *testing.T) {
 }
 
 // TestProofFloodIsBounded: a proof that arrives before its block is buffered
-// under the block's id, and only the leader of that block's view ever
-// broadcasts one. A Byzantine replica sending 50 000 proofs under one future
-// (view, seq) must leave nothing behind, and a Byzantine leader at most one
-// proof per round.
+// under the block's serial number, for the current view and from its leader
+// only. A Byzantine replica sending 50 000 proofs under one future (view, seq)
+// must leave nothing behind, and a Byzantine leader at most one proof per
+// round.
 func TestProofFloodIsBounded(t *testing.T) {
 	n := newFloodTestNode(t, 0)
 	buffered := func() int {
 		total := 0
-		for _, proofs := range n.pendingProof {
+		for _, proofs := range n.cur.earlyProofs {
 			total += len(proofs)
 		}
 		return total

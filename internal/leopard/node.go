@@ -16,25 +16,102 @@ import (
 	"leopard/internal/types"
 )
 
-// instance is one agreement instance (one BFTblock).
+// instance is one agreement instance: one serial number in one view.
 type instance struct {
-	block        *types.BFTblock
-	digest       types.Hash // H(m)
+	block *types.BFTblock
+	// digest is H(m), and the first-round lock: once it is set the instance
+	// takes no proposal with another digest. A first-round vote reloaded at
+	// Start sets it before any block is held.
+	digest       types.Hash
 	sigma1Digest types.Hash // H(σ1), defined once notarized
-	state        types.BlockState
-	missing      map[types.Hash]struct{} // linked datablocks not yet held
-	voted1       bool
-	voted2       bool
-	proposedAt   time.Duration
+	// vote2Lock is the H(σ1) that a second-round vote reloaded at Start
+	// signed, zero without one; castVote2 signs no other.
+	vote2Lock  types.Hash
+	state      types.BlockState
+	missing    map[types.Hash]struct{} // linked datablocks not yet held
+	voted1     bool                    // first-round vote cast in this life
+	voted2     bool                    // second-round vote cast in this life
+	proposedAt time.Duration
 
 	// Leader-only vote collection.
-	vote1Shares []crypto.Share
-	vote1Seen   map[types.ReplicaID]struct{}
-	vote2Shares []crypto.Share
-	vote2Seen   map[types.ReplicaID]struct{}
+	votes1, votes2 tally
 
 	notarized *crypto.Proof
 	confirmed *crypto.Proof
+}
+
+// viewRecord is everything a replica holds that dies with the view. NewNode
+// and enterNewView build it with newViewRecord and nothing else makes its
+// maps, so entering a view cannot carry one over or forget one.
+type viewRecord struct {
+	// instances are the view's agreement instances by serial number, vote
+	// locks included.
+	instances map[types.SeqNum]*instance
+	// earlyProofs holds proofs of this view that overtook their block, one
+	// per round, from the view's leader only.
+	earlyProofs map[types.SeqNum][]pendingProof
+	// redo is what the new-view message promised for each slot it re-agrees:
+	// the digest the leader's proposal there must have.
+	redo map[types.SeqNum]types.Hash
+
+	// The ready collector (leader only). readyOrder lists, per voter and
+	// oldest first, the digests in readyVotes the voter announced ahead of
+	// their body; it is what bounds readyVotes (shedReadyVote).
+	readyVotes map[types.Hash]map[types.ReplicaID]struct{}
+	readyOrder map[types.ReplicaID][]types.Hash
+	readySet   map[types.Hash]struct{} // enqueued or linked
+	readyQueue []types.Hash
+}
+
+func newViewRecord() *viewRecord {
+	return &viewRecord{
+		instances:   make(map[types.SeqNum]*instance),
+		earlyProofs: make(map[types.SeqNum][]pendingProof),
+		redo:        make(map[types.SeqNum]types.Hash),
+		readyVotes:  make(map[types.Hash]map[types.ReplicaID]struct{}),
+		readyOrder:  make(map[types.ReplicaID][]types.Hash),
+		readySet:    make(map[types.Hash]struct{}),
+	}
+}
+
+// unconfirmed reports whether the view holds a proposal that is not
+// confirmed yet. It reads the instances, which every path that settles a
+// slot updates or deletes (confirmBlock, applyTransferredRecord,
+// releaseSettled, enterNewView), so there is no counter to leak.
+func (v *viewRecord) unconfirmed() bool {
+	for _, inst := range v.instances {
+		if inst.block != nil && inst.state < types.StateConfirmed {
+			return true
+		}
+	}
+	return false
+}
+
+// slot is what a replica knows about one serial number whatever the view. It
+// is made on first use (Node.slot) and let go in one place, releaseSettled,
+// once both the watermark and the execution frontier have passed it.
+type slot struct {
+	// notarized is the highest-view σ1 certificate this replica has learned
+	// for the serial number (learnNotarization), Block nil before the first.
+	// It outlives the view that produced it because the quorum-intersection
+	// argument behind the redo plan needs every replica that ever saw a σ1
+	// proof for a slot to keep advertising it in its view-change messages —
+	// a block can be confirmed and executed at one replica and then vanish
+	// from every live instance after a cascade of failed view changes,
+	// letting a later redo replace it with a dummy (the analog of PBFT
+	// carrying prepared certificates across views). The same argument must
+	// survive crash-restarts of the σ2 voters, so the certificate is also
+	// persisted with the round-2 vote (storage.NoteRecord) and reloaded at
+	// Start.
+	notarized NotarizedBlock
+	// block is the confirmed block, the output log's entry, and sigma1 and
+	// sigma2 its own certificates, which the WAL record carries. A redo can
+	// notarize the slot again in a later view before this block executes,
+	// so notarized above may by then certify a re-stamped copy.
+	block          *types.BFTblock
+	sigma1, sigma2 crypto.Proof
+	// checkpoint collects the checkpoint shares at the leader.
+	checkpoint tally
 }
 
 // retrievalState tracks recovery of one missing datablock (Alg. 3).
@@ -58,8 +135,7 @@ type servedKey struct {
 	requester types.ReplicaID
 }
 
-// pendingProof buffers a proof that arrived before its BFTblock (possible
-// across view changes).
+// pendingProof is a proof that arrived before its BFTblock.
 type pendingProof struct {
 	round  int
 	digest types.Hash
@@ -97,8 +173,8 @@ type Stats struct {
 	VotesLogged   int64
 	VotesReloaded int64
 	// NotesLogged counts notarization certificates persisted alongside
-	// round-2 votes; NotesReloaded counts certificates restored into the
-	// carried set at Start.
+	// round-2 votes; NotesReloaded counts certificates restored onto their
+	// slots at Start.
 	NotesLogged   int64
 	NotesReloaded int64
 	// CheckpointSeqsTracked is how many serial numbers the leader holds
@@ -137,7 +213,11 @@ type Node struct {
 	now    time.Duration
 	execFn protocol.ExecuteFunc
 
-	// Request and datablock pools.
+	// Request and datablock pools. What is keyed by a datablock's digest
+	// dies with the datablock: releaseSettled drops the pooled body, its
+	// confirmedDBs mark and its cached retrieval response together with the
+	// block that linked it; this replica's own window goes earlier, in
+	// settleOwn.
 	reqPool   *mempool.RequestPool
 	dbPool    *mempool.DatablockPool
 	dbCounter uint64
@@ -149,44 +229,24 @@ type Node struct {
 	// myDBPacked records when each of this replica's datablocks was
 	// packed, feeding the Table IV stage breakdown.
 	myDBPacked map[types.Hash]time.Duration
+	// confirmedDBs tracks datablock digests already confirmed in some
+	// block, so replicas re-announce only outstanding ones after a view
+	// change.
+	confirmedDBs map[types.Hash]struct{}
+	// respCache holds the one retrieval response this replica serves per
+	// datablock (chunk + proof are requester-independent).
+	respCache map[types.Hash]*RespMsg
 
-	// Leader state. readyOrder lists, per voter and oldest first, the digests
-	// in readyVotes the voter announced ahead of their body; it is what
-	// bounds readyVotes (shedReadyVote).
-	readyVotes map[types.Hash]map[types.ReplicaID]struct{}
-	readyOrder map[types.ReplicaID][]types.Hash
-	readySet   map[types.Hash]struct{} // enqueued or linked
-	readyQueue []types.Hash
-	linked     map[types.Hash]struct{}
-	nextSeq    types.SeqNum
+	// Agreement state, grouped by what ends it: cur dies with the view,
+	// a slot when the watermark and the execution frontier have passed it.
+	// nextSeq is the next serial number this replica proposes as leader.
+	view    types.View
+	cur     *viewRecord
+	lw      types.SeqNum
+	slots   map[types.SeqNum]*slot
+	nextSeq types.SeqNum
 
-	// Agreement state.
-	view      types.View
-	lw        types.SeqNum
-	instances map[types.SeqNum]*instance
-	votedSeq  map[types.SeqNum]types.Hash // per-view first-vote lock
-	// vote2Lock pins the σ1 digest this replica signed a round-2 vote
-	// over, per seq in the current view. Populated from reloaded
-	// vote-ahead records so a restarted replica never signs a second,
-	// different σ2 for a slot it already voted in.
-	vote2Lock    map[types.SeqNum]types.Hash
-	pendingProof map[types.BlockID][]pendingProof
-	// carried keeps notarized blocks across view changes (highest view per
-	// seq) until they fall below a stable checkpoint. enterNewView wipes
-	// the per-view instances, but the quorum-intersection argument behind
-	// the redo plan needs every replica that ever saw a σ1 proof for a seq
-	// to keep advertising it in its view-change messages — a block can be
-	// confirmed and executed at one replica and then vanish from every
-	// live instance after a cascade of failed view changes, letting a
-	// later redo replace it with a dummy (the analog of PBFT carrying
-	// prepared certificates across views). The same argument must survive
-	// crash-restarts of the σ2 voters, so each certificate is also
-	// persisted with the round-2 vote (storage.NoteRecord) and reloaded
-	// into this set at Start.
-	carried map[types.SeqNum]NotarizedBlock
-
-	// Confirmed log and execution.
-	log        map[types.SeqNum]*types.BFTblock
+	// Execution.
 	executedTo types.SeqNum
 	// execState is the running chain hash over executed block digests; it
 	// is the checkpointed "execution state" (the consensus layer is
@@ -198,28 +258,20 @@ type Node struct {
 	// served records when each (digest, requester) pair was last answered;
 	// re-serves are allowed once the requester's retry period has passed.
 	served map[servedKey]time.Duration
-	// respCache holds the one retrieval response this replica serves per
-	// datablock (chunk + proof are requester-independent); pruned with the
-	// datablock at watermark advance.
-	respCache map[types.Hash]*RespMsg
 	// rs is the retrieval codec, built on first use and reused so its
 	// lazily-built multiplication tables and decode-matrix cache persist
 	// across datablocks (rebuilding it per call would defeat both).
 	rs *erasure.Codec
 
-	// Checkpoints.
 	lastCheckpoint *CheckpointProofMsg
-	cpShares       map[types.SeqNum]*tally
 
 	// Durability and recovery (recovery.go). store mirrors cfg.Store;
-	// proofStash holds each confirmed block's certificates until execution
-	// appends them to the WAL; counterReserve is the persisted datablock
-	// counter ceiling. needSync marks a restarted (or gap-detected) replica
-	// that should probe peers for state transfer; lastStateReq /
-	// stateRound pace and rotate those probes; stateServed is the
-	// responder-side per-requester cooldown (bounded at N-1 entries).
+	// counterReserve is the persisted datablock counter ceiling. needSync
+	// marks a restarted (or gap-detected) replica that should probe peers
+	// for state transfer; lastStateReq / stateRound pace and rotate those
+	// probes; stateServed is the responder-side per-requester cooldown
+	// (bounded at N-1 entries).
 	store          storage.Store
-	proofStash     map[types.SeqNum]blockProofs
 	counterReserve uint64
 	needSync       bool
 	lastStateReq   time.Duration
@@ -231,8 +283,8 @@ type Node struct {
 	// maxConfirmed is the highest serial number in the confirmed log;
 	// frontierStalled compares it against executedTo to detect gaps.
 	maxConfirmed types.SeqNum
-	// prunedTo is the pruneBelow cursor: every sn at or below it has had
-	// its execution-side state garbage-collected.
+	// prunedTo is the releaseSettled cursor: every sn at or below it has
+	// been let go.
 	prunedTo types.SeqNum
 
 	// walFailed latches the fail-stop state once store.Err() reports the
@@ -256,16 +308,11 @@ type Node struct {
 	// bounded per sender (shedOldestView) and released by enterNewView.
 	timeoutVotes map[types.View]map[types.ReplicaID]struct{}
 	vcMsgs       map[types.View]map[types.ReplicaID]*ViewChangeMsg
-	expectedRedo map[types.SeqNum]types.Hash // content digests promised by new-view
 	lastProgress time.Duration
 	// futureBlocks buffers proposals for views this replica has not
 	// entered yet (control-plane messages can overtake the new-view
 	// announcement); replayed on entering the view. Bounded.
 	futureBlocks []*BFTblockMsg
-	// confirmedDBs tracks datablock digests already confirmed in some
-	// block, so replicas re-announce only outstanding ones after a view
-	// change. Pruned with the watermark.
-	confirmedDBs map[types.Hash]struct{}
 
 	// replyFn, when set, receives a signed ReplyMsg for every executed
 	// request (SetReplySink); replaying suppresses emission during WAL
@@ -309,28 +356,18 @@ func NewNode(cfg Config) (*Node, error) {
 		dbPool:        mempool.NewDatablockPool(),
 		myOutstanding: make(map[types.Hash]struct{}),
 		myDBPacked:    make(map[types.Hash]time.Duration),
-		readyVotes:    make(map[types.Hash]map[types.ReplicaID]struct{}),
-		readyOrder:    make(map[types.ReplicaID][]types.Hash),
-		readySet:      make(map[types.Hash]struct{}),
-		linked:        make(map[types.Hash]struct{}),
-		nextSeq:       1,
 		view:          1,
-		instances:     make(map[types.SeqNum]*instance),
-		votedSeq:      make(map[types.SeqNum]types.Hash),
-		vote2Lock:     make(map[types.SeqNum]types.Hash),
-		pendingProof:  make(map[types.BlockID][]pendingProof),
-		carried:       make(map[types.SeqNum]NotarizedBlock),
-		log:           make(map[types.SeqNum]*types.BFTblock),
+		cur:           newViewRecord(),
+		slots:         make(map[types.SeqNum]*slot),
+		nextSeq:       1,
 		missing:       make(map[types.Hash]*retrievalState),
 		served:        make(map[servedKey]time.Duration),
 		respCache:     make(map[types.Hash]*RespMsg),
-		cpShares:      make(map[types.SeqNum]*tally),
 		timeoutVotes:  make(map[types.View]map[types.ReplicaID]struct{}),
 		vcMsgs:        make(map[types.View]map[types.ReplicaID]*ViewChangeMsg),
 		confirmedDBs:  make(map[types.Hash]struct{}),
 		lastReply:     make(map[uint64]ReplyMsg),
 		store:         cfg.Store,
-		proofStash:    make(map[types.SeqNum]blockProofs),
 		stateServed:   make(map[types.ReplicaID]stateServeState),
 		lastStateReq:  -1,
 		behindSince:   -1,
@@ -373,7 +410,11 @@ func (n *Node) Stats() Stats {
 		s.LogSegments = st.Segments
 		s.LogBytes = st.LiveBytes
 	}
-	s.CheckpointSeqsTracked = len(n.cpShares)
+	for _, sl := range n.slots {
+		if len(sl.checkpoint.votes) > 0 {
+			s.CheckpointSeqsTracked++
+		}
+	}
 	s.WALFailed = n.walFailed
 	s.PendingRequests = n.reqPool.Len()
 	s.QueuedRequests = n.reqPool.Queued()
@@ -404,8 +445,26 @@ func (n *Node) ExecutedTo() types.SeqNum { return n.executedTo }
 // low watermark are garbage-collected once executed (the stable checkpoint
 // certificate stands in for them), so audits should track the live window.
 func (n *Node) LogBlock(sn types.SeqNum) (*types.BFTblock, bool) {
-	b, ok := n.log[sn]
-	return b, ok
+	b := n.confirmedBlock(sn)
+	return b, b != nil
+}
+
+// slot returns the slot for sn, making it on first use.
+func (n *Node) slot(sn types.SeqNum) *slot {
+	s := n.slots[sn]
+	if s == nil {
+		s = &slot{}
+		n.slots[sn] = s
+	}
+	return s
+}
+
+// confirmedBlock returns the confirmed block at sn, nil while there is none.
+func (n *Node) confirmedBlock(sn types.SeqNum) *types.BFTblock {
+	if s := n.slots[sn]; s != nil {
+		return s.block
+	}
+	return nil
 }
 
 // Datablock returns a datablock by digest from the local pool.

@@ -25,8 +25,8 @@ import (
 // that crashes between voting and executing reloads its vote locks here and
 // therefore cannot sign different content for the same (view, seq) slot in
 // its next life. Round-2 votes additionally persist the notarization
-// certificate they endorse (persistNote), reloaded into the carried set so
-// the replica keeps advertising the block in view-change messages. The
+// certificate they endorse (persistNote), reloaded onto the slot so the
+// replica keeps advertising the block in view-change messages. The
 // chaos experiment's crash-between-vote-and-execute schedule exercises
 // exactly this window, and fails when handed a store that forgets votes
 // and notes.
@@ -36,14 +36,6 @@ import (
 // skipping at most this many counters — one metadata fsync per slack-many
 // datablocks buys restart-safe (generator, counter) uniqueness.
 const counterReserveSlack = 1024
-
-// blockProofs stashes a block's agreement certificates between confirmation
-// and execution, so the WAL record persisted at execution carries them even
-// if the instance was reset by an intervening view change.
-type blockProofs struct {
-	notarized crypto.Proof
-	confirmed crypto.Proof
-}
 
 // stateServeState is the per-requester state-transfer serve bookkeeping:
 // when the requester was last answered, and the minimum Have that proves
@@ -137,13 +129,13 @@ func (n *Node) recoverFromStore(out transport.Sink) {
 // reloadVoteLocks restores the vote-ahead locks from the store: every
 // persisted vote above the recovered execution frontier re-pins its
 // (view, seq) slot, so this life cannot sign different content where the
-// previous one already voted. Round-1 votes re-lock votedSeq (the same
-// lock handleBFTblock checks against equivocating proposals, and the lock
-// maybePropose refuses to re-propose over); round-2 votes pin the σ1
-// digest castVote2 may sign. Votes from earlier views need no lock — the
-// view-change protocol releases them — and a vote from a later view than
-// the recovered meta proves that view was entered, so the view advances
-// to match.
+// previous one already voted. A round-1 vote sets the digest of the slot's
+// instance ahead of its block (the lock handleBFTblock checks against
+// equivocating proposals, and the one maybePropose refuses to re-propose
+// over); a round-2 vote pins the σ1 digest castVote2 may sign. The locks
+// live in the view record and go with it, so votes from earlier views need
+// none, and a vote from a later view than the recovered meta proves that
+// view was entered, so the view advances to match.
 //
 //lint:voteahead-exempt replaying locks FROM the durable vote log: every record written here was persisted by a checked persistVote in a previous life
 func (n *Node) reloadVoteLocks(st storage.Store) {
@@ -159,23 +151,23 @@ func (n *Node) reloadVoteLocks(st storage.Store) {
 		}
 		switch v.Round {
 		case 1:
-			n.votedSeq[v.Seq] = v.Digest
+			n.getInstance(v.Seq).digest = v.Digest
 		case 2:
-			n.vote2Lock[v.Seq] = v.Digest
+			n.getInstance(v.Seq).vote2Lock = v.Digest
 		}
 		n.stats.VotesReloaded++
 	}
 }
 
-// reloadNotes restores the carried-notarization set from the persisted
-// certificates: every note above the recovered watermark re-enters carried,
+// reloadNotes restores the slots' notarizations from the persisted
+// certificates: every note above the recovered watermark is learned again,
 // so this replica's view-change messages keep advertising blocks it cast σ2
 // votes for in a previous life. Without this, a cascade of crash-restarts
 // among the 2f+1 σ2 voters erases a confirmed block's last advertised
 // notarization and a later redo can replace it with a dummy — the same
-// quorum-intersection argument the in-memory carried set serves across view
+// quorum-intersection argument the slot's notarization serves across view
 // changes, extended across crashes. Notes are view-agnostic (the highest
-// block view per seq wins, as in enterNewView's fold); digests are
+// block view per seq wins, learnNotarization); digests are
 // recomputed rather than trusted, certificates are trusted like block
 // replay is (CRC-guarded local WAL, verified before append).
 func (n *Node) reloadNotes(st storage.Store) {
@@ -183,15 +175,13 @@ func (n *Node) reloadNotes(st storage.Store) {
 		if nt.Block == nil || nt.Block.Seq <= n.lw {
 			continue
 		}
-		if prev, ok := n.carried[nt.Block.Seq]; ok && prev.Block.View >= nt.Block.View {
-			continue
-		}
-		n.carried[nt.Block.Seq] = NotarizedBlock{
+		if n.learnNotarization(NotarizedBlock{
 			Block:     nt.Block,
 			Digest:    crypto.HashBFTblock(nt.Block),
 			Notarized: nt.Notarized,
+		}) {
+			n.stats.NotesReloaded++
 		}
-		n.stats.NotesReloaded++
 	}
 }
 
@@ -200,7 +190,7 @@ func (n *Node) reloadNotes(st storage.Store) {
 // would have done.
 func (n *Node) replayRecord(rec *storage.BlockRecord) {
 	block := rec.Block
-	n.log[rec.Seq] = block
+	n.slot(rec.Seq).block = block
 	for i, h := range block.Content {
 		if !n.dbPool.Has(h) {
 			n.dbPool.Add(h, rec.Datablocks[i])
@@ -214,21 +204,14 @@ func (n *Node) replayRecord(rec *storage.BlockRecord) {
 }
 
 // persistExecuted appends the block executed at sn to the WAL, with the
-// agreement proofs stashed at confirmation. Append only stages the record
-// (group-committed fsync), so this sits on the hot execute path at
+// certificates its slot has held since confirmation. Append only stages the
+// record (group-committed fsync), so this sits on the hot execute path at
 // encode+memcpy cost — see storage.Log and BenchmarkWALAppend.
 func (n *Node) persistExecuted(sn types.SeqNum, block *types.BFTblock, datablocks []*types.Datablock) {
-	rec := &storage.BlockRecord{Seq: sn, Block: block, Datablocks: datablocks}
-	if p, ok := n.proofStash[sn]; ok {
-		rec.Notarized, rec.Confirmed = p.notarized, p.confirmed
-		delete(n.proofStash, sn)
-	} else if inst := n.instances[sn]; inst != nil {
-		if inst.notarized != nil {
-			rec.Notarized = *inst.notarized
-		}
-		if inst.confirmed != nil {
-			rec.Confirmed = *inst.confirmed
-		}
+	s := n.slots[sn]
+	rec := &storage.BlockRecord{
+		Seq: sn, Block: block, Datablocks: datablocks,
+		Notarized: s.sigma1, Confirmed: s.sigma2,
 	}
 	if err := n.store.Append(rec); err != nil {
 		n.stats.WALErrors++
@@ -271,12 +254,7 @@ func (n *Node) frontierStalled() bool {
 	if n.lw > n.executedTo {
 		return true
 	}
-	if n.maxConfirmed > n.executedTo {
-		if _, held := n.log[n.executedTo+1]; !held {
-			return true
-		}
-	}
-	return false
+	return n.maxConfirmed > n.executedTo && n.confirmedBlock(n.executedTo+1) == nil
 }
 
 // stuckBehind reports whether the frontier has been stalled for a full
@@ -474,15 +452,15 @@ func (n *Node) adoptCheckpoint(cp *CheckpointProofMsg) {
 	// applyCheckpoint durably saves the anchor (if this proof is news) and
 	// advances the watermark; when the proof was applied earlier the anchor
 	// is already on disk. Either way the save happens-before the Reset
-	// below, so a crash in between recovers correctly. pruneBelow runs
+	// below, so a crash in between recovers correctly. releaseSettled runs
 	// explicitly because applyCheckpoint no-ops when the watermark already
-	// reached cp.Seq while execution lagged — the jump is what makes the
-	// skipped range pruneable.
+	// reached cp.Seq while execution lagged — the jump is what settles the
+	// skipped range.
 	n.applyCheckpoint(cp)
-	n.pruneBelow()
+	n.releaseSettled()
 	// A replica jumps because it was cut off, so the blocks it skips may
 	// have linked its datablocks without it ever holding their content, and
-	// pruneBelow had nothing to release them by. Let go of every own
+	// releaseSettled had nothing to release them by. Let go of every own
 	// datablock: one that is in fact still in flight is settled again when
 	// its block arrives, and until then the window is one window too wide.
 	clear(n.myOutstanding)
@@ -609,12 +587,12 @@ func (n *Node) applyTransferredRecord(rec *storage.BlockRecord, out transport.Si
 		}
 		n.confirmedDBs[h] = struct{}{}
 	}
-	n.log[rec.Seq] = block
+	n.slot(rec.Seq).block = block
 	n.executeBlock(rec.Seq, block, rec.Datablocks)
 	n.stats.ConfirmedBlocks++
 	n.stats.StateBlocksApplied++
 	n.trace(obs.EvStateApplied, uint64(rec.Seq), int64(len(rec.Datablocks)))
-	if inst := n.instances[rec.Seq]; inst != nil && inst.state < types.StateExecuted {
+	if inst := n.cur.instances[rec.Seq]; inst != nil && inst.state < types.StateExecuted {
 		// The slot is decided and executed; a live instance here must not
 		// keep the view-change timer armed.
 		inst.state = types.StateExecuted

@@ -69,7 +69,7 @@ func (n *Node) checkRetrievalTimers(out transport.Sink) {
 // Invariant: serveCooldown must stay strictly below the re-query cadence
 // (8×RetrievalTimeout, checkRetrievalTimers), so that by the time an
 // honest requester legitimately re-queries, its previous serve has aged
-// out and the retry is answered. The served-map sweep in advanceWatermark
+// out and the retry is answered. The served-map sweep in applyCheckpoint
 // uses the same window to expire entries, so the invariant also bounds
 // that map's size.
 //
@@ -307,7 +307,7 @@ func (n *Node) resolveMissing(h types.Hash, out transport.Sink) {
 	}
 	sort.Slice(waiters, func(i, j int) bool { return waiters[i] < waiters[j] })
 	for _, sn := range waiters {
-		inst := n.instances[sn]
+		inst := n.cur.instances[sn]
 		if inst == nil || inst.block == nil {
 			continue
 		}

@@ -54,15 +54,7 @@ func newViewDigest(m *NewViewMsg) types.Hash {
 // hasPendingWork reports whether there is anything to make progress on; an
 // idle system must not trigger view changes.
 func (n *Node) hasPendingWork() bool {
-	if n.reqPool.Len() > 0 || len(n.myOutstanding) > 0 || len(n.readyQueue) > 0 {
-		return true
-	}
-	for _, inst := range n.instances {
-		if inst.block != nil && inst.state < types.StateConfirmed {
-			return true
-		}
-	}
-	return false
+	return n.reqPool.Len() > 0 || len(n.myOutstanding) > 0 || len(n.cur.readyQueue) > 0 || n.cur.unconfirmed()
 }
 
 // checkViewChangeTimer implements the view-change trigger: if confirmation
@@ -203,42 +195,26 @@ func (n *Node) startViewChange(target types.View, out transport.Sink) {
 	out.Send(transport.Envelope{To: newLeader, Msg: msg, Lane: transport.LaneControl})
 }
 
-// buildViewChangeMsg assembles <view-change, v+1, lc, B> (Appendix A). B
-// merges the live notarized instances with notarizations carried across
-// earlier view changes — dropping the carried ones would break the quorum
-// intersection that keeps a confirmed-and-executed block from being
-// redone as a dummy (see the carried field).
+// buildViewChangeMsg assembles <view-change, v+1, lc, B> (Appendix A). B is
+// the notarization on every slot above the watermark: the highest-view one
+// this replica has learned in any view or life, because dropping one learned
+// in an earlier view would break the quorum intersection that keeps a
+// confirmed-and-executed block from being redone as a dummy (see slot).
 func (n *Node) buildViewChangeMsg(target types.View) *ViewChangeMsg {
 	msg := &ViewChangeMsg{
 		NewView:    target,
 		Checkpoint: n.lastCheckpoint,
 		Sender:     n.cfg.ID,
 	}
-	best := make(map[types.SeqNum]NotarizedBlock, len(n.instances)+len(n.carried))
-	for sn, nb := range n.carried {
-		if sn > n.lw {
-			best[sn] = nb
+	sns := make([]types.SeqNum, 0, len(n.slots))
+	for sn, s := range n.slots {
+		if sn > n.lw && s.notarized.Block != nil {
+			sns = append(sns, sn)
 		}
-	}
-	for sn, inst := range n.instances {
-		if sn > n.lw && inst.block != nil && inst.notarized != nil {
-			if prev, ok := best[sn]; !ok || inst.block.View > prev.Block.View {
-				best[sn] = NotarizedBlock{
-					Block:     inst.block,
-					Digest:    inst.digest,
-					Notarized: *inst.notarized,
-					Confirmed: inst.confirmed,
-				}
-			}
-		}
-	}
-	sns := make([]types.SeqNum, 0, len(best))
-	for sn := range best {
-		sns = append(sns, sn)
 	}
 	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
 	for _, sn := range sns {
-		msg.Blocks = append(msg.Blocks, best[sn])
+		msg.Blocks = append(msg.Blocks, n.slots[sn].notarized)
 	}
 	share, err := n.suite.Sign(n.cfg.ID, viewChangeDigest(msg))
 	if err == nil {
@@ -416,33 +392,10 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 		}
 	}
 
-	// Fold this view's notarizations into the carried set before wiping
-	// the instances, so later view changes still advertise them.
-	for sn, inst := range n.instances {
-		if sn > n.lw && inst.block != nil && inst.notarized != nil {
-			if prev, ok := n.carried[sn]; !ok || inst.block.View > prev.Block.View {
-				n.carried[sn] = NotarizedBlock{
-					Block:     inst.block,
-					Digest:    inst.digest,
-					Notarized: *inst.notarized,
-					Confirmed: inst.confirmed,
-				}
-			}
-		}
-	}
-
-	// Reset per-view agreement state. The confirmed log survives; every
-	// unconfirmed instance will be re-agreed via the redo plan.
-	n.instances = make(map[types.SeqNum]*instance)
-	n.votedSeq = make(map[types.SeqNum]types.Hash)
-	n.vote2Lock = make(map[types.SeqNum]types.Hash)
-	n.pendingProof = make(map[types.BlockID][]pendingProof)
-	n.expectedRedo = make(map[types.SeqNum]types.Hash)
-	n.readyVotes = make(map[types.Hash]map[types.ReplicaID]struct{})
-	n.readyOrder = make(map[types.ReplicaID][]types.Hash)
-	n.readySet = make(map[types.Hash]struct{})
-	n.readyQueue = nil
-	n.linked = make(map[types.Hash]struct{})
+	// Everything the old view owned goes at once. The confirmed log and the
+	// notarizations survive on the slots; every unconfirmed instance will be
+	// re-agreed via the redo plan.
+	n.cur = newViewRecord()
 
 	// Record what the new leader must propose for each redo slot, so an
 	// equivocating new leader is caught by handleBFTblock. The plan's
@@ -460,7 +413,7 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 		} else {
 			blk = &types.BFTblock{View: n.view, Seq: sn} // dummy filler
 		}
-		n.expectedRedo[sn] = crypto.HashBFTblock(blk)
+		n.cur.redo[sn] = crypto.HashBFTblock(blk)
 		redoBlocks = append(redoBlocks, blk)
 	}
 

@@ -174,7 +174,7 @@ func TestRestartedVoterReadvertisesNotarization(t *testing.T) {
 	node := rebuild(t, r, voter, stores[voter], mutate)
 	r.flush()
 	if node.Stats().NotesReloaded == 0 {
-		t.Fatal("restart reloaded no notarization certificates into the carried set")
+		t.Fatal("restart reloaded no notarization certificates")
 	}
 
 	// Silence the leader and submit fresh work; the stalled cluster runs a

@@ -13,17 +13,17 @@ type BFTblockMsg struct{ Seq uint64 }
 type ProofMsg struct{ Seq uint64 }
 
 type Node struct {
-	voted1   bool
-	voted2   bool
-	votedSeq map[uint64]Hash
-	failed   bool
+	voted1    bool
+	voted2    bool
+	vote2Lock Hash
+	failed    bool
 }
 
 func (n *Node) persistVote(round int, seq uint64) bool { return !n.failed }
 
 func (n *Node) unguardedVote(seq uint64, out transport.Sink) {
 	n.voted1 = true                   // want `vote state "voted1" recorded without a preceding checked persistVote`
-	n.votedSeq[seq] = Hash{}          // want `vote state "votedSeq" recorded without a preceding checked persistVote`
+	n.vote2Lock = Hash{}              // want `vote state "vote2Lock" recorded without a preceding checked persistVote`
 	out.Broadcast(&VoteMsg{Seq: seq}) // want `\*VoteMsg put on the Sink without a preceding checked persistVote`
 }
 
@@ -43,7 +43,7 @@ func (n *Node) guardedVote(seq uint64, out transport.Sink) {
 		return
 	}
 	n.voted1 = true
-	n.votedSeq[seq] = Hash{}
+	n.vote2Lock = Hash{}
 	out.Broadcast(&VoteMsg{Seq: seq})
 }
 
@@ -67,5 +67,5 @@ func (n *Node) relayProof(seq uint64, out transport.Sink) {
 //
 //lint:voteahead-exempt fixture: replaying records that were persisted by a previous life
 func (n *Node) reload(seq uint64) {
-	n.votedSeq[seq] = Hash{}
+	n.vote2Lock = Hash{}
 }

@@ -7,8 +7,8 @@
 // different content for the same (view, seq) slot, i.e. equivocate. The
 // codebase therefore requires every path that sends a vote-carrying message
 // (VoteMsg, or BFTblockMsg, whose LeaderShare embeds the leader's round-1
-// vote) or records local vote state (voted1/voted2 flags, the votedSeq and
-// vote2Lock lock maps) to first pass a checked persist guard:
+// vote) or records local vote state (an instance's voted1/voted2 flags and
+// its vote2Lock) to first pass a checked persist guard:
 //
 //	if !n.persistVote(...) { return }            // or
 //	if !n.persistNote(inst) || !n.persistVote(...) { return }
@@ -29,7 +29,7 @@
 // Exemption: `//lint:voteahead-exempt <justification>` on the line or in
 // the enclosing function's doc comment. The legitimate exemption in-tree is
 // vote-lock *reloading* at startup, where the records being written back
-// into the lock maps are the store's own — already durable by definition.
+// into the instances are the store's own — already durable by definition.
 package voteahead
 
 import (
@@ -53,10 +53,9 @@ const scopePath = "leopard/internal/leopard"
 // relays others' shares and carries no new commitment by the sender.
 var voteMsgTypes = map[string]bool{"VoteMsg": true, "BFTblockMsg": true}
 
-// voteStateFields and voteLockMaps are the node-local vote bookkeeping that
-// must never run ahead of the durable record.
-var voteStateFields = map[string]bool{"voted1": true, "voted2": true}
-var voteLockMaps = map[string]bool{"votedSeq": true, "vote2Lock": true}
+// voteStateFields are the node-local vote bookkeeping that must never run
+// ahead of the durable record.
+var voteStateFields = map[string]bool{"voted1": true, "voted2": true, "vote2Lock": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	if pass.ImportPath != scopePath {
@@ -190,25 +189,10 @@ func containsVoteMsg(pass *analysis.Pass, expr ast.Expr) (string, bool) {
 }
 
 // recordsVoteState matches assignment targets that record a cast vote:
-// `x.voted1 = ...`, `x.voted2 = ...`, or writes into the votedSeq /
-// vote2Lock maps (`n.votedSeq[seq] = digest`).
+// `x.voted1 = ...`, `x.voted2 = ...`, `x.vote2Lock = ...`.
 func recordsVoteState(lhs ast.Expr) (string, bool) {
-	switch e := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		if voteStateFields[e.Sel.Name] {
-			return e.Sel.Name, true
-		}
-	case *ast.IndexExpr:
-		switch x := ast.Unparen(e.X).(type) {
-		case *ast.SelectorExpr:
-			if voteLockMaps[x.Sel.Name] {
-				return x.Sel.Name, true
-			}
-		case *ast.Ident:
-			if voteLockMaps[x.Name] {
-				return x.Name, true
-			}
-		}
+	if e, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && voteStateFields[e.Sel.Name] {
+		return e.Sel.Name, true
 	}
 	return "", false
 }

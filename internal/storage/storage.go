@@ -115,10 +115,9 @@ func (v *VoteRecord) wire(c codec.Coder) {
 // the notarized block and its σ1 proof. The redo plan's quorum-intersection
 // argument assumes every view-change quorum contains an honest σ2 voter
 // that still advertises the notarized block; a voter that crash-restarted
-// would otherwise have lost it (the carried set is in-memory), letting a
-// confirmed block be redone as a dummy. The certificate is therefore logged
-// alongside the round-2 VoteRecord and reloaded into the carried set at
-// Start.
+// would otherwise have lost it (the replica keeps it in memory only),
+// letting a confirmed block be redone as a dummy. The certificate is
+// therefore logged alongside the round-2 VoteRecord and reloaded at Start.
 type NoteRecord struct {
 	Block     *types.BFTblock
 	Notarized crypto.Proof // σ1 over H(block)
