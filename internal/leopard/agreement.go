@@ -151,22 +151,24 @@ func (n *Node) plainShareFrom(from types.ReplicaID, d types.Hash, s crypto.Share
 // signer, each counted under the digest it signs, so a share on another
 // digest — a checkpoint share over a state nobody else reached — takes its
 // signer's place and spoils nobody's Combine. Signers are found by scanning:
-// a tally holds at most n entries and every one of them cost a signature
+// a tally holds at most n shares and every one of them cost a signature
 // verification to get in.
 type tally struct {
-	votes []talliedShare
+	counts []tallyCount
 }
 
-type talliedShare struct {
+type tallyCount struct {
 	digest types.Hash
-	share  crypto.Share
+	shares []crypto.Share
 }
 
 // has reports whether signer's share is already counted.
 func (t *tally) has(signer types.ReplicaID) bool {
-	for i := range t.votes {
-		if t.votes[i].share.Signer == signer {
-			return true
+	for _, c := range t.counts {
+		for _, s := range c.shares {
+			if s.Signer == signer {
+				return true
+			}
 		}
 	}
 	return false
@@ -175,25 +177,21 @@ func (t *tally) has(signer types.ReplicaID) bool {
 // add counts s, a verified share on d, unless its signer is counted already,
 // and returns the shares on d once there are quorum of them.
 func (t *tally) add(d types.Hash, s crypto.Share, quorum int) []crypto.Share {
+	i := 0
+	for i < len(t.counts) && t.counts[i].digest != d {
+		i++
+	}
+	if i == len(t.counts) {
+		t.counts = append(t.counts, tallyCount{digest: d})
+	}
+	c := &t.counts[i]
 	if !t.has(s.Signer) {
-		t.votes = append(t.votes, talliedShare{digest: d, share: s})
+		c.shares = append(c.shares, s)
 	}
-	on := 0
-	for i := range t.votes {
-		if t.votes[i].digest == d {
-			on++
-		}
-	}
-	if on < quorum {
+	if len(c.shares) < quorum {
 		return nil
 	}
-	shares := make([]crypto.Share, 0, on)
-	for i := range t.votes {
-		if t.votes[i].digest == d {
-			shares = append(shares, t.votes[i].share)
-		}
-	}
-	return shares
+	return c.shares
 }
 
 // handleBFTblock implements VRFBFTBLOCK and the prepare stage (Alg. 2):
@@ -430,7 +428,7 @@ func (n *Node) handleProof(from types.ReplicaID, m *ProofMsg, out transport.Sink
 			}
 		}
 		//lint:retains-frame a buffered proof is almost the whole frame (one threshold sig); it is held until its block arrives or the slot is released
-		n.cur.earlyProofs[m.Block.Seq] = append(early, pendingProof{
+		n.cur.earlyProofs[m.Block.Seq] = append(early, earlyProof{
 			round: m.Round, digest: m.Digest, proof: m.Proof,
 		})
 		return

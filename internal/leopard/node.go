@@ -49,7 +49,7 @@ type viewRecord struct {
 	instances map[types.SeqNum]*instance
 	// earlyProofs holds proofs of this view that overtook their block, one
 	// per round, from the view's leader only.
-	earlyProofs map[types.SeqNum][]pendingProof
+	earlyProofs map[types.SeqNum][]earlyProof
 	// redo is what the new-view message promised for each slot it re-agrees:
 	// the digest the leader's proposal there must have.
 	redo map[types.SeqNum]types.Hash
@@ -66,7 +66,7 @@ type viewRecord struct {
 func newViewRecord() *viewRecord {
 	return &viewRecord{
 		instances:   make(map[types.SeqNum]*instance),
-		earlyProofs: make(map[types.SeqNum][]pendingProof),
+		earlyProofs: make(map[types.SeqNum][]earlyProof),
 		redo:        make(map[types.SeqNum]types.Hash),
 		readyVotes:  make(map[types.Hash]map[types.ReplicaID]struct{}),
 		readyOrder:  make(map[types.ReplicaID][]types.Hash),
@@ -135,8 +135,8 @@ type servedKey struct {
 	requester types.ReplicaID
 }
 
-// pendingProof is a proof that arrived before its BFTblock.
-type pendingProof struct {
+// earlyProof is a proof that arrived before its BFTblock.
+type earlyProof struct {
 	round  int
 	digest types.Hash
 	proof  crypto.Proof
@@ -411,7 +411,7 @@ func (n *Node) Stats() Stats {
 		s.LogBytes = st.LiveBytes
 	}
 	for _, sl := range n.slots {
-		if len(sl.checkpoint.votes) > 0 {
+		if len(sl.checkpoint.counts) > 0 {
 			s.CheckpointSeqsTracked++
 		}
 	}

@@ -2,6 +2,7 @@ package leopard
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
 
 	"leopard/internal/crypto"
@@ -381,16 +382,8 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	}
 	// Votes to leave a view below this one, and view-change messages for
 	// this view or below, have nothing left to decide.
-	for v := range n.timeoutVotes {
-		if v < n.view {
-			delete(n.timeoutVotes, v)
-		}
-	}
-	for v := range n.vcMsgs {
-		if v <= n.view {
-			delete(n.vcMsgs, v)
-		}
-	}
+	maps.DeleteFunc(n.timeoutVotes, func(v types.View, _ map[types.ReplicaID]struct{}) bool { return v < n.view })
+	maps.DeleteFunc(n.vcMsgs, func(v types.View, _ map[types.ReplicaID]*ViewChangeMsg) bool { return v <= n.view })
 
 	// Everything the old view owned goes at once. The confirmed log and the
 	// notarizations survive on the slots; every unconfirmed instance will be
