@@ -7,41 +7,94 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"leopard/internal/leopard/analysis"
+	"leopard/internal/metrics"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current scenarios")
 
-// TestRowsGolden pins the seeded n=4 result rows of the chaos, recover and
-// stream scenarios byte for byte. The runs are deterministic, so a change
-// that claims to leave the fixed-leader protocol's behaviour alone proves it
-// by this file not moving; one that means to move it re-records with -update
-// and says why.
-func TestRowsGolden(t *testing.T) {
-	const path = "testdata/rows.golden"
-	scales := []int{4}
-	chaos, err := ChaosScenario(scales)
-	if err != nil {
-		t.Fatal(err)
+// TestExperimentsGolden pins every experiment's result rows at its smoke
+// point: one section per experiment, each the document `leopard-sim
+// -experiment <id> -scales <smoke> -json` writes. The runs are
+// deterministic, so a change that claims to leave the evaluation alone
+// proves it by this file not moving; one that means to move an experiment
+// re-records with -update and says why.
+func TestExperimentsGolden(t *testing.T) {
+	const path = "testdata/experiments.golden"
+	s4 := []int{4}
+	smokes := []struct {
+		id     string
+		scales []int
+		run    func() (any, error)
+	}{
+		{"fig2", s4, func() (any, error) { return Fig2(s4) }},
+		{"table1", nil, func() (any, error) { return analysis.TableI(), nil }},
+		{"fig6", s4, func() (any, error) { return Fig6(s4, nil) }},
+		{"fig7", s4, func() (any, error) { return Fig7(s4, nil) }},
+		{"fig8", s4, func() (any, error) {
+			type group struct {
+				BFTBlockSize int
+				Rows         []Point
+			}
+			var groups []group
+			for _, bft := range []int{10, 100} {
+				rows, err := Fig8(s4, nil, bft)
+				if err != nil {
+					return nil, err
+				}
+				groups = append(groups, group{bft, rows})
+			}
+			return groups, nil
+		}},
+		{"fig9", s4, func() (any, error) { return Fig9(s4, 300) }},
+		{"fig10", s4, func() (any, error) { return Fig10(s4, nil) }},
+		{"fig11", s4, func() (any, error) { return Fig9(s4, 300) }},
+		{"table3", []int{32}, func() (any, error) {
+			leader, replica, err := Table3(32)
+			return struct{ Leader, Replica []metrics.BreakdownRow }{leader, replica}, err
+		}},
+		{"table4", []int{32}, func() (any, error) { return Table4(32) }},
+		{"fig12", s4, func() (any, error) { return Fig12(s4, false) }},
+		{"fig13", s4, func() (any, error) { return Fig13(s4) }},
+		{"a1", s4, func() (any, error) {
+			committee, err := Fig12(s4, false)
+			if err != nil {
+				return nil, err
+			}
+			leader, err := Fig12(s4, true)
+			return append(committee, leader...), err
+		}},
+		{"a3", s4, func() (any, error) { return AblationAdaptiveAlpha(s4) }},
+		{"attack", s4, func() (any, error) {
+			r, err := SelectiveAttack(4)
+			return []SelectiveAttackResult{r}, err
+		}},
+		{"vclanes", s4, func() (any, error) { return ViewChangeUnderBulk(s4) }},
+		{"stream", s4, func() (any, error) { return StreamScenario(s4) }},
+		{"recover", s4, func() (any, error) { return RecoverScenario(s4) }},
+		{"chaos", s4, func() (any, error) { return ChaosScenario(s4) }},
+		{"clients", s4, func() (any, error) { return ClientsScenario(s4, 200) }},
 	}
-	recov, err := RecoverScenario(scales)
-	if err != nil {
-		t.Fatal(err)
+	var got strings.Builder
+	for _, s := range smokes {
+		rows, err := s.run()
+		if err != nil {
+			t.Fatalf("%s: %v", s.id, err)
+		}
+		buf, err := json.MarshalIndent(struct {
+			Experiment string `json:"experiment"`
+			Scales     []int  `json:"scales,omitempty"`
+			Rows       any    `json:"rows"`
+		}{s.id, s.scales, rows}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(buf)
+		got.WriteByte('\n')
 	}
-	stream, err := StreamScenario(scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.MarshalIndent(struct {
-		Chaos   []ChaosResult
-		Recover []RecoverResult
-		Stream  []StreamResult
-	}{chaos, recov, stream}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(buf) + "\n"
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,16 +102,31 @@ func TestRowsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("seeded rows moved:\n got %s\nwant %s", got, want)
+	if got.String() != string(want) {
+		// Each section ends at its document's closing brace, the only one
+		// in column 0, so a failure names the experiments that moved.
+		gotSecs := strings.SplitAfter(got.String(), "\n}\n")
+		wantSecs := strings.SplitAfter(string(want), "\n}\n")
+		for i := range max(len(gotSecs), len(wantSecs)) {
+			var g, w string
+			if i < len(gotSecs) {
+				g = gotSecs[i]
+			}
+			if i < len(wantSecs) {
+				w = wantSecs[i]
+			}
+			if g != w {
+				t.Errorf("section %d moved:\n got %s\nwant %s", i, g, w)
+			}
+		}
 	}
 }
 
 // TestChaosDigestGolden pins ChaosRunDigest — every plan's row plus the
-// per-replica sent/received byte signature, which rows.golden does not carry
-// — at n=4, 8 and 16. The larger scales are where the plans change views
-// most (f=2 and f=5 quorums), so a change to what a view or a slot owns
-// proves it moved no message by this file not moving.
+// per-replica sent/received byte signature, which the experiments golden
+// does not carry — at n=4, 8 and 16. The larger scales are where the plans
+// change views most (f=2 and f=5 quorums), so a change to what a view or a
+// slot owns proves it moved no message by this file not moving.
 func TestChaosDigestGolden(t *testing.T) {
 	const path = "testdata/chaos_digest.golden"
 	var b strings.Builder
