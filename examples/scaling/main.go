@@ -3,7 +3,7 @@
 // simulator (Fig. 9). Expect Leopard to stay near 1e5 requests/sec while
 // HotStuff's leader bottleneck collapses its throughput.
 //
-//	go run ./examples/scaling            # quick sweep
+//	go run ./examples/scaling            # the catalog's trimmed sweep
 //	go run ./examples/scaling -full      # the paper's scales up to 600
 package main
 
@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"leopard/internal/experiments"
 )
@@ -18,34 +19,18 @@ import (
 func main() {
 	full := flag.Bool("full", false, "sweep the paper's full scale list (slow)")
 	flag.Parse()
-	scales := []int{16, 64, 128}
+	fig9, _ := experiments.Lookup("fig9")
+	s := fig9.Trimmed()
 	if *full {
-		scales = []int{32, 64, 128, 256, 300, 400, 600}
+		s = fig9.Paper
 	}
-	if err := run(scales); err != nil {
+	rows, err := fig9.Run(s)
+	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-func run(scales []int) error {
 	fmt.Println("throughput vs scale (payload 128 B, Table II batch sizes)")
-	fmt.Println("   n   Leopard(Kreq/s)   HotStuff(Kreq/s)   leader bw: Leo / HS (Mbps)")
-	rows, err := experiments.Fig9(scales, 300)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if r.HotStuff != nil {
-			fmt.Printf("%4d   %15.1f   %16.1f   %10.0f / %-6.0f\n",
-				r.N, r.Leopard.Throughput/1e3, r.HotStuff.Throughput/1e3,
-				r.Leopard.LeaderMbps, r.HotStuff.LeaderMbps)
-		} else {
-			fmt.Printf("%4d   %15.1f   %16s   %10.0f / %-6s\n",
-				r.N, r.Leopard.Throughput/1e3, "-", r.Leopard.LeaderMbps, "-")
-		}
-	}
+	rows.Print(os.Stdout)
 	fmt.Println("\nLeopard's curve stays flat because every replica shares the")
 	fmt.Println("dissemination load (constant scaling factor); HotStuff's leader")
 	fmt.Println("must push every request to all n-1 replicas itself.")
-	return nil
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"leopard/internal/crypto"
 	"leopard/internal/faultplan"
 	"leopard/internal/harness"
 	"leopard/internal/leopard"
-	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/storage"
 	"leopard/internal/transport"
@@ -141,16 +141,27 @@ func member(ids []types.ReplicaID, id types.ReplicaID) bool {
 	return false
 }
 
-// chaosCluster builds a fully durable n-replica cluster wired into the
+// chaosCluster builds a fully durable n-replica cluster wired into a fresh
 // invariant checker: every replica persists to a deterministic in-memory
 // store (registered for the durability invariant) and reports executions
-// through the checker's per-replica observer.
-func chaosCluster(n int, p chaosParams, suite crypto.Suite, ic *harness.InvariantChecker,
-	stores []storage.Store, ts *obs.TraceSet, mutate func(*leopard.Config)) (*harness.Cluster, error) {
+// through the checker's per-replica observer. When Tracing is set, the run
+// is traced under label.
+func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Config)) (*harness.Cluster, *harness.InvariantChecker, error) {
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
+	if err != nil {
+		return nil, nil, err
+	}
+	ic := harness.NewInvariantChecker(suite)
+	stores := make([]storage.Store, n)
+	for i := range stores {
+		stores[i] = storage.NewMemLog()
+		ic.RegisterStore(types.ReplicaID(i), stores[i])
+	}
+	ts := traceRun(label, n)
 	net := netConfig()
 	net.TickInterval = 5 * time.Millisecond
 	net.Seed = p.seed
@@ -192,41 +203,11 @@ func chaosCluster(n int, p chaosParams, suite crypto.Suite, ic *harness.Invarian
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.AttachInvariants(ic)
 	ic.AttachTrace(ts)
-	return c, nil
-}
-
-// chaosHeight is the maximum executed height across all replicas.
-func chaosHeight(c *harness.Cluster) types.SeqNum {
-	var h types.SeqNum
-	for _, r := range c.Replicas {
-		if e := r.(*leopard.Node).ExecutedTo(); e > h {
-			h = e
-		}
-	}
-	return h
-}
-
-// chaosLoad schedules the deterministic background workload: the given
-// generators each submit one datablock's worth of requests every
-// loadEvery until the absolute until time.
-func chaosLoad(c *harness.Cluster, generators []types.ReplicaID, p chaosParams, until time.Duration) {
-	var tick func(at time.Duration)
-	tick = func(at time.Duration) {
-		c.Net.ScheduleCall(at, func(now time.Duration) {
-			if now >= until {
-				return
-			}
-			for _, g := range generators {
-				c.SubmitN(g, p.dbRequests)
-			}
-			tick(now + p.loadEvery)
-		})
-	}
-	tick(50 * time.Millisecond)
+	return c, ic, nil
 }
 
 // chaosGenerators picks f+1 load generators that are neither the leader
@@ -254,17 +235,14 @@ func chaosGenerators(n int, leader types.ReplicaID, plan faultplan.Plan) []types
 // result.
 func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChecker) {
 	ic.CheckCertificates(c.Replicas)
-	res.Height = chaosHeight(c)
-	for _, r := range c.Replicas {
-		st := r.(*leopard.Node).Stats()
+	res.Height = maxExecuted(c)
+	for _, node := range leopardNodes(c) {
+		st := node.Stats()
 		res.ViewChanges += st.ViewChanges
 		res.VotesLogged += st.VotesLogged
 		res.VotesReloaded += st.VotesReloaded
 	}
-	for i := 0; i < len(c.Replicas); i++ {
-		bw := c.Net.Stats(types.ReplicaID(i))
-		res.traffic += fmt.Sprintf("%d:%d/%d ", i, bw.TotalSent(), bw.TotalReceived())
-	}
+	res.traffic = trafficSignature(c)
 	res.Violations = ic.Violations()
 	res.PostMortem = ic.PostMortem()
 }
@@ -272,20 +250,7 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 // chaosOnce runs one scheduled plan under the invariant checker.
 func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	res := ChaosResult{N: n, Plan: plan.Name}
-	if n < 4 {
-		return res, fmt.Errorf("need n >= 4, got %d", n)
-	}
-	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
-	if err != nil {
-		return res, err
-	}
-	ic := harness.NewInvariantChecker(suite)
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-		ic.RegisterStore(types.ReplicaID(i), stores[i])
-	}
-	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+res.Plan, n), nil)
+	c, ic, err := chaosCluster(n, p, "chaos "+res.Plan, nil)
 	if err != nil {
 		return res, err
 	}
@@ -298,11 +263,11 @@ func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	leader := c.Replicas[0].Leader()
 	end := plan.End()
 	deadline := end + p.grace
-	chaosLoad(c, chaosGenerators(n, leader, plan), p, deadline)
+	scheduleLoad(c, chaosGenerators(n, leader, plan), p.dbRequests, p.loadEvery, deadline)
 
 	c.Net.Run(end)
-	h0 := chaosHeight(c)
-	if !c.RunUntil(deadline, 10*time.Millisecond, func() bool { return chaosHeight(c) > h0 }) {
+	h0 := maxExecuted(c)
+	if !c.RunUntil(deadline, 10*time.Millisecond, func() bool { return maxExecuted(c) > h0 }) {
 		ic.Violate("liveness: executed height stuck at %d for %v after plan %q healed", h0, p.grace, plan.Name)
 	}
 	for _, e := range eng.Errs() {
@@ -325,20 +290,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 		name += "-noval"
 	}
 	res := ChaosResult{N: n, Plan: name}
-	if n < 4 {
-		return res, fmt.Errorf("need n >= 4, got %d", n)
-	}
-	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
-	if err != nil {
-		return res, err
-	}
-	ic := harness.NewInvariantChecker(suite)
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-		ic.RegisterStore(types.ReplicaID(i), stores[i])
-	}
-	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("chaos "+name, n), func(cfg *leopard.Config) {
+	c, ic, err := chaosCluster(n, p, "chaos "+name, func(cfg *leopard.Config) {
 		// A patient view-change timer keeps the cluster in the leader's
 		// view long enough for the restarted leader to equivocate before
 		// anyone gives up on it, and a deep outstanding window keeps the
@@ -365,7 +317,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 		}
 		if bm, ok := msg.(*leopard.BFTblockMsg); ok && bm.Block != nil && bm.Block.Seq >= p.triggerSeq {
 			triggered = true
-			heightAtCrash = chaosHeight(c)
+			heightAtCrash = maxExecuted(c)
 			c.Net.ScheduleCall(now, func(time.Duration) { c.Net.Crash(leader) })
 			c.Net.ScheduleCall(now+100*time.Millisecond, func(time.Duration) {
 				if err := c.Restart(leader); err != nil {
@@ -382,7 +334,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 			generators = append(generators, id)
 		}
 	}
-	chaosLoad(c, generators, p, 6*time.Second)
+	scheduleLoad(c, generators, p.dbRequests, p.loadEvery, 6*time.Second)
 
 	if !c.RunUntil(4*time.Second, 10*time.Millisecond, func() bool { return triggered }) {
 		return res, fmt.Errorf("amnesia: leader never proposed seq %d", p.triggerSeq)
@@ -391,60 +343,87 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 	// view change; without it the cluster refuses the equivocating
 	// proposal and also changes view. Either way execution must resume.
 	deadline := c.Net.Now() + 8*time.Second
-	if !c.RunUntil(deadline, 10*time.Millisecond, func() bool { return chaosHeight(c) > heightAtCrash+4 }) {
+	if !c.RunUntil(deadline, 10*time.Millisecond, func() bool { return maxExecuted(c) > heightAtCrash+4 }) {
 		ic.Violate("liveness: executed height stuck near %d after leader crash-restart", heightAtCrash)
 	}
 	chaosFinish(&res, c, ic)
 	return res, nil
 }
 
-// ChaosScenario sweeps the schedule library (plus the amnesia schedule,
-// vote-ahead logging enabled) at each scale with the invariant checker on.
-// A healthy tree returns zero violations in every row.
-func ChaosScenario(scales []int) ([]ChaosResult, error) {
-	return chaosScenario(scales, defaultChaosParams())
-}
+// ChaosRows is the chaos scenario: the schedule library plus the amnesia
+// schedule (vote-ahead logging enabled) at each scale with the invariant
+// checker on. A healthy tree returns zero violations in every row.
+type ChaosRows []ChaosResult
 
-func chaosScenario(scales []int, p chaosParams) ([]ChaosResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 8, 16}
-	}
-	var out []ChaosResult
+func chaosScenario(scales []int, p chaosParams) (ChaosRows, error) {
+	var out ChaosRows
 	for _, n := range scales {
+		if n < 4 {
+			return nil, fmt.Errorf("need n >= 4, got %d", n)
+		}
 		for _, plan := range chaosPlans(n, p.seed) {
 			r, err := chaosOnce(n, plan, p)
 			if err != nil {
-				return nil, fmt.Errorf("chaos n=%d plan=%s: %w", n, plan.Name, err)
+				return nil, fmt.Errorf("n=%d plan=%s: %w", n, plan.Name, err)
 			}
 			out = append(out, r)
 		}
 		r, err := chaosAmnesia(n, false, p)
 		if err != nil {
-			return nil, fmt.Errorf("chaos n=%d plan=%s: %w", n, r.Plan, err)
+			return nil, fmt.Errorf("n=%d plan=%s: %w", n, r.Plan, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
+// violations reports the rows' invariant violations as one error.
+func (rows ChaosRows) violations() error {
+	bad := 0
+	for _, r := range rows {
+		bad += len(r.Violations)
+	}
+	if bad > 0 {
+		return fmt.Errorf("chaos: %d invariant violations", bad)
+	}
+	return nil
+}
+
+func (rows ChaosRows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   plan                     height   view-changes   votes-logged   votes-reloaded   violations")
+	for _, r := range rows {
+		viol := "none"
+		if len(r.Violations) > 0 {
+			viol = fmt.Sprintf("%d (see below)", len(r.Violations))
+		}
+		fmt.Fprintf(w, "%4d   %-22s   %6d   %12d   %12d   %14d   %s\n",
+			r.N, r.Plan, r.Height, r.ViewChanges, r.VotesLogged, r.VotesReloaded, viol)
+	}
+	for _, r := range rows {
+		for _, v := range r.Violations {
+			fmt.Fprintf(w, "VIOLATION n=%d plan=%s: %s\n", r.N, r.Plan, v)
+		}
+		if r.PostMortem != "" {
+			fmt.Fprintf(w, "-- post-mortem n=%d plan=%s (event history at first violation) --\n%s", r.N, r.Plan, r.PostMortem)
+		}
+	}
+}
+
 // ChaosRunDigest renders the whole schedule library at one scale as a
 // deterministic string: two identically-seeded runs must be byte-identical
 // (TestChaosDeterministic).
 func ChaosRunDigest(n int, p chaosParams) (string, error) {
-	var out string
-	for _, plan := range chaosPlans(n, p.seed) {
-		r, err := chaosOnce(n, plan, p)
-		if err != nil {
-			return "", err
-		}
-		out += fmt.Sprintf("plan=%s h=%d vc=%d logged=%d reloaded=%d viol=%d traffic=%s; ",
-			r.Plan, r.Height, r.ViewChanges, r.VotesLogged, r.VotesReloaded, len(r.Violations), r.traffic)
-	}
-	r, err := chaosAmnesia(n, false, p)
+	rows, err := chaosScenario([]int{n}, p)
 	if err != nil {
 		return "", err
 	}
-	out += fmt.Sprintf("plan=%s h=%d vc=%d logged=%d reloaded=%d viol=%d traffic=%s",
-		r.Plan, r.Height, r.ViewChanges, r.VotesLogged, r.VotesReloaded, len(r.Violations), r.traffic)
+	var out string
+	for i, r := range rows {
+		if i > 0 {
+			out += "; "
+		}
+		out += fmt.Sprintf("plan=%s h=%d vc=%d logged=%d reloaded=%d viol=%d traffic=%s",
+			r.Plan, r.Height, r.ViewChanges, r.VotesLogged, r.VotesReloaded, len(r.Violations), r.traffic)
+	}
 	return out, nil
 }

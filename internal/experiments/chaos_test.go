@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"leopard/internal/crypto"
-	"leopard/internal/harness"
 	"leopard/internal/leopard"
-	"leopard/internal/storage"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
@@ -18,7 +15,7 @@ import (
 // invariant checker armed. Any safety, durability or bounded-liveness
 // violation under any plan fails the test.
 func TestChaosScenarioNoViolations(t *testing.T) {
-	results, err := ChaosScenario(nil)
+	results, err := chaosScenario([]int{4, 8, 16}, defaultChaosParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +90,7 @@ func escalationTimeoutVotes(t *testing.T, maxTimeout time.Duration) int {
 	t.Helper()
 	const n = 4
 	p := defaultChaosParams()
-	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic := harness.NewInvariantChecker(suite)
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-	}
-	c, err := chaosCluster(n, p, suite, ic, stores, nil, func(cfg *leopard.Config) {
+	c, _, err := chaosCluster(n, p, "escalation", func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = 100 * time.Millisecond
 		cfg.ViewChangeMaxTimeout = maxTimeout
 	})

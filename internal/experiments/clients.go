@@ -3,7 +3,7 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"leopard/internal/client"
@@ -57,9 +57,10 @@ type ClientsResult struct {
 // index order, batches each tick's submissions per replica, and replies are
 // scheduled back through the simnet event queue.
 type clientsDriver struct {
-	c    *harness.Cluster
-	keys *client.Keychain
-	n, f int
+	c     *harness.Cluster
+	nodes []*leopard.Node
+	keys  *client.Keychain
+	n, f  int
 
 	sessions []*client.Session
 	sigs     [][]byte // signature of each session's in-flight request
@@ -116,8 +117,7 @@ func (d *clientsDriver) tick(now time.Duration) {
 		if len(reqs) == 0 {
 			continue
 		}
-		node := d.c.Replicas[id].(*leopard.Node)
-		node.SubmitSignedBatch(now, reqs, d.batchSigs[id])
+		d.nodes[id].SubmitSignedBatch(now, reqs, d.batchSigs[id])
 		stats := d.c.Net.Stats(types.ReplicaID(id))
 		for _, req := range reqs {
 			stats.AddReceived(transport.ClassRequest, req.Size()+client.SignatureSize)
@@ -145,23 +145,28 @@ func (d *clientsDriver) onReply(now time.Duration, r client.Reply) {
 	}
 }
 
-// ClientsScenario runs the clients scenario at each scale.
-func ClientsScenario(scales []int, numClients int) ([]ClientsResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4}
+// ClientsRows is the clients scenario at each scale and number of client
+// sessions.
+type ClientsRows []ClientsResult
+
+func clientsScenario(s Sweep) (ClientsRows, error) {
+	return each(s, func(n, sessions int) (ClientsResult, error) {
+		return clientsRun(n, sessions, defaultClientsParams())
+	})
+}
+
+// Print renders each result; two identically-seeded runs must print
+// identically.
+func (rows ClientsRows) Print(w io.Writer) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "n=%d clients=%d byzantine-replica=%d final-view=%d\n",
+			r.N, r.Clients, r.Byzantine, r.FinalView)
+		fmt.Fprintf(w, "accepted=%d retransmits=%d p50=%v p99=%v mean=%v\n",
+			r.Accepted, r.Retransmits, r.P50Lat, r.P99Lat, r.MeanLat)
+		fmt.Fprintf(w, "admitted=%d rejected=%d rate-limited=%d bad-sigs=%d replies-sent=%d\n",
+			r.Admitted, r.Rejected, r.RateLimited, r.BadSigs, r.Replies)
+		fmt.Fprint(w, r.Histogram)
 	}
-	if numClients <= 0 {
-		numClients = 1200
-	}
-	var out []ClientsResult
-	for _, n := range scales {
-		r, err := clientsOnce(n, numClients)
-		if err != nil {
-			return nil, fmt.Errorf("clients n=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // clientsParams are the scenario's schedule knobs. The defaults are the CLI
@@ -191,10 +196,6 @@ func defaultClientsParams() clientsParams {
 		Retransmit:   400 * time.Millisecond,
 		VCTimeout:    400 * time.Millisecond,
 	}
-}
-
-func clientsOnce(n, numClients int) (ClientsResult, error) {
-	return clientsRun(n, numClients, defaultClientsParams())
 }
 
 func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
@@ -243,6 +244,7 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 
 	d := &clientsDriver{
 		c:         c,
+		nodes:     leopardNodes(c),
 		keys:      keys,
 		n:         n,
 		f:         q.F,
@@ -275,12 +277,10 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 	// clients: its reply sink stays unset. Replica n-1 is never the leader
 	// in this run's view window, so consensus keeps it honest-looking.
 	byz := types.ReplicaID(n - 1)
-	for i, r := range c.Replicas {
-		id := types.ReplicaID(i)
-		if id == byz {
+	for i, node := range d.nodes {
+		if types.ReplicaID(i) == byz {
 			continue
 		}
-		node := r.(*leopard.Node)
 		node.SetReplySink(func(m leopard.ReplyMsg) {
 			reply := client.Reply{
 				Client: m.Client, Seq: m.Seq, SN: m.SN, Result: m.Result,
@@ -323,14 +323,14 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 		MeanLat:   d.lat.Mean(),
 		P50Lat:    d.lat.Percentile(50),
 		P99Lat:    d.lat.Percentile(99),
-		FinalView: c.Replicas[0].(*leopard.Node).View(),
+		FinalView: d.nodes[0].View(),
 		Histogram: d.lat.Histogram(),
 	}
 	for _, s := range d.sessions {
 		res.Retransmits += s.Retransmits()
 	}
-	for _, r := range c.Replicas {
-		st := r.(*leopard.Node).Stats()
+	for _, node := range d.nodes {
+		st := node.Stats()
 		res.Admitted += st.AdmittedRequests
 		res.Rejected += st.RejectedRequests
 		res.RateLimited += st.RateLimited
@@ -341,18 +341,4 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 		return res, fmt.Errorf("no reply certificates completed (n=%d, %d clients)", n, numClients)
 	}
 	return res, nil
-}
-
-// FormatClients renders one result for the CLI and the determinism
-// regression test (two identically-seeded runs must format identically).
-func FormatClients(r ClientsResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n=%d clients=%d byzantine-replica=%d final-view=%d\n",
-		r.N, r.Clients, r.Byzantine, r.FinalView)
-	fmt.Fprintf(&sb, "accepted=%d retransmits=%d p50=%v p99=%v mean=%v\n",
-		r.Accepted, r.Retransmits, r.P50Lat, r.P99Lat, r.MeanLat)
-	fmt.Fprintf(&sb, "admitted=%d rejected=%d rate-limited=%d bad-sigs=%d replies-sent=%d\n",
-		r.Admitted, r.Rejected, r.RateLimited, r.BadSigs, r.Replies)
-	sb.WriteString(r.Histogram)
-	return sb.String()
 }

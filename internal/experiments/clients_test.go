@@ -37,7 +37,9 @@ func TestClientsScenarioLiveAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatClients(first)
+	var b strings.Builder
+	ClientsRows{first}.Print(&b)
+	out := b.String()
 	t.Logf("clients scenario:\n%s", out)
 
 	if first.Accepted == 0 {
@@ -68,7 +70,9 @@ func TestClientsScenarioLiveAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2 := FormatClients(second); out != out2 {
+	b.Reset()
+	ClientsRows{second}.Print(&b)
+	if out2 := b.String(); out != out2 {
 		t.Fatalf("identically-seeded runs diverged:\n-- run 1 --\n%s\n-- run 2 --\n%s", out, out2)
 	}
 }

@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure of the Leopard
 // paper's evaluation (§VI). Each experiment builds a simulated cluster via
 // internal/harness, runs it in virtual time, and returns the same rows the
-// paper reports. bench_test.go and cmd/leopard-sim are thin wrappers.
+// paper reports. Catalog declares each experiment once — its sweeps, its run
+// and the printer of its rows — and cmd/leopard-sim, bench_test.go,
+// examples/scaling and testdata/experiments.golden loop over it.
 //
 // Calibration (ROADMAP.md, "A simulator that is calibrated or silent", is
 // the open item on these constants): per-replica NIC capacity is the paper's
@@ -13,14 +15,15 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"leopard/internal/crypto"
 	"leopard/internal/harness"
 	"leopard/internal/hotstuff"
 	"leopard/internal/leopard"
+	"leopard/internal/leopard/analysis"
 	"leopard/internal/metrics"
-	"leopard/internal/pbft"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
 	"leopard/internal/types"
@@ -36,6 +39,10 @@ const (
 
 	warmup  = 1 * time.Second
 	measure = 2 * time.Second
+
+	// maxHotStuff is the largest scale HotStuff is run at: the paper's
+	// implementation could not run beyond 300.
+	maxHotStuff = 300
 )
 
 // TableII returns the paper's Table II batch sizes for scale n:
@@ -149,57 +156,62 @@ func hotstuffCluster(n, batch int, net simnet.Config) (*harness.Cluster, error) 
 	})
 }
 
-// pbftCluster builds an n-replica PBFT cluster on simnet.
-func pbftCluster(n, batch int, net simnet.Config) (*harness.Cluster, error) {
-	q, err := types.NewQuorumParams(n)
-	if err != nil {
-		return nil, err
+// leopardNodes returns the replicas of a cluster built by leopardCluster or
+// chaosCluster as Leopard nodes. A restart replaces a node, so callers that
+// restart one call this again.
+func leopardNodes(c *harness.Cluster) []*leopard.Node {
+	nodes := make([]*leopard.Node, len(c.Replicas))
+	for i, r := range c.Replicas {
+		nodes[i] = r.(*leopard.Node)
 	}
-	suite, err := crypto.NewSimSuite(n, []byte("experiments"))
-	if err != nil {
-		return nil, err
+	return nodes
+}
+
+// maxExecuted is the highest executed height across a Leopard cluster.
+func maxExecuted(c *harness.Cluster) types.SeqNum {
+	var h types.SeqNum
+	for _, node := range leopardNodes(c) {
+		h = max(h, node.ExecutedTo())
 	}
-	return harness.NewCluster(harness.Options{
-		N:               n,
-		Net:             net,
-		PayloadSize:     PayloadSize,
-		SaturationDepth: 4 * batch,
-		SubmitToLeader:  true,
-		LatencySample:   16,
-		Build: func(id types.ReplicaID) (protocol.Replica, error) {
-			node, err := pbft.NewNode(pbft.Config{ID: id, Quorum: q, Suite: suite, BatchSize: batch})
-			if err != nil {
-				return nil, err
+	return h
+}
+
+// scheduleLoad submits one datablock's worth of requests (requests) to each
+// generator every `every`, from 50 ms until the absolute time until: the
+// deterministic background workload of the fault scenarios.
+func scheduleLoad(c *harness.Cluster, generators []types.ReplicaID, requests int, every, until time.Duration) {
+	var tick func(at time.Duration)
+	tick = func(at time.Duration) {
+		c.Net.ScheduleCall(at, func(now time.Duration) {
+			if now >= until {
+				return
 			}
-			node.TrustDigests = true
-			node.SkipRequestDedup = true
-			return node, nil
-		},
-	})
-}
-
-// measureLong is measureCluster with a longer window so queueing latency
-// under saturation (seconds at low bandwidth, as in the paper's Fig. 10)
-// is observable within the run.
-func measureLong(c *harness.Cluster, n int, param float64) Point {
-	c.Start()
-	c.Warmup(2 * time.Second)
-	res := c.MeasureFor(12 * time.Second)
-	leader := c.LeaderStats()
-	return Point{
-		N:          n,
-		Param:      param,
-		Throughput: res.Throughput,
-		MeanLat:    res.MeanLat,
-		LeaderMbps: metrics.Mbps(leader.Total(), res.Elapsed),
+			for _, g := range generators {
+				c.SubmitN(g, requests)
+			}
+			tick(now + every)
+		})
 	}
+	tick(50 * time.Millisecond)
 }
 
-// measureCluster warms a cluster up and measures one point.
-func measureCluster(c *harness.Cluster, n int, param float64) Point {
+// trafficSignature is every replica's sent/received byte totals, the part of
+// a run digest that catches a moved message.
+func trafficSignature(c *harness.Cluster) string {
+	var sig string
+	for i := range c.Replicas {
+		bw := c.Net.Stats(types.ReplicaID(i))
+		sig += fmt.Sprintf("%d:%d/%d ", i, bw.TotalSent(), bw.TotalReceived())
+	}
+	return sig
+}
+
+// measurePoint warms a cluster up for warm, then measures one point over
+// window.
+func measurePoint(c *harness.Cluster, n int, param float64, warm, window time.Duration) Point {
 	c.Start()
-	c.Warmup(warmup)
-	res := c.MeasureFor(measure)
+	c.Warmup(warm)
+	res := c.MeasureFor(window)
 	leader := c.LeaderStats()
 	return Point{
 		N:          n,
@@ -216,7 +228,7 @@ func LeopardThroughput(n, dbSize, bftSize int) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	return measureCluster(c, n, 0), nil
+	return measurePoint(c, n, 0, warmup, measure), nil
 }
 
 // HotStuffThroughput measures HotStuff at scale n with the given batch.
@@ -225,142 +237,146 @@ func HotStuffThroughput(n, batch int) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	return measureCluster(c, n, float64(batch)), nil
+	return measurePoint(c, n, float64(batch), warmup, measure), nil
 }
 
-// PBFTThroughput measures PBFT at scale n with the given batch.
-func PBFTThroughput(n, batch int) (Point, error) {
-	c, err := pbftCluster(n, batch, netConfig())
-	if err != nil {
-		return Point{}, err
-	}
-	return measureCluster(c, n, float64(batch)), nil
-}
+// Fig2Rows is Fig. 2: HotStuff throughput and leader bandwidth as n grows —
+// the leader-bottleneck motivation experiment.
+type Fig2Rows []Point
 
-// Fig2 reproduces Fig. 2: HotStuff throughput and leader bandwidth as n
-// grows — the leader-bottleneck motivation experiment.
-func Fig2(scales []int) ([]Point, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 16, 32, 64, 128, 256, 300}
-	}
-	var out []Point
-	for _, n := range scales {
+func fig2(s Sweep) (Fig2Rows, error) {
+	return each(s, func(n, _ int) (Point, error) {
 		_, _, batch := TableII(n)
-		p, err := HotStuffThroughput(n, batch)
-		if err != nil {
-			return nil, fmt.Errorf("fig2 n=%d: %w", n, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
+		return HotStuffThroughput(n, batch)
+	})
 }
 
-// Fig6 reproduces Fig. 6: HotStuff throughput vs batch size.
-func Fig6(scales []int, batches []int) ([]Point, error) {
-	if len(scales) == 0 {
-		scales = []int{32, 64, 128, 256, 300}
+func (rows Fig2Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   throughput(Kreq/s)   leader(Gbps)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %18.1f   %12.2f\n", r.N, r.Throughput/1e3, r.LeaderMbps/1e3)
 	}
-	if len(batches) == 0 {
-		batches = []int{100, 200, 400, 800, 1200}
-	}
-	var out []Point
-	for _, n := range scales {
-		for _, b := range batches {
-			p, err := HotStuffThroughput(n, b)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 n=%d batch=%d: %w", n, b, err)
-			}
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }
 
-// Fig7 reproduces Fig. 7: Leopard throughput vs BFTblock size (links per
+// Table1Rows is Table I from the analytical cost model.
+type Table1Rows []analysis.TableIRow
+
+func table1(Sweep) (Table1Rows, error) { return analysis.TableI(), nil }
+
+func (rows Table1Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "protocol   leader   non-leader   scaling-factor   votes(opt/faulty)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-9s  %-6s   %-10s   %-14s   %d / %d\n",
+			r.Protocol, r.LeaderCost, r.ReplicaCost, r.ScalingFactor, r.VotingOptimistic, r.VotingFaulty)
+	}
+}
+
+// Fig6Rows is Fig. 6: HotStuff throughput vs batch size.
+type Fig6Rows []Point
+
+func fig6(s Sweep) (Fig6Rows, error) { return each(s, HotStuffThroughput) }
+
+func (rows Fig6Rows) Print(w io.Writer) { printPoints(w, "batch", rows) }
+
+// Fig7Rows is Fig. 7: Leopard throughput vs BFTblock size (links per
 // proposal) with the datablock size fixed.
-func Fig7(scales []int, bftSizes []int) ([]Point, error) {
-	if len(scales) == 0 {
-		scales = []int{32, 64, 128, 256, 400, 600}
-	}
-	if len(bftSizes) == 0 {
-		bftSizes = []int{10, 50, 100, 200, 400}
-	}
-	var out []Point
-	for _, n := range scales {
+type Fig7Rows []Point
+
+func fig7(s Sweep) (Fig7Rows, error) {
+	return each(s, func(n, bft int) (Point, error) {
 		dbSize, _, _ := TableII(n)
-		for _, bft := range bftSizes {
-			c, err := leopardCluster(n, dbSize, bft, netConfig(), nil)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 n=%d bft=%d: %w", n, bft, err)
-			}
-			pt := measureCluster(c, n, float64(bft))
-			out = append(out, pt)
+		c, err := leopardCluster(n, dbSize, bft, netConfig(), nil)
+		if err != nil {
+			return Point{}, err
 		}
+		return measurePoint(c, n, float64(bft), warmup, measure), nil
+	})
+}
+
+func (rows Fig7Rows) Print(w io.Writer) { printPoints(w, "links", rows) }
+
+// Fig8Group is Fig. 8 at one fixed BFTblock size.
+type Fig8Group struct {
+	BFTBlockSize int
+	Rows         []Point
+}
+
+// Fig8Rows is Fig. 8: Leopard throughput vs datablock size at two fixed
+// BFTblock sizes (10 and 100).
+type Fig8Rows []Fig8Group
+
+func fig8(s Sweep) (Fig8Rows, error) {
+	var out Fig8Rows
+	for _, bft := range []int{10, 100} {
+		rows, err := each(s, func(n, db int) (Point, error) {
+			c, err := leopardCluster(n, db, bft, netConfig(), nil)
+			if err != nil {
+				return Point{}, err
+			}
+			return measurePoint(c, n, float64(db), warmup, measure), nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bft=%d: %w", bft, err)
+		}
+		out = append(out, Fig8Group{BFTBlockSize: bft, Rows: rows})
 	}
 	return out, nil
 }
 
-// Fig8 reproduces Fig. 8: Leopard throughput vs datablock size at two
-// fixed BFTblock sizes (10 and 100).
-func Fig8(scales []int, dbSizes []int, bftSize int) ([]Point, error) {
-	if len(scales) == 0 {
-		scales = []int{32, 64, 128}
+func (rows Fig8Rows) Print(w io.Writer) {
+	for _, g := range rows {
+		fmt.Fprintf(w, "-- BFTblock size %d --\n", g.BFTBlockSize)
+		printPoints(w, "datablock", g.Rows)
 	}
-	if len(dbSizes) == 0 {
-		dbSizes = []int{500, 1000, 2000, 3000, 4000}
+}
+
+func printPoints(w io.Writer, param string, rows []Point) {
+	fmt.Fprintf(w, "   n   %9s   throughput(Kreq/s)\n", param)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %9.0f   %18.1f\n", r.N, r.Param, r.Throughput/1e3)
 	}
-	if bftSize == 0 {
-		bftSize = 10
-	}
-	var out []Point
-	for _, n := range scales {
-		for _, db := range dbSizes {
-			c, err := leopardCluster(n, db, bftSize, netConfig(), nil)
-			if err != nil {
-				return nil, fmt.Errorf("fig8 n=%d db=%d: %w", n, db, err)
-			}
-			pt := measureCluster(c, n, float64(db))
-			out = append(out, pt)
-		}
-	}
-	return out, nil
 }
 
 // Fig9Row pairs both systems at one scale.
 type Fig9Row struct {
 	N        int
 	Leopard  Point
-	HotStuff *Point // nil above the scale where HotStuff cannot run
+	HotStuff *Point // nil above maxHotStuff
 }
 
-// Fig9 reproduces Fig. 9: throughput of Leopard and HotStuff vs n with the
-// Table II batch sizes. HotStuff is only run to maxHotStuff (the paper's
-// implementation could not run beyond 300).
-func Fig9(scales []int, maxHotStuff int) ([]Fig9Row, error) {
-	if len(scales) == 0 {
-		scales = []int{32, 64, 128, 256, 300, 400, 600}
-	}
-	if maxHotStuff == 0 {
-		maxHotStuff = 300
-	}
-	var out []Fig9Row
-	for _, n := range scales {
+// Fig9Rows is Fig. 9, the headline result: throughput of Leopard and
+// HotStuff vs n with the Table II batch sizes.
+type Fig9Rows []Fig9Row
+
+func fig9(s Sweep) (Fig9Rows, error) {
+	return each(s, func(n, _ int) (Fig9Row, error) {
 		dbSize, bftSize, hsBatch := TableII(n)
 		leo, err := LeopardThroughput(n, dbSize, bftSize)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 leopard n=%d: %w", n, err)
+			return Fig9Row{}, fmt.Errorf("leopard: %w", err)
 		}
 		row := Fig9Row{N: n, Leopard: leo}
 		if n <= maxHotStuff {
 			hs, err := HotStuffThroughput(n, hsBatch)
 			if err != nil {
-				return nil, fmt.Errorf("fig9 hotstuff n=%d: %w", n, err)
+				return Fig9Row{}, fmt.Errorf("hotstuff: %w", err)
 			}
 			row.HotStuff = &hs
 		}
-		out = append(out, row)
+		return row, nil
+	})
+}
+
+func (rows Fig9Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   Leopard(Kreq/s)   HotStuff(Kreq/s)   ratio")
+	for _, r := range rows {
+		if r.HotStuff == nil {
+			fmt.Fprintf(w, "%4d   %15.1f   %16s   %5s\n", r.N, r.Leopard.Throughput/1e3, "-", "-")
+			continue
+		}
+		fmt.Fprintf(w, "%4d   %15.1f   %16.1f   %4.1fx\n", r.N, r.Leopard.Throughput/1e3,
+			r.HotStuff.Throughput/1e3, r.Leopard.Throughput/r.HotStuff.Throughput)
 	}
-	return out, nil
 }
 
 // Fig10Row is one (system, n, bandwidth) measurement of the scaling-up
@@ -373,111 +389,138 @@ type Fig10Row struct {
 	MeanLat       time.Duration
 }
 
-// Fig10 reproduces Fig. 10: throughput and latency under 20-200 Mbps
+// Fig10Rows is Fig. 10: throughput and latency under 20-200 Mbps
 // per-replica (half-duplex) bandwidth for both systems.
-func Fig10(scales []int, bandwidthsMbps []float64) ([]Fig10Row, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 16, 64, 128}
-	}
-	if len(bandwidthsMbps) == 0 {
-		bandwidthsMbps = []float64{20, 40, 80, 100, 200}
-	}
-	var out []Fig10Row
-	for _, n := range scales {
-		for _, bw := range bandwidthsMbps {
-			net := netConfig()
-			net.HalfDuplex = true
-			net.EgressBps = bw * 1e6
-			net.TickInterval = 10 * time.Millisecond
+type Fig10Rows []Fig10Row
 
-			// Batch sizes are fixed across bandwidths (as in the paper);
-			// smaller than Table II so low-bandwidth runs still confirm
-			// within the measurement window.
-			c, err := leopardCluster(n, 500, 10, net, func(cfg *leopard.Config) {
-				cfg.ViewChangeTimeout = time.Hour // low bandwidth, no VC noise
-				// Dissemination cycles take seconds on throttled links;
-				// a deeper window keeps the pipeline full, and a long
-				// retrieval timer models the paper's network-profiled
-				// adaptive timer (no spurious queries while blocks are
-				// legitimately in flight).
-				cfg.MaxOutstandingDatablocks = 8
-				cfg.RetrievalTimeout = time.Hour
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt := measureLong(c, n, bw)
-			out = append(out, Fig10Row{
-				System: "Leopard", N: n, BandwidthMbps: bw,
+func fig10(s Sweep) (Fig10Rows, error) {
+	pairs, err := each(s, func(n, mbps int) ([2]Fig10Row, error) {
+		bw := float64(mbps)
+		net := netConfig()
+		net.HalfDuplex = true
+		net.EgressBps = bw * 1e6
+		net.TickInterval = 10 * time.Millisecond
+
+		// Batch sizes are fixed across bandwidths (as in the paper);
+		// smaller than Table II so low-bandwidth runs still confirm
+		// within the measurement window.
+		c, err := leopardCluster(n, 500, 10, net, func(cfg *leopard.Config) {
+			cfg.ViewChangeTimeout = time.Hour // low bandwidth, no VC noise
+			// Dissemination cycles take seconds on throttled links;
+			// a deeper window keeps the pipeline full, and a long
+			// retrieval timer models the paper's network-profiled
+			// adaptive timer (no spurious queries while blocks are
+			// legitimately in flight).
+			cfg.MaxOutstandingDatablocks = 8
+			cfg.RetrievalTimeout = time.Hour
+		})
+		if err != nil {
+			return [2]Fig10Row{}, err
+		}
+		// A long window makes queueing latency under saturation (seconds
+		// at low bandwidth, as in the paper) observable within the run.
+		row := func(system string, c *harness.Cluster) Fig10Row {
+			pt := measurePoint(c, n, bw, 2*time.Second, 12*time.Second)
+			return Fig10Row{
+				System: system, N: n, BandwidthMbps: bw,
 				TputMbps: pt.Throughput * PayloadSize * 8 / 1e6,
 				MeanLat:  pt.MeanLat,
-			})
-
-			hc, err := hotstuffCluster(n, 400, net)
-			if err != nil {
-				return nil, err
 			}
-			hpt := measureLong(hc, n, bw)
-			out = append(out, Fig10Row{
-				System: "HotStuff", N: n, BandwidthMbps: bw,
-				TputMbps: hpt.Throughput * PayloadSize * 8 / 1e6,
-				MeanLat:  hpt.MeanLat,
-			})
 		}
+		leo := row("Leopard", c)
+		hc, err := hotstuffCluster(n, 400, net)
+		if err != nil {
+			return [2]Fig10Row{}, err
+		}
+		return [2]Fig10Row{leo, row("HotStuff", hc)}, nil
+	})
+	var out Fig10Rows
+	for _, p := range pairs {
+		out = append(out, p[:]...)
 	}
-	return out, nil
+	return out, err
 }
 
-// Fig11 reproduces Fig. 11: leader bandwidth utilization vs n for both
-// systems under saturation.
-func Fig11(scales []int, maxHotStuff int) ([]Fig9Row, error) {
-	// Fig 11 reads the LeaderMbps field of the same runs as Fig 9.
-	return Fig9(scales, maxHotStuff)
+func (rows Fig10Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "system     n   bandwidth(Mbps)   throughput(Mbps)   mean-latency")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8s %4d   %15.0f   %16.2f   %12v\n", r.System, r.N, r.BandwidthMbps, r.TputMbps, r.MeanLat)
+	}
 }
 
-// Table3 reproduces Table III: the bandwidth utilization breakdown at the
-// leader and at a non-leader replica (n = 32 in the paper).
-func Table3(n int) (leaderRows, replicaRows []metrics.BreakdownRow, err error) {
-	if n == 0 {
-		n = 32
+// Fig11Rows is Fig. 11: leader bandwidth utilization vs n for both systems
+// under saturation — the LeaderMbps of the same runs as Fig. 9.
+type Fig11Rows []Fig9Row
+
+func fig11(s Sweep) (Fig11Rows, error) {
+	rows, err := fig9(s)
+	return Fig11Rows(rows), err
+}
+
+func (rows Fig11Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   Leopard-leader(Mbps)   HotStuff-leader(Mbps)")
+	for _, r := range rows {
+		if r.HotStuff == nil {
+			fmt.Fprintf(w, "%4d   %20.0f   %21s\n", r.N, r.Leopard.LeaderMbps, "-")
+			continue
+		}
+		fmt.Fprintf(w, "%4d   %20.0f   %21.0f\n", r.N, r.Leopard.LeaderMbps, r.HotStuff.LeaderMbps)
 	}
+}
+
+// Table3Rows is Table III: the bandwidth utilization breakdown at the leader
+// and at a non-leader replica (n = 32 in the paper).
+type Table3Rows struct {
+	Leader  []metrics.BreakdownRow
+	Replica []metrics.BreakdownRow
+}
+
+func table3(Sweep) (Table3Rows, error) {
+	const n = 32
 	dbSize, bftSize, _ := TableII(n)
 	c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
 	if err != nil {
-		return nil, nil, err
+		return Table3Rows{}, err
 	}
 	c.Start()
 	c.Warmup(warmup)
 	c.MeasureFor(measure)
-	return c.LeaderStats().Breakdown(), c.NonLeaderStats().Breakdown(), nil
+	return Table3Rows{Leader: c.LeaderStats().Breakdown(), Replica: c.NonLeaderStats().Breakdown()}, nil
 }
 
-// Table4 reproduces Table IV: the latency breakdown across Leopard's
-// pipeline stages (n = 32 in the paper).
-func Table4(n int) ([]metrics.StageRow, error) {
-	if n == 0 {
-		n = 32
-	}
+func (rows Table3Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "-- leader --")
+	fmt.Fprint(w, metrics.FormatBreakdown(rows.Leader))
+	fmt.Fprintln(w, "-- non-leader --")
+	fmt.Fprint(w, metrics.FormatBreakdown(rows.Replica))
+}
+
+// Table4Rows is Table IV: the latency breakdown across Leopard's pipeline
+// stages (n = 32 in the paper).
+type Table4Rows []metrics.StageRow
+
+func table4(Sweep) (Table4Rows, error) {
+	const n = 32
 	dbSize, bftSize, _ := TableII(n)
-	var nodes []*leopard.Node
 	c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range c.Replicas {
-		if node, ok := r.(*leopard.Node); ok {
-			nodes = append(nodes, node)
-		}
 	}
 	c.Start()
 	c.Warmup(warmup)
 	c.MeasureFor(measure)
 	// Aggregate stage timers across replicas.
 	var agg metrics.StageTimer
-	for _, node := range nodes {
+	for _, node := range leopardNodes(c) {
 		for _, row := range node.Stats().Stages.Rows() {
 			agg.Add(row.Stage, row.Total)
 		}
 	}
 	return agg.Rows(), nil
+}
+
+func (rows Table4Rows) Print(w io.Writer) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-26s %6.2f%%\n", r.Stage, r.Percent)
+	}
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
+	"leopard/internal/harness"
 	"leopard/internal/leopard"
 	"leopard/internal/transport"
 	"leopard/internal/types"
@@ -19,24 +21,55 @@ type RetrievalResult struct {
 	LeaderRespond bool // true under the A1 ablation (leader-only serving)
 }
 
-// Fig12 reproduces Fig. 12 and Table V: a victim replica misses one
-// 2000-request datablock and recovers it from the committee; leaderOnly
-// runs the A1 ablation where only the leader serves (full copies).
-func Fig12(scales []int, leaderOnly bool) ([]RetrievalResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 7, 16, 32, 64, 128}
-	}
-	var out []RetrievalResult
-	for _, n := range scales {
-		r, err := retrievalOnce(n, leaderOnly)
-		if err != nil {
-			return nil, fmt.Errorf("fig12 n=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// Fig12Rows is Fig. 12 and Table V: a victim replica misses one
+// 2000-request datablock and recovers it from the committee.
+type Fig12Rows []RetrievalResult
+
+func fig12(s Sweep) (Fig12Rows, error) {
+	return each(s, func(n, _ int) (RetrievalResult, error) { return retrievalOnce(n, false) })
 }
 
+func (rows Fig12Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   recover(KB)   respond(KB)   time(ms)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %11.1f   %11.1f   %8.1f\n",
+			r.N, float64(r.RecoverBytes)/1e3, float64(r.RespondBytes)/1e3,
+			float64(r.RetrievalTime.Microseconds())/1e3)
+	}
+}
+
+// A1Rows is ablation A1: at each n, the committee+erasure retrieval of
+// Fig. 12 followed by the naive leader-serves-full-blocks alternative
+// (§IV-A2's "intuitive solution").
+type A1Rows []RetrievalResult
+
+func ablationRetrieval(s Sweep) (A1Rows, error) {
+	pairs, err := each(s, func(n, _ int) ([2]RetrievalResult, error) {
+		committee, err := retrievalOnce(n, false)
+		if err != nil {
+			return [2]RetrievalResult{}, err
+		}
+		leader, err := retrievalOnce(n, true)
+		return [2]RetrievalResult{committee, leader}, err
+	})
+	var out A1Rows
+	for _, p := range pairs {
+		out = append(out, p[:]...)
+	}
+	return out, err
+}
+
+func (rows A1Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   committee-respond(KB)   leader-respond(KB)")
+	for i := 0; i+1 < len(rows); i += 2 {
+		fmt.Fprintf(w, "%4d   %21.1f   %18.1f\n",
+			rows[i].N, float64(rows[i].RespondBytes)/1e3, float64(rows[i+1].RespondBytes)/1e3)
+	}
+}
+
+// retrievalOnce has a victim miss one 2000-request datablock and recover
+// it; leaderOnly runs the A1 ablation where only the leader serves (full
+// copies).
 func retrievalOnce(n int, leaderOnly bool) (RetrievalResult, error) {
 	const dbRequests = 2000 // paper: a datablock of 2000 128-byte requests
 	net := netConfig()
@@ -63,19 +96,17 @@ func retrievalOnce(n int, leaderOnly bool) (RetrievalResult, error) {
 	c.Start()
 	c.SubmitN(generator, dbRequests)
 
-	victimNode, ok := c.Replicas[victim].(*leopard.Node)
-	if !ok {
-		return RetrievalResult{}, fmt.Errorf("replica 0 is not a leopard node")
-	}
+	victimNode := leopardNodes(c)[victim]
 	start := c.Net.Now()
 	done := c.RunUntil(start+30*time.Second, 2*time.Millisecond, func() bool {
 		return victimNode.Stats().Retrievals >= 1
 	})
 	if !done {
-		return RetrievalResult{}, fmt.Errorf("retrieval did not complete at n=%d", n)
+		return RetrievalResult{}, fmt.Errorf("retrieval did not complete")
 	}
 	elapsed := c.Net.Now() - start
 
+	// Only received retrieval bytes count: the victim's queries are sent.
 	recover := c.Net.Stats(victim).Received[transport.ClassRetrieval]
 	// Responding cost: the maximum over responders (the paper reports the
 	// per-replica responding cost; under A1 only the leader responds).
@@ -85,8 +116,6 @@ func retrievalOnce(n int, leaderOnly bool) (RetrievalResult, error) {
 			respond = s
 		}
 	}
-	// Subtract the victim's own query broadcast from its received count?
-	// No: recover counts only received retrieval bytes, queries are sent.
 	return RetrievalResult{
 		N:             n,
 		RecoverBytes:  recover,
@@ -107,24 +136,22 @@ type ViewChangeResult struct {
 	PerReplicaRecved int64
 }
 
-// Fig13 reproduces Fig. 13: view-change time and communication cost after
-// crashing the leader mid-run at scale n.
-func Fig13(scales []int) ([]ViewChangeResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 8, 13, 32, 64, 128}
+// Fig13Rows is Fig. 13: view-change time and communication cost after
+// crashing the leader mid-run.
+type Fig13Rows []ViewChangeResult
+
+func fig13(s Sweep) (Fig13Rows, error) { return each(s, viewChangeOnce) }
+
+func (rows Fig13Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   time(ms)   total(B)   leader-sent(B)   leader-recv(B)   replica-sent(B)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %8.1f   %8d   %14d   %14d   %15d\n",
+			r.N, float64(r.Time.Microseconds())/1e3, r.TotalBytes,
+			r.LeaderSent, r.LeaderReceived, r.PerReplicaSent)
 	}
-	var out []ViewChangeResult
-	for _, n := range scales {
-		r, err := viewChangeOnce(n)
-		if err != nil {
-			return nil, fmt.Errorf("fig13 n=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
-func viewChangeOnce(n int) (ViewChangeResult, error) {
+func viewChangeOnce(n, _ int) (ViewChangeResult, error) {
 	dbSize, bftSize, _ := TableII(n)
 	if n <= 16 {
 		dbSize, bftSize = 500, 10
@@ -151,43 +178,10 @@ func viewChangeOnce(n int) (ViewChangeResult, error) {
 	c.Net.ResetStats()
 	crashAt := c.Net.Now()
 	c.Net.Crash(oldLeader)
-
-	nodes := make([]*leopard.Node, 0, n)
-	for _, r := range c.Replicas {
-		if node, ok := r.(*leopard.Node); ok {
-			nodes = append(nodes, node)
-		}
+	vcTime, err := awaitViewChange(c, oldLeader, crashAt+60*time.Second)
+	if err != nil {
+		return ViewChangeResult{}, err
 	}
-	// The paper measures from the trigger, not from the crash: first wait
-	// for any honest replica to enter the view change, then for all of
-	// them to complete it.
-	triggered := func() bool {
-		for _, node := range nodes {
-			if node.ID() != oldLeader && node.InViewChange() {
-				return true
-			}
-		}
-		return false
-	}
-	if ok := c.RunUntil(crashAt+60*time.Second, time.Millisecond, triggered); !ok {
-		return ViewChangeResult{}, fmt.Errorf("view change never triggered at n=%d", n)
-	}
-	triggerAt := c.Net.Now()
-	allMoved := func() bool {
-		for _, node := range nodes {
-			if node.ID() == oldLeader {
-				continue
-			}
-			if node.View() < 2 {
-				return false
-			}
-		}
-		return true
-	}
-	if ok := c.RunUntil(crashAt+60*time.Second, time.Millisecond, allMoved); !ok {
-		return ViewChangeResult{}, fmt.Errorf("view change did not complete at n=%d", n)
-	}
-	vcTime := c.Net.Now() - triggerAt
 
 	var total, leaderSent, leaderRecv, repSent, repRecv int64
 	replicas := 0
@@ -223,6 +217,38 @@ func viewChangeOnce(n int) (ViewChangeResult, error) {
 	}, nil
 }
 
+// awaitViewChange runs c until a replica other than the crashed leader old
+// enters a view change, then until every such replica has reached view 2,
+// both by deadline, and returns the time from trigger to completion: the
+// paper measures from the trigger, not from the crash.
+func awaitViewChange(c *harness.Cluster, old types.ReplicaID, deadline time.Duration) (time.Duration, error) {
+	nodes := leopardNodes(c)
+	triggered := func() bool {
+		for _, node := range nodes {
+			if node.ID() != old && node.InViewChange() {
+				return true
+			}
+		}
+		return false
+	}
+	if !c.RunUntil(deadline, time.Millisecond, triggered) {
+		return 0, fmt.Errorf("view change never triggered")
+	}
+	triggerAt := c.Net.Now()
+	allMoved := func() bool {
+		for _, node := range nodes {
+			if node.ID() != old && node.View() < 2 {
+				return false
+			}
+		}
+		return true
+	}
+	if !c.RunUntil(deadline, time.Millisecond, allMoved) {
+		return 0, fmt.Errorf("view change did not complete")
+	}
+	return c.Net.Now() - triggerAt, nil
+}
+
 // LaneResult is one row of the lane-scheduling scenario: view-change
 // convergence time while datablock dissemination saturates every link.
 type LaneResult struct {
@@ -230,26 +256,27 @@ type LaneResult struct {
 	Laned time.Duration // convergence with control-lane priority
 }
 
-// ViewChangeUnderBulk measures how long a view change takes to converge
-// while the bulk lane is saturated with datablock traffic on throttled
-// links. With strict lane scheduling the timeout votes, view-change
-// messages and new-view announcement bypass the queued datablock
+// LaneRows is the vclanes scenario: how long a view change takes to
+// converge while the bulk lane is saturated with datablock traffic on
+// throttled links. With strict lane scheduling the timeout votes,
+// view-change messages and new-view announcement bypass the queued datablock
 // transfers instead of waiting behind megabytes of bulk (the recorded
 // single-queue A/B at n=8: 431 ms against 2 ms). This is the simnet mirror
 // of the TCP runtime's per-peer lane scheduler.
-func ViewChangeUnderBulk(scales []int) ([]LaneResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 8, 16, 32}
-	}
-	var out []LaneResult
-	for _, n := range scales {
+type LaneRows []LaneResult
+
+func vcLanes(s Sweep) (LaneRows, error) {
+	return each(s, func(n, _ int) (LaneResult, error) {
 		laned, err := vcUnderBulkOnce(n)
-		if err != nil {
-			return nil, fmt.Errorf("vclanes n=%d: %w", n, err)
-		}
-		out = append(out, LaneResult{N: n, Laned: laned})
+		return LaneResult{N: n, Laned: laned}, err
+	})
+}
+
+func (rows LaneRows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   laned(ms)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %9.1f\n", r.N, float64(r.Laned.Microseconds())/1e3)
 	}
-	return out, nil
 }
 
 func vcUnderBulkOnce(n int) (time.Duration, error) {
@@ -289,40 +316,7 @@ func vcUnderBulkOnce(n int) (time.Duration, error) {
 			c.SubmitN(types.ReplicaID(i), 8*500)
 		}
 	}
-
-	nodes := make([]*leopard.Node, 0, n)
-	for _, r := range c.Replicas {
-		if node, ok := r.(*leopard.Node); ok {
-			nodes = append(nodes, node)
-		}
-	}
-	triggered := func() bool {
-		for _, node := range nodes {
-			if node.ID() != oldLeader && node.InViewChange() {
-				return true
-			}
-		}
-		return false
-	}
-	if ok := c.RunUntil(crashAt+60*time.Second, time.Millisecond, triggered); !ok {
-		return 0, fmt.Errorf("view change never triggered")
-	}
-	triggerAt := c.Net.Now()
-	allMoved := func() bool {
-		for _, node := range nodes {
-			if node.ID() == oldLeader {
-				continue
-			}
-			if node.View() < 2 {
-				return false
-			}
-		}
-		return true
-	}
-	if ok := c.RunUntil(crashAt+60*time.Second, time.Millisecond, allMoved); !ok {
-		return 0, fmt.Errorf("view change did not complete")
-	}
-	return c.Net.Now() - triggerAt, nil
+	return awaitViewChange(c, oldLeader, crashAt+60*time.Second)
 }
 
 // AblationAlphaRow compares fixed vs adaptive datablock sizing (A3).
@@ -332,36 +326,32 @@ type AblationAlphaRow struct {
 	AdaptiveTput float64
 }
 
-// AblationAdaptiveAlpha measures throughput with a fixed small datablock
-// size versus α = λ(n-1) adaptive sizing, demonstrating the paper's recipe
-// for a constant scaling factor.
-func AblationAdaptiveAlpha(scales []int) ([]AblationAlphaRow, error) {
-	if len(scales) == 0 {
-		scales = []int{16, 64, 128, 256}
-	}
+// A3Rows is ablation A3: throughput with a fixed small datablock size
+// versus α = λ(n-1) adaptive sizing, demonstrating the paper's recipe for a
+// constant scaling factor.
+type A3Rows []AblationAlphaRow
+
+func ablationAlpha(s Sweep) (A3Rows, error) {
 	const fixedDB = 200 // deliberately small: overhead grows with n
-	var out []AblationAlphaRow
-	for _, n := range scales {
+	return each(s, func(n, _ int) (AblationAlphaRow, error) {
 		fixed, err := LeopardThroughput(n, fixedDB, 50)
 		if err != nil {
-			return nil, err
+			return AblationAlphaRow{}, err
 		}
 		// α = λ(n-1) with λ = 16 requests' worth of bytes per replica.
-		adaptiveDB := 16 * (n - 1)
-		if adaptiveDB < 50 {
-			adaptiveDB = 50
-		}
-		adaptive, err := LeopardThroughput(n, adaptiveDB, 50)
+		adaptive, err := LeopardThroughput(n, max(16*(n-1), 50), 50)
 		if err != nil {
-			return nil, err
+			return AblationAlphaRow{}, err
 		}
-		out = append(out, AblationAlphaRow{
-			N:            n,
-			FixedTput:    fixed.Throughput,
-			AdaptiveTput: adaptive.Throughput,
-		})
+		return AblationAlphaRow{N: n, FixedTput: fixed.Throughput, AdaptiveTput: adaptive.Throughput}, nil
+	})
+}
+
+func (rows A3Rows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   fixed-200(Kreq/s)   adaptive-16(n-1)(Kreq/s)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %17.1f   %24.1f\n", r.N, r.FixedTput/1e3, r.AdaptiveTput/1e3)
 	}
-	return out, nil
 }
 
 // SelectiveAttackResult measures normal-case throughput against f faulty
@@ -372,9 +362,21 @@ type SelectiveAttackResult struct {
 	Retrievals int64
 }
 
-// SelectiveAttack runs Leopard with f selective-attacking replicas; the
-// throughput should remain positive thanks to the ready round + retrieval.
-func SelectiveAttack(n int) (SelectiveAttackResult, error) {
+// AttackRows is the §VI-D selective attack: Leopard with f
+// selective-attacking replicas; the throughput should remain positive
+// thanks to the ready round + retrieval.
+type AttackRows []SelectiveAttackResult
+
+func selectiveAttack(s Sweep) (AttackRows, error) { return each(s, attackOnce) }
+
+func (rows AttackRows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   throughput(Kreq/s)   retrievals")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %18.1f   %10d\n", r.N, r.Throughput/1e3, r.Retrievals)
+	}
+}
+
+func attackOnce(n, _ int) (SelectiveAttackResult, error) {
 	dbSize, bftSize, _ := TableII(n)
 	if n <= 16 {
 		dbSize, bftSize = 500, 10
@@ -392,10 +394,12 @@ func SelectiveAttack(n int) (SelectiveAttackResult, error) {
 	for i := 0; i < q.Quorum(); i++ {
 		targets = append(targets, types.ReplicaID(i))
 	}
+	nodes := leopardNodes(c)
+	leader := c.Replicas[0].Leader()
 	faulty := 0
 	for i := n - 1; i >= 0 && faulty < q.F; i-- {
-		if node, ok := c.Replicas[i].(*leopard.Node); ok && types.ReplicaID(i) != c.Replicas[0].Leader() {
-			node.SetSelectiveAttack(targets)
+		if types.ReplicaID(i) != leader {
+			nodes[i].SetSelectiveAttack(targets)
 			faulty++
 		}
 	}
@@ -403,10 +407,8 @@ func SelectiveAttack(n int) (SelectiveAttackResult, error) {
 	c.Warmup(warmup)
 	res := c.MeasureFor(measure)
 	var retrievals int64
-	for _, r := range c.Replicas {
-		if node, ok := r.(*leopard.Node); ok {
-			retrievals += node.Stats().Retrievals
-		}
+	for _, node := range nodes {
+		retrievals += node.Stats().Retrievals
 	}
 	return SelectiveAttackResult{N: n, Throughput: res.Throughput, Retrievals: retrievals}, nil
 }

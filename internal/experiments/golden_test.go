@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
-
-	"leopard/internal/leopard/analysis"
-	"leopard/internal/metrics"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current scenarios")
@@ -22,79 +18,31 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden fil
 // re-records with -update and says why.
 func TestExperimentsGolden(t *testing.T) {
 	const path = "testdata/experiments.golden"
-	s4 := []int{4}
-	smokes := []struct {
-		id     string
-		scales []int
-		run    func() (any, error)
-	}{
-		{"fig2", s4, func() (any, error) { return Fig2(s4) }},
-		{"table1", nil, func() (any, error) { return analysis.TableI(), nil }},
-		{"fig6", s4, func() (any, error) { return Fig6(s4, nil) }},
-		{"fig7", s4, func() (any, error) { return Fig7(s4, nil) }},
-		{"fig8", s4, func() (any, error) {
-			type group struct {
-				BFTBlockSize int
-				Rows         []Point
-			}
-			var groups []group
-			for _, bft := range []int{10, 100} {
-				rows, err := Fig8(s4, nil, bft)
+	got := make([]string, len(Catalog))
+	// Every experiment builds its own clusters and shares no state with the
+	// others, so they run side by side.
+	t.Run("smoke", func(t *testing.T) {
+		for i, e := range Catalog {
+			t.Run(e.ID, func(t *testing.T) {
+				t.Parallel()
+				s := e.Smoke.or(e.Paper)
+				rows, err := e.Run(s)
 				if err != nil {
-					return nil, err
+					t.Fatal(err)
 				}
-				groups = append(groups, group{bft, rows})
-			}
-			return groups, nil
-		}},
-		{"fig9", s4, func() (any, error) { return Fig9(s4, 300) }},
-		{"fig10", s4, func() (any, error) { return Fig10(s4, nil) }},
-		{"fig11", s4, func() (any, error) { return Fig9(s4, 300) }},
-		{"table3", []int{32}, func() (any, error) {
-			leader, replica, err := Table3(32)
-			return struct{ Leader, Replica []metrics.BreakdownRow }{leader, replica}, err
-		}},
-		{"table4", []int{32}, func() (any, error) { return Table4(32) }},
-		{"fig12", s4, func() (any, error) { return Fig12(s4, false) }},
-		{"fig13", s4, func() (any, error) { return Fig13(s4) }},
-		{"a1", s4, func() (any, error) {
-			committee, err := Fig12(s4, false)
-			if err != nil {
-				return nil, err
-			}
-			leader, err := Fig12(s4, true)
-			return append(committee, leader...), err
-		}},
-		{"a3", s4, func() (any, error) { return AblationAdaptiveAlpha(s4) }},
-		{"attack", s4, func() (any, error) {
-			r, err := SelectiveAttack(4)
-			return []SelectiveAttackResult{r}, err
-		}},
-		{"vclanes", s4, func() (any, error) { return ViewChangeUnderBulk(s4) }},
-		{"stream", s4, func() (any, error) { return StreamScenario(s4) }},
-		{"recover", s4, func() (any, error) { return RecoverScenario(s4) }},
-		{"chaos", s4, func() (any, error) { return ChaosScenario(s4) }},
-		{"clients", s4, func() (any, error) { return ClientsScenario(s4, 200) }},
-	}
-	var got strings.Builder
-	for _, s := range smokes {
-		rows, err := s.run()
-		if err != nil {
-			t.Fatalf("%s: %v", s.id, err)
+				doc, err := Document(e.ID, s.N, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = string(doc)
+			})
 		}
-		buf, err := json.MarshalIndent(struct {
-			Experiment string `json:"experiment"`
-			Scales     []int  `json:"scales,omitempty"`
-			Rows       any    `json:"rows"`
-		}{s.id, s.scales, rows}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(buf)
-		got.WriteByte('\n')
+	})
+	if t.Failed() {
+		return
 	}
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,22 +50,15 @@ func TestExperimentsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		// Each section ends at its document's closing brace, the only one
-		// in column 0, so a failure names the experiments that moved.
-		gotSecs := strings.SplitAfter(got.String(), "\n}\n")
-		wantSecs := strings.SplitAfter(string(want), "\n}\n")
-		for i := range max(len(gotSecs), len(wantSecs)) {
-			var g, w string
-			if i < len(gotSecs) {
-				g = gotSecs[i]
-			}
-			if i < len(wantSecs) {
-				w = wantSecs[i]
-			}
-			if g != w {
-				t.Errorf("section %d moved:\n got %s\nwant %s", i, g, w)
-			}
+	// Each section ends at its document's closing brace, the only one in
+	// column 0, so a failure names the experiments that moved.
+	sections := strings.SplitAfter(string(want), "\n}\n")
+	if len(sections) != len(got)+1 || sections[len(got)] != "" {
+		t.Fatalf("%s holds %d sections, the catalog %d experiments", path, len(sections)-1, len(got))
+	}
+	for i, e := range Catalog {
+		if got[i] != sections[i] {
+			t.Errorf("%s moved:\n got %s\nwant %s", e.ID, got[i], sections[i])
 		}
 	}
 }

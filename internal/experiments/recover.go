@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"leopard/internal/leopard"
@@ -78,20 +79,26 @@ func defaultRecoverParams() recoverParams {
 	}
 }
 
-// RecoverScenario runs the crash-restart experiment at each scale.
-func RecoverScenario(scales []int) ([]RecoverResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 8}
-	}
-	var out []RecoverResult
-	for _, n := range scales {
-		r, err := recoverOnce(n, defaultRecoverParams())
-		if err != nil {
-			return nil, fmt.Errorf("recover n=%d: %w", n, err)
+// RecoverRows is the recover scenario: the crash-restart experiment at
+// each scale.
+type RecoverRows []RecoverResult
+
+func recoverScenario(s Sweep) (RecoverRows, error) {
+	return each(s, func(n, _ int) (RecoverResult, error) { return recoverOnce(n, defaultRecoverParams()) })
+}
+
+func (rows RecoverRows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   caught-up   catchup(ms)   height@restart   replayed   transferred   retrievals   re-votes")
+	for _, r := range rows {
+		caught := "yes"
+		catchup := fmt.Sprintf("%11.1f", float64(r.CatchupTime.Microseconds())/1e3)
+		if !r.CaughtUp {
+			caught, catchup = "NO", fmt.Sprintf("%11s", "never")
 		}
-		out = append(out, r)
+		fmt.Fprintf(w, "%4d   %9s   %s   %14d   %8d   %11d   %10d   %8d\n",
+			r.N, caught, catchup, r.HeightAtRestart,
+			r.BlocksReplayed, r.StateBlocks, r.Retrievals, r.ReVotes)
 	}
-	return out, nil
 }
 
 // recoverOnce builds an n-replica cluster where every replica persists to a
@@ -154,45 +161,21 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 			generators = append(generators, id)
 		}
 	}
-	var scheduleLoad func(at time.Duration)
-	scheduleLoad = func(at time.Duration) {
-		c.Net.ScheduleCall(at, func(now time.Duration) {
-			if now >= p.loadUntil {
-				return
-			}
-			for _, g := range generators {
-				c.SubmitN(g, p.dbRequests)
-			}
-			scheduleLoad(now + p.loadEvery)
-		})
-	}
-	scheduleLoad(50 * time.Millisecond)
-
-	clusterHeight := func() types.SeqNum {
-		var h types.SeqNum
-		for i, r := range c.Replicas {
-			if types.ReplicaID(i) == victim {
-				continue
-			}
-			if e := r.(*leopard.Node).ExecutedTo(); e > h {
-				h = e
-			}
-		}
-		return h
-	}
+	scheduleLoad(c, generators, p.dbRequests, p.loadEvery, p.loadUntil)
 
 	c.Net.ScheduleCall(p.crashAt, func(now time.Duration) {
 		c.Net.Crash(victim)
 	})
 	c.Net.Run(p.restartAt)
 
-	heightAtRestart = clusterHeight()
+	// The maximum over all replicas is the live cluster's height: the victim
+	// can only raise it by not being behind, which is an error.
+	heightAtRestart = maxExecuted(c)
 	if heightAtRestart == 0 {
 		return res, fmt.Errorf("cluster made no progress before restart")
 	}
-	victimBefore := c.Replicas[victim].(*leopard.Node)
-	if victimBefore.ExecutedTo() >= heightAtRestart {
-		return res, fmt.Errorf("victim not behind at restart: %d >= %d", victimBefore.ExecutedTo(), heightAtRestart)
+	if before := leopardNodes(c)[victim].ExecutedTo(); before >= heightAtRestart {
+		return res, fmt.Errorf("victim not behind at restart: %d >= %d", before, heightAtRestart)
 	}
 	res.HeightAtRestart = heightAtRestart
 	restarted = true
@@ -200,9 +183,9 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 		return res, err
 	}
 	restartTime := c.Net.Now()
-	node := c.Replicas[victim].(*leopard.Node)
+	node := leopardNodes(c)[victim]
 
-	caught := func() bool { return node.ExecutedTo() >= clusterHeight() }
+	caught := func() bool { return node.ExecutedTo() >= maxExecuted(c) }
 	res.CaughtUp = c.RunUntil(restartTime+p.deadline, 10*time.Millisecond, caught)
 	st := node.Stats()
 	res.BlocksReplayed = st.BlocksReplayed
@@ -212,10 +195,7 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 	if res.CaughtUp {
 		res.CatchupTime = c.Net.Now() - restartTime
 	}
-	for i := 0; i < n; i++ {
-		bw := c.Net.Stats(types.ReplicaID(i))
-		res.traffic += fmt.Sprintf("%d:%d/%d ", i, bw.TotalSent(), bw.TotalReceived())
-	}
+	res.traffic = trafficSignature(c)
 	return res, nil
 }
 

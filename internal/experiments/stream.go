@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"leopard/internal/leopard"
@@ -53,24 +54,24 @@ func defaultStreamParams() streamParams {
 	}
 }
 
-// StreamScenario runs the slow-receiver fan-out at each scale. Two
-// generators broadcast blocksPer ~1 MiB datablocks each while the last
-// replica's ingress runs at a tenth of the cluster's link rate. The
-// backlog parks at the senders under credit flow control and drains at
-// the receiver's pace — zero drops, zero retrievals.
-func StreamScenario(scales []int) ([]StreamResult, error) {
-	if len(scales) == 0 {
-		scales = []int{4, 8}
+// StreamRows is the stream scenario: the slow-receiver fan-out at each
+// scale. Two generators broadcast blocksPer ~1 MiB datablocks each while the
+// last replica's ingress runs at a tenth of the cluster's link rate. The
+// backlog parks at the senders under credit flow control and drains at the
+// receiver's pace — zero drops, zero retrievals.
+type StreamRows []StreamResult
+
+func streamScenario(s Sweep) (StreamRows, error) {
+	return each(s, func(n, _ int) (StreamResult, error) { return streamOnce(n, defaultStreamParams()) })
+}
+
+func (rows StreamRows) Print(w io.Writer) {
+	fmt.Fprintln(w, "   n   converge(ms)   peak-queued(KB)   drops   retrievals")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%4d   %12.1f   %15.1f   %5d   %10d\n",
+			r.N, float64(r.Converged.Microseconds())/1e3,
+			float64(r.PeakQueuedBytes)/1e3, r.BulkDrops, r.Retrievals)
 	}
-	var out []StreamResult
-	for _, n := range scales {
-		r, err := streamOnce(n, defaultStreamParams())
-		if err != nil {
-			return nil, fmt.Errorf("stream n=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 func streamOnce(n int, p streamParams) (StreamResult, error) {
@@ -119,12 +120,7 @@ func streamOnce(n int, p streamParams) (StreamResult, error) {
 	}
 	totalBlocks := int64(len(generators) * p.blocksPer)
 
-	nodes := make([]*leopard.Node, 0, n)
-	for _, r := range c.Replicas {
-		if node, ok := r.(*leopard.Node); ok {
-			nodes = append(nodes, node)
-		}
-	}
+	nodes := leopardNodes(c)
 	start := c.Net.Now()
 	converged := func() bool {
 		for _, node := range nodes {

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"leopard/internal/crypto"
-	"leopard/internal/harness"
 	"leopard/internal/obs"
-	"leopard/internal/storage"
 	"leopard/internal/types"
 )
 
@@ -98,22 +95,12 @@ func TestViolationPostMortemDumpsTrace(t *testing.T) {
 	withTracing(t)
 	const n = 4
 	p := defaultChaosParams()
-	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic := harness.NewInvariantChecker(suite)
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-		ic.RegisterStore(types.ReplicaID(i), stores[i])
-	}
-	c, err := chaosCluster(n, p, suite, ic, stores, traceRun("postmortem", n), nil)
+	c, ic, err := chaosCluster(n, p, "postmortem", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	chaosLoad(c, []types.ReplicaID{1, 2}, p, 400*time.Millisecond)
+	scheduleLoad(c, []types.ReplicaID{1, 2}, p.dbRequests, p.loadEvery, 400*time.Millisecond)
 	c.Net.Run(600 * time.Millisecond)
 	if ic.PostMortem() != "" {
 		t.Fatalf("post-mortem captured before any violation:\n%s", ic.PostMortem())
