@@ -67,7 +67,7 @@ var Catalog = []Experiment{
 		Smoke: smoke4, Run: rowsOf(fig2),
 	},
 	{
-		ID: "table1", Desc: "amortized costs and scaling factors (analytical)",
+		ID: "table1", Desc: "amortized costs (analytical); -scales adds the model's numeric scaling factors",
 		Run: rowsOf(table1),
 	},
 	{
@@ -107,11 +107,11 @@ var Catalog = []Experiment{
 		Smoke: smoke4, Run: rowsOf(fig11),
 	},
 	{
-		ID: "table3", Desc: "bandwidth utilization breakdown (n=32)",
+		ID: "table3", Desc: "bandwidth utilization breakdown at the leader and a non-leader",
 		Paper: Sweep{N: []int{32}}, Run: rowsOf(table3),
 	},
 	{
-		ID: "table4", Desc: "latency breakdown (n=32)",
+		ID: "table4", Desc: "latency breakdown across the pipeline stages",
 		Paper: Sweep{N: []int{32}}, Run: rowsOf(table4),
 	},
 	{

@@ -258,16 +258,53 @@ func (rows Fig2Rows) Print(w io.Writer) {
 	}
 }
 
-// Table1Rows is Table I from the analytical cost model.
-type Table1Rows []analysis.TableIRow
+// Table1Row is one protocol's row of Table I, with the §V-B model's numeric
+// scaling factor at each requested n (payload 128 B, Table II batches).
+type Table1Row struct {
+	analysis.TableIRow
+	SF []ScalingFactor `json:",omitempty"`
+}
 
-func table1(Sweep) (Table1Rows, error) { return analysis.TableI(), nil }
+// ScalingFactor is the model's numeric scaling factor at one scale.
+type ScalingFactor struct {
+	N  int
+	SF float64
+}
+
+// Table1Rows is Table I from the analytical cost model.
+type Table1Rows []Table1Row
+
+func table1(s Sweep) (Table1Rows, error) {
+	var out Table1Rows
+	for _, r := range analysis.TableI() {
+		row := Table1Row{TableIRow: r}
+		for _, n := range s.N {
+			db, bft, _ := TableII(n)
+			p := analysis.DefaultParams(n, db)
+			p.Tau = float64(bft)
+			sf := analysis.LeaderDisseminationScalingFactor(p, 1, false)
+			if r.Protocol == "Leopard" {
+				sf = analysis.LeopardScalingFactor(p)
+			}
+			row.SF = append(row.SF, ScalingFactor{N: n, SF: sf})
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
 
 func (rows Table1Rows) Print(w io.Writer) {
-	fmt.Fprintln(w, "protocol   leader   non-leader   scaling-factor   votes(opt/faulty)")
+	fmt.Fprint(w, "protocol   leader   non-leader   scaling-factor")
+	for _, sf := range rows[0].SF {
+		fmt.Fprintf(w, " %10s", fmt.Sprintf("SF(n=%d)", sf.N))
+	}
+	fmt.Fprintln(w, "   votes(opt/faulty)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-9s  %-6s   %-10s   %-14s   %d / %d\n",
-			r.Protocol, r.LeaderCost, r.ReplicaCost, r.ScalingFactor, r.VotingOptimistic, r.VotingFaulty)
+		fmt.Fprintf(w, "%-9s  %-6s   %-10s   %-14s", r.Protocol, r.LeaderCost, r.ReplicaCost, r.ScalingFactor)
+		for _, sf := range r.SF {
+			fmt.Fprintf(w, " %10.3f", sf.SF)
+		}
+		fmt.Fprintf(w, "   %d / %d\n", r.VotingOptimistic, r.VotingFaulty)
 	}
 }
 
@@ -468,59 +505,75 @@ func (rows Fig11Rows) Print(w io.Writer) {
 	}
 }
 
-// Table3Rows is Table III: the bandwidth utilization breakdown at the leader
-// and at a non-leader replica (n = 32 in the paper).
-type Table3Rows struct {
+// Table3Row is Table III at one scale: the bandwidth utilization breakdown
+// at the leader and at a non-leader replica.
+type Table3Row struct {
+	N       int
 	Leader  []metrics.BreakdownRow
 	Replica []metrics.BreakdownRow
 }
 
-func table3(Sweep) (Table3Rows, error) {
-	const n = 32
-	dbSize, bftSize, _ := TableII(n)
-	c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
-	if err != nil {
-		return Table3Rows{}, err
-	}
-	c.Start()
-	c.Warmup(warmup)
-	c.MeasureFor(measure)
-	return Table3Rows{Leader: c.LeaderStats().Breakdown(), Replica: c.NonLeaderStats().Breakdown()}, nil
+// Table3Rows is Table III at each scale (n = 32 in the paper).
+type Table3Rows []Table3Row
+
+func table3(s Sweep) (Table3Rows, error) {
+	return each(s, func(n, _ int) (Table3Row, error) {
+		dbSize, bftSize, _ := TableII(n)
+		c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
+		if err != nil {
+			return Table3Row{}, err
+		}
+		c.Start()
+		c.Warmup(warmup)
+		c.MeasureFor(measure)
+		return Table3Row{N: n, Leader: c.LeaderStats().Breakdown(), Replica: c.NonLeaderStats().Breakdown()}, nil
+	})
 }
 
 func (rows Table3Rows) Print(w io.Writer) {
-	fmt.Fprintln(w, "-- leader --")
-	fmt.Fprint(w, metrics.FormatBreakdown(rows.Leader))
-	fmt.Fprintln(w, "-- non-leader --")
-	fmt.Fprint(w, metrics.FormatBreakdown(rows.Replica))
+	for _, r := range rows {
+		fmt.Fprintf(w, "-- leader, n=%d --\n", r.N)
+		fmt.Fprint(w, metrics.FormatBreakdown(r.Leader))
+		fmt.Fprintf(w, "-- non-leader, n=%d --\n", r.N)
+		fmt.Fprint(w, metrics.FormatBreakdown(r.Replica))
+	}
 }
 
-// Table4Rows is Table IV: the latency breakdown across Leopard's pipeline
-// stages (n = 32 in the paper).
-type Table4Rows []metrics.StageRow
+// Table4Row is Table IV at one scale: the latency breakdown across
+// Leopard's pipeline stages, summed over replicas.
+type Table4Row struct {
+	N      int
+	Stages []metrics.StageRow
+}
 
-func table4(Sweep) (Table4Rows, error) {
-	const n = 32
-	dbSize, bftSize, _ := TableII(n)
-	c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.Warmup(warmup)
-	c.MeasureFor(measure)
-	// Aggregate stage timers across replicas.
-	var agg metrics.StageTimer
-	for _, node := range leopardNodes(c) {
-		for _, row := range node.Stats().Stages.Rows() {
-			agg.Add(row.Stage, row.Total)
+// Table4Rows is Table IV at each scale (n = 32 in the paper).
+type Table4Rows []Table4Row
+
+func table4(s Sweep) (Table4Rows, error) {
+	return each(s, func(n, _ int) (Table4Row, error) {
+		dbSize, bftSize, _ := TableII(n)
+		c, err := leopardCluster(n, dbSize, bftSize, netConfig(), nil)
+		if err != nil {
+			return Table4Row{}, err
 		}
-	}
-	return agg.Rows(), nil
+		c.Start()
+		c.Warmup(warmup)
+		c.MeasureFor(measure)
+		var agg metrics.StageTimer
+		for _, node := range leopardNodes(c) {
+			for _, row := range node.Stats().Stages.Rows() {
+				agg.Add(row.Stage, row.Total)
+			}
+		}
+		return Table4Row{N: n, Stages: agg.Rows()}, nil
+	})
 }
 
 func (rows Table4Rows) Print(w io.Writer) {
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-26s %6.2f%%\n", r.Stage, r.Percent)
+		fmt.Fprintf(w, "-- n=%d --\n", r.N)
+		for _, st := range r.Stages {
+			fmt.Fprintf(w, "%-26s %6.2f%%\n", st.Stage, st.Percent)
+		}
 	}
 }
