@@ -51,3 +51,24 @@ func TestLeopardBeatsHotStuffAtScale(t *testing.T) {
 		t.Errorf("Leopard %.0f should clearly beat HotStuff %.0f at n=%d", leo.Throughput, hs.Throughput, n)
 	}
 }
+
+// TestSelectiveAttackWithholdsFromHonestReplicas checks the §VI-D attack
+// leaves honest replicas out: each attacker's datablocks reach only a bare
+// quorum, so honest replicas outside it retrieve them, and the ready round
+// plus retrieval keep throughput positive.
+func TestSelectiveAttackWithholdsFromHonestReplicas(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		r, err := attackOnce(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("n=%d: %.0f req/s, retrievals honest=%d attackers=%d",
+			n, r.Throughput, r.HonestRetrievals, r.AttackerRetrievals)
+		if r.HonestRetrievals == 0 {
+			t.Errorf("n=%d: no honest replica retrieved, so the attack withheld from none", n)
+		}
+		if r.Throughput <= 0 {
+			t.Errorf("n=%d: no throughput under the attack", n)
+		}
+	}
+}

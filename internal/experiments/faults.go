@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"leopard/internal/harness"
@@ -355,11 +356,13 @@ func (rows A3Rows) Print(w io.Writer) {
 }
 
 // SelectiveAttackResult measures normal-case throughput against f faulty
-// replicas running the selective attack (paper §VI-D setting).
+// replicas running the selective attack (paper §VI-D setting), and the
+// datablock retrievals it forces at honest replicas and at the attackers.
 type SelectiveAttackResult struct {
-	N          int
-	Throughput float64
-	Retrievals int64
+	N                  int
+	Throughput         float64
+	HonestRetrievals   int64
+	AttackerRetrievals int64
 }
 
 // AttackRows is the §VI-D selective attack: Leopard with f
@@ -370,9 +373,9 @@ type AttackRows []SelectiveAttackResult
 func selectiveAttack(s Sweep) (AttackRows, error) { return each(s, attackOnce) }
 
 func (rows AttackRows) Print(w io.Writer) {
-	fmt.Fprintln(w, "   n   throughput(Kreq/s)   retrievals")
+	fmt.Fprintln(w, "   n   throughput(Kreq/s)   honest-retrievals   attacker-retrievals")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%4d   %18.1f   %10d\n", r.N, r.Throughput/1e3, r.Retrievals)
+		fmt.Fprintf(w, "%4d   %18.1f   %17d   %19d\n", r.N, r.Throughput/1e3, r.HonestRetrievals, r.AttackerRetrievals)
 	}
 }
 
@@ -388,27 +391,36 @@ func attackOnce(n, _ int) (SelectiveAttackResult, error) {
 		return SelectiveAttackResult{}, err
 	}
 	q, _ := types.NewQuorumParams(n)
-	// The highest-id f replicas are faulty: their datablocks reach only a
-	// bare quorum (the first 2f+1 replicas).
-	var targets []types.ReplicaID
-	for i := 0; i < q.Quorum(); i++ {
-		targets = append(targets, types.ReplicaID(i))
+	// The f highest-id non-leader replicas attack. Each sends its datablocks
+	// to a bare quorum — itself, the other attackers and the lowest-id
+	// honest replicas, 2f+1 holders in all — so the remaining honest
+	// replicas (f of them at n = 3f+1) must retrieve every one.
+	leader := c.Replicas[0].Leader()
+	var attackers []types.ReplicaID
+	for i := n - 1; i >= 0 && len(attackers) < q.F; i-- {
+		if id := types.ReplicaID(i); id != leader {
+			attackers = append(attackers, id)
+		}
+	}
+	targets := slices.Clone(attackers)
+	for i := 0; len(targets) < q.Quorum(); i++ {
+		if id := types.ReplicaID(i); !slices.Contains(attackers, id) {
+			targets = append(targets, id)
+		}
 	}
 	nodes := leopardNodes(c)
-	leader := c.Replicas[0].Leader()
-	faulty := 0
-	for i := n - 1; i >= 0 && faulty < q.F; i-- {
-		if types.ReplicaID(i) != leader {
-			nodes[i].SetSelectiveAttack(targets)
-			faulty++
-		}
+	for _, id := range attackers {
+		nodes[id].SetSelectiveAttack(targets)
 	}
 	c.Start()
 	c.Warmup(warmup)
-	res := c.MeasureFor(measure)
-	var retrievals int64
-	for _, node := range nodes {
-		retrievals += node.Stats().Retrievals
+	res := SelectiveAttackResult{N: n, Throughput: c.MeasureFor(measure).Throughput}
+	for i, node := range nodes {
+		if slices.Contains(attackers, types.ReplicaID(i)) {
+			res.AttackerRetrievals += node.Stats().Retrievals
+		} else {
+			res.HonestRetrievals += node.Stats().Retrievals
+		}
 	}
-	return SelectiveAttackResult{N: n, Throughput: res.Throughput, Retrievals: retrievals}, nil
+	return res, nil
 }
