@@ -556,14 +556,25 @@ func table4(s Sweep) (Table4Rows, error) {
 		if err != nil {
 			return Table4Row{}, err
 		}
+		// The stage timers are cumulative and Warmup resets only the network
+		// counters and the latency tracker, so the row is the difference
+		// over the measured window.
+		stages := func() map[string]time.Duration {
+			sum := make(map[string]time.Duration)
+			for _, node := range leopardNodes(c) {
+				for _, row := range node.Stats().Stages.Rows() {
+					sum[row.Stage] += row.Total
+				}
+			}
+			return sum
+		}
 		c.Start()
 		c.Warmup(warmup)
+		before := stages()
 		c.MeasureFor(measure)
 		var agg metrics.StageTimer
-		for _, node := range leopardNodes(c) {
-			for _, row := range node.Stats().Stages.Rows() {
-				agg.Add(row.Stage, row.Total)
-			}
+		for stage, total := range stages() {
+			agg.Add(stage, total-before[stage])
 		}
 		return Table4Row{N: n, Stages: agg.Rows()}, nil
 	})
