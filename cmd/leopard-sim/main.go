@@ -80,7 +80,11 @@ func main() {
 		rows.Print(os.Stdout)
 	}
 	if *jsonPath != "" && rows != nil {
-		if err := writeJSON(*jsonPath, e.ID, scales, rows); err != nil {
+		doc, err := experiments.Document(e.ID, scales, rows)
+		if err == nil {
+			err = os.WriteFile(*jsonPath, doc, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -95,15 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, runErr)
 		os.Exit(1)
 	}
-}
-
-// writeJSON dumps the experiment's typed result rows for machines.
-func writeJSON(path, id string, scales []int, rows experiments.Rows) error {
-	doc, err := experiments.Document(id, scales, rows)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, doc, 0o644)
 }
 
 // writeTrace exports the collected event traces as Chrome trace_event JSON

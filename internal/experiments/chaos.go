@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"leopard/internal/crypto"
@@ -86,7 +87,7 @@ func chaosPlans(n int, seed int64) []faultplan.Plan {
 	minority := append([]types.ReplicaID(nil), nonLeaders[len(nonLeaders)-f:]...)
 	var majority []types.ReplicaID
 	for i := 0; i < n; i++ {
-		if id := types.ReplicaID(i); !member(minority, id) {
+		if id := types.ReplicaID(i); !slices.Contains(minority, id) {
 			majority = append(majority, id)
 		}
 	}
@@ -130,15 +131,6 @@ func chaosPlans(n int, seed int64) []faultplan.Plan {
 			},
 		},
 	}
-}
-
-func member(ids []types.ReplicaID, id types.ReplicaID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // chaosCluster builds a fully durable n-replica cluster wired into a fresh
@@ -224,7 +216,7 @@ func chaosGenerators(n int, leader types.ReplicaID, plan faultplan.Plan) []types
 	want := (n-1)/3 + 1 // f+1
 	var out []types.ReplicaID
 	for i := 0; i < n && len(out) < want; i++ {
-		if id := types.ReplicaID(i); id != leader && !member(crashed, id) {
+		if id := types.ReplicaID(i); id != leader && !slices.Contains(crashed, id) {
 			out = append(out, id)
 		}
 	}
@@ -375,18 +367,6 @@ func chaosScenario(scales []int, p chaosParams) (ChaosRows, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// violations reports the rows' invariant violations as one error.
-func (rows ChaosRows) violations() error {
-	bad := 0
-	for _, r := range rows {
-		bad += len(r.Violations)
-	}
-	if bad > 0 {
-		return fmt.Errorf("chaos: %d invariant violations", bad)
-	}
-	return nil
 }
 
 func (rows ChaosRows) Print(w io.Writer) {

@@ -322,11 +322,9 @@ type Fig7Rows []Point
 func fig7(s Sweep) (Fig7Rows, error) {
 	return each(s, func(n, bft int) (Point, error) {
 		dbSize, _, _ := TableII(n)
-		c, err := leopardCluster(n, dbSize, bft, netConfig(), nil)
-		if err != nil {
-			return Point{}, err
-		}
-		return measurePoint(c, n, float64(bft), warmup, measure), nil
+		p, err := LeopardThroughput(n, dbSize, bft)
+		p.Param = float64(bft)
+		return p, err
 	})
 }
 
@@ -346,11 +344,9 @@ func fig8(s Sweep) (Fig8Rows, error) {
 	var out Fig8Rows
 	for _, bft := range []int{10, 100} {
 		rows, err := each(s, func(n, db int) (Point, error) {
-			c, err := leopardCluster(n, db, bft, netConfig(), nil)
-			if err != nil {
-				return Point{}, err
-			}
-			return measurePoint(c, n, float64(db), warmup, measure), nil
+			p, err := LeopardThroughput(n, db, bft)
+			p.Param = float64(db)
+			return p, err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bft=%d: %w", bft, err)
@@ -431,51 +427,50 @@ type Fig10Row struct {
 type Fig10Rows []Fig10Row
 
 func fig10(s Sweep) (Fig10Rows, error) {
-	pairs, err := each(s, func(n, mbps int) ([2]Fig10Row, error) {
-		bw := float64(mbps)
-		net := netConfig()
-		net.HalfDuplex = true
-		net.EgressBps = bw * 1e6
-		net.TickInterval = 10 * time.Millisecond
-
-		// Batch sizes are fixed across bandwidths (as in the paper);
-		// smaller than Table II so low-bandwidth runs still confirm
-		// within the measurement window.
-		c, err := leopardCluster(n, 500, 10, net, func(cfg *leopard.Config) {
-			cfg.ViewChangeTimeout = time.Hour // low bandwidth, no VC noise
-			// Dissemination cycles take seconds on throttled links;
-			// a deeper window keeps the pipeline full, and a long
-			// retrieval timer models the paper's network-profiled
-			// adaptive timer (no spurious queries while blocks are
-			// legitimately in flight).
-			cfg.MaxOutstandingDatablocks = 8
-			cfg.RetrievalTimeout = time.Hour
-		})
-		if err != nil {
-			return [2]Fig10Row{}, err
-		}
-		// A long window makes queueing latency under saturation (seconds
-		// at low bandwidth, as in the paper) observable within the run.
-		row := func(system string, c *harness.Cluster) Fig10Row {
-			pt := measurePoint(c, n, bw, 2*time.Second, 12*time.Second)
-			return Fig10Row{
-				System: system, N: n, BandwidthMbps: bw,
-				TputMbps: pt.Throughput * PayloadSize * 8 / 1e6,
-				MeanLat:  pt.MeanLat,
-			}
-		}
-		leo := row("Leopard", c)
-		hc, err := hotstuffCluster(n, 400, net)
-		if err != nil {
-			return [2]Fig10Row{}, err
-		}
-		return [2]Fig10Row{leo, row("HotStuff", hc)}, nil
-	})
 	var out Fig10Rows
-	for _, p := range pairs {
-		out = append(out, p[:]...)
+	for _, n := range s.N {
+		for _, mbps := range s.Param {
+			bw := float64(mbps)
+			net := netConfig()
+			net.HalfDuplex = true
+			net.EgressBps = bw * 1e6
+			net.TickInterval = 10 * time.Millisecond
+
+			// Batch sizes are fixed across bandwidths (as in the paper);
+			// smaller than Table II so low-bandwidth runs still confirm
+			// within the measurement window.
+			c, err := leopardCluster(n, 500, 10, net, func(cfg *leopard.Config) {
+				cfg.ViewChangeTimeout = time.Hour // low bandwidth, no VC noise
+				// Dissemination cycles take seconds on throttled links;
+				// a deeper window keeps the pipeline full, and a long
+				// retrieval timer models the paper's network-profiled
+				// adaptive timer (no spurious queries while blocks are
+				// legitimately in flight).
+				cfg.MaxOutstandingDatablocks = 8
+				cfg.RetrievalTimeout = time.Hour
+			})
+			if err != nil {
+				return nil, err
+			}
+			// A long window makes queueing latency under saturation (seconds
+			// at low bandwidth, as in the paper) observable within the run.
+			row := func(system string, c *harness.Cluster) Fig10Row {
+				pt := measurePoint(c, n, bw, 2*time.Second, 12*time.Second)
+				return Fig10Row{
+					System: system, N: n, BandwidthMbps: bw,
+					TputMbps: pt.Throughput * PayloadSize * 8 / 1e6,
+					MeanLat:  pt.MeanLat,
+				}
+			}
+			out = append(out, row("Leopard", c))
+			hc, err := hotstuffCluster(n, 400, net)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, row("HotStuff", hc))
+		}
 	}
-	return out, err
+	return out, nil
 }
 
 func (rows Fig10Rows) Print(w io.Writer) {

@@ -45,19 +45,17 @@ func (rows Fig12Rows) Print(w io.Writer) {
 type A1Rows []RetrievalResult
 
 func ablationRetrieval(s Sweep) (A1Rows, error) {
-	pairs, err := each(s, func(n, _ int) ([2]RetrievalResult, error) {
-		committee, err := retrievalOnce(n, false)
-		if err != nil {
-			return [2]RetrievalResult{}, err
-		}
-		leader, err := retrievalOnce(n, true)
-		return [2]RetrievalResult{committee, leader}, err
-	})
 	var out A1Rows
-	for _, p := range pairs {
-		out = append(out, p[:]...)
+	for _, n := range s.N {
+		for _, leaderOnly := range []bool{false, true} {
+			r, err := retrievalOnce(n, leaderOnly)
+			if err != nil {
+				return nil, fmt.Errorf("n=%d: %w", n, err)
+			}
+			out = append(out, r)
+		}
 	}
-	return out, err
+	return out, nil
 }
 
 func (rows A1Rows) Print(w io.Writer) {
