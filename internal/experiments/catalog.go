@@ -233,9 +233,10 @@ func each[T any](s Sweep, once func(n, param int) (T, error)) ([]T, error) {
 	for _, n := range s.N {
 		for _, p := range params {
 			r, err := once(n, p)
-			if err != nil && s.Param != nil {
-				return nil, fmt.Errorf("n=%d param=%d: %w", n, p, err)
-			} else if err != nil {
+			if err != nil {
+				if s.Param != nil {
+					return nil, fmt.Errorf("n=%d param=%d: %w", n, p, err)
+				}
 				return nil, fmt.Errorf("n=%d: %w", n, err)
 			}
 			out = append(out, r)

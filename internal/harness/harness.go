@@ -1,7 +1,8 @@
 // Package harness wires protocol replicas onto the simulated network,
 // attaches workload generators and latency trackers, and runs measured
-// experiments. Every figure/table reproduction in bench_test.go and
-// cmd/leopard-sim is built on this package.
+// experiments. Every entry of experiments.Catalog — the tables, figures and
+// scenarios that cmd/leopard-sim and bench_test.go run — is built on this
+// package.
 package harness
 
 import (
