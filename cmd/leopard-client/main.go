@@ -22,7 +22,7 @@ import (
 	"leopard/internal/client"
 	"leopard/internal/crypto"
 	"leopard/internal/leopard"
-	"leopard/internal/metrics"
+	"leopard/internal/obs"
 	"leopard/internal/types"
 )
 
@@ -129,7 +129,7 @@ func run(configPath string, origin, count, payload int, clientID, firstSeq uint6
 		}
 	}
 
-	var lat metrics.LatencyRecorder
+	var lat obs.LatencyRecorder
 	var sig []byte
 	start := time.Now()
 	body := make([]byte, payload)

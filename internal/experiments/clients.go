@@ -11,7 +11,7 @@ import (
 	"leopard/internal/harness"
 	"leopard/internal/leopard"
 	"leopard/internal/mempool"
-	"leopard/internal/metrics"
+	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/transport"
 	"leopard/internal/types"
@@ -76,7 +76,7 @@ type clientsDriver struct {
 	batchSigs [][][]byte
 
 	measureFrom time.Duration
-	lat         metrics.LatencyRecorder
+	lat         obs.LatencyRecorder
 	accepted    int64
 }
 

@@ -23,9 +23,10 @@ import (
 	"leopard/internal/hotstuff"
 	"leopard/internal/leopard"
 	"leopard/internal/leopard/analysis"
-	"leopard/internal/metrics"
+	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
+	"leopard/internal/transport"
 	"leopard/internal/types"
 )
 
@@ -212,13 +213,12 @@ func measurePoint(c *harness.Cluster, n int, param float64, warm, window time.Du
 	c.Start()
 	c.Warmup(warm)
 	res := c.MeasureFor(window)
-	leader := c.LeaderStats()
 	return Point{
 		N:          n,
 		Param:      param,
 		Throughput: res.Throughput,
 		MeanLat:    res.MeanLat,
-		LeaderMbps: metrics.Mbps(leader.Total(), res.Elapsed),
+		LeaderMbps: float64(c.LeaderStats().Total()) * 8 / 1e6 / res.Elapsed.Seconds(),
 	}
 }
 
@@ -504,8 +504,45 @@ func (rows Fig11Rows) Print(w io.Writer) {
 // at the leader and at a non-leader replica.
 type Table3Row struct {
 	N       int
-	Leader  []metrics.BreakdownRow
-	Replica []metrics.BreakdownRow
+	Leader  []BreakdownRow
+	Replica []BreakdownRow
+}
+
+// BreakdownRow is one line of a Table III utilization breakdown.
+type BreakdownRow struct {
+	Direction string // "send" or "receive"
+	Class     string
+	Bytes     int64
+	Percent   float64 // of the replica's total (send+receive)
+}
+
+// breakdown renders the per-class shares of one replica's total traffic.
+func breakdown(b *simnet.Bandwidth) []BreakdownRow {
+	total := b.Total()
+	if total == 0 {
+		return nil
+	}
+	var rows []BreakdownRow
+	add := func(direction string, bytes *[transport.NumClasses]int64) {
+		for c := 1; c < transport.NumClasses; c++ {
+			if bytes[c] > 0 {
+				rows = append(rows, BreakdownRow{
+					Direction: direction, Class: transport.Class(c).String(),
+					Bytes: bytes[c], Percent: 100 * float64(bytes[c]) / float64(total),
+				})
+			}
+		}
+	}
+	add("send", &b.Sent)
+	add("receive", &b.Received)
+	return rows
+}
+
+// printBreakdown renders rows as an aligned text table.
+func printBreakdown(w io.Writer, rows []BreakdownRow) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8s %-11s %12d B %6.2f%%\n", r.Direction, r.Class, r.Bytes, r.Percent)
+	}
 }
 
 // Table3Rows is Table III at each scale (n = 32 in the paper).
@@ -521,16 +558,16 @@ func table3(s Sweep) (Table3Rows, error) {
 		c.Start()
 		c.Warmup(warmup)
 		c.MeasureFor(measure)
-		return Table3Row{N: n, Leader: c.LeaderStats().Breakdown(), Replica: c.NonLeaderStats().Breakdown()}, nil
+		return Table3Row{N: n, Leader: breakdown(c.LeaderStats()), Replica: breakdown(c.NonLeaderStats())}, nil
 	})
 }
 
 func (rows Table3Rows) Print(w io.Writer) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "-- leader, n=%d --\n", r.N)
-		fmt.Fprint(w, metrics.FormatBreakdown(r.Leader))
+		printBreakdown(w, r.Leader)
 		fmt.Fprintf(w, "-- non-leader, n=%d --\n", r.N)
-		fmt.Fprint(w, metrics.FormatBreakdown(r.Replica))
+		printBreakdown(w, r.Replica)
 	}
 }
 
@@ -538,7 +575,7 @@ func (rows Table3Rows) Print(w io.Writer) {
 // Leopard's pipeline stages, summed over replicas.
 type Table4Row struct {
 	N      int
-	Stages []metrics.StageRow
+	Stages []obs.StageRow
 }
 
 // Table4Rows is Table IV at each scale (n = 32 in the paper).
@@ -567,7 +604,7 @@ func table4(s Sweep) (Table4Rows, error) {
 		c.Warmup(warmup)
 		before := stages()
 		c.MeasureFor(measure)
-		var agg metrics.StageTimer
+		var agg obs.StageTimer
 		for stage, total := range stages() {
 			agg.Add(stage, total-before[stage])
 		}

@@ -1,8 +1,54 @@
 package experiments
 
 import (
+	"bytes"
+	"math"
+	"strings"
 	"testing"
+
+	"leopard/internal/simnet"
+	"leopard/internal/transport"
 )
+
+func TestBreakdownPercentages(t *testing.T) {
+	var b simnet.Bandwidth
+	b.AddReceived(transport.ClassDatablock, 960)
+	b.AddSent(transport.ClassBFTblock, 30)
+	b.AddSent(transport.ClassProof, 10)
+	rows := breakdown(&b)
+	var sum float64
+	var datablockPct float64
+	for _, r := range rows {
+		sum += r.Percent
+		if r.Class == "datablock" && r.Direction == "receive" {
+			datablockPct = r.Percent
+		}
+	}
+	if math.Abs(sum-100) > 1e-9 {
+		t.Errorf("percentages sum to %f", sum)
+	}
+	if datablockPct != 96 {
+		t.Errorf("datablock share = %f%%, want 96%%", datablockPct)
+	}
+	var text bytes.Buffer
+	printBreakdown(&text, rows)
+	if !strings.Contains(text.String(), "datablock") || !strings.Contains(text.String(), "96.00%") {
+		t.Errorf("formatted breakdown missing content:\n%s", text.String())
+	}
+}
+
+func TestBreakdownEmpty(t *testing.T) {
+	var b simnet.Bandwidth
+	rows := breakdown(&b)
+	if rows != nil {
+		t.Errorf("empty breakdown should be nil, got %v", rows)
+	}
+	var text bytes.Buffer
+	printBreakdown(&text, rows)
+	if text.Len() != 0 {
+		t.Errorf("zero-total breakdown should print nothing, got %q", text.String())
+	}
+}
 
 // TestCalibrationSmallScale checks the two systems land in the paper's
 // processing-bound regime at n=16: both near the ~1.3e5 req/s peak.

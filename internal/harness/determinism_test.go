@@ -9,7 +9,6 @@ import (
 	"leopard/internal/crypto"
 	"leopard/internal/harness"
 	"leopard/internal/leopard"
-	"leopard/internal/metrics"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
 	"leopard/internal/transport"
@@ -21,7 +20,7 @@ import (
 // bandwidth counters plus a rendering of its protocol counters. streaming
 // shrinks the bulk lane's chunk and credit window below the datablock size,
 // where the defaults would ship every datablock as one chunk.
-func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwidth, []string) {
+func runFingerprint(t *testing.T, seed int64, streaming bool) ([]simnet.Bandwidth, []string) {
 	t.Helper()
 	const n = 7
 	q, err := types.NewQuorumParams(n)
@@ -68,7 +67,7 @@ func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwid
 	c.Start()
 	c.Net.Run(400 * time.Millisecond)
 
-	bw := make([]metrics.Bandwidth, n)
+	bw := make([]simnet.Bandwidth, n)
 	protoStats := make([]string, n)
 	for i := 0; i < n; i++ {
 		bw[i] = *c.Net.Stats(types.ReplicaID(i))

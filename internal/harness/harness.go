@@ -1,5 +1,5 @@
 // Package harness wires protocol replicas onto the simulated network,
-// attaches workload generators and latency trackers, and runs measured
+// attaches workload generators, samples client latency, and runs measured
 // experiments. Every entry of experiments.Catalog — the tables, figures and
 // scenarios that cmd/leopard-sim and bench_test.go run — is built on this
 // package.
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"leopard/internal/metrics"
 	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
@@ -36,8 +35,8 @@ type Options struct {
 	// InjectEvery is the injection granularity (default 5ms).
 	InjectEvery time.Duration
 	// SubmitToLeader routes all requests to the current leader instead of
-	// the non-leader replicas. Leader-dissemination protocols (HotStuff,
-	// PBFT) batch at the leader, so their clients submit there.
+	// the non-leader replicas. HotStuff disseminates from the leader and
+	// batches there, so its clients submit there.
 	SubmitToLeader bool
 	// LatencySample tracks client latency for one request in every
 	// LatencySample (by client id). 1 (default) tracks everything; large
@@ -56,7 +55,6 @@ type Options struct {
 type Cluster struct {
 	Net      *simnet.Network
 	Replicas []protocol.Replica
-	Tracker  *workload.Tracker
 	// gens holds one request generator per replica, each over a disjoint
 	// client-ID range: the nonce-aware mempool requires every client's seq
 	// stream to arrive contiguously at whichever replica serves it, so one
@@ -67,14 +65,26 @@ type Cluster struct {
 	Invariants *InvariantChecker
 
 	opts        Options
-	submittedTo map[types.RequestID]types.ReplicaID
 	injecting   bool
 	ratePending float64
 	executed    int64 // requests executed at the observer (replica 0)
+
+	// inflight holds each sampled request from its submission until the
+	// replica it was submitted to executes it (executorFor). Requests
+	// submitted before measureFrom, the end of Warmup, add no latency sample.
+	inflight    map[types.RequestID]submission
+	latency     obs.LatencyRecorder
+	measureFrom time.Duration
+}
+
+// submission is where and when a sampled request was submitted.
+type submission struct {
+	owner types.ReplicaID
+	at    time.Duration
 }
 
 // NewCluster builds n replicas, wires them onto a simnet and registers
-// executors/trackers. Call Start, then Run*.
+// their executors. Call Start, then Run*.
 func NewCluster(opts Options) (*Cluster, error) {
 	if opts.N < 4 {
 		return nil, fmt.Errorf("harness: need at least 4 replicas, got %d", opts.N)
@@ -92,10 +102,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 		opts.LatencySample = 1
 	}
 	c := &Cluster{
-		Tracker:     workload.NewTracker(),
-		gens:        make([]*workload.Generator, opts.N),
-		opts:        opts,
-		submittedTo: make(map[types.RequestID]types.ReplicaID),
+		gens:     make([]*workload.Generator, opts.N),
+		opts:     opts,
+		inflight: make(map[types.RequestID]submission),
 	}
 	const clientsPerReplica = 64
 	for i := range c.gens {
@@ -134,9 +143,9 @@ func (c *Cluster) sampled(id types.RequestID) bool {
 
 // executorFor returns the execution callback for replica id. Replica 0 is
 // the throughput observer (every replica executes the same log, so one
-// counter suffices); latency acks are recorded when the replica a sampled
-// request was submitted to executes it (that replica answers the client,
-// so its execution time is the client-visible confirmation).
+// counter suffices); a sampled request's latency is taken when the replica
+// it was submitted to executes it (that replica answers the client, so its
+// execution time is the client-visible confirmation).
 func (c *Cluster) executorFor(id types.ReplicaID) protocol.ExecuteFunc {
 	return func(sn types.SeqNum, reqs []types.Request) {
 		if id == 0 {
@@ -148,9 +157,11 @@ func (c *Cluster) executorFor(id types.ReplicaID) protocol.ExecuteFunc {
 			if !c.sampled(rid) {
 				continue
 			}
-			if owner, ok := c.submittedTo[rid]; ok && owner == id {
-				c.Tracker.Acked(rid, now)
-				delete(c.submittedTo, rid)
+			if sub, ok := c.inflight[rid]; ok && sub.owner == id {
+				delete(c.inflight, rid)
+				if sub.at >= c.measureFrom {
+					c.latency.Add(now - sub.at)
+				}
 			}
 		}
 	}
@@ -220,8 +231,7 @@ func (c *Cluster) submit(now time.Duration, id types.ReplicaID, r protocol.Repli
 	req := c.gens[id].Next()
 	if r.SubmitRequest(now, req) {
 		if c.sampled(req.ID()) {
-			c.Tracker.Submitted(req.ID(), now)
-			c.submittedTo[req.ID()] = id
+			c.inflight[req.ID()] = submission{owner: id, at: now}
 		}
 		// Account the client's bytes into the replica's ingress figures
 		// (Table III's "Reqs. from Clients" row).
@@ -271,7 +281,7 @@ func (c *Cluster) RunUntil(deadline, step time.Duration, cond func() bool) bool 
 func (c *Cluster) Warmup(d time.Duration) {
 	c.Net.Run(c.Net.Now() + d)
 	c.Net.ResetStats()
-	c.Tracker.SetMeasureFrom(c.Net.Now())
+	c.measureFrom = c.Net.Now()
 }
 
 // Result summarizes one measured run.
@@ -292,26 +302,27 @@ func (c *Cluster) MeasureFor(d time.Duration) Result {
 	start := c.Net.Now()
 	c.Net.Run(start + d)
 	elapsed := c.Net.Now() - start
-	confirmed := c.executed - before
-	lat := c.Tracker.Latency()
-	return Result{
-		N:          c.opts.N,
-		Elapsed:    elapsed,
-		Confirmed:  confirmed,
-		Throughput: metrics.Throughput(confirmed, elapsed),
-		MeanLat:    lat.Mean(),
-		P50Lat:     lat.Percentile(50),
-		P99Lat:     lat.Percentile(99),
+	res := Result{
+		N:         c.opts.N,
+		Elapsed:   elapsed,
+		Confirmed: c.executed - before,
+		MeanLat:   c.latency.Mean(),
+		P50Lat:    c.latency.Percentile(50),
+		P99Lat:    c.latency.Percentile(99),
 	}
+	if elapsed > 0 {
+		res.Throughput = float64(res.Confirmed) / elapsed.Seconds()
+	}
+	return res
 }
 
 // LeaderStats returns the bandwidth counters of the current leader.
-func (c *Cluster) LeaderStats() *metrics.Bandwidth {
+func (c *Cluster) LeaderStats() *simnet.Bandwidth {
 	return c.Net.Stats(c.Replicas[0].Leader())
 }
 
 // NonLeaderStats returns the bandwidth counters of the first non-leader.
-func (c *Cluster) NonLeaderStats() *metrics.Bandwidth {
+func (c *Cluster) NonLeaderStats() *simnet.Bandwidth {
 	leader := c.Replicas[0].Leader()
 	for i := range c.Replicas {
 		if types.ReplicaID(i) != leader {

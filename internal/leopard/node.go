@@ -8,7 +8,6 @@ import (
 	"leopard/internal/crypto"
 	"leopard/internal/erasure"
 	"leopard/internal/mempool"
-	"leopard/internal/metrics"
 	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/storage"
@@ -152,7 +151,7 @@ type Stats struct {
 	Retrievals        int64 // datablocks recovered via Alg. 3
 	ViewChanges       int64
 	View              types.View
-	Stages            *metrics.StageTimer
+	Stages            *obs.StageTimer
 
 	// Durability and recovery counters (zero without a Store).
 	LastCheckpointSeq  types.SeqNum // newest stable checkpoint applied
@@ -327,7 +326,7 @@ type Node struct {
 	replyOrder []uint64
 
 	stats  Stats
-	stages metrics.StageTimer
+	stages obs.StageTimer
 
 	// Byzantine hooks used by tests and the fault-injection harness.
 	// selectiveTargets, when non-nil, restricts datablock broadcasts to

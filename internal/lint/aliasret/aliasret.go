@@ -8,7 +8,7 @@
 // it: an exported method on a state-holding type must not return an
 // internal mutable slice or map reached from its receiver.
 //
-// Scope: every exported method in internal/storage and internal/metrics,
+// Scope: every exported method in internal/storage and internal/obs,
 // plus, module-wide, exported methods whose receiver type name ends in
 // Store, Log, Stats or Pool. Flagged shape: a return result that is a
 // selector/index chain rooted at the receiver whose type is a slice or map
@@ -42,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // return corrupts state the rest of the system reasons about.
 var scopedPackages = map[string]bool{
 	"leopard/internal/storage": true,
-	"leopard/internal/metrics": true,
+	"leopard/internal/obs":     true,
 }
 
 // scopedSuffixes widen the check module-wide to types that are stores by

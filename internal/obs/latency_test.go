@@ -1,64 +1,10 @@
-package metrics
+package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"leopard/internal/transport"
 )
-
-func TestBandwidthAccounting(t *testing.T) {
-	var b Bandwidth
-	b.AddSent(transport.ClassDatablock, 100)
-	b.AddSent(transport.ClassDatablock, 50)
-	b.AddSent(transport.ClassVote, 10)
-	b.AddReceived(transport.ClassBFTblock, 30)
-
-	if got := b.TotalSent(); got != 160 {
-		t.Errorf("TotalSent = %d", got)
-	}
-	if got := b.TotalReceived(); got != 30 {
-		t.Errorf("TotalReceived = %d", got)
-	}
-	if got := b.Total(); got != 190 {
-		t.Errorf("Total = %d", got)
-	}
-}
-
-func TestBreakdownPercentages(t *testing.T) {
-	var b Bandwidth
-	b.AddReceived(transport.ClassDatablock, 960)
-	b.AddSent(transport.ClassBFTblock, 30)
-	b.AddSent(transport.ClassProof, 10)
-	rows := b.Breakdown()
-	var sum float64
-	var datablockPct float64
-	for _, r := range rows {
-		sum += r.Percent
-		if r.Class == "datablock" && r.Direction == "receive" {
-			datablockPct = r.Percent
-		}
-	}
-	if math.Abs(sum-100) > 1e-9 {
-		t.Errorf("percentages sum to %f", sum)
-	}
-	if datablockPct != 96 {
-		t.Errorf("datablock share = %f%%, want 96%%", datablockPct)
-	}
-	text := FormatBreakdown(rows)
-	if !strings.Contains(text, "datablock") || !strings.Contains(text, "96.00%") {
-		t.Errorf("formatted breakdown missing content:\n%s", text)
-	}
-}
-
-func TestBreakdownEmpty(t *testing.T) {
-	var b Bandwidth
-	if rows := b.Breakdown(); rows != nil {
-		t.Errorf("empty breakdown should be nil, got %v", rows)
-	}
-}
 
 func TestLatencyRecorder(t *testing.T) {
 	var l LatencyRecorder
@@ -93,53 +39,6 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 	if got := l.Percentile(0.1); got != time.Microsecond {
 		t.Errorf("P0.1 after re-add = %v", got)
-	}
-}
-
-func TestThroughputAndRates(t *testing.T) {
-	if got := Throughput(1000, time.Second); got != 1000 {
-		t.Errorf("Throughput = %f", got)
-	}
-	if got := Throughput(1000, 0); got != 0 {
-		t.Errorf("Throughput with zero elapsed = %f", got)
-	}
-	if got := Gbps(1.25e9, 10*time.Second); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Gbps = %f, want 1", got)
-	}
-	if got := Mbps(1.25e6, 10*time.Second); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Mbps = %f, want 1", got)
-	}
-}
-
-func TestStageTimer(t *testing.T) {
-	var s StageTimer
-	s.Add("dissemination", 500*time.Millisecond)
-	s.Add("agreement", 300*time.Millisecond)
-	s.Add("dissemination", 200*time.Millisecond)
-
-	if got := s.Total(); got != time.Second {
-		t.Errorf("Total = %v", got)
-	}
-	rows := s.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Sorted by name: agreement then dissemination.
-	if rows[0].Stage != "agreement" || math.Abs(rows[0].Percent-30) > 1e-9 {
-		t.Errorf("row 0 = %+v", rows[0])
-	}
-	if rows[1].Stage != "dissemination" || math.Abs(rows[1].Percent-70) > 1e-9 {
-		t.Errorf("row 1 = %+v", rows[1])
-	}
-}
-
-func TestStageTimerEmpty(t *testing.T) {
-	var s StageTimer
-	if s.Total() != 0 {
-		t.Error("empty total must be 0")
-	}
-	if rows := s.Rows(); len(rows) != 0 {
-		t.Errorf("empty rows = %v", rows)
 	}
 }
 
@@ -202,12 +101,5 @@ func TestHistogramEdgeCases(t *testing.T) {
 	out = gapped.Histogram()
 	if strings.Count(out, "\n") != 3 {
 		t.Errorf("gapped histogram should print 3 rows including the empty one:\n%s", out)
-	}
-}
-
-func TestFormatBreakdownZeroTotal(t *testing.T) {
-	var b Bandwidth
-	if got := FormatBreakdown(b.Breakdown()); got != "" {
-		t.Errorf("zero-total breakdown should format to empty string, got %q", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,54 +51,14 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed cumulative buckets
-// (Prometheus-style: bounds are inclusive upper limits, plus +Inf).
-// Observe is lock-free and allocation-free.
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Int64 // len(bounds)+1; last is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, buckets: make([]atomic.Int64, len(bs)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
 // entry is one registered series.
 type entry struct {
 	name string // full series name, possibly with a {label="..."} suffix
 	base string // metric family name (name up to any '{')
 	help string
-	typ  string // "counter" | "gauge" | "histogram"
+	typ  string // "counter" | "gauge"
 	c    *Counter
 	g    *Gauge
-	h    *Histogram
-	fn   func() float64
 }
 
 // Registry holds named metrics and renders them as Prometheus text
@@ -162,29 +121,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return e.g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.register(name, help, "gauge")
-	if e.fn == nil {
-		e.fn = fn
-	}
-}
-
-// Histogram registers (or fetches) a histogram with the given inclusive
-// upper bucket bounds (+Inf is implicit). Histogram names must not carry
-// labels.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.register(name, help, "histogram")
-	if e.h == nil {
-		e.h = newHistogram(bounds)
-	}
-	return e.h
-}
-
 // snapshot returns families in registration order under the lock.
 func (r *Registry) snapshot() [][]*entry {
 	r.mu.Lock()
@@ -209,8 +145,6 @@ func (e *entry) value() float64 {
 		return float64(e.c.Value())
 	case e.g != nil:
 		return e.g.Value()
-	case e.fn != nil:
-		return e.fn()
 	}
 	return 0
 }
@@ -226,53 +160,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", head.base, head.typ)
 		for _, e := range family {
-			if e.h != nil {
-				cum := int64(0)
-				for i, b := range e.h.bounds {
-					cum += e.h.buckets[i].Load()
-					fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", e.base, formatValue(b), cum)
-				}
-				cum += e.h.buckets[len(e.h.bounds)].Load()
-				fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.base, cum)
-				fmt.Fprintf(bw, "%s_sum %s\n", e.base, formatValue(e.h.Sum()))
-				fmt.Fprintf(bw, "%s_count %d\n", e.base, e.h.Count())
-				continue
-			}
 			fmt.Fprintf(bw, "%s %s\n", e.name, formatValue(e.value()))
 		}
 	}
 	return bw.Flush()
 }
 
-// Snapshot returns the registry as a flat name→value map (histograms as
-// {count, sum, buckets} maps), ready for JSON encoding — this is what
-// leopard-node's /status serves, so the status body is generated from the
-// registry rather than hand-maintained.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
+// Snapshot returns the registry as a flat name→value map, ready for JSON
+// encoding — this is what leopard-node's /status serves, so the status body
+// is generated from the registry rather than hand-maintained.
+func (r *Registry) Snapshot() map[string]float64 {
+	out := make(map[string]float64)
 	for _, family := range r.snapshot() {
 		for _, e := range family {
-			if e.h != nil {
-				buckets := make(map[string]int64, len(e.h.bounds)+1)
-				cum := int64(0)
-				for i, b := range e.h.bounds {
-					cum += e.h.buckets[i].Load()
-					buckets[formatValue(b)] = cum
-				}
-				cum += e.h.buckets[len(e.h.bounds)].Load()
-				buckets["+Inf"] = cum
-				out[e.name] = map[string]any{
-					"count": e.h.Count(), "sum": e.h.Sum(), "buckets": buckets,
-				}
-				continue
-			}
 			out[e.name] = e.value()
 		}
 	}
 	return out
 }
 
-// NumSeries returns the number of registered series (histograms count once).
+// NumSeries returns the number of registered series.
 func (r *Registry) NumSeries() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,11 +12,6 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	r.Counter("leopard_confirmed_total", "confirmed requests").Add(42)
 	r.Gauge("leopard_view", "current view").SetInt(3)
 	r.Gauge("leopard_ratio", "").Set(0.25)
-	r.GaugeFunc("leopard_up", "liveness", func() float64 { return 1 })
-	h := r.Histogram("leopard_latency_seconds", "request latency", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.5)
-	h.Observe(5)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -30,14 +25,6 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		"# TYPE leopard_view gauge",
 		"leopard_view 3",
 		"leopard_ratio 0.25",
-		"leopard_up 1",
-		"# TYPE leopard_latency_seconds histogram",
-		`leopard_latency_seconds_bucket{le="0.01"} 1`,
-		`leopard_latency_seconds_bucket{le="0.1"} 1`,
-		`leopard_latency_seconds_bucket{le="1"} 2`,
-		`leopard_latency_seconds_bucket{le="+Inf"} 3`,
-		"leopard_latency_seconds_sum 5.505",
-		"leopard_latency_seconds_count 3",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -98,7 +85,6 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", []float64{10, 100})
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -108,7 +94,6 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i % 200))
 				// Concurrent re-registration must also be safe.
 				r.Counter("c_total", "").Add(0)
 			}
@@ -120,9 +105,6 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 	}
 	if g.Value() != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", g.Value(), workers*perWorker)
-	}
-	if h.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
 	}
 }
 
@@ -139,25 +121,11 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(7)
 	r.Gauge("b", "").Set(1.5)
-	h := r.Histogram("lat", "", []float64{1})
-	h.Observe(0.5)
-	h.Observe(2)
 	snap := r.Snapshot()
 	if snap["a_total"] != 7.0 {
 		t.Fatalf("a_total = %v, want 7", snap["a_total"])
 	}
 	if snap["b"] != 1.5 {
 		t.Fatalf("b = %v, want 1.5", snap["b"])
-	}
-	hm, ok := snap["lat"].(map[string]any)
-	if !ok {
-		t.Fatalf("lat snapshot = %T, want map", snap["lat"])
-	}
-	if hm["count"] != int64(2) {
-		t.Fatalf("lat count = %v, want 2", hm["count"])
-	}
-	buckets := hm["buckets"].(map[string]int64)
-	if buckets["1"] != 1 || buckets["+Inf"] != 2 {
-		t.Fatalf("lat buckets = %v", buckets)
 	}
 }

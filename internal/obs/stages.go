@@ -1,9 +1,8 @@
 package obs
 
 import (
+	"sort"
 	"time"
-
-	"leopard/internal/metrics"
 )
 
 // Stage reduction: collapse raw event traces into the paper's Table IV
@@ -66,8 +65,8 @@ var stageEdges = []struct {
 // StageBreakdown reduces the given runs to Table IV-style rows (sorted by
 // stage name, percent of the summed total). Stages with no completed pairs
 // are omitted; an empty input yields no rows.
-func StageBreakdown(runs []*TraceSet) []metrics.StageRow {
-	var timer metrics.StageTimer
+func StageBreakdown(runs []*TraceSet) []StageRow {
+	var timer StageTimer
 	for _, run := range runs {
 		for si := range stageEdges {
 			pairs := make(map[uint64]*stagePair)
@@ -100,4 +99,54 @@ func StageBreakdown(runs []*TraceSet) []metrics.StageRow {
 }
 
 // StageBreakdown reduces every collected run.
-func (c *Collector) StageBreakdown() []metrics.StageRow { return StageBreakdown(c.Runs()) }
+func (c *Collector) StageBreakdown() []StageRow { return StageBreakdown(c.Runs()) }
+
+// StageTimer accumulates time spent per named pipeline stage, backing the
+// paper's Table IV latency breakdown.
+// The zero value is ready to use. Not safe for concurrent use.
+type StageTimer struct {
+	totals map[string]time.Duration
+}
+
+// Add accrues d to the named stage.
+func (s *StageTimer) Add(stage string, d time.Duration) {
+	if s.totals == nil {
+		s.totals = make(map[string]time.Duration)
+	}
+	s.totals[stage] += d
+}
+
+// Total returns the sum over all stages.
+func (s *StageTimer) Total() time.Duration {
+	var t time.Duration
+	for _, d := range s.totals {
+		t += d
+	}
+	return t
+}
+
+// StageRow is one line of a latency breakdown.
+type StageRow struct {
+	Stage   string
+	Total   time.Duration
+	Percent float64
+}
+
+// Rows returns the per-stage shares sorted by stage name.
+func (s *StageTimer) Rows() []StageRow {
+	total := s.Total()
+	names := make([]string, 0, len(s.totals))
+	for n := range s.totals {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	rows := make([]StageRow, 0, len(names))
+	for _, n := range names {
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(s.totals[n]) / float64(total)
+		}
+		rows = append(rows, StageRow{Stage: n, Total: s.totals[n], Percent: pct})
+	}
+	return rows
+}

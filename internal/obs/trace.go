@@ -1,5 +1,6 @@
 // Package obs is the observability layer: a deterministic structured
-// event-trace facility and a unified metrics registry.
+// event-trace facility, a unified metrics registry, and the measurement
+// types the evaluation reports (latency distributions, stage breakdowns).
 //
 // The trace side records typed protocol lifecycle events (request admitted →
 // packed → disseminated → σ1-cert → σ2-cert → executed → replied, plus
@@ -8,11 +9,13 @@
 // caller-supplied clock — the package never reads wall-clock time — so
 // identically-seeded simnet runs produce byte-identical traces. Traces
 // export as Chrome trace_event JSON (chrome.go) and reduce to the paper's
-// Table IV stage-latency breakdown (stages.go).
+// Table IV stage-latency breakdown (stages.go, via StageTimer).
 //
 // The metrics side (registry.go, bind.go) is a dependency-free registry of
-// counters/gauges/histograms with stable names, zero-alloc hot-path
-// increments, Prometheus text exposition and a JSON snapshot.
+// counters and gauges with stable names, zero-alloc hot-path increments,
+// Prometheus text exposition and a JSON snapshot. LatencyRecorder
+// (latency.go) is the one latency type: the harness, the clients scenario
+// and leopard-client all report through it.
 package obs
 
 import (

@@ -1,6 +1,6 @@
 // Package protocol defines the protocol-agnostic replica interface shared
-// by Leopard and the baseline protocols (HotStuff, PBFT), so the experiment
-// harness can drive any of them interchangeably.
+// by Leopard and the HotStuff baseline, so the experiment harness can drive
+// either interchangeably.
 package protocol
 
 import (
@@ -11,7 +11,7 @@ import (
 )
 
 // ExecuteFunc receives confirmed requests in log order; sn is the decided
-// slot (BFTblock serial number, chain height, or PBFT sequence number).
+// slot (BFTblock serial number or chain height).
 type ExecuteFunc func(sn types.SeqNum, reqs []types.Request)
 
 // Replica is a BFT replica the harness can drive over any transport.

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"time"
 
-	"leopard/internal/metrics"
 	"leopard/internal/obs"
 	"leopard/internal/transport"
 	"leopard/internal/types"
@@ -140,7 +139,7 @@ type Network struct {
 	egress  []time.Duration // per-replica egress pipe free-at time
 	ingress []time.Duration
 	proc    []time.Duration // per-replica processing stage free-at time
-	stats   []metrics.Bandwidth
+	stats   []Bandwidth
 	filter  Filter
 	crashed []bool
 
@@ -240,7 +239,7 @@ func New(cfg Config, nodes []transport.Node) (*Network, error) {
 		ingress:   make([]time.Duration, len(nodes)),
 		proc:      make([]time.Duration, len(nodes)),
 		nodeClock: make([]time.Duration, len(nodes)),
-		stats:     make([]metrics.Bandwidth, len(nodes)),
+		stats:     make([]Bandwidth, len(nodes)),
 		crashed:   make([]bool, len(nodes)),
 		flows:     make([][]*flow, len(nodes)),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -361,14 +360,48 @@ func (n *Network) Replace(id types.ReplicaID, node transport.Node) error {
 	return nil
 }
 
+// Bandwidth counts one replica's sent and received bytes per message class.
+// The zero value is ready to use.
+type Bandwidth struct {
+	Sent     [transport.NumClasses]int64
+	Received [transport.NumClasses]int64
+}
+
+// AddSent records an outbound message of the given class and size.
+func (b *Bandwidth) AddSent(c transport.Class, bytes int) { b.Sent[c] += int64(bytes) }
+
+// AddReceived records an inbound message.
+func (b *Bandwidth) AddReceived(c transport.Class, bytes int) { b.Received[c] += int64(bytes) }
+
+// TotalSent returns all bytes sent.
+func (b *Bandwidth) TotalSent() int64 {
+	var t int64
+	for _, v := range b.Sent {
+		t += v
+	}
+	return t
+}
+
+// TotalReceived returns all bytes received.
+func (b *Bandwidth) TotalReceived() int64 {
+	var t int64
+	for _, v := range b.Received {
+		t += v
+	}
+	return t
+}
+
+// Total returns all bytes in both directions.
+func (b *Bandwidth) Total() int64 { return b.TotalSent() + b.TotalReceived() }
+
 // Stats returns the bandwidth accounting for a replica. The pointer stays
 // valid across Run calls; callers must not mutate it.
-func (n *Network) Stats(id types.ReplicaID) *metrics.Bandwidth { return &n.stats[id] }
+func (n *Network) Stats(id types.ReplicaID) *Bandwidth { return &n.stats[id] }
 
 // ResetStats clears bandwidth accounting (e.g. after warmup).
 func (n *Network) ResetStats() {
 	for i := range n.stats {
-		n.stats[i] = metrics.Bandwidth{}
+		n.stats[i] = Bandwidth{}
 	}
 }
 

@@ -254,6 +254,21 @@ func TestBandwidthAccounting(t *testing.T) {
 	if net.Stats(0).Total() != 0 {
 		t.Error("ResetStats did not clear")
 	}
+
+	var b Bandwidth
+	b.AddSent(transport.ClassDatablock, 100)
+	b.AddSent(transport.ClassDatablock, 50)
+	b.AddSent(transport.ClassVote, 10)
+	b.AddReceived(transport.ClassBFTblock, 30)
+	if got := b.TotalSent(); got != 160 {
+		t.Errorf("TotalSent = %d", got)
+	}
+	if got := b.TotalReceived(); got != 30 {
+		t.Errorf("TotalReceived = %d", got)
+	}
+	if got := b.Total(); got != 190 {
+		t.Errorf("Total = %d", got)
+	}
 }
 
 func TestSelfSendIgnored(t *testing.T) {

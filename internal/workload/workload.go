@@ -1,30 +1,9 @@
-// Package workload generates client load for experiments: open-loop fixed
-// request rates and closed-loop saturation (mempools kept topped up, as in
-// the paper's stress tests), plus client-side latency measurement and the
-// deterministic responsible-replica assignment µ(req) from Leopard §IV-A1.
+// Package workload generates the deterministic request streams the harness
+// injects, open loop at a fixed rate or closed loop at saturation (mempools
+// kept topped up, as in the paper's stress tests).
 package workload
 
-import (
-	"time"
-
-	"leopard/internal/metrics"
-	"leopard/internal/types"
-)
-
-// Assign implements the paper's deterministic function µ(req): it maps a
-// request to the non-leader replica responsible for disseminating it. The
-// leader is skipped so clients never submit to it.
-func Assign(req types.RequestID, n int, leader types.ReplicaID) types.ReplicaID {
-	if n <= 1 {
-		return 0
-	}
-	slot := (req.Client*1000003 + req.Seq) % uint64(n-1)
-	id := types.ReplicaID(slot)
-	if id >= leader {
-		id++
-	}
-	return id
-}
+import "leopard/internal/types"
 
 // Generator produces a deterministic stream of fixed-size requests.
 // Requests share one payload buffer: identity lives in (ClientID, Seq), and
@@ -75,64 +54,3 @@ func (g *Generator) Next() types.Request {
 	}
 	return r
 }
-
-// Tracker records request submission times and computes confirmation
-// latency when acknowledgments (executions) arrive.
-type Tracker struct {
-	submitted map[types.RequestID]time.Duration
-	acked     map[types.RequestID]struct{}
-	latency   *metrics.LatencyRecorder
-	ackCount  int64
-	start     time.Duration // samples before this are discarded (warmup)
-}
-
-// NewTracker creates an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		submitted: make(map[types.RequestID]time.Duration),
-		acked:     make(map[types.RequestID]struct{}),
-		latency:   &metrics.LatencyRecorder{},
-	}
-}
-
-// SetMeasureFrom discards latency samples for requests submitted before t
-// (warmup cutoff).
-func (t *Tracker) SetMeasureFrom(at time.Duration) { t.start = at }
-
-// Submitted records a request's submission time.
-func (t *Tracker) Submitted(id types.RequestID, at time.Duration) {
-	if _, dup := t.submitted[id]; !dup {
-		t.submitted[id] = at
-	}
-}
-
-// Acked records a confirmation at time now; duplicates are ignored.
-func (t *Tracker) Acked(id types.RequestID, now time.Duration) {
-	if _, dup := t.acked[id]; dup {
-		return
-	}
-	sub, ok := t.submitted[id]
-	if !ok {
-		return
-	}
-	t.acked[id] = struct{}{}
-	t.ackCount++
-	delete(t.submitted, id)
-	if sub >= t.start {
-		t.latency.Add(now - sub)
-	}
-	// Keep the acked set bounded; old entries cannot recur after their
-	// submission record is gone.
-	if len(t.acked) > 1<<21 {
-		t.acked = make(map[types.RequestID]struct{})
-	}
-}
-
-// AckCount returns the number of distinct acknowledged requests.
-func (t *Tracker) AckCount() int64 { return t.ackCount }
-
-// Outstanding returns the number of submitted-but-unacked requests.
-func (t *Tracker) Outstanding() int { return len(t.submitted) }
-
-// Latency exposes the recorded latency distribution.
-func (t *Tracker) Latency() *metrics.LatencyRecorder { return t.latency }

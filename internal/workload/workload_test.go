@@ -2,52 +2,9 @@ package workload
 
 import (
 	"testing"
-	"time"
 
 	"leopard/internal/types"
 )
-
-func TestAssignSkipsLeader(t *testing.T) {
-	const n = 10
-	for leader := types.ReplicaID(0); leader < n; leader++ {
-		for c := uint64(0); c < 50; c++ {
-			for s := uint64(0); s < 5; s++ {
-				id := Assign(types.RequestID{Client: c, Seq: s}, n, leader)
-				if id == leader {
-					t.Fatalf("request assigned to the leader %d", leader)
-				}
-				if int(id) >= n {
-					t.Fatalf("assignment %d out of range", id)
-				}
-			}
-		}
-	}
-}
-
-func TestAssignSpreadsLoad(t *testing.T) {
-	const n = 7
-	counts := make(map[types.ReplicaID]int)
-	for c := uint64(0); c < 2000; c++ {
-		counts[Assign(types.RequestID{Client: c, Seq: 1}, n, 0)]++
-	}
-	if len(counts) != n-1 {
-		t.Fatalf("only %d replicas used of %d non-leaders", len(counts), n-1)
-	}
-	for id, got := range counts {
-		if got < 200 || got > 500 {
-			t.Errorf("replica %d handles %d of 2000: unbalanced", id, got)
-		}
-	}
-}
-
-func TestAssignDeterministic(t *testing.T) {
-	id := types.RequestID{Client: 42, Seq: 7}
-	a := Assign(id, 16, 3)
-	b := Assign(id, 16, 3)
-	if a != b {
-		t.Fatal("assignment must be deterministic")
-	}
-}
 
 func TestGeneratorUniqueIDs(t *testing.T) {
 	g := NewGenerator(128, 8)
@@ -69,71 +26,5 @@ func TestGeneratorMinimumClients(t *testing.T) {
 	a, b := g.Next(), g.Next()
 	if a.ID() == b.ID() {
 		t.Fatal("sequential requests collide with one client")
-	}
-}
-
-func TestTrackerLatency(t *testing.T) {
-	tr := NewTracker()
-	id := types.RequestID{Client: 1, Seq: 1}
-	tr.Submitted(id, 10*time.Millisecond)
-	tr.Acked(id, 25*time.Millisecond)
-	if tr.AckCount() != 1 {
-		t.Fatalf("AckCount = %d", tr.AckCount())
-	}
-	if got := tr.Latency().Mean(); got != 15*time.Millisecond {
-		t.Errorf("latency = %v, want 15ms", got)
-	}
-}
-
-func TestTrackerDuplicateAcks(t *testing.T) {
-	tr := NewTracker()
-	id := types.RequestID{Client: 1, Seq: 2}
-	tr.Submitted(id, 0)
-	tr.Acked(id, time.Millisecond)
-	tr.Acked(id, 2*time.Millisecond)
-	if tr.AckCount() != 1 {
-		t.Fatalf("duplicate ack counted: %d", tr.AckCount())
-	}
-}
-
-func TestTrackerUnknownAckIgnored(t *testing.T) {
-	tr := NewTracker()
-	tr.Acked(types.RequestID{Client: 9, Seq: 9}, time.Millisecond)
-	if tr.AckCount() != 0 {
-		t.Fatal("ack without submission counted")
-	}
-}
-
-func TestTrackerWarmupCutoff(t *testing.T) {
-	tr := NewTracker()
-	early := types.RequestID{Client: 1, Seq: 1}
-	late := types.RequestID{Client: 1, Seq: 2}
-	tr.Submitted(early, 0)
-	tr.SetMeasureFrom(10 * time.Millisecond)
-	tr.Submitted(late, 20*time.Millisecond)
-	tr.Acked(early, 30*time.Millisecond)
-	tr.Acked(late, 30*time.Millisecond)
-	if tr.AckCount() != 2 {
-		t.Fatalf("AckCount = %d", tr.AckCount())
-	}
-	// Only the late request contributes a latency sample.
-	if tr.Latency().Count() != 1 {
-		t.Fatalf("latency samples = %d, want 1", tr.Latency().Count())
-	}
-	if got := tr.Latency().Mean(); got != 10*time.Millisecond {
-		t.Errorf("latency = %v, want 10ms", got)
-	}
-}
-
-func TestTrackerOutstanding(t *testing.T) {
-	tr := NewTracker()
-	tr.Submitted(types.RequestID{Client: 1, Seq: 1}, 0)
-	tr.Submitted(types.RequestID{Client: 1, Seq: 2}, 0)
-	if tr.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d", tr.Outstanding())
-	}
-	tr.Acked(types.RequestID{Client: 1, Seq: 1}, time.Millisecond)
-	if tr.Outstanding() != 1 {
-		t.Fatalf("Outstanding after ack = %d", tr.Outstanding())
 	}
 }
