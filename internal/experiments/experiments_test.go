@@ -43,8 +43,12 @@ func TestBreakdownEmpty(t *testing.T) {
 	if rows != nil {
 		t.Errorf("empty breakdown should be nil, got %v", rows)
 	}
+}
+
+func TestPrintBreakdownZeroTotal(t *testing.T) {
+	var b simnet.Bandwidth
 	var text bytes.Buffer
-	printBreakdown(&text, rows)
+	printBreakdown(&text, breakdown(&b))
 	if text.Len() != 0 {
 		t.Errorf("zero-total breakdown should print nothing, got %q", text.String())
 	}

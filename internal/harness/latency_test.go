@@ -60,7 +60,6 @@ func TestLatencySamples(t *testing.T) {
 		c.Net.Run(15 * time.Millisecond)
 		owner := stubs[1]
 		owner.exec(1, owner.submitted)
-		owner.exec(2, owner.submitted) // a repeated execution is no new ack
 		if got := c.latency.Count(); got != 1 {
 			t.Fatalf("samples = %d, want 1", got)
 		}
@@ -69,6 +68,21 @@ func TestLatencySamples(t *testing.T) {
 		}
 		if len(c.inflight) != 0 {
 			t.Errorf("%d requests still in flight after their ack", len(c.inflight))
+		}
+	})
+	t.Run("repeated execution is no new ack", func(t *testing.T) {
+		c, stubs := stubCluster(t, 1)
+		c.SubmitN(1, 1)
+		c.Net.Run(time.Millisecond)
+		owner := stubs[1]
+		owner.exec(1, owner.submitted)
+		c.Net.Run(2 * time.Millisecond)
+		owner.exec(2, owner.submitted)
+		if got := c.latency.Count(); got != 1 {
+			t.Fatalf("duplicate ack counted: samples = %d, want 1", got)
+		}
+		if got := c.latency.Mean(); got != time.Millisecond {
+			t.Errorf("latency = %v, want the first ack's 1ms", got)
 		}
 	})
 	t.Run("ack from a non-owner replica ignored", func(t *testing.T) {

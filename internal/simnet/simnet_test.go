@@ -254,7 +254,9 @@ func TestBandwidthAccounting(t *testing.T) {
 	if net.Stats(0).Total() != 0 {
 		t.Error("ResetStats did not clear")
 	}
+}
 
+func TestBandwidthTotals(t *testing.T) {
 	var b Bandwidth
 	b.AddSent(transport.ClassDatablock, 100)
 	b.AddSent(transport.ClassDatablock, 50)
