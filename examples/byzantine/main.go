@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"leopard/internal/crypto"
+	"leopard/internal/harness"
 	"leopard/internal/leopard"
 	"leopard/internal/simnet"
 	"leopard/internal/transport"
@@ -55,15 +56,14 @@ func run() error {
 		nodes[i] = node
 	}
 
-	// Replica 2 is Byzantine: its datablocks reach only replicas
-	// 0, 1, 3, 4 (with itself that is 2f+1 = 5 holders, enough for the
-	// ready round), and it ignores queries from replicas 5 and 6.
-	leo[2].SetSelectiveAttack([]types.ReplicaID{0, 1, 3, 4})
-
 	net, err := simnet.New(simnet.DefaultConfig(), nodes)
 	if err != nil {
 		return err
 	}
+	// Replica 2 is Byzantine: its datablocks reach only replicas
+	// 0, 1, 3, 4 (with itself that is 2f+1 = 5 holders, enough for the
+	// ready round), and it ignores queries from replicas 5 and 6.
+	net.SetFilter(harness.SelectiveAttack([]types.ReplicaID{2}, []types.ReplicaID{0, 1, 3, 4}))
 	net.Start()
 
 	// The faulty replica's clients submit 60 requests through it.

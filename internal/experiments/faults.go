@@ -406,10 +406,8 @@ func attackOnce(n, _ int) (SelectiveAttackResult, error) {
 			targets = append(targets, id)
 		}
 	}
+	c.Net.SetFilter(harness.SelectiveAttack(attackers, targets))
 	nodes := leopardNodes(c)
-	for _, id := range attackers {
-		nodes[id].SetSelectiveAttack(targets)
-	}
 	c.Start()
 	c.Warmup(warmup)
 	res := SelectiveAttackResult{N: n, Throughput: c.MeasureFor(measure).Throughput}

@@ -17,6 +17,7 @@ package faultplan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"leopard/internal/transport"
@@ -194,15 +195,6 @@ func (e *Engine) Plan() Plan { return e.plan }
 // Errs returns errors from scheduled operations (e.g. a failed restart).
 func (e *Engine) Errs() []error { return e.errs }
 
-func member(ids []types.ReplicaID, id types.ReplicaID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Filter is a simnet.Filter implementing the plan's partitions and message
 // loss; true admits the message. Loss draws from the engine's seeded RNG
 // only for messages inside an active window, so the random stream — and
@@ -212,10 +204,10 @@ func (e *Engine) Filter(now time.Duration, from, to types.ReplicaID, msg transpo
 		if now < w.From || now >= w.Until {
 			continue
 		}
-		if member(w.A, from) && member(w.B, to) {
+		if slices.Contains(w.A, from) && slices.Contains(w.B, to) {
 			return false
 		}
-		if !w.OneWay && member(w.B, from) && member(w.A, to) {
+		if !w.OneWay && slices.Contains(w.B, from) && slices.Contains(w.A, to) {
 			return false
 		}
 	}
@@ -226,7 +218,7 @@ func (e *Engine) Filter(now time.Duration, from, to types.ReplicaID, msg transpo
 		if w.ControlOnly && transport.IsBulk(msg) {
 			continue
 		}
-		if len(w.Replicas) > 0 && !member(w.Replicas, from) {
+		if len(w.Replicas) > 0 && !slices.Contains(w.Replicas, from) {
 			continue
 		}
 		if e.rng.Float64() < w.Prob {

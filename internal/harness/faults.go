@@ -1,8 +1,14 @@
 package harness
 
 import (
+	"slices"
+	"time"
+
 	"leopard/internal/faultplan"
+	"leopard/internal/leopard"
+	"leopard/internal/simnet"
 	"leopard/internal/storage"
+	"leopard/internal/transport"
 	"leopard/internal/types"
 )
 
@@ -77,3 +83,19 @@ func (forgetVotes) AppendVote(storage.VoteRecord) error { return nil }
 func (forgetVotes) AppendNote(storage.NoteRecord) error { return nil }
 func (forgetVotes) Votes() []storage.VoteRecord         { return nil }
 func (forgetVotes) Notes() []storage.NoteRecord         { return nil }
+
+// SelectiveAttack is the paper's selective attack (§IV-A2) as a network
+// filter: each attacker sends its datablocks only to the targets and answers
+// retrieval queries from no one else ("sends its packages to a small subset
+// of replicas and ignores others"). It drops datablocks, retrieval responses
+// and ablation-A1 full blocks from an attacker to a non-target, and admits
+// everything else.
+func SelectiveAttack(attackers, targets []types.ReplicaID) simnet.Filter {
+	return func(_ time.Duration, from, to types.ReplicaID, msg transport.Message) bool {
+		switch msg.(type) {
+		case *leopard.DatablockMsg, *leopard.RespMsg, *leopard.FullBlockMsg:
+			return !slices.Contains(attackers, from) || slices.Contains(targets, to)
+		}
+		return true
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"leopard/internal/crypto"
+	"leopard/internal/harness"
 	"leopard/internal/leopard"
 	"leopard/internal/merkle"
 	"leopard/internal/transport"
@@ -42,8 +43,8 @@ func TestSelectiveAttackRecoversViaRetrieval(t *testing.T) {
 	}
 }
 
-// TestSelectiveAttackHelperHook exercises the built-in SetSelectiveAttack
-// fault hook across a larger cluster: the faulty replica's datablocks only
+// TestSelectiveAttackHelperHook exercises the harness's SelectiveAttack
+// filter across a larger cluster: the faulty replica's datablocks only
 // reach a bare quorum, everyone else retrieves.
 func TestSelectiveAttackHelperHook(t *testing.T) {
 	const n = 7 // f = 2, quorum = 5, leader of view 1 is replica 1
@@ -52,7 +53,7 @@ func TestSelectiveAttackHelperHook(t *testing.T) {
 	})
 	// Faulty replica 2 sends datablocks only to replicas 0,1,3,4 (plus
 	// itself = 5 holders = 2f+1, so ready succeeds and the leader links).
-	r.nodes[2].SetSelectiveAttack([]types.ReplicaID{0, 1, 3, 4})
+	r.filter(harness.SelectiveAttack([]types.ReplicaID{2}, []types.ReplicaID{0, 1, 3, 4}))
 	r.submit(2, 20, 0)
 	r.advance(400*time.Millisecond, 5*time.Millisecond)
 
@@ -81,7 +82,7 @@ func TestReadyRoundBlocksUnderdisseminatedDatablocks(t *testing.T) {
 	})
 	// Faulty replica 3 sends its datablocks to the leader only: holders =
 	// {1 (leader), 3} = 2 < quorum 3, so ready never completes.
-	r.nodes[3].SetSelectiveAttack([]types.ReplicaID{1})
+	r.filter(harness.SelectiveAttack([]types.ReplicaID{3}, []types.ReplicaID{1}))
 	r.submit(3, 10, 0) // requests that will never confirm
 	r.submit(2, 10, 5000)
 	r.advance(300*time.Millisecond, 5*time.Millisecond)
@@ -109,7 +110,7 @@ func TestAblationNoReadyRoundStalls(t *testing.T) {
 	// Faulty replica 3 sends its datablock to the leader only. Without the
 	// ready round the leader links it immediately; replicas 0 and 2 cannot
 	// recover it: responders = leader only (1 chunk < f+1 = 2).
-	r.nodes[3].SetSelectiveAttack([]types.ReplicaID{1})
+	r.filter(harness.SelectiveAttack([]types.ReplicaID{3}, []types.ReplicaID{1}))
 	r.submit(3, 10, 0)
 	r.advance(1200*time.Millisecond, 5*time.Millisecond)
 
@@ -131,7 +132,7 @@ func TestViewChangeOnSilentLeader(t *testing.T) {
 	r := newRouter(t, n, func(c *leopard.Config) {
 		c.ViewChangeTimeout = 50 * time.Millisecond
 	})
-	r.nodes[1].SetSilent(true) // leader of view 1
+	r.silence(1) // leader of view 1
 	r.submit(2, 30, 0)
 	r.submit(3, 30, 0)
 	r.advance(2*time.Second, 5*time.Millisecond)
@@ -168,8 +169,7 @@ func TestViewChangeCarriesNotarizedBlocks(t *testing.T) {
 	}
 	r.submit(2, 10, 0)
 	r.advance(30*time.Millisecond, 5*time.Millisecond)
-	r.drop = nil
-	r.nodes[1].SetSilent(true)
+	r.silence(1)
 	r.advance(2*time.Second, 5*time.Millisecond)
 
 	for _, node := range r.nodes {
@@ -191,7 +191,7 @@ func TestSafetyAcrossViewChange(t *testing.T) {
 	})
 	r.submit(2, 20, 0)
 	r.advance(50*time.Millisecond, 5*time.Millisecond)
-	r.nodes[1].SetSilent(true)
+	r.silence(1)
 	r.submit(3, 20, 0)
 	r.advance(2*time.Second, 5*time.Millisecond)
 
@@ -343,8 +343,7 @@ func mustSign(r *router, id types.ReplicaID, digest types.Hash) (crypto.Share, e
 func TestCrashFaultToleranceF(t *testing.T) {
 	const n = 7 // f = 2
 	r := newRouter(t, n, nil)
-	r.nodes[5].SetSilent(true)
-	r.nodes[6].SetSilent(true)
+	r.silence(5, 6)
 	r.submit(2, 30, 0)
 	r.submit(3, 30, 0)
 	r.advance(300*time.Millisecond, 5*time.Millisecond)
@@ -360,8 +359,7 @@ func TestCrashFaultToleranceF(t *testing.T) {
 func TestFPlusOneCrashesStall(t *testing.T) {
 	const n = 4 // f = 1, quorum = 3
 	r := newRouter(t, n, nil)
-	r.nodes[2].SetSilent(true)
-	r.nodes[3].SetSilent(true) // f+1 = 2 silent
+	r.silence(2, 3) // f+1 = 2 silent
 	r.submit(2, 10, 0)
 	r.advance(300*time.Millisecond, 5*time.Millisecond)
 	if got := r.nodes[0].Stats().ConfirmedRequests; got != 0 {

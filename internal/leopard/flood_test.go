@@ -268,6 +268,39 @@ func TestRespFloodKeepsOneRootPerResponder(t *testing.T) {
 	}
 }
 
+// TestRespWrongDataLenUnderHonestRoot: a lying responder that answers first
+// with its true chunk under the honest Merkle root but a wrong DataLen must
+// not shut the honest responses under that root out; the f+1 honest
+// responders still complete the retrieval.
+func TestRespWrongDataLenUnderHonestRoot(t *testing.T) {
+	db := &types.Datablock{
+		Ref:      types.DatablockRef{Generator: 1, Counter: 1},
+		Requests: []types.Request{{ClientID: 1, Seq: 1, Payload: []byte("retrieved")}},
+	}
+	digest := crypto.HashDatablock(db)
+	n := newFloodTestNode(t, 0)
+	n.noteMissing(digest, 1)
+
+	respFrom := func(id types.ReplicaID) *RespMsg {
+		resp, err := newFloodTestNode(t, id).buildResponse(digest, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	const liar = types.ReplicaID(3)
+	lie := *respFrom(liar)
+	lie.DataLen++
+	n.Deliver(0, liar, &lie, transport.Discard)
+
+	for _, id := range []types.ReplicaID{1, 2} {
+		n.Deliver(0, id, respFrom(id), transport.Discard)
+	}
+	if _, held := n.Datablock(digest); !held {
+		t.Fatal("a wrong DataLen under the honest root blocked the honest responders")
+	}
+}
+
 // TestProofFloodIsBounded: a proof that arrives before its block is buffered
 // under the block's serial number, for the current view and from its leader
 // only. A Byzantine replica sending 50 000 proofs under one future (view, seq)

@@ -2,7 +2,6 @@ package leopard
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"leopard/internal/crypto"
@@ -118,15 +117,21 @@ type retrievalState struct {
 	firstMissing time.Duration
 	queried      bool
 	queriedAt    time.Duration
-	// rootOf is the Merkle root each responder first offered; its later
-	// responses count only under that root.
-	rootOf map[types.ReplicaID]types.Hash
-	// chunks maps Merkle root -> chunk index -> chunk bytes. Responses
-	// under different roots are collected separately; a root whose decode
-	// fails the digest check is discarded.
-	chunks  map[types.Hash]map[int][]byte
-	dataLen map[types.Hash]int
+	// offered is the chunk set each responder first offered; its later
+	// responses count only in that set.
+	offered map[types.ReplicaID]chunkSet
+	// chunks maps chunk set -> chunk index -> chunk bytes. Responses in
+	// different sets are collected separately; a set whose decode fails
+	// the digest check is discarded.
+	chunks  map[chunkSet]map[int][]byte
 	waiters map[types.SeqNum]struct{}
+}
+
+// chunkSet is what a retrieval response claims about the encoding: the
+// Merkle root its chunk verifies under and the length the chunks decode to.
+type chunkSet struct {
+	root    types.Hash
+	dataLen int
 }
 
 type servedKey struct {
@@ -327,17 +332,6 @@ type Node struct {
 
 	stats  Stats
 	stages obs.StageTimer
-
-	// Byzantine hooks used by tests and the fault-injection harness.
-	// selectiveTargets, when non-nil, restricts datablock broadcasts to
-	// the given replicas (the paper's selective attack). The slice is kept
-	// sorted so simulation runs stay deterministic. selective is the
-	// cached Sink decorator applying the hook (reused across events so the
-	// faulty path allocates nothing per event either).
-	selectiveTargets map[types.ReplicaID]struct{}
-	selectiveOrder   []types.ReplicaID
-	selective        selectiveSink
-	silent           bool // drop all outbound protocol messages
 }
 
 var _ transport.Node = (*Node)(nil)
@@ -372,7 +366,6 @@ func NewNode(cfg Config) (*Node, error) {
 		behindSince:   -1,
 	}
 	n.stats.Stages = &n.stages
-	n.selective.node = n
 	return n, nil
 }
 
@@ -574,42 +567,12 @@ func (n *Node) SubmitSignedBatch(now time.Duration, reqs []types.Request, sigs [
 	return out
 }
 
-// QueuedRequests returns the number of nonce-gapped mempool entries.
-func (n *Node) QueuedRequests() int { return n.reqPool.Queued() }
-
 // SetReplySink registers the callback that carries signed execution replies
 // toward clients; the transport layer (simnet driver, TCP runtime) owns the
 // actual delivery. Replies are emitted once per request execution — not
 // during WAL replay, which re-executes history the clients of a previous
 // life already saw. Must be called before Start.
 func (n *Node) SetReplySink(fn func(ReplyMsg)) { n.replyFn = fn }
-
-// SetSelectiveAttack makes this (faulty) replica send its datablocks only
-// to the listed targets, the paper's §V-B selective attack. Nil restores
-// honest behaviour.
-func (n *Node) SetSelectiveAttack(targets []types.ReplicaID) {
-	if targets == nil {
-		n.selectiveTargets = nil
-		n.selectiveOrder = nil
-		return
-	}
-	n.selectiveTargets = make(map[types.ReplicaID]struct{}, len(targets))
-	n.selectiveOrder = nil
-	for _, t := range targets {
-		if _, dup := n.selectiveTargets[t]; dup {
-			continue
-		}
-		n.selectiveTargets[t] = struct{}{}
-		n.selectiveOrder = append(n.selectiveOrder, t)
-	}
-	sort.Slice(n.selectiveOrder, func(i, j int) bool {
-		return n.selectiveOrder[i] < n.selectiveOrder[j]
-	})
-}
-
-// SetSilent makes the node drop all outbound messages (crash-like fault
-// while still consuming input). Used by fault-injection tests.
-func (n *Node) SetSilent(v bool) { n.silent = v }
 
 // observe advances the node clock.
 func (n *Node) observe(now time.Duration) {
@@ -636,8 +599,6 @@ func (n *Node) Start(now time.Duration, out transport.Sink) {
 	n.observe(now)
 	n.lastProgress = now
 	if n.store != nil {
-		out = n.outbound(out)
-		defer n.releaseOutbound()
 		n.recoverFromStore(out)
 	}
 }
@@ -645,8 +606,6 @@ func (n *Node) Start(now time.Duration, out transport.Sink) {
 // Tick implements transport.Node.
 func (n *Node) Tick(now time.Duration, out transport.Sink) {
 	n.observe(now)
-	out = n.outbound(out)
-	defer n.releaseOutbound()
 	n.checkStoreHealth()
 	if !n.walFailed {
 		n.maybePackDatablocks(out)
@@ -679,76 +638,9 @@ func (n *Node) checkStoreHealth() {
 // Deliver implements transport.Node.
 func (n *Node) Deliver(now time.Duration, from types.ReplicaID, msg transport.Message, out transport.Sink) {
 	n.observe(now)
-	out = n.outbound(out)
-	defer n.releaseOutbound()
 	// Every Leopard message carries its own handler; anything else a
 	// transport hands over is not for this node.
 	if m, ok := msg.(wireMessage); ok {
 		m.deliver(n, from, out)
 	}
-}
-
-// outbound wraps the transport's sink with the node's Byzantine output
-// hooks. The honest path returns out unchanged — no decoration, no
-// allocation (asserted by TestHonestOutboundPathNoAlloc); the old
-// slice-based filterOut rebuilt the envelope list even when no hook was
-// active.
-func (n *Node) outbound(out transport.Sink) transport.Sink {
-	if n.silent {
-		return transport.Discard
-	}
-	if n.selectiveTargets == nil {
-		return out
-	}
-	n.selective.down = out
-	return &n.selective
-}
-
-// releaseOutbound drops the decorator's reference to the transport's sink
-// when the event handler returns — the Sink contract forbids retaining it
-// past the call.
-func (n *Node) releaseOutbound() { n.selective.down = nil }
-
-// selectiveSink is the Byzantine output hook as a Sink decorator. A
-// selective attacker sends its datablocks only to its chosen targets
-// (broadcasts are rewritten to unicasts in sorted target order so
-// simulation runs stay deterministic) and ignores retrieval queries from
-// everyone else (it "sends its packages to a small subset of replicas and
-// ignores others", §IV-A2).
-type selectiveSink struct {
-	node *Node
-	down transport.Sink
-}
-
-// Send implements transport.Sink.
-func (s *selectiveSink) Send(env transport.Envelope) {
-	n := s.node
-	switch env.Msg.(type) {
-	case *DatablockMsg:
-		if env.Broadcast {
-			for _, t := range n.selectiveOrder {
-				if t != n.cfg.ID {
-					// Preserve the envelope's lane override across the
-					// broadcast-to-unicast rewrite.
-					s.down.Send(transport.Envelope{To: t, Msg: env.Msg, Lane: env.Lane})
-				}
-			}
-			return
-		}
-		if _, ok := n.selectiveTargets[env.To]; !ok {
-			return
-		}
-	case *RespMsg, *FullBlockMsg:
-		if !env.Broadcast {
-			if _, ok := n.selectiveTargets[env.To]; !ok {
-				return // ignore retrieval from non-targets
-			}
-		}
-	}
-	s.down.Send(env)
-}
-
-// Broadcast implements transport.Sink.
-func (s *selectiveSink) Broadcast(msg transport.Message) {
-	s.Send(transport.Broadcast(msg))
 }

@@ -1,6 +1,8 @@
 package leopard
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,9 +22,8 @@ func (n *Node) noteMissing(h types.Hash, waiter types.SeqNum) {
 	if r == nil {
 		r = &retrievalState{
 			firstMissing: n.now,
-			rootOf:       make(map[types.ReplicaID]types.Hash),
-			chunks:       make(map[types.Hash]map[int][]byte),
-			dataLen:      make(map[types.Hash]int),
+			offered:      make(map[types.ReplicaID]chunkSet),
+			chunks:       make(map[chunkSet]map[int][]byte),
 			waiters:      make(map[types.SeqNum]struct{}),
 		}
 		n.missing[h] = r
@@ -44,14 +45,7 @@ func (n *Node) checkRetrievalTimers(out transport.Sink) {
 	if len(due) == 0 {
 		return
 	}
-	sort.Slice(due, func(i, j int) bool {
-		for b := 0; b < len(due[i]); b++ {
-			if due[i][b] != due[j][b] {
-				return due[i][b] < due[j][b]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(due, func(a, b types.Hash) int { return bytes.Compare(a[:], b[:]) })
 	for _, h := range due {
 		r := n.missing[h]
 		if !r.queried {
@@ -198,9 +192,9 @@ func (n *Node) buildResponse(digest types.Hash, db *types.Datablock) (*RespMsg, 
 	return resp, nil
 }
 
-// handleResp collects chunks; once f+1 chunks agree under one Merkle root,
-// the datablock is decoded, digest-checked and admitted (Alg. 3, lines
-// 22-28).
+// handleResp collects chunks; once f+1 chunks agree on one Merkle root and
+// data length, the datablock is decoded, digest-checked and admitted
+// (Alg. 3, lines 22-28).
 func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) {
 	r := n.missing[m.Digest]
 	if r == nil {
@@ -212,38 +206,35 @@ func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) 
 	if err := merkle.Verify(m.Root, m.Proof, m.Chunk); err != nil || m.Proof.Index != m.Index {
 		return
 	}
-	// One root per responder, the first it offers: an honest responder only
-	// ever has the one, and a lying one cannot grow the maps below past a
-	// root per replica.
-	if root, offered := r.rootOf[from]; offered && root != m.Root {
+	// One chunk set per responder, the first it offers: an honest responder
+	// only ever has the one, and a lying one cannot grow the maps below past
+	// a set per replica. A wrong DataLen under the honest root is a set of
+	// its own, so it cannot shut the honest chunks out.
+	set := chunkSet{root: m.Root, dataLen: m.DataLen}
+	if prev, offered := r.offered[from]; offered && prev != set {
 		return
 	}
-	r.rootOf[from] = m.Root
-	byRoot := r.chunks[m.Root]
-	if byRoot == nil {
-		byRoot = make(map[int][]byte)
-		r.chunks[m.Root] = byRoot
-		r.dataLen[m.Root] = m.DataLen
-	}
-	if r.dataLen[m.Root] != m.DataLen {
-		return // inconsistent responders under this root; ignore
+	r.offered[from] = set
+	chunks := r.chunks[set]
+	if chunks == nil {
+		chunks = make(map[int][]byte)
+		r.chunks[set] = chunks
 	}
 	// m.Chunk is retained past this handler. Under zero-copy decode it
 	// sub-slices the response frame, which is almost entirely chunk bytes,
 	// so keeping the frame alive until the datablock decodes is the
 	// intended ownership transfer — no copy needed.
 	//lint:retains-frame the chunk IS the frame; holding it until the datablock decodes is the zero-copy retrieval path's whole point
-	byRoot[m.Index] = m.Chunk
-	if len(byRoot) < n.q.Small() {
+	chunks[m.Index] = m.Chunk
+	if len(chunks) < n.q.Small() {
 		return
 	}
-	db, ok := n.decodeRoot(m.Digest, byRoot, r.dataLen[m.Root])
+	db, ok := n.decodeRoot(m.Digest, chunks, set.dataLen)
 	if !ok {
-		// The root was bogus (only possible with >= f+1 colluding faulty
-		// responders under an invalid root, or a corrupted chunk set);
-		// discard it and keep waiting for an honest root.
-		delete(r.chunks, m.Root)
-		delete(r.dataLen, m.Root)
+		// The set was bogus (only possible with >= f+1 colluding faulty
+		// responders, or corrupted chunks); discard it and keep waiting
+		// for an honest one.
+		delete(r.chunks, set)
 		return
 	}
 	n.stats.Retrievals++
@@ -252,7 +243,7 @@ func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) 
 }
 
 // decodeRoot attempts to reconstruct and digest-check a datablock from f+1
-// chunks collected under one root.
+// chunks collected in one chunk set.
 func (n *Node) decodeRoot(digest types.Hash, byRoot map[int][]byte, dataLen int) (*types.Datablock, bool) {
 	rs, err := n.rsCodec()
 	if err != nil {

@@ -1,11 +1,13 @@
 package leopard_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"leopard/internal/crypto"
 	"leopard/internal/leopard"
+	"leopard/internal/simnet"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
@@ -65,6 +67,22 @@ func newRouter(t testing.TB, n int, mutate func(*leopard.Config)) *router {
 	}
 	r.flush()
 	return r
+}
+
+// filter installs a simnet filter as the drop hook: what f refuses is
+// dropped.
+func (r *router) filter(f simnet.Filter) {
+	r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+		return !f(r.now, from, to, msg)
+	}
+}
+
+// silence drops everything the given replicas send while they keep
+// consuming their input (a crash-like fault).
+func (r *router) silence(ids ...types.ReplicaID) {
+	r.drop = func(from, _ types.ReplicaID, _ transport.Message) bool {
+		return slices.Contains(ids, from)
+	}
 }
 
 // start drives Start and returns the pushed envelopes.

@@ -1,8 +1,10 @@
 package leopard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"maps"
+	"slices"
 	"sort"
 
 	"leopard/internal/crypto"
@@ -455,14 +457,7 @@ func (n *Node) unconfirmedPooled() []types.Hash {
 			out = append(out, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for b := 0; b < len(out[i]); b++ {
-			if out[i][b] != out[j][b] {
-				return out[i][b] < out[j][b]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, func(a, b types.Hash) int { return bytes.Compare(a[:], b[:]) })
 	return out
 }
 

@@ -84,8 +84,8 @@ func DefaultConfig() Config {
 }
 
 // Filter can drop or hold messages between a pair of replicas, modeling
-// Byzantine dissemination (selective attacks) and crash faults.
-// Return false to drop the message silently.
+// Byzantine dissemination (selective attacks, harness.SelectiveAttack) and
+// crash faults. Return false to drop the message silently.
 type Filter func(now time.Duration, from, to types.ReplicaID, msg transport.Message) bool
 
 type eventKind uint8
