@@ -43,10 +43,11 @@ const batchParallelMin = 32
 // Replica admission uses this to amortize signature checking across the
 // requests that arrive between two events.
 //
-// The Go standard library has no multi-scalar ed25519 batch equation, and
-// this repo takes no dependencies, so the win here is parallelism, not
-// fewer scalar multiplications (ROADMAP keeps the algebraic batching as a
-// follow-up).
+// The win here is parallelism, not fewer scalar multiplications: the one
+// batch equation in the repository, crypto/edwards25519.VerifyBatch, takes
+// signatures on one message, and admission needs a verdict per request
+// (ROADMAP keeps batching admission on the same curve code as the next
+// step).
 func (v *Verifier) VerifyRequestBatch(reqs []types.Request, sigs [][]byte) []bool {
 	out := make([]bool, len(reqs))
 	if len(sigs) != len(reqs) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 
+	"leopard/internal/crypto/edwards25519"
 	"leopard/internal/types"
 )
 
@@ -20,17 +21,24 @@ import (
 // the interface contract — unforgeable shares, quorum-combined proofs,
 // public verification — is preserved; only the proof wire size differs,
 // which the simulations account for separately via SimSuite.
+//
+// A share is checked by crypto/ed25519.Verify. A proof is checked as one
+// batch by the package's proof rule (hash.go), and so is the quorum
+// Combine signs into one.
 type Ed25519Suite struct {
 	params types.QuorumParams
 	pubs   []ed25519.PublicKey
-	privs  []ed25519.PrivateKey // only the local replica's entry is non-nil in deployments
+	keys   []*edwards25519.PublicKey // pubs, held for proof checks
+	privs  []ed25519.PrivateKey
 }
 
 var _ Suite = (*Ed25519Suite)(nil)
 
 // NewEd25519Suite runs a trusted-dealer setup for n replicas from a seed,
-// returning a suite holding every key (convenient for tests and in-process
-// clusters). Deployments should distribute keys and use NewEd25519Verifier.
+// returning a suite holding every key. Every process of a cluster calls it
+// with the same seed (leopard-node and leopard-client read it from the
+// cluster file), so each holds every private key: the stand-in for a key
+// distribution, which this repository does not have.
 func NewEd25519Suite(n int, seed []byte) (*Ed25519Suite, error) {
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
@@ -39,6 +47,7 @@ func NewEd25519Suite(n int, seed []byte) (*Ed25519Suite, error) {
 	s := &Ed25519Suite{
 		params: q,
 		pubs:   make([]ed25519.PublicKey, n),
+		keys:   make([]*edwards25519.PublicKey, n),
 		privs:  make([]ed25519.PrivateKey, n),
 	}
 	for i := 0; i < n; i++ {
@@ -51,6 +60,9 @@ func NewEd25519Suite(n int, seed []byte) (*Ed25519Suite, error) {
 		h.Sum(keySeed[:0])
 		s.privs[i] = ed25519.NewKeyFromSeed(keySeed[:])
 		s.pubs[i] = s.privs[i].Public().(ed25519.PublicKey)
+		if s.keys[i], err = edwards25519.NewPublicKey(s.pubs[i]); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -86,8 +98,9 @@ func (s *Ed25519Suite) VerifyShare(digest types.Hash, share Share) error {
 	return nil
 }
 
-// Combine implements Suite. Shares must be valid; Combine re-checks them so
-// a faulty vote cannot poison the aggregate.
+// Combine implements Suite. Shares must be valid; Combine checks the proof
+// it builds as VerifyProof does, so a faulty vote cannot poison the
+// aggregate and no proof leaves that VerifyProof refuses.
 func (s *Ed25519Suite) Combine(digest types.Hash, shares []Share) (Proof, error) {
 	if err := checkShareSet(s.params, ed25519.SignatureSize, shares); err != nil {
 		return Proof{}, err
@@ -100,16 +113,19 @@ func (s *Ed25519Suite) Combine(digest types.Hash, shares []Share) (Proof, error)
 	bitmapLen := (s.params.N + 7) / 8
 	out := make([]byte, bitmapLen, bitmapLen+len(sorted)*ed25519.SignatureSize)
 	for _, sh := range sorted {
-		if err := s.VerifyShare(digest, sh); err != nil {
-			return Proof{}, err
-		}
 		out[int(sh.Signer)/8] |= 1 << (uint(sh.Signer) % 8)
 		out = append(out, sh.Sig...)
+	}
+	if err := s.VerifyProof(digest, Proof{Sig: out}); err != nil {
+		return Proof{}, fmt.Errorf("%w: the quorum does not combine: %v", ErrBadShare, err)
 	}
 	return Proof{Sig: out}, nil
 }
 
-// VerifyProof implements Suite.
+// VerifyProof implements Suite. A proof names exactly Quorum() signers —
+// what Combine emits and ProofSize declares, and a cap on what a hostile
+// proof costs to check — and its signatures pass the proof rule (hash.go)
+// as one batch.
 func (s *Ed25519Suite) VerifyProof(digest types.Hash, proof Proof) error {
 	bitmapLen := (s.params.N + 7) / 8
 	if len(proof.Sig) < bitmapLen {
@@ -126,23 +142,20 @@ func (s *Ed25519Suite) VerifyProof(digest types.Hash, proof Proof) error {
 			return fmt.Errorf("%w: non-canonical bitmap bits above signer %d", ErrBadProof, s.params.N-1)
 		}
 	}
-	var signers []types.ReplicaID
+	keys := make([]*edwards25519.PublicKey, 0, s.params.Quorum())
 	for i := 0; i < s.params.N; i++ {
 		if bitmap[i/8]&(1<<(uint(i)%8)) != 0 {
-			signers = append(signers, types.ReplicaID(i))
+			keys = append(keys, s.keys[i])
 		}
 	}
-	if len(signers) < s.params.Quorum() {
-		return fmt.Errorf("%w: %d signers below quorum %d", ErrBadProof, len(signers), s.params.Quorum())
+	if len(keys) != s.params.Quorum() {
+		return fmt.Errorf("%w: %d signers, a proof has exactly %d", ErrBadProof, len(keys), s.params.Quorum())
 	}
-	if len(sigs) != len(signers)*ed25519.SignatureSize {
+	if len(sigs) != len(keys)*ed25519.SignatureSize {
 		return fmt.Errorf("%w: signature block length mismatch", ErrBadProof)
 	}
-	for i, id := range signers {
-		sig := sigs[i*ed25519.SignatureSize : (i+1)*ed25519.SignatureSize]
-		if !ed25519.Verify(s.pubs[id], digest[:], sig) {
-			return fmt.Errorf("%w: signer %d", ErrBadProof, id)
-		}
+	if !edwards25519.VerifyBatch(keys, digest[:], sigs, proof.Sig) {
+		return fmt.Errorf("%w: signatures do not verify", ErrBadProof)
 	}
 	return nil
 }

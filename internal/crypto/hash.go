@@ -11,6 +11,21 @@
 //   - SimSuite: a deterministic keyed-MAC scheme with configurable wire
 //     sizes, used by the large-scale network simulations where only the
 //     *size* of votes/proofs affects the measured behaviour.
+//
+// The proof rule. Ed25519Suite checks a share with crypto/ed25519.Verify.
+// It checks a proof — and the quorum Combine signs into one — as one batch
+// (edwards25519.VerifyBatch), under which a signature (R, S) by key A on
+// digest M is valid when S is below the group order l, R is a canonical
+// point encoding, and the cofactored equation [8](R + [k]A − [S]B) = O
+// holds, k = SHA-512(R ‖ A ‖ M). The dealt keys have prime order, so the
+// rule accepts every signature crypto/ed25519.Verify accepts; beyond those
+// it accepts only signatures whose R carries a small-order component,
+// which only the key's owner can make, and every replica accepts those
+// alike whatever the batch's weights are. Every proof a replica admits —
+// σ1, σ2, checkpoint, view change, state transfer — goes through
+// VerifyProof, so honest replicas agree on every proof. (Zcash's ZIP 215
+// makes the cofactored equation its rule for the same reason: batch and
+// single checks must accept the same signatures.)
 package crypto
 
 import (

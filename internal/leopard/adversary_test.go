@@ -40,6 +40,82 @@ func TestForgedProofRejected(t *testing.T) {
 	}
 }
 
+// TestReencodedSigma1FromFollowerIgnored: replica 3 withholds its round-1
+// vote, then sends σ1 re-encoded with its own share to replicas 0 and 2
+// ahead of the leader's copy. Had they taken it, they would vote round 2 on
+// another H(σ1) than the leader and replica 3, and σ2 would never reach
+// 2f+1. The leader's σ1 has signers 0, 1, 2 and carries their signatures,
+// so replica 3 can build two other valid encodings: one with 2f+2 signers,
+// which no proof may have, and the 2f+1 signers 0, 2, 3, which only the
+// rule that proofs come from the leader refuses. Every block confirms.
+func TestReencodedSigma1FromFollowerIgnored(t *testing.T) {
+	const byzantine = types.ReplicaID(3)
+	suite, err := crypto.NewEd25519Suite(4, []byte("router-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sigSize = 64
+	for _, c := range []struct {
+		name     string
+		valid    bool // VerifyProof accepts the re-encoding
+		reencode func(sigma1 []byte, share []byte) []byte
+	}{
+		{"signers 0, 1, 2, 3", false, func(sigma1, share []byte) []byte {
+			sig := append(append([]byte(nil), sigma1...), share...)
+			sig[0] |= 1 << byzantine
+			return sig
+		}},
+		{"signers 0, 2, 3", true, func(sigma1, share []byte) []byte {
+			sigs := sigma1[1:]
+			sig := []byte{1<<0 | 1<<2 | 1<<byzantine}
+			sig = append(sig, sigs[:sigSize]...)
+			sig = append(sig, sigs[2*sigSize:3*sigSize]...)
+			return append(sig, share...)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRouter(t, 4, nil)
+			leader := r.nodes[0].Leader()
+			forged := 0
+			r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+				switch m := msg.(type) {
+				case *leopard.VoteMsg:
+					return from == byzantine && m.Round == 1
+				case *leopard.ProofMsg:
+					if from != leader || m.Round != 1 || (to != 0 && to != 2) {
+						return false
+					}
+					if m.Proof.Sig[0] != 0b0111 {
+						t.Fatalf("σ1 bitmap %04b, the re-encodings assume signers 0, 1, 2", m.Proof.Sig[0])
+					}
+					share, err := suite.Sign(byzantine, m.Digest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reencoded := *m
+					reencoded.Proof = crypto.Proof{Sig: c.reencode(m.Proof.Sig, share.Sig)}
+					if valid := suite.VerifyProof(m.Digest, reencoded.Proof) == nil; valid != c.valid {
+						t.Fatalf("VerifyProof accepts the re-encoding: %v, want %v", valid, c.valid)
+					}
+					forged++
+					r.enqueue(to, deliver(r.nodes[to], r.now, byzantine, &reencoded))
+				}
+				return false
+			}
+			r.submit(2, 20, 0)
+			r.advance(100*time.Millisecond, 5*time.Millisecond)
+			if forged == 0 {
+				t.Fatal("no σ1 was re-encoded; the test exercised nothing")
+			}
+			for _, node := range r.nodes {
+				if got := node.Stats().ConfirmedRequests; got < 20 {
+					t.Errorf("replica %d confirmed %d of 20 requests", node.ID(), got)
+				}
+			}
+		})
+	}
+}
+
 // TestForgedTimeoutSharesCannotForceViewChange: f+1 timeout messages with
 // invalid shares must not drag honest replicas out of the view.
 func TestForgedTimeoutSharesCannotForceViewChange(t *testing.T) {

@@ -411,15 +411,19 @@ func (n *Node) handleProof(from types.ReplicaID, m *ProofMsg, out transport.Sink
 	if m.Block.View != n.view {
 		return // a view record holds, and flushes, proofs of its own view only
 	}
+	if from != n.Leader() {
+		// Only the view's leader broadcasts proofs. A follower relaying
+		// another valid encoding of σ1 would split the round-2 vote.
+		return
+	}
 	inst := n.cur.instances[m.Block.Seq]
 	if inst == nil || inst.block == nil {
 		// Proof arrived before its block: buffer it, bounded against
-		// flooding. Only the view's leader broadcasts proofs, one per round,
-		// so the buffer holds at most maxEarlyProofs serial numbers of two
-		// proofs.
+		// flooding. The leader sends one proof per round, so the buffer
+		// holds at most maxEarlyProofs serial numbers of two proofs.
 		const maxEarlyProofs = 4096
 		early := n.cur.earlyProofs[m.Block.Seq]
-		if from != n.Leader() || (early == nil && len(n.cur.earlyProofs) >= maxEarlyProofs) {
+		if early == nil && len(n.cur.earlyProofs) >= maxEarlyProofs {
 			return
 		}
 		for _, p := range early {

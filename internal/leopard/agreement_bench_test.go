@@ -10,7 +10,8 @@ import (
 )
 
 // verifyCounter decorates a Suite and counts the verifications that reach
-// it. A VerifyProof of the ed25519 suite is 2f+1 signature checks.
+// it. A VerifyProof of the ed25519 suite checks its 2f+1 signatures as one
+// batch: one multi-scalar multiplication (crypto/edwards25519.VerifyBatch).
 type verifyCounter struct {
 	crypto.Suite
 	shares, proofs int
