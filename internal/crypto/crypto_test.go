@@ -193,19 +193,9 @@ func TestSuiteSizes(t *testing.T) {
 	if sim.ShareSize() != SimShareSize || sim.ProofSize() != SimProofSize {
 		t.Errorf("sim sizes = %d/%d, want %d/%d", sim.ShareSize(), sim.ProofSize(), SimShareSize, SimProofSize)
 	}
-	custom, err := NewSimSuite(4, []byte("s"), WithShareSize(16), WithProofSize(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.ShareSize() != 16 || custom.ProofSize() != 100 {
-		t.Errorf("custom sizes not applied: %d/%d", custom.ShareSize(), custom.ProofSize())
-	}
-	sh, _ := custom.Sign(0, HashBytes([]byte("z")))
-	if len(sh.Sig) != 16 {
-		t.Errorf("share wire length = %d, want 16", len(sh.Sig))
-	}
-	if _, err := NewSimSuite(4, []byte("s"), WithShareSize(4)); err == nil {
-		t.Error("absurdly small share size accepted")
+	sh, _ := sim.Sign(0, HashBytes([]byte("z")))
+	if len(sh.Sig) != SimShareSize {
+		t.Errorf("share wire length = %d, want %d", len(sh.Sig), SimShareSize)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Paper parameters (§VI footnote 7): β = 32 B hashes, κ = 48 B threshold-BLS
-// votes. SimSuite defaults to these wire sizes.
+// votes. SimSuite uses these wire sizes.
 const (
 	// SimShareSize is κ, the wire size of one vote share (threshold BLS).
 	SimShareSize = 48
@@ -26,46 +26,20 @@ const (
 // spend their CPU on the network model, not on signatures, while keeping the
 // paper's wire sizes (κ = 48 B) exact. Protocol-logic tests use Ed25519Suite.
 type SimSuite struct {
-	params    types.QuorumParams
-	keys      [][]byte
-	master    []byte
-	shareSize int
-	proofSize int
+	params types.QuorumParams
+	keys   [][]byte
+	master []byte
 }
 
 var _ Suite = (*SimSuite)(nil)
 
-// SimOption configures a SimSuite.
-type SimOption func(*SimSuite)
-
-// WithShareSize overrides the share wire size (κ).
-func WithShareSize(bytes int) SimOption {
-	return func(s *SimSuite) { s.shareSize = bytes }
-}
-
-// WithProofSize overrides the combined-proof wire size.
-func WithProofSize(bytes int) SimOption {
-	return func(s *SimSuite) { s.proofSize = bytes }
-}
-
 // NewSimSuite creates a simulation suite for n replicas from a seed.
-func NewSimSuite(n int, seed []byte, opts ...SimOption) (*SimSuite, error) {
+func NewSimSuite(n int, seed []byte) (*SimSuite, error) {
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
 		return nil, err
 	}
-	s := &SimSuite{
-		params:    q,
-		keys:      make([][]byte, n),
-		shareSize: SimShareSize,
-		proofSize: SimProofSize,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.shareSize < 8 || s.shareSize > sha256.Size+16 {
-		return nil, fmt.Errorf("crypto: share size %d out of range [8, %d]", s.shareSize, sha256.Size+16)
-	}
+	s := &SimSuite{params: q, keys: make([][]byte, n)}
 	for i := 0; i < n; i++ {
 		h := sha256.New()
 		h.Write(seed)
@@ -86,17 +60,17 @@ func NewSimSuite(n int, seed []byte, opts ...SimOption) (*SimSuite, error) {
 func (s *SimSuite) Params() types.QuorumParams { return s.params }
 
 // ShareSize implements Suite.
-func (s *SimSuite) ShareSize() int { return s.shareSize }
+func (s *SimSuite) ShareSize() int { return SimShareSize }
 
 // ProofSize implements Suite.
-func (s *SimSuite) ProofSize() int { return s.proofSize }
+func (s *SimSuite) ProofSize() int { return SimProofSize }
 
 func (s *SimSuite) tag(signer types.ReplicaID, digest types.Hash) []byte {
 	mac := hmac.New(sha256.New, s.keys[signer])
 	mac.Write(digest[:])
 	full := mac.Sum(nil)
-	out := make([]byte, s.shareSize)
-	// Pad by repeating the MAC when shareSize exceeds 32 bytes.
+	out := make([]byte, SimShareSize)
+	// Pad the 32-byte MAC to κ by repeating it.
 	for i := range out {
 		out[i] = full[i%len(full)]
 	}
@@ -116,7 +90,7 @@ func (s *SimSuite) VerifyShare(digest types.Hash, share Share) error {
 	if int(share.Signer) >= s.params.N {
 		return fmt.Errorf("%w: %d", ErrUnknownSigner, share.Signer)
 	}
-	signed, sig, ok := openShare(s.shareSize, digest, share.Sig)
+	signed, sig, ok := openShare(SimShareSize, digest, share.Sig)
 	if !ok || !hmac.Equal(sig, s.tag(share.Signer, signed)) {
 		return fmt.Errorf("%w: signer %d", ErrBadShare, share.Signer)
 	}
@@ -126,7 +100,7 @@ func (s *SimSuite) VerifyShare(digest types.Hash, share Share) error {
 // Combine implements Suite. The proof binds the digest and the sorted quorum
 // of signer ids so that VerifyProof can recompute it deterministically.
 func (s *SimSuite) Combine(digest types.Hash, shares []Share) (Proof, error) {
-	if err := checkShareSet(s.params, s.shareSize, shares); err != nil {
+	if err := checkShareSet(s.params, SimShareSize, shares); err != nil {
 		return Proof{}, err
 	}
 	for _, sh := range shares {
@@ -146,7 +120,7 @@ func (s *SimSuite) proofTag(digest types.Hash) []byte {
 	mac := hmac.New(sha256.New, s.master)
 	mac.Write(digest[:])
 	full := mac.Sum(nil)
-	out := make([]byte, s.proofSize)
+	out := make([]byte, SimProofSize)
 	for i := range out {
 		out[i] = full[i%len(full)]
 	}

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Tests for the dissemination fast path: grouped kernels, the decode-matrix
-// cache, worker parallelism, and the zero-length contract.
+// Tests for the dissemination fast path: the grouped kernel, the
+// decode-matrix cache, worker parallelism, and the zero-length contract.
 
 // TestChunkSizeEncodeAgree pins the empty/short-message contract: ChunkSize
 // is what Encode actually produces and what Decode/Reconstruct require, for
@@ -57,7 +57,7 @@ func TestChunkSizeEncodeAgree(t *testing.T) {
 }
 
 // TestPropertyRandomErasures drives random (k, n) up to (32, 64), random
-// data spanning both kernel paths, and random erasure patterns through
+// data with shards from 0 to 6 KiB, and random erasure patterns through
 // Decode(Encode(data)), and asserts the cached-inverse path is bitwise
 // identical to the cold path.
 func TestPropertyRandomErasures(t *testing.T) {
@@ -70,9 +70,9 @@ func TestPropertyRandomErasures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sizes on both sides of groupMinShard exercise the grouped and
-		// per-coefficient kernels.
-		size := rng.Intn(3 * groupMinShard * k / 2)
+		// Shards from a few bytes (tail-only transposes) to past one
+		// groupBlock work unit.
+		size := rng.Intn(3 * 4096 * k / 2)
 		data := make([]byte, size)
 		rng.Read(data)
 		chunks, err := codec.Encode(data)
@@ -240,7 +240,8 @@ func TestTranspose8x8(t *testing.T) {
 }
 
 // TestGroupKernelMatchesNaive cross-checks the grouped program against the
-// per-coefficient kernels on the same inputs, across the size threshold.
+// naive log/exp product on the same inputs, at shard sizes from one byte to
+// past two groupBlock units.
 func TestGroupKernelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, cfg := range []struct{ k, n int }{{1, 2}, {3, 7}, {5, 16}, {11, 32}, {32, 64}, {13, 14}} {
@@ -248,15 +249,14 @@ func TestGroupKernelMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sizes straddling groupMinShard per shard.
-		for _, shard := range []int{1, 7, groupMinShard - 1, groupMinShard, groupMinShard + 13} {
+		for _, shard := range []int{1, 7, 4095, 4096, 4109} {
 			data := make([]byte, shard*cfg.k-rng.Intn(shard))
 			rng.Read(data)
 			chunks, err := small.Encode(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference parity via the per-coefficient path.
+			// Reference parity via the naive product.
 			size := small.ChunkSize(len(data))
 			for i := cfg.k; i < cfg.n; i++ {
 				want := make([]byte, size)

@@ -6,18 +6,14 @@
 // it, amortizing the response cost across a committee of replicas.
 package erasure
 
-import "encoding/binary"
-
 // GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1 (0x11b).
 // Multiplication uses log/exp tables built once at package init from the
 // generator 3; this is deterministic precomputation, the sanctioned use of
 // init-time work.
 //
-// The slice kernels below are the per-byte hot path of datablock
-// dissemination. Matrix-row × shard products go through 256-byte
-// per-coefficient multiplication tables (built lazily by the Codec) so the
-// inner loop is a single table lookup and xor per byte, unrolled in 8-byte
-// strides; the coefficient-1 case degenerates to a word-wide xor.
+// buildMulTable's 256-byte per-coefficient tables (cached lazily by the
+// Codec) are the raw material of the grouped row programs in group.go,
+// which every Encode and Decode runs.
 
 const fieldSize = 256
 
@@ -104,16 +100,11 @@ func buildMulTable(c byte) *[256]byte {
 	return &tbl
 }
 
-// mulSliceAdd computes dst[i] ^= c*src[i] via log/exp lookups. It is kept
-// for cold paths (matrix setup and inversion) where building a table per
-// coefficient would cost more than it saves; bulk shard math goes through
-// mulTableSliceAdd.
+// mulSliceAdd computes dst[i] ^= c*src[i] via log/exp lookups. It serves
+// the cold paths (matrix inversion) and the tests' naive reference; bulk
+// shard math goes through the grouped row programs of group.go.
 func mulSliceAdd(c byte, src, dst []byte) {
 	if c == 0 {
-		return
-	}
-	if c == 1 {
-		xorSlice(src, dst)
 		return
 	}
 	logC := int(logTable[c])
@@ -121,84 +112,5 @@ func mulSliceAdd(c byte, src, dst []byte) {
 		if s != 0 {
 			dst[i] ^= expTable[logC+int(logTable[s])]
 		}
-	}
-}
-
-// mulTableSliceAdd computes dst[i] ^= tbl[src[i]] in 8-byte strides. tbl
-// must be a multiplication table from buildMulTable. The source word is
-// loaded once and bytes extracted by shifting; the eight looked-up product
-// bytes are assembled into one word so dst sees a single load/xor/store per
-// stride — byte-granular memory traffic is what limits this kernel.
-func mulTableSliceAdd(tbl *[256]byte, src, dst []byte) {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	src, dst = src[:n], dst[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(src[i:])
-		// Assemble the product word as a balanced tree of ORs: a linear
-		// chain would serialize eight dependent ops and dominate latency.
-		// byte(x>>s) compiles to a zero-extending move, no masking.
-		y0 := uint64(tbl[byte(x)]) | uint64(tbl[byte(x>>8)])<<8
-		y1 := uint64(tbl[byte(x>>16)])<<16 | uint64(tbl[byte(x>>24)])<<24
-		y2 := uint64(tbl[byte(x>>32)])<<32 | uint64(tbl[byte(x>>40)])<<40
-		y3 := uint64(tbl[byte(x>>48)])<<48 | uint64(tbl[byte(x>>56)])<<56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^((y0|y1)|(y2|y3)))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= tbl[src[i]]
-	}
-}
-
-// mulTableSliceAdd2 computes dst[i] ^= tbl1[src1[i]] ^ tbl2[src2[i]]: two
-// source shards fused into one pass over dst. The two lookup streams are
-// independent, so they pipeline; dst traffic is halved versus two separate
-// mulTableSliceAdd calls.
-func mulTableSliceAdd2(tbl1, tbl2 *[256]byte, src1, src2, dst []byte) {
-	n := len(dst)
-	if len(src1) < n {
-		n = len(src1)
-	}
-	if len(src2) < n {
-		n = len(src2)
-	}
-	src1, src2, dst = src1[:n], src2[:n], dst[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x1 := binary.LittleEndian.Uint64(src1[i:])
-		x2 := binary.LittleEndian.Uint64(src2[i:])
-		y0 := uint64(tbl1[byte(x1)]^tbl2[byte(x2)]) |
-			uint64(tbl1[byte(x1>>8)]^tbl2[byte(x2>>8)])<<8
-		y1 := uint64(tbl1[byte(x1>>16)]^tbl2[byte(x2>>16)])<<16 |
-			uint64(tbl1[byte(x1>>24)]^tbl2[byte(x2>>24)])<<24
-		y2 := uint64(tbl1[byte(x1>>32)]^tbl2[byte(x2>>32)])<<32 |
-			uint64(tbl1[byte(x1>>40)]^tbl2[byte(x2>>40)])<<40
-		y3 := uint64(tbl1[byte(x1>>48)]^tbl2[byte(x2>>48)])<<48 |
-			uint64(tbl1[byte(x1>>56)]^tbl2[byte(x2>>56)])<<56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^((y0|y1)|(y2|y3)))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= tbl1[src1[i]] ^ tbl2[src2[i]]
-	}
-}
-
-// xorSlice computes dst[i] ^= src[i], word-at-a-time. XOR is
-// endianness-agnostic, so reading and writing uint64s with a fixed byte
-// order is portable.
-func xorSlice(src, dst []byte) {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	src, dst = src[:n], dst[:n]
-	for len(src) >= 8 {
-		v := binary.LittleEndian.Uint64(src) ^ binary.LittleEndian.Uint64(dst)
-		binary.LittleEndian.PutUint64(dst, v)
-		src, dst = src[8:], dst[8:]
-	}
-	for i, s := range src {
-		dst[i] ^= s
 	}
 }

@@ -2,30 +2,25 @@ package erasure
 
 import "encoding/binary"
 
-// Grouped row generation: the throughput kernel behind Encode and Decode.
+// Grouped row generation: the one kernel behind Encode and Decode.
 //
 // Computing rows = M × shards one coefficient at a time costs one table
 // lookup per (row, byte) product and tops out near 2 GB/s of product work
 // in scalar Go. Grouping 8 output rows lets one [256]uint64 table per
 // source column carry all 8 products of a source byte in one load: the
 // inner loop is then load byte → load word → xor, producing 8 row-bytes
-// per lookup (~7× the per-coefficient kernel). The group accumulates into
-// a row-interleaved buffer (byte lane r of word t = row r at offset t)
-// that an 8×8 byte transpose scatters back into contiguous row shards.
+// per lookup. The group accumulates into a row-interleaved buffer (byte
+// lane r of word t = row r at offset t) that an 8×8 byte transpose
+// scatters back into contiguous row shards.
+//
+// Compiling a program costs ~k×rows×256 table writes. The parity program
+// is compiled once per codec and decode programs are cached with their
+// inverse, so every shard size, down to one byte, runs the same program.
 
-const (
-	// groupMinShard is the shard size, in bytes, above which the grouped
-	// kernel is used. Below it the per-coefficient path wins: compiling
-	// group tables costs ~k×rows×256 table writes, which needs a few KiB
-	// per shard to amortize (decode programs are LRU-cached, but a cache
-	// miss must not be pathological on small blocks).
-	groupMinShard = 4096
-
-	// groupBlock is the number of byte offsets accumulated per work unit:
-	// a 16 KiB interleave buffer that stays L1-resident while k source
-	// blocks stream through it.
-	groupBlock = 2048
-)
+// groupBlock is the number of byte offsets accumulated per work unit: a
+// 16 KiB interleave buffer that stays L1-resident while k source blocks
+// stream through it.
+const groupBlock = 2048
 
 // rowProg is a compiled program computing `rows` output shards as a
 // coefficient matrix times k source shards, in groups of up to 8 rows.
@@ -108,9 +103,8 @@ func (gt *groupTables) run(srcs, outs [][]byte, t0, t1 int) {
 	lanes := gt.lanes
 	m := 0
 	for ; m+8 <= n; m += 8 {
-		var w [8]uint64
-		copy(w[:], acc[m:m+8])
-		transpose8x8(&w)
+		w := (*[8]uint64)(acc[m : m+8]) // acc is scratch: transpose in place
+		transpose8x8(w)
 		for r := 0; r < lanes; r++ {
 			binary.LittleEndian.PutUint64(outs[r][t0+m:], w[r])
 		}
@@ -125,31 +119,42 @@ func (gt *groupTables) run(srcs, outs [][]byte, t0, t1 int) {
 
 // transpose8x8 transposes an 8×8 byte matrix held in 8 uint64 words (byte
 // lane r of w[t] is element (t, r)) by recursive block swaps: 4×4 blocks,
-// then 2×2, then single bytes.
+// then 2×2, then single bytes. It is written out on locals so the eight
+// words stay in registers.
 func transpose8x8(w *[8]uint64) {
 	const (
 		m4 = 0x00000000FFFFFFFF
 		m2 = 0x0000FFFF0000FFFF
 		m1 = 0x00FF00FF00FF00FF
 	)
-	for i := 0; i < 4; i++ {
-		j := i + 4
-		t := ((w[i] >> 32) ^ w[j]) & m4
-		w[i] ^= t << 32
-		w[j] ^= t
-	}
-	for _, i := range [4]int{0, 1, 4, 5} {
-		j := i + 2
-		t := ((w[i] >> 16) ^ w[j]) & m2
-		w[i] ^= t << 16
-		w[j] ^= t
-	}
-	for _, i := range [4]int{0, 2, 4, 6} {
-		j := i + 1
-		t := ((w[i] >> 8) ^ w[j]) & m1
-		w[i] ^= t << 8
-		w[j] ^= t
-	}
+	w0, w1, w2, w3, w4, w5, w6, w7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+	t := ((w0 >> 32) ^ w4) & m4
+	w0, w4 = w0^t<<32, w4^t
+	t = ((w1 >> 32) ^ w5) & m4
+	w1, w5 = w1^t<<32, w5^t
+	t = ((w2 >> 32) ^ w6) & m4
+	w2, w6 = w2^t<<32, w6^t
+	t = ((w3 >> 32) ^ w7) & m4
+	w3, w7 = w3^t<<32, w7^t
+
+	t = ((w0 >> 16) ^ w2) & m2
+	w0, w2 = w0^t<<16, w2^t
+	t = ((w1 >> 16) ^ w3) & m2
+	w1, w3 = w1^t<<16, w3^t
+	t = ((w4 >> 16) ^ w6) & m2
+	w4, w6 = w4^t<<16, w6^t
+	t = ((w5 >> 16) ^ w7) & m2
+	w5, w7 = w5^t<<16, w7^t
+
+	t = ((w0 >> 8) ^ w1) & m1
+	w0, w1 = w0^t<<8, w1^t
+	t = ((w2 >> 8) ^ w3) & m1
+	w2, w3 = w2^t<<8, w3^t
+	t = ((w4 >> 8) ^ w5) & m1
+	w4, w5 = w4^t<<8, w5^t
+	t = ((w6 >> 8) ^ w7) & m1
+	w6, w7 = w6^t<<8, w7^t
+	*w = [8]uint64{w0, w1, w2, w3, w4, w5, w6, w7}
 }
 
 // encodeProg returns the compiled parity program (rows k..n of the encode

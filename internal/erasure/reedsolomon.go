@@ -13,9 +13,9 @@ const (
 	// DefaultCacheSize is the capacity of a codec's decode-matrix LRU.
 	// A steady-state retrieval committee re-sees the same index set
 	// almost every time, so a handful of entries suffices. Entries are
-	// not free: beyond the k×k inverse, a large-shard decode lazily
-	// compiles ~ceil(k/8)·k·2 KiB of grouped tables per entry (~256 KiB
-	// at k=32), so it is kept small.
+	// not free: beyond the k×k inverse, each entry's first decode
+	// compiles ~ceil(k/8)·k·2 KiB of grouped tables (~256 KiB at k=32),
+	// so it is kept small.
 	DefaultCacheSize = 8
 
 	// parallelMinShard is the per-shard byte threshold below which row
@@ -42,11 +42,13 @@ type Chunk struct {
 // Codec is a systematic (k, n) Reed–Solomon code: Split a message into k
 // data chunks, extend to n total chunks; any k chunks reconstruct.
 //
-// A Codec is safe for concurrent use. Heavy state is built lazily and
-// shared: per-coefficient multiplication tables materialize on first use of
-// a coefficient, and inverted decode matrices are cached per chunk-index
-// set, so a long-lived Codec amortizes all setup across calls. Build one
-// per (k, n) and reuse it.
+// Every parity and decoded row is computed by one kernel, the grouped
+// 8-row program of group.go. A Codec is safe for concurrent use. Heavy
+// state is built lazily and shared: per-coefficient multiplication tables
+// materialize on first use of a coefficient, the parity program on the
+// first Encode, and decode programs are cached with their inverted matrix
+// per chunk-index set, so a long-lived Codec amortizes all setup across
+// calls. Build one per (k, n) and reuse it.
 type Codec struct {
 	k, n int
 	// workers bounds the goroutines used for parity-row generation and
@@ -60,7 +62,7 @@ type Codec struct {
 	tables [fieldSize]atomic.Pointer[[256]byte]
 
 	// parityProg is the grouped parity-generation program (see group.go),
-	// compiled once on first large Encode.
+	// compiled once on first Encode.
 	encodeOnce sync.Once
 	parityProg *rowProg
 
@@ -129,33 +131,6 @@ func (c *Codec) table(coef byte) *[256]byte {
 	return t
 }
 
-// rowMulAdd accumulates dst ^= Σ_j row[j]*srcs[j], one full matrix-row ×
-// shard-set product. Zero coefficients are skipped, ones degrade to word
-// xors, and general coefficients stream through the fused two-source kernel
-// so dst is loaded and stored half as often.
-func (c *Codec) rowMulAdd(row []byte, srcs [][]byte, dst []byte) {
-	var pendTbl *[256]byte
-	var pendSrc []byte
-	for j, coef := range row {
-		switch coef {
-		case 0:
-		case 1:
-			xorSlice(srcs[j], dst)
-		default:
-			t := c.table(coef)
-			if pendTbl == nil {
-				pendTbl, pendSrc = t, srcs[j]
-				continue
-			}
-			mulTableSliceAdd2(pendTbl, t, pendSrc, srcs[j], dst)
-			pendTbl, pendSrc = nil, nil
-		}
-	}
-	if pendTbl != nil {
-		mulTableSliceAdd(pendTbl, pendSrc, dst)
-	}
-}
-
 // forRows runs fn(0..rows-1), fanning out across a bounded worker pool when
 // the per-row payload is large enough to amortize goroutine handoff. Rows
 // must be independent (each fn(i) writes only row i).
@@ -192,8 +167,7 @@ func (c *Codec) forRows(rows, shardSize int, fn func(row int)) {
 // shardPool recycles the contiguous backing arrays used for intermediate
 // shard math (Reconstruct's decoded image). Output buffers that escape to
 // callers are never pooled. Buffers come back dirty: every decodeInto
-// branch either overwrites dst fully or clears the rows it accumulates
-// into, so no up-front memset is paid on the large-shard path.
+// path overwrites dst fully, so no up-front memset is paid.
 var shardPool = sync.Pool{New: func() any { return []byte(nil) }}
 
 func getShardBuf(n int) []byte {
@@ -228,17 +202,8 @@ func (c *Codec) Encode(data []byte) ([]Chunk, error) {
 		}
 	}
 	// Parity chunks: rows k..n of the encode matrix times the data chunks.
-	// Large shards go through the grouped 8-row program; small ones use
-	// the per-coefficient kernels directly.
 	if c.n > c.k {
-		if size >= groupMinShard {
-			c.runProg(c.encodeProg(), shards[:c.k], shards[c.k:], size)
-		} else {
-			c.forRows(c.n-c.k, size, func(p int) {
-				i := c.k + p
-				c.rowMulAdd(c.encode.row(i), shards[:c.k], shards[i])
-			})
-		}
+		c.runProg(c.encodeProg(), shards[:c.k], shards[c.k:], size)
 	}
 	out := make([]Chunk, c.n)
 	for i, s := range shards {
@@ -280,7 +245,7 @@ func (c *Codec) selectChunks(chunks []Chunk, size int) ([]Chunk, error) {
 
 // decodeEntry is one cached decode program: the inverted decode matrix for
 // an index set, plus the grouped row program compiled from it on first
-// large decode. Entries are shared across goroutines; the matrix and
+// decode. Entries are shared across goroutines; the matrix and
 // program are immutable once published.
 type decodeEntry struct {
 	inv  *matrix
@@ -332,7 +297,7 @@ func (c *Codec) decodeMatrix(sel []Chunk) (*decodeEntry, error) {
 
 // decodeInto reconstructs the k data shards from sel (index-sorted, all of
 // length size) into dst, which must hold k*size bytes; prior contents are
-// ignored (every path overwrites or clears what it writes).
+// ignored (every path overwrites all of dst).
 func (c *Codec) decodeInto(dst []byte, sel []Chunk, size int) error {
 	// Fast path: an all-systematic selection must be exactly chunks
 	// 0..k-1, which are the data itself — no matrix math at all.
@@ -346,26 +311,14 @@ func (c *Codec) decodeInto(dst []byte, sel []Chunk, size int) error {
 	if err != nil {
 		return err
 	}
-	// data_j = sum_r inv[j][r] * chunk_r. Large shards run the grouped
-	// program; small ones use the per-coefficient kernels directly.
+	// data_j = sum_r inv[j][r] * chunk_r.
 	srcs := make([][]byte, len(sel))
+	outs := make([][]byte, c.k)
 	for r, ch := range sel {
 		srcs[r] = ch.Data
+		outs[r] = dst[r*size : (r+1)*size]
 	}
-	if size >= groupMinShard {
-		outs := make([][]byte, c.k)
-		for j := range outs {
-			outs[j] = dst[j*size : (j+1)*size]
-		}
-		c.runProg(entry.program(c), srcs, outs, size)
-		return nil
-	}
-	inv := entry.inv
-	c.forRows(c.k, size, func(j int) {
-		out := dst[j*size : (j+1)*size]
-		clear(out) // rowMulAdd accumulates
-		c.rowMulAdd(inv.row(j), srcs, out)
-	})
+	c.runProg(entry.program(c), srcs, outs, size)
 	return nil
 }
 

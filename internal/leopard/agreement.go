@@ -543,7 +543,7 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 	// present.
 	for _, h := range inst.block.Content {
 		n.confirmedDBs[h] = struct{}{}
-		if packed, ok := n.myDBPacked[h]; ok {
+		if packed, ok := n.myOutstanding[h]; ok {
 			// Dissemination covers pack -> leader proposal (as observed
 			// here via the proposal's arrival time); agreement covers
 			// proposal -> confirmation.
@@ -565,7 +565,6 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 func (n *Node) settleOwn(content []types.Hash) {
 	for _, h := range content {
 		delete(n.myOutstanding, h)
-		delete(n.myDBPacked, h)
 	}
 }
 

@@ -34,8 +34,7 @@ func (n *Node) maybePackDatablocks(out transport.Sink) {
 		}
 		digest := crypto.HashDatablock(db)
 		n.dbPool.Add(digest, db)
-		n.myOutstanding[digest] = struct{}{}
-		n.myDBPacked[digest] = n.now
+		n.myOutstanding[digest] = n.now
 		n.stats.DatablocksMade++
 		n.stats.DatablockRequests += int64(len(reqs))
 		if !full {

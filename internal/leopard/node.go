@@ -225,14 +225,13 @@ type Node struct {
 	reqPool   *mempool.RequestPool
 	dbPool    *mempool.DatablockPool
 	dbCounter uint64
-	// myOutstanding holds digests of this replica's own datablocks that
-	// are not yet confirmed: the flow-control window, and the clock for
-	// partial datablocks (none leaves while it is non-empty). Entries go in
-	// settleOwn, or all at once at an anchor jump (adoptCheckpoint).
-	myOutstanding map[types.Hash]struct{}
-	// myDBPacked records when each of this replica's datablocks was
-	// packed, feeding the Table IV stage breakdown.
-	myDBPacked map[types.Hash]time.Duration
+	// myOutstanding maps each of this replica's own datablocks that is not
+	// yet confirmed to the time it was packed. Its length is the
+	// flow-control window, and the clock for partial datablocks (none
+	// leaves while it is non-empty); the times feed the Table IV stage
+	// breakdown. Entries go in settleOwn, or all at once at an anchor jump
+	// (adoptCheckpoint).
+	myOutstanding map[types.Hash]time.Duration
 	// confirmedDBs tracks datablock digests already confirmed in some
 	// block, so replicas re-announce only outstanding ones after a view
 	// change.
@@ -347,8 +346,7 @@ func NewNode(cfg Config) (*Node, error) {
 		q:             cfg.Quorum,
 		reqPool:       mempool.NewRequestPoolLimits(cfg.Mempool),
 		dbPool:        mempool.NewDatablockPool(),
-		myOutstanding: make(map[types.Hash]struct{}),
-		myDBPacked:    make(map[types.Hash]time.Duration),
+		myOutstanding: make(map[types.Hash]time.Duration),
 		view:          1,
 		cur:           newViewRecord(),
 		slots:         make(map[types.SeqNum]*slot),

@@ -464,7 +464,6 @@ func (n *Node) adoptCheckpoint(cp *CheckpointProofMsg) {
 	// datablock: one that is in fact still in flight is settled again when
 	// its block arrives, and until then the window is one window too wide.
 	clear(n.myOutstanding)
-	clear(n.myDBPacked)
 	if n.store != nil {
 		// The WAL tail below the anchor is obsolete history; re-anchor so
 		// appends resume at cp.Seq+1.

@@ -206,3 +206,46 @@ func TestStoreAccessorsCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestWALResetRetainedRecordsDurable: the vote-ahead and notarization
+// records a Reset retains are on disk when Reset returns. The group-commit
+// window is an hour, so only Reset itself can have written them, and the
+// directory is reopened without Close, as after a crash right behind an
+// anchor jump.
+func TestWALResetRetainedRecordsDurable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		append func(*Log) error
+		count  func(*Log) int
+	}{
+		{"votes", func(l *Log) error {
+			return l.AppendVote(VoteRecord{View: 1, Seq: 10, Round: 1, Digest: types.Hash{10}})
+		}, func(l *Log) int { return len(l.Votes()) }},
+		{"notes", func(l *Log) error {
+			return l.AppendNote(testNote(10, 1))
+		}, func(l *Log) int { return len(l.Notes()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, Options{FsyncInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := tc.append(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Reset(5); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir, Options{FsyncInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := tc.count(re); got != 1 {
+				t.Fatalf("reopened after Reset: %d %s, want 1", got, tc.name)
+			}
+		})
+	}
+}

@@ -238,6 +238,8 @@ type Store interface {
 	// append must be seq+1. Used when the replica adopts a checkpoint it
 	// cannot reach by replay (state-transfer jump) — everything logged
 	// before the anchor is obsolete history below a stable checkpoint.
+	// Vote-ahead and notarization records above seq survive it, and are
+	// durable when it returns.
 	Reset(seq types.SeqNum) error
 	// Sync forces any buffered appends to durable storage.
 	Sync() error

@@ -697,24 +697,25 @@ func (l *Log) TruncateBelow(seq types.SeqNum) error {
 // already durably saved the checkpoint that justifies abandoning the old
 // records, so a crash between the save and this reset recovers correctly
 // (replay from the anchor skips the stale records).
+//
+// Vote-ahead and notarization records above the new anchor survive the
+// reset: the replica may have voted above the checkpoint it is jumping to,
+// and dropping those locks (or the certificates its view-change messages
+// must keep advertising) would reopen the amnesia window. Their frames are
+// written and fsynced into the fresh segment before the old segments are
+// removed, so no crash point loses them; a crash before the removal only
+// leaves stale frames that the next scan filters against the anchor.
 func (l *Log) Reset(seq types.SeqNum) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	l.pending = l.pending[:0]
-	old := l.segs
-	l.segs = nil
+	old := len(l.segs)
 	f := l.f
 	l.f = nil
 	l.records = make(map[types.SeqNum]*BlockRecord)
 	l.first = 0
 	l.last = seq
-	// Vote-ahead and notarization records above the new anchor survive the
-	// reset — the replica may have voted above the checkpoint it is jumping
-	// to, and dropping those locks (or the certificates its view-change
-	// messages must keep advertising) would reopen the amnesia window.
-	// Their frames die with the old segments, so they are re-staged into
-	// the fresh one.
 	retained := append([]VoteRecord(nil), pruneVotes(l.votes, seq)...)
 	retainedNotes := append([]NoteRecord(nil), pruneNotes(l.notes, seq)...)
 	l.votes = l.votes[:0]
@@ -723,35 +724,43 @@ func (l *Log) Reset(seq types.SeqNum) error {
 	if f != nil {
 		f.Close()
 	}
-	for _, s := range old {
-		l.fs.Remove(s.path)
-	}
+	// roll numbers the fresh segment after the newest old one, so the two
+	// never share a file.
 	if err := l.roll(); err != nil {
 		// Leave the log in a failed-but-safe state: Append and Sync return
 		// the sticky error instead of panicking on a missing segment.
 		l.fail(err)
 		return err
 	}
-	if len(retained) > 0 || len(retainedNotes) > 0 {
-		w := codec.GetWriter()
-		for i := range retained {
-			appendFrame(w, recVote, retained[i].wire)
-		}
-		for i := range retainedNotes {
-			appendFrame(w, recNote, retainedNotes[i].wire)
-		}
-		l.mu.Lock()
-		l.pending = append(l.pending, w.Buf...)
-		l.segs[len(l.segs)-1].bytes += int64(len(w.Buf))
-		l.votes = append(l.votes, retained...)
-		l.notes = append(l.notes, retainedNotes...)
-		l.mu.Unlock()
-		codec.PutWriter(w)
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	for i := range retained {
+		appendFrame(w, recVote, retained[i].wire)
 	}
+	for i := range retainedNotes {
+		appendFrame(w, recNote, retainedNotes[i].wire)
+	}
+	l.mu.Lock()
+	l.pending = append(l.pending, w.Buf...)
+	l.segs[len(l.segs)-1].bytes += int64(len(w.Buf))
+	l.votes = append(l.votes, retained...)
+	l.notes = append(l.notes, retainedNotes...)
+	l.mu.Unlock()
+	err := l.flushStaged()
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		l.fail(err)
+		return err
+	}
+	l.mu.Lock()
+	l.stats.Syncs++
+	for _, s := range l.segs[:old] {
+		l.fs.Remove(s.path)
+	}
+	l.segs = append(l.segs[:0], l.segs[old:]...)
+	l.mu.Unlock()
 	return nil
 }
 
