@@ -356,10 +356,13 @@ func (rows A3Rows) Print(w io.Writer) {
 // SelectiveAttackResult measures normal-case throughput against f faulty
 // replicas running the selective attack (paper §VI-D setting), and the
 // datablock retrievals it forces at honest replicas and at the attackers.
+// MaxSkippedBlocks is the most blocks an honest replica jumped over by
+// adopting a checkpoint, which replica 0's throughput does not show.
 type SelectiveAttackResult struct {
 	N                  int
 	Throughput         float64
 	HonestRetrievals   int64
+	MaxSkippedBlocks   int64
 	AttackerRetrievals int64
 }
 
@@ -371,9 +374,9 @@ type AttackRows []SelectiveAttackResult
 func selectiveAttack(s Sweep) (AttackRows, error) { return each(s, attackOnce) }
 
 func (rows AttackRows) Print(w io.Writer) {
-	fmt.Fprintln(w, "   n   throughput(Kreq/s)   honest-retrievals   attacker-retrievals")
+	fmt.Fprintln(w, "   n   throughput(Kreq/s)   honest-retrievals   max-skipped-blocks   attacker-retrievals")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%4d   %18.1f   %17d   %19d\n", r.N, r.Throughput/1e3, r.HonestRetrievals, r.AttackerRetrievals)
+		fmt.Fprintf(w, "%4d   %18.1f   %17d   %18d   %19d\n", r.N, r.Throughput/1e3, r.HonestRetrievals, r.MaxSkippedBlocks, r.AttackerRetrievals)
 	}
 }
 
@@ -412,10 +415,12 @@ func attackOnce(n, _ int) (SelectiveAttackResult, error) {
 	c.Warmup(warmup)
 	res := SelectiveAttackResult{N: n, Throughput: c.MeasureFor(measure).Throughput}
 	for i, node := range nodes {
+		st := node.Stats()
 		if slices.Contains(attackers, types.ReplicaID(i)) {
-			res.AttackerRetrievals += node.Stats().Retrievals
+			res.AttackerRetrievals += st.Retrievals
 		} else {
-			res.HonestRetrievals += node.Stats().Retrievals
+			res.HonestRetrievals += st.Retrievals
+			res.MaxSkippedBlocks = max(res.MaxSkippedBlocks, st.SkippedBlocks)
 		}
 	}
 	return res, nil

@@ -37,9 +37,10 @@ type Partition struct {
 }
 
 // Loss drops each matching message with probability Prob during
-// [From, Until). ControlOnly restricts the loss to control-lane traffic
-// (votes, proposals, proofs), leaving bulk dissemination intact — the
-// adversarial case for agreement latency.
+// [From, Until). ControlOnly restricts the loss to messages whose Policy
+// rides the control lane (votes, proposals, proofs, view-change, new-view,
+// retrieval queries), leaving bulk dissemination intact — the adversarial
+// case for agreement latency.
 type Loss struct {
 	From        time.Duration
 	Until       time.Duration
@@ -215,7 +216,7 @@ func (e *Engine) Filter(now time.Duration, from, to types.ReplicaID, msg transpo
 		if now < w.From || now >= w.Until {
 			continue
 		}
-		if w.ControlOnly && transport.IsBulk(msg) {
+		if w.ControlOnly && msg.Policy().Lane() != transport.LaneControl {
 			continue
 		}
 		if len(w.Replicas) > 0 && !slices.Contains(w.Replicas, from) {

@@ -125,12 +125,11 @@ var _ transport.Message = (*ProposalMsg)(nil)
 // WireSize implements transport.Message.
 func (m *ProposalMsg) WireSize() int { return 16 + m.Block.Size() }
 
-// Class implements transport.Message.
-func (m *ProposalMsg) Class() transport.Class { return transport.ClassBFTblock }
-
-// CarriesPayload implements transport.PayloadCarrier: HotStuff proposals
-// embed the full request batch, so they occupy the processing stage.
-func (m *ProposalMsg) CarriesPayload() bool { return true }
+// Class and Policy implement transport.Message. HotStuff proposals embed
+// the full request batch, so they ride the bulk lane and occupy the
+// processing stage.
+func (m *ProposalMsg) Class() transport.Class   { return transport.ClassBFTblock }
+func (m *ProposalMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 // VoteMsg is a replica's threshold share on a block digest.
 type VoteMsg struct {
@@ -144,8 +143,9 @@ var _ transport.Message = (*VoteMsg)(nil)
 // WireSize implements transport.Message.
 func (m *VoteMsg) WireSize() int { return 8 + 32 + 8 + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *VoteMsg) Class() transport.Class { return transport.ClassVote }
+// Class and Policy implement transport.Message.
+func (m *VoteMsg) Class() transport.Class   { return transport.ClassVote }
+func (m *VoteMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 // TimeoutMsg is a pacemaker timeout vote for a view.
 type TimeoutMsg struct {
@@ -159,8 +159,9 @@ var _ transport.Message = (*TimeoutMsg)(nil)
 // WireSize implements transport.Message.
 func (m *TimeoutMsg) WireSize() int { return 8 + 8 + m.HighQC.Size() + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *TimeoutMsg) Class() transport.Class { return transport.ClassViewChange }
+// Class and Policy implement transport.Message.
+func (m *TimeoutMsg) Class() transport.Class   { return transport.ClassViewChange }
+func (m *TimeoutMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 // NewViewMsg announces a view change completion from the new leader.
 type NewViewMsg struct {
@@ -174,8 +175,9 @@ var _ transport.Message = (*NewViewMsg)(nil)
 // WireSize implements transport.Message.
 func (m *NewViewMsg) WireSize() int { return 8 + 8 + m.HighQC.Size() + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *NewViewMsg) Class() transport.Class { return transport.ClassViewChange }
+// Class and Policy implement transport.Message.
+func (m *NewViewMsg) Class() transport.Class   { return transport.ClassViewChange }
+func (m *NewViewMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func timeoutDigest(v types.View) types.Hash {
 	var buf [8]byte

@@ -81,8 +81,9 @@ func (m *DatablockMsg) wire(c codec.Coder) { c.Datablock(&m.Block) }
 // WireSize implements transport.Message.
 func (m *DatablockMsg) WireSize() int { return hdrSize + m.Block.Size() }
 
-// Class implements transport.Message.
-func (m *DatablockMsg) Class() transport.Class { return transport.ClassDatablock }
+// Class and Policy implement transport.Message.
+func (m *DatablockMsg) Class() transport.Class   { return transport.ClassDatablock }
+func (m *DatablockMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 func (m *DatablockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleDatablock(from, m, out)
@@ -102,8 +103,9 @@ func (m *ReadyMsg) wire(c codec.Coder) { c.Hash(&m.Digest) }
 // WireSize implements transport.Message.
 func (m *ReadyMsg) WireSize() int { return hdrSize + hashSize }
 
-// Class implements transport.Message.
-func (m *ReadyMsg) Class() transport.Class { return transport.ClassVote }
+// Class and Policy implement transport.Message.
+func (m *ReadyMsg) Class() transport.Class   { return transport.ClassVote }
+func (m *ReadyMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *ReadyMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleReady(from, m, out)
@@ -128,8 +130,9 @@ func (m *BFTblockMsg) WireSize() int {
 	return hdrSize + m.Block.Size() + len(m.LeaderShare.Sig)
 }
 
-// Class implements transport.Message.
-func (m *BFTblockMsg) Class() transport.Class { return transport.ClassBFTblock }
+// Class and Policy implement transport.Message.
+func (m *BFTblockMsg) Class() transport.Class   { return transport.ClassBFTblock }
+func (m *BFTblockMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *BFTblockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleBFTblock(from, m, out)
@@ -156,8 +159,9 @@ func (m *VoteMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *VoteMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *VoteMsg) Class() transport.Class { return transport.ClassVote }
+// Class and Policy implement transport.Message.
+func (m *VoteMsg) Class() transport.Class   { return transport.ClassVote }
+func (m *VoteMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *VoteMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleVote(from, m, out)
@@ -184,8 +188,9 @@ func (m *ProofMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *ProofMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Proof.Sig) }
 
-// Class implements transport.Message.
-func (m *ProofMsg) Class() transport.Class { return transport.ClassProof }
+// Class and Policy implement transport.Message.
+func (m *ProofMsg) Class() transport.Class   { return transport.ClassProof }
+func (m *ProofMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *ProofMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleProof(from, m, out)
@@ -205,8 +210,10 @@ func (m *QueryMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *QueryMsg) WireSize() int { return hdrSize + hashSize*len(m.Digests) }
 
-// Class implements transport.Message.
-func (m *QueryMsg) Class() transport.Class { return transport.ClassRetrieval }
+// Class and Policy implement transport.Message. Queued behind the holder's
+// datablock backlog, a query would arrive after the block was released.
+func (m *QueryMsg) Class() transport.Class   { return transport.ClassRetrieval }
+func (m *QueryMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *QueryMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleQuery(from, m, out)
@@ -239,8 +246,9 @@ func (m *RespMsg) WireSize() int {
 	return hdrSize + 2*hashSize + len(m.Chunk) + 8 + m.Proof.Size()
 }
 
-// Class implements transport.Message.
-func (m *RespMsg) Class() transport.Class { return transport.ClassRetrieval }
+// Class and Policy implement transport.Message.
+func (m *RespMsg) Class() transport.Class   { return transport.ClassRetrieval }
+func (m *RespMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 func (m *RespMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleResp(from, m, out)
@@ -262,8 +270,9 @@ func (m *FullBlockMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *FullBlockMsg) WireSize() int { return hdrSize + hashSize + m.Block.Size() }
 
-// Class implements transport.Message.
-func (m *FullBlockMsg) Class() transport.Class { return transport.ClassRetrieval }
+// Class and Policy implement transport.Message.
+func (m *FullBlockMsg) Class() transport.Class   { return transport.ClassRetrieval }
+func (m *FullBlockMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 func (m *FullBlockMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleFullBlock(from, m, out)
@@ -287,8 +296,9 @@ func (m *CheckpointMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *CheckpointMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *CheckpointMsg) Class() transport.Class { return transport.ClassCheckpoint }
+// Class and Policy implement transport.Message.
+func (m *CheckpointMsg) Class() transport.Class   { return transport.ClassCheckpoint }
+func (m *CheckpointMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *CheckpointMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleCheckpoint(from, m, out)
@@ -312,8 +322,9 @@ func (m *CheckpointProofMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *CheckpointProofMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Proof.Sig) }
 
-// Class implements transport.Message.
-func (m *CheckpointProofMsg) Class() transport.Class { return transport.ClassCheckpoint }
+// Class and Policy implement transport.Message.
+func (m *CheckpointProofMsg) Class() transport.Class   { return transport.ClassCheckpoint }
+func (m *CheckpointProofMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *CheckpointProofMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleCheckpointProof(from, m, out)
@@ -335,8 +346,9 @@ func (m *TimeoutMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *TimeoutMsg) WireSize() int { return hdrSize + 8 + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *TimeoutMsg) Class() transport.Class { return transport.ClassViewChange }
+// Class and Policy implement transport.Message.
+func (m *TimeoutMsg) Class() transport.Class   { return transport.ClassViewChange }
+func (m *TimeoutMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *TimeoutMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleTimeout(from, m, out)
@@ -398,17 +410,15 @@ func (m *ViewChangeMsg) WireSize() int {
 	return s
 }
 
-// Class implements transport.Message.
-func (m *ViewChangeMsg) Class() transport.Class { return transport.ClassViewChange }
+// Class and Policy implement transport.Message. The message carries every
+// outstanding notarized block header, so it is charged, and it is the
+// recovery path's critical traffic, so it rides the control lane.
+func (m *ViewChangeMsg) Class() transport.Class   { return transport.ClassViewChange }
+func (m *ViewChangeMsg) Policy() transport.Policy { return transport.PolicyControlCharged }
 
 func (m *ViewChangeMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleViewChange(from, m, out)
 }
-
-// CarriesPayload implements transport.PayloadCarrier: view-change messages
-// carry every outstanding notarized block header and can reach megabytes,
-// so they use the bulk lane of the network model.
-func (m *ViewChangeMsg) CarriesPayload() bool { return true }
 
 // StateReqMsg asks a peer for checkpoint-anchored state transfer: the
 // sender has executed up to Have and wants the newest stable checkpoint
@@ -428,8 +438,9 @@ func (m *StateReqMsg) wire(c codec.Coder) { codec.U64(c, &m.Have) }
 // WireSize implements transport.Message.
 func (m *StateReqMsg) WireSize() int { return hdrSize + 8 }
 
-// Class implements transport.Message.
-func (m *StateReqMsg) Class() transport.Class { return transport.ClassState }
+// Class and Policy implement transport.Message.
+func (m *StateReqMsg) Class() transport.Class   { return transport.ClassState }
+func (m *StateReqMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 func (m *StateReqMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleStateReq(from, m, out)
@@ -478,17 +489,13 @@ func (m *StateRespMsg) WireSize() int {
 	return s
 }
 
-// Class implements transport.Message.
-func (m *StateRespMsg) Class() transport.Class { return transport.ClassState }
+// Class and Policy implement transport.Message: full datablocks ride bulk.
+func (m *StateRespMsg) Class() transport.Class   { return transport.ClassState }
+func (m *StateRespMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 func (m *StateRespMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleStateResp(from, m, out)
 }
-
-// CarriesPayload implements transport.PayloadCarrier: responses carry full
-// datablocks (megabytes at Table II sizing), so they ride the bulk lane and
-// are charged through the receiver's CPU stage.
-func (m *StateRespMsg) CarriesPayload() bool { return true }
 
 // RequestMsg is a signed client request submission: the authenticated front
 // door of the serving path. Clients (and replicas forwarding on their
@@ -510,8 +517,9 @@ func (m *RequestMsg) wire(c codec.Coder) {
 // WireSize implements transport.Message.
 func (m *RequestMsg) WireSize() int { return hdrSize + m.Req.Size() + 4 + len(m.Sig) }
 
-// Class implements transport.Message.
-func (m *RequestMsg) Class() transport.Class { return transport.ClassRequest }
+// Class and Policy implement transport.Message.
+func (m *RequestMsg) Class() transport.Class   { return transport.ClassRequest }
+func (m *RequestMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
 // deliver: a peer (or a client gateway) forwarded a signed submission; it
 // goes through the same authenticated admission as SubmitSigned.
@@ -526,7 +534,7 @@ func (m *RequestMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) 
 // for the executed block, which Suite.VerifyShare checks like any other. A
 // client accepts once f+1 replicas report matching (SN, Result) — at least
 // one is honest, so the result is the committed one. Replies are small and
-// latency-sensitive: they travel the control lane (ClassAck is not bulk).
+// latency-sensitive: they travel the control lane.
 type ReplyMsg struct {
 	Client uint64
 	Seq    uint64
@@ -550,8 +558,9 @@ func (m *ReplyMsg) wire(c codec.Coder) {
 // accounting does not undercount replies.
 func (m *ReplyMsg) WireSize() int { return hdrSize + 24 + hashSize + 8 + len(m.Share.Sig) }
 
-// Class implements transport.Message.
-func (m *ReplyMsg) Class() transport.Class { return transport.ClassAck }
+// Class and Policy implement transport.Message.
+func (m *ReplyMsg) Class() transport.Class   { return transport.ClassAck }
+func (m *ReplyMsg) Policy() transport.Policy { return transport.PolicyControl }
 
 // deliver does nothing: replies travel replica to client, and a replica that
 // is sent one ignores it.
@@ -581,13 +590,10 @@ func (m *NewViewMsg) WireSize() int {
 	return s
 }
 
-// Class implements transport.Message.
-func (m *NewViewMsg) Class() transport.Class { return transport.ClassViewChange }
+// Class and Policy implement transport.Message, as for ViewChangeMsg.
+func (m *NewViewMsg) Class() transport.Class   { return transport.ClassViewChange }
+func (m *NewViewMsg) Policy() transport.Policy { return transport.PolicyControlCharged }
 
 func (m *NewViewMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
 	n.handleNewView(from, m, out)
 }
-
-// CarriesPayload implements transport.PayloadCarrier: new-view messages
-// embed 2f+1 view-change messages (O(n) of them at O(n) size each).
-func (m *NewViewMsg) CarriesPayload() bool { return true }

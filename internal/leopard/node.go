@@ -167,6 +167,7 @@ type Stats struct {
 	StateReqsServed    int64        // state-transfer responses sent to peers
 	StateRespsReceived int64        // state-transfer responses received
 	StateBlocksApplied int64        // blocks applied via state transfer
+	SkippedBlocks      int64        // blocks jumped over by adopting a checkpoint, never executed here
 	WALErrors          int64        // persistence failures (append/meta/reset)
 	// WALFailed reports the fail-stop state: the store's backing medium
 	// has a sticky write/fsync failure, so the replica has stopped voting

@@ -428,10 +428,13 @@ func (n *Node) handleStateResp(from types.ReplicaID, m *StateRespMsg, out transp
 // checkpoint it cannot reach by replay: executedTo and the execution chain
 // hash snap to the certificate, the WAL resets to the new anchor, and the
 // watermark machinery garbage-collects everything below. Blocks skipped by
-// the jump are never executed locally — the quorum certificate stands in
-// for them (applications needing full state need snapshot transfer; see
+// the jump are never executed locally (Stats.SkippedBlocks counts them) —
+// the quorum certificate stands in for them (applications needing full state need snapshot transfer; see
 // ROADMAP).
 func (n *Node) adoptCheckpoint(cp *CheckpointProofMsg) {
+	if cp.Seq > n.executedTo {
+		n.stats.SkippedBlocks += int64(cp.Seq - n.executedTo)
+	}
 	n.executedTo = cp.Seq
 	n.execState = cp.StateHash
 	if cp.Seq > n.maxConfirmed {

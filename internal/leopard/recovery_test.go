@@ -391,6 +391,9 @@ func TestOwnDatablocksReleasedHoweverTheirBlockSettles(t *testing.T) {
 				t.Fatalf("healed replica executed %d of %d blocks (checkpoint %d): jumped %v, want %v",
 					st.ExecutedBlocks, cluster, st.LastCheckpointSeq, jumped, tc.wantJump)
 			}
+			if got, want := st.SkippedBlocks, int64(cluster)-st.ExecutedBlocks; got != want {
+				t.Fatalf("healed replica counted %d skipped blocks, want %d (executed %d of %d)", got, want, st.ExecutedBlocks, cluster)
+			}
 
 			if got := healed.OwnOutstanding(); got != 0 {
 				t.Fatalf("healed replica still holds %d of its own datablocks, all long executed", got)

@@ -62,6 +62,13 @@ func TestSmokeConfirmsRequests(t *testing.T) {
 	if res.Confirmed == 0 {
 		t.Fatalf("no requests confirmed in %v", res.Elapsed)
 	}
+	// Fault-free, every replica executes every block itself: none may
+	// reach its height by an anchor jump.
+	for _, r := range cluster.Replicas {
+		if st := r.(*leopard.Node).Stats(); st.SkippedBlocks != 0 || st.ExecutedBlocks == 0 {
+			t.Errorf("replica %d skipped %d blocks and executed %d", r.ID(), st.SkippedBlocks, st.ExecutedBlocks)
+		}
+	}
 	t.Logf("n=4 confirmed=%d throughput=%.0f req/s meanLat=%v", res.Confirmed, res.Throughput, res.MeanLat)
 }
 

@@ -191,11 +191,7 @@ func (n *Node) startViewChange(target types.View, out transport.Sink) {
 		n.collectViewChange(n.cfg.ID, msg, out)
 		return
 	}
-	// View-change messages are payload carriers (they embed notarized
-	// block headers, so the receiver's CPU stage charges them), but they
-	// are the recovery path's critical traffic: pin them to the control
-	// lane so they overtake queued datablock transfers.
-	out.Send(transport.Envelope{To: newLeader, Msg: msg, Lane: transport.LaneControl})
+	out.Send(transport.Unicast(newLeader, msg))
 }
 
 // buildViewChangeMsg assembles <view-change, v+1, lc, B> (Appendix A). B is
@@ -296,9 +292,7 @@ func (n *Node) collectViewChange(from types.ReplicaID, m *ViewChangeMsg, out tra
 		return
 	}
 	nv.Share = share
-	// Same lane override as the view-change message: the new-view
-	// announcement must not queue behind bulk backlog.
-	out.Send(transport.Envelope{Broadcast: true, Msg: nv, Lane: transport.LaneControl})
+	out.Broadcast(nv)
 	n.enterNewView(nv, out)
 }
 

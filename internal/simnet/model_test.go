@@ -35,8 +35,8 @@ func TestProcessingStageSkipsControl(t *testing.T) {
 	cfg := Config{EgressBps: 8e9, IngressBps: 8e9, ProcBps: 8e3} // proc crawls
 	net, nodes := newTestNet(t, cfg, 2)
 	nodes[0].onStart = []transport.Envelope{
-		transport.Unicast(1, &testMsg{size: 1000, tag: 1}),                            // bulk: 1s proc
-		transport.Unicast(1, &testMsg{size: 100, tag: 2, class: transport.ClassVote}), // control
+		transport.Unicast(1, &testMsg{size: 1000, tag: 1}),               // bulk: 1s proc
+		transport.Unicast(1, &testMsg{size: 100, tag: 2, control: true}), // control
 	}
 	net.Start()
 	net.Run(5 * time.Second)

@@ -464,17 +464,17 @@ func (n *Network) rates(to types.ReplicaID) (txRate, rxRate float64) {
 	return txRate, rxRate
 }
 
-// procDone charges the receiver's CPU stage for a bulk message and returns
-// the delivery time. Only payload-bearing bulk classes are charged —
-// deserializing and hashing request bytes is what saturates the paper's
-// 4-vCPU replicas, while votes and proofs are small and handled
-// out-of-band (separate connections/cores), so modeling them through the
-// same FIFO would add a priority inversion real systems do not have. This
-// keys on the message itself (IsBulk), not the scheduling lane: re-laning
-// a bulk message onto the control lane expedites its transmission but
-// cannot waive its CPU cost.
+// procDone charges the receiver's CPU stage for a message whose Policy is
+// charged and returns the delivery time. Deserializing and hashing request
+// bytes is what saturates the paper's 4-vCPU replicas, while votes, proofs
+// and queries are small and handled out-of-band (separate
+// connections/cores), so modeling them through the same FIFO would add a
+// priority inversion real systems do not have: a retrieval query would
+// wait behind the very datablock backlog it asks about. The charge is
+// independent of the lane, so view-change messages ride control and are
+// still charged.
 func (n *Network) procDone(to types.ReplicaID, msg transport.Message, size int, rxDone time.Duration) time.Duration {
-	if n.cfg.ProcBps <= 0 || !transport.IsBulk(msg) {
+	if n.cfg.ProcBps <= 0 || !msg.Policy().Charged() {
 		return rxDone
 	}
 	pStart := n.proc[to]
@@ -504,12 +504,12 @@ func (n *Network) arrival(from, to types.ReplicaID, txDone time.Duration) time.D
 	return arrive
 }
 
-// send routes one unicast message through the bandwidth model. The lane
-// decides pipe scheduling: control-lane messages are booked at once and
-// preempt queued bulk on both the egress and ingress pipes; bulk-lane
-// messages enter the pair's credit-streamed flow, which books them chunk
-// by chunk (and counts them as sent as it does).
-func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane transport.Lane) {
+// send routes one unicast message through the bandwidth model. The
+// message's lane decides pipe scheduling: control-lane messages are booked
+// at once and preempt queued bulk on both the egress and ingress pipes;
+// bulk-lane messages enter the pair's credit-streamed flow, which books
+// them chunk by chunk (and counts them as sent as it does).
+func (n *Network) send(from, to types.ReplicaID, msg transport.Message) {
 	if int(to) >= len(n.nodes) || from == to {
 		return
 	}
@@ -530,7 +530,7 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane tra
 		msg = decoded
 	}
 	size := msg.WireSize()
-	if lane == transport.LaneBulk {
+	if msg.Policy().Lane() == transport.LaneBulk {
 		n.flowEnqueue(from, to, msg, size)
 		return
 	}
@@ -729,7 +729,6 @@ func (n *Network) dispatch(from types.ReplicaID, env transport.Envelope) {
 	if env.Msg == nil {
 		return
 	}
-	lane := env.EffectiveLane()
 	deliverTo := func(to types.ReplicaID) {
 		if n.filter != nil && !n.filter(n.now, from, to, env.Msg) {
 			return
@@ -737,7 +736,7 @@ func (n *Network) dispatch(from types.ReplicaID, env transport.Envelope) {
 		if n.observer != nil {
 			n.observer(n.now, from, to, env.Msg)
 		}
-		n.send(from, to, env.Msg, lane)
+		n.send(from, to, env.Msg)
 	}
 	if env.Broadcast {
 		for id := range n.nodes {

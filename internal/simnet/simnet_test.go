@@ -9,21 +9,27 @@ import (
 	"leopard/internal/types"
 )
 
-// testMsg is a sized message for transport tests. It defaults to the bulk
-// datablock class so bandwidth-queue tests exercise FIFO behaviour; set
-// class for control-message (priority) behaviour.
+// testMsg is a sized message for transport tests. It defaults to a bulk,
+// charged datablock so bandwidth-queue tests exercise FIFO behaviour; set
+// control for an uncharged control-lane vote (priority behaviour).
 type testMsg struct {
-	size  int
-	tag   int
-	class transport.Class
+	size    int
+	tag     int
+	control bool
 }
 
 func (m *testMsg) WireSize() int { return m.size }
 func (m *testMsg) Class() transport.Class {
-	if m.class != 0 {
-		return m.class
+	if m.control {
+		return transport.ClassVote
 	}
 	return transport.ClassDatablock
+}
+func (m *testMsg) Policy() transport.Policy {
+	if m.control {
+		return transport.PolicyControl
+	}
+	return transport.PolicyBulk
 }
 
 // echoNode records deliveries and can send on start or tick.
@@ -45,8 +51,11 @@ func (n *echoNode) Start(now time.Duration, out transport.Sink) {
 	}
 }
 func (n *echoNode) Deliver(now time.Duration, from types.ReplicaID, msg transport.Message, out transport.Sink) {
-	m := msg.(*testMsg)
-	n.got = append(n.got, m.tag)
+	tag := -1 // not a testMsg: read it from gotMsgs
+	if m, ok := msg.(*testMsg); ok {
+		tag = m.tag
+	}
+	n.got = append(n.got, tag)
 	n.gotAt = append(n.gotAt, now)
 	n.gotFrom = append(n.gotFrom, from)
 	n.gotMsgs = append(n.gotMsgs, msg)
@@ -157,7 +166,7 @@ func TestControlTrafficPreemptsBulk(t *testing.T) {
 	net, nodes := newTestNet(t, cfg, 2)
 	nodes[0].onStart = []transport.Envelope{
 		transport.Unicast(1, &testMsg{size: 1000000, tag: 1}), // 1s of bulk
-		transport.Unicast(1, &testMsg{size: 100, tag: 2, class: transport.ClassVote}),
+		transport.Unicast(1, &testMsg{size: 100, tag: 2, control: true}),
 	}
 	net.Start()
 	net.Run(5 * time.Second)
@@ -201,7 +210,7 @@ func TestCrashAndRestart(t *testing.T) {
 	net.Start()
 	net.Crash(1)
 	net.ScheduleCall(10*time.Millisecond, func(now time.Duration) {
-		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 1, class: transport.ClassVote}))
+		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 1, control: true}))
 		net.dispatch(0, transport.Unicast(1, &testMsg{size: 10, tag: 2}))
 	})
 	net.Run(20 * time.Millisecond)
@@ -318,14 +327,18 @@ type testMsgCodec struct{ failDecode bool }
 
 func (c testMsgCodec) Encode(m transport.Message) ([]byte, error) {
 	t := m.(*testMsg)
-	return []byte{byte(t.size >> 8), byte(t.size), byte(t.tag), byte(t.class)}, nil
+	var control byte
+	if t.control {
+		control = 1
+	}
+	return []byte{byte(t.size >> 8), byte(t.size), byte(t.tag), control}, nil
 }
 
 func (c testMsgCodec) Decode(buf []byte) (transport.Message, error) {
 	if c.failDecode {
 		return nil, fmt.Errorf("testMsgCodec: rejected")
 	}
-	return &testMsg{size: int(buf[0])<<8 | int(buf[1]), tag: int(buf[2]), class: transport.Class(buf[3])}, nil
+	return &testMsg{size: int(buf[0])<<8 | int(buf[1]), tag: int(buf[2]), control: buf[3] == 1}, nil
 }
 
 func TestWireFidelityDeliversDecodedMessage(t *testing.T) {

@@ -142,7 +142,7 @@ func TestCreditControlStillPreempts(t *testing.T) {
 	net, nodes := newTestNet(t, cfg, 2)
 	nodes[0].onStart = []transport.Envelope{
 		transport.Unicast(1, &testMsg{size: 1000000, tag: 1}), // ~1s of bulk
-		transport.Unicast(1, &testMsg{size: 100, tag: 2, class: transport.ClassVote}),
+		transport.Unicast(1, &testMsg{size: 100, tag: 2, control: true}),
 	}
 	net.Start()
 	net.Run(5 * time.Second)

@@ -273,6 +273,7 @@ const CreditWireSize = 4 + 1 + 4 + 8
 // WireSize implements Message.
 func (m *CreditMsg) WireSize() int { return CreditWireSize }
 
-// Class implements Message. Credit grants are transport control traffic;
-// they ride the control lane and are accounted under ClassMisc.
-func (m *CreditMsg) Class() Class { return ClassMisc }
+// Class and Policy implement Message. Credit grants are transport control
+// traffic; they ride the control lane and are accounted under ClassMisc.
+func (m *CreditMsg) Class() Class   { return ClassMisc }
+func (m *CreditMsg) Policy() Policy { return PolicyControl }

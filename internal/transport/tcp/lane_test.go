@@ -15,15 +15,16 @@ import (
 	"leopard/internal/types"
 )
 
-// laneMsg is a sized, tagged message whose class selects its lane.
+// laneMsg is a sized, tagged message whose policy selects its lane.
 type laneMsg struct {
-	tag   byte
-	class transport.Class
-	size  int
+	tag    byte
+	policy transport.Policy
+	size   int
 }
 
-func (m *laneMsg) WireSize() int          { return m.size }
-func (m *laneMsg) Class() transport.Class { return m.class }
+func (m *laneMsg) WireSize() int            { return m.size }
+func (m *laneMsg) Class() transport.Class   { return transport.ClassMisc }
+func (m *laneMsg) Policy() transport.Policy { return m.policy }
 
 // laneCodec round-trips laneMsg through 2-byte frames.
 type laneCodec struct{}
@@ -33,14 +34,14 @@ func (laneCodec) Encode(msg transport.Message) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("laneCodec: unexpected %T", msg)
 	}
-	return []byte{m.tag, byte(m.class)}, nil
+	return []byte{m.tag, byte(m.policy)}, nil
 }
 
 func (laneCodec) Decode(buf []byte) (transport.Message, error) {
 	if len(buf) != 2 {
 		return nil, fmt.Errorf("laneCodec: bad frame")
 	}
-	return &laneMsg{tag: buf[0], class: transport.Class(buf[1])}, nil
+	return &laneMsg{tag: buf[0], policy: transport.Policy(buf[1])}, nil
 }
 
 // idleNode is a transport.Node that never emits on its own.
@@ -86,9 +87,9 @@ func runLaneOrder(t *testing.T) []byte {
 	// Peer 1 is down: the send loop dequeues the first frame and spins in
 	// dial retries, so everything enqueued next is demonstrably in-queue.
 	err = rt.Inject(func(now time.Duration, out transport.Sink) {
-		out.Send(transport.Unicast(1, &laneMsg{tag: 'A', class: transport.ClassDatablock}))
-		out.Send(transport.Unicast(1, &laneMsg{tag: 'B', class: transport.ClassDatablock}))
-		out.Send(transport.Unicast(1, &laneMsg{tag: 'C', class: transport.ClassVote}))
+		out.Send(transport.Unicast(1, &laneMsg{tag: 'A', policy: transport.PolicyBulk}))
+		out.Send(transport.Unicast(1, &laneMsg{tag: 'B', policy: transport.PolicyBulk}))
+		out.Send(transport.Unicast(1, &laneMsg{tag: 'C', policy: transport.PolicyControl}))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,10 @@
 //
 // Outbound traffic is scheduled in two lanes per peer, mirroring the
 // transport.Sink contract: the control lane (votes, proofs, proposals,
-// view-change, checkpoint) is transmitted strictly ahead of the bulk lane
-// (datablocks, retrieval transfers), so a queued multi-MiB datablock can
-// never head-of-line-block the metadata consensus path.
+// view-change, checkpoint, retrieval queries) is transmitted strictly ahead
+// of the bulk lane (datablocks, retrieval responses), so a queued multi-MiB
+// datablock can never head-of-line-block the metadata consensus path. Each
+// message's type picks its lane (transport.Policy).
 //
 // The bulk lane streams: every bulk frame becomes a stream, large frames
 // are split into fixed-size chunks (transport.StreamHeader), and the
@@ -441,7 +442,7 @@ func (r *Runtime) emit(env transport.Envelope) {
 		// recover.
 		return
 	}
-	lane := env.EffectiveLane()
+	lane := env.Msg.Policy().Lane()
 	var body []byte
 	if lane != transport.LaneBulk {
 		// Whole-message wire body, shared read-only across the fan-out.

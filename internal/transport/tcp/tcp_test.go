@@ -148,7 +148,7 @@ type helloNode struct {
 }
 
 func (n *helloNode) Start(now time.Duration, out transport.Sink) {
-	out.Send(transport.Unicast(n.peer, &laneMsg{tag: 'h', class: transport.ClassVote}))
+	out.Send(transport.Unicast(n.peer, &laneMsg{tag: 'h', policy: transport.PolicyControl}))
 }
 
 func (n *helloNode) Deliver(time.Duration, types.ReplicaID, transport.Message, transport.Sink) {

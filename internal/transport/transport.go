@@ -8,8 +8,8 @@
 // returned a []Envelope slice — the push model eliminates the per-event
 // slice churn, lets a transport start transmitting the first envelope
 // before the handler finishes, and gives the transport an explicit
-// scheduling signal per envelope (its Lane) instead of one undifferentiated
-// queue.
+// scheduling signal per envelope (its message's lane) instead of one
+// undifferentiated queue.
 //
 // # Sink contract
 //
@@ -52,15 +52,16 @@
 // # Lanes
 //
 // Every envelope travels in one of two outbound lanes. LaneControl carries
-// the metadata consensus path — votes, proofs, view-change, checkpoint and
-// other small messages whose latency bounds agreement progress. LaneBulk
-// carries datablock dissemination and retrieval transfers — the large
-// payloads whose throughput the paper's design offloads from the critical
-// path. Transports schedule LaneControl strictly ahead of LaneBulk so a
-// multi-MiB datablock transfer can never head-of-line-block a 100-byte
-// vote; this is the transport-level mirror of Leopard's separation of
-// metadata consensus from data dissemination. The lane is derived from the
-// message class (LaneFor) unless the envelope overrides it.
+// the metadata consensus path — votes, proofs, view-change, checkpoint,
+// retrieval queries and other small messages whose latency bounds
+// agreement progress. LaneBulk carries datablock dissemination and
+// retrieval responses — the large payloads whose throughput the paper's
+// design offloads from the critical path. Transports schedule LaneControl
+// strictly ahead of LaneBulk so a multi-MiB datablock transfer can never
+// head-of-line-block a 100-byte vote, or a query for the very data queued
+// ahead of it; this is the transport-level mirror of Leopard's separation
+// of metadata consensus from data dissemination. Each message type
+// declares its lane once, in its Policy; nothing else picks one.
 //
 // # Determinism
 //
@@ -140,11 +141,42 @@ const NumClasses = int(ClassState) + 1
 // under and 7 bytes over the frame leopard.EncodeMessage produces on the
 // fuzz seeds (TestWireGolden records both numbers for every kind); making it
 // exact moves every simulated byte count and belongs to the simulator's
-// calibration.
+// calibration. Class is the accounting label; Policy, one constant per
+// message type, is how the message travels.
 type Message interface {
 	WireSize() int
 	Class() Class
+	Policy() Policy
 }
+
+// Policy is a message type's traffic policy: its lane, and whether a
+// network model's CPU stage (simnet's ProcBps) charges its bytes to the
+// receiver. Only bytes a replica must deserialize and hash are charged;
+// small control messages are handled out of band, as in real replicas.
+type Policy uint8
+
+const (
+	// PolicyControl is the control lane, uncharged: votes, proofs,
+	// proposals, checkpoints, timeouts, queries, credit grants.
+	PolicyControl Policy = iota
+	// PolicyControlCharged is the control lane, charged: view-change and
+	// new-view messages, urgent but embedding notarized blocks.
+	PolicyControlCharged
+	// PolicyBulk is the bulk lane, charged: request payloads — datablocks,
+	// retrieval responses, submissions, state-transfer responses.
+	PolicyBulk
+)
+
+// Lane returns the lane the policy's messages ride.
+func (p Policy) Lane() Lane {
+	if p == PolicyBulk {
+		return LaneBulk
+	}
+	return LaneControl
+}
+
+// Charged reports whether the receiver's CPU stage charges the bytes.
+func (p Policy) Charged() bool { return p != PolicyControl }
 
 // Codec converts protocol messages to and from wire frames. It is shared
 // by the TCP transport (real frames) and the simulator's wire-fidelity mode
@@ -162,41 +194,14 @@ type Codec interface {
 	Decode([]byte) (Message, error)
 }
 
-// PayloadCarrier is implemented by messages that carry bulk request
-// payloads. Network models with a CPU/processing stage charge only these
-// through the bulk lane; small control messages (votes, proofs, hash-only
-// proposals) are handled out-of-band, as in real multi-threaded replicas.
-type PayloadCarrier interface {
-	CarriesPayload() bool
-}
-
-// IsBulk reports whether msg carries bulk payload bytes: datablocks,
-// retrieval transfers and raw request submissions always do; other messages
-// only if they declare themselves payload carriers. It drives both the
-// default lane classification (LaneFor) and the simulator's CPU-stage
-// charging.
-func IsBulk(msg Message) bool {
-	switch msg.Class() {
-	case ClassDatablock, ClassRetrieval, ClassRequest:
-		return true
-	}
-	if pc, ok := msg.(PayloadCarrier); ok {
-		return pc.CarriesPayload()
-	}
-	return false
-}
-
 // Lane is an outbound scheduling class. Transports transmit LaneControl
 // envelopes strictly ahead of LaneBulk envelopes queued to the same peer.
 type Lane uint8
 
 const (
-	// LaneAuto (the zero value) resolves to LaneFor(env.Msg): bulk classes
-	// ride the bulk lane, everything else the control lane.
-	LaneAuto Lane = iota
 	// LaneControl is the metadata consensus path: votes, proofs, proposals,
-	// view-change, checkpoint. Scheduled ahead of bulk.
-	LaneControl
+	// view-change, checkpoint, retrieval queries. Scheduled ahead of bulk.
+	LaneControl Lane = iota
 	// LaneBulk is datablock dissemination and retrieval transfers:
 	// streamed in chunks under credit-based per-peer flow control, parked
 	// (not dropped) at zero credit, evicted only when the park budget
@@ -207,8 +212,6 @@ const (
 // String implements fmt.Stringer.
 func (l Lane) String() string {
 	switch l {
-	case LaneAuto:
-		return "auto"
 	case LaneControl:
 		return "control"
 	case LaneBulk:
@@ -218,35 +221,12 @@ func (l Lane) String() string {
 	}
 }
 
-// LaneFor derives the default lane of a message from its class.
-func LaneFor(msg Message) Lane {
-	if IsBulk(msg) {
-		return LaneBulk
-	}
-	return LaneControl
-}
-
 // Envelope is an outbound message. If Broadcast is set the message goes to
 // every replica except the sender; otherwise it goes to To.
 type Envelope struct {
 	To        types.ReplicaID
 	Broadcast bool
 	Msg       Message
-	// Lane overrides the outbound scheduling lane. LaneAuto (the zero
-	// value) derives it from the message class via LaneFor; a node can pin
-	// a normally-bulk message onto the control lane (or vice versa) when
-	// its urgency differs from its class — e.g. a tiny redo datablock that
-	// unblocks a view change.
-	Lane Lane
-}
-
-// EffectiveLane resolves the envelope's scheduling lane, applying the
-// LaneAuto default.
-func (e Envelope) EffectiveLane() Lane {
-	if e.Lane != LaneAuto {
-		return e.Lane
-	}
-	return LaneFor(e.Msg)
 }
 
 // Unicast builds a single-destination envelope.
