@@ -194,15 +194,16 @@ type Codec interface {
 	Decode([]byte) (Message, error)
 }
 
-// Lane is an outbound scheduling class. Transports transmit LaneControl
-// envelopes strictly ahead of LaneBulk envelopes queued to the same peer.
+// Lane is an outbound scheduling class, fixed per message type by its
+// Policy. Transports transmit LaneControl envelopes strictly ahead of
+// LaneBulk envelopes queued to the same peer.
 type Lane uint8
 
 const (
 	// LaneControl is the metadata consensus path: votes, proofs, proposals,
 	// view-change, checkpoint, retrieval queries. Scheduled ahead of bulk.
 	LaneControl Lane = iota
-	// LaneBulk is datablock dissemination and retrieval transfers:
+	// LaneBulk is datablock dissemination and retrieval responses:
 	// streamed in chunks under credit-based per-peer flow control, parked
 	// (not dropped) at zero credit, evicted only when the park budget
 	// fills (the protocol recovers).
