@@ -10,10 +10,9 @@
 //
 // A message or record does not have an encoder and a decoder: it has one
 // field walk over a Coder (coder.go), which the Writer and the Reader below
-// both back. The datablock, BFTblock and request layouts keep their
-// Marshal/Unmarshal pairs here — retrieval hashes and erasure-codes exactly
-// those bytes — and a walk embeds them through Coder.Datablock, BFTblock and
-// Request.
+// both back. The datablock, BFTblock and request layouts are walks too
+// (Coder.Datablock, BFTblock and Request), so the bytes retrieval hashes and
+// erasure-codes are the bytes every message embeds.
 //
 // # Frame ownership and borrow mode
 //
@@ -239,131 +238,22 @@ func (r *Reader) Hash() types.Hash {
 	return h
 }
 
-// MarshalRequest encodes one request.
-func MarshalRequest(w *Writer, req types.Request) {
-	w.U64(req.ClientID)
-	w.U64(req.Seq)
-	w.Bytes(req.Payload)
-}
-
-// UnmarshalRequest decodes one request.
-func UnmarshalRequest(r *Reader) types.Request {
-	return types.Request{
-		ClientID: r.U64(),
-		Seq:      r.U64(),
-		Payload:  r.Bytes(),
-	}
-}
-
-// MarshalDatablock encodes a datablock to bytes. The encoding is canonical:
-// equal datablocks produce equal bytes.
+// MarshalDatablock returns a datablock's encoding, the Coder.Datablock
+// walk. The encoding is canonical: equal datablocks produce equal bytes.
 func MarshalDatablock(d *types.Datablock) []byte {
-	w := &Writer{Buf: make([]byte, 0, d.Size()+16)}
-	MarshalDatablockTo(w, d)
-	return w.Buf
+	return Encode(nil, func(c Coder) { c.Datablock(&d) })
 }
 
-// MarshalDatablockTo appends the canonical datablock encoding to w,
-// letting callers reuse a pooled Writer instead of allocating per block.
-func MarshalDatablockTo(w *Writer, d *types.Datablock) {
-	w.U32(uint32(d.Ref.Generator))
-	w.U64(d.Ref.Counter)
-	w.U32(uint32(len(d.Requests)))
-	for _, req := range d.Requests {
-		MarshalRequest(w, req)
-	}
-}
-
-// UnmarshalDatablock decodes a datablock, copying request payloads out of
-// buf. The whole of buf must be consumed: trailing bytes are rejected, so
-// the encoding stays canonical (one datablock, one byte string).
-func UnmarshalDatablock(buf []byte) (*types.Datablock, error) {
-	return unmarshalDatablock(&Reader{Buf: buf})
-}
-
-// UnmarshalDatablockBorrowed decodes a datablock whose request payloads
-// sub-slice buf: ownership of buf transfers to the returned block, per the
-// package ownership contract. Like UnmarshalDatablock it rejects trailing
-// bytes.
+// UnmarshalDatablockBorrowed decodes the whole of buf as one datablock
+// whose request payloads sub-slice buf: ownership of buf transfers to the
+// returned block, per the package ownership contract. Trailing bytes are
+// rejected, so the encoding stays canonical.
 func UnmarshalDatablockBorrowed(buf []byte) (*types.Datablock, error) {
-	return unmarshalDatablock(&Reader{Buf: buf, Borrow: true})
-}
-
-func unmarshalDatablock(r *Reader) (*types.Datablock, error) {
-	d, err := UnmarshalDatablockFrom(r)
-	if err != nil {
-		return nil, err
-	}
+	var d *types.Datablock
+	r := &Reader{Buf: buf, Borrow: true}
+	Decoder(r).Datablock(&d)
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// UnmarshalDatablockFrom decodes a datablock from r in r's mode, without a
-// trailing-bytes check (the datablock may be embedded in a larger frame
-// whose decoder performs the terminal Finish).
-func UnmarshalDatablockFrom(r *Reader) (*types.Datablock, error) {
-	d := &types.Datablock{}
-	d.Ref.Generator = types.ReplicaID(r.U32())
-	d.Ref.Counter = r.U64()
-	count := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if count < 0 || count > MaxElements { // < 0: 32-bit int(uint32) wrap
-		return nil, fmt.Errorf("%w: %d requests", ErrOversize, uint32(count))
-	}
-	// A request occupies at least 20 bytes on the wire; capping the
-	// pre-allocation by what the buffer could possibly hold keeps a lying
-	// count from forcing a huge allocation before truncation is detected.
-	capHint := count
-	if most := r.Remaining() / 20; capHint > most {
-		capHint = most
-	}
-	d.Requests = make([]types.Request, 0, capHint)
-	for i := 0; i < count && r.Err() == nil; i++ {
-		d.Requests = append(d.Requests, UnmarshalRequest(r))
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return d, nil
-}
-
-// MarshalBFTblock encodes a BFTblock.
-func MarshalBFTblock(w *Writer, b *types.BFTblock) {
-	w.U64(uint64(b.View))
-	w.U64(uint64(b.Seq))
-	w.U32(uint32(len(b.Content)))
-	for _, h := range b.Content {
-		w.Hash(h)
-	}
-}
-
-// UnmarshalBFTblock decodes a BFTblock.
-func UnmarshalBFTblock(r *Reader) (*types.BFTblock, error) {
-	b := &types.BFTblock{
-		View: types.View(r.U64()),
-		Seq:  types.SeqNum(r.U64()),
-	}
-	count := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if count < 0 || count > MaxElements { // < 0: 32-bit int(uint32) wrap
-		return nil, fmt.Errorf("%w: %d links", ErrOversize, uint32(count))
-	}
-	capHint := count
-	if most := r.Remaining() / 32; capHint > most {
-		capHint = most
-	}
-	b.Content = make([]types.Hash, 0, capHint)
-	for i := 0; i < count && r.Err() == nil; i++ {
-		b.Content = append(b.Content, r.Hash())
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return b, nil
 }

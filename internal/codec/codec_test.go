@@ -143,6 +143,28 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// decodeDatablock decodes the whole of buf as one datablock, copying its
+// payloads out.
+func decodeDatablock(buf []byte) (*types.Datablock, error) {
+	var d *types.Datablock
+	if err := Decode(buf, func(c Coder) { c.Datablock(&d) }); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+func encodeBFTblock(b *types.BFTblock) []byte {
+	return Encode(nil, func(c Coder) { c.BFTblock(&b) })
+}
+
+func decodeBFTblock(buf []byte) (*types.BFTblock, error) {
+	var b *types.BFTblock
+	if err := Decode(buf, func(c Coder) { c.BFTblock(&b) }); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 func TestDatablockRoundTrip(t *testing.T) {
 	db := &types.Datablock{
 		Ref: types.DatablockRef{Generator: 9, Counter: 42},
@@ -153,7 +175,7 @@ func TestDatablockRoundTrip(t *testing.T) {
 		},
 	}
 	buf := MarshalDatablock(db)
-	got, err := UnmarshalDatablock(buf)
+	got, err := decodeDatablock(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +208,7 @@ func TestDatablockTruncated(t *testing.T) {
 	}
 	buf := MarshalDatablock(db)
 	for cut := 1; cut < len(buf); cut += 3 {
-		if _, err := UnmarshalDatablock(buf[:cut]); err == nil {
+		if _, err := decodeDatablock(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -200,7 +222,7 @@ func TestDatablockTrailingGarbageRejected(t *testing.T) {
 		Requests: []types.Request{{ClientID: 5, Seq: 6, Payload: []byte("xyz")}},
 	}
 	buf := append(MarshalDatablock(db), 0x00)
-	if _, err := UnmarshalDatablock(buf); !errors.Is(err, ErrTrailing) {
+	if _, err := decodeDatablock(buf); !errors.Is(err, ErrTrailing) {
 		t.Errorf("copying decode: want ErrTrailing, got %v", err)
 	}
 	if _, err := UnmarshalDatablockBorrowed(buf); !errors.Is(err, ErrTrailing) {
@@ -227,7 +249,7 @@ func TestDatablockBorrowedAliasesInput(t *testing.T) {
 		t.Error("borrowed payload must sub-slice the input buffer")
 	}
 
-	copied, err := UnmarshalDatablock(buf)
+	copied, err := decodeDatablock(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +264,7 @@ func TestDatablockBorrowedAliasesInput(t *testing.T) {
 
 func TestBFTblockRoundTrip(t *testing.T) {
 	b := &types.BFTblock{View: 3, Seq: 99, Content: []types.Hash{{1}, {2}, {3}}}
-	w := &Writer{}
-	MarshalBFTblock(w, b)
-	got, err := UnmarshalBFTblock(&Reader{Buf: w.Buf})
+	got, err := decodeBFTblock(encodeBFTblock(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +275,7 @@ func TestBFTblockRoundTrip(t *testing.T) {
 
 func TestBFTblockEmptyContent(t *testing.T) {
 	b := &types.BFTblock{View: 1, Seq: 1}
-	w := &Writer{}
-	MarshalBFTblock(w, b)
-	got, err := UnmarshalBFTblock(&Reader{Buf: w.Buf})
+	got, err := decodeBFTblock(encodeBFTblock(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +291,7 @@ func TestPropertyDatablockRoundTrip(t *testing.T) {
 		for i, p := range payloads {
 			db.Requests = append(db.Requests, types.Request{ClientID: uint64(i), Seq: counter, Payload: p})
 		}
-		got, err := UnmarshalDatablock(MarshalDatablock(db))
+		got, err := decodeDatablock(MarshalDatablock(db))
 		if err != nil {
 			return false
 		}
@@ -296,8 +314,9 @@ func TestPropertyDatablockRoundTrip(t *testing.T) {
 // error or succeed but never panic.
 func TestPropertyGarbageInput(t *testing.T) {
 	check := func(data []byte) bool {
-		_, _ = UnmarshalDatablock(data)
-		_, _ = UnmarshalBFTblock(&Reader{Buf: data})
+		_, _ = decodeDatablock(data)
+		_, _ = UnmarshalDatablockBorrowed(data)
+		_, _ = decodeBFTblock(data)
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {

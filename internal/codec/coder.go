@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"leopard/internal/types"
 )
@@ -182,16 +183,19 @@ func (c Coder) Bool(b *bool) {
 	}
 }
 
-// sliceReserve is how many elements Slice makes room for as soon as it has
-// read a count: enough that the short sequences of the hot messages (a
-// Merkle proof's steps, a query's digests) are one allocation, small enough
-// that a lying count buys an adversary nothing.
+// sliceReserve is how many elements Slice may make room for as soon as it
+// has read a count, whatever the frame holds: enough that the short
+// sequences of the hot messages (a Merkle proof's steps, a query's digests)
+// are one allocation, small enough that a lying count buys an adversary
+// nothing.
 const sliceReserve = 64
 
 // Slice walks a uint32 element count followed by the elements. Decoding
-// rejects a count above limit before allocating anything, reserves at most
-// sliceReserve elements ahead of the bytes that back them, and stops at the
-// first element that fails; a zero count leaves the slice nil.
+// rejects a count above limit before allocating anything, then reserves
+// the count's elements, but no more memory than the frame has bytes left
+// (and at least sliceReserve elements), so a datablock's requests are one
+// allocation and a lying count is not. It stops at the first element that
+// fails; a zero count leaves the slice nil.
 func Slice[T any](c Coder, s *[]T, limit int, elem func(Coder, *T)) {
 	if c.r == nil {
 		c.w.U32(uint32(len(*s)))
@@ -205,11 +209,12 @@ func Slice[T any](c Coder, s *[]T, limit int, elem func(Coder, *T)) {
 		c.r.Fail(fmt.Errorf("%w: %d elements, at most %d allowed", ErrOversize, uint32(n), limit))
 		return
 	}
+	var zero T
 	if n > 0 {
-		*s = make([]T, 0, min(n, sliceReserve))
+		fits := c.r.Remaining() / max(1, int(unsafe.Sizeof(zero)))
+		*s = make([]T, 0, min(n, max(sliceReserve, fits)))
 	}
 	for i := 0; i < n && c.r.err == nil; i++ {
-		var zero T
 		*s = append(*s, zero)
 		elem(c, &(*s)[i])
 	}
@@ -229,36 +234,34 @@ func Opt[T any](c Coder, p **T, elem func(Coder, *T)) {
 	elem(c, *p)
 }
 
-// Datablock walks a datablock through MarshalDatablockTo and
-// UnmarshalDatablockFrom: retrieval erasure-codes and hashes exactly those
-// bytes, so the layout stays theirs.
-func (c Coder) Datablock(p **types.Datablock) {
-	if c.r == nil {
-		MarshalDatablockTo(c.w, *p)
-	} else if c.r.err == nil {
-		d, err := UnmarshalDatablockFrom(c.r)
-		c.r.Fail(err) // a nil err records nothing
-		*p = d
-	}
-}
-
-// BFTblock walks a BFTblock through MarshalBFTblock and UnmarshalBFTblock.
-func (c Coder) BFTblock(p **types.BFTblock) {
-	if c.r == nil {
-		MarshalBFTblock(c.w, *p)
-	} else if c.r.err == nil {
-		b, err := UnmarshalBFTblock(c.r)
-		c.r.Fail(err)
-		*p = b
-	}
-}
-
-// Request walks one client request through MarshalRequest and
-// UnmarshalRequest.
+// Request walks one client request.
 func (c Coder) Request(p *types.Request) {
-	if c.r == nil {
-		MarshalRequest(c.w, *p)
-	} else {
-		*p = UnmarshalRequest(c.r)
+	U64(c, &p.ClientID)
+	U64(c, &p.Seq)
+	c.Bytes(&p.Payload)
+}
+
+// Datablock walks a datablock: its reference, then its requests.
+// Retrieval erasure-codes and hashes exactly these bytes. Decoding
+// allocates the block.
+func (c Coder) Datablock(p **types.Datablock) {
+	if c.r != nil {
+		*p = new(types.Datablock)
 	}
+	d := *p
+	U32(c, &d.Ref.Generator)
+	U64(c, &d.Ref.Counter)
+	Slice(c, &d.Requests, MaxElements, Coder.Request)
+}
+
+// BFTblock walks a BFTblock: its view, its sequence number and the
+// datablock hashes it links. Decoding allocates the block.
+func (c Coder) BFTblock(p **types.BFTblock) {
+	if c.r != nil {
+		*p = new(types.BFTblock)
+	}
+	b := *p
+	U64(c, &b.View)
+	U64(c, &b.Seq)
+	Slice(c, &b.Content, MaxElements, Coder.Hash)
 }

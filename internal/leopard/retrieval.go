@@ -155,7 +155,7 @@ func (n *Node) buildResponse(digest types.Hash, db *types.Datablock) (*RespMsg, 
 	// The marshal buffer is pooled: Encode copies the systematic bytes
 	// into its own shards, so the buffer can be released right after.
 	w := codec.GetWriter()
-	codec.MarshalDatablockTo(w, db)
+	codec.Encoder(w).Datablock(&db)
 	data := w.Buf
 	chunks, err := rs.Encode(data)
 	dataLen := len(data)
