@@ -71,6 +71,7 @@ const MaxBytesLen = 64 << 20
 // Writer appends primitives to a byte slice.
 type Writer struct {
 	Buf []byte
+	n   int // Size's tally, while the Writer is lent to it
 }
 
 // maxPooledWriter caps the buffer capacity retained by the Writer pool so
@@ -177,16 +178,37 @@ func (r *Reader) short(n int) {
 }
 
 // The typed reads below are the decoding arms of the Coder operations
-// (coder.go), which hold the one implementation of each primitive.
+// (coder.go); U8, U32 and U64 hold the one implementation of each integer.
 
 // U8 reads one byte.
-func (r *Reader) U8() uint8 { return Decoder(r).u8(0) }
+func (r *Reader) U8() uint8 {
+	if !r.need(1) {
+		return 0
+	}
+	v := r.Buf[r.off]
+	r.off++
+	return v
+}
 
 // U32 reads a big-endian uint32.
-func (r *Reader) U32() uint32 { return Decoder(r).u32(0) }
+func (r *Reader) U32() uint32 {
+	if !r.need(4) {
+		return 0
+	}
+	v := binary.BigEndian.Uint32(r.Buf[r.off:])
+	r.off += 4
+	return v
+}
 
 // U64 reads a big-endian uint64.
-func (r *Reader) U64() uint64 { return Decoder(r).u64(0) }
+func (r *Reader) U64() uint64 {
+	if !r.need(8) {
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.Buf[r.off:])
+	r.off += 8
+	return v
+}
 
 // Bytes reads a length-prefixed byte string. In the default mode the field
 // is copied out; with Borrow set it sub-slices Buf (see BorrowBytes).
@@ -241,7 +263,8 @@ func (r *Reader) Hash() types.Hash {
 // MarshalDatablock returns a datablock's encoding, the Coder.Datablock
 // walk. The encoding is canonical: equal datablocks produce equal bytes.
 func MarshalDatablock(d *types.Datablock) []byte {
-	return Encode(nil, func(c Coder) { c.Datablock(&d) })
+	walk := func(c Coder) { c.Datablock(&d) }
+	return Encode(make([]byte, 0, Size(walk)), walk)
 }
 
 // UnmarshalDatablockBorrowed decodes the whole of buf as one datablock

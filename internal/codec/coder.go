@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"unsafe"
 
@@ -11,8 +10,9 @@ import (
 // Coder runs one field walk in either direction. A message or record
 // describes its layout once, as a sequence of Coder operations on pointers
 // to its fields: backed by a Writer the walk appends each field, backed by
-// a Reader it fills each field in, so the encoder and the decoder of a type
-// cannot drift apart.
+// a Reader it fills each field in, and run by Size it adds up each field's
+// bytes. So the encoder, the decoder and the size of a type cannot drift
+// apart.
 //
 // What only decoding needs lives in the operations, not in the walks: Bool
 // accepts the bytes 0 and 1 only, Slice caps the element count and stops at
@@ -24,6 +24,7 @@ import (
 type Coder struct {
 	w *Writer
 	r *Reader
+	n *int // the count arm's tally: set by Size only, w and r are nil
 }
 
 // Encoder returns a Coder whose walks append to w.
@@ -44,6 +45,18 @@ func Encode(buf []byte, walk func(Coder)) []byte {
 	buf, w.Buf = w.Buf, pooled
 	PutWriter(w)
 	return buf
+}
+
+// Size returns the length of walk's encoding without encoding it. Handed
+// to a walk it cannot see, the tally would escape like Encode's Writer, so
+// it lives in a pooled Writer lent for the walk: sizing allocates nothing.
+func Size(walk func(Coder)) int {
+	w := GetWriter()
+	w.n = 0
+	walk(Coder{n: &w.n})
+	n := w.n
+	PutWriter(w)
+	return n
 }
 
 // Decode runs walk over the whole of buf, copying byte-string fields out of
@@ -80,62 +93,56 @@ func U64[T ~uint64](c Coder, v *T) {
 	}
 }
 
-// u8, u32 and u64 move one integer: encoding appends v and returns it,
-// decoding returns the value read (zero once the Reader has failed). Each
-// holds both arms, and the generic wrappers above inline, so a field costs a
-// walk one call in either direction; the Reader's typed reads are these.
+// u8, u32 and u64 move one integer in whichever arm c is: encoding
+// appends v and counting adds its width, both returning v; decoding returns
+// the Reader's typed read (zero once the Reader has failed). The generic
+// wrappers above inline, so a field costs a walk one call in any arm.
 func (c Coder) u8(v uint8) uint8 {
-	r := c.r
-	if r == nil {
+	switch {
+	case c.r != nil:
+		return c.r.U8()
+	case c.n != nil:
+		*c.n++
+	default:
 		c.w.U8(v)
-		return v
 	}
-	if !r.need(1) {
-		return 0
-	}
-	v = r.Buf[r.off]
-	r.off++
 	return v
 }
 
 func (c Coder) u32(v uint32) uint32 {
-	r := c.r
-	if r == nil {
+	switch {
+	case c.r != nil:
+		return c.r.U32()
+	case c.n != nil:
+		*c.n += 4
+	default:
 		c.w.U32(v)
-		return v
 	}
-	if !r.need(4) {
-		return 0
-	}
-	v = binary.BigEndian.Uint32(r.Buf[r.off:])
-	r.off += 4
 	return v
 }
 
 func (c Coder) u64(v uint64) uint64 {
-	r := c.r
-	if r == nil {
+	switch {
+	case c.r != nil:
+		return c.r.U64()
+	case c.n != nil:
+		*c.n += 8
+	default:
 		c.w.U64(v)
-		return v
 	}
-	if !r.need(8) {
-		return 0
-	}
-	v = binary.BigEndian.Uint64(r.Buf[r.off:])
-	r.off += 8
 	return v
 }
 
 // Hash walks a fixed 32-byte hash.
 func (c Coder) Hash(h *types.Hash) {
-	r := c.r
-	if r == nil {
+	switch r := c.r; {
+	case c.n != nil:
+		*c.n += len(h)
+	case r == nil:
 		c.w.Hash(*h)
-		return
-	}
-	if r.need(32) {
+	case r.need(len(h)):
 		copy(h[:], r.Buf[r.off:])
-		r.off += 32
+		r.off += len(h)
 	}
 }
 
@@ -143,7 +150,11 @@ func (c Coder) Hash(h *types.Hash) {
 // field sub-slices the frame (see the package doc's ownership contract).
 func (c Coder) Bytes(b *[]byte) {
 	r := c.r
-	if r == nil {
+	switch {
+	case c.n != nil:
+		*c.n += 4 + len(*b)
+		return
+	case r == nil:
 		c.w.Bytes(*b)
 		return
 	}
@@ -170,7 +181,7 @@ func (c Coder) Bool(b *bool) {
 		if *b {
 			v = 1
 		}
-		c.w.U8(v)
+		c.u8(v)
 		return
 	}
 	switch v := c.r.U8(); v {
@@ -198,7 +209,7 @@ const sliceReserve = 64
 // fails; a zero count leaves the slice nil.
 func Slice[T any](c Coder, s *[]T, limit int, elem func(Coder, *T)) {
 	if c.r == nil {
-		c.w.U32(uint32(len(*s)))
+		c.u32(uint32(len(*s)))
 		for i := range *s {
 			elem(c, &(*s)[i])
 		}

@@ -89,4 +89,14 @@ func TestCoderDecodeGuards(t *testing.T) {
 	if len(links) > 2 {
 		t.Errorf("decoding went on for %d elements after the truncation", len(links)-1)
 	}
+
+	w = &Writer{}
+	w.U32(MaxElements)
+	w.Buf = append(w.Buf, make([]byte, 1024)...)
+	if err := Decode(w.Buf, func(c Coder) { Slice(c, &links, MaxElements, Coder.Hash) }); !errors.Is(err, ErrTruncated) {
+		t.Errorf("%d elements announced, 32 present: %v, want ErrTruncated", MaxElements, err)
+	}
+	if most := max(sliceReserve, 1024/32); cap(links) > most {
+		t.Errorf("a lying count reserved %d elements against a 1 KiB remainder, at most %d allowed", cap(links), most)
+	}
 }

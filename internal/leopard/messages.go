@@ -14,8 +14,8 @@ import (
 // (wire.go) constructs every message through this interface, so a message
 // that lacks a kind, a walk, a size, a class or a handler does not compile.
 type wireMessage interface {
-	// WireSize and Class are the simulator's size model and the accounting
-	// class (transport.Message).
+	// WireSize and Class are the simulator's size model — hdrSize plus the
+	// walk's byte count — and the accounting class (transport.Message).
 	transport.Message
 	// kind is the frame's first byte and the message's index in the kind
 	// table.
@@ -28,13 +28,11 @@ type wireMessage interface {
 	deliver(n *Node, from types.ReplicaID, out transport.Sink)
 }
 
-// Wire-size constants for fixed headers; payload-bearing fields are counted
-// from their actual lengths. β = 32 (SHA-256) matches the paper.
-const (
-	hashSize   = 32
-	hdrSize    = 8 // kind tag + length framing
-	seqViewLen = 16
-)
+// hdrSize is the one modelled term of every WireSize, which is hdrSize plus
+// the message's walk as codec.Size counts it: the kind byte and length
+// framing. A real control frame spends 6 bytes on length, frame kind and
+// message kind, and a bulk message a 25-byte stream header per chunk.
+const hdrSize = 8
 
 // Sub-layouts several messages share, each described once.
 
@@ -78,10 +76,8 @@ func (m *DatablockMsg) kind() uint8 { return kindDatablock }
 // wire carries the block only: Digest is a local cache and never travels.
 func (m *DatablockMsg) wire(c codec.Coder) { c.Datablock(&m.Block) }
 
-// WireSize implements transport.Message.
-func (m *DatablockMsg) WireSize() int { return hdrSize + m.Block.Size() }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *DatablockMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *DatablockMsg) Class() transport.Class   { return transport.ClassDatablock }
 func (m *DatablockMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
@@ -100,10 +96,8 @@ func (m *ReadyMsg) kind() uint8 { return kindReady }
 
 func (m *ReadyMsg) wire(c codec.Coder) { c.Hash(&m.Digest) }
 
-// WireSize implements transport.Message.
-func (m *ReadyMsg) WireSize() int { return hdrSize + hashSize }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *ReadyMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *ReadyMsg) Class() transport.Class   { return transport.ClassVote }
 func (m *ReadyMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -125,12 +119,8 @@ func (m *BFTblockMsg) wire(c codec.Coder) {
 	wireShare(c, &m.LeaderShare)
 }
 
-// WireSize implements transport.Message.
-func (m *BFTblockMsg) WireSize() int {
-	return hdrSize + m.Block.Size() + len(m.LeaderShare.Sig)
-}
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *BFTblockMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *BFTblockMsg) Class() transport.Class   { return transport.ClassBFTblock }
 func (m *BFTblockMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -156,10 +146,8 @@ func (m *VoteMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message.
-func (m *VoteMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *VoteMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *VoteMsg) Class() transport.Class   { return transport.ClassVote }
 func (m *VoteMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -185,10 +173,8 @@ func (m *ProofMsg) wire(c codec.Coder) {
 	wireProof(c, &m.Proof)
 }
 
-// WireSize implements transport.Message.
-func (m *ProofMsg) WireSize() int { return hdrSize + seqViewLen + 1 + hashSize + len(m.Proof.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *ProofMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *ProofMsg) Class() transport.Class   { return transport.ClassProof }
 func (m *ProofMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -207,11 +193,10 @@ func (m *QueryMsg) wire(c codec.Coder) {
 	codec.Slice(c, &m.Digests, codec.MaxElements, codec.Coder.Hash)
 }
 
-// WireSize implements transport.Message.
-func (m *QueryMsg) WireSize() int { return hdrSize + hashSize*len(m.Digests) }
-
-// Class and Policy implement transport.Message. Queued behind the holder's
-// datablock backlog, a query would arrive after the block was released.
+// WireSize, Class and Policy implement transport.Message. Queued behind
+// the holder's datablock backlog, a query would arrive after the block was
+// released.
+func (m *QueryMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *QueryMsg) Class() transport.Class   { return transport.ClassRetrieval }
 func (m *QueryMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -241,12 +226,8 @@ func (m *RespMsg) wire(c codec.Coder) {
 	wireMerkleProof(c, &m.Proof)
 }
 
-// WireSize implements transport.Message.
-func (m *RespMsg) WireSize() int {
-	return hdrSize + 2*hashSize + len(m.Chunk) + 8 + m.Proof.Size()
-}
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *RespMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *RespMsg) Class() transport.Class   { return transport.ClassRetrieval }
 func (m *RespMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
@@ -267,10 +248,8 @@ func (m *FullBlockMsg) wire(c codec.Coder) {
 	c.Datablock(&m.Block)
 }
 
-// WireSize implements transport.Message.
-func (m *FullBlockMsg) WireSize() int { return hdrSize + hashSize + m.Block.Size() }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *FullBlockMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *FullBlockMsg) Class() transport.Class   { return transport.ClassRetrieval }
 func (m *FullBlockMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
@@ -293,10 +272,8 @@ func (m *CheckpointMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message.
-func (m *CheckpointMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *CheckpointMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *CheckpointMsg) Class() transport.Class   { return transport.ClassCheckpoint }
 func (m *CheckpointMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -319,10 +296,8 @@ func (m *CheckpointProofMsg) wire(c codec.Coder) {
 	wireProof(c, &m.Proof)
 }
 
-// WireSize implements transport.Message.
-func (m *CheckpointProofMsg) WireSize() int { return hdrSize + 8 + hashSize + len(m.Proof.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *CheckpointProofMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *CheckpointProofMsg) Class() transport.Class   { return transport.ClassCheckpoint }
 func (m *CheckpointProofMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -343,10 +318,8 @@ func (m *TimeoutMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message.
-func (m *TimeoutMsg) WireSize() int { return hdrSize + 8 + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *TimeoutMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *TimeoutMsg) Class() transport.Class   { return transport.ClassViewChange }
 func (m *TimeoutMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -370,15 +343,6 @@ func wireNotarizedBlock(c codec.Coder, nb *NotarizedBlock) {
 	codec.Opt(c, &nb.Confirmed, wireProof)
 }
 
-// WireSize returns the carried bytes.
-func (nb *NotarizedBlock) WireSize() int {
-	s := nb.Block.Size() + hashSize + len(nb.Notarized.Sig)
-	if nb.Confirmed != nil {
-		s += len(nb.Confirmed.Sig)
-	}
-	return s
-}
-
 // ViewChangeMsg is sent to the next leader: <view-change, v+1, lc, B>.
 type ViewChangeMsg struct {
 	NewView    types.View
@@ -398,21 +362,10 @@ func (m *ViewChangeMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message.
-func (m *ViewChangeMsg) WireSize() int {
-	s := hdrSize + 8 + 4 + len(m.Share.Sig)
-	if m.Checkpoint != nil {
-		s += m.Checkpoint.WireSize()
-	}
-	for i := range m.Blocks {
-		s += m.Blocks[i].WireSize()
-	}
-	return s
-}
-
-// Class and Policy implement transport.Message. The message carries every
-// outstanding notarized block header, so it is charged, and it is the
-// recovery path's critical traffic, so it rides the control lane.
+// WireSize, Class and Policy implement transport.Message. The message
+// carries every outstanding notarized block header, so it is charged, and
+// it is the recovery path's critical traffic, so it rides the control lane.
+func (m *ViewChangeMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *ViewChangeMsg) Class() transport.Class   { return transport.ClassViewChange }
 func (m *ViewChangeMsg) Policy() transport.Policy { return transport.PolicyControlCharged }
 
@@ -435,10 +388,8 @@ func (m *StateReqMsg) kind() uint8 { return kindStateReq }
 
 func (m *StateReqMsg) wire(c codec.Coder) { codec.U64(c, &m.Have) }
 
-// WireSize implements transport.Message.
-func (m *StateReqMsg) WireSize() int { return hdrSize + 8 }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *StateReqMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *StateReqMsg) Class() transport.Class   { return transport.ClassState }
 func (m *StateReqMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -477,19 +428,9 @@ func (m *StateRespMsg) wire(c codec.Coder) {
 	})
 }
 
-// WireSize implements transport.Message.
-func (m *StateRespMsg) WireSize() int {
-	s := hdrSize + 1
-	if m.Checkpoint != nil {
-		s += m.Checkpoint.WireSize()
-	}
-	for _, rec := range m.Blocks {
-		s += rec.WireSize()
-	}
-	return s
-}
-
-// Class and Policy implement transport.Message: full datablocks ride bulk.
+// WireSize, Class and Policy implement transport.Message: full datablocks
+// ride bulk.
+func (m *StateRespMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *StateRespMsg) Class() transport.Class   { return transport.ClassState }
 func (m *StateRespMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
@@ -514,10 +455,8 @@ func (m *RequestMsg) wire(c codec.Coder) {
 	c.Bytes(&m.Sig)
 }
 
-// WireSize implements transport.Message.
-func (m *RequestMsg) WireSize() int { return hdrSize + m.Req.Size() + 4 + len(m.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *RequestMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *RequestMsg) Class() transport.Class   { return transport.ClassRequest }
 func (m *RequestMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
@@ -553,12 +492,8 @@ func (m *ReplyMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message. The trailing 8 covers the share's
-// signer id and signature length prefix (wireShare), so simnet bandwidth
-// accounting does not undercount replies.
-func (m *ReplyMsg) WireSize() int { return hdrSize + 24 + hashSize + 8 + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
+// WireSize, Class and Policy implement transport.Message.
+func (m *ReplyMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *ReplyMsg) Class() transport.Class   { return transport.ClassAck }
 func (m *ReplyMsg) Policy() transport.Policy { return transport.PolicyControl }
 
@@ -581,16 +516,8 @@ func (m *NewViewMsg) wire(c codec.Coder) {
 	wireShare(c, &m.Share)
 }
 
-// WireSize implements transport.Message.
-func (m *NewViewMsg) WireSize() int {
-	s := hdrSize + 8 + len(m.Share.Sig)
-	for i := range m.Proofs {
-		s += m.Proofs[i].WireSize()
-	}
-	return s
-}
-
-// Class and Policy implement transport.Message, as for ViewChangeMsg.
+// WireSize, Class and Policy implement transport.Message, as for ViewChangeMsg.
+func (m *NewViewMsg) WireSize() int            { return hdrSize + codec.Size(m.wire) }
 func (m *NewViewMsg) Class() transport.Class   { return transport.ClassViewChange }
 func (m *NewViewMsg) Policy() transport.Policy { return transport.PolicyControlCharged }
 

@@ -90,7 +90,7 @@ func EncodeMessage(msg transport.Message) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("leopard: cannot encode message type %T", msg)
 	}
-	buf := make([]byte, 1, m.WireSize()+16)
+	buf := make([]byte, 1, 1+codec.Size(m.wire))
 	buf[0] = m.kind()
 	return codec.Encode(buf, m.wire), nil
 }

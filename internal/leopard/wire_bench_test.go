@@ -70,3 +70,24 @@ func BenchmarkDecodeDatablock(b *testing.B) {
 	}
 	benchDecode(b, &DatablockMsg{Block: db})
 }
+
+// BenchmarkEncodeDatablock frames a 256 × 128 B datablock: one allocation
+// per frame, sized exactly by the walk's count.
+func BenchmarkEncodeDatablock(b *testing.B) {
+	db := &types.Datablock{Ref: types.DatablockRef{Generator: 1, Counter: 9}}
+	for i := 0; i < 256; i++ {
+		db.Requests = append(db.Requests, types.Request{
+			ClientID: uint64(i),
+			Seq:      uint64(i),
+			Payload:  bytes.Repeat([]byte{byte(i)}, 128),
+		})
+	}
+	msg := &DatablockMsg{Block: db}
+	b.SetBytes(int64(msg.WireSize() - hdrSize + 1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeMessage(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -321,19 +321,27 @@ func TestPropertyWireGarbage(t *testing.T) {
 	}
 }
 
-func TestWireSizeUpperBoundsEncoding(t *testing.T) {
-	// WireSize drives the bandwidth model; it should be close to (and for
-	// safety at least) the real encoded size for bulk messages.
-	db := &types.Datablock{Ref: types.DatablockRef{Generator: 1, Counter: 1}}
-	for i := 0; i < 100; i++ {
-		db.Requests = append(db.Requests, types.Request{ClientID: 1, Seq: uint64(i), Payload: bytes.Repeat([]byte{1}, 128)})
-	}
-	msg := &DatablockMsg{Block: db}
-	encoded, err := EncodeMessage(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.WireSize() < len(encoded)-64 {
-		t.Errorf("WireSize %d far below encoded size %d", msg.WireSize(), len(encoded))
+// TestWireSizeIsEncodedLength: WireSize, which times every simulated
+// message, is the frame body's length plus the modelled hdrSize, for every
+// kind and for the state-transfer record, and sizing allocates nothing.
+func TestWireSizeIsEncodedLength(t *testing.T) {
+	for _, msg := range testMessages() {
+		buf, err := EncodeMessage(msg)
+		if err != nil {
+			t.Fatalf("encode %T: %v", msg, err)
+		}
+		if got, want := msg.WireSize(), hdrSize-1+len(buf); got != want {
+			t.Errorf("%T: WireSize %d, encoded %d bytes plus header: %d", msg, got, len(buf), want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { msg.WireSize() }); allocs != 0 {
+			t.Errorf("%T: WireSize allocates %.0f times", msg, allocs)
+		}
+		if sr, ok := msg.(*StateRespMsg); ok {
+			for _, rec := range sr.Blocks {
+				if got, want := rec.WireSize(), len(codec.Encode(nil, rec.Wire)); got != want {
+					t.Errorf("BlockRecord: WireSize %d, encoded %d bytes", got, want)
+				}
+			}
+		}
 	}
 }

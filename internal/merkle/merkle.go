@@ -120,10 +120,6 @@ type Proof struct {
 	Steps []ProofStep
 }
 
-// Size returns the wire size of the proof in bytes (β·logn in the paper's
-// cost model, plus the 4-byte index).
-func (p Proof) Size() int { return 4 + len(p.Steps)*(32+1) }
-
 // Prove returns the inclusion proof for leaf index.
 func (t *Tree) Prove(index int) (Proof, error) {
 	if index < 0 || index >= t.LeafCount() {

@@ -105,7 +105,7 @@ type event struct {
 	from types.ReplicaID
 	to   types.ReplicaID
 	msg  transport.Message
-	size int // msg's wire size, computed once at send: WireSize walks the message
+	size int // msg's wire size, computed once per envelope: WireSize walks the message
 	fn   func(now time.Duration)
 	flow *flow
 	n    int64 // chunk payload / granted bytes
@@ -508,8 +508,9 @@ func (n *Network) arrival(from, to types.ReplicaID, txDone time.Duration) time.D
 // message's lane decides pipe scheduling: control-lane messages are booked
 // at once and preempt queued bulk on both the egress and ingress pipes;
 // bulk-lane messages enter the pair's credit-streamed flow, which books
-// them chunk by chunk (and counts them as sent as it does).
-func (n *Network) send(from, to types.ReplicaID, msg transport.Message) {
+// them chunk by chunk (and counts them as sent as it does). size is msg's
+// WireSize, which dispatch computes once for all of the envelope's receivers.
+func (n *Network) send(from, to types.ReplicaID, msg transport.Message, size int) {
 	if int(to) >= len(n.nodes) || from == to {
 		return
 	}
@@ -529,7 +530,6 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message) {
 		}
 		msg = decoded
 	}
-	size := msg.WireSize()
 	if msg.Policy().Lane() == transport.LaneBulk {
 		n.flowEnqueue(from, to, msg, size)
 		return
@@ -729,6 +729,7 @@ func (n *Network) dispatch(from types.ReplicaID, env transport.Envelope) {
 	if env.Msg == nil {
 		return
 	}
+	size := env.Msg.WireSize()
 	deliverTo := func(to types.ReplicaID) {
 		if n.filter != nil && !n.filter(n.now, from, to, env.Msg) {
 			return
@@ -736,7 +737,7 @@ func (n *Network) dispatch(from types.ReplicaID, env transport.Envelope) {
 		if n.observer != nil {
 			n.observer(n.now, from, to, env.Msg)
 		}
-		n.send(from, to, env.Msg)
+		n.send(from, to, env.Msg, size)
 	}
 	if env.Broadcast {
 		for id := range n.nodes {

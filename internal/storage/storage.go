@@ -63,16 +63,8 @@ type BlockRecord struct {
 	Datablocks []*types.Datablock
 }
 
-// WireSize returns the exact encoded size in bytes (codec.MarshalBFTblock
-// spends 20 bytes on the header, unlike the approximate
-// types.BFTblock.Size).
-func (rec *BlockRecord) WireSize() int {
-	s := 8 + 20 + 32*len(rec.Block.Content) + 4 + len(rec.Notarized.Sig) + 4 + len(rec.Confirmed.Sig)
-	for _, db := range rec.Datablocks {
-		s += db.Size()
-	}
-	return s
-}
+// WireSize returns the record's encoded size in bytes.
+func (rec *BlockRecord) WireSize() int { return codec.Size(rec.Wire) }
 
 // Wire is the record's one layout, walked by the WAL in both directions and
 // by the state-transfer message that embeds it; decoding runs in the

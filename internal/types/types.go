@@ -96,15 +96,6 @@ func (d *Datablock) PayloadBytes() int {
 	return total
 }
 
-// Size returns the wire size in bytes, matching the codec encoding.
-func (d *Datablock) Size() int {
-	total := 16 // generator + counter + request count
-	for _, r := range d.Requests {
-		total += r.Size()
-	}
-	return total
-}
-
 // BlockState tracks a BFTblock through the two-round agreement.
 type BlockState int
 
@@ -139,9 +130,6 @@ type BFTblock struct {
 	Seq     SeqNum
 	Content []Hash // hashes of linked datablocks
 }
-
-// Size returns the approximate wire size in bytes.
-func (b *BFTblock) Size() int { return 16 + 32*len(b.Content) }
 
 // BlockID identifies an agreement instance: (view, seq).
 type BlockID struct {

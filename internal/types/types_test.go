@@ -113,9 +113,6 @@ func TestDatablockSizes(t *testing.T) {
 	if got, want := db.PayloadBytes(), 1000; got != want {
 		t.Errorf("PayloadBytes() = %d, want %d", got, want)
 	}
-	if db.Size() <= db.PayloadBytes() {
-		t.Errorf("Size() = %d must exceed raw payload %d", db.Size(), db.PayloadBytes())
-	}
 }
 
 func TestBFTblockDigestInputDistinguishes(t *testing.T) {
