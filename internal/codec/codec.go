@@ -8,9 +8,10 @@
 //
 // # One description per layout
 //
-// A message or record does not have an encoder and a decoder: it has one
-// field walk over a Coder (coder.go), which the Writer and the Reader below
-// both back. The datablock, BFTblock and request layouts are walks too
+// A message or record does not have an encoder, a decoder and a size: it
+// has one field walk over a Coder (coder.go), which the Writer and the
+// Reader below both back and which Size runs to count the encoding's bytes.
+// The datablock, BFTblock and request layouts are walks too
 // (Coder.Datablock, BFTblock and Request), so the bytes retrieval hashes and
 // erasure-codes are the bytes every message embeds.
 //

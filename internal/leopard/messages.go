@@ -28,10 +28,11 @@ type wireMessage interface {
 	deliver(n *Node, from types.ReplicaID, out transport.Sink)
 }
 
-// hdrSize is the one modelled term of every WireSize, which is hdrSize plus
-// the message's walk as codec.Size counts it: the kind byte and length
-// framing. A real control frame spends 6 bytes on length, frame kind and
-// message kind, and a bulk message a 25-byte stream header per chunk.
+// hdrSize is the one modelled term of a message's WireSize, which adds it
+// to the byte count of the message's walk (codec.Size). It stands for the
+// kind byte and the length framing: a real control frame spends 6 bytes on
+// length, frame kind and message kind, and a bulk message a 25-byte stream
+// header per chunk.
 const hdrSize = 8
 
 // Sub-layouts several messages share, each described once.

@@ -135,14 +135,12 @@ func (c Class) String() string {
 const NumClasses = int(ClassState) + 1
 
 // Message is anything a protocol node can send. WireSize is the simulator's
-// size model: simnet charges bandwidth and CPU by it, and a codec sizes its
-// encode buffer from it, but nothing checks it against the encoded frame.
-// For the Leopard messages it is hand arithmetic that sits between 28 bytes
-// under and 7 bytes over the frame leopard.EncodeMessage produces on the
-// fuzz seeds (TestWireGolden records both numbers for every kind); making it
-// exact moves every simulated byte count and belongs to the simulator's
-// calibration. Class is the accounting label; Policy, one constant per
-// message type, is how the message travels.
+// size model: simnet charges bandwidth and CPU by it. For the Leopard
+// messages it is exact: a modelled 8-byte header plus the byte count of the
+// message's codec walk, so it is the frame leopard.EncodeMessage produces
+// plus 7 bytes (TestWireSizeIsEncodedLength). HotStuff's messages have no
+// codec, and their sizes are hand arithmetic. Class is the accounting
+// label; Policy, one constant per message type, is how the message travels.
 type Message interface {
 	WireSize() int
 	Class() Class
