@@ -1,16 +1,17 @@
 package client
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"testing"
 
 	"leopard/internal/types"
 )
 
-// benchBatch builds size signed requests across 16 clients.
-func benchBatch(b *testing.B, size int) (*Verifier, []types.Request, [][]byte) {
+// benchBatch builds size signed requests across clients clients.
+func benchBatch(b *testing.B, clients, size int) (*Keychain, []types.Request, [][]byte) {
 	b.Helper()
-	kc, err := NewKeychain(16, []byte("bench"))
+	kc, err := NewKeychain(clients, []byte("bench"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -18,38 +19,55 @@ func benchBatch(b *testing.B, size int) (*Verifier, []types.Request, [][]byte) {
 	sigs := make([][]byte, size)
 	payload := make([]byte, 128)
 	for i := range reqs {
-		reqs[i] = types.Request{ClientID: uint64(i % 16), Seq: uint64(i), Payload: payload}
+		reqs[i] = types.Request{ClientID: uint64(i % clients), Seq: uint64(i), Payload: payload}
 		sigs[i], err = kc.Sign(reqs[i])
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	return kc.Verifier(), reqs, sigs
+	return kc, reqs, sigs
 }
 
-// BenchmarkVerifySequential is the one-by-one admission baseline.
-func BenchmarkVerifySequential(b *testing.B) {
-	for _, size := range []int{64, 512} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			v, reqs, sigs := benchBatch(b, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range reqs {
-					if !v.VerifyRequest(reqs[j], sigs[j]) {
-						b.Fatal("verify failed")
-					}
-				}
-			}
-			b.ReportMetric(float64(size*b.N)/b.Elapsed().Seconds(), "sigs/s")
-		})
+// BenchmarkVerifyRequest is one admission check at a time, round robin over
+// 1024 clients whose tables are built before the timer starts; stdlib is
+// the same loop on crypto/ed25519.Verify, the reference.
+func BenchmarkVerifyRequest(b *testing.B) {
+	const clients = 1024
+	kc, reqs, sigs := benchBatch(b, clients, clients)
+	v := kc.Verifier()
+	for j := range reqs {
+		if !v.VerifyRequest(reqs[j], sigs[j]) {
+			b.Fatal("verify failed")
+		}
 	}
+	run := func(b *testing.B, verify func(j int) bool) {
+		b.ReportAllocs()
+		j := 0
+		for b.Loop() {
+			if !verify(j) {
+				b.Fatal("verify failed")
+			}
+			j = (j + 1) % clients
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/sig")
+	}
+	b.Run("tables", func(b *testing.B) {
+		run(b, func(j int) bool { return v.VerifyRequest(reqs[j], sigs[j]) })
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		run(b, func(j int) bool {
+			d := RequestDigest(reqs[j])
+			return ed25519.Verify(kc.Public(reqs[j].ClientID), d[:], sigs[j])
+		})
+	})
 }
 
 // BenchmarkVerifyBatch is the admission path: parallel chunked verification.
 func BenchmarkVerifyBatch(b *testing.B) {
 	for _, size := range []int{64, 512} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			v, reqs, sigs := benchBatch(b, size)
+			kc, reqs, sigs := benchBatch(b, 16, size)
+			v := kc.Verifier()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, ok := range v.VerifyRequestBatch(reqs, sigs) {

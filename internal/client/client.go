@@ -1,10 +1,11 @@
 // Package client implements the client side of Leopard's authenticated
 // serving path: deterministic per-client ed25519 keys, canonical
-// signed-request digests, reply digests, batch signature verification for
-// replica admission, and a closed-loop Session that accepts a request only
-// once f+1 replicas report the same execution result.
+// signed-request digests, reply digests, request signature verification
+// for replica admission, and a closed-loop Session that accepts a request
+// only once f+1 replicas report the same execution result.
 //
-// The package depends only on types and codec, so both replicas
+// The package depends only on types and the curve code in
+// crypto/edwards25519, so both replicas
 // (internal/leopard admission and reply emission) and client binaries
 // (cmd/leopard-client, examples/kvstore) can share one wire contract.
 package client
@@ -15,7 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"leopard/internal/codec"
+	"leopard/internal/crypto/edwards25519"
 	"leopard/internal/types"
 )
 
@@ -31,18 +32,19 @@ const (
 )
 
 // RequestDigest is the canonical signing digest of a client request:
-// SHA-256 over the domain tag and the codec encoding of the client ID, the
-// sequence number and the payload digest. Hashing the payload digest (not
-// the payload) keeps signing cost independent of payload size and lets
-// replicas verify against zero-copy payloads without re-encoding.
+// SHA-256 over the domain tag and the big-endian client ID, sequence number
+// and payload digest (their codec encoding). Hashing the payload digest
+// (not the payload) keeps signing cost independent of payload size and lets
+// replicas verify against zero-copy payloads without re-encoding. It
+// allocates nothing.
 func RequestDigest(req types.Request) types.Hash {
+	var buf [len(requestDomain) + 16 + 32]byte
+	off := copy(buf[:], requestDomain)
+	binary.BigEndian.PutUint64(buf[off:], req.ClientID)
+	binary.BigEndian.PutUint64(buf[off+8:], req.Seq)
 	payload := sha256.Sum256(req.Payload)
-	w := codec.Writer{Buf: make([]byte, 0, len(requestDomain)+16+32)}
-	w.Buf = append(w.Buf, requestDomain...)
-	w.U64(req.ClientID)
-	w.U64(req.Seq)
-	w.Hash(payload)
-	return sha256.Sum256(w.Buf)
+	copy(buf[off+16:], payload[:])
+	return sha256.Sum256(buf[:])
 }
 
 // ReplyDigest is the digest an executing replica signs over its reply:
@@ -65,8 +67,9 @@ func ReplyDigest(clientID, seq uint64, sn types.SeqNum, result types.Hash) types
 // tests hand the seed to both the clients and the replicas' Verifier;
 // deployments would distribute only the public keys.
 type Keychain struct {
-	keys []ed25519.PrivateKey
-	pubs []ed25519.PublicKey
+	keys     []ed25519.PrivateKey
+	pubs     []ed25519.PublicKey
+	verifier *Verifier
 }
 
 // NewKeychain derives n client key pairs (client IDs 0..n-1) from seed.
@@ -78,6 +81,7 @@ func NewKeychain(n int, seed []byte) (*Keychain, error) {
 		keys: make([]ed25519.PrivateKey, n),
 		pubs: make([]ed25519.PublicKey, n),
 	}
+	verifier := &Verifier{keys: make([]*edwards25519.PublicKey, n)}
 	for i := 0; i < n; i++ {
 		h := sha256.New()
 		h.Write(seed)
@@ -87,7 +91,10 @@ func NewKeychain(n int, seed []byte) (*Keychain, error) {
 		h.Write(idx[:])
 		kc.keys[i] = ed25519.NewKeyFromSeed(h.Sum(nil))
 		kc.pubs[i] = kc.keys[i].Public().(ed25519.PublicKey)
+		// A derived key is 32 bytes, the one thing NewPublicKey checks.
+		verifier.keys[i], _ = edwards25519.NewPublicKey(kc.pubs[i])
 	}
+	kc.verifier = verifier
 	return kc, nil
 }
 
@@ -112,5 +119,7 @@ func (kc *Keychain) Sign(req types.Request) ([]byte, error) {
 	return ed25519.Sign(kc.keys[req.ClientID], d[:]), nil
 }
 
-// Verifier returns a request verifier over this keychain's public keys.
-func (kc *Keychain) Verifier() *Verifier { return NewVerifier(kc.pubs) }
+// Verifier returns the request verifier over this keychain's public keys.
+// It is built once and shared by every caller, so the replicas of one
+// process build each client's verification tables once.
+func (kc *Keychain) Verifier() *Verifier { return kc.verifier }

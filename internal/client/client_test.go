@@ -2,6 +2,8 @@ package client
 
 import (
 	"bytes"
+	"encoding/hex"
+	"sync"
 	"testing"
 
 	"leopard/internal/types"
@@ -84,6 +86,15 @@ func TestRequestDigestDomainSeparation(t *testing.T) {
 	}
 }
 
+// TestRequestDigestPinned: the digest clients sign is the same bytes as
+// always; a change here invalidates every deployed client.
+func TestRequestDigestPinned(t *testing.T) {
+	d := RequestDigest(types.Request{ClientID: 0x0102030405060708, Seq: 42, Payload: []byte("pinned")})
+	if got := hex.EncodeToString(d[:]); got != "9a7e1add4bd2c509c8d7290ec05f3386461734397f0737c8efa0b4b6ec36dbed" {
+		t.Fatalf("RequestDigest = %s", got)
+	}
+}
+
 func TestVerifyBatchMatchesSequential(t *testing.T) {
 	kc := testKeychain(t, 8)
 	v := kc.Verifier()
@@ -123,5 +134,38 @@ func TestVerifyBatchMatchesSequential(t *testing.T) {
 		if verdict {
 			t.Fatal("length-mismatched batch verified a signature")
 		}
+	}
+}
+
+// TestVerifierSharedColdKey: goroutines checking one client whose tables
+// are not built yet, through one keychain's shared verifier, all get the
+// same verdict (run it with -race).
+func TestVerifierSharedColdKey(t *testing.T) {
+	kc := testKeychain(t, 2)
+	req := types.Request{ClientID: 1, Seq: 3, Payload: []byte("cold")}
+	sig, err := kc.Sign(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), sig...)
+	bad[0] ^= 1
+	var wg sync.WaitGroup
+	verdicts := make([]bool, 16)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verdicts[2*g] = kc.Verifier().VerifyRequest(req, sig)
+			verdicts[2*g+1] = kc.Verifier().VerifyRequest(req, bad)
+		}()
+	}
+	wg.Wait()
+	for g := range 8 {
+		if !verdicts[2*g] || verdicts[2*g+1] {
+			t.Fatalf("goroutine %d: valid=%v corrupted=%v", g, verdicts[2*g], verdicts[2*g+1])
+		}
+	}
+	if kc.Verifier() != kc.Verifier() {
+		t.Fatal("Verifier builds a new verifier per call")
 	}
 }

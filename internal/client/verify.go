@@ -1,34 +1,32 @@
 package client
 
 import (
-	"crypto/ed25519"
 	"runtime"
 	"sync"
 
+	"leopard/internal/crypto/edwards25519"
 	"leopard/internal/types"
 )
 
-// Verifier checks client request signatures against a fixed public-key set.
-// It satisfies leopard.ClientVerifier. Methods are safe for concurrent use
-// (the key set is immutable).
+// Verifier checks client request signatures against a fixed public-key set
+// by exactly crypto/ed25519.Verify's rule (edwards25519.Verify). It
+// satisfies leopard.ClientVerifier. Methods are safe for concurrent use.
+//
+// Each client's key builds its verification tables, about 15 KB, on that
+// client's first request and keeps them. The key set is fixed when the
+// Keychain is made, so the memory is bounded by the number of clients.
 type Verifier struct {
-	pubs []ed25519.PublicKey
-}
-
-// NewVerifier builds a verifier over pubs; client ID i verifies under
-// pubs[i].
-func NewVerifier(pubs []ed25519.PublicKey) *Verifier {
-	return &Verifier{pubs: pubs}
+	keys []*edwards25519.PublicKey // client ID i verifies under keys[i]
 }
 
 // VerifyRequest reports whether sig is client req.ClientID's signature over
 // the canonical request digest.
 func (v *Verifier) VerifyRequest(req types.Request, sig []byte) bool {
-	if req.ClientID >= uint64(len(v.pubs)) || len(sig) != ed25519.SignatureSize {
+	if req.ClientID >= uint64(len(v.keys)) {
 		return false
 	}
 	d := RequestDigest(req)
-	return ed25519.Verify(v.pubs[req.ClientID], d[:], sig)
+	return edwards25519.Verify(v.keys[req.ClientID], d[:], sig)
 }
 
 // batchParallelMin is the batch size below which VerifyRequestBatch runs
@@ -43,11 +41,11 @@ const batchParallelMin = 32
 // Replica admission uses this to amortize signature checking across the
 // requests that arrive between two events.
 //
-// The win here is parallelism, not fewer scalar multiplications: the one
-// batch equation in the repository, crypto/edwards25519.VerifyBatch, takes
-// signatures on one message, and admission needs a verdict per request
-// (ROADMAP keeps batching admission on the same curve code as the next
-// step).
+// The win here is parallelism, not fewer scalar multiplications: each
+// check is VerifyRequest's, cheap because of the per-client tables. A
+// batch equation over many messages would need admission to give its
+// verdicts asynchronously, since SubmitSigned answers each request
+// synchronously; ROADMAP keeps that as its own step.
 func (v *Verifier) VerifyRequestBatch(reqs []types.Request, sigs [][]byte) []bool {
 	out := make([]bool, len(reqs))
 	if len(sigs) != len(reqs) {

@@ -13,15 +13,17 @@ import (
 // signatureSize is the size of an Ed25519 signature, R ‖ S.
 const signatureSize = 64
 
-// PublicKey is an Ed25519 public key held for VerifyBatch. Its width-8 NAF
-// table (64 affine multiples, about 20 µs) is built on first use, so
-// holding a committee's keys costs nothing until one of them is checked.
-// It is safe for concurrent use.
+// PublicKey is an Ed25519 public key held for Verify and VerifyBatch. Its
+// width-8 NAF tables (64 affine multiples each, about 20 µs and 7.5 KB) are
+// allocated and built on first use, so holding many keys costs nothing
+// until one of them is checked: VerifyBatch builds the table of A, Verify
+// that one and the table of 2^128·A. It is safe for concurrent use.
 type PublicKey struct {
-	enc   [32]byte
-	once  sync.Once
-	valid bool // enc decodes to a point; set by once
-	table nafLookupTable8
+	enc    [32]byte
+	once   sync.Once
+	table  *nafLookupTable8 // odd multiples of A; nil if enc is not a point
+	hiOnce sync.Once
+	hi     *nafLookupTable8 // odd multiples of 2^128·A, for Verify
 }
 
 // NewPublicKey wraps the 32-byte encoding of an Ed25519 public key.
@@ -39,11 +41,25 @@ func NewPublicKey(pub []byte) (*PublicKey, error) {
 func (k *PublicKey) prepared() (*nafLookupTable8, bool) {
 	k.once.Do(func() {
 		if p, err := new(Point).SetBytes(k.enc[:]); err == nil {
+			k.table = new(nafLookupTable8)
 			k.table.FromP3(p)
-			k.valid = true
 		}
 	})
-	return &k.table, k.valid
+	return k.table, k.table != nil
+}
+
+// preparedSplit returns the tables of A and of 2^128·A, building them on
+// first use, and false if the key is not a point.
+func (k *PublicKey) preparedSplit() (lo, hi *nafLookupTable8, ok bool) {
+	if lo, ok = k.prepared(); !ok {
+		return nil, nil, false
+	}
+	k.hiOnce.Do(func() {
+		p, _ := new(Point).SetBytes(k.enc[:])
+		k.hi = new(nafLookupTable8)
+		k.hi.FromP3(times2to128(p))
+	})
+	return lo, k.hi, true
 }
 
 // VerifyBatch reports whether sigs holds len(keys) signatures of msg, the

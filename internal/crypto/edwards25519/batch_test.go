@@ -42,8 +42,23 @@ func TestOrder(t *testing.T) {
 // below 2^(w-1) in magnitude, and any two nonzero ones are w apart.
 func TestNonAdjacentForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		x := new(big.Int).Rand(rng, order)
+	half := new(big.Int).Lsh(big.NewInt(1), 128)
+	for trial := 0; trial < 300; trial++ {
+		// Full scalars, and 128-bit ones as Verify's halves and
+		// VerifyBatch's weights are, the extremes among them.
+		var x *big.Int
+		switch {
+		case trial < 200:
+			x = new(big.Int).Rand(rng, order)
+		case trial < 204:
+			x = big.NewInt(int64(trial - 200))
+		case trial == 204:
+			x = new(big.Int).Sub(half, big.NewInt(1))
+		case trial == 205:
+			x = new(big.Int).Sub(order, big.NewInt(1))
+		default:
+			x = new(big.Int).Rand(rng, half)
+		}
 		b := scalarToLE(x)
 		if got := setLE(new(big.Int), b[:]); got.Cmp(x) != 0 {
 			t.Fatalf("%v round-trips to %v", x, got)

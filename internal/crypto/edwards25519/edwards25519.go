@@ -4,16 +4,20 @@
 
 // Package edwards25519 is the variable-time part of the Go toolchain's
 // edwards25519 group code (crypto/internal/fips140/edwards25519 in Go
-// 1.24; its license is in LICENSE beside this file), plus VerifyBatch, which
-// checks many Ed25519 signatures on one message with one multi-scalar
-// multiplication.
+// 1.24; its license is in LICENSE beside this file), plus two signature
+// checks built on it: VerifyBatch checks many Ed25519 signatures on one
+// message with one multi-scalar multiplication, and Verify checks one
+// signature by exactly crypto/ed25519.Verify's rule, with half its
+// doublings once the key's tables are built.
 //
-// What is kept of the original: point decoding, addition and doubling, the
-// width-5 and width-8 NAF tables, the basepoint table and the field package
-// (copied whole, assembly included). What is not: encoding, constant-time
-// scalar multiplication and the fiat-crypto scalar field, which scalar.go
-// replaces with math/big arithmetic modulo the group order. One thing is
-// changed: a width-8 table shares one field inversion among its entries.
+// What is kept of the original: point decoding and encoding, addition and
+// doubling, the width-5 and width-8 NAF tables, the basepoint table and the
+// field package (copied whole, assembly included). What is not:
+// constant-time scalar multiplication and the fiat-crypto scalar field,
+// which scalar.go replaces with math/big arithmetic modulo the group order.
+// One thing is changed: a width-8 table shares one field inversion among
+// its entries. A PublicKey builds its tables on first use and keeps them,
+// about 7.5 KB each: one for VerifyBatch, two for Verify.
 // Nothing here runs in constant time, so it only ever handles public data.
 package edwards25519
 
@@ -118,6 +122,20 @@ func (v *Point) SetBytes(x []byte) (*Point, error) {
 	v.t.Multiply(xx, y) // xy = T / Z
 
 	return v, nil
+}
+
+// Encoding.
+
+// bytes writes the canonical 32-byte encoding of v to buf and returns it.
+func (v *Point) bytes(buf *[32]byte) []byte {
+	var zInv, x, y field.Element
+	zInv.Invert(&v.z)       // zInv = 1 / Z
+	x.Multiply(&v.x, &zInv) // x = X / Z
+	y.Multiply(&v.y, &zInv) // y = Y / Z
+
+	copy(buf[:], y.Bytes())
+	buf[31] |= byte(x.IsNegative() << 7)
+	return buf[:]
 }
 
 // Conversions.

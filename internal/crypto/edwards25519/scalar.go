@@ -7,6 +7,7 @@ package edwards25519
 import (
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 	"slices"
 )
 
@@ -63,9 +64,18 @@ func nonAdjacentForm(b *[32]byte, w uint) [256]int8 {
 	width := uint64(1 << w)
 	windowMask := uint64(width - 1)
 
+	// No digit lies above the scalar's bit length, so the scan stops there:
+	// for a 128-bit half or weight, after half the positions.
+	bitLen := uint(0)
+	for i := 3; i >= 0 && bitLen == 0; i-- {
+		if digits[i] != 0 {
+			bitLen = uint(64*i + bits.Len64(digits[i]))
+		}
+	}
+
 	pos := uint(0)
 	carry := uint64(0)
-	for pos < 256 {
+	for pos <= bitLen {
 		indexU64 := pos / 64
 		indexBit := pos % 64
 		var bitBuf uint64

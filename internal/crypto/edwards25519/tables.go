@@ -80,3 +80,27 @@ var basepointNafTablePrecomp struct {
 	table    nafLookupTable8
 	initOnce sync.Once
 }
+
+// basepointHiNafTable is the nafLookupTable8 for 2^128·B, Verify's second
+// basepoint term. It is precomputed the first time it's used.
+func basepointHiNafTable() *nafLookupTable8 {
+	basepointHiNafTablePrecomp.initOnce.Do(func() {
+		basepointHiNafTablePrecomp.table.FromP3(times2to128(generator))
+	})
+	return &basepointHiNafTablePrecomp.table
+}
+
+var basepointHiNafTablePrecomp struct {
+	table    nafLookupTable8
+	initOnce sync.Once
+}
+
+// times2to128 returns 2^128·p, by 128 doublings.
+func times2to128(p *Point) *Point {
+	tmp2 := projP2{X: p.x, Y: p.y, Z: p.z}
+	var tmp1 projP1xP1
+	for range 128 {
+		tmp2.FromP1xP1(tmp1.Double(&tmp2))
+	}
+	return new(Point).fromP1xP1(&tmp1)
+}
