@@ -17,13 +17,14 @@ const signatureSize = 64
 // width-8 NAF tables (64 affine multiples each, about 20 µs and 7.5 KB) are
 // allocated and built on first use, so holding many keys costs nothing
 // until one of them is checked: VerifyBatch builds the table of A, Verify
-// that one and the table of 2^128·A. It is safe for concurrent use.
+// that one and the other seven of A's comb, the tables of 2^(32j)·A for
+// j = 1…7, about 60 KB in all. It is safe for concurrent use.
 type PublicKey struct {
-	enc    [32]byte
-	once   sync.Once
-	table  *nafLookupTable8 // odd multiples of A; nil if enc is not a point
-	hiOnce sync.Once
-	hi     *nafLookupTable8 // odd multiples of 2^128·A, for Verify
+	enc      [32]byte
+	once     sync.Once
+	table    *nafLookupTable8 // odd multiples of A; nil if enc is not a point
+	combOnce sync.Once
+	comb     *combTable // for Verify; comb[0] is table
 }
 
 // NewPublicKey wraps the 32-byte encoding of an Ed25519 public key.
@@ -48,18 +49,18 @@ func (k *PublicKey) prepared() (*nafLookupTable8, bool) {
 	return k.table, k.table != nil
 }
 
-// preparedSplit returns the tables of A and of 2^128·A, building them on
-// first use, and false if the key is not a point.
-func (k *PublicKey) preparedSplit() (lo, hi *nafLookupTable8, ok bool) {
-	if lo, ok = k.prepared(); !ok {
-		return nil, nil, false
+// preparedComb returns the key's comb, building it on first use from the
+// table prepared returns, and false if the key is not a point.
+func (k *PublicKey) preparedComb() (*combTable, bool) {
+	t, ok := k.prepared()
+	if !ok {
+		return nil, false
 	}
-	k.hiOnce.Do(func() {
+	k.combOnce.Do(func() {
 		p, _ := new(Point).SetBytes(k.enc[:])
-		k.hi = new(nafLookupTable8)
-		k.hi.FromP3(times2to128(p))
+		k.comb = newComb(p, t)
 	})
-	return lo, k.hi, true
+	return k.comb, true
 }
 
 // VerifyBatch reports whether sigs holds len(keys) signatures of msg, the

@@ -44,8 +44,8 @@ func TestNonAdjacentForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	half := new(big.Int).Lsh(big.NewInt(1), 128)
 	for trial := 0; trial < 300; trial++ {
-		// Full scalars, and 128-bit ones as Verify's halves and
-		// VerifyBatch's weights are, the extremes among them.
+		// Full scalars, and 128-bit ones as VerifyBatch's weights are,
+		// the extremes among them.
 		var x *big.Int
 		switch {
 		case trial < 200:

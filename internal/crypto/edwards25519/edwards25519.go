@@ -7,7 +7,7 @@
 // 1.24; its license is in LICENSE beside this file), plus two signature
 // checks built on it: VerifyBatch checks many Ed25519 signatures on one
 // message with one multi-scalar multiplication, and Verify checks one
-// signature by exactly crypto/ed25519.Verify's rule, with half its
+// signature by exactly crypto/ed25519.Verify's rule, with an eighth of its
 // doublings once the key's tables are built.
 //
 // What is kept of the original: point decoding and encoding, addition and
@@ -17,7 +17,8 @@
 // which scalar.go replaces with math/big arithmetic modulo the group order.
 // One thing is changed: a width-8 table shares one field inversion among
 // its entries. A PublicKey builds its tables on first use and keeps them,
-// about 7.5 KB each: one for VerifyBatch, two for Verify.
+// about 7.5 KB each: one for VerifyBatch, and for Verify that one and seven
+// more, the comb of tables.go.
 // Nothing here runs in constant time, so it only ever handles public data.
 package edwards25519
 

@@ -81,26 +81,52 @@ var basepointNafTablePrecomp struct {
 	initOnce sync.Once
 }
 
-// basepointHiNafTable is the nafLookupTable8 for 2^128·B, Verify's second
-// basepoint term. It is precomputed the first time it's used.
-func basepointHiNafTable() *nafLookupTable8 {
-	basepointHiNafTablePrecomp.initOnce.Do(func() {
-		basepointHiNafTablePrecomp.table.FromP3(times2to128(generator))
-	})
-	return &basepointHiNafTablePrecomp.table
-}
+// combPieces is how many pieces Verify cuts a scalar into, and
+// combPieceBits how wide each one is. Eight pieces of 32 bits cover the 256
+// positions a width-8 NAF has, so a Straus loop over them does 32
+// doublings; 4 pieces would do 64, and 16 would double the memory for a
+// few per cent more.
+const (
+	combPieces    = 8
+	combPieceBits = 32
+)
 
-var basepointHiNafTablePrecomp struct {
-	table    nafLookupTable8
-	initOnce sync.Once
-}
+// A combTable holds, for a point P, the nafLookupTable8 of 2^(32j)·P in
+// entry j: the fixed-base comb of Lim and Lee, one table per piece. A NAF
+// digit at position p is then added from entry p/32 at row p mod 32 (see
+// combFold).
+type combTable [combPieces]*nafLookupTable8
 
-// times2to128 returns 2^128·p, by 128 doublings.
-func times2to128(p *Point) *Point {
+// newComb returns p's comb, whose entry 0, the table of p itself, is t0.
+// The other seven tables are built here, in one allocation.
+func newComb(p *Point, t0 *nafLookupTable8) *combTable {
+	c := &combTable{t0}
+	tables := new([combPieces - 1]nafLookupTable8)
 	tmp2 := projP2{X: p.x, Y: p.y, Z: p.z}
-	var tmp1 projP1xP1
-	for range 128 {
-		tmp2.FromP1xP1(tmp1.Double(&tmp2))
+	var (
+		tmp1 projP1xP1
+		q    Point
+	)
+	for j := 1; j < combPieces; j++ {
+		for range combPieceBits {
+			tmp2.FromP1xP1(tmp1.Double(&tmp2))
+		}
+		tables[j-1].FromP3(q.fromP1xP1(&tmp1))
+		c[j] = &tables[j-1]
 	}
-	return new(Point).fromP1xP1(&tmp1)
+	return c
+}
+
+// basepointComb is the combTable for the basepoint, whose entry 0 is
+// basepointNafTable. It is precomputed the first time it's used.
+func basepointComb() *combTable {
+	basepointCombPrecomp.initOnce.Do(func() {
+		basepointCombPrecomp.comb = newComb(generator, basepointNafTable())
+	})
+	return basepointCombPrecomp.comb
+}
+
+var basepointCombPrecomp struct {
+	comb     *combTable
+	initOnce sync.Once
 }

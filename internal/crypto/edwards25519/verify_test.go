@@ -5,7 +5,10 @@ import (
 	"crypto/sha512"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
+
+	"leopard/internal/crypto/edwards25519/field"
 )
 
 // mult returns [x]p by double-and-add over Point.Add: slow, and independent
@@ -254,6 +257,91 @@ func TestVerifyRandom(t *testing.T) {
 		bad[int(seed[0])%64] ^= 1 << (seed[1] % 8)
 		if got, want := Verify(key, msg, bad), ed25519.Verify(pub, msg, bad); got != want {
 			t.Fatalf("%d: flipped signature: Verify = %v, crypto/ed25519 says %v", i, got, want)
+		}
+	}
+}
+
+// combScalars are combFold's test scalars: the ends of the range, values at
+// and around piece boundaries, values whose NAF carries from one piece into
+// the next, and random ones.
+func combScalars() []*big.Int {
+	one := big.NewInt(1)
+	pow := func(e uint) *big.Int { return new(big.Int).Lsh(one, e) }
+	xs := []*big.Int{
+		big.NewInt(0), one,
+		new(big.Int).Sub(pow(32), one), pow(32), pow(31), pow(224),
+		new(big.Int).Sub(order, one),
+	}
+	for j := uint(1); j < combPieces; j++ {
+		// 2^32j − 1 has the digits −1 at 0 and +1 at 32j; 255·2^(32j−8)
+		// has −1 at 32j − 8 and +1 at 32j.
+		xs = append(xs, new(big.Int).Sub(pow(32*j), one), new(big.Int).Lsh(big.NewInt(255), 32*j-8))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for range 16 {
+		xs = append(xs, new(big.Int).Rand(rng, order))
+	}
+	return xs
+}
+
+// TestCombFold: for every pair of test scalars, combFold gives [s]B − [k]A,
+// checked as combFold(s, k) + [k]A = [s]B with double-and-add on the right.
+func TestCombFold(t *testing.T) {
+	keys, _ := signers(t, 1, nil)
+	aComb, ok := keys[0].preparedComb()
+	if !ok {
+		t.Fatal("key does not decode")
+	}
+	a, _ := new(Point).SetBytes(keys[0].enc[:])
+	xs := combScalars()
+	sB, kA := make([]*Point, len(xs)), make([]*Point, len(xs))
+	for i, x := range xs {
+		sB[i], kA[i] = mult(x, generator), mult(x, a)
+	}
+	for i, s := range xs {
+		for j, k := range xs {
+			sb, kb := scalarToLE(s), scalarToLE(k)
+			var v Point
+			combFold(&v, basepointComb(), aComb, &sb, &kb)
+			if got := v.Add(&v, kA[j]).encoding(); string(got) != string(sB[i].encoding()) {
+				t.Fatalf("s = %#x, k = %#x: combFold is not [s]B − [k]A", s, k)
+			}
+		}
+	}
+}
+
+// TestCombTables: for B and for a key's A, entry i of comb table j is
+// (2i+1)·2^(32j)·P, checked against double-and-add and an inversion per
+// entry; table 0 is the one VerifyBatch uses.
+func TestCombTables(t *testing.T) {
+	keys, _ := signers(t, 1, nil)
+	aComb, ok := keys[0].preparedComb()
+	if !ok {
+		t.Fatal("key does not decode")
+	}
+	if table, _ := keys[0].prepared(); aComb[0] != table {
+		t.Fatal("the key's comb does not start at its VerifyBatch table")
+	}
+	if basepointComb()[0] != basepointNafTable() {
+		t.Fatal("the basepoint comb does not start at basepointNafTable")
+	}
+	a, _ := new(Point).SetBytes(keys[0].enc[:])
+	for _, c := range []struct {
+		name string
+		p    *Point
+		comb *combTable
+	}{{"B", generator, basepointComb()}, {"A", a, aComb}} {
+		for j, table := range c.comb {
+			for i, got := range table.points {
+				m := new(big.Int).Lsh(big.NewInt(int64(2*i+1)), uint(combPieceBits*j))
+				multiple := mult(m, c.p)
+				var invZ field.Element
+				var want affineCached
+				want.fromP3(multiple, invZ.Invert(&multiple.z))
+				if got.YplusX.Equal(&want.YplusX) != 1 || got.YminusX.Equal(&want.YminusX) != 1 || got.T2d.Equal(&want.T2d) != 1 {
+					t.Fatalf("%s: table %d, entry %d is not %d·2^%d·%s", c.name, j, i, 2*i+1, combPieceBits*j, c.name)
+				}
+			}
 		}
 	}
 }
