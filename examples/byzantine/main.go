@@ -68,9 +68,9 @@ func run() error {
 
 	// The faulty replica's clients submit 60 requests through it.
 	for i := 0; i < 60; i++ {
-		leo[2].SubmitRequest(net.Now(), types.Request{
+		leo[2].SubmitSigned(net.Now(), types.Request{
 			ClientID: 7, Seq: uint64(i), Payload: []byte("attacked-payload"),
-		})
+		}, nil)
 	}
 	net.Run(2 * time.Second)
 

@@ -83,7 +83,7 @@ func run() error {
 			Payload:  []byte(fmt.Sprintf("transfer #%d", submitted)),
 		}
 		seqs[target]++
-		leoNodes[target].SubmitRequest(net.Now(), req)
+		leoNodes[target].SubmitSigned(net.Now(), req, nil)
 		submitted++
 	}
 

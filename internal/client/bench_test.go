@@ -2,7 +2,6 @@ package client
 
 import (
 	"crypto/ed25519"
-	"fmt"
 	"testing"
 
 	"leopard/internal/crypto/edwards25519"
@@ -70,29 +69,4 @@ func BenchmarkVerifyRequest(b *testing.B) {
 			return edwards25519.Verify(key, d[:], sigs[j])
 		})
 	})
-}
-
-// BenchmarkVerifyBatch is the admission path: parallel chunked verification,
-// with the 16 clients' tables built before the timer starts.
-func BenchmarkVerifyBatch(b *testing.B) {
-	for _, size := range []int{64, 512} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			kc, reqs, sigs := benchBatch(b, 16, size)
-			v := kc.Verifier()
-			for _, ok := range v.VerifyRequestBatch(reqs, sigs) {
-				if !ok {
-					b.Fatal("verify failed")
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, ok := range v.VerifyRequestBatch(reqs, sigs) {
-					if !ok {
-						b.Fatal("verify failed")
-					}
-				}
-			}
-			b.ReportMetric(float64(size*b.N)/b.Elapsed().Seconds(), "sigs/s")
-		})
-	}
 }

@@ -98,8 +98,7 @@ func TestRequestDigestPinned(t *testing.T) {
 func TestVerifyBatchMatchesSequential(t *testing.T) {
 	kc := testKeychain(t, 8)
 	v := kc.Verifier()
-	// Large enough to take the parallel path.
-	const batch = 3 * batchParallelMin
+	const batch = 96
 	reqs := make([]types.Request, batch)
 	sigs := make([][]byte, batch)
 	for i := range reqs {

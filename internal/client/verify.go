@@ -1,9 +1,6 @@
 package client
 
 import (
-	"runtime"
-	"sync"
-
 	"leopard/internal/crypto/edwards25519"
 	"leopard/internal/types"
 )
@@ -30,57 +27,17 @@ func (v *Verifier) VerifyRequest(req types.Request, sig []byte) bool {
 	return edwards25519.Verify(v.keys[req.ClientID], d[:], sig)
 }
 
-// batchParallelMin is the batch size below which VerifyRequestBatch runs
-// sequentially: goroutine fan-out costs more than it saves under ~32
-// signatures (see BenchmarkVerifyBatch).
-const batchParallelMin = 32
-
-// VerifyRequestBatch verifies a batch of request signatures and returns one
-// verdict per request, in order. Batches of batchParallelMin or more are
-// fanned out across GOMAXPROCS workers on contiguous chunks; results are
-// positionally indexed, so the output is identical to the sequential path.
-// Replica admission uses this to amortize signature checking across the
-// requests that arrive between two events.
-//
-// The win here is parallelism, not fewer scalar multiplications: each
-// check is VerifyRequest's, cheap because of the per-client tables. A
-// batch equation over many messages was measured against those checks: it
-// saves 7–13 % per signature, too little for the asynchronous admission
-// contract and the cofactored rule it would need.
+// VerifyRequestBatch returns VerifyRequest's verdict for each request, in
+// order; a length mismatch fails every request. No replica calls it: every
+// admission goes through leopard.Node.SubmitSigned, one VerifyRequest per
+// request. It stays only because leopard.ClientVerifier names it.
 func (v *Verifier) VerifyRequestBatch(reqs []types.Request, sigs [][]byte) []bool {
 	out := make([]bool, len(reqs))
 	if len(sigs) != len(reqs) {
 		return out
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if len(reqs) < batchParallelMin || workers < 2 {
-		for i := range reqs {
-			out[i] = v.VerifyRequest(reqs[i], sigs[i])
-		}
-		return out
+	for i := range reqs {
+		out[i] = v.VerifyRequest(reqs[i], sigs[i])
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(reqs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = v.VerifyRequest(reqs[i], sigs[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }

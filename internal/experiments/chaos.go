@@ -179,7 +179,6 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 				// with the default 16x cap, one escalation wait after the
 				// plan heals could eat the whole grace window by itself.
 				ViewChangeMaxTimeout: 8 * p.vct,
-				TrustDigests:         true,
 				SkipRequestDedup:     true,
 				Store:                stores[id],
 				OnExecute:            ic.ExecutionObserver(id),

@@ -54,8 +54,8 @@ type ClientsResult struct {
 
 // clientsDriver owns every client session and moves bytes between clients
 // and replicas deterministically: a single ticker walks the sessions in
-// index order, batches each tick's submissions per replica, and replies are
-// scheduled back through the simnet event queue.
+// index order, hands each submission to its replica's SubmitSigned as it
+// goes, and replies are scheduled back through the simnet event queue.
 type clientsDriver struct {
 	c     *harness.Cluster
 	nodes []*leopard.Node
@@ -70,10 +70,6 @@ type clientsDriver struct {
 	// replica are dropped (connection refused), exactly like the replies it
 	// cannot send.
 	down map[types.ReplicaID]bool
-
-	// Per-tick submission batches, reused across ticks.
-	batchReqs [][]types.Request
-	batchSigs [][][]byte
 
 	measureFrom time.Duration
 	lat         obs.LatencyRecorder
@@ -91,10 +87,6 @@ func clientPayload(clientID, seq uint64) []byte {
 // tick walks every session once: idle sessions begin their next request at
 // their origin replica; overdue ones retransmit to a rotating f+1 window.
 func (d *clientsDriver) tick(now time.Duration) {
-	for i := range d.batchReqs {
-		d.batchReqs[i] = d.batchReqs[i][:0]
-		d.batchSigs[i] = d.batchSigs[i][:0]
-	}
 	for i, s := range d.sessions {
 		switch {
 		case !s.InFlight():
@@ -104,33 +96,24 @@ func (d *clientsDriver) tick(now time.Duration) {
 				continue
 			}
 			d.sigs[i] = sig
-			d.enqueue(d.origin[i], req, sig)
+			d.submit(now, d.origin[i], req, sig)
 		case s.Due(now):
 			req := s.Retransmit(now)
 			for _, id := range client.RetransmitSet(d.n, d.f, s.Attempt(), d.origin[i]) {
-				d.enqueue(id, req, d.sigs[i])
+				d.submit(now, id, req, d.sigs[i])
 			}
-		}
-	}
-	for id := 0; id < d.n; id++ {
-		reqs := d.batchReqs[id]
-		if len(reqs) == 0 {
-			continue
-		}
-		d.nodes[id].SubmitSignedBatch(now, reqs, d.batchSigs[id])
-		stats := d.c.Net.Stats(types.ReplicaID(id))
-		for _, req := range reqs {
-			stats.AddReceived(transport.ClassRequest, req.Size()+client.SignatureSize)
 		}
 	}
 }
 
-func (d *clientsDriver) enqueue(id types.ReplicaID, req types.Request, sig []byte) {
+// submit delivers one signed request to replica id, unless it is down, and
+// counts its bytes into the replica's ingress figures.
+func (d *clientsDriver) submit(now time.Duration, id types.ReplicaID, req types.Request, sig []byte) {
 	if d.down[id] {
 		return
 	}
-	d.batchReqs[id] = append(d.batchReqs[id], req)
-	d.batchSigs[id] = append(d.batchSigs[id], sig)
+	d.nodes[id].SubmitSigned(now, req, sig)
+	d.c.Net.Stats(id).AddReceived(transport.ClassRequest, req.Size()+client.SignatureSize)
 }
 
 // onReply folds a replica's reply into the owning session's certificate.
@@ -229,7 +212,6 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 				MaxParallel:   16,
 				// The crash must trigger a real view change mid-run.
 				ViewChangeTimeout: p.VCTimeout,
-				TrustDigests:      true,
 				Verifier:          verifier,
 				// Generous per-client budget: honest closed-loop clients
 				// (one request in flight each) must never trip it, so any
@@ -243,17 +225,15 @@ func clientsRun(n, numClients int, p clientsParams) (ClientsResult, error) {
 	}
 
 	d := &clientsDriver{
-		c:         c,
-		nodes:     leopardNodes(c),
-		keys:      keys,
-		n:         n,
-		f:         q.F,
-		sessions:  make([]*client.Session, numClients),
-		sigs:      make([][]byte, numClients),
-		origin:    make([]types.ReplicaID, numClients),
-		down:      make(map[types.ReplicaID]bool),
-		batchReqs: make([][]types.Request, n),
-		batchSigs: make([][][]byte, n),
+		c:        c,
+		nodes:    leopardNodes(c),
+		keys:     keys,
+		n:        n,
+		f:        q.F,
+		sessions: make([]*client.Session, numClients),
+		sigs:     make([][]byte, numClients),
+		origin:   make([]types.ReplicaID, numClients),
+		down:     make(map[types.ReplicaID]bool),
 	}
 	initialLeader := c.Replicas[0].Leader()
 	for i := range d.sessions {

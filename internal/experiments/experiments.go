@@ -109,7 +109,6 @@ func leopardClusterDepth(n, dbSize, bftSize, depth int, net simnet.Config, mutat
 				Suite:            suite,
 				DatablockSize:    dbSize,
 				BFTBlockSize:     bftSize,
-				TrustDigests:     true,
 				SkipRequestDedup: true,
 				// Throughput experiments measure the normal case under an
 				// honest leader; progress stalls are queueing, not leader
@@ -150,7 +149,6 @@ func hotstuffCluster(n, batch int, net simnet.Config) (*harness.Cluster, error) 
 			if err != nil {
 				return nil, err
 			}
-			node.TrustDigests = true
 			node.SkipRequestDedup = true
 			return node, nil
 		},

@@ -229,7 +229,7 @@ func (c *Cluster) inject(now time.Duration) {
 
 func (c *Cluster) submit(now time.Duration, id types.ReplicaID, r protocol.Replica) {
 	req := c.gens[id].Next()
-	if r.SubmitRequest(now, req) {
+	if r.SubmitSigned(now, req, nil).OK() {
 		if c.sampled(req.ID()) {
 			c.inflight[req.ID()] = submission{owner: id, at: now}
 		}

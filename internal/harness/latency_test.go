@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"leopard/internal/mempool"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
 	"leopard/internal/transport"
@@ -25,9 +26,9 @@ func (r *stubReplica) Tick(time.Duration, transport.Sink)                       
 func (r *stubReplica) SetExecutor(fn protocol.ExecuteFunc)                                       { r.exec = fn }
 func (r *stubReplica) PendingRequests() int                                                      { return 0 }
 func (r *stubReplica) Leader() types.ReplicaID                                                   { return 0 }
-func (r *stubReplica) SubmitRequest(_ time.Duration, req types.Request) bool {
+func (r *stubReplica) SubmitSigned(_ time.Duration, req types.Request, _ []byte) mempool.Verdict {
 	r.submitted = append(r.submitted, req)
-	return true
+	return mempool.Admitted
 }
 
 func stubCluster(t *testing.T, latencySample int) (*Cluster, []*stubReplica) {

@@ -115,9 +115,12 @@ func (q QC) Size() int { return 32 + 8 + len(q.Proof.Sig) }
 
 // ProposalMsg carries a proposal from the leader.
 type ProposalMsg struct {
-	Block  *Block
-	View   types.View
-	Digest types.Hash // cached H(Block); recomputed unless TrustDigests
+	Block *Block
+	View  types.View
+	// Digest caches H(Block). As with leopard.DatablockMsg, a receiver
+	// hashes the block when Digest is zero and uses it otherwise; the
+	// baseline runs only in process, so honest senders always fill it.
+	Digest types.Hash
 }
 
 var _ transport.Message = (*ProposalMsg)(nil)
@@ -208,9 +211,8 @@ type Node struct {
 	reqPool *mempool.RequestPool
 	execFn  protocol.ExecuteFunc
 
-	view    types.View
-	blocks  map[types.Hash]*Block
-	digests map[types.Hash]types.Hash // identity map kept for clarity
+	view   types.View
+	blocks map[types.Hash]*Block
 
 	highQC   QC
 	lockedQC QC
@@ -233,9 +235,6 @@ type Node struct {
 
 	stats Stats
 
-	// TrustDigests mirrors the Leopard option: skip recomputing proposal
-	// digests in simulations.
-	TrustDigests bool
 	// SkipRequestDedup disables confirmed-request bookkeeping, as in
 	// leopard.Config.SkipRequestDedup.
 	SkipRequestDedup bool
@@ -255,10 +254,9 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:          cfg,
 		suite:        cfg.Suite,
 		q:            cfg.Quorum,
-		reqPool:      mempool.NewRequestPool(),
+		reqPool:      mempool.NewRequestPoolLimits(mempool.Limits{}),
 		view:         1,
 		blocks:       make(map[types.Hash]*Block),
-		digests:      make(map[types.Hash]types.Hash),
 		votes:        make(map[types.Hash][]crypto.Share),
 		votesSeen:    make(map[types.Hash]map[types.ReplicaID]struct{}),
 		committed:    make(map[types.Hash]struct{}),
@@ -288,10 +286,11 @@ func (n *Node) SetExecutor(fn protocol.ExecuteFunc) { n.execFn = fn }
 // PendingRequests implements protocol.Replica.
 func (n *Node) PendingRequests() int { return n.reqPool.Len() }
 
-// SubmitRequest implements protocol.Replica.
-func (n *Node) SubmitRequest(now time.Duration, req types.Request) bool {
+// SubmitSigned implements protocol.Replica. The baseline authenticates no
+// clients, so sig is not checked.
+func (n *Node) SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict {
 	n.observe(now)
-	return n.reqPool.Add(req, now)
+	return n.reqPool.Admit(req, now)
 }
 
 // Stats returns the node's counters.
@@ -404,7 +403,7 @@ func (n *Node) handleProposal(from types.ReplicaID, m *ProposalMsg, out transpor
 	}
 	b := m.Block
 	digest := m.Digest
-	if !n.TrustDigests || digest.IsZero() {
+	if digest.IsZero() {
 		digest = b.Digest()
 	}
 	if _, dup := n.blocks[digest]; dup {

@@ -43,14 +43,14 @@ func authedNode(t *testing.T, mutate func(*leopard.Config)) (*leopard.Node, *cli
 	return node, keys
 }
 
-// TestUnsignedRejectedWhenVerifierSet: once a verifier is configured, the
-// legacy unsigned submission path must be closed — otherwise signatures
-// would be decorative.
+// TestUnsignedRejectedWhenVerifierSet: once a verifier is configured, a
+// request without a signature is rejected — otherwise signatures would be
+// decorative.
 func TestUnsignedRejectedWhenVerifierSet(t *testing.T) {
 	node, _ := authedNode(t, nil)
 	req := types.Request{ClientID: 1, Seq: 0, Payload: []byte("unsigned")}
-	if node.SubmitRequest(0, req) {
-		t.Fatal("unsigned SubmitRequest accepted on a verifier-configured node")
+	if v := node.SubmitSigned(0, req, nil); v != mempool.BadSignature {
+		t.Fatalf("unsigned request on a verifier-configured node: verdict %v, want %v", v, mempool.BadSignature)
 	}
 	st := node.Stats()
 	if st.BadSignatures != 1 || st.RejectedRequests != 1 {
@@ -172,9 +172,11 @@ func TestOverRateRejectedAtAdmission(t *testing.T) {
 	}
 }
 
-// TestRequestMsgGoesThroughAuthentication: a peer-forwarded RequestMsg is
-// verified like a direct submission — a replica cannot launder an unsigned
-// request through the wire.
+// TestRequestMsgGoesThroughAuthentication: authentication happens only
+// behind the client port. A RequestMsg from a peer is ignored before any
+// signature check: a validly signed one is not admitted, and a forged one
+// costs no verification and counts no bad signature, so a Byzantine
+// replica cannot make an honest one burn ed25519 checks on a flood.
 func TestRequestMsgGoesThroughAuthentication(t *testing.T) {
 	node, keys := authedNode(t, nil)
 	good := types.Request{ClientID: 2, Seq: 0, Payload: []byte("wire")}
@@ -183,16 +185,17 @@ func TestRequestMsgGoesThroughAuthentication(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliver(node, 0, 0, &leopard.RequestMsg{Req: good, Sig: sig})
-	if node.PendingRequests() != 1 {
-		t.Fatalf("signed RequestMsg not admitted: depth %d", node.PendingRequests())
+	if node.PendingRequests() != 0 {
+		t.Fatalf("peer-forwarded RequestMsg admitted: depth %d", node.PendingRequests())
 	}
 	forged := types.Request{ClientID: 2, Seq: 1, Payload: []byte("wire")}
 	deliver(node, 0, 0, &leopard.RequestMsg{Req: forged, Sig: []byte("garbage")})
-	if node.PendingRequests() != 1 {
-		t.Fatal("forged RequestMsg reached the pool")
+	if st := node.Stats(); st.BadSignatures != 0 {
+		t.Fatalf("peer-forwarded RequestMsg was verified: %d bad signatures", st.BadSignatures)
 	}
-	if node.Stats().BadSignatures == 0 {
-		t.Fatal("forged RequestMsg not counted as a bad signature")
+	// The client port still admits the same signed request.
+	if v := node.SubmitSigned(0, good, sig); !v.OK() {
+		t.Fatalf("signed request through SubmitSigned: verdict %v", v)
 	}
 }
 

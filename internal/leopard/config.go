@@ -52,8 +52,10 @@ import (
 
 // ClientVerifier authenticates client request submissions at admission.
 // internal/client.Verifier is the production implementation; tests may
-// substitute fakes. VerifyRequestBatch must be positionally equivalent to
-// calling VerifyRequest per element (implementations typically parallelize).
+// substitute fakes. Node.SubmitSigned calls VerifyRequest once per request.
+// No replica calls VerifyRequestBatch; it stays only because
+// cmd/leopard-bench wraps both methods, and must be positionally equivalent
+// to calling VerifyRequest per element.
 type ClientVerifier interface {
 	VerifyRequest(req types.Request, sig []byte) bool
 	VerifyRequestBatch(reqs []types.Request, sigs [][]byte) []bool
@@ -103,11 +105,9 @@ type Config struct {
 	// work is pending before this replica votes to change the view.
 	ViewChangeTimeout time.Duration
 
-	// Verifier, when non-nil, makes the replica's front door authenticated:
-	// SubmitSigned/SubmitSignedBatch and peer-forwarded RequestMsgs verify
-	// the client's signature before admission, and the unsigned
-	// SubmitRequest path is rejected outright. Nil keeps the legacy
-	// unauthenticated admission (synthetic workloads, protocol tests).
+	// Verifier, when non-nil, makes SubmitSigned check the client's
+	// signature before admission and reject a bad one. Nil admits
+	// unverified (synthetic workloads, protocol tests).
 	Verifier ClientVerifier
 	// Mempool sets the request pool's per-client token-bucket rate limit;
 	// the zero value leaves it off. The pool's byte, count and per-client
@@ -143,10 +143,6 @@ type Config struct {
 	// executor callback it also fires for dummy blocks and replayed
 	// history.
 	OnExecute func(sn types.SeqNum, block *types.BFTblock, chain types.Hash)
-	// TrustDigests makes receivers use the digest cached in DatablockMsg
-	// instead of recomputing it. Only safe in simulations where all nodes
-	// share one process; real deployments must leave it false.
-	TrustDigests bool
 	// SkipRequestDedup disables the per-request confirmed-set bookkeeping
 	// that rejects client resubmissions of already-confirmed requests.
 	// Simulations with unique synthetic request streams enable this to

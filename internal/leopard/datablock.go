@@ -68,7 +68,7 @@ func (n *Node) handleDatablock(from types.ReplicaID, m *DatablockMsg, out transp
 		return
 	}
 	digest := m.Digest
-	if !n.cfg.TrustDigests || digest.IsZero() {
+	if digest.IsZero() { // decoded off the wire: Digest never travels
 		digest = crypto.HashDatablock(m.Block)
 	}
 	n.acceptDatablock(digest, m.Block, from, out)

@@ -65,8 +65,10 @@ func wireCheckpointCert(c codec.Coder, p **CheckpointProofMsg) {
 }
 
 // DatablockMsg carries a datablock from its generator to all replicas
-// (Alg. 1, line 7). Digest caches H(Block); receivers recompute it unless
-// Config.TrustDigests is set (simulation-only CPU optimization).
+// (Alg. 1, line 7). Digest caches H(Block) and is never encoded, so every
+// decoded message has a zero Digest. A receiver hashes the block when
+// Digest is zero and uses it otherwise: over TCP, or simnet in codec mode,
+// every block is hashed; an in-process simulation keeps the sender's.
 type DatablockMsg struct {
 	Block  *types.Datablock
 	Digest types.Hash
@@ -439,11 +441,11 @@ func (m *StateRespMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink
 	n.handleStateResp(from, m, out)
 }
 
-// RequestMsg is a signed client request submission: the authenticated front
-// door of the serving path. Clients (and replicas forwarding on their
-// behalf) send it to a replica, which verifies Sig against the client's
-// public key (client.RequestDigest) before admitting the request to its
-// mempool. Carries raw payload bytes, so it rides the bulk lane.
+// RequestMsg is a signed client request submission. Clients send it to a
+// replica's client port, which hands it to Node.SubmitSigned; there Sig is
+// checked against the client's public key (client.RequestDigest) before the
+// request enters the mempool. Carries raw payload bytes, so it rides the
+// bulk lane.
 type RequestMsg struct {
 	Req types.Request
 	Sig []byte
@@ -461,11 +463,10 @@ func (m *RequestMsg) WireSize() int            { return hdrSize + codec.Size(m.w
 func (m *RequestMsg) Class() transport.Class   { return transport.ClassRequest }
 func (m *RequestMsg) Policy() transport.Policy { return transport.PolicyBulk }
 
-// deliver: a peer (or a client gateway) forwarded a signed submission; it
-// goes through the same authenticated admission as SubmitSigned.
-func (m *RequestMsg) deliver(n *Node, from types.ReplicaID, out transport.Sink) {
-	n.SubmitSigned(n.now, m.Req, m.Sig)
-}
+// deliver ignores a RequestMsg from a peer: requests enter only behind the
+// client port, so a Byzantine replica cannot make an honest one spend
+// signature checks on forwarded floods.
+func (m *RequestMsg) deliver(*Node, types.ReplicaID, transport.Sink) {}
 
 // ReplyMsg is an executing replica's signed reply to a client: the request
 // identity, the serial number it executed at, the replica's execution chain

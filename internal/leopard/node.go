@@ -468,26 +468,11 @@ const (
 	StageAgreement     = "agreement"
 )
 
-// SubmitRequest adds a client request to this replica's mempool over the
-// legacy unauthenticated path. Returns false if the request is rejected
-// (duplicate, stale nonce, over budget — or always, on replicas configured
-// with a Verifier: an authenticated front door takes no unsigned requests).
-func (n *Node) SubmitRequest(now time.Duration, req types.Request) bool {
-	n.observe(now)
-	if n.cfg.Verifier != nil {
-		n.stats.BadSignatures++
-		return false
-	}
-	ok := n.reqPool.Add(req, now)
-	if ok {
-		n.trace(obs.EvRequestAdmitted, req.ClientID, int64(req.Seq))
-	}
-	return ok
-}
-
 // SubmitSigned verifies a client-signed request and admits it to the
-// mempool, returning the admission verdict. Replicas without a Verifier
-// accept the request unverified (the signature is carried but not checked).
+// mempool, returning the admission verdict. It is the only way a request
+// enters a replica: the client port, the simulated drivers and the tests
+// all come through here. Replicas without a Verifier accept the request
+// unverified (the signature is carried but not checked).
 func (n *Node) SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict {
 	n.observe(now)
 	if n.cfg.Verifier != nil && !n.cfg.Verifier.VerifyRequest(req, sig) {
@@ -534,36 +519,6 @@ func (n *Node) resendReply(req types.Request) {
 		n.replyFn(r)
 		n.stats.RepliesSent++
 	}
-}
-
-// SubmitSignedBatch admits a batch of client-signed requests, verifying all
-// signatures in one batched pass (ClientVerifier.VerifyRequestBatch — the
-// parallel admission path) before touching the pool. Verdicts are
-// positional. A driver that aggregates submissions between events (the
-// clients scenario does) gets signature verification at batch cost instead
-// of per-request cost.
-func (n *Node) SubmitSignedBatch(now time.Duration, reqs []types.Request, sigs [][]byte) []mempool.Verdict {
-	n.observe(now)
-	out := make([]mempool.Verdict, len(reqs))
-	var okSigs []bool
-	if n.cfg.Verifier != nil {
-		okSigs = n.cfg.Verifier.VerifyRequestBatch(reqs, sigs)
-	}
-	for i := range reqs {
-		if okSigs != nil && !okSigs[i] {
-			n.stats.BadSignatures++
-			out[i] = mempool.BadSignature
-			continue
-		}
-		out[i] = n.reqPool.Admit(reqs[i], now)
-		if out[i].OK() {
-			n.trace(obs.EvRequestAdmitted, reqs[i].ClientID, int64(reqs[i].Seq))
-		}
-		if out[i] == mempool.DupConfirmed || out[i] == mempool.StaleSeq {
-			n.resendReply(reqs[i])
-		}
-	}
-	return out
 }
 
 // SetReplySink registers the callback that carries signed execution replies

@@ -280,10 +280,10 @@ func TestConfirmedRequestsNotRepacked(t *testing.T) {
 	r := newRouter(t, 4, nil)
 	r.submit(1, 10, 0)
 	r.advance(100*time.Millisecond, 5*time.Millisecond)
-	if !r.nodes[1].SubmitRequest(r.now, types.Request{ClientID: 2, Seq: 999, Payload: []byte("new")}) {
-		t.Fatal("fresh request rejected")
+	if v := r.nodes[1].SubmitSigned(r.now, types.Request{ClientID: 2, Seq: 999, Payload: []byte("new")}, nil); !v.OK() {
+		t.Fatalf("fresh request rejected: %v", v)
 	}
-	if r.nodes[1].SubmitRequest(r.now, types.Request{ClientID: 2, Seq: 0, Payload: make([]byte, 32)}) {
+	if v := r.nodes[1].SubmitSigned(r.now, types.Request{ClientID: 2, Seq: 0, Payload: make([]byte, 32)}, nil); v.OK() {
 		t.Fatal("already-confirmed request re-admitted")
 	}
 }

@@ -169,8 +169,8 @@ func (r *router) advance(d, step time.Duration) {
 func (r *router) submit(to types.ReplicaID, count int, firstSeq uint64) {
 	for i := 0; i < count; i++ {
 		req := types.Request{ClientID: uint64(to) + 1, Seq: firstSeq + uint64(i), Payload: make([]byte, 32)}
-		if !r.nodes[to].SubmitRequest(r.now, req) {
-			r.t.Fatalf("request %d rejected at %d", i, to)
+		if v := r.nodes[to].SubmitSigned(r.now, req, nil); !v.OK() {
+			r.t.Fatalf("request %d rejected at %d: %v", i, to, v)
 		}
 	}
 }

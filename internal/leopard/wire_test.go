@@ -241,9 +241,16 @@ func TestDecodeRejectsNonCanonicalBoolBytes(t *testing.T) {
 }
 
 // TestBorrowAndCopyDecodeAgree asserts the two decode modes produce
-// bitwise-identical messages for every wire kind.
+// bitwise-identical messages for every wire kind. The extra datablock
+// carries its digest: Digest never travels, so both modes must decode it
+// as zero, which is what makes a receiver hash the block.
 func TestBorrowAndCopyDecodeAgree(t *testing.T) {
-	for _, msg := range testMessages() {
+	db := &types.Datablock{
+		Ref:      types.DatablockRef{Generator: 1, Counter: 3},
+		Requests: []types.Request{{ClientID: 4, Seq: 5, Payload: []byte("digested")}},
+	}
+	digested := &DatablockMsg{Block: db, Digest: crypto.HashDatablock(db)}
+	for _, msg := range append(testMessages(), digested) {
 		buf, err := EncodeMessage(msg)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
@@ -269,6 +276,11 @@ func TestBorrowAndCopyDecodeAgree(t *testing.T) {
 		}
 		if !bytes.Equal(encB, buf) {
 			t.Errorf("%T: decode/encode not a fixpoint", msg)
+		}
+		for mode, got := range map[string]transport.Message{"borrow": borrowed, "copying": copied} {
+			if d, ok := got.(*DatablockMsg); ok && !d.Digest.IsZero() {
+				t.Errorf("%s decode of a DatablockMsg returned Digest %x; a digest must never travel", mode, d.Digest)
+			}
 		}
 	}
 }

@@ -84,8 +84,9 @@ const (
 	PoolFull
 	// ClientFull: the client's live-request budget is exhausted.
 	ClientFull
-	// BadSignature is produced by authenticated admission layers
-	// (leopard.Node.SubmitSigned), never by the pool itself.
+	// BadSignature is produced by leopard.Node.SubmitSigned when its
+	// Config.Verifier rejects the client's signature, never by the pool
+	// itself.
 	BadSignature
 )
 
@@ -162,7 +163,7 @@ type PoolStats struct {
 }
 
 // RequestPool is a prioritized, nonce-aware request pool with duplicate
-// suppression. The zero value is not usable; create with NewRequestPool or
+// suppression. The zero value is not usable; create with
 // NewRequestPoolLimits.
 //
 // Priority is total and deterministic: gap-free (pending) entries outrank
@@ -180,10 +181,8 @@ type RequestPool struct {
 	stats   PoolStats
 }
 
-// NewRequestPool creates an empty pool without rate limiting.
-func NewRequestPool() *RequestPool { return NewRequestPoolLimits(Limits{}) }
-
-// NewRequestPoolLimits creates an empty pool rate-limited by lim.
+// NewRequestPoolLimits creates an empty pool rate-limited by lim; the zero
+// Limits turns rate limiting off.
 func NewRequestPoolLimits(lim Limits) *RequestPool { return newRequestPool(lim, defaultBudgets) }
 
 func newRequestPool(lim Limits, budget budgets) *RequestPool {
@@ -198,12 +197,6 @@ func newRequestPool(lim Limits, budget budgets) *RequestPool {
 		byID:    make(map[types.RequestID]*entry),
 		clients: make(map[uint64]*clientState),
 	}
-}
-
-// Add enqueues a request at time now. It reports whether the request was
-// admitted (pending or queued); Admit exposes the full verdict.
-func (p *RequestPool) Add(r types.Request, now time.Duration) bool {
-	return p.Admit(r, now).OK()
 }
 
 // client returns the per-client state, creating it if the state budget

@@ -12,9 +12,9 @@ func req(client, seq uint64) types.Request {
 }
 
 func TestRequestPoolFIFO(t *testing.T) {
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	for i := uint64(0); i < 10; i++ {
-		if !p.Add(req(1, i), 0) {
+		if !p.Admit(req(1, i), 0).OK() {
 			t.Fatalf("request %d rejected", i)
 		}
 	}
@@ -36,11 +36,11 @@ func TestRequestPoolFIFO(t *testing.T) {
 }
 
 func TestRequestPoolDedup(t *testing.T) {
-	p := NewRequestPool()
-	if !p.Add(req(1, 1), 0) {
+	p := NewRequestPoolLimits(Limits{})
+	if !p.Admit(req(1, 1), 0).OK() {
 		t.Fatal("first add rejected")
 	}
-	if p.Add(req(1, 1), 0) {
+	if p.Admit(req(1, 1), 0).OK() {
 		t.Fatal("duplicate pending request admitted")
 	}
 	out, _ := p.Extract(1)
@@ -48,20 +48,20 @@ func TestRequestPoolDedup(t *testing.T) {
 		t.Fatal("extract failed")
 	}
 	// Extracted but not confirmed: may be re-added (retransmission).
-	if !p.Add(req(1, 1), 0) {
+	if !p.Admit(req(1, 1), 0).OK() {
 		t.Fatal("re-add after extract rejected")
 	}
 	p.Extract(1)
 	p.MarkConfirmed(req(1, 1).ID())
-	if p.Add(req(1, 1), 0) {
+	if p.Admit(req(1, 1), 0).OK() {
 		t.Fatal("confirmed request re-admitted")
 	}
 }
 
 func TestRequestPoolOldestTimestamp(t *testing.T) {
-	p := NewRequestPool()
-	p.Add(req(1, 1), 5*time.Millisecond)
-	p.Add(req(1, 2), 9*time.Millisecond)
+	p := NewRequestPoolLimits(Limits{})
+	p.Admit(req(1, 1), 5*time.Millisecond)
+	p.Admit(req(1, 2), 9*time.Millisecond)
 	_, oldest := p.Extract(2)
 	if oldest != 5*time.Millisecond {
 		t.Errorf("oldest = %v, want 5ms", oldest)
@@ -72,9 +72,9 @@ func TestRequestPoolOldestTimestamp(t *testing.T) {
 }
 
 func TestRequestPoolBytes(t *testing.T) {
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	r := types.Request{ClientID: 1, Seq: 1, Payload: make([]byte, 100)}
-	p.Add(r, 0)
+	p.Admit(r, 0)
 	if p.Bytes() != r.Size() {
 		t.Errorf("Bytes = %d, want %d", p.Bytes(), r.Size())
 	}
@@ -85,14 +85,14 @@ func TestRequestPoolBytes(t *testing.T) {
 }
 
 func TestRequestPoolExtractBounds(t *testing.T) {
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	if out, _ := p.Extract(0); out != nil {
 		t.Error("Extract(0) must return nil")
 	}
 	if out, _ := p.Extract(-1); out != nil {
 		t.Error("Extract(-1) must return nil")
 	}
-	p.Add(req(1, 1), 0)
+	p.Admit(req(1, 1), 0)
 	out, _ := p.Extract(100)
 	if len(out) != 1 {
 		t.Errorf("Extract over-len returned %d", len(out))

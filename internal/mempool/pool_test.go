@@ -38,7 +38,7 @@ func drain(p *RequestPool) []types.Request {
 }
 
 func TestNonceGapsFilledOutOfOrder(t *testing.T) {
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	steps := []struct {
 		seq         uint64
 		want        Verdict
@@ -74,7 +74,7 @@ func TestNonceGapsFilledOutOfOrder(t *testing.T) {
 func TestGapFilledByConfirmation(t *testing.T) {
 	// Seq 1 confirms via another replica's datablock without ever being
 	// submitted here; the local queued seq 2 must still promote.
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	p.Admit(req(7, 0), 0)
 	if v := p.Admit(req(7, 2), 0); v != AdmittedQueued {
 		t.Fatalf("seq 2 verdict %v, want queued", v)
@@ -398,7 +398,7 @@ func TestVerdictStrings(t *testing.T) {
 }
 
 func TestAdmissionStats(t *testing.T) {
-	p := NewRequestPool()
+	p := NewRequestPoolLimits(Limits{})
 	p.Admit(req(1, 0), 0)
 	p.Admit(req(1, 0), 0) // dup
 	s := p.Stats()

@@ -6,6 +6,7 @@ package protocol
 import (
 	"time"
 
+	"leopard/internal/mempool"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
@@ -17,8 +18,11 @@ type ExecuteFunc func(sn types.SeqNum, reqs []types.Request)
 // Replica is a BFT replica the harness can drive over any transport.
 type Replica interface {
 	transport.Node
-	// SubmitRequest adds a client request to the replica's pending pool.
-	SubmitRequest(now time.Duration, req types.Request) bool
+	// SubmitSigned admits a client request signed by sig to the pending
+	// pool and returns the verdict; it is the only way a request enters a
+	// replica. Leopard checks sig when it has a Config.Verifier, HotStuff
+	// never does.
+	SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict
 	// SetExecutor registers the execution callback. Must be called before
 	// the node starts.
 	SetExecutor(ExecuteFunc)

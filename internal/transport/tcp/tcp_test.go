@@ -110,7 +110,7 @@ func TestLeopardOverTCP(t *testing.T) {
 		req := types.Request{ClientID: uint64(target), Seq: uint64(i / 2), Payload: []byte(fmt.Sprintf("req-%d", i))}
 		node := nodes[target]
 		if err := runtimes[target].Inject(func(now time.Duration, out transport.Sink) {
-			node.SubmitRequest(now, req)
+			node.SubmitSigned(now, req, nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
