@@ -33,16 +33,18 @@ const (
 
 // RequestDigest is the canonical signing digest of a client request:
 // SHA-256 over the domain tag and the big-endian client ID, sequence number
-// and payload digest (their codec encoding). Hashing the payload digest
-// (not the payload) keeps signing cost independent of payload size and lets
-// replicas verify against zero-copy payloads without re-encoding. It
-// allocates nothing.
+// and payload digest (req.PayloadHash). Signing or checking a request still
+// hashes its whole payload once. Signing the payload's digest rather than
+// the payload means once is all a signer pays (ed25519 over the payload
+// itself hashes it twice), and it lets the admitting replica keep that
+// digest in req.PayloadDigest and reuse it for the datablock digest
+// (crypto.HashDatablock). It allocates nothing.
 func RequestDigest(req types.Request) types.Hash {
 	var buf [len(requestDomain) + 16 + 32]byte
 	off := copy(buf[:], requestDomain)
 	binary.BigEndian.PutUint64(buf[off:], req.ClientID)
 	binary.BigEndian.PutUint64(buf[off+8:], req.Seq)
-	payload := sha256.Sum256(req.Payload)
+	payload := req.PayloadHash()
 	copy(buf[off+16:], payload[:])
 	return sha256.Sum256(buf[:])
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"sync"
 	"testing"
@@ -92,6 +93,17 @@ func TestRequestDigestPinned(t *testing.T) {
 	d := RequestDigest(types.Request{ClientID: 0x0102030405060708, Seq: 42, Payload: []byte("pinned")})
 	if got := hex.EncodeToString(d[:]); got != "9a7e1add4bd2c509c8d7290ec05f3386461734397f0737c8efa0b4b6ec36dbed" {
 		t.Fatalf("RequestDigest = %s", got)
+	}
+}
+
+// TestRequestDigestPayloadDigest: a request carrying its payload's digest
+// signs the same bytes as one carrying zero, which hashes the payload.
+func TestRequestDigestPayloadDigest(t *testing.T) {
+	req := types.Request{ClientID: 7, Seq: 9, Payload: []byte("payload")}
+	set := req
+	set.PayloadDigest = sha256.Sum256(req.Payload)
+	if RequestDigest(set) != RequestDigest(req) {
+		t.Fatal("RequestDigest differs between a set and a zero PayloadDigest")
 	}
 }
 

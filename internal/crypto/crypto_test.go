@@ -1,7 +1,9 @@
 package crypto
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -224,16 +226,40 @@ func TestSimSuiteDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestHashDatablockPayloadDigest: a datablock whose requests carry their
+// payload digests (as at their generator) has the digest of the same
+// datablock decoded off the wire, whose requests carry zero.
+func TestHashDatablockPayloadDigest(t *testing.T) {
+	zero := &types.Datablock{Ref: types.DatablockRef{Generator: 2, Counter: 5}}
+	set := &types.Datablock{Ref: zero.Ref}
+	for i := range 3 {
+		r := types.Request{ClientID: uint64(i), Seq: uint64(10 + i), Payload: bytes.Repeat([]byte{byte(i)}, 64*i)}
+		zero.Requests = append(zero.Requests, r)
+		r.PayloadDigest = HashBytes(r.Payload)
+		set.Requests = append(set.Requests, r)
+	}
+	if HashDatablock(set) != HashDatablock(zero) {
+		t.Fatal("HashDatablock differs between set and zero payload digests")
+	}
+}
+
 func TestHashHelpersDistinguishInputs(t *testing.T) {
 	r1 := types.Request{ClientID: 1, Seq: 2, Payload: []byte("a")}
 	r2 := types.Request{ClientID: 1, Seq: 3, Payload: []byte("a")}
-	if HashRequest(r1) == HashRequest(r2) {
-		t.Error("requests with different seq must hash differently")
+	r3 := types.Request{ClientID: 1, Seq: 2, Payload: []byte("b")}
+	if r1.PayloadHash() == r3.PayloadHash() {
+		t.Error("requests with different payloads must hash differently")
 	}
 	db1 := &types.Datablock{Ref: types.DatablockRef{Generator: 1, Counter: 1}, Requests: []types.Request{r1}}
 	db2 := &types.Datablock{Ref: types.DatablockRef{Generator: 1, Counter: 2}, Requests: []types.Request{r1}}
 	if HashDatablock(db1) == HashDatablock(db2) {
 		t.Error("datablocks with different counters must hash differently")
+	}
+	for _, r := range []types.Request{r2, r3} {
+		db := &types.Datablock{Ref: db1.Ref, Requests: []types.Request{r}}
+		if HashDatablock(db) == HashDatablock(db1) {
+			t.Errorf("datablocks whose request differs in seq or payload must hash differently (%+v)", r)
+		}
 	}
 	b1 := &types.BFTblock{View: 1, Seq: 1, Content: []types.Hash{{1}}}
 	b2 := &types.BFTblock{View: 1, Seq: 1, Content: []types.Hash{{2}}}
@@ -265,6 +291,32 @@ func TestPropertyShareRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkHashDatablock times the datablock digest at the benchmark's
+// small and large request shapes, at a generator (each request carries
+// the payload digest its admission computed) and at a receiver (each
+// request was decoded, so its payload is hashed here).
+func BenchmarkHashDatablock(b *testing.B) {
+	for _, shape := range []struct{ reqs, size int }{{100, 128}, {16, 32 << 10}} {
+		for _, at := range []string{"generator", "receiver"} {
+			db := &types.Datablock{Ref: types.DatablockRef{Generator: 1, Counter: 1}}
+			for i := range shape.reqs {
+				r := types.Request{ClientID: uint64(i), Seq: 1, Payload: bytes.Repeat([]byte{byte(i)}, shape.size)}
+				if at == "generator" {
+					r.PayloadDigest = HashBytes(r.Payload)
+				}
+				db.Requests = append(db.Requests, r)
+			}
+			b.Run(fmt.Sprintf("%dx%dB/%s", shape.reqs, shape.size, at), func(b *testing.B) {
+				b.SetBytes(int64(shape.reqs * shape.size))
+				b.ReportAllocs()
+				for b.Loop() {
+					HashDatablock(db)
+				}
+			})
+		}
 	}
 }
 

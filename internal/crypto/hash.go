@@ -51,33 +51,19 @@ func HashConcat(parts ...[]byte) types.Hash {
 	return out
 }
 
-// HashRequest returns the digest of a request's identity and payload.
-func HashRequest(r types.Request) types.Hash {
-	h := sha256.New()
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], r.ClientID)
-	h.Write(tmp[:])
-	binary.BigEndian.PutUint64(tmp[:], r.Seq)
-	h.Write(tmp[:])
-	h.Write(r.Payload)
-	var out types.Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// HashDatablock returns the digest identifying a datablock.
+// HashDatablock returns the digest identifying a datablock: SHA-256 over
+// the generator, the counter, the request count and one
+// Request.AppendDigestInput term per request. A request whose
+// PayloadDigest is set (its generator admitted it) is not hashed again.
 func HashDatablock(d *types.Datablock) types.Hash {
 	h := sha256.New()
-	var tmp [8]byte
+	var tmp [48]byte
 	binary.BigEndian.PutUint32(tmp[:4], uint32(d.Ref.Generator))
-	h.Write(tmp[:4])
-	binary.BigEndian.PutUint64(tmp[:], d.Ref.Counter)
-	h.Write(tmp[:])
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(d.Requests)))
-	h.Write(tmp[:4])
+	binary.BigEndian.PutUint64(tmp[4:12], d.Ref.Counter)
+	binary.BigEndian.PutUint32(tmp[12:16], uint32(len(d.Requests)))
+	h.Write(tmp[:16])
 	for _, r := range d.Requests {
-		rh := HashRequest(r)
-		h.Write(rh[:])
+		h.Write(r.AppendDigestInput(tmp[:0]))
 	}
 	var out types.Hash
 	h.Sum(out[:0])

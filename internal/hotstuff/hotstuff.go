@@ -87,8 +87,7 @@ func (b *Block) Digest() types.Hash {
 	binary.BigEndian.PutUint32(tmp[:4], uint32(b.Proposer))
 	buf = append(buf, tmp[:4]...)
 	for _, r := range b.Requests {
-		h := crypto.HashRequest(r)
-		buf = append(buf, h[:]...)
+		buf = r.AppendDigestInput(buf)
 	}
 	return crypto.HashBytes(buf)
 }
@@ -287,9 +286,11 @@ func (n *Node) SetExecutor(fn protocol.ExecuteFunc) { n.execFn = fn }
 func (n *Node) PendingRequests() int { return n.reqPool.Len() }
 
 // SubmitSigned implements protocol.Replica. The baseline authenticates no
-// clients, so sig is not checked.
+// clients, so sig is not checked. The payload is hashed once, into
+// req.PayloadDigest, for the block digest.
 func (n *Node) SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict {
 	n.observe(now)
+	req.PayloadDigest = crypto.HashBytes(req.Payload)
 	return n.reqPool.Admit(req, now)
 }
 

@@ -61,6 +61,31 @@ func TestUnsignedRejectedWhenVerifierSet(t *testing.T) {
 	}
 }
 
+// TestCallerPayloadDigestIgnored: the PayloadDigest a caller passes never
+// decides admission. SubmitSigned hashes the payload itself, so a signature
+// over a wrong digest is refused, and a signature over the true payload is
+// admitted whatever digest came with it.
+func TestCallerPayloadDigestIgnored(t *testing.T) {
+	node, keys := authedNode(t, nil)
+	req := types.Request{ClientID: 4, Seq: 0, Payload: []byte("payload")}
+	req.PayloadDigest = crypto.HashBytes([]byte("another payload"))
+	sig, err := keys.Sign(req) // signs the wrong digest
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := node.SubmitSigned(0, req, sig); v != mempool.BadSignature {
+		t.Fatalf("signature over a wrong payload digest: verdict %v, want BadSignature", v)
+	}
+	req.PayloadDigest = types.Hash{}
+	if sig, err = keys.Sign(req); err != nil {
+		t.Fatal(err)
+	}
+	req.PayloadDigest = types.Hash{1}
+	if v := node.SubmitSigned(0, req, sig); v != mempool.Admitted {
+		t.Fatalf("valid signature carried with a wrong payload digest: verdict %v, want Admitted", v)
+	}
+}
+
 // TestSignedAdmissionAndBadSignature: a correctly signed request is
 // admitted; flipping one signature byte, signing with the wrong client's
 // key, or mutating any signed field must all reject.

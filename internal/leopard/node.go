@@ -472,9 +472,12 @@ const (
 // mempool, returning the admission verdict. It is the only way a request
 // enters a replica: the client port, the simulated drivers and the tests
 // all come through here. Replicas without a Verifier accept the request
-// unverified (the signature is carried but not checked).
+// unverified (the signature is carried but not checked). It hashes the
+// payload once, into req.PayloadDigest, overwriting whatever the caller
+// put there: the signature check and the datablock digest both use it.
 func (n *Node) SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict {
 	n.observe(now)
+	req.PayloadDigest = crypto.HashBytes(req.Payload)
 	if n.cfg.Verifier != nil && !n.cfg.Verifier.VerifyRequest(req, sig) {
 		n.stats.BadSignatures++
 		return mempool.BadSignature

@@ -242,15 +242,19 @@ func TestDecodeRejectsNonCanonicalBoolBytes(t *testing.T) {
 
 // TestBorrowAndCopyDecodeAgree asserts the two decode modes produce
 // bitwise-identical messages for every wire kind. The extra datablock
-// carries its digest: Digest never travels, so both modes must decode it
-// as zero, which is what makes a receiver hash the block.
+// carries its digest and its request its payload digest, and so does the
+// extra client request: neither digest travels, so both modes must decode
+// them as zero, which is what makes a receiver hash the block and the
+// payload.
 func TestBorrowAndCopyDecodeAgree(t *testing.T) {
+	payload := []byte("digested")
+	req := types.Request{ClientID: 4, Seq: 5, Payload: payload, PayloadDigest: crypto.HashBytes(payload)}
 	db := &types.Datablock{
 		Ref:      types.DatablockRef{Generator: 1, Counter: 3},
-		Requests: []types.Request{{ClientID: 4, Seq: 5, Payload: []byte("digested")}},
+		Requests: []types.Request{req},
 	}
 	digested := &DatablockMsg{Block: db, Digest: crypto.HashDatablock(db)}
-	for _, msg := range append(testMessages(), digested) {
+	for _, msg := range append(testMessages(), digested, &RequestMsg{Req: req, Sig: []byte("sig")}) {
 		buf, err := EncodeMessage(msg)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
@@ -278,8 +282,20 @@ func TestBorrowAndCopyDecodeAgree(t *testing.T) {
 			t.Errorf("%T: decode/encode not a fixpoint", msg)
 		}
 		for mode, got := range map[string]transport.Message{"borrow": borrowed, "copying": copied} {
-			if d, ok := got.(*DatablockMsg); ok && !d.Digest.IsZero() {
-				t.Errorf("%s decode of a DatablockMsg returned Digest %x; a digest must never travel", mode, d.Digest)
+			var reqs []types.Request
+			switch m := got.(type) {
+			case *DatablockMsg:
+				if !m.Digest.IsZero() {
+					t.Errorf("%s decode of a DatablockMsg returned Digest %x; a digest must never travel", mode, m.Digest)
+				}
+				reqs = m.Block.Requests
+			case *RequestMsg:
+				reqs = []types.Request{m.Req}
+			}
+			for _, r := range reqs {
+				if !r.PayloadDigest.IsZero() {
+					t.Errorf("%s decode of a %T returned PayloadDigest %x; a digest must never travel", mode, got, r.PayloadDigest)
+				}
 			}
 		}
 	}

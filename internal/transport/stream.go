@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // This file defines the bulk-lane streaming layer shared by the TCP runtime
@@ -166,10 +167,11 @@ func ParseStreamHeader(frame []byte) (StreamHeader, []byte, error) {
 // Add enforces the sender contract strictly — consistent totals, contiguous
 // offsets, fin exactly at total, at most MaxStreams concurrent partial
 // streams, totals bounded by maxTotal — and returns an error on any
-// violation or on duplicated/overlapping/oversized chunks. A completed
-// frame is returned as a fresh buffer whose ownership transfers to the
-// caller (it is safe to hand to a zero-copy Codec.Decode: the reassembler
-// keeps no reference).
+// violation or on duplicated/overlapping/oversized chunks. A chunk's
+// payload is read from its source straight into the stream's frame buffer,
+// so each byte is copied once. A completed frame is returned as a fresh
+// buffer whose ownership transfers to the caller (it is safe to hand to a
+// zero-copy Codec.Decode: the reassembler keeps no reference).
 type Reassembler struct {
 	cfg      StreamConfig
 	maxTotal int
@@ -199,17 +201,21 @@ func (r *Reassembler) Buffered() int64 {
 	return n
 }
 
-// Add processes one chunk. It returns the complete frame when this chunk
-// finishes its stream, nil while the stream is still partial, and an error
-// on any contract violation (the caller must treat the peer as faulty).
-func (r *Reassembler) Add(h StreamHeader, payload []byte) ([]byte, error) {
+// Add processes one chunk whose n payload bytes come next from src. It
+// checks the chunk against the stream's state before reading anything,
+// then reads the payload into the stream's frame buffer. It returns the
+// complete frame when this chunk finishes its stream, nil while the stream
+// is still partial, and an error on any contract violation or short read
+// (the caller must treat the peer as faulty). A chunk that fails leaves no
+// partial stream behind.
+func (r *Reassembler) Add(h StreamHeader, n int, src io.Reader) ([]byte, error) {
 	if h.Total == 0 || h.Total > uint64(r.maxTotal) {
 		return nil, fmt.Errorf("%w: total %d outside (0, %d]", ErrStreamState, h.Total, r.maxTotal)
 	}
-	if len(payload) == 0 {
+	if n <= 0 {
 		return nil, fmt.Errorf("%w: empty chunk", ErrStreamState)
 	}
-	end := h.Offset + uint64(len(payload))
+	end := h.Offset + uint64(n)
 	if end < h.Offset || end > h.Total {
 		return nil, fmt.Errorf("%w: chunk [%d, %d) exceeds total %d", ErrStreamState, h.Offset, end, h.Total)
 	}
@@ -222,7 +228,6 @@ func (r *Reassembler) Add(h StreamHeader, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: over %d concurrent streams", ErrStreamState, r.cfg.MaxStreams)
 		}
 		p = &partialStream{buf: make([]byte, 0, h.Total)}
-		r.partial[h.StreamID] = p
 	}
 	if uint64(cap(p.buf)) != h.Total {
 		return nil, fmt.Errorf("%w: stream %d total changed %d -> %d", ErrStreamState, h.StreamID, cap(p.buf), h.Total)
@@ -232,16 +237,21 @@ func (r *Reassembler) Add(h StreamHeader, payload []byte) ([]byte, error) {
 		// arrive strictly in order on a reliable transport.
 		return nil, fmt.Errorf("%w: stream %d offset %d, want %d", ErrStreamState, h.StreamID, h.Offset, len(p.buf))
 	}
-	p.buf = append(p.buf, payload...)
-	done := uint64(len(p.buf)) == h.Total
+	done := end == h.Total
 	if h.Fin != done {
 		delete(r.partial, h.StreamID)
 		if h.Fin {
-			return nil, fmt.Errorf("%w: fin at %d of %d bytes", ErrStreamState, len(p.buf), h.Total)
+			return nil, fmt.Errorf("%w: fin at %d of %d bytes", ErrStreamState, end, h.Total)
 		}
 		return nil, fmt.Errorf("%w: stream %d complete without fin", ErrStreamState, h.StreamID)
 	}
+	if _, err := io.ReadFull(src, p.buf[len(p.buf):end]); err != nil {
+		delete(r.partial, h.StreamID)
+		return nil, fmt.Errorf("stream %d chunk [%d, %d): %w", h.StreamID, h.Offset, end, err)
+	}
+	p.buf = p.buf[:end]
 	if !done {
+		r.partial[h.StreamID] = p
 		return nil, nil
 	}
 	delete(r.partial, h.StreamID)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -71,7 +72,7 @@ func TestStreamReassemblyProperty(t *testing.T) {
 			}
 			c := pending[i][0]
 			pending[i] = pending[i][1:]
-			complete, err := asm.Add(c.hdr, c.payload)
+			complete, err := asm.Add(c.hdr, len(c.payload), bytes.NewReader(c.payload))
 			if err != nil {
 				t.Fatalf("iter %d: Add(stream %d off %d): %v", iter, c.hdr.StreamID, c.hdr.Offset, err)
 			}
@@ -130,10 +131,14 @@ func TestStreamReassemblyViolations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			asm := transport.NewReassembler(transport.StreamConfig{}, 1<<20)
 			for i, c := range tc.feed {
-				_, err := asm.Add(c.hdr, c.payload)
+				src := bytes.NewReader(c.payload)
+				_, err := asm.Add(c.hdr, len(c.payload), src)
 				if i == tc.fails {
 					if err == nil {
 						t.Fatalf("chunk %d accepted, want error", i)
+					}
+					if src.Len() != len(c.payload) {
+						t.Fatalf("chunk %d: %d payload bytes read before the violation was found", i, len(c.payload)-src.Len())
 					}
 					return
 				}
@@ -151,11 +156,11 @@ func TestStreamReassemblyStreamCap(t *testing.T) {
 	cfg := transport.StreamConfig{MaxStreams: 2}
 	asm := transport.NewReassembler(cfg, 1<<20)
 	for id := uint64(0); id < 2; id++ {
-		if _, err := asm.Add(transport.StreamHeader{StreamID: id, Total: 8}, make([]byte, 4)); err != nil {
+		if _, err := asm.Add(transport.StreamHeader{StreamID: id, Total: 8}, 4, bytes.NewReader(make([]byte, 4))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := asm.Add(transport.StreamHeader{StreamID: 9, Total: 8}, make([]byte, 4)); err == nil {
+	if _, err := asm.Add(transport.StreamHeader{StreamID: 9, Total: 8}, 4, bytes.NewReader(make([]byte, 4))); err == nil {
 		t.Fatal("third concurrent stream accepted over MaxStreams=2")
 	}
 }
@@ -206,9 +211,12 @@ func TestChunkLenPolicy(t *testing.T) {
 
 // FuzzStreamReassemble feeds arbitrary framed chunk sequences to the
 // reassembler: it must never panic, never complete a frame whose length
-// differs from the advertised total, and never retain more than MaxStreams
-// partial streams. Input format: repeated [2-byte big-endian frame length |
-// frame], each frame parsed as chunk header + payload.
+// differs from the advertised total, never retain more than MaxStreams
+// partial streams, and never grow on a failed chunk. Input format: repeated
+// [2-byte big-endian frame length | frame], each frame a chunk header and
+// a payload that Add reads from the rest of the input, as the TCP runtime
+// reads it from the socket: a frame cut short by the end of the input is a
+// short read.
 func FuzzStreamReassemble(f *testing.F) {
 	seed := func(chunks ...chunkPlan) []byte {
 		var buf []byte
@@ -242,20 +250,41 @@ func FuzzStreamReassemble(f *testing.F) {
 		const maxTotal = 1 << 16
 		cfg := transport.StreamConfig{MaxStreams: 4}
 		asm := transport.NewReassembler(cfg, maxTotal)
-		for len(data) >= 2 {
-			n := int(binary.BigEndian.Uint16(data[:2]))
-			data = data[2:]
-			if n > len(data) {
-				n = len(data)
+		src := bytes.NewReader(data)
+		skip := func(n int) bool {
+			_, err := io.CopyN(io.Discard, src, int64(n))
+			return err == nil
+		}
+		var ln [2]byte
+		var chunk [transport.StreamHeaderSize]byte
+		for {
+			if _, err := io.ReadFull(src, ln[:]); err != nil {
+				return
 			}
-			frame := data[:n]
-			data = data[n:]
-			hdr, payload, err := transport.ParseStreamHeader(frame)
-			if err != nil {
+			n := int(binary.BigEndian.Uint16(ln[:]))
+			if n < len(chunk) {
+				if !skip(n) {
+					return
+				}
 				continue // malformed header: a transport drops the peer
 			}
-			complete, err := asm.Add(hdr, payload)
+			if _, err := io.ReadFull(src, chunk[:]); err != nil {
+				return
+			}
+			hdr, _, err := transport.ParseStreamHeader(chunk[:])
 			if err != nil {
+				if !skip(n - len(chunk)) {
+					return
+				}
+				continue
+			}
+			streams, buffered := asm.Streams(), asm.Buffered()
+			complete, err := asm.Add(hdr, n-len(chunk), src)
+			if err != nil {
+				if asm.Streams() > streams || asm.Buffered() > buffered {
+					t.Fatalf("failed chunk grew the reassembler: %d→%d streams, %d→%d bytes",
+						streams, asm.Streams(), buffered, asm.Buffered())
+				}
 				return // loud failure: the connection dies here
 			}
 			if complete != nil && uint64(len(complete)) != hdr.Total {
@@ -269,6 +298,28 @@ func FuzzStreamReassemble(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestStreamReassemblyShortRead: a source that ends before the chunk's n
+// bytes fails the chunk and leaves no partial stream behind, whether the
+// chunk opened its stream or continued one.
+func TestStreamReassemblyShortRead(t *testing.T) {
+	asm := transport.NewReassembler(transport.StreamConfig{}, 1<<20)
+	if _, err := asm.Add(transport.StreamHeader{StreamID: 1, Total: 8}, 4, bytes.NewReader([]byte("ab"))); err == nil {
+		t.Fatal("short read on a stream's first chunk accepted")
+	}
+	if asm.Streams() != 0 || asm.Buffered() != 0 {
+		t.Fatalf("short first chunk left %d streams / %d bytes", asm.Streams(), asm.Buffered())
+	}
+	if _, err := asm.Add(transport.StreamHeader{StreamID: 2, Total: 8}, 4, bytes.NewReader([]byte("abcd"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := asm.Add(transport.StreamHeader{StreamID: 2, Offset: 4, Total: 8, Fin: true}, 4, bytes.NewReader(nil)); err == nil {
+		t.Fatal("short read on a stream's final chunk accepted")
+	}
+	if asm.Streams() != 0 || asm.Buffered() != 0 {
+		t.Fatalf("short final chunk left %d streams / %d bytes", asm.Streams(), asm.Buffered())
+	}
 }
 
 // TestStreamQueuePolicy tables the send-side bulk-lane policy that the TCP

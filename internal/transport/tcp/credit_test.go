@@ -176,7 +176,7 @@ func TestSchedChunksReassemble(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		complete, err := asm.Add(hdr, payload)
+		complete, err := asm.Add(hdr, len(payload), bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +217,7 @@ func BenchmarkStreamSend(b *testing.B) {
 			asm := transport.NewReassembler(cfg, 64<<20)
 			frame := make([]byte, size)
 			buf := make([]byte, 0, 1+transport.StreamHeaderSize)
+			var src bytes.Reader
 			var consumed int64
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
@@ -235,7 +236,8 @@ func BenchmarkStreamSend(b *testing.B) {
 						b.Fatal(err)
 					}
 					consumed += int64(len(payload))
-					complete, err := asm.Add(hdr, payload)
+					src.Reset(payload)
+					complete, err := asm.Add(hdr, len(payload), &src)
 					if err != nil {
 						b.Fatal(err)
 					}

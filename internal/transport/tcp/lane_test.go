@@ -135,19 +135,24 @@ func runLaneOrder(t *testing.T) []byte {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			t.Fatalf("frame %d header: %v", len(order), err)
 		}
-		body := make([]byte, binary.BigEndian.Uint32(hdr[:4])-1)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			t.Fatalf("frame %d body: %v", len(order), err)
-		}
+		size := int(binary.BigEndian.Uint32(hdr[:4])) - 1
 		switch hdr[4] {
 		case 0x00: // whole message
+			body := make([]byte, size)
+			if _, err := io.ReadFull(conn, body); err != nil {
+				t.Fatalf("frame %d body: %v", len(order), err)
+			}
 			decodeTag(body)
-		case 0x01: // stream chunk
-			sh, payload, err := transport.ParseStreamHeader(body)
+		case 0x01: // stream chunk: header, then the payload read in place
+			var chunk [transport.StreamHeaderSize]byte
+			if _, err := io.ReadFull(conn, chunk[:]); err != nil {
+				t.Fatalf("frame %d chunk header: %v", len(order), err)
+			}
+			sh, _, err := transport.ParseStreamHeader(chunk[:])
 			if err != nil {
 				t.Fatalf("chunk header: %v", err)
 			}
-			complete, err := asm.Add(sh, payload)
+			complete, err := asm.Add(sh, size-len(chunk), conn)
 			if err != nil {
 				t.Fatalf("reassemble: %v", err)
 			}

@@ -53,9 +53,8 @@ import (
 // retain the frame (zero-copy decode), and this runtime honours that by
 // handing Decode only buffers it will never touch again — a fresh
 // allocation per whole-message frame, and the reassembler's output buffer
-// for streamed frames (chunk payloads are copied out of the read scratch
-// buffer during reassembly, so the reassembled frame is fresh by
-// construction).
+// for streamed frames (chunk payloads are read from the socket straight
+// into it, so the reassembled frame is fresh by construction).
 type Codec = transport.Codec
 
 // Wire frame kinds. Every frame after the hello is length-prefixed and
@@ -655,7 +654,8 @@ func (r *Runtime) acceptLoop() {
 }
 
 // readLoop validates the hello and forwards frames to the apply loop. It
-// owns the connection's stream reassembler and the receive half of flow
+// owns the connection's stream reassembler, which reads each chunk's
+// payload from the socket into its frame, and the receive half of flow
 // control: consumed chunk bytes accumulate into cumulative credit grants
 // flushed at the grant threshold. Any stream-protocol violation (malformed
 // header, overlapping offsets, oversized totals, too many streams) drops
@@ -666,7 +666,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 		return
 	}
 	asm := transport.NewReassembler(r.cfg.Stream, maxFrame)
-	var scratch []byte // chunk read buffer, reused (payloads are copied)
+	var chunk [transport.StreamHeaderSize]byte
 	var consumed, granted int64
 	deliver := func(frame []byte) bool {
 		msg, err := r.cfg.Codec.Decode(frame)
@@ -681,7 +681,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 		}
 	}
 	for {
-		kind, frame, err := readWireFrame(conn, maxFrame, &scratch)
+		kind, frame, n, err := readWireFrame(conn, maxFrame, &chunk)
 		if err != nil {
 			return
 		}
@@ -691,11 +691,11 @@ func (r *Runtime) readLoop(conn net.Conn) {
 				return
 			}
 		case frameKindChunk:
-			hdr, payload, err := transport.ParseStreamHeader(frame)
+			hdr, _, err := transport.ParseStreamHeader(frame)
 			if err != nil {
 				return
 			}
-			complete, err := asm.Add(hdr, payload)
+			complete, err := asm.Add(hdr, n, conn)
 			if err != nil {
 				return
 			}
@@ -707,7 +707,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 			// larger than the window still completes. When the apply loop
 			// stalls, the events queue fills, this loop blocks in deliver,
 			// grants stop, and the sender parks — backpressure end to end.
-			consumed += int64(len(payload))
+			consumed += int64(n)
 			if consumed-granted >= r.cfg.Stream.GrantThreshold() {
 				r.sendCredit(from, epoch, consumed)
 				granted = consumed
@@ -779,34 +779,34 @@ func writeWireFrame(conn net.Conn, body, payload []byte) error {
 // readWireFrame reads one frame and returns its kind and the bytes after
 // the kind tag. Whole-message frames (frameKindMsg) are read into a fresh
 // allocation whose ownership transfers to the codec's Decode (the
-// transport.Codec zero-copy contract — do not pool those). Chunk frames
-// are read into *scratch, which is reused across frames: their payloads
-// are copied into the reassembler, never retained.
-func readWireFrame(conn net.Conn, max int, scratch *[]byte) (byte, []byte, error) {
+// transport.Codec zero-copy contract — do not pool those). Of a chunk
+// frame it reads only the stream header, into *chunk, and returns it with
+// the length n of the payload that follows on conn, which the caller reads
+// in place (Reassembler.Add).
+func readWireFrame(conn net.Conn, max int, chunk *[transport.StreamHeaderSize]byte) (kind byte, body []byte, n int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	size := int(binary.BigEndian.Uint32(hdr[:4]))
 	if size > max {
-		return 0, nil, fmt.Errorf("tcp: frame of %d exceeds limit %d", size, max)
+		return 0, nil, 0, fmt.Errorf("tcp: frame of %d exceeds limit %d", size, max)
 	}
 	if size < 1 {
-		return 0, nil, errors.New("tcp: empty frame")
+		return 0, nil, 0, errors.New("tcp: empty frame")
 	}
-	kind := hdr[4]
+	kind = hdr[4]
 	size-- // remaining body after the kind tag
-	var buf []byte
 	if kind == frameKindChunk {
-		if cap(*scratch) < size {
-			*scratch = make([]byte, size)
+		if size < len(chunk) {
+			return 0, nil, 0, fmt.Errorf("%w: %d bytes", transport.ErrStreamHeader, size)
 		}
-		buf = (*scratch)[:size]
+		body, n = chunk[:], size-len(chunk)
 	} else {
-		buf = make([]byte, size)
+		body = make([]byte, size)
 	}
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return 0, nil, err
+	if _, err := io.ReadFull(conn, body); err != nil {
+		return 0, nil, 0, err
 	}
-	return kind, buf, nil
+	return kind, body, n, nil
 }

@@ -7,6 +7,7 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 )
@@ -59,6 +60,11 @@ type Request struct {
 	ClientID uint64
 	Seq      uint64 // client-local sequence number, part of identity
 	Payload  []byte
+	// PayloadDigest is SHA-256(Payload) or zero, and a zero one is hashed
+	// (PayloadHash). It is never encoded, so a decoded request carries
+	// zero. The replica that admits a request sets it, so the signature
+	// check and the datablock digest share one pass over the payload.
+	PayloadDigest Hash
 }
 
 // ID returns a compact identity for deduplication: (client, seq).
@@ -67,6 +73,25 @@ func (r Request) ID() RequestID { return RequestID{Client: r.ClientID, Seq: r.Se
 // Size returns the wire size of the request in bytes, matching the codec
 // encoding: client id + sequence + length prefix + payload.
 func (r Request) Size() int { return 20 + len(r.Payload) }
+
+// PayloadHash returns SHA-256(Payload): PayloadDigest when it is set,
+// otherwise the payload hashed now.
+func (r Request) PayloadHash() Hash {
+	if !r.PayloadDigest.IsZero() {
+		return r.PayloadDigest
+	}
+	return sha256.Sum256(r.Payload)
+}
+
+// AppendDigestInput appends the request's digest term, client id ‖ seq ‖
+// PayloadHash (big-endian, 48 bytes), to buf. Datablock and HotStuff block
+// digests absorb one term per request.
+func (r Request) AppendDigestInput(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.ClientID)
+	buf = binary.BigEndian.AppendUint64(buf, r.Seq)
+	h := r.PayloadHash()
+	return append(buf, h[:]...)
+}
 
 // RequestID identifies a request for dedup and ack tracking.
 type RequestID struct {
