@@ -53,8 +53,9 @@ func HashConcat(parts ...[]byte) types.Hash {
 
 // HashDatablock returns the digest identifying a datablock: SHA-256 over
 // the generator, the counter, the request count and one
-// Request.AppendDigestInput term per request. A request whose
-// PayloadDigest is set (its generator admitted it) is not hashed again.
+// Request.AppendDigestInput term per request. The payload of a request
+// whose PayloadDigest is set (at the replica that admitted it) is not
+// hashed again.
 func HashDatablock(d *types.Datablock) types.Hash {
 	h := sha256.New()
 	var tmp [48]byte

@@ -142,22 +142,22 @@ var (
 	ErrStreamState  = errors.New("transport: stream chunk violates stream state")
 )
 
-// ParseStreamHeader splits a chunk frame into its header and payload.
-func ParseStreamHeader(frame []byte) (StreamHeader, []byte, error) {
-	if len(frame) < StreamHeaderSize {
-		return StreamHeader{}, nil, fmt.Errorf("%w: %d bytes", ErrStreamHeader, len(frame))
+// ParseStreamHeader decodes a chunk's StreamHeaderSize-byte header. The
+// payload that follows it is read separately (Reassembler.Add).
+func ParseStreamHeader(hdr []byte) (StreamHeader, error) {
+	if len(hdr) != StreamHeaderSize {
+		return StreamHeader{}, fmt.Errorf("%w: %d bytes", ErrStreamHeader, len(hdr))
 	}
-	flags := frame[24]
+	flags := hdr[24]
 	if flags&^finFlag != 0 {
-		return StreamHeader{}, nil, fmt.Errorf("%w: unknown flags %#x", ErrStreamHeader, flags)
+		return StreamHeader{}, fmt.Errorf("%w: unknown flags %#x", ErrStreamHeader, flags)
 	}
-	h := StreamHeader{
-		StreamID: binary.BigEndian.Uint64(frame[0:8]),
-		Offset:   binary.BigEndian.Uint64(frame[8:16]),
-		Total:    binary.BigEndian.Uint64(frame[16:24]),
+	return StreamHeader{
+		StreamID: binary.BigEndian.Uint64(hdr[0:8]),
+		Offset:   binary.BigEndian.Uint64(hdr[8:16]),
+		Total:    binary.BigEndian.Uint64(hdr[16:24]),
 		Fin:      flags&finFlag != 0,
-	}
-	return h, frame[StreamHeaderSize:], nil
+	}, nil
 }
 
 // Reassembler rebuilds bulk frames from interleaved stream chunks arriving
@@ -206,8 +206,8 @@ func (r *Reassembler) Buffered() int64 {
 // then reads the payload into the stream's frame buffer. It returns the
 // complete frame when this chunk finishes its stream, nil while the stream
 // is still partial, and an error on any contract violation or short read
-// (the caller must treat the peer as faulty). A chunk that fails leaves no
-// partial stream behind.
+// (the caller must treat the peer as faulty). A short read drops the
+// chunk's stream, so no half-filled stream is left behind.
 func (r *Reassembler) Add(h StreamHeader, n int, src io.Reader) ([]byte, error) {
 	if h.Total == 0 || h.Total > uint64(r.maxTotal) {
 		return nil, fmt.Errorf("%w: total %d outside (0, %d]", ErrStreamState, h.Total, r.maxTotal)

@@ -169,26 +169,25 @@ func TestStreamReassemblyStreamCap(t *testing.T) {
 func TestStreamHeaderRoundTrip(t *testing.T) {
 	in := transport.StreamHeader{StreamID: 7, Offset: 1 << 40, Total: 1<<40 + 9, Fin: true}
 	frame := transport.AppendStreamHeader(nil, in)
-	frame = append(frame, 0xAA, 0xBB)
-	if len(frame) != transport.StreamHeaderSize+2 {
-		t.Fatalf("encoded header is %d bytes, want %d", len(frame)-2, transport.StreamHeaderSize)
+	if len(frame) != transport.StreamHeaderSize {
+		t.Fatalf("encoded header is %d bytes, want %d", len(frame), transport.StreamHeaderSize)
 	}
-	out, payload, err := transport.ParseStreamHeader(frame)
+	out, err := transport.ParseStreamHeader(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v -> %+v", in, out)
 	}
-	if len(payload) != 2 || payload[0] != 0xAA {
-		t.Fatalf("payload not preserved: %x", payload)
-	}
-	if _, _, err := transport.ParseStreamHeader(frame[:10]); err == nil {
+	if _, err := transport.ParseStreamHeader(frame[:10]); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+	if _, err := transport.ParseStreamHeader(append(frame, 0xAA)); err == nil {
+		t.Fatal("header with trailing bytes accepted")
 	}
 	bad := transport.AppendStreamHeader(nil, in)
 	bad[24] |= 0x80 // unknown flag bit
-	if _, _, err := transport.ParseStreamHeader(bad); err == nil {
+	if _, err := transport.ParseStreamHeader(bad); err == nil {
 		t.Fatal("unknown flag bits accepted")
 	}
 }
@@ -271,7 +270,7 @@ func FuzzStreamReassemble(f *testing.F) {
 			if _, err := io.ReadFull(src, chunk[:]); err != nil {
 				return
 			}
-			hdr, _, err := transport.ParseStreamHeader(chunk[:])
+			hdr, err := transport.ParseStreamHeader(chunk[:])
 			if err != nil {
 				if !skip(n - len(chunk)) {
 					return

@@ -134,7 +134,7 @@ func TestSchedResetConnRewinds(t *testing.T) {
 	if !ok {
 		t.Fatal("nothing to send after reset")
 	}
-	hdr, _, err := transport.ParseStreamHeader(body[1:])
+	hdr, err := transport.ParseStreamHeader(body[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSchedChunksReassemble(t *testing.T) {
 			break
 		}
 		s.chunkWritten()
-		hdr, _, err := transport.ParseStreamHeader(body[1:])
+		hdr, err := transport.ParseStreamHeader(body[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkStreamSend(b *testing.B) {
 						continue
 					}
 					s.chunkWritten()
-					hdr, _, err := transport.ParseStreamHeader(body[1:])
+					hdr, err := transport.ParseStreamHeader(body[1:])
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -300,7 +300,7 @@ func TestSchedFinChunkSurvivesReconnect(t *testing.T) {
 	if !ok {
 		t.Fatal("stream not retransmitted after reconnect")
 	}
-	hdr, _, err := transport.ParseStreamHeader(body[1:])
+	hdr, err := transport.ParseStreamHeader(body[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func runLaneOrder(t *testing.T) []byte {
 			if _, err := io.ReadFull(conn, chunk[:]); err != nil {
 				t.Fatalf("frame %d chunk header: %v", len(order), err)
 			}
-			sh, _, err := transport.ParseStreamHeader(chunk[:])
+			sh, err := transport.ParseStreamHeader(chunk[:])
 			if err != nil {
 				t.Fatalf("chunk header: %v", err)
 			}

@@ -691,7 +691,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 				return
 			}
 		case frameKindChunk:
-			hdr, _, err := transport.ParseStreamHeader(frame)
+			hdr, err := transport.ParseStreamHeader(frame)
 			if err != nil {
 				return
 			}
