@@ -7,8 +7,10 @@
 // The implementation follows the chained algorithm: each proposal carries a
 // quorum certificate (QC) for its parent; a block commits when it heads a
 // three-chain of consecutive heights. Votes are threshold-signature shares
-// combined by the leader, and a simple pacemaker rotates leaders on
-// timeout.
+// combined by the leader. The baseline models only the normal case: the
+// leader of view 1 proposes for the whole run, and there is no pacemaker.
+// The QC is also the batching clock: the leader proposes a full batch, or
+// whatever is pending, as soon as no proposal is waiting for its QC.
 package hotstuff
 
 import (
@@ -24,24 +26,16 @@ import (
 	"leopard/internal/types"
 )
 
-// Default parameters; the batch size follows the paper's Table II.
-const (
-	DefaultBatchSize       = 800
-	DefaultBatchTimeout    = 10 * time.Millisecond
-	DefaultViewChangeAfter = 2 * time.Second
-)
+// DefaultBatchSize follows the paper's Table II.
+const DefaultBatchSize = 800
 
 // Config parameterizes a HotStuff replica.
 type Config struct {
 	ID     types.ReplicaID
 	Quorum types.QuorumParams
 	Suite  crypto.Suite
-	// BatchSize is the number of requests per proposal.
+	// BatchSize is the most requests one proposal carries.
 	BatchSize int
-	// BatchTimeout bounds how long a partial batch waits.
-	BatchTimeout time.Duration
-	// ViewChangeTimeout is the pacemaker's stall threshold.
-	ViewChangeTimeout time.Duration
 }
 
 // Validate checks cfg and fills defaults.
@@ -57,12 +51,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = DefaultBatchTimeout
-	}
-	if c.ViewChangeTimeout <= 0 {
-		c.ViewChangeTimeout = DefaultViewChangeAfter
 	}
 	return nil
 }
@@ -149,68 +137,18 @@ func (m *VoteMsg) WireSize() int { return 8 + 32 + 8 + len(m.Share.Sig) }
 func (m *VoteMsg) Class() transport.Class   { return transport.ClassVote }
 func (m *VoteMsg) Policy() transport.Policy { return transport.PolicyControl }
 
-// TimeoutMsg is a pacemaker timeout vote for a view.
-type TimeoutMsg struct {
-	View   types.View
-	HighQC QC
-	Share  crypto.Share
-}
-
-var _ transport.Message = (*TimeoutMsg)(nil)
-
-// WireSize implements transport.Message.
-func (m *TimeoutMsg) WireSize() int { return 8 + 8 + m.HighQC.Size() + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
-func (m *TimeoutMsg) Class() transport.Class   { return transport.ClassViewChange }
-func (m *TimeoutMsg) Policy() transport.Policy { return transport.PolicyControl }
-
-// NewViewMsg announces a view change completion from the new leader.
-type NewViewMsg struct {
-	View   types.View
-	HighQC QC
-	Share  crypto.Share
-}
-
-var _ transport.Message = (*NewViewMsg)(nil)
-
-// WireSize implements transport.Message.
-func (m *NewViewMsg) WireSize() int { return 8 + 8 + m.HighQC.Size() + len(m.Share.Sig) }
-
-// Class and Policy implement transport.Message.
-func (m *NewViewMsg) Class() transport.Class   { return transport.ClassViewChange }
-func (m *NewViewMsg) Policy() transport.Policy { return transport.PolicyControl }
-
-func timeoutDigest(v types.View) types.Hash {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
-	return crypto.HashConcat([]byte("hotstuff/timeout"), buf[:])
-}
-
-func newViewDigest(v types.View, qc QC) types.Hash {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
-	return crypto.HashConcat([]byte("hotstuff/newview"), buf[:], qc.BlockHash[:])
-}
-
-// Stats are the per-node counters the experiments read.
-type Stats struct {
-	CommittedBlocks   int64
-	CommittedRequests int64
-	ViewChanges       int64
-}
+// view is the baseline's only view; its leader proposes for the whole run.
+const view types.View = 1
 
 // Node is a chained-HotStuff replica.
 type Node struct {
 	cfg   Config
 	suite crypto.Suite
 	q     types.QuorumParams
-	now   time.Duration
 
 	reqPool *mempool.RequestPool
 	execFn  protocol.ExecuteFunc
 
-	view   types.View
 	blocks map[types.Hash]*Block
 
 	highQC   QC
@@ -221,18 +159,10 @@ type Node struct {
 	votes     map[types.Hash][]crypto.Share
 	votesSeen map[types.Hash]map[types.ReplicaID]struct{}
 
-	execHeight   uint64
-	committed    map[types.Hash]struct{}
-	lastProgress time.Duration
-	lastPropose  time.Duration
-	pendingQC    bool // leader: a proposal is outstanding without a QC yet
-
-	timeoutVotes map[types.View]map[types.ReplicaID]struct{}
-	sentTimeout  map[types.View]bool
+	execHeight uint64
+	pendingQC  bool // leader: a proposal is outstanding without a QC yet
 
 	genesis types.Hash
-
-	stats Stats
 
 	// SkipRequestDedup disables confirmed-request bookkeeping, as in
 	// leopard.Config.SkipRequestDedup.
@@ -250,18 +180,14 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:          cfg,
-		suite:        cfg.Suite,
-		q:            cfg.Quorum,
-		reqPool:      mempool.NewRequestPoolLimits(mempool.Limits{}),
-		view:         1,
-		blocks:       make(map[types.Hash]*Block),
-		votes:        make(map[types.Hash][]crypto.Share),
-		votesSeen:    make(map[types.Hash]map[types.ReplicaID]struct{}),
-		committed:    make(map[types.Hash]struct{}),
-		timeoutVotes: make(map[types.View]map[types.ReplicaID]struct{}),
-		sentTimeout:  make(map[types.View]bool),
-		genesis:      crypto.HashBytes([]byte("hotstuff/genesis")),
+		cfg:       cfg,
+		suite:     cfg.Suite,
+		q:         cfg.Quorum,
+		reqPool:   mempool.NewRequestPoolLimits(mempool.Limits{}),
+		blocks:    make(map[types.Hash]*Block),
+		votes:     make(map[types.Hash][]crypto.Share),
+		votesSeen: make(map[types.Hash]map[types.ReplicaID]struct{}),
+		genesis:   crypto.HashBytes([]byte("hotstuff/genesis")),
 	}
 	// Install the genesis block at height 0 so the first proposal has a
 	// parent and justify target.
@@ -275,7 +201,7 @@ func NewNode(cfg Config) (*Node, error) {
 func (n *Node) ID() types.ReplicaID { return n.cfg.ID }
 
 // Leader implements protocol.Replica.
-func (n *Node) Leader() types.ReplicaID { return types.LeaderOf(n.view, n.q.N) }
+func (n *Node) Leader() types.ReplicaID { return types.LeaderOf(view, n.q.N) }
 
 func (n *Node) isLeader() bool { return n.Leader() == n.cfg.ID }
 
@@ -289,64 +215,36 @@ func (n *Node) PendingRequests() int { return n.reqPool.Len() }
 // clients, so sig is not checked. The payload is hashed once, into
 // req.PayloadDigest, for the block digest.
 func (n *Node) SubmitSigned(now time.Duration, req types.Request, sig []byte) mempool.Verdict {
-	n.observe(now)
 	req.PayloadDigest = crypto.HashBytes(req.Payload)
 	return n.reqPool.Admit(req, now)
 }
 
-// Stats returns the node's counters.
-func (n *Node) Stats() Stats { return n.stats }
-
-// View returns the current pacemaker view.
-func (n *Node) View() types.View { return n.view }
-
-func (n *Node) observe(now time.Duration) {
-	if now > n.now {
-		n.now = now
-	}
-}
-
 // Start implements transport.Node.
-func (n *Node) Start(now time.Duration, out transport.Sink) {
-	n.observe(now)
-	n.lastProgress = now
-}
+func (n *Node) Start(now time.Duration, out transport.Sink) {}
 
 // Tick implements transport.Node.
 func (n *Node) Tick(now time.Duration, out transport.Sink) {
-	n.observe(now)
 	if n.isLeader() {
 		n.maybePropose(out)
-	}
-	if n.reqPool.Len() > 0 && now-n.lastProgress >= n.cfg.ViewChangeTimeout {
-		n.voteTimeout(n.view, out)
 	}
 }
 
 // Deliver implements transport.Node.
 func (n *Node) Deliver(now time.Duration, from types.ReplicaID, msg transport.Message, out transport.Sink) {
-	n.observe(now)
 	switch m := msg.(type) {
 	case *ProposalMsg:
 		n.handleProposal(from, m, out)
 	case *VoteMsg:
 		n.handleVote(from, m, out)
-	case *TimeoutMsg:
-		n.handleTimeout(from, m, out)
-	case *NewViewMsg:
-		n.handleNewView(from, m, out)
 	}
 }
 
 // maybePropose extends the chain from highQC once the previous proposal is
-// certified (the chained pipeline: one proposal per QC round).
+// certified (the chained pipeline: one proposal per QC round). The QC is
+// the batch clock: up to BatchSize pending requests leave at once, a
+// partial batch included, as Leopard's partial blocks do.
 func (n *Node) maybePropose(out transport.Sink) {
 	if n.pendingQC {
-		return
-	}
-	full := n.reqPool.Len() >= n.cfg.BatchSize
-	stale := n.now-n.lastPropose >= n.cfg.BatchTimeout
-	if !full && !stale {
 		return
 	}
 	// An empty proposal still advances the chain so earlier blocks can
@@ -371,8 +269,7 @@ func (n *Node) maybePropose(out transport.Sink) {
 	digest := block.Digest()
 	n.blocks[digest] = block
 	n.pendingQC = true
-	n.lastPropose = n.now
-	out.Broadcast(&ProposalMsg{Block: block, View: n.view, Digest: digest})
+	out.Broadcast(&ProposalMsg{Block: block, View: view, Digest: digest})
 	// The leader votes for its own proposal.
 	n.castVote(block, digest, out)
 }
@@ -399,7 +296,7 @@ func (n *Node) safeToVote(b *Block) bool {
 
 // handleProposal validates a proposal, applies its justify QC, and votes.
 func (n *Node) handleProposal(from types.ReplicaID, m *ProposalMsg, out transport.Sink) {
-	if m.Block == nil || from != n.Leader() || m.View != n.view {
+	if m.Block == nil || from != n.Leader() || m.View != view {
 		return
 	}
 	b := m.Block
@@ -418,7 +315,7 @@ func (n *Node) handleProposal(from types.ReplicaID, m *ProposalMsg, out transpor
 		}
 	}
 	n.blocks[digest] = b
-	n.applyQC(b.Justify, out)
+	n.applyQC(b.Justify)
 	if !n.safeToVote(b) {
 		return
 	}
@@ -476,14 +373,14 @@ func (n *Node) collectVote(from types.ReplicaID, m *VoteMsg, out transport.Sink)
 	delete(n.votesSeen, m.BlockHash)
 	qc := QC{BlockHash: m.BlockHash, Height: m.Height, Proof: proof}
 	n.pendingQC = false
-	n.applyQC(qc, out)
+	n.applyQC(qc)
 	// Pipelining: the QC ships inside the next proposal rather than as a
 	// separate broadcast; propose immediately if a batch is ready.
 	n.maybePropose(out)
 }
 
 // applyQC advances highQC/lock and runs the three-chain commit rule.
-func (n *Node) applyQC(qc QC, out transport.Sink) {
+func (n *Node) applyQC(qc QC) {
 	if qc.Height > n.highQC.Height {
 		n.highQC = qc
 	}
@@ -506,12 +403,12 @@ func (n *Node) applyQC(qc QC, out transport.Sink) {
 		return
 	}
 	if b.Height == parent.Height+1 && parent.Height == gp.Height+1 {
-		n.commitUpTo(gp, out)
+		n.commitUpTo(gp)
 	}
 }
 
 // commitUpTo executes the chain up to and including b, oldest first.
-func (n *Node) commitUpTo(b *Block, out transport.Sink) {
+func (n *Node) commitUpTo(b *Block) {
 	if b.Height <= n.execHeight {
 		return
 	}
@@ -533,89 +430,6 @@ func (n *Node) commitUpTo(b *Block, out transport.Sink) {
 				n.reqPool.MarkConfirmed(r.ID())
 			}
 		}
-		n.stats.CommittedBlocks++
-		n.stats.CommittedRequests += int64(len(blk.Requests))
 	}
 	n.execHeight = b.Height
-	n.lastProgress = n.now
-}
-
-// voteTimeout broadcasts a pacemaker timeout for view v.
-func (n *Node) voteTimeout(v types.View, out transport.Sink) {
-	if n.sentTimeout[v] || v < n.view {
-		return
-	}
-	share, err := n.suite.Sign(n.cfg.ID, timeoutDigest(v))
-	if err != nil {
-		return
-	}
-	n.sentTimeout[v] = true
-	n.recordTimeout(v, n.cfg.ID)
-	out.Broadcast(&TimeoutMsg{View: v, HighQC: n.highQC, Share: share})
-}
-
-func (n *Node) recordTimeout(v types.View, from types.ReplicaID) {
-	votes := n.timeoutVotes[v]
-	if votes == nil {
-		votes = make(map[types.ReplicaID]struct{}, n.q.Quorum())
-		n.timeoutVotes[v] = votes
-	}
-	votes[from] = struct{}{}
-}
-
-// handleTimeout counts timeout votes; 2f+1 move the pacemaker to v+1.
-func (n *Node) handleTimeout(from types.ReplicaID, m *TimeoutMsg, out transport.Sink) {
-	if m.View < n.view {
-		return
-	}
-	if err := n.suite.VerifyShare(timeoutDigest(m.View), m.Share); err != nil || m.Share.Signer != from {
-		return
-	}
-	n.recordTimeout(m.View, from)
-	if m.HighQC.Height > n.highQC.Height {
-		if n.blocks[m.HighQC.BlockHash] != nil &&
-			n.suite.VerifyProof(m.HighQC.BlockHash, m.HighQC.Proof) == nil {
-			n.highQC = m.HighQC
-		}
-	}
-	if len(n.timeoutVotes[m.View]) >= n.q.Small() && !n.sentTimeout[m.View] {
-		n.voteTimeout(m.View, out)
-	}
-	if len(n.timeoutVotes[m.View]) >= n.q.Quorum() {
-		n.advanceView(m.View+1, out)
-	}
-}
-
-// advanceView installs view v; the new leader announces itself.
-func (n *Node) advanceView(v types.View, out transport.Sink) {
-	if v <= n.view {
-		return
-	}
-	n.view = v
-	n.stats.ViewChanges++
-	n.lastProgress = n.now
-	n.pendingQC = false
-	if n.isLeader() {
-		share, err := n.suite.Sign(n.cfg.ID, newViewDigest(v, n.highQC))
-		if err == nil {
-			out.Broadcast(&NewViewMsg{View: v, HighQC: n.highQC, Share: share})
-		}
-		n.maybePropose(out)
-	}
-}
-
-// handleNewView accepts the new leader's announcement.
-func (n *Node) handleNewView(from types.ReplicaID, m *NewViewMsg, out transport.Sink) {
-	if m.View <= n.view || types.LeaderOf(m.View, n.q.N) != from {
-		return
-	}
-	if err := n.suite.VerifyShare(newViewDigest(m.View, m.HighQC), m.Share); err != nil {
-		return
-	}
-	// Adopt the view; the quorum behind it is implied by the leader's
-	// willingness to be exposed (a lightweight pacemaker, as in
-	// implementations that piggyback TCs).
-	n.view = m.View
-	n.stats.ViewChanges++
-	n.lastProgress = n.now
 }

@@ -12,7 +12,7 @@ import (
 	"leopard/internal/types"
 )
 
-func buildCluster(t *testing.T, n int, mutate func(*hotstuff.Config)) *harness.Cluster {
+func buildCluster(t *testing.T, n int) *harness.Cluster {
 	t.Helper()
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
@@ -31,11 +31,7 @@ func buildCluster(t *testing.T, n int, mutate func(*hotstuff.Config)) *harness.C
 		SaturationDepth: 400,
 		SubmitToLeader:  true,
 		Build: func(id types.ReplicaID) (protocol.Replica, error) {
-			cfg := hotstuff.Config{ID: id, Quorum: q, Suite: suite, BatchSize: 100}
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			return hotstuff.NewNode(cfg)
+			return hotstuff.NewNode(hotstuff.Config{ID: id, Quorum: q, Suite: suite, BatchSize: 100})
 		},
 	})
 	if err != nil {
@@ -45,7 +41,7 @@ func buildCluster(t *testing.T, n int, mutate func(*hotstuff.Config)) *harness.C
 }
 
 func TestHotStuffCommitsRequests(t *testing.T) {
-	cluster := buildCluster(t, 4, nil)
+	cluster := buildCluster(t, 4)
 	cluster.Start()
 	res := cluster.MeasureFor(2 * time.Second)
 	if res.Confirmed == 0 {
@@ -81,8 +77,6 @@ func TestHotStuffAllReplicasAgree(t *testing.T) {
 	}
 	for i := range cluster.Replicas {
 		id := i
-		inner := cluster.Replicas[i].(*hotstuff.Node)
-		_ = inner
 		cluster.Replicas[i].SetExecutor(func(sn types.SeqNum, reqs []types.Request) {
 			counts[id] += int64(len(reqs))
 		})

@@ -42,12 +42,10 @@ func TestTrafficPolicies(t *testing.T) {
 		"*leopard.ReplyMsg":           {transport.ClassAck, control, false},
 		"*hotstuff.ProposalMsg":       {transport.ClassBFTblock, bulk, true},
 		"*hotstuff.VoteMsg":           {transport.ClassVote, control, false},
-		"*hotstuff.TimeoutMsg":        {transport.ClassViewChange, control, false},
-		"*hotstuff.NewViewMsg":        {transport.ClassViewChange, control, false},
 		"*transport.CreditMsg":        {transport.ClassMisc, control, false},
 	}
 	msgs := append(testMessages(),
-		&hotstuff.ProposalMsg{}, &hotstuff.VoteMsg{}, &hotstuff.TimeoutMsg{}, &hotstuff.NewViewMsg{},
+		&hotstuff.ProposalMsg{}, &hotstuff.VoteMsg{},
 		&transport.CreditMsg{})
 	for _, m := range msgs {
 		name := fmt.Sprintf("%T", m)
