@@ -357,7 +357,11 @@ func (n *Node) collectVote(from types.ReplicaID, m *VoteMsg, out transport.Sink)
 	if _, dup := seen[from]; dup {
 		return
 	}
-	if err := n.suite.VerifyShare(m.BlockHash, m.Share); err != nil || m.Share.Signer != from {
+	// Only a plain share counts: VerifyShare also accepts the batch form
+	// (crypto.SignBatch), which Combine refuses, so one such vote in the
+	// set would keep the block from ever getting its QC.
+	if m.Share.Signer != from || len(m.Share.Sig) != n.suite.ShareSize() ||
+		n.suite.VerifyShare(m.BlockHash, m.Share) != nil {
 		return
 	}
 	seen[from] = struct{}{}
