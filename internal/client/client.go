@@ -100,9 +100,6 @@ func NewKeychain(n int, seed []byte) (*Keychain, error) {
 	return kc, nil
 }
 
-// NumClients returns the number of derived key pairs.
-func (kc *Keychain) NumClients() int { return len(kc.keys) }
-
 // Public returns client id's public key, or nil if id is out of range.
 func (kc *Keychain) Public(id uint64) ed25519.PublicKey {
 	if id >= uint64(len(kc.pubs)) {

@@ -104,12 +104,6 @@ func newCodec(k, n, workers, cacheSize int) (*Codec, error) {
 	}, nil
 }
 
-// K returns the number of data chunks needed for reconstruction.
-func (c *Codec) K() int { return c.k }
-
-// N returns the total number of chunks produced.
-func (c *Codec) N() int { return c.n }
-
 // ChunkSize returns the chunk length for a message of dataLen bytes. The
 // empty message still occupies one byte per chunk so that encoded chunks
 // are never zero-length; Encode, Decode and Reconstruct all agree on this.

@@ -190,9 +190,6 @@ func New(p Plan) *Engine {
 	return &Engine{plan: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// Plan returns the engine's schedule.
-func (e *Engine) Plan() Plan { return e.plan }
-
 // Errs returns errors from scheduled operations (e.g. a failed restart).
 func (e *Engine) Errs() []error { return e.errs }
 

@@ -127,9 +127,6 @@ func (ic *InvariantChecker) Violations() []string {
 	return out
 }
 
-// Ok reports whether no invariant was violated.
-func (ic *InvariantChecker) Ok() bool { return len(ic.violations) == 0 && ic.suppressed == 0 }
-
 // contentDigest hashes only a block's linked content, not its view: after
 // a view change the new leader re-proposes carried blocks re-stamped with
 // the new view, so replicas may execute view-relabeled twins of the same

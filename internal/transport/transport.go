@@ -247,16 +247,6 @@ type Sink interface {
 	Broadcast(Message)
 }
 
-// SinkFunc adapts a function to the Sink interface; Broadcast wraps the
-// message in a broadcast envelope and forwards to the function.
-type SinkFunc func(Envelope)
-
-// Send implements Sink.
-func (f SinkFunc) Send(env Envelope) { f(env) }
-
-// Broadcast implements Sink.
-func (f SinkFunc) Broadcast(msg Message) { f(Envelope{Broadcast: true, Msg: msg}) }
-
 // SliceSink collects envelopes in emission order. It is the bridge for
 // drivers (tests, synchronous routers) that want the old pull-style slice:
 // pass a *SliceSink into a handler, then read Envelopes. The zero value is
