@@ -255,7 +255,7 @@ func (n *Node) checkDatablocks(inst *instance, out transport.Sink) {
 	if inst.missing == nil {
 		inst.missing = make(map[types.Hash]struct{})
 		for _, h := range inst.block.Content {
-			if !n.dbPool.Has(h) {
+			if n.body(h) == nil {
 				inst.missing[h] = struct{}{}
 				n.noteMissing(h, inst.block.Seq)
 			}
@@ -542,7 +542,7 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 	// counting happens at execution, when all datablocks are guaranteed
 	// present.
 	for _, h := range inst.block.Content {
-		n.confirmedDBs[h] = struct{}{}
+		n.entry(h).confirmed = true
 		if packed, ok := n.myOutstanding[h]; ok {
 			// Dissemination covers pack -> leader proposal (as observed
 			// here via the proposal's arrival time); agreement covers
@@ -579,20 +579,16 @@ func (n *Node) tryExecute(out transport.Sink) {
 		}
 		// All linked datablocks must be held to execute. A replica that
 		// confirmed via proofs without voting may still be missing some.
-		allHeld := true
+		datablocks := make([]*types.Datablock, 0, len(block.Content))
 		for _, h := range block.Content {
-			if !n.dbPool.Has(h) {
-				allHeld = false
+			if db := n.body(h); db != nil {
+				datablocks = append(datablocks, db)
+			} else {
 				n.noteMissing(h, block.Seq)
 			}
 		}
-		if !allHeld {
+		if len(datablocks) < len(block.Content) {
 			return
-		}
-		datablocks := make([]*types.Datablock, 0, len(block.Content))
-		for _, h := range block.Content {
-			db, _ := n.dbPool.Get(h)
-			datablocks = append(datablocks, db)
 		}
 		n.executeBlock(next, block, datablocks)
 		if inst := n.cur.instances[next]; inst != nil && inst.state < types.StateExecuted {

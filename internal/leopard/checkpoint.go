@@ -122,16 +122,6 @@ func (n *Node) applyCheckpoint(cp *CheckpointProofMsg) {
 	// replica keeps what it still needs to catch up.
 	n.lw = cp.Seq
 	n.releaseSettled()
-	// Sweep the retrieval serve-cooldown map: an entry is dead once its
-	// cooldown lapsed (the next query would be served regardless) or its
-	// datablock was released above, so the map stays bounded by the serves
-	// of the last cooldown window instead of growing for the node's
-	// lifetime.
-	for key, t := range n.served {
-		if n.now-t >= n.serveCooldown() || !n.dbPool.Has(key.digest) {
-			delete(n.served, key)
-		}
-	}
 	// The state-transfer serve map is already bounded (one entry per
 	// requester); dropping lapsed entries is just hygiene.
 	for id, s := range n.stateServed {
@@ -144,7 +134,8 @@ func (n *Node) applyCheckpoint(cp *CheckpointProofMsg) {
 // releaseSettled is the one place a serial number's state is let go: its
 // slot (notarization, confirmed block and certificates, checkpoint shares),
 // what the current view holds for it (instance and vote locks, early proofs,
-// redo promise) and the datablocks its block links, for every serial number
+// redo promise) and the records of the datablocks its block links (body,
+// confirmed mark, retrieval response, serve times), for every serial number
 // that is both executed and at or below the watermark — certified by the
 // stable checkpoint, and of no further use here. It resumes from a cursor
 // (prunedTo) rather than the previous watermark: a lagging replica keeps a
@@ -164,9 +155,7 @@ func (n *Node) releaseSettled() {
 		}
 		if blk != nil {
 			for _, h := range blk.Content {
-				n.dbPool.Remove(h)
-				delete(n.confirmedDBs, h)
-				delete(n.respCache, h)
+				n.releaseDatablock(h)
 				delete(n.cur.readySet, h)
 			}
 		}

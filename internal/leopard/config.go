@@ -31,10 +31,12 @@
 // Everything that survives views and dies when both the watermark and the
 // execution frontier have passed the serial number — the highest-view
 // notarization, the confirmed block with its certificates, the checkpoint
-// shares — is one slot in Node.slots, and releaseSettled is the only
-// function that drops a slot, what the view holds for the same serial
-// number, and the datablocks its block links (pool entry, confirmed mark,
-// cached retrieval response). What is kept per view ahead of this replica —
+// shares — is one slot in Node.slots. Everything that dies with a
+// datablock — its body, confirmed mark, retrieval response and serve times
+// — is one record in Node.datablocks. releaseSettled is the only function
+// that drops a slot, what the view holds for the same serial number, and
+// the records of the datablocks its block links, each with its (generator,
+// counter) index key. What is kept per view ahead of this replica —
 // timeout votes, view-change messages — is bounded per sender and released
 // by enterNewView.
 package leopard

@@ -1,11 +1,88 @@
 package leopard
 
 import (
+	"time"
+
 	"leopard/internal/crypto"
 	"leopard/internal/obs"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
+
+// dbEntry is one datablock's record in Node.datablocks. It is made when the
+// replica pools the body or learns the digest confirmed, whichever comes
+// first, and dropped by releaseSettled with the block that links it.
+type dbEntry struct {
+	// body is the datablock; nil while the digest is confirmed here and the
+	// body has not arrived.
+	body *types.Datablock
+	// confirmed marks a digest that some confirmed block links. After a view
+	// change only unconfirmed bodies are announced again.
+	confirmed bool
+	// resp is the retrieval response this replica serves for the body,
+	// built on the first query: chunk and proof are the same for every
+	// requester.
+	resp *RespMsg
+	// served is when each requester was last answered (handleQuery's
+	// cooldown), made on the first answer.
+	served map[types.ReplicaID]time.Duration
+}
+
+// entry returns the record for digest h, making it on first use.
+func (n *Node) entry(h types.Hash) *dbEntry {
+	e := n.datablocks[h]
+	if e == nil {
+		e = &dbEntry{}
+		n.datablocks[h] = e
+	}
+	return e
+}
+
+// body returns the held datablock with digest h, nil when none is held.
+func (n *Node) body(h types.Hash) *types.Datablock {
+	if e := n.datablocks[h]; e != nil {
+		return e.body
+	}
+	return nil
+}
+
+// hold pools db under digest h. It refuses a digest already held and a
+// (generator, counter) already held under another digest (Alg. 1).
+//
+// A held body may have been decoded zero-copy: its request payloads can
+// sub-slice the frame (or erasure-decoded buffer) it arrived in, and holding
+// the body is what keeps that buffer alive. The table never mutates a body,
+// preserving the codec's borrow contract.
+func (n *Node) hold(h types.Hash, db *types.Datablock) bool {
+	if _, dup := n.refs[db.Ref]; dup || n.body(h) != nil {
+		return false
+	}
+	n.entry(h).body = db
+	n.refs[db.Ref] = struct{}{}
+	return true
+}
+
+// holdDecided holds a datablock that a decided block links — one replayed
+// from the WAL or applied by state transfer — and marks it confirmed. It
+// reports false when another body with the same (generator, counter) is
+// held.
+func (n *Node) holdDecided(h types.Hash, db *types.Datablock) bool {
+	if n.body(h) == nil && !n.hold(h, db) {
+		return false
+	}
+	n.entry(h).confirmed = true
+	return true
+}
+
+// releaseDatablock drops the record for digest h and its refs key.
+func (n *Node) releaseDatablock(h types.Hash) {
+	if e := n.datablocks[h]; e != nil {
+		if e.body != nil {
+			delete(n.refs, e.body.Ref)
+		}
+		delete(n.datablocks, h)
+	}
+}
 
 // maybePackDatablocks implements the generation loop of Alg. 1: extract
 // pending requests, build a datablock, multicast it. Non-leader replicas
@@ -33,7 +110,7 @@ func (n *Node) maybePackDatablocks(out transport.Sink) {
 			Requests: reqs,
 		}
 		digest := crypto.HashDatablock(db)
-		n.dbPool.Add(digest, db)
+		n.hold(digest, db)
 		n.myOutstanding[digest] = n.now
 		n.stats.DatablocksMade++
 		n.stats.DatablockRequests += int64(len(reqs))
@@ -71,13 +148,13 @@ func (n *Node) handleDatablock(from types.ReplicaID, m *DatablockMsg, out transp
 	if digest.IsZero() { // decoded off the wire: Digest never travels
 		digest = crypto.HashDatablock(m.Block)
 	}
-	n.acceptDatablock(digest, m.Block, from, out)
+	n.acceptDatablock(digest, m.Block, out)
 }
 
 // acceptDatablock admits a datablock into the pool (from dissemination or
 // retrieval), announces readiness, and unblocks anything waiting on it.
-func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, from types.ReplicaID, out transport.Sink) {
-	if !n.dbPool.Add(digest, db) {
+func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, out transport.Sink) {
+	if !n.hold(digest, db) {
 		return // duplicate digest or duplicate (generator, counter)
 	}
 	if n.isLeader() {
@@ -111,7 +188,7 @@ func (n *Node) recordReady(digest types.Hash, from types.ReplicaID) {
 		votes = make(map[types.ReplicaID]struct{}, n.q.Quorum())
 		n.cur.readyVotes[digest] = votes
 	}
-	held := n.dbPool.Has(digest)
+	held := n.body(digest) != nil
 	if _, dup := votes[from]; !dup {
 		votes[from] = struct{}{}
 		if !held {

@@ -203,7 +203,7 @@ func TestDatablockFloodAtCollector(t *testing.T) {
 		junk, _ := floodDatablock(flooder, uint64(i)+1)
 		n.Deliver(0, flooder, &DatablockMsg{Block: junk}, transport.Discard)
 	}
-	if tracked, pooled := len(n.cur.readyVotes), n.dbPool.Len(); tracked > pooled {
+	if tracked, pooled := len(n.cur.readyVotes), len(n.refs); tracked > pooled {
 		t.Fatalf("the collector tracks %d digests for %d pooled datablocks", tracked, pooled)
 	}
 	for voter, order := range n.cur.readyOrder {
@@ -254,7 +254,7 @@ func TestRespFloodKeepsOneRootPerResponder(t *testing.T) {
 
 	for _, id := range []types.ReplicaID{1, 2} {
 		holder := newFloodTestNode(t, id)
-		resp, err := holder.buildResponse(digest, db)
+		resp, err := holder.buildResponse(digest, &dbEntry{body: db})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestRespWrongDataLenUnderHonestRoot(t *testing.T) {
 	n.noteMissing(digest, 1)
 
 	respFrom := func(id types.ReplicaID) *RespMsg {
-		resp, err := newFloodTestNode(t, id).buildResponse(digest, db)
+		resp, err := newFloodTestNode(t, id).buildResponse(digest, &dbEntry{body: db})
 		if err != nil {
 			t.Fatal(err)
 		}

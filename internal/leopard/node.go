@@ -134,11 +134,6 @@ type chunkSet struct {
 	dataLen int
 }
 
-type servedKey struct {
-	digest    types.Hash
-	requester types.ReplicaID
-}
-
 // earlyProof is a proof that arrived before its BFTblock.
 type earlyProof struct {
 	round  int
@@ -218,28 +213,25 @@ type Node struct {
 	now    time.Duration
 	execFn protocol.ExecuteFunc
 
-	// Request and datablock pools. What is keyed by a datablock's digest
-	// dies with the datablock: releaseSettled drops the pooled body, its
-	// confirmedDBs mark and its cached retrieval response together with the
-	// block that linked it; this replica's own window goes earlier, in
-	// settleOwn.
-	reqPool   *mempool.RequestPool
-	dbPool    *mempool.DatablockPool
-	dbCounter uint64
+	reqPool *mempool.RequestPool
+	// datablocks is the datablock table: one record per digest, holding
+	// the body and everything else that lives exactly as long as it
+	// (dbEntry). refs indexes the held bodies by (generator, counter) for
+	// Alg. 1's repetitive-counter rule. releaseSettled drops a record and
+	// its refs key together, with the block that linked it.
+	datablocks map[types.Hash]*dbEntry
+	refs       map[types.DatablockRef]struct{}
+	dbCounter  uint64
 	// myOutstanding maps each of this replica's own datablocks that is not
 	// yet confirmed to the time it was packed. Its length is the
 	// flow-control window, and the clock for partial datablocks (none
 	// leaves while it is non-empty); the times feed the Table IV stage
 	// breakdown. Entries go in settleOwn, or all at once at an anchor jump
-	// (adoptCheckpoint).
+	// (adoptCheckpoint). It is not part of the datablock table, and neither
+	// is missing: each ends at another moment (confirmation, arrival), and
+	// each is read on every pack or tick (the window's size, the retrieval
+	// timers), which over the table would be a scan of the whole pool.
 	myOutstanding map[types.Hash]time.Duration
-	// confirmedDBs tracks datablock digests already confirmed in some
-	// block, so replicas re-announce only outstanding ones after a view
-	// change.
-	confirmedDBs map[types.Hash]struct{}
-	// respCache holds the one retrieval response this replica serves per
-	// datablock (chunk + proof are requester-independent).
-	respCache map[types.Hash]*RespMsg
 
 	// Agreement state, grouped by what ends it: cur dies with the view,
 	// a slot when the watermark and the execution frontier have passed it.
@@ -257,11 +249,8 @@ type Node struct {
 	// application-agnostic, as in the paper).
 	execState types.Hash
 
-	// Retrieval state.
+	// Retrieval state: the datablocks this replica waits for.
 	missing map[types.Hash]*retrievalState
-	// served records when each (digest, requester) pair was last answered;
-	// re-serves are allowed once the requester's retry period has passed.
-	served map[servedKey]time.Duration
 	// rs is the retrieval codec, built on first use and reused so its
 	// lazily-built multiplication tables and decode-matrix cache persist
 	// across datablocks (rebuilding it per call would defeat both).
@@ -346,18 +335,16 @@ func NewNode(cfg Config) (*Node, error) {
 		suite:         cfg.Suite,
 		q:             cfg.Quorum,
 		reqPool:       mempool.NewRequestPoolLimits(cfg.Mempool),
-		dbPool:        mempool.NewDatablockPool(),
+		datablocks:    make(map[types.Hash]*dbEntry),
+		refs:          make(map[types.DatablockRef]struct{}),
 		myOutstanding: make(map[types.Hash]time.Duration),
 		view:          1,
 		cur:           newViewRecord(),
 		slots:         make(map[types.SeqNum]*slot),
 		nextSeq:       1,
 		missing:       make(map[types.Hash]*retrievalState),
-		served:        make(map[servedKey]time.Duration),
-		respCache:     make(map[types.Hash]*RespMsg),
 		timeoutVotes:  make(map[types.View]map[types.ReplicaID]struct{}),
 		vcMsgs:        make(map[types.View]map[types.ReplicaID]*ViewChangeMsg),
-		confirmedDBs:  make(map[types.Hash]struct{}),
 		lastReply:     make(map[uint64]ReplyMsg),
 		store:         cfg.Store,
 		stateServed:   make(map[types.ReplicaID]stateServeState),
@@ -392,7 +379,7 @@ func (n *Node) isLeader() bool { return n.Leader() == n.cfg.ID }
 func (n *Node) Stats() Stats {
 	s := n.stats
 	s.View = n.view
-	s.DatablocksHeld = int64(n.dbPool.Len())
+	s.DatablocksHeld = int64(len(n.refs))
 	if n.lastCheckpoint != nil {
 		s.LastCheckpointSeq = n.lastCheckpoint.Seq
 	}
@@ -459,7 +446,10 @@ func (n *Node) confirmedBlock(sn types.SeqNum) *types.BFTblock {
 }
 
 // Datablock returns a datablock by digest from the local pool.
-func (n *Node) Datablock(h types.Hash) (*types.Datablock, bool) { return n.dbPool.Get(h) }
+func (n *Node) Datablock(h types.Hash) (*types.Datablock, bool) {
+	db := n.body(h)
+	return db, db != nil
+}
 
 // Stage names for the Table IV latency breakdown.
 const (

@@ -192,10 +192,7 @@ func (n *Node) replayRecord(rec *storage.BlockRecord) {
 	block := rec.Block
 	n.slot(rec.Seq).block = block
 	for i, h := range block.Content {
-		if !n.dbPool.Has(h) {
-			n.dbPool.Add(h, rec.Datablocks[i])
-		}
-		n.confirmedDBs[h] = struct{}{}
+		n.holdDecided(h, rec.Datablocks[i])
 	}
 	n.executeBlock(rec.Seq, block, rec.Datablocks)
 	n.stats.ConfirmedBlocks++
@@ -580,14 +577,13 @@ func (n *Node) applyTransferredRecord(rec *storage.BlockRecord, out transport.Si
 		}
 	}
 	for i, h := range block.Content {
-		if !n.dbPool.Has(h) && !n.dbPool.Add(h, rec.Datablocks[i]) {
+		if !n.holdDecided(h, rec.Datablocks[i]) {
 			// A different datablock with the same (generator, counter) is
 			// pooled — equivocation by its generator. The confirmed one wins
 			// for execution, but the pool cannot hold both; bail out and let
 			// the next response retry after the pool entry is GC'd.
 			return false
 		}
-		n.confirmedDBs[h] = struct{}{}
 	}
 	n.slot(rec.Seq).block = block
 	n.executeBlock(rec.Seq, block, rec.Datablocks)

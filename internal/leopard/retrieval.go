@@ -63,9 +63,7 @@ func (n *Node) checkRetrievalTimers(out transport.Sink) {
 // Invariant: serveCooldown must stay strictly below the re-query cadence
 // (8×RetrievalTimeout, checkRetrievalTimers), so that by the time an
 // honest requester legitimately re-queries, its previous serve has aged
-// out and the retry is answered. The served-map sweep in applyCheckpoint
-// uses the same window to expire entries, so the invariant also bounds
-// that map's size.
+// out and the retry is answered.
 //
 // Derivation: under the drop-on-overflow transport the cooldown was
 // 4×RetrievalTimeout — deliberately well under the cadence, because a
@@ -113,23 +111,25 @@ func (n *Node) rsCodec() (*erasure.Codec, error) {
 // bounded bulk queue.
 func (n *Node) handleQuery(from types.ReplicaID, m *QueryMsg, out transport.Sink) {
 	for _, digest := range m.Digests {
-		key := servedKey{digest: digest, requester: from}
-		if last, done := n.served[key]; done && n.now-last < n.serveCooldown() {
+		e := n.datablocks[digest]
+		if e == nil || e.body == nil {
 			continue
 		}
-		db, ok := n.dbPool.Get(digest)
-		if !ok {
+		if last, done := e.served[from]; done && n.now-last < n.serveCooldown() {
 			continue
 		}
-		n.served[key] = n.now
+		if e.served == nil {
+			e.served = make(map[types.ReplicaID]time.Duration)
+		}
+		e.served[from] = n.now
 		if n.cfg.LeaderRetrieval {
 			// Ablation A1: only the leader answers, with the full block.
 			if n.isLeader() {
-				out.Send(transport.Unicast(from, &FullBlockMsg{Digest: digest, Block: db}))
+				out.Send(transport.Unicast(from, &FullBlockMsg{Digest: digest, Block: e.body}))
 			}
 			continue
 		}
-		resp, err := n.buildResponse(digest, db)
+		resp, err := n.buildResponse(digest, e)
 		if err != nil {
 			continue
 		}
@@ -140,13 +140,13 @@ func (n *Node) handleQuery(from types.ReplicaID, m *QueryMsg, out transport.Sink
 // buildResponse erasure-codes the datablock, builds the Merkle tree over
 // the chunks, and returns this replica's chunk with its inclusion proof.
 // The response is independent of the requester (a replica always serves
-// the chunk at its own index), so it is built once per digest and cached
-// until the datablock itself is garbage-collected; without this, a
-// broadcast Query from n-1 peers would trigger n-1 identical encode +
-// Merkle passes over the same block.
-func (n *Node) buildResponse(digest types.Hash, db *types.Datablock) (*RespMsg, error) {
-	if resp, ok := n.respCache[digest]; ok {
-		return resp, nil
+// the chunk at its own index), so it is built once per digest and kept in
+// the datablock's record until the datablock itself is garbage-collected;
+// without this, a broadcast Query from n-1 peers would trigger n-1
+// identical encode + Merkle passes over the same block.
+func (n *Node) buildResponse(digest types.Hash, e *dbEntry) (*RespMsg, error) {
+	if e.resp != nil {
+		return e.resp, nil
 	}
 	rs, err := n.rsCodec()
 	if err != nil {
@@ -155,6 +155,7 @@ func (n *Node) buildResponse(digest types.Hash, db *types.Datablock) (*RespMsg, 
 	// The marshal buffer is pooled: Encode copies the systematic bytes
 	// into its own shards, so the buffer can be released right after.
 	w := codec.GetWriter()
+	db := e.body
 	codec.Encoder(w).Datablock(&db)
 	data := w.Buf
 	chunks, err := rs.Encode(data)
@@ -188,7 +189,7 @@ func (n *Node) buildResponse(digest types.Hash, db *types.Datablock) (*RespMsg, 
 		Proof:   proof,
 		DataLen: dataLen,
 	}
-	n.respCache[digest] = resp
+	e.resp = resp
 	return resp, nil
 }
 
@@ -239,7 +240,7 @@ func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) 
 	}
 	n.stats.Retrievals++
 	n.trace(obs.EvRetrievalDone, traceID(m.Digest), 1)
-	n.acceptDatablock(m.Digest, db, db.Ref.Generator, out)
+	n.acceptDatablock(m.Digest, db, out)
 }
 
 // decodeRoot attempts to reconstruct and digest-check a datablock from f+1
@@ -281,7 +282,7 @@ func (n *Node) handleFullBlock(from types.ReplicaID, m *FullBlockMsg, out transp
 	}
 	n.stats.Retrievals++
 	n.trace(obs.EvRetrievalDone, traceID(m.Digest), 2)
-	n.acceptDatablock(m.Digest, m.Block, m.Block.Ref.Generator, out)
+	n.acceptDatablock(m.Digest, m.Block, out)
 }
 
 // resolveMissing is called when a previously missing datablock arrives by

@@ -444,10 +444,9 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 // unconfirmedPooled returns the sorted digests of pooled datablocks that
 // have not appeared in any confirmed block yet.
 func (n *Node) unconfirmedPooled() []types.Hash {
-	all := n.dbPool.Digests()
-	out := all[:0]
-	for _, h := range all {
-		if _, done := n.confirmedDBs[h]; !done {
+	var out []types.Hash
+	for h, e := range n.datablocks {
+		if e.body != nil && !e.confirmed {
 			out = append(out, h)
 		}
 	}
@@ -467,8 +466,6 @@ func (n *Node) reannounceDatablocks(out transport.Sink) {
 	}
 	// The leader also re-credits the generator for blocks it holds.
 	for _, h := range digests {
-		if db, ok := n.dbPool.Get(h); ok {
-			n.recordReady(h, db.Ref.Generator)
-		}
+		n.recordReady(h, n.body(h).Ref.Generator)
 	}
 }

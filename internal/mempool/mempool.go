@@ -1,11 +1,12 @@
-// Package mempool buffers pending client requests and datablocks awaiting
-// consensus. The request pool is prioritized and nonce-aware: per client it
-// keeps a pending list (sequence numbers reachable from what it has seen,
-// extractable) and a queued list (nonce-gapped arrivals that become pending
-// when the gap fills), under byte/count admission budgets, per-client
-// token-bucket rate limits, and eviction of the lowest-priority entries
-// under pressure. Both pools are used by the protocol state machines, which
-// are single-threaded, so the pools are not synchronized.
+// Package mempool buffers pending client requests until they are packed
+// into datablocks. The request pool is prioritized and nonce-aware: per
+// client it keeps a pending list (sequence numbers reachable from what it
+// has seen, extractable) and a queued list (nonce-gapped arrivals that
+// become pending when the gap fills), under byte/count admission budgets,
+// per-client token-bucket rate limits, and eviction of the lowest-priority
+// entries under pressure. The protocol state machines that use it are
+// single-threaded, so the pool is not synchronized. Datablocks are held by
+// the replica that pools them (leopard.Node's datablock table), not here.
 package mempool
 
 import (
@@ -482,72 +483,4 @@ func (p *RequestPool) MarkConfirmed(id types.RequestID) {
 	// seqs that were individually confirmed, and each confirmation removed
 	// its live copy above.
 	p.promote(c)
-}
-
-// DatablockPool stores accepted datablocks, indexed both by digest and by
-// (generator, counter) for duplicate-counter suppression (Leopard Alg. 1).
-//
-// Stored blocks may have been decoded zero-copy: their request payloads can
-// sub-slice the wire frame (or erasure-decoded buffer) they arrived in, and
-// retaining the block here is what keeps that buffer alive — the frame is
-// essentially the block, so this pins no meaningful extra memory. The pool
-// never mutates blocks, preserving the codec's borrow contract.
-type DatablockPool struct {
-	byHash map[types.Hash]*types.Datablock
-	byRef  map[types.DatablockRef]types.Hash
-}
-
-// NewDatablockPool creates an empty pool.
-func NewDatablockPool() *DatablockPool {
-	return &DatablockPool{
-		byHash: make(map[types.Hash]*types.Datablock),
-		byRef:  make(map[types.DatablockRef]types.Hash),
-	}
-}
-
-// Add stores the datablock under its digest. It reports false if a
-// datablock with the same (generator, counter) or digest already exists.
-func (p *DatablockPool) Add(h types.Hash, d *types.Datablock) bool {
-	if _, ok := p.byHash[h]; ok {
-		return false
-	}
-	if _, ok := p.byRef[d.Ref]; ok {
-		return false
-	}
-	p.byHash[h] = d
-	p.byRef[d.Ref] = h
-	return true
-}
-
-// Get returns the datablock with digest h, if present.
-func (p *DatablockPool) Get(h types.Hash) (*types.Datablock, bool) {
-	d, ok := p.byHash[h]
-	return d, ok
-}
-
-// Has reports whether digest h is present.
-func (p *DatablockPool) Has(h types.Hash) bool {
-	_, ok := p.byHash[h]
-	return ok
-}
-
-// Remove deletes the datablock with digest h (garbage collection).
-func (p *DatablockPool) Remove(h types.Hash) {
-	if d, ok := p.byHash[h]; ok {
-		delete(p.byRef, d.Ref)
-		delete(p.byHash, h)
-	}
-}
-
-// Len returns the number of stored datablocks.
-func (p *DatablockPool) Len() int { return len(p.byHash) }
-
-// Digests returns all stored digests in unspecified order; callers that
-// need determinism must sort.
-func (p *DatablockPool) Digests() []types.Hash {
-	out := make([]types.Hash, 0, len(p.byHash))
-	for h := range p.byHash {
-		out = append(out, h)
-	}
-	return out
 }

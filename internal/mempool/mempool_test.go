@@ -98,74 +98,3 @@ func TestRequestPoolExtractBounds(t *testing.T) {
 		t.Errorf("Extract over-len returned %d", len(out))
 	}
 }
-
-func datablock(gen types.ReplicaID, counter uint64) (*types.Datablock, types.Hash) {
-	db := &types.Datablock{Ref: types.DatablockRef{Generator: gen, Counter: counter}}
-	var h types.Hash
-	h[0] = byte(gen)
-	h[1] = byte(counter)
-	return db, h
-}
-
-func TestDatablockPoolAddGetRemove(t *testing.T) {
-	p := NewDatablockPool()
-	db, h := datablock(1, 1)
-	if !p.Add(h, db) {
-		t.Fatal("add rejected")
-	}
-	if got, ok := p.Get(h); !ok || got != db {
-		t.Fatal("get failed")
-	}
-	if !p.Has(h) {
-		t.Fatal("Has = false")
-	}
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	p.Remove(h)
-	if p.Has(h) || p.Len() != 0 {
-		t.Fatal("remove did not clear")
-	}
-	// After removal, the same (generator, counter) may be re-added: the
-	// pool is storage, rate limiting happens before GC.
-	if !p.Add(h, db) {
-		t.Fatal("re-add after remove rejected")
-	}
-}
-
-func TestDatablockPoolDuplicateCounter(t *testing.T) {
-	p := NewDatablockPool()
-	db1, h1 := datablock(1, 7)
-	p.Add(h1, db1)
-	// Same (generator, counter), different digest: the repetitive-counter
-	// rule from Leopard Alg. 1 must reject it.
-	db2 := &types.Datablock{Ref: db1.Ref, Requests: []types.Request{req(9, 9)}}
-	h2 := types.Hash{0xff}
-	if p.Add(h2, db2) {
-		t.Fatal("duplicate (generator, counter) admitted")
-	}
-	// Different counter is fine.
-	db3, h3 := datablock(1, 8)
-	if !p.Add(h3, db3) {
-		t.Fatal("distinct counter rejected")
-	}
-}
-
-func TestDatablockPoolDigests(t *testing.T) {
-	p := NewDatablockPool()
-	want := map[types.Hash]bool{}
-	for i := uint64(0); i < 5; i++ {
-		db, h := datablock(2, i)
-		p.Add(h, db)
-		want[h] = true
-	}
-	got := p.Digests()
-	if len(got) != 5 {
-		t.Fatalf("Digests returned %d", len(got))
-	}
-	for _, h := range got {
-		if !want[h] {
-			t.Errorf("unexpected digest %v", h)
-		}
-	}
-}
