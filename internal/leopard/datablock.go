@@ -84,6 +84,69 @@ func (n *Node) releaseDatablock(h types.Hash) {
 	}
 }
 
+// counterLedger is what one generator's executed datablock counters leave
+// behind, so that Alg. 1's repetitive-counter rule outlives garbage
+// collection: once releaseSettled has dropped a datablock, nothing else
+// would stop its generator from sending it again and having it pooled,
+// linked and executed a second time. Every counter below floor counts as
+// executed, and above holds the executed ones past it; contiguous counters
+// fold into the floor, as RequestPool.MarkConfirmed folds a client's seqs.
+//
+// The ledger lives in memory: a replica that restarts starts with an empty
+// one, refilled only by the WAL records it replays, so it would pool a
+// replay of a datablock settled before its checkpoint anchor. Refusal at
+// the replicas that remember is enough: a release needs 2f+1 checkpoint
+// signers, every one of which executed the datablock, so at least f+1
+// honest replicas refuse the replay and it can gather neither a ready
+// quorum nor a first-round quorum.
+type counterLedger struct {
+	floor uint64
+	above map[uint64]struct{}
+}
+
+// noteExecuted enters an executed datablock in its generator's ledger. A
+// ledger keeps at most MaxParallel × BFTBlockSize counters above its floor,
+// the links of one full watermark window; past that the floor moves up to
+// the lowest one kept, so the counters it passes count as executed. A
+// datablock left unexecuted that far behind its generator's executed ones is
+// then refused here unless it is already held; no counter above the floor is
+// forgotten.
+func (n *Node) noteExecuted(ref types.DatablockRef) {
+	l := n.executed[ref.Generator]
+	if l == nil {
+		// Counters start at 1: maybePackDatablocks increments before use.
+		l = &counterLedger{floor: 1, above: make(map[uint64]struct{})}
+		n.executed[ref.Generator] = l
+	}
+	if ref.Counter < l.floor {
+		return
+	}
+	l.above[ref.Counter] = struct{}{}
+	if len(l.above) > n.cfg.MaxParallel*n.cfg.BFTBlockSize {
+		l.floor = ref.Counter
+		for c := range l.above {
+			l.floor = min(l.floor, c)
+		}
+	}
+	for {
+		if _, ok := l.above[l.floor]; !ok {
+			return
+		}
+		delete(l.above, l.floor)
+		l.floor++
+	}
+}
+
+// wasExecuted reports whether the ledger holds ref.
+func (n *Node) wasExecuted(ref types.DatablockRef) bool {
+	l := n.executed[ref.Generator]
+	if l == nil {
+		return false
+	}
+	_, ok := l.above[ref.Counter]
+	return ok || ref.Counter < l.floor
+}
+
 // maybePackDatablocks implements the generation loop of Alg. 1: extract
 // pending requests, build a datablock, multicast it. Non-leader replicas
 // only. A full datablock leaves whenever the outstanding-datablock window
@@ -152,10 +215,12 @@ func (n *Node) handleDatablock(from types.ReplicaID, m *DatablockMsg, out transp
 }
 
 // acceptDatablock admits a datablock into the pool (from dissemination or
-// retrieval), announces readiness, and unblocks anything waiting on it.
+// retrieval), announces readiness, and unblocks anything waiting on it. A
+// datablock this replica has executed is refused even after its record is
+// released (counterLedger).
 func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, out transport.Sink) {
-	if !n.hold(digest, db) {
-		return // duplicate digest or duplicate (generator, counter)
+	if n.wasExecuted(db.Ref) || !n.hold(digest, db) {
+		return // executed before, duplicate digest or duplicate (generator, counter)
 	}
 	if n.isLeader() {
 		// The leader counts itself and the generator as holders.

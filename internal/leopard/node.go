@@ -221,7 +221,10 @@ type Node struct {
 	// its refs key together, with the block that linked it.
 	datablocks map[types.Hash]*dbEntry
 	refs       map[types.DatablockRef]struct{}
-	dbCounter  uint64
+	// executed is each generator's ledger of executed counters: it keeps
+	// the duplicate rule for datablocks whose records are released.
+	executed  map[types.ReplicaID]*counterLedger
+	dbCounter uint64
 	// myOutstanding maps each of this replica's own datablocks that is not
 	// yet confirmed to the time it was packed. Its length is the
 	// flow-control window, and the clock for partial datablocks (none
@@ -337,6 +340,7 @@ func NewNode(cfg Config) (*Node, error) {
 		reqPool:       mempool.NewRequestPoolLimits(cfg.Mempool),
 		datablocks:    make(map[types.Hash]*dbEntry),
 		refs:          make(map[types.DatablockRef]struct{}),
+		executed:      make(map[types.ReplicaID]*counterLedger),
 		myOutstanding: make(map[types.Hash]time.Duration),
 		view:          1,
 		cur:           newViewRecord(),

@@ -232,6 +232,55 @@ func TestDuplicateCounterIgnored(t *testing.T) {
 	}
 }
 
+// TestReleasedDatablockNotReplayed: the repetitive-counter rule outlives
+// garbage collection. After a stable checkpoint has released a datablock,
+// its generator sends it again; no replica may pool it, and so none links
+// or executes its requests a second time.
+func TestReleasedDatablockNotReplayed(t *testing.T) {
+	const generator = types.ReplicaID(2)
+	r := newRouter(t, 4, func(c *leopard.Config) {
+		c.MaxParallel = 4
+		c.CheckpointEvery = 2
+	})
+	var first *leopard.DatablockMsg
+	r.drop = func(from, _ types.ReplicaID, msg transport.Message) bool {
+		if m, ok := msg.(*leopard.DatablockMsg); ok && from == generator && first == nil {
+			first = m
+		}
+		return false
+	}
+	for i := 0; i < 4; i++ {
+		r.submit(generator, 10, uint64(10*i))
+		r.advance(50*time.Millisecond, 5*time.Millisecond)
+	}
+	if first == nil {
+		t.Fatal("the generator sent no datablock")
+	}
+	executed := make([]int64, len(r.nodes))
+	for i, node := range r.nodes {
+		st := node.Stats()
+		if st.LastCheckpointSeq < 2 || st.ConfirmedRequests != 40 {
+			t.Fatalf("replica %d: checkpoint %d, %d requests executed; want at least 2 and 40", i, st.LastCheckpointSeq, st.ConfirmedRequests)
+		}
+		if _, held := node.Datablock(first.Digest); held {
+			t.Fatalf("replica %d still holds the first datablock after the checkpoint", i)
+		}
+		executed[i] = st.ConfirmedRequests
+	}
+
+	r.enqueue(generator, []transport.Envelope{transport.Broadcast(first)})
+	r.flush()
+	r.advance(200*time.Millisecond, 5*time.Millisecond)
+	for i, node := range r.nodes {
+		if _, held := node.Datablock(first.Digest); held {
+			t.Errorf("replica %d pooled the replayed datablock", i)
+		}
+		if got := node.Stats().ConfirmedRequests; got != executed[i] {
+			t.Errorf("replica %d executed %d requests after the replay, want %d", i, got, executed[i])
+		}
+	}
+}
+
 // TestWatermarkWindowEnforced: proposals outside (lw, lw+k] are ignored.
 func TestWatermarkWindowEnforced(t *testing.T) {
 	const n = 4

@@ -492,8 +492,8 @@ func executionDigest(block *types.BFTblock) types.Hash {
 }
 
 // executeBlock runs the execution bookkeeping shared by the normal path
-// (tryExecute), WAL replay and state transfer: the per-datablock executor
-// callback and request dedup, the replies, then the chain-hash/height
+// (tryExecute), WAL replay and state transfer: the per-datablock counter
+// ledger, executor callback and request dedup, the replies, then the chain-hash/height
 // advance. The caller guarantees datablocks[i] matches block.Content[i] and
 // that the block sits exactly at the execution frontier.
 //
@@ -505,6 +505,7 @@ func (n *Node) executeBlock(sn types.SeqNum, block *types.BFTblock, datablocks [
 	digest := executionDigest(block)
 	requests := 0
 	for _, db := range datablocks {
+		n.noteExecuted(db.Ref)
 		requests += len(db.Requests)
 		if n.execFn != nil {
 			n.execFn(sn, db.Requests)
