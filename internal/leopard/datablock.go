@@ -65,7 +65,8 @@ func (n *Node) hold(h types.Hash, db *types.Datablock) bool {
 // holdDecided holds a datablock that a decided block links — one replayed
 // from the WAL or applied by state transfer — and marks it confirmed. It
 // reports false when another body with the same (generator, counter) is
-// held.
+// held. The counter ledger is not asked: decided history executes whatever
+// this replica remembers.
 func (n *Node) holdDecided(h types.Hash, db *types.Datablock) bool {
 	if n.body(h) == nil && !n.hold(h, db) {
 		return false
@@ -95,10 +96,10 @@ func (n *Node) releaseDatablock(h types.Hash) {
 // The ledger lives in memory: a replica that restarts starts with an empty
 // one, refilled only by the WAL records it replays, so it would pool a
 // replay of a datablock settled before its checkpoint anchor. Refusal at
-// the replicas that remember is enough: a release needs 2f+1 checkpoint
-// signers, every one of which executed the datablock, so at least f+1
-// honest replicas refuse the replay and it can gather neither a ready
-// quorum nor a first-round quorum.
+// the replicas that remember is enough: a release needs a stable
+// checkpoint, and the first one past the datablock's block has 2f+1
+// signers that executed it, so at least f+1 honest replicas refuse the
+// replay and it can gather neither a ready quorum nor a first-round quorum.
 type counterLedger struct {
 	floor uint64
 	above map[uint64]struct{}
