@@ -47,9 +47,11 @@ func auditSizes(v reflect.Value, path string, bound int, report func(string)) {
 }
 
 // TestAgreementStateStaysBounded is the resource audit of what a replica
-// holds per view and per serial number: after a run of a few hundred blocks
-// with a view change in the middle and stable checkpoints throughout, every
-// map and slice in the view record and the slot table, at any depth, holds at
+// holds per view, per serial number and per datablock: after a run of a few
+// hundred blocks with a view change in the middle and stable checkpoints
+// throughout, every map and slice in the view record, the slot table, the
+// datablock table with its index and counter ledgers, the retrieval state
+// and the own-datablock window, at any depth, holds at
 // most k × n × MaxOutstandingDatablocks entries — the window times every
 // datablock that can be outstanding, which no honest run's bookkeeping
 // exceeds. The run is several bounds long, so anything that grows by an entry
@@ -100,9 +102,9 @@ func TestAgreementStateStaysBounded(t *testing.T) {
 		if st.LastCheckpointSeq < before.LastCheckpointSeq+2*window || st.ExecutedBlocks < 4*bound {
 			t.Fatalf("replica %d: last checkpoint %d after %d blocks; the run is too short to show a leak", id, st.LastCheckpointSeq, st.ExecutedBlocks)
 		}
-		view, slots := node.AgreementState()
 		report := func(msg string) { t.Errorf("replica %d: %s", id, msg) }
-		auditSizes(reflect.ValueOf(view), "view", bound, report)
-		auditSizes(reflect.ValueOf(slots), "slots", bound, report)
+		for name, state := range node.AgreementState() {
+			auditSizes(reflect.ValueOf(state), name, bound, report)
+		}
 	}
 }

@@ -34,5 +34,16 @@ func (n *Node) OwnOutstanding() int { return len(n.myOutstanding) }
 func (n *Node) HasPendingWork() bool { return n.hasPendingWork() }
 
 // AgreementState hands the resource audit everything this replica holds per
-// view and per serial number, to walk by reflection.
-func (n *Node) AgreementState() (view, slots any) { return n.cur, n.slots }
+// view, per serial number and per datablock, by name, to walk by
+// reflection.
+func (n *Node) AgreementState() map[string]any {
+	return map[string]any{
+		"view":          n.cur,
+		"slots":         n.slots,
+		"datablocks":    n.datablocks,
+		"refs":          n.refs,
+		"executed":      n.executed,
+		"missing":       n.missing,
+		"myOutstanding": n.myOutstanding,
+	}
+}
