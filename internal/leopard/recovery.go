@@ -493,9 +493,10 @@ func executionDigest(block *types.BFTblock) types.Hash {
 
 // executeBlock runs the execution bookkeeping shared by the normal path
 // (tryExecute), WAL replay and state transfer: the per-datablock counter
-// ledger, executor callback and request dedup, the replies, then the chain-hash/height
-// advance. The caller guarantees datablocks[i] matches block.Content[i] and
-// that the block sits exactly at the execution frontier.
+// ledger, executor callback and request dedup, the replies, then the
+// chain-hash/height advance. The caller guarantees datablocks[i] matches
+// block.Content[i] and that the block sits exactly at the execution
+// frontier.
 //
 // Replies cost one signature per block, not per request: every reply
 // digest of the block goes into one crypto.SignBatch, and each ReplyMsg
