@@ -41,6 +41,8 @@ type ChaosResult struct {
 	// traffic is the per-replica sent/received byte signature folded into
 	// ChaosRunDigest's determinism assertion.
 	traffic string
+	// reopened is simStores.reopened: what each restart's Log.Open read.
+	reopened []storage.Stats
 }
 
 // chaosParams sizes one chaos run; the regression tests shrink it.
@@ -134,25 +136,21 @@ func chaosPlans(n int, seed int64) []faultplan.Plan {
 }
 
 // chaosCluster builds a fully durable n-replica cluster wired into a fresh
-// invariant checker: every replica persists to a deterministic in-memory
-// store (registered for the durability invariant) and reports executions
-// through the checker's per-replica observer. When Tracing is set, the run
-// is traced under label.
-func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Config)) (*harness.Cluster, *harness.InvariantChecker, error) {
+// invariant checker: every replica persists to a storage.Log on a MemFS
+// (each build, restarts included, opens it and registers it for the
+// durability invariant) and reports executions through the checker's
+// per-replica observer. When Tracing is set, the run is traced under label.
+func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Config)) (*harness.Cluster, *harness.InvariantChecker, *simStores, error) {
 	q, err := types.NewQuorumParams(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	suite, err := crypto.NewSimSuite(n, []byte("chaos"))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	ic := harness.NewInvariantChecker(suite)
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-		ic.RegisterStore(types.ReplicaID(i), stores[i])
-	}
+	stores := &simStores{fs: storage.NewMemFS(), logs: make([]*storage.Log, n)}
 	ts := traceRun(label, n)
 	net := netConfig()
 	net.TickInterval = 5 * time.Millisecond
@@ -164,6 +162,11 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 		LatencySample: 16,
 		Trace:         ts,
 		Build: func(id types.ReplicaID) (protocol.Replica, error) {
+			st, err := stores.open(id)
+			if err != nil {
+				return nil, err
+			}
+			ic.RegisterStore(id, st)
 			cfg := leopard.Config{
 				ID:                       id,
 				Quorum:                   q,
@@ -180,7 +183,7 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 				// plan heals could eat the whole grace window by itself.
 				ViewChangeMaxTimeout: 8 * p.vct,
 				SkipRequestDedup:     true,
-				Store:                stores[id],
+				Store:                st,
 				OnExecute:            ic.ExecutionObserver(id),
 				// The Build closure runs again on Restart, re-wiring the
 				// same per-slot tracer: one event history spans a replica's
@@ -194,11 +197,11 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	c.AttachInvariants(ic)
 	ic.AttachTrace(ts)
-	return c, ic, nil
+	return c, ic, stores, nil
 }
 
 // chaosGenerators picks f+1 load generators that are neither the leader
@@ -224,7 +227,7 @@ func chaosGenerators(n int, leader types.ReplicaID, plan faultplan.Plan) []types
 
 // chaosFinish folds the checker verdict and per-replica counters into the
 // result.
-func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChecker) {
+func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChecker, stores *simStores) {
 	ic.CheckCertificates(c.Replicas)
 	res.Height = maxExecuted(c)
 	for _, node := range leopardNodes(c) {
@@ -234,6 +237,7 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 		res.VotesReloaded += st.VotesReloaded
 	}
 	res.traffic = trafficSignature(c)
+	res.reopened = stores.reopened
 	res.Violations = ic.Violations()
 	res.PostMortem = ic.PostMortem()
 }
@@ -241,7 +245,7 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 // chaosOnce runs one scheduled plan under the invariant checker.
 func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	res := ChaosResult{N: n, Plan: plan.Name}
-	c, ic, err := chaosCluster(n, p, "chaos "+res.Plan, nil)
+	c, ic, stores, err := chaosCluster(n, p, "chaos "+res.Plan, nil)
 	if err != nil {
 		return res, err
 	}
@@ -264,7 +268,7 @@ func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	for _, e := range eng.Errs() {
 		ic.Violate("schedule: %v", e)
 	}
-	chaosFinish(&res, c, ic)
+	chaosFinish(&res, c, ic, stores)
 	return res, nil
 }
 
@@ -281,7 +285,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 		name += "-noval"
 	}
 	res := ChaosResult{N: n, Plan: name}
-	c, ic, err := chaosCluster(n, p, "chaos "+name, func(cfg *leopard.Config) {
+	c, ic, stores, err := chaosCluster(n, p, "chaos "+name, func(cfg *leopard.Config) {
 		// A patient view-change timer keeps the cluster in the leader's
 		// view long enough for the restarted leader to equivocate before
 		// anyone gives up on it, and a deep outstanding window keeps the
@@ -337,7 +341,7 @@ func chaosAmnesia(n int, disableVAL bool, p chaosParams) (ChaosResult, error) {
 	if !c.RunUntil(deadline, 10*time.Millisecond, func() bool { return maxExecuted(c) > heightAtCrash+4 }) {
 		ic.Violate("liveness: executed height stuck near %d after leader crash-restart", heightAtCrash)
 	}
-	chaosFinish(&res, c, ic)
+	chaosFinish(&res, c, ic, stores)
 	return res, nil
 }
 

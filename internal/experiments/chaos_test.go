@@ -13,7 +13,9 @@ import (
 // TestChaosScenarioNoViolations sweeps the whole schedule library (plus
 // the vote-ahead-enabled amnesia schedule) at n=4, 8 and 16 with the
 // invariant checker armed. Any safety, durability or bounded-liveness
-// violation under any plan fails the test.
+// violation under any plan fails the test. The crash-restart victim's
+// reopened log must have read records back from the bytes its crashed
+// predecessor wrote, without finding a damaged tail.
 func TestChaosScenarioNoViolations(t *testing.T) {
 	results, err := chaosScenario([]int{4, 8, 16}, defaultChaosParams())
 	if err != nil {
@@ -25,6 +27,17 @@ func TestChaosScenarioNoViolations(t *testing.T) {
 		}
 		if r.Height == 0 {
 			t.Errorf("n=%d plan=%s: no execution progress at all", r.N, r.Plan)
+		}
+		if r.Plan != "crash-restart" {
+			continue
+		}
+		if len(r.reopened) != 1 {
+			t.Errorf("n=%d plan=%s: %d logs reopened, want 1", r.N, r.Plan, len(r.reopened))
+		}
+		for _, st := range r.reopened {
+			if st.Loaded == 0 || st.TailTruncated {
+				t.Errorf("n=%d plan=%s: reopened log loaded %d records, tail truncated %v", r.N, r.Plan, st.Loaded, st.TailTruncated)
+			}
 		}
 	}
 }
@@ -90,7 +103,7 @@ func escalationTimeoutVotes(t *testing.T, maxTimeout time.Duration) int {
 	t.Helper()
 	const n = 4
 	p := defaultChaosParams()
-	c, _, err := chaosCluster(n, p, "escalation", func(cfg *leopard.Config) {
+	c, _, _, err := chaosCluster(n, p, "escalation", func(cfg *leopard.Config) {
 		cfg.ViewChangeTimeout = 100 * time.Millisecond
 		cfg.ViewChangeMaxTimeout = maxTimeout
 	})

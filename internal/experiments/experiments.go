@@ -26,6 +26,7 @@ import (
 	"leopard/internal/obs"
 	"leopard/internal/protocol"
 	"leopard/internal/simnet"
+	"leopard/internal/storage"
 	"leopard/internal/transport"
 	"leopard/internal/types"
 )
@@ -203,6 +204,36 @@ func trafficSignature(c *harness.Cluster) string {
 		sig += fmt.Sprintf("%d:%d/%d ", i, bw.TotalSent(), bw.TotalReceived())
 	}
 	return sig
+}
+
+// simStores holds each replica's storage.Log on one in-memory filesystem.
+// The logs append write-through (SyncEachAppend), so they start no syncer
+// goroutine and a run stays deterministic.
+type simStores struct {
+	fs       *storage.MemFS
+	logs     []*storage.Log
+	reopened []storage.Stats // each restart's log as Open left it
+}
+
+// open opens replica id's log. On a restart it first closes the crashed
+// replica's log, so the new one recovers through Log.Open's segment scan of
+// the bytes the old one wrote.
+func (s *simStores) open(id types.ReplicaID) (*storage.Log, error) {
+	old := s.logs[id]
+	if old != nil {
+		if err := old.Close(); err != nil {
+			return nil, err
+		}
+	}
+	l, err := storage.Open(fmt.Sprintf("replica-%d", id), storage.Options{FS: s.fs, SyncEachAppend: true})
+	if err != nil {
+		return nil, err
+	}
+	s.logs[id] = l
+	if old != nil {
+		s.reopened = append(s.reopened, l.Stats())
+	}
+	return l, nil
 }
 
 // measurePoint warms a cluster up for warm, then measures one point over

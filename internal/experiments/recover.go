@@ -102,9 +102,9 @@ func (rows RecoverRows) Print(w io.Writer) {
 }
 
 // recoverOnce builds an n-replica cluster where every replica persists to a
-// deterministic in-memory store, kills the last non-leader replica at
-// crashAt, restarts it at restartAt rebuilt over its surviving store, and
-// measures catch-up.
+// storage.Log on an in-memory filesystem, kills the last non-leader replica
+// at crashAt, restarts it at restartAt over its reopened log, and measures
+// catch-up.
 func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 	res := RecoverResult{N: n}
 	if n < 4 {
@@ -116,12 +116,14 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 	net.TickInterval = 5 * time.Millisecond
 	net.Seed = p.seed
 
-	// One deterministic in-memory store per replica; it survives the crash
-	// and is handed to the rebuilt victim, exactly as an on-disk WAL
-	// survives a process restart.
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
+	// One storage.Log per replica on an in-memory filesystem. The victim's
+	// bytes survive the crash, and its restart reopens them, exactly as an
+	// on-disk WAL survives a process restart.
+	stores := &simStores{fs: storage.NewMemFS(), logs: make([]*storage.Log, n)}
+	for i := 0; i < n; i++ {
+		if _, err := stores.open(types.ReplicaID(i)); err != nil {
+			return res, err
+		}
 	}
 
 	c, err := leopardClusterDepth(n, p.dbRequests, p.bftSize, 0, net, func(cfg *leopard.Config) {
@@ -130,7 +132,7 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 		cfg.MaxParallel = p.maxParallel
 		cfg.CheckpointEvery = p.checkpoint
 		cfg.MaxOutstandingDatablocks = 2
-		cfg.Store = stores[cfg.ID]
+		cfg.Store = stores.logs[cfg.ID]
 	})
 	if err != nil {
 		return res, err
@@ -179,6 +181,9 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 	}
 	res.HeightAtRestart = heightAtRestart
 	restarted = true
+	if _, err := stores.open(victim); err != nil {
+		return res, err
+	}
 	if err := c.Restart(victim); err != nil {
 		return res, err
 	}

@@ -95,7 +95,7 @@ func TestViolationPostMortemDumpsTrace(t *testing.T) {
 	withTracing(t)
 	const n = 4
 	p := defaultChaosParams()
-	c, ic, err := chaosCluster(n, p, "postmortem", nil)
+	c, ic, _, err := chaosCluster(n, p, "postmortem", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

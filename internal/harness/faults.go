@@ -16,7 +16,7 @@ import (
 // takes the network's filter slot (partitions, probabilistic loss) and its
 // timed events (delay spikes, clock skew, crashes, durable restarts) are
 // registered against the simulator clock. Restarts go through the
-// cluster's Restart, so a replica built over a surviving store recovers
+// cluster's Restart, so a replica built over its reopened store recovers
 // durably — and trips the invariant checker's durability hooks when one
 // is attached. Install at most one plan per run, before Start.
 func (c *Cluster) InstallPlan(p faultplan.Plan) (*faultplan.Engine, error) {

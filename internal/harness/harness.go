@@ -250,8 +250,8 @@ func (c *Cluster) SubmitN(id types.ReplicaID, count int) {
 // Restart rebuilds the replica at id with the cluster's Build function and
 // swaps it into the network (simnet.Replace): the crash-restart-with-
 // durable-state model. The Build closure decides what survives — a
-// replica built over the same storage.Store recovers its durable state;
-// one built without a store restarts empty.
+// replica built over a log that reopens its predecessor's directory
+// recovers its durable state; one built without a store restarts empty.
 func (c *Cluster) Restart(id types.ReplicaID) error {
 	return c.checkDurability(id, func() error {
 		r, err := c.opts.Build(id)

@@ -211,7 +211,7 @@ func (ic *InvariantChecker) observeVote(voter types.ReplicaID, view types.View, 
 }
 
 // RegisterStore associates a replica's durable store with the checker so
-// restarts can assert durability. Call once per durable replica.
+// restarts can assert durability. A restart's Build registers its new one.
 func (ic *InvariantChecker) RegisterStore(id types.ReplicaID, st storage.Store) {
 	ic.stores[id] = st
 }

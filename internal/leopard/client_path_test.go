@@ -292,7 +292,7 @@ func TestNoRepliesDuringReplay(t *testing.T) {
 		ViewChangeTimeout: time.Hour,
 		RetrievalTimeout:  10 * time.Millisecond,
 		MaxParallel:       8, CheckpointEvery: 4,
-		Store: stores[3],
+		Store: stores.open(t, 3),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package leopard_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,18 +12,49 @@ import (
 	"leopard/internal/types"
 )
 
-// storedRouter builds a router whose every node persists to its own MemLog,
-// returning the stores for crash-restart tests.
-func storedRouter(t *testing.T, n int, mutate func(*leopard.Config)) (*router, []storage.Store) {
-	t.Helper()
-	stores := make([]storage.Store, n)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
+// memStores is one storage.Log per replica on a shared in-memory
+// filesystem, the store the simulations run.
+type memStores struct {
+	fs   *storage.MemFS
+	logs []*storage.Log
+}
+
+func newMemStores(t *testing.T, n int) *memStores {
+	m := &memStores{fs: storage.NewMemFS(), logs: make([]*storage.Log, n)}
+	for i := range m.logs {
+		m.open(t, types.ReplicaID(i))
 	}
+	return m
+}
+
+// open opens replica id's log. Called again for a replica, it closes the
+// old log first and reopens the directory: the store a restarted process
+// finds, recovered by Log.Open's segment scan.
+func (m *memStores) open(t *testing.T, id types.ReplicaID) *storage.Log {
+	t.Helper()
+	if old := m.logs[id]; old != nil {
+		if err := old.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := storage.Open(fmt.Sprintf("replica-%d", id), storage.Options{FS: m.fs, SyncEachAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.logs[id] = l
+	return l
+}
+
+// storedRouter builds a router whose every node persists to its own
+// storage.Log on an in-memory filesystem, returning the stores for
+// crash-restart tests.
+func storedRouter(t *testing.T, n int, mutate func(*leopard.Config)) (*router, *memStores) {
+	t.Helper()
+	stores := newMemStores(t, n)
 	r := newRouter(t, n, func(cfg *leopard.Config) {
 		cfg.MaxParallel = 8
 		cfg.CheckpointEvery = 4
-		cfg.Store = stores[cfg.ID]
+		cfg.Store = stores.logs[cfg.ID]
 		if mutate != nil {
 			mutate(cfg)
 		}
@@ -31,7 +63,8 @@ func storedRouter(t *testing.T, n int, mutate func(*leopard.Config)) (*router, [
 }
 
 // rebuild constructs a fresh node for slot id over the given store — the
-// picture after a process restart — and swaps it into the router.
+// picture after a process restart, given a store from memStores.open — and
+// swaps it into the router.
 func rebuild(t *testing.T, r *router, id types.ReplicaID, st storage.Store, mutate func(*leopard.Config)) *leopard.Node {
 	t.Helper()
 	n := len(r.nodes)
@@ -86,8 +119,8 @@ func TestRecoverReplaysWAL(t *testing.T) {
 		t.Fatal("no stable checkpoint formed; widen the run")
 	}
 
-	// Rebuild over the same store, but do NOT deliver anything: recovery
-	// must be purely local.
+	// Rebuild over the reopened store, but do NOT deliver anything:
+	// recovery must be purely local.
 	var executed []types.SeqNum
 	q, _ := types.NewQuorumParams(4)
 	suite, err := crypto.NewEd25519Suite(4, []byte("router-seed"))
@@ -100,7 +133,7 @@ func TestRecoverReplaysWAL(t *testing.T) {
 		ViewChangeTimeout: time.Hour,
 		RetrievalTimeout:  10 * time.Millisecond,
 		MaxParallel:       8, CheckpointEvery: 4,
-		Store: stores[3],
+		Store: stores.open(t, 3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +168,7 @@ func TestRecoverReplaysWAL(t *testing.T) {
 // post-recovery Append fails non-contiguous and the replica silently
 // never persists again.
 func TestRecoverReanchorsStaleWALTail(t *testing.T) {
-	st := storage.NewMemLog()
+	st := newMemStores(t, 1).logs[0]
 	for sn := types.SeqNum(1); sn <= 5; sn++ {
 		if err := st.Append(&storage.BlockRecord{Seq: sn, Block: &types.BFTblock{Seq: sn}}); err != nil {
 			t.Fatal(err)
@@ -213,7 +246,7 @@ func TestStateTransferCatchup(t *testing.T) {
 		}
 		return false
 	}
-	node := rebuild(t, r, 3, stores[3], nil)
+	node := rebuild(t, r, 3, stores.open(t, 3), nil)
 	r.flush()
 	r.advance(300*time.Millisecond, 5*time.Millisecond)
 

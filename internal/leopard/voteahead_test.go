@@ -56,7 +56,7 @@ func voteAheadRestart(t *testing.T, disable bool) (reloaded int64, reproposed in
 		}
 		return false
 	}
-	node := rebuild(t, r, genesisLeader, stores[genesisLeader], mutate)
+	node := rebuild(t, r, genesisLeader, stores.open(t, genesisLeader), mutate)
 	r.flush()
 	r.submit(3, 40, 5000)
 	r.advance(100*time.Millisecond, 5*time.Millisecond)
@@ -103,10 +103,7 @@ func TestVotePersistFailureAbortsVote(t *testing.T) {
 	// durable before return — is the first thing to hit the bad medium.
 	ffs.FailNextSyncs(1 << 20)
 
-	stores := make([]storage.Store, 4)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-	}
+	stores := newMemStores(t, 4).logs
 	stores[victim] = faulty
 	r := newRouter(t, 4, func(cfg *leopard.Config) {
 		cfg.MaxParallel = 8
@@ -171,7 +168,7 @@ func TestRestartedVoterReadvertisesNotarization(t *testing.T) {
 		t.Fatal("σ2 votes cast but no notarization certificates persisted")
 	}
 
-	node := rebuild(t, r, voter, stores[voter], mutate)
+	node := rebuild(t, r, voter, stores.open(t, voter), mutate)
 	r.flush()
 	if node.Stats().NotesReloaded == 0 {
 		t.Fatal("restart reloaded no notarization certificates")
@@ -222,10 +219,7 @@ func TestWALFailStop(t *testing.T) {
 	}
 	defer faulty.Close()
 
-	stores := make([]storage.Store, 4)
-	for i := range stores {
-		stores[i] = storage.NewMemLog()
-	}
+	stores := newMemStores(t, 4).logs
 	stores[victim] = faulty
 	r := newRouter(t, 4, func(cfg *leopard.Config) {
 		cfg.MaxParallel = 8

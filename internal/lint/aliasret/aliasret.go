@@ -1,12 +1,12 @@
 // Package aliasret machine-checks the copy-on-return accessor contract for
-// store, log, stats and pool types (the MemLog.Votes bug, generalized).
+// store, log, stats and pool types (the aliased Votes bug, generalized).
 //
-// The PR 6 review found MemLog.Votes returning its internal slice: any
-// caller could corrupt the vote-ahead log through the alias, silently
-// undermining the durability argument built on it. The fix — accessors
-// return copies — is a contract, not a one-off, and this analyzer enforces
-// it: an exported method on a state-holding type must not return an
-// internal mutable slice or map reached from its receiver.
+// A store's Votes accessor once returned its internal slice: any caller
+// could corrupt the vote-ahead log through the alias, silently undermining
+// the durability argument built on it. The fix — accessors return copies —
+// is a contract, not a one-off, and this analyzer enforces it: an exported
+// method on a state-holding type must not return an internal mutable slice
+// or map reached from its receiver.
 //
 // Scope: every exported method in internal/storage and internal/obs,
 // plus, module-wide, exported methods whose receiver type name ends in
@@ -163,6 +163,6 @@ func report(pass *analysis.Pass, pos token.Pos, fd *ast.FuncDecl, typeName, meth
 		return
 	}
 	pass.Reportf(pos,
-		"%s.%s returns internal %s by reference: callers can corrupt the %s through the alias (the MemLog.Votes bug); return a copy or annotate `//lint:aliases-internal <why>`",
+		"%s.%s returns internal %s by reference: callers can corrupt the %s through the alias (as a store's Votes accessor once did); return a copy or annotate `//lint:aliases-internal <why>`",
 		typeName, method, path, strings.ToLower(typeName))
 }

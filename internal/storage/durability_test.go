@@ -176,15 +176,17 @@ func TestWALNoteRecordLifecycle(t *testing.T) {
 	}
 }
 
-// TestStoreAccessorsCopy: Votes and Notes hand out copies on both Store
-// implementations — pruning reuses the internal backing arrays in place, so
-// a caller appending to (or mutating) the result must not corrupt the log.
+// TestStoreAccessorsCopy: Votes and Notes hand out copies, on disk and on
+// the simulations' MemFS — pruning reuses the internal backing arrays in
+// place, so a caller appending to (or mutating) the result must not corrupt
+// the log.
 func TestStoreAccessorsCopy(t *testing.T) {
-	stores := map[string]Store{"memlog": NewMemLog()}
-	l := tortureLog(t, t.TempDir(), OsFS{})
-	defer l.Close()
-	stores["wal"] = l
+	stores := map[string]Store{
+		"wal":   tortureLog(t, t.TempDir(), OsFS{}),
+		"memfs": tortureLog(t, "wal", NewMemFS()),
+	}
 	for name, st := range stores {
+		defer st.Close()
 		t.Run(name, func(t *testing.T) {
 			want := VoteRecord{View: 1, Seq: 5, Round: 1, Digest: types.Hash{5}}
 			if err := st.AppendVote(want); err != nil {

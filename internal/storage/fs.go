@@ -3,14 +3,16 @@ package storage
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
 // FS is the narrow filesystem surface the WAL runs on. The default OsFS
-// passes straight through to the os package; FaultFS wraps any FS and
-// injects scheduled disk faults (failed fsyncs, torn writes, bit flips on
-// read) so the torn-tail recovery and sticky-werr fail-stop semantics can be
-// exercised against a live log rather than crafted on-disk corpses.
+// passes straight through to the os package; MemFS keeps the files in
+// memory for simulations; FaultFS wraps any FS and injects scheduled disk
+// faults (failed fsyncs, torn writes, bit flips on read) so the torn-tail
+// recovery and sticky-werr fail-stop semantics can be exercised against a
+// live log rather than crafted on-disk corpses.
 type FS interface {
 	MkdirAll(path string) error
 	// ReadDir returns the names (not paths) of the entries in dir.
@@ -59,6 +61,111 @@ func (OsFS) Rename(oldPath, newPath string) error     { return os.Rename(oldPath
 func (OsFS) OpenFile(path string, flag int) (File, error) {
 	return os.OpenFile(path, flag, 0o644)
 }
+
+// MemFS is an in-memory FS: each file is a byte slice, and a write is
+// durable when it returns. Simulated replicas run their Log on one, and a
+// simulated restart reopens the directory its crashed predecessor wrote.
+// Directories are implicit, paths are compared as Log joins them, writes
+// append, Truncate only shortens, and an open file keeps its bytes across
+// Remove and Rename, as a descriptor does. Safe for concurrent use.
+type MemFS struct {
+	mu    sync.Mutex
+	files map[string]*memFile
+}
+
+type memFile struct {
+	mu   *sync.Mutex // the MemFS's
+	data []byte
+}
+
+// NewMemFS returns an empty in-memory filesystem.
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memFile)} }
+
+func notExist(path string) error { return &os.PathError{Op: "open", Path: path, Err: os.ErrNotExist} }
+
+func (m *MemFS) MkdirAll(string) error { return nil }
+
+func (m *MemFS) ReadDir(dir string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var names []string // in map order: Log sorts the segments it scans
+	for path := range m.files {
+		if filepath.Dir(path) == filepath.Clean(dir) {
+			names = append(names, filepath.Base(path))
+		}
+	}
+	return names, nil
+}
+
+func (m *MemFS) ReadFile(path string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if f, ok := m.files[path]; ok {
+		return append([]byte(nil), f.data...), nil
+	}
+	return nil, notExist(path)
+}
+
+func (m *MemFS) WriteFile(path string, data []byte) error {
+	f, _ := m.OpenFile(path, os.O_CREATE|os.O_TRUNC)
+	_, err := f.Write(data)
+	return err
+}
+
+func (m *MemFS) OpenFile(path string, flag int) (File, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[path]
+	switch {
+	case !ok && flag&os.O_CREATE == 0:
+		return nil, notExist(path)
+	case !ok:
+		f = &memFile{mu: &m.mu}
+		m.files[path] = f
+	case flag&os.O_TRUNC != 0:
+		f.data = f.data[:0]
+	}
+	return f, nil
+}
+
+func (m *MemFS) Truncate(path string, size int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[path]
+	if !ok {
+		return notExist(path)
+	}
+	f.data = f.data[:min(size, int64(len(f.data)))]
+	return nil
+}
+
+func (m *MemFS) Remove(path string) error             { return m.move(path, "") }
+func (m *MemFS) Rename(oldPath, newPath string) error { return m.move(oldPath, newPath) }
+
+// move renames the file at from to to, or deletes it when to is empty.
+func (m *MemFS) move(from, to string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[from]
+	if !ok {
+		return notExist(from)
+	}
+	delete(m.files, from)
+	if to != "" {
+		m.files[to] = f
+	}
+	return nil
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	f.data = append(f.data, p...)
+	f.mu.Unlock()
+	return len(p), nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }
 
 // FaultStats counts the faults a FaultFS actually delivered.
 type FaultStats struct {

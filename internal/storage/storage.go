@@ -43,8 +43,6 @@
 package storage
 
 import (
-	"fmt"
-
 	"leopard/internal/codec"
 	"leopard/internal/crypto"
 	"leopard/internal/types"
@@ -155,7 +153,7 @@ func (m *Meta) wire(c codec.Coder) {
 // Stats describes a store's shape and activity, for the metrics surface
 // (leopard-node -status, experiment reports).
 type Stats struct {
-	// Segments is the number of live WAL segment files (1 for MemLog).
+	// Segments is the number of live WAL segment files.
 	Segments int64
 	// LiveBytes is the total size of live segment files.
 	LiveBytes int64
@@ -177,10 +175,9 @@ type Stats struct {
 	TailTruncated bool
 }
 
-// Store is the durability interface a replica persists through. Two
-// implementations exist: Log (file-backed WAL, real deployments) and MemLog
-// (deterministic in-memory model for the simulator's crash-restart
-// experiments). All methods are safe for use from the replica's single
+// Store is the durability interface a replica persists through. Log, a WAL
+// over an FS (OsFS in deployments, MemFS in the simulator), is its one
+// implementation. All methods are safe for use from the replica's single
 // event loop; Log additionally synchronizes with its background syncer.
 type Store interface {
 	// Append durably logs one executed block. Records must be appended in
@@ -210,8 +207,9 @@ type Store interface {
 	Err() error
 	// Get returns the retained record at seq, if present.
 	Get(seq types.SeqNum) (*BlockRecord, bool)
-	// Bounds returns the lowest and highest retained record seq (0, 0 when
-	// the log holds no records).
+	// Bounds returns the lowest and highest retained record seq. With no
+	// record retained, first is 0 and so is last, except after a Reset:
+	// there last is the anchor until the next append or truncation.
 	Bounds() (first, last types.SeqNum)
 	// SaveCheckpoint durably replaces the stable-checkpoint anchor.
 	SaveCheckpoint(cp Checkpoint) error
@@ -222,9 +220,9 @@ type Store interface {
 	// Meta returns the saved metadata (zero value when never saved).
 	Meta() Meta
 	// TruncateBelow garbage-collects records with seq <= the given bound
-	// (the advanced low watermark). File-backed stores drop whole segments
-	// only, so some records below the bound may be retained — and may still
-	// be served to recovering peers.
+	// (the advanced low watermark). Log drops whole segments only, never
+	// the live one, so some records below the bound may be retained — and
+	// may still be served to recovering peers.
 	TruncateBelow(seq types.SeqNum) error
 	// Reset drops every record and re-anchors the log at seq: the next
 	// append must be seq+1. Used when the replica adopts a checkpoint it
@@ -240,162 +238,3 @@ type Store interface {
 	// Close releases resources after a final Sync.
 	Close() error
 }
-
-// MemLog is a deterministic in-memory Store. It models a WAL whose every
-// append is already fsync-complete — the simulator's crash-restart
-// experiments hand the surviving MemLog to the restarted replica, and the
-// WAL torture tests cover the lost-tail cases a real crash adds on top.
-type MemLog struct {
-	records map[types.SeqNum]*BlockRecord
-	votes   []VoteRecord
-	notes   []NoteRecord
-	first   types.SeqNum
-	last    types.SeqNum
-	cp      *Checkpoint
-	meta    Meta
-	stats   Stats
-}
-
-// NewMemLog returns an empty in-memory store.
-func NewMemLog() *MemLog {
-	return &MemLog{records: make(map[types.SeqNum]*BlockRecord)}
-}
-
-var _ Store = (*MemLog)(nil)
-
-// Append implements Store.
-func (m *MemLog) Append(rec *BlockRecord) error {
-	if m.last != 0 && rec.Seq != m.last+1 {
-		return fmt.Errorf("storage: non-contiguous append %d after %d", rec.Seq, m.last)
-	}
-	m.records[rec.Seq] = rec
-	if m.first == 0 {
-		m.first = rec.Seq
-	}
-	m.last = rec.Seq
-	m.stats.Appended++
-	return nil
-}
-
-// AppendVote implements Store.
-func (m *MemLog) AppendVote(v VoteRecord) error {
-	m.votes = append(m.votes, v)
-	return nil
-}
-
-// Votes implements Store. The slice is a copy: pruning reuses the internal
-// backing array in place, so handing it out would alias the store.
-func (m *MemLog) Votes() []VoteRecord {
-	return append([]VoteRecord(nil), m.votes...)
-}
-
-// AppendNote implements Store.
-func (m *MemLog) AppendNote(nt NoteRecord) error {
-	m.notes = append(m.notes, nt)
-	return nil
-}
-
-// Notes implements Store.
-func (m *MemLog) Notes() []NoteRecord {
-	return append([]NoteRecord(nil), m.notes...)
-}
-
-// Err implements Store: an in-memory log cannot fail.
-func (m *MemLog) Err() error { return nil }
-
-// Get implements Store.
-func (m *MemLog) Get(seq types.SeqNum) (*BlockRecord, bool) {
-	rec, ok := m.records[seq]
-	return rec, ok
-}
-
-// Bounds implements Store.
-func (m *MemLog) Bounds() (types.SeqNum, types.SeqNum) { return m.first, m.last }
-
-// SaveCheckpoint implements Store.
-func (m *MemLog) SaveCheckpoint(cp Checkpoint) error {
-	m.cp = &cp
-	return nil
-}
-
-// Checkpoint implements Store.
-func (m *MemLog) Checkpoint() (Checkpoint, bool) {
-	if m.cp == nil {
-		return Checkpoint{}, false
-	}
-	return *m.cp, true
-}
-
-// SaveMeta implements Store.
-func (m *MemLog) SaveMeta(meta Meta) error {
-	m.meta = meta
-	return nil
-}
-
-// Meta implements Store.
-func (m *MemLog) Meta() Meta { return m.meta }
-
-// TruncateBelow implements Store.
-func (m *MemLog) TruncateBelow(seq types.SeqNum) error {
-	for m.first != 0 && m.first <= seq && m.first <= m.last {
-		delete(m.records, m.first)
-		m.first++
-	}
-	if len(m.records) == 0 {
-		m.first, m.last = 0, 0
-	}
-	m.votes = pruneVotes(m.votes, seq)
-	m.notes = pruneNotes(m.notes, seq)
-	return nil
-}
-
-// Reset implements Store. Vote-ahead and notarization records above the new
-// anchor are retained: the replica may have voted above the checkpoint it is
-// jumping to, and dropping those locks (or the certificates its view-change
-// messages must keep advertising) would reopen the amnesia window.
-func (m *MemLog) Reset(seq types.SeqNum) error {
-	m.records = make(map[types.SeqNum]*BlockRecord)
-	m.first = 0
-	m.last = seq
-	m.votes = pruneVotes(m.votes, seq)
-	m.notes = pruneNotes(m.notes, seq)
-	return nil
-}
-
-// pruneVotes drops vote records at or below seq, in place.
-func pruneVotes(votes []VoteRecord, seq types.SeqNum) []VoteRecord {
-	kept := votes[:0]
-	for _, v := range votes {
-		if v.Seq > seq {
-			kept = append(kept, v)
-		}
-	}
-	return kept
-}
-
-// pruneNotes drops notarization records at or below seq, in place.
-func pruneNotes(notes []NoteRecord, seq types.SeqNum) []NoteRecord {
-	kept := notes[:0]
-	for _, nt := range notes {
-		if nt.Block != nil && nt.Block.Seq > seq {
-			kept = append(kept, nt)
-		}
-	}
-	return kept
-}
-
-// Sync implements Store.
-func (m *MemLog) Sync() error { return nil }
-
-// Stats implements Store.
-func (m *MemLog) Stats() Stats {
-	s := m.stats
-	s.Segments = 1
-	s.Records = int64(len(m.records))
-	s.Votes = int64(len(m.votes))
-	s.Notes = int64(len(m.notes))
-	return s
-}
-
-// Close implements Store.
-func (m *MemLog) Close() error { return nil }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,11 +57,12 @@ type Options struct {
 	// and fsynced in batches at most this far apart. Default 2ms.
 	FsyncInterval time.Duration
 	// SyncEachAppend makes every Append write, flush and fsync before
-	// returning (no batching). Benchmarks use it as the serialized
-	// baseline; real deployments should not.
+	// returning (no batching), and Open starts no syncer goroutine:
+	// simulations set it to stay deterministic; benchmarks use it as the
+	// serialized baseline; real deployments should not.
 	SyncEachAppend bool
-	// FS is the filesystem the log runs on. Nil selects OsFS; tests inject
-	// a FaultFS to exercise torn writes, failed fsyncs and read corruption.
+	// FS is the filesystem the log runs on. Nil selects OsFS; simulations
+	// pass a MemFS, tests a FaultFS (torn writes, failed fsyncs, bit flips).
 	FS FS
 }
 
@@ -762,6 +764,16 @@ func (l *Log) Reset(seq types.SeqNum) error {
 	l.segs = append(l.segs[:0], l.segs[old:]...)
 	l.mu.Unlock()
 	return nil
+}
+
+// pruneVotes drops vote records at or below seq, in place.
+func pruneVotes(votes []VoteRecord, seq types.SeqNum) []VoteRecord {
+	return slices.DeleteFunc(votes, func(v VoteRecord) bool { return v.Seq <= seq })
+}
+
+// pruneNotes drops notarization records at or below seq, in place.
+func pruneNotes(notes []NoteRecord, seq types.SeqNum) []NoteRecord {
+	return slices.DeleteFunc(notes, func(nt NoteRecord) bool { return nt.Block == nil || nt.Block.Seq <= seq })
 }
 
 // Stats implements Store.

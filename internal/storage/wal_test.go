@@ -77,19 +77,54 @@ func TestBlockRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALAppendReopenReplay appends blocks, votes and notes across several
+// segments, reopens the directory and checks what Open recovers, on each FS
+// a Log runs on: MemFS, the simulations' filesystem, must recover exactly
+// what OsFS does — the same records, votes, notes, anchor and truncation.
 func TestWALAppendReopenReplay(t *testing.T) {
+	recovered := make(map[string]string)
+	for _, tc := range []struct {
+		name string
+		fs   FS
+	}{{"os", OsFS{}}, {"mem", NewMemFS()}} {
+		t.Run(tc.name, func(t *testing.T) { recovered[tc.name] = appendReopenReplay(t, tc.fs) })
+	}
+	if recovered["os"] != recovered["mem"] {
+		t.Fatalf("MemFS recovered differently from OsFS:\nos:  %s\nmem: %s", recovered["os"], recovered["mem"])
+	}
+}
+
+// appendReopenReplay runs TestWALAppendReopenReplay on one FS and returns
+// a summary of the recovered state.
+func appendReopenReplay(t *testing.T, fs FS) string {
 	dir := t.TempDir()
 	// Small segments force several rolls.
-	l, err := Open(dir, Options{SegmentBytes: 4096})
+	opts := Options{SegmentBytes: 4096, FS: fs}
+	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var appended []*BlockRecord
+	var votes []VoteRecord
+	var notes []NoteRecord
 	for sn := types.SeqNum(1); sn <= 20; sn++ {
 		rec := testRecord(sn, 2, 4, 64)
 		appended = append(appended, rec)
 		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
+		}
+		if sn%5 == 0 {
+			nt := testNote(sn+1, 1)
+			v := VoteRecord{View: 1, Seq: sn + 1, Round: 2, Digest: types.Hash{byte(sn)}}
+			if err := l.AppendNote(nt); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendVote(v); err != nil {
+				t.Fatal(err)
+			}
+			if sn+1 > 8 {
+				notes, votes = append(notes, nt), append(votes, v)
+			}
 		}
 	}
 	cp := Checkpoint{Seq: 8, StateHash: types.Hash{1, 2}, Proof: crypto.Proof{Sig: []byte("cp-proof")}}
@@ -103,12 +138,13 @@ func TestWALAppendReopenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{SegmentBytes: 4096})
+	re, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got, ok := re.Checkpoint(); !ok || got.Seq != 8 || !bytes.Equal(got.Proof.Sig, cp.Proof.Sig) {
+	got, ok := re.Checkpoint()
+	if !ok || got.Seq != 8 || !bytes.Equal(got.Proof.Sig, cp.Proof.Sig) {
 		t.Fatalf("checkpoint not recovered: %+v ok=%v", got, ok)
 	}
 	if m := re.Meta(); m.View != 3 || m.CounterReserve != 2048 {
@@ -124,6 +160,19 @@ func TestWALAppendReopenReplay(t *testing.T) {
 			t.Fatalf("record %d not recovered intact", want.Seq)
 		}
 	}
+	// Votes and notes at or below the anchor are filtered at scan.
+	if g := re.Votes(); fmt.Sprint(g) != fmt.Sprint(votes) {
+		t.Fatalf("votes recovered %+v, want %+v", g, votes)
+	}
+	gotNotes := re.Notes()
+	if len(gotNotes) != len(notes) {
+		t.Fatalf("recovered %d notes, want %d", len(gotNotes), len(notes))
+	}
+	for i := range notes {
+		if !notesEqual(gotNotes[i], notes[i]) {
+			t.Fatalf("note %d not recovered intact", i)
+		}
+	}
 	st := re.Stats()
 	if st.Loaded != 20 || st.TailTruncated {
 		t.Fatalf("stats after clean reopen: %+v", st)
@@ -137,7 +186,8 @@ func TestWALAppendReopenReplay(t *testing.T) {
 	if err := re.TruncateBelow(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, last := re.Bounds(); last != 20 {
+	first, last = re.Bounds()
+	if last != 20 {
 		t.Fatalf("truncate lost the tail: last=%d", last)
 	}
 	for sn := types.SeqNum(9); sn <= 20; sn++ {
@@ -145,9 +195,12 @@ func TestWALAppendReopenReplay(t *testing.T) {
 			t.Fatalf("record %d lost by truncation", sn)
 		}
 	}
-	if after := re.Stats(); after.Segments >= st.Segments {
+	after := re.Stats()
+	if after.Segments >= st.Segments {
 		t.Fatalf("truncation removed no segments: %d -> %d", st.Segments, after.Segments)
 	}
+	return fmt.Sprintf("cp=%d votes=%v notes=%d stats=%+v truncated to [%d, %d] stats=%+v",
+		got.Seq, re.Votes(), len(gotNotes), st, first, last, after)
 }
 
 // corrupt applies fn to the newest segment file.
@@ -339,38 +392,6 @@ func TestWALRejectsNonContiguousAppend(t *testing.T) {
 	}
 	if err := l.Append(testRecord(3, 1, 1, 8)); err == nil {
 		t.Fatal("gap append accepted")
-	}
-	m := NewMemLog()
-	if err := m.Append(testRecord(1, 1, 1, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Append(testRecord(3, 1, 1, 8)); err == nil {
-		t.Fatal("memlog gap append accepted")
-	}
-}
-
-func TestMemLogTruncateAndBounds(t *testing.T) {
-	m := NewMemLog()
-	for sn := types.SeqNum(1); sn <= 10; sn++ {
-		if err := m.Append(testRecord(sn, 1, 1, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.SaveCheckpoint(Checkpoint{Seq: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.TruncateBelow(6); err != nil {
-		t.Fatal(err)
-	}
-	first, last := m.Bounds()
-	if first != 7 || last != 10 {
-		t.Fatalf("bounds (%d, %d), want (7, 10)", first, last)
-	}
-	if _, ok := m.Get(6); ok {
-		t.Fatal("truncated record still present")
-	}
-	if m.Stats().Records != 4 {
-		t.Fatalf("records %d, want 4", m.Stats().Records)
 	}
 }
 
