@@ -206,9 +206,8 @@ func trafficSignature(c *harness.Cluster) string {
 	return sig
 }
 
-// simStores holds each replica's storage.Log on one in-memory filesystem.
-// The logs append write-through (SyncEachAppend), so they start no syncer
-// goroutine and a run stays deterministic.
+// simStores holds each replica's storage.Log on one MemFS. Write-through
+// appends (SyncEachAppend) start no syncer goroutine: runs stay deterministic.
 type simStores struct {
 	fs       *storage.MemFS
 	logs     []*storage.Log

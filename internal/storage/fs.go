@@ -107,8 +107,10 @@ func (m *MemFS) ReadFile(path string) ([]byte, error) {
 }
 
 func (m *MemFS) WriteFile(path string, data []byte) error {
-	f, _ := m.OpenFile(path, os.O_CREATE|os.O_TRUNC)
-	_, err := f.Write(data)
+	f, err := m.OpenFile(path, os.O_CREATE|os.O_TRUNC)
+	if err == nil {
+		_, err = f.Write(data)
+	}
 	return err
 }
 
