@@ -22,13 +22,13 @@ import (
 // public verification — is preserved; only the proof wire size differs,
 // which the simulations account for separately via SimSuite.
 //
-// A share is checked by crypto/ed25519.Verify. A proof is checked as one
-// batch by the package's proof rule (hash.go), and so is the quorum
-// Combine signs into one.
+// A share is checked by edwards25519.Verify, crypto/ed25519.Verify's exact
+// rule on the signer's comb. A proof is checked as one batch by the
+// package's proof rule (hash.go), and so is the quorum Combine signs into
+// one.
 type Ed25519Suite struct {
 	params types.QuorumParams
-	pubs   []ed25519.PublicKey
-	keys   []*edwards25519.PublicKey // pubs, held for proof checks
+	keys   []*edwards25519.PublicKey // the public keys, for share and proof checks
 	privs  []ed25519.PrivateKey
 }
 
@@ -46,7 +46,6 @@ func NewEd25519Suite(n int, seed []byte) (*Ed25519Suite, error) {
 	}
 	s := &Ed25519Suite{
 		params: q,
-		pubs:   make([]ed25519.PublicKey, n),
 		keys:   make([]*edwards25519.PublicKey, n),
 		privs:  make([]ed25519.PrivateKey, n),
 	}
@@ -59,8 +58,7 @@ func NewEd25519Suite(n int, seed []byte) (*Ed25519Suite, error) {
 		h.Write(idx[:])
 		h.Sum(keySeed[:0])
 		s.privs[i] = ed25519.NewKeyFromSeed(keySeed[:])
-		s.pubs[i] = s.privs[i].Public().(ed25519.PublicKey)
-		if s.keys[i], err = edwards25519.NewPublicKey(s.pubs[i]); err != nil {
+		if s.keys[i], err = edwards25519.NewPublicKey(s.privs[i].Public().(ed25519.PublicKey)); err != nil {
 			return nil, err
 		}
 	}
@@ -92,7 +90,7 @@ func (s *Ed25519Suite) VerifyShare(digest types.Hash, share Share) error {
 		return fmt.Errorf("%w: %d", ErrUnknownSigner, share.Signer)
 	}
 	signed, sig, ok := openShare(ed25519.SignatureSize, digest, share.Sig)
-	if !ok || !ed25519.Verify(s.pubs[share.Signer], signed[:], sig) {
+	if !ok || !edwards25519.Verify(s.keys[share.Signer], signed[:], sig) {
 		return fmt.Errorf("%w: signer %d", ErrBadShare, share.Signer)
 	}
 	return nil

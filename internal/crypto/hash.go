@@ -12,7 +12,8 @@
 //     sizes, used by the large-scale network simulations where only the
 //     *size* of votes/proofs affects the measured behaviour.
 //
-// The proof rule. Ed25519Suite checks a share with crypto/ed25519.Verify.
+// The proof rule. Ed25519Suite checks a share with edwards25519.Verify,
+// which is crypto/ed25519.Verify's rule on the signer's comb.
 // It checks a proof — and the quorum Combine signs into one — as one batch
 // (edwards25519.VerifyBatch), under which a signature (R, S) by key A on
 // digest M is valid when S is below the group order l, R is a canonical

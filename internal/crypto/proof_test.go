@@ -35,11 +35,17 @@ func stdlibVerifyProof(s *Ed25519Suite, digest types.Hash, proof Proof) bool {
 		return false
 	}
 	for i, id := range signers {
-		if !ed25519.Verify(s.pubs[id], digest[:], sigs[i*ed25519.SignatureSize:(i+1)*ed25519.SignatureSize]) {
+		if !ed25519.Verify(pubKey(s, types.ReplicaID(id)), digest[:], sigs[i*ed25519.SignatureSize:(i+1)*ed25519.SignatureSize]) {
 			return false
 		}
 	}
 	return true
+}
+
+// pubKey is signer's public key in crypto/ed25519's form, for the
+// reference checks.
+func pubKey(s *Ed25519Suite, signer types.ReplicaID) ed25519.PublicKey {
+	return s.privs[signer].Public().(ed25519.PublicKey)
 }
 
 // quorumProof combines the shares of signers on digest.
@@ -125,7 +131,7 @@ func smallOrderSig(s *Ed25519Suite, signer types.ReplicaID, digest types.Hash) [
 	rPub := ed25519.NewKeyFromSeed(rSeed[:32]).Public().(ed25519.PublicKey)
 	r := secretScalar(rSeed[:32])
 	R := plusOrderTwo(rPub)
-	kHash := sha512.Sum512(slices.Concat(R, s.pubs[signer], digest[:]))
+	kHash := sha512.Sum512(slices.Concat(R, pubKey(s, signer), digest[:]))
 	k := leToBig(kHash[:])
 	S := new(big.Int).Mul(k, secretScalar(s.privs[signer].Seed()))
 	S.Add(S, r).Mod(S, groupOrder)
@@ -211,7 +217,7 @@ func TestSmallOrderRIsTheOneDivergence(t *testing.T) {
 	digest := HashBytes([]byte("small order R"))
 	for signer := types.ReplicaID(0); signer < 3; signer++ {
 		odd := smallOrderSig(s, signer, digest)
-		if ed25519.Verify(s.pubs[signer], digest[:], odd) {
+		if ed25519.Verify(pubKey(s, signer), digest[:], odd) {
 			t.Fatal("crypto/ed25519.Verify accepted R with an order-2 component")
 		}
 		proof := quorumProof(t, s, digest, firstQuorum(s))
@@ -264,12 +270,12 @@ func TestCommitteeKeysHavePrimeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, pub := range s.pubs {
-			if p := affineDecode(t, pub); !affineMul(groupOrder, p).isIdentity() {
+		for i := range n {
+			if p := affineDecode(t, pubKey(s, types.ReplicaID(i))); !affineMul(groupOrder, p).isIdentity() {
 				t.Errorf("n=%d key %d: [l]A is not the identity", n, i)
 			}
 		}
-		if p := affineDecode(t, plusOrderTwo(s.pubs[0])); affineMul(groupOrder, p).isIdentity() {
+		if p := affineDecode(t, plusOrderTwo(pubKey(s, 0))); affineMul(groupOrder, p).isIdentity() {
 			t.Fatal("[l](A + (0,−1)) is the identity: the check cannot tell")
 		}
 	}

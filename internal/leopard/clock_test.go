@@ -50,7 +50,7 @@ func isProof(msg transport.Message) bool {
 	return ok
 }
 
-func wantConfirmed(t *testing.T, r *router, want int64) {
+func wantConfirmed(t testing.TB, r *router, want int64) {
 	t.Helper()
 	for _, node := range r.nodes {
 		if got := node.Stats().ConfirmedRequests; got != want {
@@ -260,6 +260,102 @@ func TestClockViewChangeResets(t *testing.T) {
 			}
 			r.advance(3*step, step)
 			wantConfirmed(t, r, 3)
+		})
+	}
+}
+
+// TestClockTickIdempotentAtOneInstant: a second Tick at the same instant,
+// with no input in between, sends nothing and moves no counter. That is
+// what lets the runtime tick often: a tick only acts on what changed since
+// the last one.
+func TestClockTickIdempotentAtOneInstant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   types.ReplicaID
+		// setup leaves the cluster in the case's state; first says what
+		// the first tick at the next instant must have done.
+		setup func(r *router)
+		first func(st leopard.Stats) bool
+	}{
+		{"idle", 2, func(r *router) { r.next() }, func(st leopard.Stats) bool {
+			return st.DatablocksMade == 0 && st.ProposedBlocks == 0
+		}},
+		{"generator with a partial datablock outstanding", 2, func(r *router) {
+			r.withhold(isProof)
+			r.submit(2, 1, 0)
+			r.next() // a partial datablock, never confirmed
+			r.submit(2, 25, 1)
+		}, func(st leopard.Stats) bool {
+			// Two full datablocks left past the partial one; the odd five
+			// requests wait behind it.
+			return st.DatablocksMade == 3 && st.PartialDatablocks == 1 && st.PendingRequests == 5
+		}},
+		{"leader with a ready queue and a block in flight", 1, func(r *router) {
+			r.withhold(isProof)
+			r.submit(2, 1, 0)
+			r.next() // a partial datablock
+			r.next() // a partial block, never confirmed
+			r.submit(0, 1, 0)
+			r.submit(3, 1, 0)
+			r.submit(2, 10, 1)
+			r.next() // three links turn ready behind the block in flight
+		}, func(st leopard.Stats) bool {
+			// A full block of two links left; the odd link waits.
+			return st.ProposedBlocks == 2 && st.PartialBlocks == 1 && st.ProposedLinks == 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRouter(t, 4, nil)
+			tc.setup(r)
+			node := r.nodes[tc.id]
+			r.now += step
+			sent := tick(node, r.now)
+			before := node.Stats()
+			if !tc.first(before) {
+				t.Fatalf("first tick sent %d messages and left %+v", len(sent), before)
+			}
+			if again := tick(node, r.now); len(again) != 0 {
+				t.Fatalf("second tick at the same instant sent %d messages, first %T", len(again), again[0].Msg)
+			}
+			if after := node.Stats(); after != before {
+				t.Fatalf("second tick at the same instant moved the counters:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
+	}
+}
+
+// countSink counts what a node sends and keeps none of it.
+type countSink struct{ sent int }
+
+func (s *countSink) Send(transport.Envelope)     { s.sent++ }
+func (s *countSink) Broadcast(transport.Message) { s.sent++ }
+
+// BenchmarkNodeTick measures one Tick of an idle n=16 replica, the leader
+// and a follower, after one confirmed block: what the runtime pays every
+// TickInterval when there is nothing to batch.
+func BenchmarkNodeTick(b *testing.B) {
+	const n = 16
+	r := newRouter(b, n, nil)
+	r.submit(0, 1, 0)
+	r.advance(3*step, step)
+	wantConfirmed(b, r, 1)
+	for _, tc := range []struct {
+		name string
+		id   types.ReplicaID
+	}{{"leader", 1}, {"follower", n - 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			node := r.nodes[tc.id]
+			var sink countSink
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				r.now += 2 * time.Millisecond
+				node.Tick(r.now, &sink)
+			}
+			b.StopTimer()
+			if sink.sent != 0 {
+				b.Fatalf("an idle replica sent %d messages from Tick", sink.sent)
+			}
 		})
 	}
 }

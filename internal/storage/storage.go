@@ -208,8 +208,9 @@ type Store interface {
 	// Get returns the retained record at seq, if present.
 	Get(seq types.SeqNum) (*BlockRecord, bool)
 	// Bounds returns the lowest and highest retained record seq. With no
-	// record retained, first is 0 and so is last, except after a Reset:
-	// there last is the anchor until the next append or truncation.
+	// record retained, first is 0 and last is what the next append
+	// continues: the last append, even once truncation has dropped its
+	// record, or a later Reset's anchor (0 on a fresh store).
 	Bounds() (first, last types.SeqNum)
 	// SaveCheckpoint durably replaces the stable-checkpoint anchor.
 	SaveCheckpoint(cp Checkpoint) error

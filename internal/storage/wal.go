@@ -680,15 +680,12 @@ func (l *Log) TruncateBelow(seq types.SeqNum) error {
 	l.notes = pruneNotes(l.notes, seq)
 	// Recompute the lower bound from what survived (records in kept
 	// segments below seq stay retained — they are still servable to
-	// recovering peers).
+	// recovering peers). The upper bound stays: with no record left it is
+	// the last append or Reset's anchor, which the next append continues.
 	l.first = 0
-	if len(l.records) == 0 {
-		l.last = 0
-	} else {
-		for sn := range l.records {
-			if l.first == 0 || sn < l.first {
-				l.first = sn
-			}
+	for sn := range l.records {
+		if l.first == 0 || sn < l.first {
+			l.first = sn
 		}
 	}
 	return nil

@@ -395,6 +395,32 @@ func TestWALRejectsNonContiguousAppend(t *testing.T) {
 	}
 }
 
+// TestWALTruncateKeepsResetAnchor: a truncation that leaves no record
+// keeps Reset's anchor as the upper bound, so Bounds and the contiguity
+// check still agree with the checkpoint the replica jumped to.
+func TestWALTruncateKeepsResetAnchor(t *testing.T) {
+	l, err := Open("log", Options{FS: NewMemFS(), SyncEachAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Reset(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateBelow(10); err != nil {
+		t.Fatal(err)
+	}
+	if first, last := l.Bounds(); first != 0 || last != 10 {
+		t.Fatalf("bounds (%d, %d) after Reset(10) and TruncateBelow(10), want (0, 10)", first, last)
+	}
+	if err := l.Append(testRecord(3, 1, 1, 8)); err == nil {
+		t.Fatal("append at 3 accepted below the anchor 10")
+	}
+	if err := l.Append(testRecord(11, 1, 1, 8)); err != nil {
+		t.Fatalf("append at 11 after the anchor 10: %v", err)
+	}
+}
+
 // TestWALCorruptCheckpointFileFails asserts a damaged checkpoint file is a
 // loud Open error, not a silent empty store: the WAL tail was truncated
 // against that anchor, so pretending it never existed would un-anchor the
