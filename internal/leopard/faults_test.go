@@ -156,10 +156,16 @@ func TestViewChangeOnSilentLeader(t *testing.T) {
 
 // TestViewChangeCarriesNotarizedBlocks: blocks notarized before the leader
 // dies must survive into the new view and eventually confirm (Lemma 2).
+// Their datablocks are linked there and nowhere else: the holders announce
+// them again on entering the view, because no block linking them has
+// confirmed, and a new leader that took them into a fresh block too would
+// execute their requests twice, or never, once the checkpoint past the
+// first link released the bodies.
 func TestViewChangeCarriesNotarizedBlocks(t *testing.T) {
 	const n = 4
 	r := newRouter(t, n, func(c *leopard.Config) {
 		c.ViewChangeTimeout = 50 * time.Millisecond
+		c.CheckpointEvery = 1
 	})
 	// Drop all round-2 proofs from the leader: blocks notarize but never
 	// confirm, then the leader is silenced.
@@ -170,14 +176,20 @@ func TestViewChangeCarriesNotarizedBlocks(t *testing.T) {
 	r.submit(2, 10, 0)
 	r.advance(30*time.Millisecond, 5*time.Millisecond)
 	r.silence(1)
-	r.advance(2*time.Second, 5*time.Millisecond)
+	r.advance(time.Second, 5*time.Millisecond)
+	r.submit(3, 10, 0)
+	r.advance(time.Second, 5*time.Millisecond)
 
-	for _, node := range r.nodes {
-		if node.ID() == 1 {
-			continue
+	for _, id := range []types.ReplicaID{0, 2, 3} {
+		node := r.nodes[id]
+		if node.View() < 2 {
+			t.Fatalf("replica %d still in view %d", id, node.View())
 		}
-		if got := node.Stats().ConfirmedRequests; got < 10 {
-			t.Errorf("replica %d confirmed %d, want >= 10 (notarized work lost in view change)", node.ID(), got)
+		if got := node.Stats().ConfirmedRequests; got != 20 {
+			t.Errorf("replica %d executed %d requests, want each of the 20 once (notarized work lost or linked twice)", id, got)
+		}
+		if got := node.PendingRequests(); got != 0 {
+			t.Errorf("replica %d still holds %d unexecuted requests", id, got)
 		}
 	}
 }

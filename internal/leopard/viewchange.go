@@ -390,6 +390,10 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	// equivocating new leader is caught by handleBFTblock. The plan's
 	// highest notarized slot can sit below this replica's own watermark
 	// (nothing notarized since the last checkpoint), leaving no redo work.
+	// A redo slot's datablocks count as linked: their holders announce them
+	// again below (nothing linking them has confirmed), and a leader that
+	// linked one into a fresh block too would execute it twice — or never,
+	// once the checkpoint past its first link released the body.
 	capHint := int(plan.maxSN - n.lw)
 	if capHint < 0 {
 		capHint = 0
@@ -403,6 +407,9 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 			blk = &types.BFTblock{View: n.view, Seq: sn} // dummy filler
 		}
 		n.cur.redo[sn] = crypto.HashBFTblock(blk)
+		for _, h := range blk.Content {
+			n.cur.readySet[h] = struct{}{}
+		}
 		redoBlocks = append(redoBlocks, blk)
 	}
 
