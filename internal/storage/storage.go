@@ -210,7 +210,8 @@ type Store interface {
 	// Bounds returns the lowest and highest retained record seq. With no
 	// record retained, first is 0 and last is what the next append
 	// continues: the last append, even once truncation has dropped its
-	// record, or a later Reset's anchor (0 on a fresh store).
+	// record, or a later Reset's anchor; on a store opened with no record,
+	// the checkpoint anchor (0 on a fresh store).
 	Bounds() (first, last types.SeqNum)
 	// SaveCheckpoint durably replaces the stable-checkpoint anchor.
 	SaveCheckpoint(cp Checkpoint) error

@@ -152,6 +152,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.scanSegments(); err != nil {
 		return nil, err
 	}
+	if l.last == 0 && l.cp != nil {
+		// No record survived: the next append continues the anchor, as it
+		// did before the restart (Reset, TruncateBelow).
+		l.last = l.cp.Seq
+	}
 	if err := l.openCurrent(); err != nil {
 		return nil, err
 	}

@@ -396,26 +396,44 @@ func TestWALRejectsNonContiguousAppend(t *testing.T) {
 }
 
 // TestWALTruncateKeepsResetAnchor: a truncation that leaves no record
-// keeps Reset's anchor as the upper bound, so Bounds and the contiguity
-// check still agree with the checkpoint the replica jumped to.
+// keeps Reset's anchor as the upper bound, and so does a reopen of the log
+// with no record, so Bounds and the contiguity check still agree with the
+// checkpoint the replica jumped to.
 func TestWALTruncateKeepsResetAnchor(t *testing.T) {
-	l, err := Open("log", Options{FS: NewMemFS(), SyncEachAppend: true})
+	fs := NewMemFS()
+	l, err := Open("log", Options{FS: fs, SyncEachAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	// The caller saves the checkpoint before it resets the log to it.
+	if err := l.SaveCheckpoint(Checkpoint{Seq: 10, Proof: crypto.Proof{Sig: []byte("p")}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Reset(10); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.TruncateBelow(10); err != nil {
 		t.Fatal(err)
 	}
-	if first, last := l.Bounds(); first != 0 || last != 10 {
-		t.Fatalf("bounds (%d, %d) after Reset(10) and TruncateBelow(10), want (0, 10)", first, last)
+	wantAnchor := func(l *Log, when string) {
+		t.Helper()
+		if first, last := l.Bounds(); first != 0 || last != 10 {
+			t.Fatalf("bounds (%d, %d) %s, want (0, 10)", first, last, when)
+		}
+		if err := l.Append(testRecord(3, 1, 1, 8)); err == nil {
+			t.Fatalf("append at 3 accepted below the anchor 10 %s", when)
+		}
 	}
-	if err := l.Append(testRecord(3, 1, 1, 8)); err == nil {
-		t.Fatal("append at 3 accepted below the anchor 10")
+	wantAnchor(l, "after Reset(10) and TruncateBelow(10)")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
+	l, err = Open("log", Options{FS: fs, SyncEachAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	wantAnchor(l, "after a reopen with no record")
 	if err := l.Append(testRecord(11, 1, 1, 8)); err != nil {
 		t.Fatalf("append at 11 after the anchor 10: %v", err)
 	}
