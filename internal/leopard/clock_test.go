@@ -324,12 +324,6 @@ func TestClockTickIdempotentAtOneInstant(t *testing.T) {
 	}
 }
 
-// countSink counts what a node sends and keeps none of it.
-type countSink struct{ sent int }
-
-func (s *countSink) Send(transport.Envelope)     { s.sent++ }
-func (s *countSink) Broadcast(transport.Message) { s.sent++ }
-
 // BenchmarkNodeTick measures one Tick of an idle n=16 replica, the leader
 // and a follower, after one confirmed block: what the runtime pays every
 // TickInterval when there is nothing to batch.
@@ -345,7 +339,7 @@ func BenchmarkNodeTick(b *testing.B) {
 	}{{"leader", 1}, {"follower", n - 1}} {
 		b.Run(tc.name, func(b *testing.B) {
 			node := r.nodes[tc.id]
-			var sink countSink
+			var sink transport.SliceSink
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
@@ -353,8 +347,8 @@ func BenchmarkNodeTick(b *testing.B) {
 				node.Tick(r.now, &sink)
 			}
 			b.StopTimer()
-			if sink.sent != 0 {
-				b.Fatalf("an idle replica sent %d messages from Tick", sink.sent)
+			if len(sink.Envelopes) != 0 {
+				b.Fatalf("an idle replica sent %d messages from Tick", len(sink.Envelopes))
 			}
 		})
 	}
