@@ -43,6 +43,8 @@ type ChaosResult struct {
 	traffic string
 	// reopened is simStores.reopened: what each restart's Log.Open read.
 	reopened []storage.Stats
+	// states is every replica's ExecutionState at the end of the run.
+	states []types.Hash
 }
 
 // chaosParams sizes one chaos run; the regression tests shrink it.
@@ -56,6 +58,9 @@ type chaosParams struct {
 	grace       time.Duration // bounded-liveness budget after the plan heals
 	triggerSeq  types.SeqNum  // amnesia: crash the leader at this proposal
 	seed        int64
+	// wire round-trips every message through leopard.WireCodec (simnet
+	// wire fidelity), so received datablocks borrow from pool frames.
+	wire bool
 }
 
 func defaultChaosParams() chaosParams {
@@ -155,6 +160,9 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 	net := netConfig()
 	net.TickInterval = 5 * time.Millisecond
 	net.Seed = p.seed
+	if p.wire {
+		net.Codec = leopard.WireCodec{}
+	}
 	c, err := harness.NewCluster(harness.Options{
 		N:             n,
 		Net:           net,
@@ -238,6 +246,10 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 	}
 	res.traffic = trafficSignature(c)
 	res.reopened = stores.reopened
+	res.states = executionStates(c)
+	if err := stores.verify(); err != nil {
+		ic.Violate("durability: %v", err)
+	}
 	res.Violations = ic.Violations()
 	res.PostMortem = ic.PostMortem()
 }

@@ -235,6 +235,45 @@ func (s *simStores) open(id types.ReplicaID) (*storage.Log, error) {
 	return l, nil
 }
 
+// verify checks every record each log retains: its datablocks, payloads
+// hashed afresh, must match the block's links. A log that kept memory of
+// the replica's (a datablock borrowing from its wire frame) would serve
+// whatever the frame held after its release.
+func (s *simStores) verify() error {
+	for id, l := range s.logs {
+		if l == nil {
+			continue
+		}
+		first, last := l.Bounds()
+		for sn := first; first > 0 && sn <= last; sn++ {
+			rec, ok := l.Get(sn)
+			if !ok {
+				continue
+			}
+			for i, h := range rec.Block.Content {
+				db := rec.Datablocks[i]
+				reqs := make([]types.Request, len(db.Requests))
+				for j, r := range db.Requests {
+					reqs[j] = types.Request{ClientID: r.ClientID, Seq: r.Seq, Payload: r.Payload}
+				}
+				if crypto.HashDatablock(&types.Datablock{Ref: db.Ref, Requests: reqs}) != h {
+					return fmt.Errorf("replica %d's log serves record %d with datablock %d unlike its link", id, sn, i)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// executionStates returns every replica's execution chain hash.
+func executionStates(c *harness.Cluster) []types.Hash {
+	var out []types.Hash
+	for _, node := range leopardNodes(c) {
+		out = append(out, node.ExecutionState())
+	}
+	return out
+}
+
 // measurePoint warms a cluster up for warm, then measures one point over
 // window.
 func measurePoint(c *harness.Cluster, n int, param float64, warm, window time.Duration) Point {

@@ -42,6 +42,8 @@ type RecoverResult struct {
 	// traffic is a per-replica sent/received byte signature of the whole
 	// run, folded into RecoverRunDigest's determinism assertion.
 	traffic string
+	// states is every replica's ExecutionState at the end of the run.
+	states []types.Hash
 }
 
 // recoverParams sizes one scenario run; the regression test shrinks it.
@@ -56,6 +58,7 @@ type recoverParams struct {
 	loadUntil   time.Duration // absolute; generators stop submitting here
 	deadline    time.Duration // catch-up budget after restart
 	seed        int64
+	wire        bool // as chaosParams.wire
 }
 
 // defaultRecoverParams: the checkpoint interval is deliberately wide
@@ -115,6 +118,9 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 	net := netConfig()
 	net.TickInterval = 5 * time.Millisecond
 	net.Seed = p.seed
+	if p.wire {
+		net.Codec = leopard.WireCodec{}
+	}
 
 	// One storage.Log per replica on an in-memory filesystem. The victim's
 	// bytes survive the crash, and its restart reopens them, exactly as an
@@ -201,7 +207,8 @@ func recoverOnce(n int, p recoverParams) (RecoverResult, error) {
 		res.CatchupTime = c.Net.Now() - restartTime
 	}
 	res.traffic = trafficSignature(c)
-	return res, nil
+	res.states = executionStates(c)
+	return res, stores.verify()
 }
 
 // RecoverRunDigest renders one run — the victim's counters

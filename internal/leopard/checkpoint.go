@@ -159,6 +159,9 @@ func (n *Node) releaseSettled() {
 				delete(n.cur.readySet, h)
 			}
 		}
+		if inst := n.cur.instances[sn]; inst != nil {
+			n.dropWaits(sn, inst)
+		}
 		delete(n.slots, sn)
 		delete(n.cur.instances, sn)
 		delete(n.cur.earlyProofs, sn)

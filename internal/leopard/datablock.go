@@ -26,6 +26,10 @@ type dbEntry struct {
 	// served is when each requester was last answered (handleQuery's
 	// cooldown), made on the first answer.
 	served map[types.ReplicaID]time.Duration
+	// frame is the wire frame a received body was decoded from, nil for
+	// any other body. The record owns it: releaseDatablock returns it to
+	// the transport frame pool.
+	frame []byte
 }
 
 // entry returns the record for digest h, making it on first use.
@@ -51,13 +55,20 @@ func (n *Node) body(h types.Hash) *types.Datablock {
 //
 // A held body may have been decoded zero-copy: its request payloads can
 // sub-slice the frame (or erasure-decoded buffer) it arrived in, and holding
-// the body is what keeps that buffer alive. The table never mutates a body,
-// preserving the codec's borrow contract.
-func (n *Node) hold(h types.Hash, db *types.Datablock) bool {
+// the body is what keeps that buffer alive. A received datablock's frame is
+// passed in and the record takes it over, so it is returned to the pool
+// exactly once, when the record is released; a refused body leaves its
+// frame to the garbage collector. The table never mutates a body, and
+// nothing may read the body's bytes after its release: the executor gets
+// the requests only during its call, and the WAL keeps its own copy.
+func (n *Node) hold(h types.Hash, db *types.Datablock, frame []byte) bool {
 	if _, dup := n.refs[db.Ref]; dup || n.body(h) != nil {
 		return false
 	}
-	n.entry(h).body = db
+	e := n.entry(h)
+	e.body = db
+	//lint:retains-frame the record owns the frame its body borrows from; releaseDatablock returns it to the pool
+	e.frame = frame
 	n.refs[db.Ref] = struct{}{}
 	return true
 }
@@ -68,20 +79,25 @@ func (n *Node) hold(h types.Hash, db *types.Datablock) bool {
 // held. The counter ledger is not asked: decided history executes whatever
 // this replica remembers.
 func (n *Node) holdDecided(h types.Hash, db *types.Datablock) bool {
-	if n.body(h) == nil && !n.hold(h, db) {
+	if n.body(h) == nil && !n.hold(h, db, nil) {
 		return false
 	}
 	n.entry(h).confirmed = true
 	return true
 }
 
-// releaseDatablock drops the record for digest h and its refs key.
+// releaseDatablock drops the record for digest h and its refs key, and
+// returns the record's frame to the transport frame pool: it is the one
+// place a received frame goes back.
 func (n *Node) releaseDatablock(h types.Hash) {
 	if e := n.datablocks[h]; e != nil {
 		if e.body != nil {
 			delete(n.refs, e.body.Ref)
 		}
 		delete(n.datablocks, h)
+		if e.frame != nil {
+			transport.PutFrame(e.frame)
+		}
 	}
 }
 
@@ -174,7 +190,7 @@ func (n *Node) maybePackDatablocks(out transport.Sink) {
 			Requests: reqs,
 		}
 		digest := crypto.HashDatablock(db)
-		n.hold(digest, db)
+		n.hold(digest, db, nil)
 		n.myOutstanding[digest] = n.now
 		n.stats.DatablocksMade++
 		n.stats.DatablockRequests += int64(len(reqs))
@@ -212,15 +228,16 @@ func (n *Node) handleDatablock(from types.ReplicaID, m *DatablockMsg, out transp
 	if digest.IsZero() { // decoded off the wire: Digest never travels
 		digest = crypto.HashDatablock(m.Block)
 	}
-	n.acceptDatablock(digest, m.Block, out)
+	n.acceptDatablock(digest, m.Block, m.frame, out)
 }
 
 // acceptDatablock admits a datablock into the pool (from dissemination or
 // retrieval), announces readiness, and unblocks anything waiting on it. A
 // datablock this replica has executed is refused even after its record is
-// released (counterLedger).
-func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, out transport.Sink) {
-	if n.wasExecuted(db.Ref) || !n.hold(digest, db) {
+// released (counterLedger). frame is the received frame db borrows from,
+// nil when db came some other way (see hold).
+func (n *Node) acceptDatablock(digest types.Hash, db *types.Datablock, frame []byte, out transport.Sink) {
+	if n.wasExecuted(db.Ref) || !n.hold(digest, db, frame) {
 		return // executed before, duplicate digest or duplicate (generator, counter)
 	}
 	if n.isLeader() {

@@ -47,3 +47,9 @@ func (n *Node) AgreementState() map[string]any {
 		"myOutstanding": n.myOutstanding,
 	}
 }
+
+// Retrieving reports whether the replica keeps a retrieval entry for h.
+func (n *Node) Retrieving(h types.Hash) bool {
+	_, ok := n.missing[h]
+	return ok
+}

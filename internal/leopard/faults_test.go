@@ -1,6 +1,7 @@
 package leopard_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -190,6 +191,58 @@ func TestViewChangeCarriesNotarizedBlocks(t *testing.T) {
 		}
 		if got := node.PendingRequests(); got != 0 {
 			t.Errorf("replica %d still holds %d unexecuted requests", id, got)
+		}
+	}
+}
+
+// TestViewChangeDropsDiscardedWaits: an instance that waits on a datablock
+// it does not hold registers a retrieval entry. When a view change discards
+// the instance and nothing links the digest again, the entry must go with
+// it, or the replica broadcasts a query for the digest every
+// 8 × RetrievalTimeout for the rest of its life.
+func TestViewChangeDropsDiscardedWaits(t *testing.T) {
+	const n = 4
+	const retrieval = 10 * time.Millisecond
+	r := newRouter(t, n, func(c *leopard.Config) {
+		c.ViewChangeTimeout = 50 * time.Millisecond
+		c.RetrievalTimeout = retrieval
+	})
+	// View 1's leader proposes a block linking a datablock nobody has, and
+	// then goes silent.
+	leader := r.nodes[0].Leader()
+	ghost := types.Hash{0x6f, 0x57}
+	block := &types.BFTblock{View: 1, Seq: 1, Content: []types.Hash{ghost}}
+	share, err := mustSign(r, leader, crypto.HashBFTblock(block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range r.nodes {
+		if node.ID() != leader {
+			r.enqueue(leader, []transport.Envelope{transport.Unicast(node.ID(), &leopard.BFTblockMsg{Block: block, LeaderShare: share})})
+		}
+	}
+	r.flush()
+	r.silence(leader)
+	r.submit(2, 10, 0)
+	r.submit(3, 10, 0)
+	for r.nodes[0].View() < 2 || r.nodes[2].View() < 2 || r.nodes[3].View() < 2 {
+		if r.now > 5*time.Second {
+			t.Fatal("no view change")
+		}
+		r.tickAll(5 * time.Millisecond)
+		r.flush()
+	}
+	for end := r.now + 10*retrieval; r.now < end; {
+		for _, env := range r.tickAll(5 * time.Millisecond) {
+			if q, ok := env.Msg.(*leopard.QueryMsg); ok && slices.Contains(q.Digests, ghost) {
+				t.Fatalf("at %v a replica still queries the digest only the discarded instance linked", r.now)
+			}
+		}
+		r.flush()
+	}
+	for _, node := range r.nodes {
+		if node.ID() != leader && node.Retrieving(ghost) {
+			t.Errorf("replica %d keeps a retrieval entry nothing waits on", node.ID())
 		}
 	}
 }

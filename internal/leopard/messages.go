@@ -69,9 +69,14 @@ func wireCheckpointCert(c codec.Coder, p **CheckpointProofMsg) {
 // decoded message has a zero Digest. A receiver hashes the block when
 // Digest is zero and uses it otherwise: over TCP, or simnet in codec mode,
 // every block is hashed; an in-process simulation keeps the sender's.
+//
+// A decoded DatablockMsg keeps the frame its block borrows from (frame,
+// never encoded); the receiver's datablock record takes it over with the
+// body and returns it to the transport frame pool on release.
 type DatablockMsg struct {
 	Block  *types.Datablock
 	Digest types.Hash
+	frame  []byte
 }
 
 func (m *DatablockMsg) kind() uint8 { return kindDatablock }

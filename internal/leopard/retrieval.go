@@ -31,6 +31,26 @@ func (n *Node) noteMissing(h types.Hash, waiter types.SeqNum) {
 	r.waiters[waiter] = struct{}{}
 }
 
+// dropWaits withdraws instance sn's waits on the datablocks it still
+// misses, for an instance that is being discarded; an entry goes with its
+// last waiter, so a digest nothing waits on any more is not queried for the
+// node's lifetime. The wait of a confirmed block stays: its slot still
+// needs the body to execute (and tryExecute registers the frontier block's
+// waits again whenever it finds a body missing).
+func (n *Node) dropWaits(sn types.SeqNum, inst *instance) {
+	blk := n.confirmedBlock(sn)
+	for h := range inst.missing {
+		r := n.missing[h]
+		if r == nil || (blk != nil && slices.Contains(blk.Content, h)) {
+			continue
+		}
+		delete(r.waiters, sn)
+		if len(r.waiters) == 0 {
+			delete(n.missing, h)
+		}
+	}
+}
+
 // checkRetrievalTimers multicasts a batched Query for every missing
 // datablock whose timer expired; stale queries are re-sent.
 func (n *Node) checkRetrievalTimers(out transport.Sink) {
@@ -240,7 +260,7 @@ func (n *Node) handleResp(from types.ReplicaID, m *RespMsg, out transport.Sink) 
 	}
 	n.stats.Retrievals++
 	n.trace(obs.EvRetrievalDone, traceID(m.Digest), 1)
-	n.acceptDatablock(m.Digest, db, out)
+	n.acceptDatablock(m.Digest, db, nil, out)
 }
 
 // decodeRoot attempts to reconstruct and digest-check a datablock from f+1
@@ -282,7 +302,7 @@ func (n *Node) handleFullBlock(from types.ReplicaID, m *FullBlockMsg, out transp
 	}
 	n.stats.Retrievals++
 	n.trace(obs.EvRetrievalDone, traceID(m.Digest), 2)
-	n.acceptDatablock(m.Digest, m.Block, out)
+	n.acceptDatablock(m.Digest, m.Block, nil, out)
 }
 
 // resolveMissing is called when a previously missing datablock arrives by

@@ -383,7 +383,11 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 
 	// Everything the old view owned goes at once. The confirmed log and the
 	// notarizations survive on the slots; every unconfirmed instance will be
-	// re-agreed via the redo plan.
+	// re-agreed via the redo plan, and its waits on missing datablocks go
+	// with it.
+	for sn, inst := range n.cur.instances {
+		n.dropWaits(sn, inst)
+	}
 	n.cur = newViewRecord()
 
 	// Record what the new leader must propose for each redo slot, so an

@@ -9,7 +9,8 @@ import (
 
 // WireCodec adapts EncodeMessage/DecodeMessage to the transport.Codec
 // interface. Decode runs in borrow mode: it takes ownership of the frame,
-// per the transport.Codec contract.
+// per the transport.Codec contract; a datablock frame then goes back to the
+// transport frame pool when the receiver releases the datablock.
 type WireCodec struct{}
 
 var _ transport.Codec = WireCodec{}
@@ -84,13 +85,21 @@ func newMessage[T any, P interface {
 }
 
 // EncodeMessage serializes any Leopard protocol message into a frame body
-// beginning with its wire kind.
+// beginning with its wire kind. A datablock frame is drawn from the
+// transport frame pool (transport.GetFrame); the caller owns the frame
+// either way.
 func EncodeMessage(msg transport.Message) ([]byte, error) {
 	m, ok := msg.(wireMessage)
 	if !ok {
 		return nil, fmt.Errorf("leopard: cannot encode message type %T", msg)
 	}
-	buf := make([]byte, 1, 1+codec.Size(m.wire))
+	size := 1 + codec.Size(m.wire)
+	var buf []byte
+	if m.kind() == kindDatablock {
+		buf = transport.GetFrame(size)[:1]
+	} else {
+		buf = make([]byte, 1, size)
+	}
 	buf[0] = m.kind()
 	return codec.Encode(buf, m.wire), nil
 }
@@ -98,11 +107,16 @@ func EncodeMessage(msg transport.Message) ([]byte, error) {
 // DecodeMessage parses a frame body produced by EncodeMessage. It decodes
 // in borrow mode: every variable-length field of the returned message
 // (signature shares, combined proofs, retrieval chunks, request payloads)
-// sub-slices buf, so ownership of buf transfers to the message and the
-// caller must neither modify nor recycle it afterwards. The TCP transport
-// satisfies this by allocating one fresh frame per message, as do the
-// client-port readers (client.ReadFrame). Frames with bytes left over
-// after the last field are rejected, keeping the encoding canonical.
+// sub-slices buf, so ownership of buf transfers to the message with the
+// call. Nobody but that owner may modify or recycle buf afterwards, and the
+// owner only after release: a DatablockMsg keeps buf, the replica's record
+// of the datablock takes it over when it holds the body, and releasing the
+// record returns buf to the transport frame pool; every other frame goes to
+// the garbage collector with its message. The TCP transport hands over a
+// fresh frame per control message and a pool frame per reassembled stream,
+// and the client-port readers (client.ReadFrame) a fresh one per frame.
+// Frames with bytes left over after the last field are rejected, keeping
+// the encoding canonical.
 func DecodeMessage(buf []byte) (transport.Message, error) {
 	return decodeMessage(buf, true)
 }
@@ -127,6 +141,8 @@ func decodeMessage(buf []byte, borrow bool) (transport.Message, error) {
 		// The Reader lives as long as m does. A borrowing message owns the
 		// frame anyway; a copying one must not keep it reachable.
 		r.Buf = nil
+	} else if d, ok := m.(*DatablockMsg); ok {
+		d.frame = buf
 	}
 	return m, nil
 }

@@ -12,7 +12,11 @@ import (
 )
 
 // ExecuteFunc receives confirmed requests in log order; sn is the decided
-// slot (BFTblock serial number or chain height).
+// slot (BFTblock serial number or chain height). reqs and every request's
+// Payload are valid only during the call: a replica's datablocks borrow
+// their bytes from the wire frames they arrived in, and a frame is recycled
+// once its datablock is released. An executor that keeps a request, or any
+// part of its payload, must copy it.
 type ExecuteFunc func(sn types.SeqNum, reqs []types.Request)
 
 // Replica is a BFT replica the harness can drive over any transport.

@@ -82,6 +82,60 @@ func (rec *BlockRecord) Wire(c codec.Coder) {
 	}
 }
 
+// clone returns a deep copy of rec that shares no memory with it: the
+// block, both proofs and every datablock, with all request payloads and
+// signatures copied into one buffer. Request payload digests are kept.
+func (rec *BlockRecord) clone() *BlockRecord {
+	size := len(rec.Notarized.Sig) + len(rec.Confirmed.Sig)
+	nreq := 0
+	for _, db := range rec.Datablocks {
+		if db != nil {
+			nreq += len(db.Requests)
+			size += db.PayloadBytes()
+		}
+	}
+	arena := make([]byte, 0, size)
+	own := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		start := len(arena)
+		arena = append(arena, b...)
+		return arena[start:len(arena):len(arena)]
+	}
+	c := &BlockRecord{
+		Seq:       rec.Seq,
+		Notarized: crypto.Proof{Sig: own(rec.Notarized.Sig)},
+		Confirmed: crypto.Proof{Sig: own(rec.Confirmed.Sig)},
+	}
+	if rec.Block != nil {
+		blk := *rec.Block
+		blk.Content = append([]types.Hash(nil), rec.Block.Content...)
+		c.Block = &blk
+	}
+	if rec.Datablocks != nil {
+		c.Datablocks = make([]*types.Datablock, len(rec.Datablocks))
+		dbs := make([]types.Datablock, len(rec.Datablocks))
+		reqs := make([]types.Request, 0, nreq)
+		for i, db := range rec.Datablocks {
+			if db == nil {
+				continue
+			}
+			dbs[i].Ref = db.Ref
+			if len(db.Requests) > 0 {
+				start := len(reqs)
+				for _, r := range db.Requests {
+					r.Payload = own(r.Payload)
+					reqs = append(reqs, r)
+				}
+				dbs[i].Requests = reqs[start:len(reqs):len(reqs)]
+			}
+			c.Datablocks[i] = &dbs[i]
+		}
+	}
+	return c
+}
+
 // VoteRecord persists one agreement vote cast above the executed frontier
 // (vote-ahead logging). A replica that crashes between voting and executing
 // would otherwise forget the vote and could sign different content for the
@@ -181,7 +235,10 @@ type Stats struct {
 // event loop; Log additionally synchronizes with its background syncer.
 type Store interface {
 	// Append durably logs one executed block. Records must be appended in
-	// strictly increasing, contiguous Seq order above the checkpoint.
+	// strictly increasing, contiguous Seq order above the checkpoint. The
+	// store keeps none of the caller's memory: what it retains and serves
+	// through Get is its own copy, so the caller may reuse or release the
+	// record's bytes (a datablock's frame) as soon as Append returns.
 	Append(rec *BlockRecord) error
 	// AppendVote durably logs one agreement vote above the executed
 	// frontier (vote-ahead logging). Unlike Append, the record is flushed

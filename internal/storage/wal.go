@@ -439,8 +439,11 @@ func (l *Log) stage(kind byte, walk func(codec.Coder), admit func(seg *segInfo) 
 
 // Append implements Store: the record is staged for the group commit, so no
 // disk syscall happens on the execute path unless a segment roll or the
-// stage budget is due (or SyncEachAppend is set).
+// stage budget is due (or SyncEachAppend is set). The in-memory index keeps
+// a copy of rec (BlockRecord.clone), never the caller's record, whose
+// datablocks may borrow from a frame the caller releases later.
 func (l *Log) Append(rec *BlockRecord) error {
+	own := rec.clone()
 	return l.stage(recBlock, rec.Wire, func(seg *segInfo) error {
 		if l.last != 0 && rec.Seq != l.last+1 {
 			return fmt.Errorf("storage: non-contiguous append %d after %d", rec.Seq, l.last)
@@ -449,7 +452,7 @@ func (l *Log) Append(rec *BlockRecord) error {
 			seg.first = rec.Seq
 		}
 		seg.last = rec.Seq
-		l.admit(rec)
+		l.admit(own)
 		l.stats.Appended++
 		return nil
 	}, false)

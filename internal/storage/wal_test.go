@@ -395,6 +395,45 @@ func TestWALRejectsNonContiguousAppend(t *testing.T) {
 	}
 }
 
+// TestWALOwnsAppendedRecords: Append keeps no memory of the caller's
+// record. A replica's datablocks borrow from the frames they arrived in,
+// and the frame is recycled once the datablock is released; Get must still
+// serve the bytes that were appended, and keep the payload digests.
+func TestWALOwnsAppendedRecords(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecord(1, 2, 3, 64)
+	rec.Datablocks[0].Requests[0].PayloadDigest = crypto.HashBytes(rec.Datablocks[0].Requests[0].Payload)
+	want := encodeRecord(rec)
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	// The caller recycles everything the record pointed at.
+	for _, db := range rec.Datablocks {
+		for i := range db.Requests {
+			for j := range db.Requests[i].Payload {
+				db.Requests[i].Payload[j] = 0xDB
+			}
+			db.Requests[i].ClientID = 99
+		}
+	}
+	rec.Notarized.Sig[0] ^= 0xFF
+	rec.Block.Content[0] = types.Hash{}
+	got, ok := l.Get(1)
+	if !ok {
+		t.Fatal("record 1 not retained")
+	}
+	if !bytes.Equal(encodeRecord(got), want) {
+		t.Fatal("Get serves the caller's overwritten bytes, not the appended ones")
+	}
+	if got.Datablocks[0].Requests[0].PayloadDigest.IsZero() {
+		t.Fatal("the retained copy lost the payload digest")
+	}
+}
+
 // TestWALTruncateKeepsResetAnchor: a truncation that leaves no record
 // keeps Reset's anchor as the upper bound, and so does a reopen of the log
 // with no record, so Bounds and the contiguity check still agree with the

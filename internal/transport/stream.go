@@ -169,24 +169,27 @@ func ParseStreamHeader(hdr []byte) (StreamHeader, error) {
 // streams, totals bounded by maxTotal — and returns an error on any
 // violation or on duplicated/overlapping/oversized chunks. A chunk's
 // payload is read from its source straight into the stream's frame buffer,
-// so each byte is copied once. A completed frame is returned as a fresh
-// buffer whose ownership transfers to the caller (it is safe to hand to a
-// zero-copy Codec.Decode: the reassembler keeps no reference).
+// so each byte is copied once. Every stream buffer is drawn from the frame
+// pool (GetFrame); a completed frame's ownership transfers to the caller,
+// and the reassembler keeps no reference, so it can go to a zero-copy
+// Codec.Decode. A stream dropped on a violation leaves its buffer to the
+// garbage collector.
 type Reassembler struct {
 	cfg      StreamConfig
 	maxTotal int
-	partial  map[uint64]*partialStream
+	partial  map[uint64]partialStream
 }
 
 type partialStream struct {
-	buf []byte // len(buf) == received bytes; cap == total
+	buf   []byte // the whole frame, from the pool
+	recvd int    // bytes of buf received so far
 }
 
 // NewReassembler builds a reassembler; maxTotal bounds the reassembled
 // frame size (a transport passes its frame-size limit).
 func NewReassembler(cfg StreamConfig, maxTotal int) *Reassembler {
 	cfg.Normalize()
-	return &Reassembler{cfg: cfg, maxTotal: maxTotal, partial: make(map[uint64]*partialStream)}
+	return &Reassembler{cfg: cfg, maxTotal: maxTotal, partial: make(map[uint64]partialStream)}
 }
 
 // Streams returns the number of incomplete streams currently held.
@@ -196,7 +199,7 @@ func (r *Reassembler) Streams() int { return len(r.partial) }
 func (r *Reassembler) Buffered() int64 {
 	var n int64
 	for _, p := range r.partial {
-		n += int64(len(p.buf))
+		n += int64(p.recvd)
 	}
 	return n
 }
@@ -227,15 +230,15 @@ func (r *Reassembler) Add(h StreamHeader, n int, src io.Reader) ([]byte, error) 
 		if len(r.partial) >= r.cfg.MaxStreams {
 			return nil, fmt.Errorf("%w: over %d concurrent streams", ErrStreamState, r.cfg.MaxStreams)
 		}
-		p = &partialStream{buf: make([]byte, 0, h.Total)}
+		p = partialStream{buf: GetFrame(int(h.Total))}
 	}
-	if uint64(cap(p.buf)) != h.Total {
-		return nil, fmt.Errorf("%w: stream %d total changed %d -> %d", ErrStreamState, h.StreamID, cap(p.buf), h.Total)
+	if uint64(len(p.buf)) != h.Total {
+		return nil, fmt.Errorf("%w: stream %d total changed %d -> %d", ErrStreamState, h.StreamID, len(p.buf), h.Total)
 	}
-	if h.Offset != uint64(len(p.buf)) {
+	if h.Offset != uint64(p.recvd) {
 		// Covers duplicates, overlaps and gaps alike: chunks of one stream
 		// arrive strictly in order on a reliable transport.
-		return nil, fmt.Errorf("%w: stream %d offset %d, want %d", ErrStreamState, h.StreamID, h.Offset, len(p.buf))
+		return nil, fmt.Errorf("%w: stream %d offset %d, want %d", ErrStreamState, h.StreamID, h.Offset, p.recvd)
 	}
 	done := end == h.Total
 	if h.Fin != done {
@@ -245,11 +248,11 @@ func (r *Reassembler) Add(h StreamHeader, n int, src io.Reader) ([]byte, error) 
 		}
 		return nil, fmt.Errorf("%w: stream %d complete without fin", ErrStreamState, h.StreamID)
 	}
-	if _, err := io.ReadFull(src, p.buf[len(p.buf):end]); err != nil {
+	if _, err := io.ReadFull(src, p.buf[p.recvd:end]); err != nil {
 		delete(r.partial, h.StreamID)
 		return nil, fmt.Errorf("stream %d chunk [%d, %d): %w", h.StreamID, h.Offset, end, err)
 	}
-	p.buf = p.buf[:end]
+	p.recvd = int(end)
 	if !done {
 		r.partial[h.StreamID] = p
 		return nil, nil

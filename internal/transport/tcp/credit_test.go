@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
 	"sync/atomic"
 	"testing"
 
@@ -47,7 +48,7 @@ func drain(s *streamSched) []int {
 func TestSchedCumulativeGrants(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 400))
+	s.enqueue(newOutFrame(make([]byte, 400)))
 	sum := func(sizes []int) (n int) {
 		for _, sz := range sizes {
 			n += sz
@@ -84,7 +85,7 @@ func TestSchedCumulativeGrants(t *testing.T) {
 func TestSchedGrantRacesCompletion(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 200))
+	s.enqueue(newOutFrame(make([]byte, 200)))
 	if got := drain(s); len(got) != 2 {
 		t.Fatalf("chunks %v, want 2", got)
 	}
@@ -95,7 +96,7 @@ func TestSchedGrantRacesCompletion(t *testing.T) {
 	}
 	// A stale lower grant after a higher one must not shrink credit.
 	s.grant(0, 150)
-	s.enqueue(make([]byte, 250))
+	s.enqueue(newOutFrame(make([]byte, 250)))
 	if got := drain(s); len(got) != 3 || got[0]+got[1]+got[2] != 250 {
 		t.Fatalf("full window not available after late grants: %v", got)
 	}
@@ -108,9 +109,9 @@ func TestSchedEvictionCountsAsDrop(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops) // 1000-byte park budget
 	for i := 0; i < 3; i++ {
-		s.enqueue(make([]byte, 300))
+		s.enqueue(newOutFrame(make([]byte, 300)))
 	}
-	s.enqueue(make([]byte, 2000)) // evicts all three, then cannot fit itself
+	s.enqueue(newOutFrame(make([]byte, 2000))) // evicts all three, then cannot fit itself
 	if st := s.stats(); st.Evictions != 4 || drops.Load() != 4 || st.StreamsActive != 0 {
 		t.Fatalf("evictions %d drops %d streams %d, want 4/4/0", st.Evictions, drops.Load(), st.StreamsActive)
 	}
@@ -122,7 +123,7 @@ func TestSchedEvictionCountsAsDrop(t *testing.T) {
 func TestSchedResetConnRewinds(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 400))
+	s.enqueue(newOutFrame(make([]byte, 400)))
 	drain(s) // 250 sent, parked
 	s.resetConn()
 	st := s.stats()
@@ -155,7 +156,7 @@ func TestSchedChunksReassemble(t *testing.T) {
 		bytes.Repeat([]byte{3}, 301),
 	}
 	for _, f := range frames {
-		s.enqueue(f)
+		s.enqueue(newOutFrame(f))
 	}
 	asm := transport.NewReassembler(cfg, 1<<20)
 	var got [][]byte
@@ -215,7 +216,6 @@ func BenchmarkStreamSend(b *testing.B) {
 			var drops atomic.Int64
 			s := newStreamSched(cfg, &drops)
 			asm := transport.NewReassembler(cfg, 64<<20)
-			frame := make([]byte, size)
 			buf := make([]byte, 0, 1+transport.StreamHeaderSize)
 			var src bytes.Reader
 			var consumed int64
@@ -223,14 +223,19 @@ func BenchmarkStreamSend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.enqueue(frame)
+				// The sent frame comes from the pool, as an encoded
+				// datablock does, and goes back with its fin chunk; the
+				// receiver returns the reassembled one, as releasing the
+				// datablock does. Warm, both are reused.
+				f := newOutFrame(transport.GetFrame(size))
+				s.enqueue(f)
+				f.release()
 				for {
 					body, payload, ok := s.nextChunk(buf)
 					if !ok {
 						s.grant(0, consumed)
 						continue
 					}
-					s.chunkWritten()
 					hdr, err := transport.ParseStreamHeader(body[1:])
 					if err != nil {
 						b.Fatal(err)
@@ -241,7 +246,9 @@ func BenchmarkStreamSend(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					s.chunkWritten() // the chunk reached the receiver
 					if complete != nil {
+						transport.PutFrame(complete)
 						break
 					}
 				}
@@ -275,6 +282,65 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// TestFrameReturnedAfterEveryPeerWrote: a broadcast frame is shared by the
+// schedulers it was queued to and goes back to the pool only when the last
+// of them has written its fin chunk and the emitter has let go; a
+// scheduler that evicted it never gives its reference back.
+func TestFrameReturnedAfterEveryPeerWrote(t *testing.T) {
+	var drops atomic.Int64
+	a, b := newStreamSched(schedCfg(), &drops), newStreamSched(schedCfg(), &drops)
+	f := newOutFrame(make([]byte, 250))
+	a.enqueue(f)
+	b.enqueue(f)
+	f.release()
+	a.grant(0, 1000)
+	drain(a)
+	if got := f.refs.Load(); got != 1 {
+		t.Fatalf("after one peer's fin chunk the frame has %d references, want 1", got)
+	}
+	b.grant(0, 1000)
+	drain(b)
+	if got := f.refs.Load(); got != 0 {
+		t.Fatalf("after every peer's fin chunk the frame has %d references, want 0", got)
+	}
+
+	c := newStreamSched(schedCfg(), &drops) // 1000-byte park budget
+	evicted := newOutFrame(make([]byte, 600))
+	c.enqueue(evicted)
+	evicted.release()
+	c.enqueue(newOutFrame(make([]byte, 600))) // evicts the first
+	if got := evicted.refs.Load(); got != 1 {
+		t.Fatalf("an evicted frame has %d references, want the scheduler's 1 kept (left to the GC)", got)
+	}
+}
+
+// discardConn is a net.Conn whose writes succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWireWriterAllocs: the send loop writes a small frame — a vote, a
+// ready message, a chunk's header — from its own buffer, with no
+// allocation per frame.
+func TestWireWriterAllocs(t *testing.T) {
+	w := new(wireWriter)
+	var conn net.Conn = discardConn{}
+	vote := make([]byte, 120)
+	chunk := make([]byte, 1+transport.StreamHeaderSize)
+	payload := make([]byte, 64<<10)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := w.write(conn, vote, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.write(conn, chunk, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("writing two small frames made %.0f allocations", allocs)
+	}
+}
+
 // TestSchedFinChunkSurvivesReconnect: a stream whose final chunk was
 // dequeued but never confirmed written (the connection died mid-write)
 // must be requeued by resetConn and retransmitted from offset zero —
@@ -282,7 +348,7 @@ func itoa(n int) string {
 func TestSchedFinChunkSurvivesReconnect(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 50)) // single fin chunk
+	s.enqueue(newOutFrame(make([]byte, 50))) // single fin chunk
 	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
 	if _, _, ok := s.nextChunk(buf); !ok {
 		t.Fatal("nothing to send")
@@ -312,7 +378,7 @@ func TestSchedFinChunkSurvivesReconnect(t *testing.T) {
 		t.Fatalf("final stats %+v drops %d", st, drops.Load())
 	}
 	// A fin chunk that WAS confirmed written must not be requeued.
-	s.enqueue(make([]byte, 50))
+	s.enqueue(newOutFrame(make([]byte, 50)))
 	if _, _, ok := s.nextChunk(buf); !ok {
 		t.Fatal("nothing to send")
 	}
@@ -331,7 +397,7 @@ func TestSchedStaleEpochGrantIgnored(t *testing.T) {
 	var drops atomic.Int64
 	s := newStreamSched(schedCfg(), &drops)
 	e1 := s.resetConn()
-	s.enqueue(make([]byte, 400))
+	s.enqueue(newOutFrame(make([]byte, 400)))
 	if got := drain(s); len(got) != 3 {
 		t.Fatalf("chunks %v", got)
 	}

@@ -66,7 +66,32 @@ type streamSched struct {
 // needs.
 type outStream struct {
 	id    uint64
-	frame []byte
+	frame *outFrame
+}
+
+// outFrame is one encoded bulk frame shared by the peers it was queued to.
+// refs counts the emitter, while it fans the frame out, and every
+// scheduler that admitted it; the last release, a fin chunk written or the
+// emitter done, returns buf to the transport frame pool. A scheduler that
+// evicts the frame never releases it, so the frame goes to the garbage
+// collector instead.
+type outFrame struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+// newOutFrame wraps buf with the emitter's reference.
+func newOutFrame(buf []byte) *outFrame {
+	f := &outFrame{buf: buf}
+	f.refs.Store(1)
+	return f
+}
+
+// release drops one reference; the last one returns the frame.
+func (f *outFrame) release() {
+	if f.refs.Add(-1) == 0 {
+		transport.PutFrame(f.buf)
+	}
 }
 
 func newStreamSched(cfg transport.StreamConfig, drops *atomic.Int64) *streamSched {
@@ -86,12 +111,12 @@ func (s *streamSched) signal() {
 	}
 }
 
-// enqueue accepts one bulk frame as a new stream. Every stream the park
-// budget evicts to make room — or the frame itself, when it cannot fit —
-// counts against the peer's drop counter.
-func (s *streamSched) enqueue(frame []byte) {
+// enqueue accepts one bulk frame as a new stream, taking a reference to it
+// when admitted. Every stream the park budget evicts to make room — or the
+// frame itself, when it cannot fit — counts against the peer's drop counter.
+func (s *streamSched) enqueue(frame *outFrame) {
 	s.mu.Lock()
-	evicted, ok := s.q.Push(outStream{id: s.nextID, frame: frame}, len(frame))
+	evicted, ok := s.q.Push(outStream{id: s.nextID, frame: frame}, len(frame.buf))
 	if evicted > 0 {
 		s.drops.Add(int64(evicted))
 		for ; s.trace != nil && evicted > 0; evicted-- {
@@ -102,6 +127,7 @@ func (s *streamSched) enqueue(frame []byte) {
 		s.mu.Unlock()
 		return
 	}
+	frame.refs.Add(1)
 	s.nextID++
 	if s.trace != nil && s.creditLocked() <= 0 {
 		// The new stream parked immediately: zero credit at admission.
@@ -153,16 +179,20 @@ func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
 		Total:    uint64(c.Total),
 		Fin:      c.Fin,
 	})
-	return body, c.Item.frame[c.Offset : c.Offset+c.Len], true
+	return body, c.Item.frame.buf[c.Offset : c.Offset+c.Len], true
 }
 
-// chunkWritten confirms the last dequeued chunk reached the wire,
-// releasing the stream held in the sending slot (no-op for non-fin
-// chunks).
+// chunkWritten confirms the last dequeued chunk reached the wire. After a
+// fin chunk it empties the sending slot and releases the stream's frame;
+// after any other chunk it does nothing.
 func (s *streamSched) chunkWritten() {
 	s.mu.Lock()
+	done := s.sending.frame
 	s.sending = outStream{}
 	s.mu.Unlock()
+	if done != nil {
+		done.release()
+	}
 }
 
 // resetConn rewinds the scheduler for a fresh connection and returns its
@@ -175,7 +205,7 @@ func (s *streamSched) resetConn() uint32 {
 	s.epoch++
 	s.sent, s.acked = 0, 0
 	if s.sending.frame != nil {
-		s.q.PushFront(s.sending, len(s.sending.frame))
+		s.q.PushFront(s.sending, len(s.sending.frame.buf))
 		s.sending = outStream{}
 	}
 	s.q.Rewind()

@@ -53,8 +53,10 @@ import (
 // retain the frame (zero-copy decode), and this runtime honours that by
 // handing Decode only buffers it will never touch again — a fresh
 // allocation per whole-message frame, and the reassembler's output buffer
-// for streamed frames (chunk payloads are read from the socket straight
-// into it, so the reassembled frame is fresh by construction).
+// for streamed frames (a pool frame whose ownership passes to Decode with
+// the call). On the send side the runtime owns every frame Encode returns:
+// a bulk frame goes back to the transport frame pool once every peer it
+// was queued to has written its fin chunk.
 type Codec = transport.Codec
 
 // Wire frame kinds. Every frame after the hello is length-prefixed and
@@ -156,7 +158,8 @@ type Runtime struct {
 	// the apply loop, keeping the node single-threaded.
 	local chan func(now time.Duration, out transport.Sink)
 
-	peers []*peer
+	peers  []*peer
+	others []*peer // peers without the self slot, in id order
 
 	// conns holds every live peer connection, dialed and accepted, so Stop
 	// can close them: a read loop blocked on an idle connection notices
@@ -273,6 +276,7 @@ func New(cfg Config, node transport.Node) (*Runtime, error) {
 			}
 		}
 		r.peers = append(r.peers, p)
+		r.others = append(r.others, p)
 	}
 	return r, nil
 }
@@ -446,36 +450,39 @@ func (r *Runtime) emit(env transport.Envelope) {
 		// recover.
 		return
 	}
-	lane := env.Msg.Policy().Lane()
-	var body []byte
-	if lane != transport.LaneBulk {
-		// Whole-message wire body, shared read-only across the fan-out.
-		body = append(make([]byte, 0, 1+len(frame)), frameKindMsg)
-		body = append(body, frame...)
-	}
-	if env.Broadcast {
-		for _, p := range r.peers {
-			if p != nil {
-				p.send(frame, body, lane)
-			}
+	if env.Msg.Policy().Lane() == transport.LaneBulk {
+		// One stream per destination, all reading the one frame; the
+		// emitter's reference keeps it out of the pool until the fan-out
+		// is done.
+		f := newOutFrame(frame)
+		for _, p := range r.destinations(env) {
+			p.sched.enqueue(f)
 		}
+		f.release()
 		return
 	}
-	if int(env.To) < len(r.peers) {
-		if p := r.peers[env.To]; p != nil {
-			p.send(frame, body, lane)
-		}
+	// Whole-message wire body, shared read-only across the fan-out.
+	body := append(make([]byte, 0, 1+len(frame)), frameKindMsg)
+	body = append(body, frame...)
+	for _, p := range r.destinations(env) {
+		p.sendControl(body)
 	}
 }
 
-// send routes one encoded frame onto the peer's lane without blocking the
-// apply loop. Bulk frames become streams under flow control; control
-// frames ride a bounded queue whose overflow drops the frame.
-func (p *peer) send(frame, body []byte, lane transport.Lane) {
-	if lane == transport.LaneBulk {
-		p.sched.enqueue(frame)
-		return
+// destinations returns the peers env is addressed to.
+func (r *Runtime) destinations(env transport.Envelope) []*peer {
+	if env.Broadcast {
+		return r.others
 	}
+	if int(env.To) < len(r.peers) && r.peers[env.To] != nil {
+		return r.peers[env.To : env.To+1]
+	}
+	return nil
+}
+
+// sendControl queues one control-lane wire body without blocking the apply
+// loop; overflow of the bounded queue drops the frame.
+func (p *peer) sendControl(body []byte) {
 	select {
 	case p.control <- body:
 	default:
@@ -559,6 +566,7 @@ func (r *Runtime) sendLoop(p *peer) {
 	var conn net.Conn
 	var pending []byte // control frame to retransmit after a reconnect
 	hdrBuf := make([]byte, 0, 1+transport.StreamHeaderSize)
+	w := new(wireWriter)
 	hangUp := func() {
 		if conn != nil {
 			r.drop(conn)
@@ -609,7 +617,7 @@ func (r *Runtime) sendLoop(p *peer) {
 			}
 		}
 		if pending != nil {
-			if err := writeWireFrame(conn, pending, nil); err != nil {
+			if err := w.write(conn, pending, nil); err != nil {
 				hangUp()
 				continue
 			}
@@ -621,12 +629,12 @@ func (r *Runtime) sendLoop(p *peer) {
 		}
 		var err error
 		if msg != nil {
-			err = writeWireFrame(conn, msg, nil)
+			err = w.write(conn, msg, nil)
 			if err != nil {
 				pending = msg // resend the control frame on the new conn
 			}
 		} else {
-			err = writeWireFrame(conn, chunkBody, chunkPayload)
+			err = w.write(conn, chunkBody, chunkPayload)
 			if err == nil {
 				p.sched.chunkWritten()
 			}
@@ -749,24 +757,32 @@ func readHello(conn net.Conn) (types.ReplicaID, uint32, error) {
 		binary.BigEndian.Uint32(buf[4:]), nil
 }
 
-// writeWireFrame writes one frame: 4-byte big-endian length of
-// body+payload, then body (which starts with the frame kind), then the
-// optional payload. Small bodies (the chunk kind+header prefix, credit
-// grants, little control frames) are coalesced with the length prefix
-// into one write; large bodies — a whole-message frame can be megabytes —
-// are written in place, never copied.
-func writeWireFrame(conn net.Conn, body, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)+len(payload)))
-	if len(body) <= 512 {
-		head := make([]byte, 0, 4+len(body))
-		head = append(head, hdr[:]...)
-		head = append(head, body...)
-		if _, err := conn.Write(head); err != nil {
+// smallBody is the largest frame body wireWriter coalesces with the
+// length prefix.
+const smallBody = 512
+
+// wireWriter writes one send loop's wire frames. head is the loop's own
+// buffer for the length prefix and small bodies: a write is synchronous, so
+// head is free again when write returns, and a frame costs no allocation.
+type wireWriter struct {
+	head [4 + smallBody]byte
+}
+
+// write writes one frame: 4-byte big-endian length of body+payload, then
+// body (which starts with the frame kind), then the optional payload. Small
+// bodies (the chunk kind+header prefix, credit grants, little control
+// frames) are coalesced with the length prefix into one write; large bodies
+// — a whole-message frame can be megabytes — are written in place, never
+// copied.
+func (w *wireWriter) write(conn net.Conn, body, payload []byte) error {
+	binary.BigEndian.PutUint32(w.head[:4], uint32(len(body)+len(payload)))
+	if len(body) <= smallBody {
+		n := 4 + copy(w.head[4:], body)
+		if _, err := conn.Write(w.head[:n]); err != nil {
 			return err
 		}
 	} else {
-		if _, err := conn.Write(hdr[:]); err != nil {
+		if _, err := conn.Write(w.head[:4]); err != nil {
 			return err
 		}
 		if _, err := conn.Write(body); err != nil {
