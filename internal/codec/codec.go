@@ -26,10 +26,15 @@
 //
 // The contract for borrow-mode decoding is:
 //
-//   - The caller must own the buffer outright: it was freshly allocated for
-//     this decode (e.g. one TCP frame per message) and will never be
-//     modified or recycled afterwards. Pooled or reused buffers must use
-//     the copying mode.
+//   - The caller must own the buffer outright and hand it over with the
+//     decode: a fresh allocation (one TCP control frame per message), or a
+//     pool frame nobody else holds (a reassembled bulk stream). From then
+//     on the buffer is recycled only by its one owner, after release:
+//     leopard keeps a datablock's frame in the replica's record of the
+//     datablock and returns it to the transport frame pool when the record
+//     is released, and nothing may read the datablock's bytes after that.
+//     Every other buffer is never recycled. A buffer that is reused while
+//     the decoded value lives (a scan buffer) must use the copying mode.
 //   - The decoded value and all byte fields reached from it alias the
 //     buffer. Retaining any one of them (a mempool'd request payload, a
 //     retrieval chunk, a stored proof) keeps the whole buffer alive; that

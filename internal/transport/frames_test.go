@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -99,6 +100,33 @@ func TestFramePoolForgetsReclaimedFrames(t *testing.T) {
 	if got := p.get(2); got == nil || &got[0] != &b[0] {
 		t.Fatal("a reclaimed entry kept a live frame out of a full weak tier")
 	}
+}
+
+// TestFramePoolConcurrent: send loops and read loops share the pool, and
+// no frame is ever handed to two owners at once.
+func TestFramePoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(mark byte) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				b := GetFrame(FrameClass*(1+i%3) + 1)
+				for j := range b {
+					b[j] = mark
+				}
+				runtime.Gosched()
+				for j, v := range b {
+					if v != mark {
+						t.Errorf("owner %d's frame was overwritten at %d", mark, j)
+						return
+					}
+				}
+				PutFrame(b)
+			}
+		}(byte(g))
+	}
+	wg.Wait()
 }
 
 // TestReassemblerReusesFrames: once warm, a reassemble-and-return cycle —

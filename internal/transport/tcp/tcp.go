@@ -800,7 +800,8 @@ func (w *wireWriter) write(conn net.Conn, body, payload []byte) error {
 // readWireFrame reads one frame and returns its kind and the bytes after
 // the kind tag. Whole-message frames (frameKindMsg) are read into a fresh
 // allocation whose ownership transfers to the codec's Decode (the
-// transport.Codec zero-copy contract — do not pool those). Of a chunk
+// transport.Codec zero-copy contract; only reassembled bulk streams come
+// from the frame pool). Of a chunk
 // frame it reads only the stream header, into *chunk, and returns it with
 // the length n of the payload that follows on conn, which the caller reads
 // in place (Reassembler.Add).

@@ -183,10 +183,12 @@ func (p Policy) Charged() bool { return p != PolicyControl }
 // Ownership contract: Decode may retain buf — the decoded message and its
 // byte fields are allowed to sub-slice the frame (zero-copy decode), so the
 // caller transfers ownership of buf at the call and must neither modify nor
-// recycle it afterwards. Transports satisfy this by allocating one fresh
-// frame per received message; a transport that pools frame buffers must use
-// a copying codec instead. Encode's returned frame is owned by the caller;
-// the codec keeps no reference to it.
+// recycle it afterwards. The frame is recycled only by its one owner, after
+// release: a Leopard datablock's frame goes back to the frame pool
+// (PutFrame) when the replica releases the datablock. Transports hand
+// Decode a fresh allocation or a pool frame (GetFrame) nobody else holds.
+// Encode's returned frame is owned by the caller, which may return it to
+// the pool once nothing reads it; the codec keeps no reference to it.
 type Codec interface {
 	Encode(Message) ([]byte, error)
 	Decode([]byte) (Message, error)
