@@ -449,7 +449,10 @@ func (n *Node) confirmedBlock(sn types.SeqNum) *types.BFTblock {
 	return nil
 }
 
-// Datablock returns a datablock by digest from the local pool.
+// Datablock returns a datablock by digest from the local pool. Its bytes
+// may borrow from a received frame, so they are valid only until the
+// checkpoint that releases the datablock; a caller that keeps them past
+// the node's next event must copy them.
 func (n *Node) Datablock(h types.Hash) (*types.Datablock, bool) {
 	db := n.body(h)
 	return db, db != nil

@@ -801,10 +801,9 @@ func (w *wireWriter) write(conn net.Conn, body, payload []byte) error {
 // the kind tag. Whole-message frames (frameKindMsg) are read into a fresh
 // allocation whose ownership transfers to the codec's Decode (the
 // transport.Codec zero-copy contract; only reassembled bulk streams come
-// from the frame pool). Of a chunk
-// frame it reads only the stream header, into *chunk, and returns it with
-// the length n of the payload that follows on conn, which the caller reads
-// in place (Reassembler.Add).
+// from the frame pool). Of a chunk frame it reads only the stream header,
+// into *chunk, and returns it with the length n of the payload that
+// follows on conn, which the caller reads in place (Reassembler.Add).
 func readWireFrame(conn net.Conn, max int, chunk *[transport.StreamHeaderSize]byte) (kind byte, body []byte, n int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
