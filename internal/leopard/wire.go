@@ -85,21 +85,15 @@ func newMessage[T any, P interface {
 }
 
 // EncodeMessage serializes any Leopard protocol message into a frame body
-// beginning with its wire kind. A datablock frame is drawn from the
-// transport frame pool (transport.GetFrame); the caller owns the frame
-// either way.
+// beginning with its wire kind. The frame is drawn from the transport frame
+// pool (transport.GetFrame), so a datablock frame the TCP sender returned
+// is reused; the caller owns the frame.
 func EncodeMessage(msg transport.Message) ([]byte, error) {
 	m, ok := msg.(wireMessage)
 	if !ok {
 		return nil, fmt.Errorf("leopard: cannot encode message type %T", msg)
 	}
-	size := 1 + codec.Size(m.wire)
-	var buf []byte
-	if m.kind() == kindDatablock {
-		buf = transport.GetFrame(size)[:1]
-	} else {
-		buf = make([]byte, 1, size)
-	}
+	buf := transport.GetFrame(1 + codec.Size(m.wire))[:1]
 	buf[0] = m.kind()
 	return codec.Encode(buf, m.wire), nil
 }

@@ -12,7 +12,7 @@ import (
 // megabyte) and short-lived, and a fresh one costs its allocation, its
 // zeroing and, for large frames, fresh pages. So the frames a replica
 // handles on the bulk path come from one pool: the reassembler draws every
-// stream buffer from it, and leopard.EncodeMessage every datablock frame.
+// stream buffer from it, and leopard.EncodeMessage every frame it encodes.
 // A frame goes back (PutFrame) only when its single owner is done with it:
 //
 //   - the TCP sender returns an encoded frame once every peer it was queued
