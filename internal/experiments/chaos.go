@@ -80,10 +80,10 @@ func defaultChaosParams() chaosParams {
 // chaosPlans is the schedule library swept by the chaos experiment. Every
 // plan heals: the invariant checker requires executed height to resume
 // advancing within the grace period after End().
-func chaosPlans(n int, seed int64) []faultplan.Plan {
+func chaosPlans(q types.QuorumParams, seed int64) []faultplan.Plan {
 	ms := time.Millisecond
+	n := q.N
 	leader := types.LeaderOf(1, n)
-	f := (n - 1) / 3
 	var nonLeaders []types.ReplicaID
 	for i := 0; i < n; i++ {
 		if id := types.ReplicaID(i); id != leader {
@@ -91,7 +91,7 @@ func chaosPlans(n int, seed int64) []faultplan.Plan {
 		}
 	}
 	// The minority is the last f non-leaders; the cluster keeps quorum.
-	minority := append([]types.ReplicaID(nil), nonLeaders[len(nonLeaders)-f:]...)
+	minority := append([]types.ReplicaID(nil), nonLeaders[len(nonLeaders)-q.F:]...)
 	var majority []types.ReplicaID
 	for i := 0; i < n; i++ {
 		if id := types.ReplicaID(i); !slices.Contains(minority, id) {
@@ -218,14 +218,13 @@ func chaosCluster(n int, p chaosParams, label string, mutate func(*leopard.Confi
 // f+1 stalled voters are what pull the remaining (idle) replicas into
 // the view change. Fewer generators and a leader-isolating partition
 // would stall the cluster forever without any timeout quorum forming.
-func chaosGenerators(n int, leader types.ReplicaID, plan faultplan.Plan) []types.ReplicaID {
+func chaosGenerators(q types.QuorumParams, leader types.ReplicaID, plan faultplan.Plan) []types.ReplicaID {
 	var crashed []types.ReplicaID
 	for _, cr := range plan.Crashes {
 		crashed = append(crashed, cr.Replica)
 	}
-	want := (n-1)/3 + 1 // f+1
 	var out []types.ReplicaID
-	for i := 0; i < n && len(out) < want; i++ {
+	for i := 0; i < q.N && len(out) < q.Small(); i++ {
 		if id := types.ReplicaID(i); id != leader && !slices.Contains(crashed, id) {
 			out = append(out, id)
 		}
@@ -255,9 +254,9 @@ func chaosFinish(res *ChaosResult, c *harness.Cluster, ic *harness.InvariantChec
 }
 
 // chaosOnce runs one scheduled plan under the invariant checker.
-func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
-	res := ChaosResult{N: n, Plan: plan.Name}
-	c, ic, stores, err := chaosCluster(n, p, "chaos "+res.Plan, nil)
+func chaosOnce(q types.QuorumParams, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
+	res := ChaosResult{N: q.N, Plan: plan.Name}
+	c, ic, stores, err := chaosCluster(q.N, p, "chaos "+res.Plan, nil)
 	if err != nil {
 		return res, err
 	}
@@ -270,7 +269,7 @@ func chaosOnce(n int, plan faultplan.Plan, p chaosParams) (ChaosResult, error) {
 	leader := c.Replicas[0].Leader()
 	end := plan.End()
 	deadline := end + p.grace
-	scheduleLoad(c, chaosGenerators(n, leader, plan), p.dbRequests, p.loadEvery, deadline)
+	scheduleLoad(c, chaosGenerators(q, leader, plan), p.dbRequests, p.loadEvery, deadline)
 
 	c.Net.Run(end)
 	h0 := maxExecuted(c)
@@ -365,11 +364,12 @@ type ChaosRows []ChaosResult
 func chaosScenario(scales []int, p chaosParams) (ChaosRows, error) {
 	var out ChaosRows
 	for _, n := range scales {
-		if n < 4 {
-			return nil, fmt.Errorf("need n >= 4, got %d", n)
+		q, err := types.NewQuorumParams(n)
+		if err != nil {
+			return nil, err
 		}
-		for _, plan := range chaosPlans(n, p.seed) {
-			r, err := chaosOnce(n, plan, p)
+		for _, plan := range chaosPlans(q, p.seed) {
+			r, err := chaosOnce(q, plan, p)
 			if err != nil {
 				return nil, fmt.Errorf("n=%d plan=%s: %w", n, plan.Name, err)
 			}

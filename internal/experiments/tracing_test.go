@@ -28,8 +28,12 @@ func TestChaosTraceDeterministic(t *testing.T) {
 	run := func() []byte {
 		col := withTracing(t)
 		p := defaultChaosParams()
-		plan := chaosPlans(4, p.seed)[0]
-		r, err := chaosOnce(4, plan, p)
+		q, err := types.NewQuorumParams(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := chaosPlans(q, p.seed)[0]
+		r, err := chaosOnce(q, plan, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"slices"
 	"testing"
+
+	"leopard/internal/types"
 )
 
 // TestWireFidelityExecutesAlike runs the seeded chaos plans at n=4 and
@@ -17,12 +19,16 @@ import (
 // its release breaks one of those checks.
 func TestWireFidelityExecutesAlike(t *testing.T) {
 	for _, n := range []int{4, 8} {
-		for _, plan := range chaosPlans(n, 1) {
+		q, err := types.NewQuorumParams(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range chaosPlans(q, 1) {
 			var runs [2]ChaosResult
 			for i, wire := range []bool{false, true} {
 				p := defaultChaosParams()
 				p.wire = wire
-				r, err := chaosOnce(n, plan, p)
+				r, err := chaosOnce(q, plan, p)
 				if err != nil {
 					t.Fatalf("n=%d plan=%s wire=%v: %v", n, plan.Name, wire, err)
 				}

@@ -23,7 +23,7 @@ func (n *Node) maybePropose(out transport.Sink) {
 		if n.nextSeq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
 			return // watermark window full; wait for checkpoints
 		}
-		if inst := n.cur.instances[n.nextSeq]; inst != nil && !inst.digest.IsZero() {
+		if inst := n.cur.instances[n.nextSeq]; inst != nil && !inst.rounds[0].lock.IsZero() {
 			// A reloaded vote-ahead lock pins this slot to content proposed
 			// in a previous life that we no longer hold. Proposing anything
 			// else would equivocate; the view change resolves the slot.
@@ -45,37 +45,20 @@ func (n *Node) maybePropose(out transport.Sink) {
 		if !full {
 			n.stats.PartialBlocks++
 		}
-		if err := n.propose(block, out); err != nil {
-			// Signing with our own key cannot fail in a correct setup.
-			panic(err)
-		}
+		n.propose(block, out)
 	}
 }
 
-// propose starts the agreement instance for block at the leader.
-func (n *Node) propose(block *types.BFTblock, out transport.Sink) error {
-	digest := crypto.HashBFTblock(block)
-	share, err := n.suite.Sign(n.cfg.ID, digest)
-	if err != nil {
-		return err
-	}
-	// The proposal embeds the leader's first-round vote: log it durably
-	// ahead of the broadcast so a crash right after sending cannot forget
-	// it. On a persist failure nothing leaves the node — the fail-stop has
-	// latched and the slot stays unvoted in this life.
-	if !n.persistVote(1, block.Seq, digest) {
-		return nil
-	}
+// propose starts the agreement instance for block at the leader. The
+// proposal carries the leader's round-1 vote (vote), so it leaves only once
+// that vote is durable; on a persist failure nothing leaves the node — the
+// fail-stop has latched and the slot stays unvoted in this life.
+func (n *Node) propose(block *types.BFTblock, out transport.Sink) {
 	inst := n.getInstance(block.Seq)
 	inst.block = block
-	inst.digest = digest
-	inst.state = types.StatePending
+	inst.rounds[0].digest = crypto.HashBFTblock(block)
 	inst.proposedAt = n.now
-	inst.voted1 = true
-	inst.votes1.add(digest, share, n.q.Quorum())
-	n.trace(obs.EvBlockProposed, uint64(block.Seq), int64(len(block.Content)))
-	out.Broadcast(&BFTblockMsg{Block: block, LeaderShare: share})
-	return nil
+	n.vote(inst, 1, out)
 }
 
 // persistVote durably appends one vote-ahead record for the current view
@@ -113,7 +96,7 @@ func (n *Node) persistNote(inst *instance) bool {
 		return true
 	}
 	if err := n.store.AppendNote(storage.NoteRecord{
-		Block: inst.block, Notarized: *inst.notarized,
+		Block: inst.block, Notarized: *inst.rounds[0].cert,
 	}); err != nil {
 		n.stats.WALErrors++
 		n.walFailed = true
@@ -223,7 +206,7 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 	}
 	digest := crypto.HashBFTblock(block)
 	inst := n.cur.instances[block.Seq]
-	if inst != nil && !inst.digest.IsZero() && inst.digest != digest {
+	if inst != nil && !inst.rounds[0].admits(digest) {
 		// The slot is locked to another digest: leader equivocation, or a
 		// vote of a previous life on content the leader no longer offers.
 		return
@@ -238,7 +221,7 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 	if inst.block == nil {
 		//lint:retains-frame the accepted proposal owns its frame for the instance's lifetime; it is re-encoded (not re-sliced) for the WAL, so no aliasing escapes
 		inst.block = block
-		inst.digest = digest
+		inst.rounds[0].digest = digest
 		inst.proposedAt = n.now
 		n.trace(obs.EvBlockProposed, uint64(block.Seq), int64(len(block.Content)))
 	}
@@ -249,7 +232,7 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 // checkDatablocks verifies receipt of every linked datablock (Alg. 2 line
 // 39) and either casts the first-round vote or starts retrieval.
 func (n *Node) checkDatablocks(inst *instance, out transport.Sink) {
-	if inst.voted1 || inst.block == nil {
+	if inst.rounds[0].voted || inst.block == nil {
 		return
 	}
 	if inst.missing == nil {
@@ -264,39 +247,49 @@ func (n *Node) checkDatablocks(inst *instance, out transport.Sink) {
 	if len(inst.missing) > 0 {
 		return
 	}
-	n.castVote1(inst, out)
+	n.vote(inst, 1, out)
 }
 
-// castVote1 signs H(m) and sends the share to the leader (prepare stage).
-func (n *Node) castVote1(inst *instance, out transport.Sink) {
-	if inst.voted1 {
+// vote casts this replica's share in round k of inst: once in this life, not
+// during a view change, and only on the digest the round's lock admits. The
+// share is signed, then made durable — round 2 first stages the notarization
+// it endorses (persistNote) — and only then recorded and let go: a follower
+// sends it to the leader, the leader counts it, and the leader's round-1
+// share leaves in its proposal. A vote the store could not persist is never
+// recorded or sent (the failure latched the fail-stop).
+func (n *Node) vote(inst *instance, k int, out transport.Sink) {
+	r := inst.round(k)
+	if r.voted || n.inViewChange || !r.admits(r.digest) {
 		return
 	}
 	n.checkStoreHealth()
 	if n.walFailed {
 		return // fail-stop: cannot durably log the vote
 	}
-	share, err := n.suite.Sign(n.cfg.ID, inst.digest)
+	share, err := n.suite.Sign(n.cfg.ID, r.digest)
 	if err != nil {
 		return
 	}
-	// Durable lock first: a vote the store could not persist is never
-	// recorded or sent (the failure latched the fail-stop above).
-	if !n.persistVote(1, inst.block.Seq, inst.digest) {
+	if k == 2 && !n.persistNote(inst) || !n.persistVote(uint8(k), inst.block.Seq, r.digest) {
 		return
 	}
-	inst.voted1 = true
-	if n.isLeader() {
-		inst.votes1.add(inst.digest, share, n.q.Quorum())
+	r.voted = true
+	if !n.isLeader() {
+		out.Send(transport.Unicast(n.Leader(), &VoteMsg{
+			Block: inst.block.ID(), Round: k, Digest: r.digest, Share: share,
+		}))
 		return
 	}
-	out.Send(transport.Unicast(n.Leader(), &VoteMsg{
-		Block: inst.block.ID(), Round: 1, Digest: inst.digest, Share: share,
-	}))
+	n.count(inst, k, share, out)
+	if k == 1 {
+		n.trace(obs.EvBlockProposed, uint64(inst.block.Seq), int64(len(inst.block.Content)))
+		out.Broadcast(&BFTblockMsg{Block: inst.block, LeaderShare: share})
+	}
 }
 
-// handleVote collects threshold shares at the leader (notarize and confirm
-// stages of Alg. 2).
+// handleVote takes a vote at the leader (notarize and confirm stages of
+// Alg. 2): a plain share from its sender on the round's digest, one per
+// voter, until the round has its certificate.
 func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) {
 	if n.inViewChange || m.Block.View != n.view || !n.isLeader() {
 		return
@@ -305,66 +298,61 @@ func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) 
 	if inst == nil || inst.block == nil {
 		return
 	}
-	switch m.Round {
-	case 1:
-		if m.Digest != inst.digest || inst.notarized != nil || inst.votes1.has(from) ||
-			!n.plainShareFrom(from, inst.digest, m.Share) {
-			return
-		}
-		//lint:retains-frame verified vote shares (~100B of a ~120B frame) are held until quorum aggregation; copying would double the allocation for no lifetime win
-		if shares := inst.votes1.add(inst.digest, m.Share, n.q.Quorum()); shares != nil {
-			n.leaderNotarize(inst, shares, out)
-		}
-	case 2:
-		if inst.notarized == nil || m.Digest != inst.sigma1Digest || inst.confirmed != nil || inst.votes2.has(from) ||
-			!n.plainShareFrom(from, inst.sigma1Digest, m.Share) {
-			return
-		}
-		//lint:retains-frame verified vote shares (~100B of a ~120B frame) are held until quorum aggregation; copying would double the allocation for no lifetime win
-		if shares := inst.votes2.add(inst.sigma1Digest, m.Share, n.q.Quorum()); shares != nil {
-			n.leaderConfirm(inst, shares, out)
-		}
+	r := inst.round(m.Round)
+	if r == nil || r.digest.IsZero() || m.Digest != r.digest || r.cert != nil || r.tally.has(from) ||
+		!n.plainShareFrom(from, r.digest, m.Share) {
+		return
 	}
+	//lint:retains-frame verified vote shares (~100B of a ~120B frame) are held until quorum aggregation; copying would double the allocation for no lifetime win
+	n.count(inst, m.Round, m.Share, out)
 }
 
-// leaderNotarize combines 2f+1 first-round shares into the notarization
-// proof σ1, multicasts it, and casts the leader's second-round vote.
-func (n *Node) leaderNotarize(inst *instance, shares []crypto.Share, out transport.Sink) {
-	proof, err := n.suite.Combine(inst.digest, shares)
+// count adds a verified share to round k's tally at the leader. At 2f+1 it
+// combines them into the round's certificate, records it, multicasts it and
+// then acts on it.
+func (n *Node) count(inst *instance, k int, share crypto.Share, out transport.Sink) {
+	r := inst.round(k)
+	shares := r.tally.add(r.digest, share, n.q.Quorum())
+	if shares == nil {
+		return
+	}
+	proof, err := n.suite.Combine(r.digest, shares)
 	if err != nil {
 		return
 	}
-	n.notarize(inst, proof)
-	out.Broadcast(&ProofMsg{
-		Block: inst.block.ID(), Round: 1, Digest: inst.digest, Proof: proof,
-	})
-	// Leader's own second-round vote. The σ1 broadcast above is only a
-	// relay of others' shares; the vote itself must not be counted unless
-	// the certificate and the vote record are durably logged first.
-	n.checkStoreHealth()
-	if n.walFailed {
-		return
-	}
-	share, err := n.suite.Sign(n.cfg.ID, inst.sigma1Digest)
-	if err != nil {
-		return
-	}
-	if !n.persistNote(inst) || !n.persistVote(2, inst.block.Seq, inst.sigma1Digest) {
-		return
-	}
-	inst.voted2 = true
-	inst.votes2.add(inst.sigma1Digest, share, n.q.Quorum())
+	n.certify(inst, k, proof)
+	out.Broadcast(&ProofMsg{Block: inst.block.ID(), Round: k, Digest: r.digest, Proof: proof})
+	n.advance(inst, k, out)
 }
 
-// notarize records σ1 on the instance and offers it to the slot.
-func (n *Node) notarize(inst *instance, proof crypto.Proof) {
-	inst.notarized = &proof
-	inst.sigma1Digest = crypto.HashBytes(proof.Sig)
+// certify records round k's certificate on inst. σ1 notarizes the block:
+// H(σ1) becomes what round 2 signs, and the slot learns the notarization. σ2
+// also goes beside the slot's notarization while that is this instance's,
+// where view-change messages ship it as NotarizedBlock.Confirmed.
+func (n *Node) certify(inst *instance, k int, proof crypto.Proof) {
+	inst.round(k).cert = &proof
+	if k == 2 {
+		if s := n.slots[inst.block.Seq]; s != nil && s.notarized.Block == inst.block {
+			s.notarized.Confirmed = &proof
+		}
+		return
+	}
+	inst.rounds[1].digest = crypto.HashBytes(proof.Sig)
 	if inst.state < types.StateNotarized {
 		inst.state = types.StateNotarized
 	}
 	n.trace(obs.EvSigma1Cert, uint64(inst.block.Seq), 0)
-	n.learnNotarization(NotarizedBlock{Block: inst.block, Digest: inst.digest, Notarized: proof})
+	n.learnNotarization(NotarizedBlock{Block: inst.block, Digest: inst.rounds[0].digest, Notarized: proof})
+}
+
+// advance acts on round k's certificate: σ1 starts round 2, σ2 confirms the
+// block.
+func (n *Node) advance(inst *instance, k int, out transport.Sink) {
+	if k == 1 {
+		n.vote(inst, 2, out)
+		return
+	}
+	n.confirmBlock(inst, out)
 }
 
 // learnNotarization keeps nb on its slot if it is the highest-view σ1
@@ -379,30 +367,6 @@ func (n *Node) learnNotarization(nb NotarizedBlock) bool {
 	}
 	s.notarized = nb
 	return true
-}
-
-// confirm records σ2 on the instance — and, while the slot's notarization is
-// this instance's, beside it, where view-change messages ship it as
-// NotarizedBlock.Confirmed — then confirms the block.
-func (n *Node) confirm(inst *instance, proof crypto.Proof, out transport.Sink) {
-	inst.confirmed = &proof
-	if s := n.slots[inst.block.Seq]; s != nil && s.notarized.Block == inst.block {
-		s.notarized.Confirmed = inst.confirmed
-	}
-	n.confirmBlock(inst, out)
-}
-
-// leaderConfirm combines 2f+1 second-round shares into the confirmation
-// proof σ2, multicasts it, and confirms locally.
-func (n *Node) leaderConfirm(inst *instance, shares []crypto.Share, out transport.Sink) {
-	proof, err := n.suite.Combine(inst.sigma1Digest, shares)
-	if err != nil {
-		return
-	}
-	out.Broadcast(&ProofMsg{
-		Block: inst.block.ID(), Round: 2, Digest: inst.sigma1Digest, Proof: proof,
-	})
-	n.confirm(inst, proof, out)
 }
 
 // handleProof processes notarization/confirmation proofs at replicas
@@ -440,65 +404,20 @@ func (n *Node) handleProof(from types.ReplicaID, m *ProofMsg, out transport.Sink
 	n.applyProof(inst, m.Round, m.Digest, m.Proof, out)
 }
 
-// applyProof validates and applies a proof to an instance.
-func (n *Node) applyProof(inst *instance, round int, digest types.Hash, proof crypto.Proof, out transport.Sink) {
-	switch round {
-	case 1:
-		if inst.notarized != nil || digest != inst.digest {
-			return
-		}
-		if err := n.suite.VerifyProof(digest, proof); err != nil {
-			return
-		}
-		n.notarize(inst, proof)
-		n.castVote2(inst, out)
-	case 2:
-		if inst.confirmed != nil {
-			return
-		}
-		// A replica that never saw σ1 (e.g. it was retrieving) can still
-		// verify σ2 once it learns H(σ1) — but H(σ1) must come from σ1
-		// itself, so require notarization first.
-		if inst.notarized == nil || digest != inst.sigma1Digest {
-			return
-		}
-		if err := n.suite.VerifyProof(digest, proof); err != nil {
-			return
-		}
-		n.confirm(inst, proof, out)
-	}
-}
-
-// castVote2 signs H(σ1) and sends the second-round share to the leader
-// (commit stage).
-func (n *Node) castVote2(inst *instance, out transport.Sink) {
-	if inst.voted2 || n.inViewChange {
+// applyProof verifies a round's proof and applies it to an instance. A
+// round-2 proof waits for notarization: a replica that never saw σ1 (e.g. it
+// was retrieving) can still verify σ2 once it learns H(σ1), but H(σ1) must
+// come from σ1 itself.
+func (n *Node) applyProof(inst *instance, k int, digest types.Hash, proof crypto.Proof, out transport.Sink) {
+	r := inst.round(k)
+	if r == nil || r.cert != nil || r.digest.IsZero() || digest != r.digest {
 		return
 	}
-	if !inst.vote2Lock.IsZero() && inst.vote2Lock != inst.sigma1Digest {
-		return // reloaded vote-ahead lock: already signed a different σ1 digest
-	}
-	n.checkStoreHealth()
-	if n.walFailed {
-		return // fail-stop: cannot durably log the vote
-	}
-	share, err := n.suite.Sign(n.cfg.ID, inst.sigma1Digest)
-	if err != nil {
+	if err := n.suite.VerifyProof(digest, proof); err != nil {
 		return
 	}
-	// Stage the notarization certificate, then durably log the vote (one
-	// fsync covers both); only then is the vote recorded and sent.
-	if !n.persistNote(inst) || !n.persistVote(2, inst.block.Seq, inst.sigma1Digest) {
-		return
-	}
-	inst.voted2 = true
-	if n.isLeader() {
-		inst.votes2.add(inst.sigma1Digest, share, n.q.Quorum())
-		return
-	}
-	out.Send(transport.Unicast(n.Leader(), &VoteMsg{
-		Block: inst.block.ID(), Round: 2, Digest: inst.sigma1Digest, Share: share,
-	}))
+	n.certify(inst, k, proof)
+	n.advance(inst, k, out)
 }
 
 // flushEarlyProofs replays proofs that arrived before the block.
@@ -529,7 +448,7 @@ func (n *Node) confirmBlock(inst *instance, out transport.Sink) {
 	// The certificates stay with the block: execution may happen after a
 	// view change has reset the instance, and the WAL record must carry
 	// them for state-transfer receivers to verify.
-	s.block, s.sigma1, s.sigma2 = inst.block, *inst.notarized, *inst.confirmed
+	s.block, s.sigma1, s.sigma2 = inst.block, *inst.rounds[0].cert, *inst.rounds[1].cert
 	n.trace(obs.EvSigma2Cert, uint64(inst.block.Seq), 0)
 	if inst.block.Seq > n.maxConfirmed {
 		// A frontier gap below maxConfirmed starts the stuckBehind clock

@@ -23,6 +23,17 @@
 // so the number of requests that share one block's signatures grows with
 // load instead of being set by a constant.
 //
+// Agreement is one round run twice. An instance holds two values of type
+// round, each with the digest it signs (H(m), then H(σ1)), the lock a
+// reloaded vote set, this life's voted flag, the leader's tally and the
+// certificate. Every vote goes through one function, vote: it checks the
+// lock, signs, persists, and then counts the share at the leader or sends
+// it (the leader's round-1 share leaves in its proposal). The leader
+// combines 2f+1 shares in count, and replicas verify the certificate in
+// applyProof. Only three things differ by round: round 1 waits for the
+// linked datablocks, round 2 stages the notarization before its vote
+// record, and σ1 starts round 2 where σ2 confirms the block (advance).
+//
 // What a replica holds is grouped by what ends it, and each group is let go
 // in one place. Everything that dies with the view — the agreement
 // instances with their vote locks, proofs that overtook their block, the

@@ -17,25 +17,41 @@ import (
 // instance is one agreement instance: one serial number in one view.
 type instance struct {
 	block *types.BFTblock
-	// digest is H(m), and the first-round lock: once it is set the instance
-	// takes no proposal with another digest. A first-round vote reloaded at
-	// Start sets it before any block is held.
-	digest       types.Hash
-	sigma1Digest types.Hash // H(σ1), defined once notarized
-	// vote2Lock is the H(σ1) that a second-round vote reloaded at Start
-	// signed, zero without one; castVote2 signs no other.
-	vote2Lock  types.Hash
+	// rounds are Alg. 2's two rounds, round k at rounds[k-1]: round 1 signs
+	// H(m) and its certificate σ1 notarizes, round 2 signs H(σ1) and σ2
+	// confirms.
+	rounds     [2]round
 	state      types.BlockState
 	missing    map[types.Hash]struct{} // linked datablocks not yet held
-	voted1     bool                    // first-round vote cast in this life
-	voted2     bool                    // second-round vote cast in this life
 	proposedAt time.Duration
+}
 
-	// Leader-only vote collection.
-	votes1, votes2 tally
+// round is one agreement round of an instance: replicas sign its digest, the
+// leader combines 2f+1 shares into its certificate, and replicas verify that.
+type round struct {
+	// digest is what the round signs: H(m) once the block is held, H(σ1)
+	// once it is notarized; zero before.
+	digest types.Hash
+	// lock is the digest a vote reloaded at Start signed, zero without one:
+	// the round signs no other, and round 1 takes no proposal with another.
+	lock  types.Hash
+	voted bool  // this replica's vote cast in this life
+	tally tally // leader only: the shares toward cert
+	cert  *crypto.Proof
+}
 
-	notarized *crypto.Proof
-	confirmed *crypto.Proof
+// round returns round k (1 or 2) of inst, nil for any other k.
+func (inst *instance) round(k int) *round {
+	if k < 1 || k > len(inst.rounds) {
+		return nil
+	}
+	return &inst.rounds[k-1]
+}
+
+// admits reports whether the round may sign d: it signs no other digest
+// yet, and no vote reloaded at Start pinned it to another.
+func (r *round) admits(d types.Hash) bool {
+	return (r.digest.IsZero() || r.digest == d) && (r.lock.IsZero() || r.lock == d)
 }
 
 // viewRecord is everything a replica holds that dies with the view. NewNode

@@ -129,13 +129,13 @@ func (n *Node) recoverFromStore(out transport.Sink) {
 // reloadVoteLocks restores the vote-ahead locks from the store: every
 // persisted vote above the recovered execution frontier re-pins its
 // (view, seq) slot, so this life cannot sign different content where the
-// previous one already voted. A round-1 vote sets the digest of the slot's
-// instance ahead of its block (the lock handleBFTblock checks against
-// equivocating proposals, and the one maybePropose refuses to re-propose
-// over); a round-2 vote pins the σ1 digest castVote2 may sign. The locks
-// live in the view record and go with it, so votes from earlier views need
-// none, and a vote from a later view than the recovered meta proves that
-// view was entered, so the view advances to match.
+// previous one already voted. A vote of round k sets that round's lock on
+// the slot's instance, ahead of its block: the round signs no other digest
+// (vote), round 1 takes no proposal with another (handleBFTblock), and the
+// leader proposes nothing over it (maybePropose). The locks live in the
+// view record and go with it, so votes from earlier views need none, and a
+// vote from a later view than the recovered meta proves that view was
+// entered, so the view advances to match.
 //
 //lint:voteahead-exempt replaying locks FROM the durable vote log: every record written here was persisted by a checked persistVote in a previous life
 func (n *Node) reloadVoteLocks(st storage.Store) {
@@ -149,11 +149,8 @@ func (n *Node) reloadVoteLocks(st storage.Store) {
 		if v.View != n.view || v.Seq <= n.executedTo {
 			continue
 		}
-		switch v.Round {
-		case 1:
-			n.getInstance(v.Seq).digest = v.Digest
-		case 2:
-			n.getInstance(v.Seq).vote2Lock = v.Digest
+		if v.Round == 1 || v.Round == 2 {
+			n.getInstance(v.Seq).rounds[v.Round-1].lock = v.Digest
 		}
 		n.stats.VotesReloaded++
 	}

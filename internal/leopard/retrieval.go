@@ -326,8 +326,8 @@ func (n *Node) resolveMissing(h types.Hash, out transport.Sink) {
 		if inst.missing != nil {
 			delete(inst.missing, h)
 		}
-		if len(inst.missing) == 0 && !inst.voted1 && !n.inViewChange {
-			n.castVote1(inst, out)
+		if len(inst.missing) == 0 {
+			n.vote(inst, 1, out)
 		}
 	}
 	n.tryExecute(out)

@@ -438,9 +438,7 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 			// Propose every redo slot — including blocks already confirmed
 			// locally, so lagging replicas converge (cheap: content is only
 			// hashes).
-			if err := n.propose(blk, out); err != nil {
-				return
-			}
+			n.propose(blk, out)
 			if n.walFailed {
 				return // a failed vote persist latched the fail-stop mid-redo
 			}

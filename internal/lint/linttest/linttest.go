@@ -13,7 +13,7 @@
 //
 // Expectations are comments of the form
 //
-//	n.voted1 = true // want `vote state "voted1" recorded`
+//	r.voted = true // want `vote state "voted" recorded`
 //
 // where each backquoted string is a regular expression that must match the
 // message of exactly one diagnostic reported on that line. Diagnostics

@@ -12,18 +12,24 @@ type BFTblockMsg struct{ Seq uint64 }
 
 type ProofMsg struct{ Seq uint64 }
 
+type round struct {
+	voted bool
+	lock  Hash
+}
+
 type Node struct {
-	voted1    bool
-	voted2    bool
-	vote2Lock Hash
-	failed    bool
+	rounds [2]round
+	failed bool
 }
 
 func (n *Node) persistVote(round int, seq uint64) bool { return !n.failed }
 
+func (n *Node) persistNote(seq uint64) bool { return !n.failed }
+
 func (n *Node) unguardedVote(seq uint64, out transport.Sink) {
-	n.voted1 = true                   // want `vote state "voted1" recorded without a preceding checked persistVote`
-	n.vote2Lock = Hash{}              // want `vote state "vote2Lock" recorded without a preceding checked persistVote`
+	r := &n.rounds[0]
+	r.voted = true                    // want `vote state "voted" recorded without a preceding checked persistVote`
+	n.rounds[1].lock = Hash{}         // want `vote state "lock" recorded without a preceding checked persistVote`
 	out.Broadcast(&VoteMsg{Seq: seq}) // want `\*VoteMsg put on the Sink without a preceding checked persistVote`
 }
 
@@ -38,24 +44,31 @@ func (n *Node) uncheckedPersist(seq uint64, out transport.Sink) {
 	out.Broadcast(&VoteMsg{Seq: seq}) // want `\*VoteMsg put on the Sink without a preceding checked persistVote`
 }
 
-func (n *Node) guardedVote(seq uint64, out transport.Sink) {
+// sendAboveGuard lets the vote go before the guard that should cover it.
+func (n *Node) sendAboveGuard(seq uint64, out transport.Sink) {
+	out.Send(transport.Envelope{Msg: &VoteMsg{Seq: seq}}) // want `\*VoteMsg put on the Sink without a preceding checked persistVote`
 	if !n.persistVote(1, seq) {
 		return
 	}
-	n.voted1 = true
-	n.vote2Lock = Hash{}
-	out.Broadcast(&VoteMsg{Seq: seq})
+	n.rounds[0].voted = true
 }
 
-func (n *Node) guardedVote2(seq uint64, out transport.Sink) {
-	if !n.persistNote(seq) || !n.persistVote(2, seq) {
+// vote is the guarded vote path: round 2 stages its note before the vote
+// record, and a round-1 vote of the leader leaves in its proposal.
+func (n *Node) vote(k int, seq uint64, leader bool, out transport.Sink) {
+	r := &n.rounds[k-1]
+	if k == 2 && !n.persistNote(seq) || !n.persistVote(k, seq) {
 		return
 	}
-	n.voted2 = true
-	out.Broadcast(&VoteMsg{Seq: seq})
+	r.voted = true
+	if !leader {
+		out.Send(transport.Envelope{Msg: &VoteMsg{Seq: seq}})
+		return
+	}
+	if k == 1 {
+		out.Broadcast(&BFTblockMsg{Seq: seq})
+	}
 }
-
-func (n *Node) persistNote(seq uint64) bool { return !n.failed }
 
 // relayProof broadcasts a ProofMsg, which relays others' shares and is not a
 // vote kind: no guard required.
@@ -67,5 +80,5 @@ func (n *Node) relayProof(seq uint64, out transport.Sink) {
 //
 //lint:voteahead-exempt fixture: replaying records that were persisted by a previous life
 func (n *Node) reload(seq uint64) {
-	n.vote2Lock = Hash{}
+	n.rounds[1].lock = Hash{}
 }

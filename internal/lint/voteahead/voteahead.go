@@ -7,11 +7,11 @@
 // different content for the same (view, seq) slot, i.e. equivocate. The
 // codebase therefore requires every path that sends a vote-carrying message
 // (VoteMsg, or BFTblockMsg, whose LeaderShare embeds the leader's round-1
-// vote) or records local vote state (an instance's voted1/voted2 flags and
-// its vote2Lock) to first pass a checked persist guard:
+// vote) or records local vote state (an agreement round's voted flag and
+// its reloaded lock) to first pass a checked persist guard:
 //
 //	if !n.persistVote(...) { return }            // or
-//	if !n.persistNote(inst) || !n.persistVote(...) { return }
+//	if k == 2 && !n.persistNote(inst) || !n.persistVote(...) { return }
 //
 // persistVote flushes and fsyncs the vote record before returning and
 // latches the fail-stop on error, so after the guard either the durable
@@ -19,7 +19,9 @@
 //
 // Before this analyzer the discipline was enforced at four call sites by
 // convention — and was shipped broken once (the PR 6 review found persist
-// failures that did not abort the vote). The check here is positional
+// failures that did not abort the vote). Every vote now goes through one
+// function, but the check still covers the whole package, so a second vote
+// path cannot come back unguarded. The check here is positional
 // within each function: every emission/record site must be preceded by a
 // persist guard whose body aborts the path. That is an approximation of
 // dominance, but it is exact for the shape this codebase uses (straight-
@@ -54,8 +56,8 @@ const scopePath = "leopard/internal/leopard"
 var voteMsgTypes = map[string]bool{"VoteMsg": true, "BFTblockMsg": true}
 
 // voteStateFields are the node-local vote bookkeeping that must never run
-// ahead of the durable record.
-var voteStateFields = map[string]bool{"voted1": true, "voted2": true, "vote2Lock": true}
+// ahead of the durable record: a round's voted flag and its lock.
+var voteStateFields = map[string]bool{"voted": true, "lock": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	if pass.ImportPath != scopePath {
@@ -189,7 +191,7 @@ func containsVoteMsg(pass *analysis.Pass, expr ast.Expr) (string, bool) {
 }
 
 // recordsVoteState matches assignment targets that record a cast vote:
-// `x.voted1 = ...`, `x.voted2 = ...`, `x.vote2Lock = ...`.
+// `x.voted = ...`, `x.lock = ...`.
 func recordsVoteState(lhs ast.Expr) (string, bool) {
 	if e, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && voteStateFields[e.Sel.Name] {
 		return e.Sel.Name, true

@@ -135,7 +135,7 @@ func TestSchedResetConnRewinds(t *testing.T) {
 	if !ok {
 		t.Fatal("nothing to send after reset")
 	}
-	hdr, err := transport.ParseStreamHeader(body[1:])
+	hdr, err := transport.ParseStreamHeader(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSchedChunksReassemble(t *testing.T) {
 			break
 		}
 		s.chunkWritten()
-		hdr, err := transport.ParseStreamHeader(body[1:])
+		hdr, err := transport.ParseStreamHeader(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkStreamSend(b *testing.B) {
 						s.grant(0, consumed)
 						continue
 					}
-					hdr, err := transport.ParseStreamHeader(body[1:])
+					hdr, err := transport.ParseStreamHeader(body)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -319,25 +319,66 @@ type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestWireWriterAllocs: the send loop writes a small frame — a vote, a
-// ready message, a chunk's header — from its own buffer, with no
-// allocation per frame.
+// recordConn is a net.Conn that keeps what is written to it.
+type recordConn struct {
+	net.Conn
+	buf []byte
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	return len(p), nil
+}
+
+// TestWireWriterAllocs: the send loop writes a frame — a control frame (a
+// vote), a credit grant taken from the mailbox, a chunk's header — from its
+// own buffers, and the read loop reads a grant and a chunk's header back
+// into its own, with no allocation per frame.
 func TestWireWriterAllocs(t *testing.T) {
 	w := new(wireWriter)
-	var conn net.Conn = discardConn{}
+	conn := new(recordConn)
+	p := &peer{grantNotify: make(chan struct{}, 1)}
+	grantBuf := make([]byte, 0, grantSize)
+	hdrBuf := make([]byte, 0, transport.StreamHeaderSize)
 	vote := make([]byte, 120)
-	chunk := make([]byte, 1+transport.StreamHeaderSize)
 	payload := make([]byte, 64<<10)
+	rd := new(wireReader)
+	var src bytes.Reader
+	var consumed int64
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := w.write(conn, vote, nil); err != nil {
+		conn.buf = conn.buf[:0]
+		if err := w.write(conn, frameKindMsg, vote, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.write(conn, chunk, payload); err != nil {
+		consumed++
+		p.setGrant(1, consumed)
+		if err := w.write(conn, frameKindCredit, p.takeGrant(grantBuf), nil); err != nil {
 			t.Fatal(err)
+		}
+		hdr := transport.AppendStreamHeader(hdrBuf[:0], transport.StreamHeader{
+			StreamID: 7, Total: uint64(len(payload)), Fin: true,
+		})
+		if err := w.write(conn, frameKindChunk, hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+		// Read back what follows the vote (reading a whole message
+		// allocates its body by design: it passes to the codec).
+		src.Reset(conn.buf[5+len(vote):])
+		kind, body, _, err := rd.read(&src, maxFrame)
+		if err != nil || kind != frameKindCredit ||
+			binary.BigEndian.Uint32(body[:4]) != 1 || int64(binary.BigEndian.Uint64(body[4:])) != consumed {
+			t.Fatalf("grant read back as kind %d body %x err %v", kind, body, err)
+		}
+		kind, body, n, err := rd.read(&src, maxFrame)
+		if err != nil || kind != frameKindChunk || n != len(payload) || !bytes.Equal(body, hdr) {
+			t.Fatalf("chunk read back as kind %d header %x payload %d err %v", kind, body, n, err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("writing two small frames made %.0f allocations", allocs)
+		t.Fatalf("writing three frames and reading two made %.0f allocations", allocs)
+	}
+	if got := conn.buf[:5]; binary.BigEndian.Uint32(got[:4]) != uint32(1+len(vote)) || got[4] != frameKindMsg {
+		t.Fatalf("control frame prefix %x, want length %d and kind %d", got, 1+len(vote), frameKindMsg)
 	}
 }
 
@@ -366,7 +407,7 @@ func TestSchedFinChunkSurvivesReconnect(t *testing.T) {
 	if !ok {
 		t.Fatal("stream not retransmitted after reconnect")
 	}
-	hdr, err := transport.ParseStreamHeader(body[1:])
+	hdr, err := transport.ParseStreamHeader(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,39 +473,39 @@ func TestSchedStaleEpochGrantIgnored(t *testing.T) {
 // connection epoch, and ignores stale regressions within an epoch.
 func TestPeerGrantMailboxCoalesces(t *testing.T) {
 	p := &peer{grantNotify: make(chan struct{}, 1)}
-	if got := p.takeGrant(); got != nil {
+	if got := p.takeGrant(nil); got != nil {
 		t.Fatalf("empty mailbox yielded %x", got)
 	}
 	p.setGrant(1, 100)
 	p.setGrant(1, 250) // coalesces: only the newest counter matters
-	body := p.takeGrant()
-	if body == nil || body[0] != frameKindCredit {
+	body := p.takeGrant(nil)
+	if len(body) != grantSize {
 		t.Fatalf("mailbox body %x", body)
 	}
-	if e := binary.BigEndian.Uint32(body[1:5]); e != 1 {
+	if e := binary.BigEndian.Uint32(body[:4]); e != 1 {
 		t.Fatalf("epoch %d, want 1", e)
 	}
-	if c := binary.BigEndian.Uint64(body[5:]); c != 250 {
+	if c := binary.BigEndian.Uint64(body[4:]); c != 250 {
 		t.Fatalf("consumed %d, want 250 (coalesced)", c)
 	}
-	if p.takeGrant() != nil {
+	if p.takeGrant(nil) != nil {
 		t.Fatal("mailbox not drained by takeGrant")
 	}
 	// Within an epoch the counter only grows: a higher value re-arms the
 	// mailbox, a duplicate or regression does not.
 	p.setGrant(1, 300)
-	if p.takeGrant() == nil {
+	if p.takeGrant(nil) == nil {
 		t.Fatal("fresh grant lost")
 	}
 	p.setGrant(1, 200)
-	if p.takeGrant() != nil {
+	if p.takeGrant(nil) != nil {
 		t.Fatal("regressed counter accepted within an epoch")
 	}
 	// A newer epoch replaces outright, even with a smaller counter.
 	p.setGrant(2, 50)
-	body = p.takeGrant()
-	if body == nil || binary.BigEndian.Uint32(body[1:5]) != 2 ||
-		binary.BigEndian.Uint64(body[5:]) != 50 {
+	body = p.takeGrant(nil)
+	if body == nil || binary.BigEndian.Uint32(body[:4]) != 2 ||
+		binary.BigEndian.Uint64(body[4:]) != 50 {
 		t.Fatalf("new-epoch grant body %x", body)
 	}
 	// An OLDER epoch must not clobber the slot: after a reconnect the old
@@ -473,9 +514,9 @@ func TestPeerGrantMailboxCoalesces(t *testing.T) {
 	// the peer would then never re-receive while fully parked).
 	p.setGrant(2, 90)
 	p.setGrant(1, 1<<40)
-	body = p.takeGrant()
-	if body == nil || binary.BigEndian.Uint32(body[1:5]) != 2 ||
-		binary.BigEndian.Uint64(body[5:]) != 90 {
+	body = p.takeGrant(nil)
+	if body == nil || binary.BigEndian.Uint32(body[:4]) != 2 ||
+		binary.BigEndian.Uint64(body[4:]) != 90 {
 		t.Fatalf("stale-epoch grant clobbered the mailbox: %x", body)
 	}
 }

@@ -155,9 +155,9 @@ func (s *streamSched) creditLocked() int64 {
 }
 
 // nextChunk takes the queue's next chunk and debits the credit window. It
-// appends the wire body prefix (frame kind + stream header) to dst[:0] and
-// returns it with the payload slice; ok is false when there is nothing
-// sendable — no streams, or zero credit (parked).
+// appends the chunk's stream header to dst[:0] and returns it with the
+// payload slice; ok is false when there is nothing sendable — no streams,
+// or zero credit (parked).
 func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,8 +172,7 @@ func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
 		// abandons the chunk and resetConn requeues the stream.
 		s.sending = c.Item
 	}
-	body = append(dst[:0], frameKindChunk)
-	body = transport.AppendStreamHeader(body, transport.StreamHeader{
+	body = transport.AppendStreamHeader(dst[:0], transport.StreamHeader{
 		StreamID: c.Item.id,
 		Offset:   uint64(c.Offset),
 		Total:    uint64(c.Total),

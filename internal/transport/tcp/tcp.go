@@ -74,6 +74,9 @@ const (
 	frameKindCredit = 0x02
 )
 
+// grantSize is the body of a frameKindCredit frame: epoch and counter.
+const grantSize = 4 + 8
+
 // Config describes one replica's place in the cluster.
 type Config struct {
 	// Self is this replica's id; Addrs[Self] is the listen address.
@@ -182,8 +185,8 @@ type Runtime struct {
 type peer struct {
 	id   types.ReplicaID
 	addr string
-	// control carries kind-prefixed control-lane wire bodies,
-	// transmitted strictly before bulk chunks.
+	// control carries whole codec frames (frameKindMsg), transmitted
+	// strictly before bulk chunks.
 	control chan []byte
 	// sched streams the bulk lane under credit flow control.
 	sched *streamSched
@@ -225,19 +228,17 @@ func (p *peer) setGrant(epoch uint32, consumed int64) {
 	}
 }
 
-// takeGrant drains the mailbox into a wire body, or returns nil.
-func (p *peer) takeGrant() []byte {
+// takeGrant drains the mailbox: it appends the grant's frame body (epoch,
+// then counter) to dst[:0] and returns it, or returns nil.
+func (p *peer) takeGrant(dst []byte) []byte {
 	p.grantMu.Lock()
 	defer p.grantMu.Unlock()
 	if !p.grantDirty {
 		return nil
 	}
 	p.grantDirty = false
-	body := make([]byte, 1+4+8)
-	body[0] = frameKindCredit
-	binary.BigEndian.PutUint32(body[1:5], p.grantEpoch)
-	binary.BigEndian.PutUint64(body[5:], uint64(p.grantVal))
-	return body
+	body := binary.BigEndian.AppendUint32(dst[:0], p.grantEpoch)
+	return binary.BigEndian.AppendUint64(body, uint64(p.grantVal))
 }
 
 // New creates a runtime for node. Call Run to start serving.
@@ -461,11 +462,10 @@ func (r *Runtime) emit(env transport.Envelope) {
 		f.release()
 		return
 	}
-	// Whole-message wire body, shared read-only across the fan-out.
-	body := append(make([]byte, 0, 1+len(frame)), frameKindMsg)
-	body = append(body, frame...)
+	// The whole frame, shared read-only across the fan-out; each send
+	// loop's writer puts the kind tag in front.
 	for _, p := range r.destinations(env) {
-		p.sendControl(body)
+		p.sendControl(frame)
 	}
 }
 
@@ -480,11 +480,11 @@ func (r *Runtime) destinations(env transport.Envelope) []*peer {
 	return nil
 }
 
-// sendControl queues one control-lane wire body without blocking the apply
+// sendControl queues one control-lane frame without blocking the apply
 // loop; overflow of the bounded queue drops the frame.
-func (p *peer) sendControl(body []byte) {
+func (p *peer) sendControl(frame []byte) {
 	select {
-	case p.control <- body:
+	case p.control <- frame:
 	default:
 		p.drops.Add(1)
 	}
@@ -514,25 +514,27 @@ func (r *Runtime) applyCredit(id types.ReplicaID, epoch uint32, consumed int64) 
 // hands out one chunk at a time, so a control frame enqueued mid-stream
 // waits at most one chunk write. Parked bulk (zero credit) does not
 // busy-wait: the send loop sleeps until a credit grant or a new stream
-// signals the scheduler. Returns ok=false when the runtime stops.
-func (r *Runtime) next(p *peer, hdrBuf []byte) (msg, chunkBody, chunkPayload []byte, ok bool) {
+// signals the scheduler. It returns the frame's kind, its body after the
+// kind tag (a grant in grantBuf, a chunk's stream header in hdrBuf) and a
+// chunk's payload; ok=false when the runtime stops.
+func (r *Runtime) next(p *peer, hdrBuf, grantBuf []byte) (kind byte, body, payload []byte, ok bool) {
 	for {
-		if body := p.takeGrant(); body != nil {
-			return body, nil, nil, true
+		if body := p.takeGrant(grantBuf); body != nil {
+			return frameKindCredit, body, nil, true
 		}
 		select {
 		case f := <-p.control:
-			return f, nil, nil, true
+			return frameKindMsg, f, nil, true
 		default:
 		}
 		if body, payload, ok := p.sched.nextChunk(hdrBuf); ok {
-			return nil, body, payload, true
+			return frameKindChunk, body, payload, true
 		}
 		select {
 		case <-r.stop:
-			return nil, nil, nil, false
+			return 0, nil, nil, false
 		case f := <-p.control:
-			return f, nil, nil, true
+			return frameKindMsg, f, nil, true
 		case <-p.sched.notify:
 		case <-p.grantNotify:
 		}
@@ -564,8 +566,13 @@ func nextDialDelay(cur, max time.Duration, rng *rand.Rand) (delay, next time.Dur
 // interrupted control frame is retransmitted as-is.
 func (r *Runtime) sendLoop(p *peer) {
 	var conn net.Conn
-	var pending []byte // control frame to retransmit after a reconnect
-	hdrBuf := make([]byte, 0, 1+transport.StreamHeaderSize)
+	// pending is a control frame or grant to retransmit after a reconnect.
+	// A grant's body is grantBuf, which next does not touch before pending
+	// is written.
+	var pendingKind byte
+	var pending []byte
+	hdrBuf := make([]byte, 0, transport.StreamHeaderSize)
+	grantBuf := make([]byte, 0, grantSize)
 	w := new(wireWriter)
 	hangUp := func() {
 		if conn != nil {
@@ -617,30 +624,25 @@ func (r *Runtime) sendLoop(p *peer) {
 			}
 		}
 		if pending != nil {
-			if err := w.write(conn, pending, nil); err != nil {
+			if err := w.write(conn, pendingKind, pending, nil); err != nil {
 				hangUp()
 				continue
 			}
 			pending = nil
 		}
-		msg, chunkBody, chunkPayload, ok := r.next(p, hdrBuf)
+		kind, body, payload, ok := r.next(p, hdrBuf, grantBuf)
 		if !ok {
 			return
 		}
-		var err error
-		if msg != nil {
-			err = w.write(conn, msg, nil)
-			if err != nil {
-				pending = msg // resend the control frame on the new conn
-			}
-		} else {
-			err = w.write(conn, chunkBody, chunkPayload)
-			if err == nil {
-				p.sched.chunkWritten()
-			}
-			// A failed chunk is abandoned: resetConn rewinds its stream,
-			// including a fin chunk's stream parked in the sending slot.
+		err := w.write(conn, kind, body, payload)
+		switch {
+		case err == nil && kind == frameKindChunk:
+			p.sched.chunkWritten()
+		case err != nil && kind != frameKindChunk:
+			pendingKind, pending = kind, body // resend on the new conn
 		}
+		// A failed chunk is abandoned: resetConn rewinds its stream,
+		// including a fin chunk's stream parked in the sending slot.
 		if err != nil {
 			hangUp()
 		}
@@ -679,7 +681,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 		return
 	}
 	asm := transport.NewReassembler(r.cfg.Stream, maxFrame)
-	var chunk [transport.StreamHeaderSize]byte
+	rd := new(wireReader)
 	var consumed, granted int64
 	deliver := func(frame []byte) bool {
 		msg, err := r.cfg.Codec.Decode(frame)
@@ -694,7 +696,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 		}
 	}
 	for {
-		kind, frame, n, err := readWireFrame(conn, maxFrame, &chunk)
+		kind, frame, n, err := rd.read(conn, maxFrame)
 		if err != nil {
 			return
 		}
@@ -726,9 +728,6 @@ func (r *Runtime) readLoop(conn net.Conn) {
 				granted = consumed
 			}
 		case frameKindCredit:
-			if len(frame) != 12 {
-				return
-			}
 			r.applyCredit(from,
 				binary.BigEndian.Uint32(frame[:4]),
 				int64(binary.BigEndian.Uint64(frame[4:])))
@@ -758,33 +757,34 @@ func readHello(conn net.Conn) (types.ReplicaID, uint32, error) {
 }
 
 // smallBody is the largest frame body wireWriter coalesces with the
-// length prefix.
+// length prefix and kind tag.
 const smallBody = 512
 
 // wireWriter writes one send loop's wire frames. head is the loop's own
-// buffer for the length prefix and small bodies: a write is synchronous, so
-// head is free again when write returns, and a frame costs no allocation.
+// buffer for the length prefix, the kind tag and small bodies: a write is
+// synchronous, so head is free again when write returns, and a frame costs
+// no allocation.
 type wireWriter struct {
-	head [4 + smallBody]byte
+	head [5 + smallBody]byte
 }
 
-// write writes one frame: 4-byte big-endian length of body+payload, then
-// body (which starts with the frame kind), then the optional payload. Small
-// bodies (the chunk kind+header prefix, credit grants, little control
-// frames) are coalesced with the length prefix into one write; large bodies
-// — a whole-message frame can be megabytes — are written in place, never
-// copied.
-func (w *wireWriter) write(conn net.Conn, body, payload []byte) error {
-	binary.BigEndian.PutUint32(w.head[:4], uint32(len(body)+len(payload)))
+// write writes one frame: the 4-byte big-endian length of what follows,
+// the kind tag, body, then the optional payload. Small bodies (a chunk's
+// stream header, a credit grant, little control frames) are coalesced with
+// the length prefix and kind into one write; large bodies — a whole-message
+// frame can be megabytes — are written in place, never copied.
+func (w *wireWriter) write(conn net.Conn, kind byte, body, payload []byte) error {
+	binary.BigEndian.PutUint32(w.head[:4], uint32(1+len(body)+len(payload)))
+	w.head[4] = kind
+	n := 5
 	if len(body) <= smallBody {
-		n := 4 + copy(w.head[4:], body)
-		if _, err := conn.Write(w.head[:n]); err != nil {
-			return err
-		}
-	} else {
-		if _, err := conn.Write(w.head[:4]); err != nil {
-			return err
-		}
+		n += copy(w.head[5:], body)
+		body = nil
+	}
+	if _, err := conn.Write(w.head[:n]); err != nil {
+		return err
+	}
+	if len(body) > 0 {
 		if _, err := conn.Write(body); err != nil {
 			return err
 		}
@@ -797,33 +797,47 @@ func (w *wireWriter) write(conn net.Conn, body, payload []byte) error {
 	return nil
 }
 
-// readWireFrame reads one frame and returns its kind and the bytes after
-// the kind tag. Whole-message frames (frameKindMsg) are read into a fresh
+// wireReader reads one read loop's wire frames. Its buffers hold a frame's
+// length prefix and kind tag, and the body of a chunk (its stream header)
+// or of a credit grant; the loop is done with them before it reads the
+// next frame, so only a whole-message frame allocates: its body.
+type wireReader struct {
+	head  [5]byte
+	small [transport.StreamHeaderSize]byte
+}
+
+// read reads one frame and returns its kind and the bytes after the kind
+// tag. Whole-message frames (frameKindMsg) are read into a fresh
 // allocation whose ownership transfers to the codec's Decode (the
 // transport.Codec zero-copy contract; only reassembled bulk streams come
-// from the frame pool). Of a chunk frame it reads only the stream header,
-// into *chunk, and returns it with the length n of the payload that
-// follows on conn, which the caller reads in place (Reassembler.Add).
-func readWireFrame(conn net.Conn, max int, chunk *[transport.StreamHeaderSize]byte) (kind byte, body []byte, n int, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+// from the frame pool). Of a chunk frame it reads only the stream header
+// and returns it with the length n of the payload that follows on conn,
+// which the caller reads in place (Reassembler.Add).
+func (rd *wireReader) read(conn io.Reader, max int) (kind byte, body []byte, n int, err error) {
+	if _, err := io.ReadFull(conn, rd.head[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:4]))
+	size := int(binary.BigEndian.Uint32(rd.head[:4]))
 	if size > max {
 		return 0, nil, 0, fmt.Errorf("tcp: frame of %d exceeds limit %d", size, max)
 	}
 	if size < 1 {
 		return 0, nil, 0, errors.New("tcp: empty frame")
 	}
-	kind = hdr[4]
+	kind = rd.head[4]
 	size-- // remaining body after the kind tag
-	if kind == frameKindChunk {
-		if size < len(chunk) {
+	switch kind {
+	case frameKindChunk:
+		if size < len(rd.small) {
 			return 0, nil, 0, fmt.Errorf("%w: %d bytes", transport.ErrStreamHeader, size)
 		}
-		body, n = chunk[:], size-len(chunk)
-	} else {
+		body, n = rd.small[:], size-len(rd.small)
+	case frameKindCredit:
+		if size != grantSize {
+			return 0, nil, 0, fmt.Errorf("tcp: credit grant of %d bytes", size)
+		}
+		body = rd.small[:grantSize]
+	default:
 		body = make([]byte, size)
 	}
 	if _, err := io.ReadFull(conn, body); err != nil {
