@@ -323,7 +323,8 @@ func (n *Node) handleStateReq(from types.ReplicaID, m *StateReqMsg, out transpor
 	resp := &StateRespMsg{Checkpoint: n.lastCheckpoint}
 	if n.store != nil {
 		next := m.Have + 1
-		if _, ok := n.store.Get(next); !ok && n.lw > m.Have {
+		// The retained records are the contiguous run first..last.
+		if first, last := n.store.Bounds(); (first == 0 || next < first || next > last) && n.lw > m.Have {
 			next = n.lw + 1
 		}
 		for len(resp.Blocks) < MaxStateBlocks {

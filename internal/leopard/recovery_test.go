@@ -2,6 +2,7 @@ package leopard_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,11 +17,18 @@ import (
 // filesystem, the store the simulations run.
 type memStores struct {
 	fs   *storage.MemFS
+	opts storage.Options
 	logs []*storage.Log
 }
 
 func newMemStores(t *testing.T, n int) *memStores {
-	m := &memStores{fs: storage.NewMemFS(), logs: make([]*storage.Log, n)}
+	return openMemStores(t, n, storage.Options{})
+}
+
+// openMemStores opens n logs with opts, write-through, on a fresh MemFS.
+func openMemStores(t *testing.T, n int, opts storage.Options) *memStores {
+	m := &memStores{fs: storage.NewMemFS(), opts: opts, logs: make([]*storage.Log, n)}
+	m.opts.FS, m.opts.SyncEachAppend = m.fs, true
 	for i := range m.logs {
 		m.open(t, types.ReplicaID(i))
 	}
@@ -37,7 +45,7 @@ func (m *memStores) open(t *testing.T, id types.ReplicaID) *storage.Log {
 			t.Fatal(err)
 		}
 	}
-	l, err := storage.Open(fmt.Sprintf("replica-%d", id), storage.Options{FS: m.fs, SyncEachAppend: true})
+	l, err := storage.Open(fmt.Sprintf("replica-%d", id), m.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,5 +455,79 @@ func TestOwnDatablocksReleasedHoweverTheirBlockSettles(t *testing.T) {
 				t.Fatalf("a request on the healed replica made %d datablocks, want 1", got-made)
 			}
 		})
+	}
+}
+
+// TestRestartKeepsVotesAboveTruncatedCheckpoint: a replica that votes ahead
+// of its execution keeps every vote and note above the stable checkpoint
+// across a restart, even when that checkpoint truncated the segment the
+// votes were logged in. Replica 3 stops executing (every σ2 proof and
+// state response to it is dropped) but keeps voting both rounds on the
+// slots the others run; the first checkpoint past its frontier truncates
+// its log, and it restarts right there. Its vote locks must all come back.
+func TestRestartKeepsVotesAboveTruncatedCheckpoint(t *testing.T) {
+	const x = types.ReplicaID(3)
+	stores := openMemStores(t, 4, storage.Options{SegmentBytes: 4096})
+	r := newRouter(t, 4, func(cfg *leopard.Config) {
+		cfg.MaxParallel = 8
+		cfg.CheckpointEvery = 4
+		cfg.Store = stores.logs[cfg.ID]
+	})
+	r.submit(0, 40, 0)
+	r.advance(100*time.Millisecond, 5*time.Millisecond)
+	frontier := r.nodes[x].ExecutedTo()
+	if frontier == 0 || r.nodes[x].Stats().LastCheckpointSeq >= frontier {
+		t.Fatalf("healthy phase: executed %d, checkpoint %d", frontier, r.nodes[x].Stats().LastCheckpointSeq)
+	}
+
+	r.drop = func(from, to types.ReplicaID, msg transport.Message) bool {
+		if to != x {
+			return false
+		}
+		switch m := msg.(type) {
+		case *leopard.ProofMsg:
+			return m.Round == 2
+		case *leopard.StateRespMsg, *leopard.FullBlockMsg:
+			return true
+		}
+		return false
+	}
+	r.submit(0, 200, 40)
+	for r.nodes[x].Stats().LastCheckpointSeq <= frontier {
+		if r.now > time.Second {
+			t.Fatal("no checkpoint passed the stalled replica's frontier")
+		}
+		r.advance(time.Millisecond, time.Millisecond)
+	}
+	if names, err := stores.fs.ReadDir(fmt.Sprintf("replica-%d", x)); err != nil || !slices.Contains(names, "seg-00000002.wal") {
+		t.Fatalf("the votes ahead never rolled a segment: %v %v", names, err)
+	}
+	if got := r.nodes[x].ExecutedTo(); got != frontier {
+		t.Fatalf("stalled replica executed %d, want %d", got, frontier)
+	}
+	votes, notes := stores.logs[x].Votes(), stores.logs[x].Notes()
+
+	node := rebuild(t, r, x, stores.open(t, x), nil)
+	above := node.ExecutedTo()
+	var wantVotes, wantNotes int64
+	for _, v := range votes {
+		if v.Seq > above {
+			wantVotes++
+		}
+	}
+	for _, nt := range notes {
+		if nt.Block.Seq > above {
+			wantNotes++
+		}
+	}
+	if wantVotes == 0 || wantNotes == 0 {
+		t.Fatalf("nothing voted above the restart frontier %d: %d votes, %d notes", above, wantVotes, wantNotes)
+	}
+	st := node.Stats()
+	if st.VotesReloaded != wantVotes {
+		t.Errorf("restart reloaded %d votes above %d, want %d", st.VotesReloaded, above, wantVotes)
+	}
+	if st.NotesReloaded != wantNotes {
+		t.Errorf("restart reloaded %d notes above %d, want %d", st.NotesReloaded, above, wantNotes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -249,5 +250,92 @@ func TestWALResetRetainedRecordsDurable(t *testing.T) {
 				t.Fatalf("reopened after Reset: %d %s, want 1", got, tc.name)
 			}
 		})
+	}
+}
+
+// TestTruncateKeepsVotesAndNotes: a checkpoint truncation keeps every vote
+// and note above its bound across a reopen, so a restarted replica re-locks
+// every (view, seq) it signed above the checkpoint. A closed segment goes
+// only when all its frames, of any kind, are at or below the bound; a
+// segment whose last block is below the checkpoint can still hold the
+// votes cast ahead of it.
+func TestTruncateKeepsVotesAndNotes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// fill appends to a 2 KiB-segment log until the first segment is
+		// closed and returns the checkpoint seq it truncates below.
+		fill func(t *testing.T, l *Log) types.SeqNum
+	}{
+		{"segment rolls on a vote", func(t *testing.T, l *Log) types.SeqNum {
+			for sn := types.SeqNum(1); sn <= 5; sn++ {
+				must(t, l.Append(testRecord(sn, 1, 1, 16)))
+			}
+			must(t, l.AppendNote(testNote(6, 1)))
+			for seq := types.SeqNum(6); l.Stats().Segments < 2; seq++ {
+				must(t, l.AppendVote(VoteRecord{View: 1, Seq: seq, Round: 1, Digest: types.Hash{byte(seq)}}))
+			}
+			must(t, l.AppendNote(testNote(7, 1)))
+			must(t, l.AppendVote(VoteRecord{View: 1, Seq: 7, Round: 2, Digest: types.Hash{7, 7}}))
+			for sn := types.SeqNum(6); l.Stats().Segments < 3; sn++ {
+				must(t, l.Append(testRecord(sn, 1, 1, 16)))
+			}
+			return 5
+		}},
+		{"segment rolls on a block", func(t *testing.T, l *Log) types.SeqNum {
+			// Each block rides behind a note and a round-2 vote three slots
+			// ahead of it, and the blocks are large enough that one of them
+			// closes the segment: its last block is k, its highest vote k+3.
+			sn := types.SeqNum(1)
+			for ; ; sn++ {
+				must(t, l.AppendNote(testNote(sn+3, 1)))
+				must(t, l.AppendVote(VoteRecord{View: 1, Seq: sn + 3, Round: 2, Digest: types.Hash{byte(sn + 3)}}))
+				if l.Stats().Segments > 1 {
+					t.Fatal("a note or vote frame closed the segment")
+				}
+				must(t, l.Append(testRecord(sn, 1, 2, 120)))
+				if l.Stats().Segments > 1 {
+					break
+				}
+			}
+			for next := sn + 1; next <= sn+2; next++ {
+				must(t, l.Append(testRecord(next, 1, 2, 120)))
+			}
+			return sn + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := tortureLog(t, dir, OsFS{})
+			cp := tc.fill(t, l)
+			must(t, l.SaveCheckpoint(Checkpoint{Seq: cp, Proof: crypto.Proof{Sig: []byte("cp")}}))
+			must(t, l.TruncateBelow(cp))
+			votes, notes := l.Votes(), l.Notes()
+			if len(votes) == 0 || len(notes) == 0 {
+				t.Fatalf("nothing above the checkpoint to keep: %d votes, %d notes", len(votes), len(notes))
+			}
+			must(t, l.Close())
+
+			re := tortureLog(t, dir, OsFS{})
+			defer re.Close()
+			if got := re.Votes(); !slices.Equal(got, votes) {
+				t.Errorf("%d votes before the reopen, %d after: %+v", len(votes), len(got), got)
+			}
+			got := re.Notes()
+			if len(got) != len(notes) {
+				t.Fatalf("%d notes before the reopen, %d after", len(notes), len(got))
+			}
+			for i := range notes {
+				if !notesEqual(got[i], notes[i]) {
+					t.Errorf("note %d: got seq %d, want %d", i, got[i].Block.Seq, notes[i].Block.Seq)
+				}
+			}
+		})
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }

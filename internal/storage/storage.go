@@ -16,6 +16,14 @@
 // when its own log no longer reaches back far enough, and the bound below
 // which log segments are garbage.
 //
+// # What is held in memory
+//
+// The log holds the bytes it wrote: every frame of its live segments, as
+// written (or as Open read and checked it), listed per segment and never
+// modified. Nothing is kept decoded. Get, Votes and Notes decode the frames
+// on each call, with byte fields borrowed from the held bytes, so a record
+// they return is the caller's own but read-only.
+//
 // # Durability model
 //
 // Appends are group-committed: Append buffers the framed record and returns
@@ -80,60 +88,6 @@ func (rec *BlockRecord) Wire(c codec.Coder) {
 	for i := range rec.Datablocks {
 		c.Datablock(&rec.Datablocks[i])
 	}
-}
-
-// clone returns a deep copy of rec that shares no memory with it: the
-// block, both proofs and every datablock, with all request payloads and
-// signatures copied into one buffer. Request payload digests are kept.
-func (rec *BlockRecord) clone() *BlockRecord {
-	size := len(rec.Notarized.Sig) + len(rec.Confirmed.Sig)
-	nreq := 0
-	for _, db := range rec.Datablocks {
-		if db != nil {
-			nreq += len(db.Requests)
-			size += db.PayloadBytes()
-		}
-	}
-	arena := make([]byte, 0, size)
-	own := func(b []byte) []byte {
-		if b == nil {
-			return nil
-		}
-		start := len(arena)
-		arena = append(arena, b...)
-		return arena[start:len(arena):len(arena)]
-	}
-	c := &BlockRecord{
-		Seq:       rec.Seq,
-		Notarized: crypto.Proof{Sig: own(rec.Notarized.Sig)},
-		Confirmed: crypto.Proof{Sig: own(rec.Confirmed.Sig)},
-	}
-	if rec.Block != nil {
-		blk := *rec.Block
-		blk.Content = append([]types.Hash(nil), rec.Block.Content...)
-		c.Block = &blk
-	}
-	if rec.Datablocks != nil {
-		c.Datablocks = make([]*types.Datablock, len(rec.Datablocks))
-		dbs := make([]types.Datablock, len(rec.Datablocks))
-		reqs := make([]types.Request, 0, nreq)
-		for i, db := range rec.Datablocks {
-			if db == nil {
-				continue
-			}
-			dbs[i].Ref = db.Ref
-			if len(db.Requests) > 0 {
-				start := len(reqs)
-				for _, r := range db.Requests {
-					r.Payload = own(r.Payload)
-					reqs = append(reqs, r)
-				}
-				dbs[i].Requests = reqs[start:len(reqs):len(reqs)]
-			}
-			c.Datablocks[i] = &dbs[i]
-		}
-	}
-	return c
 }
 
 // VoteRecord persists one agreement vote cast above the executed frontier
@@ -236,9 +190,9 @@ type Stats struct {
 type Store interface {
 	// Append durably logs one executed block. Records must be appended in
 	// strictly increasing, contiguous Seq order above the checkpoint. The
-	// store keeps none of the caller's memory: what it retains and serves
-	// through Get is its own copy, so the caller may reuse or release the
-	// record's bytes (a datablock's frame) as soon as Append returns.
+	// store keeps none of the caller's memory: it holds the bytes of the
+	// frame it wrote, so the caller may reuse or release the record's bytes
+	// (a datablock's frame) as soon as Append returns.
 	Append(rec *BlockRecord) error
 	// AppendVote durably logs one agreement vote above the executed
 	// frontier (vote-ahead logging). Unlike Append, the record is flushed
@@ -247,24 +201,27 @@ type Store interface {
 	// anything a peer may count. Any staged block or note frames ride the
 	// same fsync.
 	AppendVote(v VoteRecord) error
-	// Votes returns a copy of the retained vote-ahead records in append
-	// order. Votes at or below the checkpoint anchor may be pruned.
+	// Votes returns the retained vote-ahead records above the checkpoint
+	// anchor, in append order, decoded afresh.
 	Votes() []VoteRecord
 	// AppendNote logs the notarization certificate a round-2 vote
 	// endorses. The frame is staged only: callers follow it with the
 	// round-2 AppendVote, whose fsync covers both records (and whose
 	// failure, via the sticky error, aborts the vote).
 	AppendNote(nt NoteRecord) error
-	// Notes returns a copy of the retained notarization records in append
-	// order. Notes at or below the checkpoint anchor may be pruned.
+	// Notes returns the retained notarization records above the checkpoint
+	// anchor, in append order, decoded afresh.
 	Notes() []NoteRecord
 	// Err returns the store's sticky failure, if any: once the backing
 	// medium has failed an async write or fsync, the store refuses further
 	// appends and the replica must fail-stop its agreement participation.
 	Err() error
-	// Get returns the retained record at seq, if present.
+	// Get returns the retained record at seq, if present, decoded on each
+	// call. The record is read-only: its byte fields borrow from the bytes
+	// the store holds.
 	Get(seq types.SeqNum) (*BlockRecord, bool)
-	// Bounds returns the lowest and highest retained record seq. With no
+	// Bounds returns the lowest and highest retained record seq; every
+	// record between them is retained. With no
 	// record retained, first is 0 and last is what the next append
 	// continues: the last append, even once truncation has dropped its
 	// record, or a later Reset's anchor; on a store opened with no record,
@@ -278,10 +235,12 @@ type Store interface {
 	SaveMeta(m Meta) error
 	// Meta returns the saved metadata (zero value when never saved).
 	Meta() Meta
-	// TruncateBelow garbage-collects records with seq <= the given bound
-	// (the advanced low watermark). Log drops whole segments only, never
-	// the live one, so some records below the bound may be retained — and
-	// may still be served to recovering peers.
+	// TruncateBelow garbage-collects what is about a seq <= the given
+	// bound (the advanced low watermark). Log drops whole segments only,
+	// oldest first and never the live one, and only a segment whose every
+	// frame — block, vote or note — is at or below the bound: a vote or
+	// note above it keeps its segment, and the records below the bound
+	// there stay retained and may still be served to recovering peers.
 	TruncateBelow(seq types.SeqNum) error
 	// Reset drops every record and re-anchors the log at seq: the next
 	// append must be seq+1. Used when the replica adopts a checkpoint it

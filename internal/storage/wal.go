@@ -78,12 +78,21 @@ func (o *Options) normalize() {
 	}
 }
 
+// frame is one record frame exactly as it was written: its kind, the seq
+// it is about (a block's, a vote's, or a note's block's) and its bytes,
+// header included. The bytes are never modified, so Get, Votes and Notes
+// decode them on each call with fields borrowed from them.
+type frame struct {
+	kind byte
+	seq  types.SeqNum
+	buf  []byte
+}
+
 type segInfo struct {
-	index int
-	path  string
-	first types.SeqNum // 0 when the segment holds no records yet
-	last  types.SeqNum
-	bytes int64 // committed + staged bytes destined for this segment
+	index  int
+	path   string
+	frames []frame // every frame in the segment, in file order
+	bytes  int64   // committed + staged bytes destined for this segment
 }
 
 // Log is the file-backed Store: a segmented WAL with group-committed
@@ -91,9 +100,9 @@ type segInfo struct {
 // write or fsync syscalls on the caller's path — and the background syncer
 // writes and fsyncs staged batches at most once per FsyncInterval, so the
 // execute path pays encode + memcpy and nothing else (BenchmarkWALAppend).
-// Retained records are also kept decoded in memory (the retained window is
-// bounded by the checkpoint interval), so Get and recovery replay never
-// re-read disk after Open.
+// The log also holds the bytes of every frame its live segments hold (the
+// retained window is bounded by the checkpoint interval), so Get and
+// recovery replay never re-read disk after Open.
 type Log struct {
 	dir  string
 	opts Options
@@ -106,14 +115,10 @@ type Log struct {
 
 	mu      sync.Mutex
 	f       File
-	pending []byte    // staged frames not yet written to the current segment
-	spare   []byte    // recycled staging buffer
-	segs    []segInfo // closed and current segments, ascending index
-	records map[types.SeqNum]*BlockRecord
-	votes   []VoteRecord // retained vote-ahead records, append order
-	notes   []NoteRecord // retained notarization records, append order
-	first   types.SeqNum
-	last    types.SeqNum
+	pending []byte       // staged frames not yet written to the current segment
+	spare   []byte       // recycled staging buffer
+	segs    []segInfo    // closed and current segments, ascending index
+	last    types.SeqNum // the next block appended must be last+1
 	cp      *Checkpoint
 	meta    Meta
 	werr    error // sticky async write/fsync error, surfaced on Append/Sync
@@ -136,12 +141,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		dir:     dir,
-		opts:    opts,
-		fs:      opts.FS,
-		records: make(map[types.SeqNum]*BlockRecord),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		fs:   opts.FS,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	if err := l.loadCheckpoint(); err != nil {
 		return nil, err
@@ -206,8 +210,9 @@ func (l *Log) scanSegments() error {
 	return nil
 }
 
-// scanSegment loads one segment's records, truncating at the first damaged
+// scanSegment lists one segment's frames, truncating at the first damaged
 // or non-contiguous frame. It returns false when the segment was truncated.
+// A listed frame keeps the bytes the scan read and checked.
 func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 	buf, err := l.fs.ReadFile(seg.path)
 	if err != nil {
@@ -226,47 +231,15 @@ func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 	off := len(segMagic)
 	for off < len(buf) {
 		kind, payload, n := decodeFrame(buf[off:])
-		switch kind {
-		case recBlock:
-			rec := new(BlockRecord)
-			if codec.Decode(payload, rec.Wire) != nil {
-				kind = 0
-				break
-			}
-			if l.last != 0 && rec.Seq != l.last+1 {
-				kind = 0
-				break
-			}
-			l.admit(rec)
-			l.stats.Loaded++
-			l.stats.LoadedBytes += int64(n)
-			if seg.first == 0 {
-				seg.first = rec.Seq
-			}
-			seg.last = rec.Seq
-		case recVote:
-			var v VoteRecord
-			if codec.Decode(payload, v.wire) != nil {
-				kind = 0
-				break
-			}
-			// Votes at or below the checkpoint anchor are obsolete history.
-			if l.cp == nil || v.Seq > l.cp.Seq {
-				l.votes = append(l.votes, v)
-			}
-		case recNote:
-			var nt NoteRecord
-			if codec.Decode(payload, nt.wire) != nil {
-				kind = 0
-				break
-			}
-			if l.cp == nil || nt.Block.Seq > l.cp.Seq {
-				l.notes = append(l.notes, nt)
-			}
-		}
-		if kind == 0 {
+		seq, ok := frameSeq(kind, payload)
+		if !ok || kind == recBlock && l.last != 0 && seq != l.last+1 {
 			good, intact = off, false
 			break
+		}
+		l.add(seg, frame{kind, seq, buf[off : off+n : off+n]})
+		if kind == recBlock {
+			l.stats.Loaded++
+			l.stats.LoadedBytes += int64(n)
 		}
 		off += n
 	}
@@ -284,7 +257,7 @@ func (l *Log) scanSegment(seg *segInfo) (bool, error) {
 // decodeFrame parses one frame header from buf, returning (0, nil, 0) on
 // any damage: short header, oversize or zero length, short payload, CRC
 // mismatch, or an unknown record kind. The returned payload excludes the
-// kind byte; it aliases buf, so record parsers must copy.
+// kind byte and aliases buf.
 func decodeFrame(buf []byte) (byte, []byte, int) {
 	if len(buf) < 8 {
 		return 0, nil, 0
@@ -305,13 +278,43 @@ func decodeFrame(buf []byte) (byte, []byte, int) {
 	return 0, nil, 0
 }
 
-// admit installs a scanned or appended record into the in-memory index.
-func (l *Log) admit(rec *BlockRecord) {
-	l.records[rec.Seq] = rec
-	if l.first == 0 {
-		l.first = rec.Seq
+// frameSeq decodes the record in a frame's payload, borrowing, and returns
+// the seq it is about; ok is false when the record does not decode (or the
+// frame was damaged: kind 0).
+func frameSeq(kind byte, payload []byte) (seq types.SeqNum, ok bool) {
+	switch kind {
+	case recBlock:
+		var rec BlockRecord
+		ok = decode(payload, rec.Wire)
+		seq = rec.Seq
+	case recVote:
+		var v VoteRecord
+		ok = decode(payload, v.wire)
+		seq = v.Seq
+	case recNote:
+		var nt NoteRecord
+		if ok = decode(payload, nt.wire); ok {
+			seq = nt.Block.Seq
+		}
 	}
-	l.last = rec.Seq
+	return seq, ok
+}
+
+// decode runs walk over the whole of payload in borrow mode: the decoded
+// record's byte fields alias the frame, which is never modified.
+func decode(payload []byte, walk func(codec.Coder)) bool {
+	r := &codec.Reader{Buf: payload, Borrow: true}
+	walk(codec.Decoder(r))
+	return r.Finish() == nil
+}
+
+// add lists f as the newest frame of seg; a block frame advances last.
+// Callers hold mu (or are in Open, before the syncer starts).
+func (l *Log) add(seg *segInfo, f frame) {
+	seg.frames = append(seg.frames, f)
+	if f.kind == recBlock {
+		l.last = f.seq
+	}
 }
 
 // openCurrent opens the newest segment for appending, creating the first
@@ -364,34 +367,29 @@ func (l *Log) roll() error {
 	return nil
 }
 
-// appendFrame appends one record frame to w: the length and CRC header, the
-// record kind, then the record's walk.
-func appendFrame(w *codec.Writer, kind byte, walk func(codec.Coder)) {
-	start := len(w.Buf)
-	w.U64(0) // frame header placeholder, patched below
-	w.U8(kind)
-	walk(codec.Encoder(w))
-	payload := w.Buf[start+8:]
-	binary.BigEndian.PutUint32(w.Buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(w.Buf[start+4:], crc32.ChecksumIEEE(payload))
+// newFrame encodes one record frame in a buffer of its own: the length and
+// CRC header, the record kind, then the record's walk.
+func newFrame(kind byte, walk func(codec.Coder)) []byte {
+	buf := make([]byte, 9, 9+codec.Size(walk))
+	buf[8] = kind
+	buf = codec.Encode(buf, walk)
+	binary.BigEndian.PutUint32(buf[0:], uint32(len(buf)-8))
+	binary.BigEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[8:]))
+	return buf
 }
 
-// stage is the one append path: it frames a record, stages the frame in
-// memory, lets admit enter the record in the in-memory index (under mu; an
-// error from it refuses the append), charges the current segment and then
-// finishes. A segment over its roll threshold is rolled, which flushes and
-// fsyncs it, this frame included. Otherwise a durable append — and any
-// append under SyncEachAppend, or one that finds more than stageBudget
-// staged because the syncer is behind — writes and fsyncs before returning;
-// every other append returns without a syscall, waking the syncer if it
-// staged the first frame of a batch.
-func (l *Log) stage(kind byte, walk func(codec.Coder), admit func(seg *segInfo) error, durable bool) error {
-	w := codec.GetWriter()
-	defer codec.PutWriter(w)
-	appendFrame(w, kind, walk)
+// stage is the one append path: it frames the record about seq, lists the
+// frame in the current segment, stages its bytes and charges the segment.
+// A block frame must continue last. A segment over its roll threshold is
+// rolled, which flushes and fsyncs it, this frame included. Otherwise a
+// durable append — and any append under SyncEachAppend, or one that finds
+// more than stageBudget staged because the syncer is behind — writes and
+// fsyncs before returning; every other append returns without a syscall,
+// waking the syncer if it staged the first frame of a batch.
+func (l *Log) stage(kind byte, seq types.SeqNum, walk func(codec.Coder), durable bool) error {
+	buf := newFrame(kind, walk)
 
 	l.mu.Lock()
-	var seg *segInfo
 	var err error
 	switch {
 	case l.closed:
@@ -402,17 +400,21 @@ func (l *Log) stage(kind byte, walk func(codec.Coder), admit func(seg *segInfo) 
 		// A failed Reset left no live segment; its sticky error was already
 		// returned above, but guard against panics regardless.
 		err = fmt.Errorf("storage: log has no live segment")
-	default:
-		seg = &l.segs[len(l.segs)-1]
-		err = admit(seg)
+	case kind == recBlock && l.last != 0 && seq != l.last+1:
+		err = fmt.Errorf("storage: non-contiguous append %d after %d", seq, l.last)
 	}
 	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
+	seg := &l.segs[len(l.segs)-1]
+	l.add(seg, frame{kind, seq, buf})
+	if kind == recBlock {
+		l.stats.Appended++
+	}
 	wasEmpty := len(l.pending) == 0
-	l.pending = append(l.pending, w.Buf...)
-	seg.bytes += int64(len(w.Buf))
+	l.pending = append(l.pending, buf...)
+	seg.bytes += int64(len(buf))
 	rollDue := seg.bytes > l.opts.SegmentBytes
 	overBudget := len(l.pending) > stageBudget
 	l.mu.Unlock()
@@ -439,23 +441,11 @@ func (l *Log) stage(kind byte, walk func(codec.Coder), admit func(seg *segInfo) 
 
 // Append implements Store: the record is staged for the group commit, so no
 // disk syscall happens on the execute path unless a segment roll or the
-// stage budget is due (or SyncEachAppend is set). The in-memory index keeps
-// a copy of rec (BlockRecord.clone), never the caller's record, whose
-// datablocks may borrow from a frame the caller releases later.
+// stage budget is due (or SyncEachAppend is set). The log keeps the frame it
+// encoded, never the caller's record, whose datablocks may borrow from a
+// frame the caller releases later.
 func (l *Log) Append(rec *BlockRecord) error {
-	own := rec.clone()
-	return l.stage(recBlock, rec.Wire, func(seg *segInfo) error {
-		if l.last != 0 && rec.Seq != l.last+1 {
-			return fmt.Errorf("storage: non-contiguous append %d after %d", rec.Seq, l.last)
-		}
-		if seg.first == 0 {
-			seg.first = rec.Seq
-		}
-		seg.last = rec.Seq
-		l.admit(own)
-		l.stats.Appended++
-		return nil
-	}, false)
+	return l.stage(recBlock, rec.Seq, rec.Wire, false)
 }
 
 // AppendVote implements Store: the vote is staged with any pending block or
@@ -468,18 +458,11 @@ func (l *Log) Append(rec *BlockRecord) error {
 // window vote-ahead logging exists to close. Staged block and note frames
 // ride the same fsync, so a vote under load also commits the batch early.
 func (l *Log) AppendVote(v VoteRecord) error {
-	return l.stage(recVote, v.wire, func(*segInfo) error {
-		l.votes = append(l.votes, v)
-		return nil
-	}, true)
+	return l.stage(recVote, v.Seq, v.wire, true)
 }
 
 // Votes implements Store.
-func (l *Log) Votes() []VoteRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]VoteRecord(nil), l.votes...)
-}
+func (l *Log) Votes() []VoteRecord { return decoded[VoteRecord](l, recVote) }
 
 // AppendNote implements Store: stage one notarization-certificate frame on
 // the group-commit path. The frame is not fsynced here — callers follow it
@@ -487,17 +470,31 @@ func (l *Log) Votes() []VoteRecord {
 // batch; if staging fails, the same failure (sticky werr) surfaces on that
 // AppendVote and aborts the vote.
 func (l *Log) AppendNote(nt NoteRecord) error {
-	return l.stage(recNote, nt.wire, func(*segInfo) error {
-		l.notes = append(l.notes, nt)
-		return nil
-	}, false)
+	return l.stage(recNote, nt.Block.Seq, nt.wire, false)
 }
 
 // Notes implements Store.
-func (l *Log) Notes() []NoteRecord {
+func (l *Log) Notes() []NoteRecord { return decoded[NoteRecord](l, recNote) }
+
+// decoded returns the records in the retained frames of kind about a seq
+// above the checkpoint anchor (below it they are history), in append
+// order, each decoded afresh.
+func decoded[T any, P interface {
+	*T
+	wire(codec.Coder)
+}](l *Log, kind byte) []T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]NoteRecord(nil), l.notes...)
+	var recs []T
+	for _, s := range l.segs {
+		for _, f := range s.frames {
+			var rec T
+			if f.kind == kind && (l.cp == nil || f.seq > l.cp.Seq) && decode(f.buf[9:], P(&rec).wire) {
+				recs = append(recs, rec)
+			}
+		}
+	}
+	return recs
 }
 
 // Err implements Store: the sticky async write/fsync error, if any.
@@ -601,20 +598,60 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Get implements Store. Staged-but-unflushed records are served too: the
-// in-memory index is the read path, files are the durability.
+// Get implements Store: the block frame at seq, decoded. Staged-but-
+// unflushed records are served too: the retained frames are the read path,
+// files are the durability.
 func (l *Log) Get(seq types.SeqNum) (*BlockRecord, bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	rec, ok := l.records[seq]
-	return rec, ok
+	buf, ok := l.block(seq)
+	l.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	rec := new(BlockRecord)
+	if !decode(buf[9:], rec.Wire) {
+		return nil, false
+	}
+	return rec, true
 }
 
-// Bounds implements Store.
+// block returns the bytes of the retained block frame at seq. The block
+// frames of a segment ascend, so a binary search finds it; the probe at i
+// looks at the first block frame from i on, stepping over vote and note
+// frames. Callers hold mu.
+func (l *Log) block(seq types.SeqNum) ([]byte, bool) {
+	for _, s := range l.segs {
+		fs := s.frames
+		next := func(i int) int {
+			for i < len(fs) && fs[i].kind != recBlock {
+				i++
+			}
+			return i
+		}
+		i := next(sort.Search(len(fs), func(i int) bool {
+			j := next(i)
+			return j == len(fs) || fs[j].seq >= seq
+		}))
+		if i < len(fs) && fs[i].seq == seq {
+			return fs[i].buf, true
+		}
+	}
+	return nil, false
+}
+
+// Bounds implements Store: first is the seq of the oldest retained block
+// frame.
 func (l *Log) Bounds() (types.SeqNum, types.SeqNum) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.first, l.last
+	for _, s := range l.segs {
+		for _, f := range s.frames {
+			if f.kind == recBlock {
+				return f.seq, l.last
+			}
+		}
+	}
+	return 0, l.last
 }
 
 // SaveCheckpoint implements Store: write-through with atomic replace.
@@ -664,37 +701,19 @@ func (l *Log) Meta() Meta {
 	return l.meta
 }
 
-// TruncateBelow implements Store: whole segments whose records all sit at
-// or below seq are deleted (never the current segment), and the in-memory
-// index drops the covered records.
+// TruncateBelow implements Store: the oldest segments go while every
+// frame in them, of any kind, is about a seq at or below the bound — never
+// the current segment. A segment that holds a vote or note above the bound
+// stays, with the block frames in it, and so does every later segment, so
+// the retained blocks stay contiguous (and servable to recovering peers).
+// The upper bound stays: with no record left it is the last append or
+// Reset's anchor, which the next append continues.
 func (l *Log) TruncateBelow(seq types.SeqNum) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	kept := l.segs[:0]
-	for i := range l.segs {
-		s := l.segs[i]
-		current := i == len(l.segs)-1
-		if !current && s.last != 0 && s.last <= seq {
-			for sn := s.first; sn <= s.last; sn++ {
-				delete(l.records, sn)
-			}
-			l.fs.Remove(s.path)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	l.segs = kept
-	l.votes = pruneVotes(l.votes, seq)
-	l.notes = pruneNotes(l.notes, seq)
-	// Recompute the lower bound from what survived (records in kept
-	// segments below seq stay retained — they are still servable to
-	// recovering peers). The upper bound stays: with no record left it is
-	// the last append or Reset's anchor, which the next append continues.
-	l.first = 0
-	for sn := range l.records {
-		if l.first == 0 || sn < l.first {
-			l.first = sn
-		}
+	for len(l.segs) > 1 && !slices.ContainsFunc(l.segs[0].frames, func(f frame) bool { return f.seq > seq }) {
+		l.fs.Remove(l.segs[0].path)
+		l.segs = slices.Delete(l.segs, 0, 1)
 	}
 	return nil
 }
@@ -709,24 +728,28 @@ func (l *Log) TruncateBelow(seq types.SeqNum) error {
 // reset: the replica may have voted above the checkpoint it is jumping to,
 // and dropping those locks (or the certificates its view-change messages
 // must keep advertising) would reopen the amnesia window. Their frames are
-// written and fsynced into the fresh segment before the old segments are
-// removed, so no crash point loses them; a crash before the removal only
-// leaves stale frames that the next scan filters against the anchor.
+// copied byte for byte into the fresh segment and fsynced there before the
+// old segments are removed, so no crash point loses them; a crash before
+// the removal only leaves stale frames that Votes and Notes filter against
+// the anchor.
 func (l *Log) Reset(seq types.SeqNum) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	l.pending = l.pending[:0]
 	old := len(l.segs)
+	var kept []frame
+	for i := range l.segs {
+		for _, fr := range l.segs[i].frames {
+			if fr.kind != recBlock && fr.seq > seq {
+				kept = append(kept, fr)
+			}
+		}
+		l.segs[i].frames = nil
+	}
 	f := l.f
 	l.f = nil
-	l.records = make(map[types.SeqNum]*BlockRecord)
-	l.first = 0
 	l.last = seq
-	retained := append([]VoteRecord(nil), pruneVotes(l.votes, seq)...)
-	retainedNotes := append([]NoteRecord(nil), pruneNotes(l.notes, seq)...)
-	l.votes = l.votes[:0]
-	l.notes = l.notes[:0]
 	l.mu.Unlock()
 	if f != nil {
 		f.Close()
@@ -739,19 +762,13 @@ func (l *Log) Reset(seq types.SeqNum) error {
 		l.fail(err)
 		return err
 	}
-	w := codec.GetWriter()
-	defer codec.PutWriter(w)
-	for i := range retained {
-		appendFrame(w, recVote, retained[i].wire)
-	}
-	for i := range retainedNotes {
-		appendFrame(w, recNote, retainedNotes[i].wire)
-	}
 	l.mu.Lock()
-	l.pending = append(l.pending, w.Buf...)
-	l.segs[len(l.segs)-1].bytes += int64(len(w.Buf))
-	l.votes = append(l.votes, retained...)
-	l.notes = append(l.notes, retainedNotes...)
+	cur := &l.segs[len(l.segs)-1]
+	for _, fr := range kept {
+		l.add(cur, fr)
+		l.pending = append(l.pending, fr.buf...)
+		cur.bytes += int64(len(fr.buf))
+	}
 	l.mu.Unlock()
 	err := l.flushStaged()
 	if err == nil {
@@ -766,19 +783,9 @@ func (l *Log) Reset(seq types.SeqNum) error {
 	for _, s := range l.segs[:old] {
 		l.fs.Remove(s.path)
 	}
-	l.segs = append(l.segs[:0], l.segs[old:]...)
+	l.segs = slices.Delete(l.segs, 0, old)
 	l.mu.Unlock()
 	return nil
-}
-
-// pruneVotes drops vote records at or below seq, in place.
-func pruneVotes(votes []VoteRecord, seq types.SeqNum) []VoteRecord {
-	return slices.DeleteFunc(votes, func(v VoteRecord) bool { return v.Seq <= seq })
-}
-
-// pruneNotes drops notarization records at or below seq, in place.
-func pruneNotes(notes []NoteRecord, seq types.SeqNum) []NoteRecord {
-	return slices.DeleteFunc(notes, func(nt NoteRecord) bool { return nt.Block == nil || nt.Block.Seq <= seq })
 }
 
 // Stats implements Store.
@@ -789,10 +796,19 @@ func (l *Log) Stats() Stats {
 	s.Segments = int64(len(l.segs))
 	for _, seg := range l.segs {
 		s.LiveBytes += seg.bytes
+		for _, f := range seg.frames {
+			switch {
+			case f.kind == recBlock:
+				s.Records++
+			case l.cp != nil && f.seq <= l.cp.Seq:
+				// history, as Votes and Notes see it
+			case f.kind == recVote:
+				s.Votes++
+			default:
+				s.Notes++
+			}
+		}
 	}
-	s.Records = int64(len(l.records))
-	s.Votes = int64(len(l.votes))
-	s.Notes = int64(len(l.notes))
 	return s
 }
 
