@@ -221,11 +221,11 @@ type Store interface {
 	// the store holds.
 	Get(seq types.SeqNum) (*BlockRecord, bool)
 	// Bounds returns the lowest and highest retained record seq; every
-	// record between them is retained. With no
-	// record retained, first is 0 and last is what the next append
-	// continues: the last append, even once truncation has dropped its
-	// record, or a later Reset's anchor; on a store opened with no record,
-	// the checkpoint anchor (0 on a fresh store).
+	// record between them is retained. With no record retained, first is 0
+	// and last is what the next append continues: the last append, even
+	// once truncation has dropped its record, or a later Reset's anchor;
+	// on a store opened with no record, the checkpoint anchor (0 on a
+	// fresh store).
 	Bounds() (first, last types.SeqNum)
 	// SaveCheckpoint durably replaces the stable-checkpoint anchor.
 	SaveCheckpoint(cp Checkpoint) error

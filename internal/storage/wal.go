@@ -622,14 +622,14 @@ func (l *Log) Get(seq types.SeqNum) (*BlockRecord, bool) {
 func (l *Log) block(seq types.SeqNum) ([]byte, bool) {
 	for _, s := range l.segs {
 		fs := s.frames
-		next := func(i int) int {
+		nextBlock := func(i int) int {
 			for i < len(fs) && fs[i].kind != recBlock {
 				i++
 			}
 			return i
 		}
-		i := next(sort.Search(len(fs), func(i int) bool {
-			j := next(i)
+		i := nextBlock(sort.Search(len(fs), func(i int) bool {
+			j := nextBlock(i)
 			return j == len(fs) || fs[j].seq >= seq
 		}))
 		if i < len(fs) && fs[i].seq == seq {
