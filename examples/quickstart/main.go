@@ -65,10 +65,11 @@ func run() error {
 	net.Start()
 
 	// Submit 100 requests to the non-leader replicas (replica 1 leads
-	// view 1): one client per replica, each with its own contiguous seq
-	// stream — the nonce-aware mempool parks gapped seqs, so a client must
-	// not stripe one stream across replicas. In a deployment a client
-	// library does this; see cmd/leopard-client.
+	// view 1): one client per replica, each with its own seq stream. A
+	// replica that first learns of a client from a confirmation refuses
+	// that client's lower seqs as stale, so a client must not stripe one
+	// stream across replicas. In a deployment a client library does this;
+	// see cmd/leopard-client.
 	leader := leoNodes[0].Leader()
 	seqs := make(map[types.ReplicaID]uint64)
 	submitted := 0

@@ -56,9 +56,8 @@ type Cluster struct {
 	Net      *simnet.Network
 	Replicas []protocol.Replica
 	// gens holds one request generator per replica, each over a disjoint
-	// client-ID range: the nonce-aware mempool requires every client's seq
-	// stream to arrive contiguously at whichever replica serves it, so one
-	// global stream must not be striped across replicas.
+	// client-ID range, so every client's seq stream reaches one replica
+	// (see workload.Generator).
 	gens []*workload.Generator
 	// Invariants, when attached (AttachInvariants), asserts durability
 	// around every Restart and observes traffic for equivocation.

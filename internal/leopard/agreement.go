@@ -198,7 +198,7 @@ func (n *Node) handleBFTblock(from types.ReplicaID, m *BFTblockMsg, out transpor
 		}
 		return
 	}
-	if n.inViewChange || block.View != n.view || from != n.Leader() {
+	if n.InViewChange() || block.View != n.view || from != n.Leader() {
 		return
 	}
 	if block.Seq <= n.lw || block.Seq > n.lw+types.SeqNum(n.cfg.MaxParallel) {
@@ -259,7 +259,7 @@ func (n *Node) checkDatablocks(inst *instance, out transport.Sink) {
 // recorded or sent (the failure latched the fail-stop).
 func (n *Node) vote(inst *instance, k int, out transport.Sink) {
 	r := inst.round(k)
-	if r.voted || n.inViewChange || !r.admits(r.digest) {
+	if r.voted || n.InViewChange() || !r.admits(r.digest) {
 		return
 	}
 	n.checkStoreHealth()
@@ -291,7 +291,7 @@ func (n *Node) vote(inst *instance, k int, out transport.Sink) {
 // Alg. 2): a plain share from its sender on the round's digest, one per
 // voter, until the round has its certificate.
 func (n *Node) handleVote(from types.ReplicaID, m *VoteMsg, out transport.Sink) {
-	if n.inViewChange || m.Block.View != n.view || !n.isLeader() {
+	if n.InViewChange() || m.Block.View != n.view || !n.isLeader() {
 		return
 	}
 	inst := n.cur.instances[m.Block.Seq]

@@ -157,6 +157,36 @@ func TestBadNonceRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestSeqAboveNextPackedAtNextTick: the pool has one admission class, so a
+// seq above the client's next one is packed like any other. A replica that
+// has admitted seq 3 of a client admits seq 5 and sends both in the
+// datablock it packs at its next tick.
+func TestSeqAboveNextPackedAtNextTick(t *testing.T) {
+	r := newRouter(t, 4, nil)
+	gen := (r.nodes[0].Leader() + 1) % 4
+	node := r.nodes[gen]
+	for _, seq := range []uint64{3, 5} {
+		req := types.Request{ClientID: 7, Seq: seq, Payload: []byte("p")}
+		if v := node.SubmitSigned(r.now, req, nil); v != mempool.Admitted {
+			t.Fatalf("seq %d: verdict %v, want admitted", seq, v)
+		}
+	}
+	var packed []uint64
+	for _, env := range tick(node, r.now+time.Millisecond) {
+		if m, ok := env.Msg.(*leopard.DatablockMsg); ok {
+			for _, req := range m.Block.Requests {
+				packed = append(packed, req.Seq)
+			}
+		}
+	}
+	if len(packed) != 2 || packed[0] != 3 || packed[1] != 5 {
+		t.Fatalf("datablock packed seqs %v, want [3 5]", packed)
+	}
+	if node.PendingRequests() != 0 {
+		t.Fatalf("%d requests left in the pool after the tick", node.PendingRequests())
+	}
+}
+
 // TestOverRateRejectedAtAdmission: per-client token buckets refuse a burst
 // beyond the configured budget, without touching other clients.
 func TestOverRateRejectedAtAdmission(t *testing.T) {

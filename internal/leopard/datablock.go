@@ -171,7 +171,7 @@ func (n *Node) wasExecuted(ref types.DatablockRef) bool {
 // unconfirmed, so what arrives while the pipeline is busy leaves as one
 // batch when it drains — the confirmation is the clock, there is no timer.
 func (n *Node) maybePackDatablocks(out transport.Sink) {
-	if n.inViewChange || n.isLeader() {
+	if n.InViewChange() || n.isLeader() {
 		return
 	}
 	for len(n.myOutstanding) < n.cfg.MaxOutstandingDatablocks {

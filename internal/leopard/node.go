@@ -199,9 +199,11 @@ type Stats struct {
 	CheckpointSeqsTracked int
 
 	// Client serving path counters (client-signed admission + replies).
-	PendingRequests  int   // gauge: extractable mempool entries
-	QueuedRequests   int   // gauge: nonce-gapped mempool entries
-	AdmittedRequests int64 // requests admitted (pending or queued)
+	PendingRequests int // gauge: extractable mempool entries
+	// QueuedRequests is always 0: the mempool has one admission class.
+	// It remains only because cmd/leopard-bench still names it.
+	QueuedRequests   int
+	AdmittedRequests int64 // requests admitted
 	RejectedRequests int64 // admission rejections, all causes
 	RateLimited      int64 // rejections from per-client token buckets
 	BadSignatures    int64 // rejections from signature verification
@@ -306,9 +308,10 @@ type Node struct {
 	walFailed bool
 
 	// View change.
-	inViewChange bool
-	pendingView  types.View // target view while a view change is in flight
-	vcStartedAt  time.Duration
+	// pendingView is the target of the view change in flight, 0 when
+	// there is none (a target is always above the current view).
+	pendingView types.View
+	vcStartedAt time.Duration
 	// vcPatience is the current escalation patience: how long a pending
 	// view change may stall before this replica votes for the next view.
 	// Starts at 4×ViewChangeTimeout on entering a view change, doubles per
@@ -387,7 +390,7 @@ func (n *Node) View() types.View { return n.view }
 
 // InViewChange reports whether the replica has stopped the normal case and
 // is waiting for a new view to form.
-func (n *Node) InViewChange() bool { return n.inViewChange }
+func (n *Node) InViewChange() bool { return n.pendingView != 0 }
 
 // Leader returns the leader of the current view.
 func (n *Node) Leader() types.ReplicaID { return types.LeaderOf(n.view, n.q.N) }
@@ -415,7 +418,6 @@ func (n *Node) Stats() Stats {
 	}
 	s.WALFailed = n.walFailed
 	s.PendingRequests = n.reqPool.Len()
-	s.QueuedRequests = n.reqPool.Queued()
 	ps := n.reqPool.Stats()
 	s.AdmittedRequests = ps.Admitted
 	s.RejectedRequests = ps.Rejected + s.BadSignatures
@@ -579,7 +581,7 @@ func (n *Node) Tick(now time.Duration, out transport.Sink) {
 	n.checkStoreHealth()
 	if !n.walFailed {
 		n.maybePackDatablocks(out)
-		if n.isLeader() && !n.inViewChange {
+		if n.isLeader() && !n.InViewChange() {
 			n.maybePropose(out)
 		}
 	}

@@ -68,7 +68,7 @@ func (n *Node) hasPendingWork() bool {
 // cluster does not burn a view per fixed interval and the backlog of
 // pending views stays small when the network heals.
 func (n *Node) checkViewChangeTimer(out transport.Sink) {
-	if n.inViewChange {
+	if n.InViewChange() {
 		if n.vcPatience <= 0 {
 			n.vcPatience = 4 * n.cfg.ViewChangeTimeout
 		}
@@ -168,10 +168,10 @@ func shedOldestView[E any](byView map[types.View]map[types.ReplicaID]E, from typ
 // startViewChange moves this replica into the view change targeting the
 // given view and sends its view-change message to the new leader.
 func (n *Node) startViewChange(target types.View, out transport.Sink) {
-	if target <= n.view || (n.inViewChange && target <= n.pendingView) {
+	if target <= n.view || target <= n.pendingView {
 		return
 	}
-	if n.inViewChange {
+	if n.InViewChange() {
 		// Escalating past a failed target view: double the patience.
 		n.vcPatience *= 2
 	} else {
@@ -180,7 +180,6 @@ func (n *Node) startViewChange(target types.View, out transport.Sink) {
 	if n.vcPatience > n.cfg.ViewChangeMaxTimeout {
 		n.vcPatience = n.cfg.ViewChangeMaxTimeout
 	}
-	n.inViewChange = true
 	n.pendingView = target
 	n.vcStartedAt = n.now
 	n.trace(obs.EvViewChangeStart, uint64(target), 0)
@@ -363,7 +362,6 @@ func (n *Node) enterNewView(m *NewViewMsg, out transport.Sink) {
 	plan := computeRedo(m)
 
 	n.view = m.NewView
-	n.inViewChange = false
 	n.pendingView = 0
 	n.vcPatience = 0 // completed: next view change starts patient again
 	n.lastProgress = n.now

@@ -1,11 +1,13 @@
 // Package mempool buffers pending client requests until they are packed
-// into datablocks. The request pool is prioritized and nonce-aware: per
-// client it keeps a pending list (sequence numbers reachable from what it
-// has seen, extractable) and a queued list (nonce-gapped arrivals that
-// become pending when the gap fills), under byte/count admission budgets,
-// per-client token-bucket rate limits, and eviction of the lowest-priority
-// entries under pressure. The protocol state machines that use it are
-// single-threaded, so the pool is not synchronized. Datablocks are held by
+// into datablocks. The request pool is one FIFO with duplicate
+// suppression: per client it keeps a consumed watermark and a bounded
+// window of confirmations above it, so a request that already finished
+// consensus, or was superseded by one that did, is refused. Admission is
+// bounded by byte, count, per-client and client-state budgets and by an
+// optional per-client token bucket. A request over budget is refused; an
+// admitted one leaves only by extraction or confirmation, never by
+// eviction. The protocol state machines that use it are single-threaded,
+// so the pool is not synchronized. Datablocks are held by
 // the replica that pools them (leopard.Node's datablock table), not here.
 package mempool
 
@@ -30,27 +32,27 @@ type Limits struct {
 // tests runs on defaultBudgets — generous on purpose: saturation workloads
 // keep tens of thousands of synthetic requests outstanding and expect them
 // admitted — and the tests shrink single fields through newRequestPool to
-// reach the eviction and overflow paths.
+// reach the overflow paths.
 type budgets struct {
-	// maxBytes bounds the total wire size of live (pending + queued)
-	// requests. Admission under pressure evicts the newest queued entries
-	// to make room for gap-free arrivals; when nothing evictable remains,
-	// new requests are rejected.
+	// maxBytes bounds the total wire size of pending requests; an arrival
+	// that would exceed it is refused with PoolFull.
 	maxBytes int
-	// maxRequests bounds the number of live requests.
+	// maxRequests bounds the number of pending requests.
 	maxRequests int
-	// maxPerClient bounds one client's live requests.
+	// maxPerClient bounds one client's pending requests.
 	maxPerClient int
 	// maxClients bounds the number of per-client states retained
-	// (including pure dedup bookkeeping for clients with no live
-	// requests). At the cap, idle states are discarded wholesale — their
-	// clients fall back to consensus-output dedup.
+	// (including pure dedup bookkeeping for clients with no pending
+	// requests). At the cap, idle states are discarded wholesale, and
+	// with them what their clients had confirmed: a resubmission of one
+	// of those requests is admitted and can execute again, as execution
+	// does not deduplicate requests.
 	maxClients int
 	// confirmedWindow bounds the out-of-order confirmed-seq set kept per
 	// client above its contiguous watermark. Overflow forgets the
-	// furthest-ahead confirmations: a replay of those re-runs consensus
-	// harmlessly (consensus-output dedup is the backstop), whereas
-	// forgetting low seqs could reject requests forever.
+	// furthest-ahead confirmations, whose resubmission is then admitted
+	// and can execute again; forgetting low seqs instead could reject
+	// requests forever.
 	confirmedWindow int
 }
 
@@ -68,10 +70,7 @@ type Verdict uint8
 const (
 	// Admitted: the request is pending and extractable.
 	Admitted Verdict = iota
-	// AdmittedQueued: admitted, but parked behind a nonce gap; it becomes
-	// pending when the gap fills (or the gap's seqs confirm elsewhere).
-	AdmittedQueued
-	// DupLive: an identical request is already pending or queued.
+	// DupLive: an identical request is already pending.
 	DupLive
 	// DupConfirmed: the request already finished consensus.
 	DupConfirmed
@@ -80,8 +79,8 @@ const (
 	StaleSeq
 	// RateLimited: the client's token bucket is empty.
 	RateLimited
-	// PoolFull: the pool's byte/count/client budgets are exhausted and the
-	// request did not outrank anything evictable.
+	// PoolFull: the pool's byte, count or client-state budget is
+	// exhausted.
 	PoolFull
 	// ClientFull: the client's live-request budget is exhausted.
 	ClientFull
@@ -92,15 +91,13 @@ const (
 )
 
 // OK reports whether the request entered the pool.
-func (v Verdict) OK() bool { return v <= AdmittedQueued }
+func (v Verdict) OK() bool { return v == Admitted }
 
 // String implements fmt.Stringer.
 func (v Verdict) String() string {
 	switch v {
 	case Admitted:
 		return "admitted"
-	case AdmittedQueued:
-		return "queued"
 	case DupLive:
 		return "duplicate"
 	case DupConfirmed:
@@ -120,35 +117,28 @@ func (v Verdict) String() string {
 	}
 }
 
-// entry pairs a live request with its enqueue time (so batching code can
-// report how long requests waited — Table IV's generation stage) and its
-// position in the priority order.
+// entry pairs a pending request with its enqueue time (so batching code
+// can report how long requests waited — Table IV's generation stage) and
+// its position in the FIFO.
 type entry struct {
 	req    types.Request
 	at     time.Duration
 	client *clientState
-	elem   *list.Element // in pending or queued
-	queued bool
+	elem   *list.Element // in pending
 }
 
-// clientState is the per-client nonce ledger and rate limiter.
+// clientState is the per-client dedup ledger and rate limiter.
 type clientState struct {
-	id   uint64
 	init bool
 	// base is the consumed watermark: every seq below it was confirmed or
 	// superseded by a later confirmed seq, so submissions below it are
-	// rejected as stale.
+	// rejected as stale. A client's first admission anchors it (at that
+	// seq), or else its first confirmation (one past it).
 	base uint64
-	// frontier is the highest seq reachable without a gap: every seq in
-	// [base, frontier] was admitted or confirmed at some point. Arrivals
-	// at or below frontier+1 go to pending; above it they queue.
-	frontier uint64
 	// confirmed holds confirmed seqs above base (out-of-order
 	// confirmations), bounded by budgets.confirmedWindow.
 	confirmed map[uint64]struct{}
-	// gapped indexes this client's queued entries by seq for promotion.
-	gapped map[uint64]*entry
-	live   int
+	live      int
 
 	tokens     float64
 	lastRefill time.Duration
@@ -160,22 +150,19 @@ type PoolStats struct {
 	Admitted    int64
 	Rejected    int64 // every non-OK verdict, including RateLimited
 	RateLimited int64
-	Evicted     int64
 }
 
-// RequestPool is a prioritized, nonce-aware request pool with duplicate
+// RequestPool is a FIFO of pending client requests with duplicate
 // suppression. The zero value is not usable; create with
 // NewRequestPoolLimits.
 //
-// Priority is total and deterministic: gap-free (pending) entries outrank
-// nonce-gapped (queued) entries, and within each class earlier promotion
-// outranks later. Extraction takes the highest-priority entries; eviction
-// under pressure removes the lowest-priority ones.
+// Requests leave in admission order, whatever their sequence numbers: a
+// seq above a client's next one is pending at once, not held back until
+// the seqs between arrive.
 type RequestPool struct {
 	lim     Limits
 	budget  budgets
-	pending *list.List // *entry in promotion order (front = extract next)
-	queued  *list.List // *entry in admission order (back = evict first)
+	pending *list.List // *entry in admission order (front = extract next)
 	byID    map[types.RequestID]*entry
 	clients map[uint64]*clientState
 	bytes   int
@@ -194,7 +181,6 @@ func newRequestPool(lim Limits, budget budgets) *RequestPool {
 		lim:     lim,
 		budget:  budget,
 		pending: list.New(),
-		queued:  list.New(),
 		byID:    make(map[types.RequestID]*entry),
 		clients: make(map[uint64]*clientState),
 	}
@@ -218,7 +204,7 @@ func (p *RequestPool) client(id uint64) *clientState {
 			return nil
 		}
 	}
-	c := &clientState{id: id}
+	c := &clientState{}
 	p.clients[id] = c
 	return c
 }
@@ -260,34 +246,20 @@ func (p *RequestPool) admit(r types.Request, now time.Duration) Verdict {
 	if p.lim.RatePerSec > 0 && !p.takeToken(c, now) {
 		return RateLimited
 	}
-
-	gapped := c.init && r.Seq > c.frontier+1
 	size := r.Size()
-	if !p.makeRoom(size, gapped) {
+	if len(p.byID) >= p.budget.maxRequests || p.bytes+size > p.budget.maxBytes {
 		return PoolFull
-	}
-
-	e := &entry{req: r, at: now, client: c}
-	p.byID[id] = e
-	c.live++
-	p.bytes += size
-	if gapped {
-		e.queued = true
-		e.elem = p.queued.PushBack(e)
-		c.gapped[r.Seq] = e
-		return AdmittedQueued
 	}
 	if !c.init {
 		c.init = true
 		c.base = r.Seq
-		c.frontier = r.Seq
 		c.confirmed = make(map[uint64]struct{})
-		c.gapped = make(map[uint64]*entry)
-	} else if r.Seq == c.frontier+1 {
-		c.frontier = r.Seq
 	}
+	e := &entry{req: r, at: now, client: c}
 	e.elem = p.pending.PushBack(e)
-	p.promote(c)
+	p.byID[id] = e
+	c.live++
+	p.bytes += size
 	return Admitted
 }
 
@@ -313,86 +285,24 @@ func (p *RequestPool) takeToken(c *clientState, now time.Duration) bool {
 	return true
 }
 
-// makeRoom enforces the byte/count budgets for an arrival of the given
-// size, evicting queued entries (the lowest-priority class) to admit a
-// gap-free request. Victims are chosen biggest-footprint-first — freeing
-// the most bytes per lost request — with ties broken toward the newest
-// arrival, so under byte pressure a single fat straggler is sacrificed
-// before a crowd of small ones. Pending entries are never evicted: a
-// client's extractable in-flight head survives any amount of pressure.
-// A gapped arrival never evicts: it would itself be among the pool's
-// lowest-priority entries.
-func (p *RequestPool) makeRoom(size int, gapped bool) bool {
-	over := func() bool {
-		return len(p.byID) >= p.budget.maxRequests || p.bytes+size > p.budget.maxBytes
-	}
-	if !over() {
-		return true
-	}
-	if gapped {
-		return false
-	}
-	for over() && p.queued.Len() > 0 {
-		// Back-to-front with a strict > keeps the backmost (newest) of any
-		// size tie, matching the old newest-first order when sizes are equal.
-		victim := p.queued.Back().Value.(*entry)
-		for el := p.queued.Back().Prev(); el != nil; el = el.Prev() {
-			if e := el.Value.(*entry); e.req.Size() > victim.req.Size() {
-				victim = e
-			}
-		}
-		p.remove(victim)
-		p.stats.Evicted++
-	}
-	return !over()
-}
-
-// promote moves the client's queued entries into pending for as long as the
-// frontier extends through them (or through seqs confirmed out of order).
-func (p *RequestPool) promote(c *clientState) {
-	for {
-		if e, ok := c.gapped[c.frontier+1]; ok {
-			c.frontier++
-			delete(c.gapped, c.frontier)
-			p.queued.Remove(e.elem)
-			e.queued = false
-			e.elem = p.pending.PushBack(e)
-			continue
-		}
-		if _, ok := c.confirmed[c.frontier+1]; ok {
-			c.frontier++
-			continue
-		}
-		return
-	}
-}
-
-// remove unlinks a live entry entirely.
+// remove unlinks a pending entry.
 func (p *RequestPool) remove(e *entry) {
-	if e.queued {
-		p.queued.Remove(e.elem)
-		delete(e.client.gapped, e.req.Seq)
-	} else {
-		p.pending.Remove(e.elem)
-	}
+	p.pending.Remove(e.elem)
 	delete(p.byID, e.req.ID())
 	e.client.live--
 	p.bytes -= e.req.Size()
 }
 
-// Len returns the number of pending (extractable) requests.
+// Len returns the number of pending requests.
 func (p *RequestPool) Len() int { return p.pending.Len() }
 
-// Queued returns the number of nonce-gapped requests awaiting promotion.
-func (p *RequestPool) Queued() int { return p.queued.Len() }
-
-// Bytes returns the total wire size of live (pending + queued) requests.
+// Bytes returns the total wire size of pending requests.
 func (p *RequestPool) Bytes() int { return p.bytes }
 
 // Stats returns the pool's admission counters.
 func (p *RequestPool) Stats() PoolStats { return p.stats }
 
-// Extract removes and returns up to max pending requests in priority order,
+// Extract removes and returns up to max pending requests in admission order,
 // along with the enqueue time of the oldest extracted request (zero when
 // none). Extracted requests may be re-admitted until they confirm — that is
 // how client retransmissions of in-flight requests are served.
@@ -424,12 +334,14 @@ func (p *RequestPool) Extract(max int) ([]types.Request, time.Duration) {
 // rejected from then on, a live copy (confirmed via another replica's
 // datablock) is dropped, and the client's consumed watermark advances.
 // Per-client bookkeeping is bounded: contiguous confirmations fold into the
-// base watermark, out-of-order ones live in a window of ConfirmedWindow
+// base watermark, out-of-order ones live in a window of confirmedWindow
 // seqs whose furthest-ahead entries are forgotten on overflow.
 func (p *RequestPool) MarkConfirmed(id types.RequestID) {
 	c := p.client(id.Client)
 	if c == nil {
-		return // state budget exhausted: rely on consensus-output dedup
+		// The client-state budget is exhausted: the confirmation is not
+		// recorded, so a resubmission is admitted and can execute again.
+		return
 	}
 	if e, ok := p.byID[id]; ok {
 		p.remove(e)
@@ -438,9 +350,7 @@ func (p *RequestPool) MarkConfirmed(id types.RequestID) {
 	if !c.init {
 		c.init = true
 		c.base = seq + 1
-		c.frontier = seq
 		c.confirmed = make(map[uint64]struct{})
-		c.gapped = make(map[uint64]*entry)
 		return
 	}
 	if seq < c.base {
@@ -473,14 +383,4 @@ func (p *RequestPool) MarkConfirmed(id types.RequestID) {
 		}
 		c.confirmed[seq] = struct{}{}
 	}
-	if c.base > 0 && c.frontier < c.base-1 {
-		c.frontier = c.base - 1
-	}
-	if seq == c.frontier+1 {
-		c.frontier = seq
-	}
-	// No live entry can sit below base here: base advances only through
-	// seqs that were individually confirmed, and each confirmation removed
-	// its live copy above.
-	p.promote(c)
 }

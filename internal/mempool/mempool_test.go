@@ -11,22 +11,26 @@ func req(client, seq uint64) types.Request {
 	return types.Request{ClientID: client, Seq: seq, Payload: []byte("p")}
 }
 
+// TestRequestPoolFIFO: requests leave in admission order, and a seq above
+// the client's next one is pending at once, not held back for the seqs
+// between.
 func TestRequestPoolFIFO(t *testing.T) {
 	p := NewRequestPoolLimits(Limits{})
-	for i := uint64(0); i < 10; i++ {
-		if !p.Admit(req(1, i), 0).OK() {
-			t.Fatalf("request %d rejected", i)
+	seqs := []uint64{0, 3, 5, 2, 1, 4, 100, 6, 8, 7}
+	for i, seq := range seqs {
+		if v := p.Admit(req(1, seq), 0); v != Admitted {
+			t.Fatalf("seq %d: verdict %v", seq, v)
 		}
-	}
-	if p.Len() != 10 {
-		t.Fatalf("Len = %d", p.Len())
+		if p.Len() != i+1 {
+			t.Fatalf("Len = %d after seq %d, want %d", p.Len(), seq, i+1)
+		}
 	}
 	out, _ := p.Extract(4)
 	if len(out) != 4 {
 		t.Fatalf("extracted %d", len(out))
 	}
 	for i, r := range out {
-		if r.Seq != uint64(i) {
+		if r.Seq != seqs[i] {
 			t.Errorf("position %d holds seq %d; want FIFO order", i, r.Seq)
 		}
 	}

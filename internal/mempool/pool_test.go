@@ -37,92 +37,38 @@ func drain(p *RequestPool) []types.Request {
 	return out
 }
 
-func TestNonceGapsFilledOutOfOrder(t *testing.T) {
-	p := NewRequestPoolLimits(Limits{})
-	steps := []struct {
-		seq         uint64
-		want        Verdict
-		len, queued int
-	}{
-		{0, Admitted, 1, 0},         // anchors the client
-		{3, AdmittedQueued, 1, 1},   // gap: 1, 2 missing
-		{5, AdmittedQueued, 1, 2},   // still gapped
-		{2, AdmittedQueued, 1, 3},   // fills part of the gap, 1 still missing
-		{1, Admitted, 4, 1},         // closes the gap: 1 promotes 2 and 3; 5 stays
-		{4, Admitted, 6, 0},         // closes the rest: 4 promotes 5
-		{4, DupLive, 6, 0},          // live duplicate
-		{100, AdmittedQueued, 6, 1}, // far-future gap queues but is admitted
-	}
-	for i, s := range steps {
-		if got := p.Admit(req(1, s.seq), 0); got != s.want {
-			t.Fatalf("step %d (seq %d): verdict %v, want %v", i, s.seq, got, s.want)
-		}
-		if p.Len() != s.len || p.Queued() != s.queued {
-			t.Fatalf("step %d (seq %d): len=%d queued=%d, want %d/%d",
-				i, s.seq, p.Len(), p.Queued(), s.len, s.queued)
-		}
-	}
-	// Promotion preserved per-client sequence order.
-	got := drain(p)
-	for i, r := range got {
-		if r.Seq != uint64(i) {
-			t.Fatalf("extract %d: seq %d, want %d", i, r.Seq, i)
-		}
-	}
-}
-
-func TestGapFilledByConfirmation(t *testing.T) {
-	// Seq 1 confirms via another replica's datablock without ever being
-	// submitted here; the local queued seq 2 must still promote.
-	p := NewRequestPoolLimits(Limits{})
-	p.Admit(req(7, 0), 0)
-	if v := p.Admit(req(7, 2), 0); v != AdmittedQueued {
-		t.Fatalf("seq 2 verdict %v, want queued", v)
-	}
-	p.MarkConfirmed(types.RequestID{Client: 7, Seq: 1})
-	if p.Len() != 2 || p.Queued() != 0 {
-		t.Fatalf("after confirm of gap seq: len=%d queued=%d, want 2/0", p.Len(), p.Queued())
-	}
-	// And a later submission of the confirmed seq is rejected.
-	if v := p.Admit(req(7, 1), 0); v != DupConfirmed {
-		t.Fatalf("confirmed seq re-admission verdict %v", v)
-	}
-}
-
+// TestDuplicateSuppressionAcrossConfirmAndEvict pins that only confirmation
+// suppresses for good. The pool evicts nothing: a request refused under
+// byte pressure, like one extracted, stays re-admittable.
 func TestDuplicateSuppressionAcrossConfirmAndEvict(t *testing.T) {
 	p := poolWith(Limits{}, budgets{maxBytes: 5 * req(0, 0).Size()})
 
-	// Client 1: one pending anchor + three gapped entries.
-	p.Admit(req(1, 0), 0)
-	for _, seq := range []uint64{10, 11, 12} {
-		if v := p.Admit(req(1, seq), 0); v != AdmittedQueued {
+	// Client 1: its anchor and three seqs above a gap, all pending.
+	for _, seq := range []uint64{0, 10, 11, 12} {
+		if v := p.Admit(req(1, seq), 0); v != Admitted {
 			t.Fatalf("seq %d: %v", seq, v)
 		}
 	}
-	// Live duplicates are suppressed in both lists.
-	if v := p.Admit(req(1, 0), 0); v != DupLive {
-		t.Fatalf("pending dup verdict %v", v)
-	}
-	if v := p.Admit(req(1, 11), 0); v != DupLive {
-		t.Fatalf("queued dup verdict %v", v)
+	for _, seq := range []uint64{0, 11} {
+		if v := p.Admit(req(1, seq), 0); v != DupLive {
+			t.Fatalf("pending dup seq %d verdict %v", seq, v)
+		}
 	}
 
-	// A gap-free arrival under byte pressure evicts the newest queued
-	// entry (seq 12), which is then re-admittable — eviction is not
-	// confirmation.
+	// The fifth request fills the byte budget; the sixth is refused and
+	// nothing pending is touched.
 	p.Admit(req(2, 0), 0)
+	if v := p.Admit(req(2, 1), 0); v != PoolFull {
+		t.Fatalf("pressure admission verdict %v, want pool-full", v)
+	}
+	if p.Len() != 5 {
+		t.Fatalf("len = %d after a refusal, want 5", p.Len())
+	}
+	// Refusal is not confirmation: with room made, the same request is
+	// admitted.
+	p.Extract(1)
 	if v := p.Admit(req(2, 1), 0); v != Admitted {
-		t.Fatalf("pressure admission verdict %v", v)
-	}
-	if got := p.Stats().Evicted; got != 1 {
-		t.Fatalf("evicted = %d, want 1", got)
-	}
-	if _, ok := p.byID[types.RequestID{Client: 1, Seq: 12}]; ok {
-		t.Fatal("newest queued entry not the eviction victim")
-	}
-	p.Extract(p.Len()) // make room
-	if v := p.Admit(req(1, 12), 0); v != AdmittedQueued {
-		t.Fatalf("evicted entry re-admission verdict %v", v)
+		t.Fatalf("refused request re-admission verdict %v", v)
 	}
 
 	// Confirmation suppresses permanently: exact ids as DupConfirmed,
@@ -132,13 +78,13 @@ func TestDuplicateSuppressionAcrossConfirmAndEvict(t *testing.T) {
 	if v := p.Admit(req(2, 1), 0); v != StaleSeq {
 		t.Fatalf("confirmed-watermark re-admission verdict %v", v)
 	}
-	// Confirming a live queued entry drops it (10 and 11 stay gapped).
+	// Confirming a live entry above a gap drops it (10 and 11 stay).
 	p.MarkConfirmed(types.RequestID{Client: 1, Seq: 12})
-	if p.Queued() != 2 {
-		t.Fatalf("queued = %d after confirming the queued entry, want 2", p.Queued())
+	if p.Len() != 2 {
+		t.Fatalf("len = %d after confirming a live entry, want 2", p.Len())
 	}
 	if v := p.Admit(req(1, 12), 0); v != DupConfirmed {
-		t.Fatalf("confirmed queued re-admission verdict %v", v)
+		t.Fatalf("confirmed live entry re-admission verdict %v", v)
 	}
 }
 
@@ -209,104 +155,145 @@ func TestRateLimitRefillBoundaries(t *testing.T) {
 	})
 }
 
+// TestEvictionUnderBytePressure pins that no budget evicts: an arrival
+// over the byte, count, per-client or client-state budget is refused, and
+// every pending entry stays extractable in admission order.
 func TestEvictionUnderBytePressure(t *testing.T) {
 	const payload = 100
 	unit := sizedReq(0, 0, payload).Size()
-	p := poolWith(Limits{}, budgets{maxBytes: 5 * unit})
-
-	p.Admit(sizedReq(1, 0, payload), 0)
-	for _, seq := range []uint64{10, 11, 12, 13} {
-		if v := p.Admit(sizedReq(1, seq, payload), 0); v != AdmittedQueued {
-			t.Fatalf("seq %d: %v", seq, v)
+	// fill admits each request and refuses the next one with want; all the
+	// admitted requests must then still drain, in order.
+	fill := func(t *testing.T, p *RequestPool, admit []types.Request, next types.Request, want Verdict) {
+		t.Helper()
+		for _, r := range admit {
+			if v := p.Admit(r, 0); v != Admitted {
+				t.Fatalf("client %d seq %d: %v", r.ClientID, r.Seq, v)
+			}
+		}
+		if v := p.Admit(next, 0); v != want {
+			t.Fatalf("arrival over budget: %v, want %v", v, want)
+		}
+		got := drain(p)
+		if len(got) != len(admit) {
+			t.Fatalf("drained %d of %d admitted entries", len(got), len(admit))
+		}
+		for i, r := range got {
+			if r.ID() != admit[i].ID() {
+				t.Fatalf("extract %d: %v, want %v", i, r.ID(), admit[i].ID())
+			}
 		}
 	}
-	if p.Bytes() != 5*unit {
-		t.Fatalf("bytes = %d, want %d", p.Bytes(), 5*unit)
-	}
 
-	// A gapped arrival would itself be lowest priority: rejected outright,
-	// nothing evicted.
-	p2 := poolWith(Limits{}, budgets{maxBytes: 2 * unit})
-	p2.Admit(sizedReq(1, 0, payload), 0)
-	p2.Admit(sizedReq(1, 5, payload), 0) // queued, pool now full
-	if v := p2.Admit(sizedReq(1, 9, payload), 0); v != PoolFull {
-		t.Fatalf("gapped arrival at full pool: %v, want pool-full", v)
-	}
-	if p2.Stats().Evicted != 0 {
-		t.Fatalf("gapped arrival evicted %d entries", p2.Stats().Evicted)
-	}
+	t.Run("bytes", func(t *testing.T) {
+		p := poolWith(Limits{}, budgets{maxBytes: 5 * unit})
+		var admit []types.Request
+		for _, seq := range []uint64{0, 10, 11, 12, 13} {
+			admit = append(admit, sizedReq(1, seq, payload))
+		}
+		// Not even an empty payload fits a full pool.
+		fill(t, p, admit, sizedReq(3, 0, 0), PoolFull)
+		if p.Bytes() != 0 {
+			t.Fatalf("bytes = %d after draining", p.Bytes())
+		}
+	})
+	t.Run("count", func(t *testing.T) {
+		p := poolWith(Limits{}, budgets{maxRequests: 2})
+		fill(t, p, []types.Request{req(1, 0), req(1, 5)}, req(2, 0), PoolFull)
+	})
+	t.Run("per-client", func(t *testing.T) {
+		p := poolWith(Limits{}, budgets{maxPerClient: 2})
+		fill(t, p, []types.Request{req(1, 0), req(1, 1)}, req(1, 2), ClientFull)
+		// Another client is not held back by client 1's budget.
+		if v := p.Admit(req(2, 0), 0); v != Admitted {
+			t.Fatalf("client 2: %v", v)
+		}
+	})
+	t.Run("client-state", func(t *testing.T) {
+		p := poolWith(Limits{}, budgets{maxClients: 2})
+		fill(t, p, []types.Request{req(1, 0), req(2, 0)}, req(3, 0), PoolFull)
+		// Drained, both states are idle and are discarded to admit client 3.
+		if v := p.Admit(req(3, 0), 0); v != Admitted {
+			t.Fatalf("client 3 after the states went idle: %v", v)
+		}
+	})
 
-	// Gap-free arrivals evict newest-queued first, oldest-queued last.
-	if v := p.Admit(sizedReq(3, 0, payload), 0); v != Admitted {
-		t.Fatalf("pressure admission: %v", v)
-	}
-	if _, ok := p.byID[types.RequestID{Client: 1, Seq: 13}]; ok {
-		t.Fatal("seq 13 (newest queued) should be the first victim")
-	}
-	if _, ok := p.byID[types.RequestID{Client: 1, Seq: 10}]; !ok {
-		t.Fatal("seq 10 (oldest queued) evicted too early")
-	}
+	t.Run("in-flight-head-survives", func(t *testing.T) {
+		p := poolWith(Limits{}, budgets{maxBytes: 3 * unit})
+		// Client 1 has work in flight (extracted, unconfirmed) and a pending
+		// head awaiting extraction.
+		p.Admit(sizedReq(1, 0, payload), 0)
+		if got, _ := p.Extract(1); len(got) != 1 {
+			t.Fatal("extract failed")
+		}
+		fill(t, p, []types.Request{
+			sizedReq(1, 1, payload), // the pending head
+			sizedReq(2, 0, payload),
+			sizedReq(3, 0, payload),
+		}, sizedReq(4, 0, payload), PoolFull)
+	})
 
-	// When only pending entries remain, pressure rejects the newcomer
-	// rather than evicting older gap-free work.
-	p3 := poolWith(Limits{}, budgets{maxBytes: 2 * unit})
-	p3.Admit(sizedReq(1, 0, payload), 0)
-	p3.Admit(sizedReq(2, 0, payload), 0)
-	if v := p3.Admit(sizedReq(3, 0, payload), 0); v != PoolFull {
-		t.Fatalf("all-pending full pool: %v, want pool-full", v)
-	}
-	if p3.Len() != 2 {
-		t.Fatalf("pending entries evicted under pressure: len=%d", p3.Len())
-	}
-
-	// MaxRequests binds the same way as MaxBytes.
-	p4 := poolWith(Limits{}, budgets{maxRequests: 2})
-	p4.Admit(req(1, 0), 0)
-	p4.Admit(req(1, 5), 0) // queued
-	if v := p4.Admit(req(2, 0), 0); v != Admitted {
-		t.Fatalf("count-pressure admission: %v", v)
-	}
-	if p4.Queued() != 0 {
-		t.Fatal("count pressure did not evict the queued entry")
-	}
+	t.Run("rate-limit-precedes-pool-full", func(t *testing.T) {
+		// The token check runs before the budgets: at a full pool a
+		// throttled arrival is RateLimited, and only a refilled one reaches
+		// the byte budget and is refused with PoolFull.
+		p := poolWith(Limits{RatePerSec: 1000, RateBurst: 2}, budgets{maxBytes: 2 * unit}) // 1 token/ms
+		p.Admit(sizedReq(1, 0, payload), 0)
+		p.Admit(sizedReq(1, 1, payload), 0) // drains the burst and fills the pool
+		if v := p.Admit(sizedReq(1, 2, payload), 500*time.Microsecond); v != RateLimited {
+			t.Fatalf("throttled arrival at a full pool: %v, want rate-limited", v)
+		}
+		if v := p.Admit(sizedReq(1, 2, payload), 1500*time.Microsecond); v != PoolFull {
+			t.Fatalf("refilled arrival at a full pool: %v, want pool-full", v)
+		}
+		if s := p.Stats(); s.RateLimited != 1 || s.Rejected != 2 || p.Len() != 2 {
+			t.Fatalf("stats %+v, len %d", s, p.Len())
+		}
+	})
 }
 
 // TestPriorityOrderTotalAndDeterministic drives two identical pools through
-// a seeded random workload and asserts (a) the priority order is total:
-// every live entry sits in exactly one of the two priority classes at all
-// times, (b) it is deterministic: both pools extract identical sequences,
-// and (c) promotion respects per-client sequence order for first-time
-// admissions.
+// a seeded random workload and asserts (a) the order is total: every live
+// entry is pending and extractable at all times, and requests leave in the
+// order they were admitted, and (b) it is deterministic: both pools
+// extract identical sequences.
 func TestPriorityOrderTotalAndDeterministic(t *testing.T) {
 	run := func(seed int64) []types.Request {
 		rng := rand.New(rand.NewSource(seed))
 		p := poolWith(Limits{}, budgets{maxRequests: 64})
-		extracted := make(map[types.RequestID]bool)
+		admittedAt := make(map[types.RequestID]int)
+		last := -1
 		var out []types.Request
+		take := func(got []types.Request) {
+			for _, r := range got {
+				at := admittedAt[r.ID()]
+				if at <= last {
+					t.Fatalf("seed %d: %v admitted at step %d left after one admitted at step %d",
+						seed, r.ID(), at, last)
+				}
+				last = at
+			}
+			out = append(out, got...)
+		}
 		for step := 0; step < 4000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6: // admit
 				r := req(uint64(rng.Intn(4)), uint64(rng.Intn(40)))
-				if extracted[r.ID()] {
-					continue // keep first-admission order observable
+				if p.Admit(r, time.Duration(step)) == Admitted {
+					admittedAt[r.ID()] = step
 				}
-				p.Admit(r, time.Duration(step))
 			case op < 8: // extract a few
 				got, _ := p.Extract(rng.Intn(5))
-				for _, r := range got {
-					extracted[r.ID()] = true
-				}
-				out = append(out, got...)
+				take(got)
 			default: // confirm a random id
 				p.MarkConfirmed(types.RequestID{Client: uint64(rng.Intn(4)), Seq: uint64(rng.Intn(40))})
 			}
-			if live := len(p.byID); live != p.Len()+p.Queued() {
-				t.Fatalf("step %d: %d live entries but %d pending + %d queued",
-					step, live, p.Len(), p.Queued())
+			if live := len(p.byID); live != p.Len() {
+				t.Fatalf("step %d: %d live entries but %d pending", step, live, p.Len())
 			}
 		}
 		got, _ := p.Extract(p.Len())
-		return append(out, got...)
+		take(got)
+		return out
 	}
 
 	for seed := int64(1); seed <= 3; seed++ {
@@ -314,17 +301,11 @@ func TestPriorityOrderTotalAndDeterministic(t *testing.T) {
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: extraction lengths differ: %d vs %d", seed, len(a), len(b))
 		}
-		lastSeq := map[uint64]uint64{}
 		for i := range a {
 			if a[i].ID() != b[i].ID() {
 				t.Fatalf("seed %d: extraction order diverged at %d: %v vs %v",
 					seed, i, a[i].ID(), b[i].ID())
 			}
-			if last, ok := lastSeq[a[i].ClientID]; ok && a[i].Seq <= last {
-				t.Fatalf("seed %d: client %d extracted seq %d after %d",
-					seed, a[i].ClientID, a[i].Seq, last)
-			}
-			lastSeq[a[i].ClientID] = a[i].Seq
 		}
 	}
 }
@@ -372,7 +353,7 @@ func TestConfirmedBoundedUnderByzantineReplay(t *testing.T) {
 	}
 
 	// Forgetting furthest-ahead confirmations fails open: the replay is
-	// re-admitted (and would re-run consensus harmlessly), never lost low.
+	// re-admitted (and can execute again), never lost low.
 	p2 := poolWith(Limits{}, budgets{confirmedWindow: 4})
 	for _, seq := range []uint64{10, 20, 30, 40, 50, 60} { // overflows window
 		p2.MarkConfirmed(types.RequestID{Client: 5, Seq: seq})
@@ -384,25 +365,41 @@ func TestConfirmedBoundedUnderByzantineReplay(t *testing.T) {
 	if _, ok := c2.confirmed[20]; !ok {
 		t.Fatal("low confirmed seq was forgotten before high ones")
 	}
+	if v := p2.Admit(req(5, 20), 0); v != DupConfirmed {
+		t.Fatalf("replay of a kept confirmation: %v, want confirmed", v)
+	}
+	if v := p2.Admit(req(5, 60), 0); v != Admitted {
+		t.Fatalf("replay of a forgotten confirmation: %v, want admitted", v)
+	}
 }
 
 func TestVerdictStrings(t *testing.T) {
-	for v := Admitted; v <= BadSignature+1; v++ {
-		if v.String() == "" {
+	seen := make(map[string]Verdict)
+	for v := Admitted; v <= BadSignature; v++ {
+		str := v.String()
+		if str == "" || str == "unknown" {
 			t.Fatalf("verdict %d has no string", v)
 		}
+		if prev, ok := seen[str]; ok {
+			t.Fatalf("verdicts %d and %d share the string %q", prev, v, str)
+		}
+		seen[str] = v
+		if v.OK() != (v == Admitted) {
+			t.Fatalf("OK() misclassifies %v", v)
+		}
 	}
-	if Admitted.OK() != true || AdmittedQueued.OK() != true || PoolFull.OK() {
-		t.Fatal("OK() misclassifies verdicts")
+	if (BadSignature + 1).String() != "unknown" {
+		t.Fatal("out-of-range verdict must format as unknown")
 	}
 }
 
 func TestAdmissionStats(t *testing.T) {
-	p := NewRequestPoolLimits(Limits{})
+	p := poolWith(Limits{}, budgets{maxRequests: 1})
 	p.Admit(req(1, 0), 0)
 	p.Admit(req(1, 0), 0) // dup
+	p.Admit(req(2, 0), 0) // pool full
 	s := p.Stats()
-	if s.Admitted != 1 || s.Rejected != 1 {
+	if s.Admitted != 1 || s.Rejected != 2 || s.RateLimited != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 	if fmt.Sprintf("%v", DupLive) != "duplicate" {

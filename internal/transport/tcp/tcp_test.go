@@ -101,9 +101,9 @@ func TestLeopardOverTCP(t *testing.T) {
 	}()
 
 	// Give listeners a moment, then submit 40 requests to replicas 2 and 3
-	// (replica 1 leads view 1). One client per replica, each with a
-	// contiguous seq stream: the nonce-aware mempool parks gapped seqs until
-	// the gap fills, so a client must not stripe one stream across replicas.
+	// (replica 1 leads view 1). One client per replica, each with its own
+	// seq stream: a client must not stripe one stream across replicas (see
+	// workload.Generator).
 	time.Sleep(200 * time.Millisecond)
 	for i := 0; i < 40; i++ {
 		target := 2 + i%2

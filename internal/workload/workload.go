@@ -11,11 +11,13 @@ import "leopard/internal/types"
 // request simulations within memory. Callers that mutate payloads must
 // copy them first.
 //
-// Each client's seqs are emitted contiguously from zero — the nonce-aware
-// mempool parks gapped seqs until the gap fills, so a generator's stream
-// must all be submitted to the same replica. Give each replica its own
-// generator over a disjoint client range (NewGeneratorAt) rather than
-// striping one stream across replicas.
+// Each client's seqs are emitted in order from zero, and a client's stream
+// must all be submitted to the same replica: a replica anchors a client's
+// watermark at the first seq it admits, or past the first it sees
+// confirmed, and refuses lower seqs as stale, so a stream striped across
+// replicas can lose requests whose successors confirmed first. Give each
+// replica its own generator over a disjoint client range (NewGeneratorAt)
+// rather than striping one stream across replicas.
 type Generator struct {
 	payload     []byte
 	firstClient uint64
