@@ -7,8 +7,8 @@
 // optional per-client token bucket. A request over budget is refused; an
 // admitted one leaves only by extraction or confirmation, never by
 // eviction. The protocol state machines that use it are single-threaded,
-// so the pool is not synchronized. Datablocks are held by
-// the replica that pools them (leopard.Node's datablock table), not here.
+// so the pool is not synchronized. Datablocks are held by the replica
+// that pools them (leopard.Node's datablock table), not here.
 package mempool
 
 import (
